@@ -22,7 +22,7 @@ from .fields import (VectorField, distribution_from_monge, frame_determinant,
 from .liealg import (LieAlgebraPresentation, analyze, close_under_bracket,
                      express_in_basis, ClosureCapExceeded)
 from .parser import parse
-from .solver import maximality_argument, symmetry_dimension
+from .solver import AnsatzError, maximality_argument, symmetry_dimension
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -288,6 +288,8 @@ def cmd_solve(args) -> int:
         report = symmetry_dimension(m, args.degree, offsets=offsets, rates=rates,
                                     equation_label=label, verify=True,
                                     progress=progress)
+    except AnsatzError as exc:
+        raise UsageError(str(exc)) from None
     except ExprError as exc:
         sys.stderr.write(f"solve failed: {exc}\n")
         return EXIT_MISMATCH
@@ -534,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rates", help="comma-separated rational exp rates (default: auto)")
     p.add_argument("--verify", action="store_true",
                    help="re-check every basis field symbolically (again)")
-    p.add_argument("--timings", action="store_true", help="include timings in JSON")
+    p.add_argument("--timings", action="store_true",
+                   help="include per-degree and per-stage timings in JSON")
     common(p)
     p.set_defaults(func=cmd_solve)
 

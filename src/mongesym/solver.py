@@ -9,6 +9,18 @@ coefficient.  The nullspace dimension is the dimension of the symmetry space
 inside the ansatz class, and every nullspace vector reassembles into a field
 that is re-verified symbolically.
 
+The rows come from a compiled operator (compile_operator).  For a field
+a*d/du_i the residuals are first order and linear in a, so each one reads
+L0*a + sum_j Lj*da/du_j with coefficients independent of a.  Probing
+fields.symmetry_residuals with a = 1 and a = u_j recovers L0 = R(1) and
+Lj = R(u_j) - u_j*R(1) exactly: six probes per direction, once per equation.
+A basis unknown's rows then follow from the operator terms alone: shift the
+monomial, multiply in the exponent (and rho for d/dx of exp(rho*x)), and
+canonicalize each product term with the expression engine.
+symmetry_dimension builds the rows once, at the top degree; every lower
+degree keeps the columns of its own unknowns, which is exact because an
+unknown's entries do not depend on the other unknowns.
+
 The ansatz class is polynomial coefficients of bounded total degree,
 optionally multiplied by rational powers y2^q (offsets) and by exponentials
 exp(rho*x) (rates).  Rates matter because for the quadratic equations
@@ -26,18 +38,21 @@ characteristic polynomial (see exp_rates_for).
 from __future__ import annotations
 
 import itertools
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .charts import J20
-from .expr import Expr, PowerAtom, ExpAtom, mono_from_dict
+from .expr import (Expr, PowerAtom, ExpAtom, _canonical_term, mono_from_dict,
+                   mono_mul)
 from .fields import (Distribution2, MongeEquation, VectorField,
-                     distribution_from_monge, is_symmetry)
+                     distribution_from_monge, is_symmetry, symmetry_residuals)
 from .linalg import rows_to_integer, sparse_nullspace
 from .rationals import exact_pow
+
+
+class AnsatzError(ValueError):
+    """An ansatz specification outside the supported class."""
 
 
 @dataclass(frozen=True)
@@ -54,13 +69,13 @@ class AnsatzSpec:
 
     def __post_init__(self):
         if self.degree < 0:
-            raise ValueError("degree must be non-negative")
+            raise AnsatzError("degree must be non-negative")
         offs = tuple(sorted({Fraction(q) for q in self.offsets}))
         rates = tuple(sorted({Fraction(r) for r in self.rates}))
         if Fraction(0) not in offs:
-            raise ValueError("offset 0 is required")
+            raise AnsatzError("offset 0 is required")
         if Fraction(0) not in rates:
-            raise ValueError("rate 0 is required")
+            raise AnsatzError("rate 0 is required")
         object.__setattr__(self, "offsets", offs)
         object.__setattr__(self, "rates", rates)
 
@@ -87,17 +102,39 @@ class UnknownBasis:
     rate: Fraction
 
     def coefficient_expr(self) -> Expr:
-        mono = mono_from_dict({i: e for i, e in enumerate(self.exponents)})
-        atoms = []
-        if self.offset:
-            if self.offset.denominator == 1:
-                mono = mono_from_dict(
-                    {**dict(mono), 3: dict(mono).get(3, 0) + int(self.offset)})
-            else:
-                atoms.append(PowerAtom(((((3, 1),), Fraction(1)),), self.offset))
+        atoms, factors = self.partials()
+        return Expr.from_raw(J20, [(Fraction(1), factors[0][0][1], atoms)])
+
+    def partials(self):
+        """The coefficient and its five first partials.
+
+        Returns (atoms, factors): factors[order + 1] lists (scalar, monomial)
+        pairs such that sum scalar*monomial*atoms is the d/du_order partial
+        (order -1: the coefficient itself).
+        """
+        exps = list(self.exponents)
+        atoms = ()
+        frac_q = Fraction(0)
+        if self.offset.denominator == 1:
+            exps[3] += int(self.offset)
+        else:
+            frac_q = self.offset
+            atoms += (PowerAtom(((((3, 1),), Fraction(1)),), self.offset),)
         if self.rate:
-            atoms.append(ExpAtom(((((0, 1),), self.rate),)))
-        return Expr.from_raw(J20, [(Fraction(1), mono, tuple(atoms))])
+            atoms += (ExpAtom(((((0, 1),), self.rate),)),)
+        mono = mono_from_dict(dict(enumerate(exps)))
+        factors = [[(Fraction(1), mono)]]
+        for j in range(5):
+            power = exps[j] + (frac_q if j == 3 else 0)
+            parts = []
+            if power:
+                shifted = exps[:]
+                shifted[j] -= 1
+                parts.append((Fraction(power), mono_from_dict(dict(enumerate(shifted)))))
+            if j == 0 and self.rate:
+                parts.append((self.rate, mono))
+            factors.append(parts)
+        return atoms, factors
 
     def field(self) -> VectorField:
         coeffs = [Expr.zero(J20)] * 5
@@ -156,79 +193,88 @@ class DeterminingSystem:
                  "[S,X2]: dy - y1 dx", "[S,X2]: dy1 - y2 dx", "[S,X2]: dz - F dx")
         return names[key[0]], key[1], key[2]
 
+    def restrict(self, degree: int) -> "DeterminingSystem":
+        """The system of the degree-`degree` sub-ansatz.
 
-def _residuals_for_unknown(u: UnknownBasis, F: Expr, f_partials, y1, y2):
-    """The six membership residual expressions of the basis field u."""
-    a = u.coefficient_expr()
-    i = u.direction
+        Each column's entries depend on its own unknown only, so keeping the
+        columns of degree <= `degree` (re-indexed in their original order,
+        which is the order build_ansatz gives them) and dropping rows left
+        empty equals a fresh build at that degree.
+        """
+        spec = self.ansatz.spec
+        if degree >= spec.degree:
+            return self
+        keep = [c for c, u in enumerate(self.ansatz.unknowns)
+                if sum(u.exponents) <= degree]
+        index = {c: k for k, c in enumerate(keep)}
+        rows = {}
+        for key, row in self.rows.items():
+            sub = {index[c]: v for c, v in row.items() if c in index}
+            if sub:
+                rows[key] = sub
+        ansatz = Ansatz(AnsatzSpec(degree, spec.offsets, spec.rates),
+                        tuple(self.ansatz.unknowns[c] for c in keep))
+        return DeterminingSystem(self.distribution, ansatz, rows)
+
+
+def compile_operator(distribution: Distribution2) -> tuple:
+    """The six symmetry residuals of a*d/du_i as a linear operator in a.
+
+    Both brackets are first order in the field and the membership
+    residuals are linear, so residual r of a*d/du_i is
+
+        L0[i][r] * a + sum_j Lj[i][r] * da/du_j
+
+    with coefficients that do not depend on a.  Six probes of
+    fields.symmetry_residuals per direction read them off exactly:
+    L0 = R(1) and Lj = R(u_j) - u_j*R(1).  Entry i of the result lists
+    direction i's coefficients expanded as (residual, order, coefficient,
+    monomial, atoms) terms; order -1 multiplies a, order j da/du_j.
+    """
     zero = Expr.zero(J20)
-    da_dy2 = a.diff("y2")
-    w = -da_dy2  # [E, X1] is -da/dy2 on direction i
-    ra1 = ra2 = ra3 = zero
-    if i == 0:
-        ra1 = -(y1 * w)
-        ra2 = -(y2 * w)
-        ra3 = -(F * w)
-    elif i == 1:
-        ra1 = w
-    elif i == 2:
-        ra2 = w
-    elif i == 4:
-        ra3 = w
-    b = a.diff("x") + y1 * a.diff("y") + y2 * a.diff("y1") + F * a.diff("z")
-    # components of [E, X2]
-    vx = -b if i == 0 else zero
-    vy = (a if i == 2 else zero) - (b if i == 1 else zero)
-    vy1 = (a if i == 3 else zero) - (b if i == 2 else zero)
-    vy2 = -b if i == 3 else zero
-    vz = a * f_partials[i] - (b if i == 4 else zero)
-    rb1 = vy - y1 * vx
-    rb2 = vy1 - y2 * vx
-    rb3 = vz - F * vx
-    return (ra1, ra2, ra3, rb1, rb2, rb3)
+
+    def residuals(i, a):
+        coeffs = [zero] * 5
+        coeffs[i] = a
+        return symmetry_residuals(VectorField(J20, tuple(coeffs)), distribution)
+
+    operator = []
+    for i in range(5):
+        base = residuals(i, Expr.constant(J20, 1))
+        terms = [(rid, -1, t.coefficient, t.monomial, t.atoms)
+                 for rid, e in enumerate(base) for t in e.terms]
+        for j, name in enumerate(J20.coords):
+            u = Expr.coordinate(J20, name)
+            for rid, (r, r0) in enumerate(zip(residuals(i, u), base)):
+                terms.extend((rid, j, t.coefficient, t.monomial, t.atoms)
+                             for t in (r - u * r0).terms)
+        operator.append(tuple(terms))
+    return tuple(operator)
 
 
-def _scatter_chunk(args):
-    distribution, unknowns, start = args
-    F = distribution.equation.F
-    y1 = Expr.coordinate(J20, "y1")
-    y2 = Expr.coordinate(J20, "y2")
-    f_partials = tuple(F.diff(c) for c in J20.coords)
-    entries = []
-    for off, u in enumerate(unknowns):
-        col = start + off
-        residuals = _residuals_for_unknown(u, F, f_partials, y1, y2)
-        for rid, expr in enumerate(residuals):
-            for term in expr.terms:
-                entries.append(((rid, term.monomial, term.atoms), col, term.coefficient))
-    return entries
+def determining_equations(distribution: Distribution2, ansatz: Ansatz,
+                          operator: tuple = None) -> DeterminingSystem:
+    """Collect the exact linear rows of the ansatz from the compiled operator.
 
-
-def worker_count() -> int:
-    raw = os.environ.get("MONGESYM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def determining_equations(distribution: Distribution2, ansatz: Ansatz) -> DeterminingSystem:
-    """Expand the six residuals over the ansatz and collect exact linear rows."""
-    unknowns = ansatz.unknowns
-    workers = worker_count()
-    if workers > 1 and len(unknowns) >= 64:
-        chunk = (len(unknowns) + workers - 1) // workers
-        jobs = [(distribution, unknowns[s:s + chunk], s)
-                for s in range(0, len(unknowns), chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scatter_chunk, jobs))
-        all_entries = [e for chunk_entries in results for e in chunk_entries]
-    else:
-        all_entries = _scatter_chunk((distribution, unknowns, 0))
+    The operator of the same distribution (compile_operator) may be passed
+    to skip compiling it again.  Each operator term times each partial of an
+    unknown goes through the expression engine's term canonicalization, so
+    the row keys are those of the expanded residuals.
+    """
+    if operator is None:
+        operator = compile_operator(distribution)
     rows: dict = {}
-    for key, col, coeff in all_entries:
-        row = rows.setdefault(key, {})
-        row[col] = row.get(col, Fraction(0)) + coeff
+    for col, u in enumerate(ansatz.unknowns):
+        atoms, factors = u.partials()
+        for rid, order, c, m, a in operator[u.direction]:
+            for k, s in factors[order + 1]:
+                # operator atoms are canonical and the unknown adds only
+                # y2^q and exp(rho*x), so no polynomial factor comes back
+                coeff, mono, out_atoms, _ = _canonical_term(
+                    c * k, mono_mul(m, s), a + atoms, 5)
+                if coeff:
+                    row = rows.setdefault((rid, mono, out_atoms), {})
+                    row[col] = row.get(col, 0) + coeff
     for key in list(rows):
         rows[key] = {c: v for c, v in rows[key].items() if v}
         if not rows[key]:
@@ -309,7 +355,8 @@ class SolveReport:
     dimension: int
     basis: list          # VectorFields at the top degree
     verified: bool
-    timings: dict
+    timings: dict        # seconds per degree
+    stage_timings: dict  # seconds per stage, summed over degrees
 
     def to_json(self, include_timings: bool = False) -> dict:
         out = {
@@ -325,6 +372,7 @@ class SolveReport:
         }
         if include_timings:
             out["timings"] = self.timings
+            out["stage_timings"] = self.stage_timings
         return out
 
     def to_text(self) -> str:
@@ -348,46 +396,59 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
                        progress=None) -> SolveReport:
     """Dimension table for degrees 0..max_degree plus the top-degree basis.
 
-    Stabilization (two consecutive degrees with equal dimension) is a
-    reporting heuristic, not a completeness theorem for the ansatz class.
-    An optional progress callback receives one line per finished degree.
+    The rows are built once, at max_degree, and each lower degree's system
+    is restricted from them.  Stabilization (two consecutive degrees with
+    equal dimension) is a reporting heuristic, not a completeness theorem
+    for the ansatz class.  An optional progress callback receives one line
+    per finished degree.
     """
     if rates is None:
         rates = exp_rates_for(m)
+    spec = AnsatzSpec(max_degree, tuple(offsets), tuple(rates))
     distribution = distribution_from_monge(m)
+    clock = time.perf_counter()
+    stages = {}
+
+    def lap(stage):
+        nonlocal clock
+        now = time.perf_counter()
+        stages[stage] = stages.get(stage, 0) + now - clock
+        clock = now
+
+    operator = compile_operator(distribution)
+    lap("operator_s")
+    top = determining_equations(distribution, build_ansatz(spec), operator)
+    lap("rows_s")
     table = []
     timings = {}
-    basis_fields: list = []
     last_dim = None
     stabilized = False
     stabilized_at = None
-    top_vectors: list = []
-    top_ansatz = None
     for degree in range(max_degree + 1):
         t0 = time.perf_counter()
-        ansatz = build_ansatz(AnsatzSpec(degree, tuple(offsets), tuple(rates)))
-        system = determining_equations(distribution, ansatz)
+        system = top.restrict(degree)
+        lap("rows_s")
         dim, vectors = nullspace(system)
+        lap("elimination_s")
         timings[str(degree)] = round(time.perf_counter() - t0, 3)
-        table.append({"degree": degree, "unknowns": ansatz.size,
+        table.append({"degree": degree, "unknowns": system.n_unknowns,
                       "rows": system.n_rows, "dimension": dim})
         if progress:
             progress(f"degree {degree}: dimension {dim} "
-                     f"({ansatz.size} unknowns, {system.n_rows} rows)")
+                     f"({system.n_unknowns} unknowns, {system.n_rows} rows)")
         if last_dim is not None and dim < last_dim:
             raise AssertionError("dimension must be monotone in the degree")
         if last_dim is not None and dim == last_dim and not stabilized:
             stabilized = True
             stabilized_at = degree
         last_dim = dim
-        top_vectors = vectors
-        top_ansatz = ansatz
-    basis_fields = [top_ansatz.assemble(v) for v in top_vectors]
+    basis_fields = [top.ansatz.assemble(v) for v in vectors]
     verified = True
     if verify:
         for f in basis_fields:
             if not is_symmetry(f, distribution).ok:
                 verified = False
+    lap("assemble_verify_s")
     return SolveReport(
         equation=equation_label or str(m),
         offsets=tuple(offsets),
@@ -395,10 +456,11 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
         table=table,
         stabilized=stabilized,
         stabilized_at=stabilized_at,
-        dimension=last_dim if last_dim is not None else 0,
+        dimension=last_dim,
         basis=basis_fields,
         verified=verified,
         timings=timings,
+        stage_timings={k: round(v, 3) for k, v in stages.items()},
     )
 
 

@@ -114,26 +114,26 @@ def flow_commutator(v: VectorField, w: VectorField, point: dict, t: float = 1 / 
 # brute-force symmetry solver for low degrees (independent of the sparse path)
 # ---------------------------------------------------------------------------
 
+def reference_rows(distribution, ansatz) -> dict:
+    """Determining rows by expanding fields.symmetry_residuals of every
+    unknown's field: (residual, monomial, atoms) -> {column: coefficient}."""
+    rows: dict = {}
+    for col, u in enumerate(ansatz.unknowns):
+        for rid, e in enumerate(symmetry_residuals(u.field(), distribution)):
+            for t in e.terms:
+                rows.setdefault((rid, t.monomial, t.atoms), {})[col] = t.coefficient
+    return rows
+
+
 def brute_force_symmetry_space(equation, degree: int):
     """Dimension and nullspace of the symmetry condition on a generic
     polynomial field, computed by direct symbolic coefficient matching on the
     six residual expressions and a dense rational reduction."""
-    d = distribution_from_monge(equation)
     ansatz = build_ansatz(AnsatzSpec(degree))
-    keys: dict = {}
-    cols = []
-    for u in ansatz.unknowns:
-        res = symmetry_residuals(u.field(), d)
-        col = {}
-        for rid, e in enumerate(res):
-            for t in e.terms:
-                k = (rid, t.monomial, t.atoms)
-                keys.setdefault(k, len(keys))
-                col[keys[k]] = t.coefficient
-        cols.append(col)
-    matrix = [[cols[j].get(i, Fraction(0)) for j in range(len(cols))]
-              for i in range(len(keys))]
-    null = dense_nullspace(matrix, len(cols))
+    rows = reference_rows(distribution_from_monge(equation), ansatz)
+    matrix = [[row.get(j, Fraction(0)) for j in range(ansatz.size)]
+              for row in rows.values()]
+    null = dense_nullspace(matrix, ansatz.size)
     return len(null), null, ansatz
 
 

@@ -44,6 +44,17 @@ class TestExitCodes:
     def test_usage_error_is_two(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ("--degree", "-1"),
+        ("--offsets", "1/3"),
+        ("--rates", "1/2"),
+    ])
+    def test_bad_solve_arguments_are_two(self, capsys, flags):
+        code, out, err = run(capsys, "solve", *flags, "--", "y2^2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSchemas:
     def test_genericity_json(self, capsys):
@@ -76,12 +87,16 @@ class TestSchemas:
         jsonschema.validate(payload, schema("solve"))
         assert payload["table"][-1]["dimension"] == 6
         assert "timings" not in payload
+        assert "stage_timings" not in payload
 
     def test_solve_json_with_timings(self, capsys):
         code, out, _ = run(capsys, "solve", "flat", "--degree", "1", "--json", "--timings")
         assert code == 0
         payload = json.loads(out)
+        jsonschema.validate(payload, schema("solve"))
         assert "timings" in payload
+        assert set(payload["stage_timings"]) == {
+            "operator_s", "rows_s", "elimination_s", "assemble_verify_s"}
 
     def test_catalog_json(self, capsys):
         code, out, _ = run(capsys, "catalog", "--json")

@@ -13,7 +13,7 @@ from mongesym.solver import (AnsatzSpec, build_ansatz, determining_equations,
                              exp_rates_for, maximality_argument, nullspace,
                              symmetry_dimension)
 
-from helpers import brute_force_symmetry_space, same_span
+from helpers import brute_force_symmetry_space, reference_rows, same_span
 
 
 class TestAnsatz:
@@ -62,6 +62,34 @@ class TestDeterminingSystem:
         key = next(iter(system.rows))
         label, mono, atoms = system.provenance(key)
         assert "[S,X" in label
+
+
+class TestCompiledOperator:
+    # the compiled operator must give exactly the rows (keys and entries)
+    # of the expanded residuals; the degree-2 ansatz holds every unknown of
+    # degree <= 2
+    @pytest.mark.parametrize("key,offsets", [
+        ("eq2", (0, Fraction(1, 3), Fraction(-1, 3))),
+        ("flat", (0,)),
+        ("dz13(5,4)", (0,)),
+        ("eq1(1)", (0,)),
+        ("strazzullo", (0, Fraction(1, 3), Fraction(2, 3))),
+    ])
+    def test_rows_match_expanded_residuals(self, key, offsets):
+        from mongesym.catalog import get_equation
+        m = get_equation(key)
+        d = distribution_from_monge(m)
+        ansatz = build_ansatz(AnsatzSpec(2, offsets=offsets, rates=exp_rates_for(m)))
+        assert determining_equations(d, ansatz).rows == reference_rows(d, ansatz)
+
+    def test_restriction_matches_fresh_build(self):
+        d = distribution_from_monge(flat())
+        top = determining_equations(d, build_ansatz(AnsatzSpec(3)))
+        for degree in range(4):
+            fresh = determining_equations(d, build_ansatz(AnsatzSpec(degree)))
+            restricted = top.restrict(degree)
+            assert restricted.ansatz == fresh.ansatz
+            assert restricted.rows == fresh.rows
 
 
 class TestOracleEquivalence:
@@ -158,14 +186,6 @@ class TestDeterminism:
         a = symmetry_dimension(eq2(), 2, equation_label="eq2").to_json()
         b = symmetry_dimension(eq2(), 2, equation_label="eq2").to_json()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-    def test_worker_count_invariance(self, monkeypatch):
-        d = distribution_from_monge(eq2())
-        monkeypatch.setenv("MONGESYM_THREADS", "1")
-        s1 = determining_equations(d, build_ansatz(AnsatzSpec(1)))
-        monkeypatch.setenv("MONGESYM_THREADS", "2")
-        s2 = determining_equations(d, build_ansatz(AnsatzSpec(1)))
-        assert s1.rows == s2.rows
 
 
 class TestMaximality:
