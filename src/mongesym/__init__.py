@@ -20,10 +20,8 @@ from .catalog import (CatalogKeyError, dz13, eq1, eq2, equiaffine_generators,
                       flat, get_equation, get_field, strazzullo,
                       symmetry_fields)
 from .liealg import (ClosureCapExceeded, LieAlgebraPresentation,
-                     StructureReport, analyze, center, close_under_bracket,
-                     derived_series, express_in_basis, is_nilpotent,
-                     is_solvable, killing_form, lower_central_series,
-                     presentation_from_basis, recognize, structure_constants)
+                     StructureReport, analyze, close_under_bracket,
+                     express_in_basis)
 from .solver import (Ansatz, AnsatzSpec, DeterminingSystem, SolveReport,
                      build_ansatz, determining_equations, exp_rates_for,
                      maximality_argument, nullspace, symmetry_dimension)

@@ -79,9 +79,6 @@ def strazzullo() -> MongeEquation:
 
 _PARAM = re.compile(r"^([a-z0-9]+)\(([^()]*)\)$")
 
-def equation_keys() -> list:
-    return ["eq2", "flat", "eq1(I)", "dz13(r1,r2)", "strazzullo"]
-
 def field_keys() -> list:
     return [f"S{i}" for i in range(1, 7)] + [f"equiaffine{i}" for i in range(1, 6)]
 

@@ -216,6 +216,8 @@ def projection_analysis(p: LieAlgebraPresentation):
 
 
 def cmd_structure(args) -> int:
+    if args.cap < 0:
+        raise UsageError("--cap must be non-negative")
     m, label = _load_equation(args.equation)
     d = distribution_from_monge(m)
     names = args.fields or [f"S{i}" for i in range(1, 7)]

@@ -439,10 +439,6 @@ class Expr:
         idx = chart.index(name)
         return Expr(chart, (Term(Fraction(1), ((idx, 1),), ()),))
 
-    @staticmethod
-    def from_poly(chart: Chart, poly: Poly) -> "Expr":
-        return Expr.from_raw(chart, [(c, m, ()) for m, c in poly])
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Expr") -> "Expr":
@@ -517,10 +513,6 @@ class Expr:
         d = {t.monomial: t.coefficient for t in self.terms}
         return _poly_sorted(d, len(self.chart))
 
-    def is_polynomial(self) -> bool:
-        return all(not t.atoms and all(e >= 0 for _, e in t.monomial)
-                   for t in self.terms)
-
     def coordinates_used(self) -> set:
         used = set()
         for t in self.terms:
@@ -532,10 +524,6 @@ class Expr:
                     for i, _ in m:
                         used.add(i)
         return used
-
-    def total_degree(self) -> int:
-        """Largest monomial degree over all terms (atoms not counted)."""
-        return max((mono_degree(t.monomial) for t in self.terms), default=0)
 
     # -- calculus ----------------------------------------------------------
 

@@ -207,9 +207,6 @@ class SymmetryReport:
     ok: bool
     residuals: tuple  # six expressions: three per bracket with X1, X2
 
-    def failing(self):
-        return [i for i, r in enumerate(self.residuals) if not r.is_zero()]
-
 
 def symmetry_residuals(s: VectorField, d: Distribution2):
     b1 = lie_bracket(s, d.X1)
@@ -227,19 +224,33 @@ def is_symmetry(s: VectorField, d: Distribution2) -> SymmetryReport:
 # projection to J2 and prolongation from the plane
 # ---------------------------------------------------------------------------
 
+def _carry_terms(e: Expr, target: Chart) -> Expr:
+    """The terms of e on a chart that shares its leading coordinates.
+
+    PLANE is a prefix of J2 and J2 a prefix of J20, so coordinate indices
+    carry over unchanged, and with them the graded-lex term order.
+    """
+    shared = min(len(e.chart), len(target))
+    if e.chart.coords[:shared] != target.coords[:shared]:
+        raise ChartMismatchError(
+            f"charts {e.chart.name} and {target.name} share no coordinate prefix")
+    return Expr.from_raw(target, [(t.coefficient, t.monomial, t.atoms)
+                                  for t in e.terms])
+
+
 def restrict_chart(e: Expr, target: Chart) -> Expr:
     """Reinterpret an expression on a sub-chart with the same coordinate names."""
     used = {e.chart.coords[i] for i in e.coordinates_used()}
     extra = used - set(target.coords)
     if extra:
         raise ProjectionError(f"expression depends on {sorted(extra)}")
-    return parse(str(e), target)
+    return _carry_terms(e, target)
 
 def extend_chart(e: Expr, target: Chart) -> Expr:
     missing = set(e.chart.coords) - set(target.coords)
     if missing:
         raise ChartMismatchError(f"target chart lacks {sorted(missing)}")
-    return parse(str(e), target)
+    return _carry_terms(e, target)
 
 
 def project_to_j2(v: VectorField) -> VectorField:

@@ -1,12 +1,10 @@
 """Abstract Lie-algebra structure extracted from finite sets of vector fields.
 
 The entry point is close_under_bracket, which grows a basis until brackets
-close, producing exact rational structure constants.  Coordinates of a field
-in a basis are found by sampling coefficient functions at admissible rational
-points (fast) and then confirming the candidate identity symbolically, so a
-sampled answer is never trusted on its own; when sampling is impossible
-(exp atoms have no exact rational values) a fully symbolic coefficient match
-is used instead.
+close and records each bracket's exact rational coordinates as it goes.
+Coordinates of a field in a basis come from one exact linear solve over the
+canonical-form (direction, monomial, atoms) keys of the coefficients, and a
+symbolic zero-test of the resulting combination confirms every answer.
 
 On the structure-constant tensor everything is standard and exact: center,
 derived and lower central series, Killing form with rank and signature, the
@@ -14,15 +12,15 @@ radical as the Killing-orthogonal complement of the derived algebra, and a
 recognition step for the three shapes this package has to distinguish:
 sl(2, R) (dimension 3, nondegenerate indefinite Killing form), the Heisenberg
 algebra (dimension 3, two-step nilpotent), and their semidirect product.
+analyze gathers all of it in one StructureReport.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charts import Chart
-from .expr import EvaluationError, NonRationalPowerError
 from .fields import VectorField, lie_bracket
 from .linalg import (dense_nullspace, matrix_rank, rref, solve_exact,
                      symmetric_signature)
@@ -36,18 +34,7 @@ class ClosureCapExceeded(RuntimeError):
 # expressing fields in a basis
 # ---------------------------------------------------------------------------
 
-def sample_point(chart: Chart, t: int) -> dict:
-    """Deterministic admissible rational points; y2 is a positive perfect cube
-    so that cube-root atoms take exact rational values."""
-    vals = {}
-    for k, name in enumerate(chart.coords):
-        vals[name] = Fraction(2 + ((3 * t + 5 * k + 1) % 11))
-    if "y2" in chart:
-        vals["y2"] = Fraction(((t % 4) + 2) ** 3)
-    return vals
-
-
-def _coefficient_rows(fields, chart):
+def _coefficient_rows(fields):
     """Key-indexed exact linear description of the fields' coefficients."""
     keys = {}
     columns = []
@@ -65,33 +52,15 @@ def _coefficient_rows(fields, chart):
 def express_in_basis(v: VectorField, basis):
     """Exact rational coordinates of v in the basis, or None when not in the span.
 
-    Sampling produces the candidate, a symbolic zero-test confirms it; the
-    final answer never depends on the choice of sample points.
+    The coefficients are matched key by key over their canonical forms, and
+    a symbolic zero-test confirms the combination the match produces.
     """
     if not basis:
         return [] if v.is_zero() else None
-    chart = v.chart
-    candidate = None
-    try:
-        npts = len(basis) + 3
-        rows, rhs = [], []
-        for t in range(npts):
-            pt = sample_point(chart, t)
-            for i in range(len(chart)):
-                rows.append([b.coefficients[i].substitute(pt) for b in basis])
-                rhs.append(v.coefficients[i].substitute(pt))
-        candidate = solve_exact(rows, rhs)
-        if candidate is None:
-            return None  # exact sample values already contradict membership
-    except (EvaluationError, NonRationalPowerError, ZeroDivisionError):
-        candidate = None
-    if candidate is not None and _verify_combination(v, basis, candidate):
-        return candidate
-    # symbolic coefficient matching over canonical-form keys
-    keys, columns = _coefficient_rows(list(basis) + [v], chart)
+    keys, columns = _coefficient_rows(list(basis) + [v])
     matrix = []
     rhs = []
-    for key in sorted(keys, key=lambda k: keys[k]):
+    for key in keys:
         matrix.append([col.get(key, Fraction(0)) for col in columns[:-1]])
         rhs.append(columns[-1].get(key, Fraction(0)))
     solution = solve_exact(matrix, rhs)
@@ -111,43 +80,44 @@ def _verify_combination(v: VectorField, basis, coords) -> bool:
 def close_under_bracket(fields, cap: int = 32) -> "LieAlgebraPresentation":
     """Basis and exact structure constants of the algebra the fields generate.
 
-    Raises ClosureCapExceeded when more than cap independent fields appear.
+    Every bracket of two basis fields is computed and expressed once.  The
+    basis only grows and stays linearly independent, so a bracket's
+    coordinates over the basis found so far, padded with zeros, are its
+    unique coordinates over the final basis; a bracket that joins the basis
+    gets the unit vector.  Raises ClosureCapExceeded when more than cap
+    independent fields appear.
     """
     basis: list = []
 
-    def try_add(f):
+    def place(f):
+        """Coordinates of f over the basis, adding f when it lies outside."""
         if f.is_zero():
-            return False
-        if express_in_basis(f, basis) is not None:
-            return False
+            return [Fraction(0)] * len(basis)
+        coords = express_in_basis(f, basis)
+        if coords is not None:
+            return coords
         basis.append(f)
         if len(basis) > cap:
             raise ClosureCapExceeded(f"dimension exceeded cap {cap}")
-        return True
+        return [Fraction(0)] * (len(basis) - 1) + [Fraction(1)]
 
     for f in fields:
-        try_add(f)
-    pending = [(i, j) for j in range(len(basis)) for i in range(j)]
+        place(f)
+    brackets = {}
+    pending = deque((i, j) for j in range(len(basis)) for i in range(j))
     while pending:
-        i, j = pending.pop(0)
-        if try_add(lie_bracket(basis[i], basis[j])):
-            k = len(basis) - 1
+        i, j = pending.popleft()
+        k = len(basis)
+        brackets[i, j] = place(lie_bracket(basis[i], basis[j]))
+        if len(basis) > k:
             pending.extend((t, k) for t in range(k))
-    return presentation_from_basis(basis)
-
-
-def presentation_from_basis(basis) -> "LieAlgebraPresentation":
     n = len(basis)
-    zero_row = tuple(Fraction(0) for _ in range(n))
+    zero_row = (Fraction(0),) * n
     constants = [[zero_row] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(j):
-            coords = express_in_basis(lie_bracket(basis[i], basis[j]), basis)
-            if coords is None:
-                raise ValueError("fields are not closed under bracket")
-            row = tuple(coords)
-            constants[i][j] = row
-            constants[j][i] = tuple(-c for c in coords)
+    for (i, j), coords in brackets.items():
+        row = tuple(coords) + (Fraction(0),) * (n - len(coords))
+        constants[i][j] = row
+        constants[j][i] = tuple(-c for c in row)
     return LieAlgebraPresentation(tuple(basis),
                                   tuple(tuple(r) for r in constants))
 
@@ -174,6 +144,12 @@ def bracket_vec(constants, u, v):
     return out
 
 
+def unit_rows(n):
+    """The standard basis of the n-dimensional coordinate space, as rows."""
+    return [tuple(Fraction(1) if t == i else Fraction(0) for t in range(n))
+            for i in range(n)]
+
+
 def span_rows(vectors):
     reduced, pivots = rref(list(vectors))
     return [tuple(r) for r in reduced], pivots
@@ -189,21 +165,13 @@ def subspace_bracket(constants, rows_a, rows_b):
     return span_rows(prods)[0]
 
 
-def derived_series_dims(constants, rows):
+def series_dims(constants, rows, lower_central=False):
+    """Dimensions of the derived series of span(rows), or of its lower
+    central series, until a term vanishes or repeats."""
     dims = [len(rows)]
     current = rows
     while True:
-        nxt = subspace_bracket(constants, current, current)
-        dims.append(len(nxt))
-        if len(nxt) == 0 or len(nxt) == len(current):
-            return dims
-        current = nxt
-
-def lower_central_dims(constants, rows):
-    dims = [len(rows)]
-    current = rows
-    while True:
-        nxt = subspace_bracket(constants, rows, current)
+        nxt = subspace_bracket(constants, rows if lower_central else current, current)
         dims.append(len(nxt))
         if len(nxt) == 0 or len(nxt) == len(current):
             return dims
@@ -238,8 +206,7 @@ def killing_matrix(constants):
 def radical_rows(constants, killing=None):
     """The radical as the Killing-orthogonal complement of the derived algebra."""
     n = len(constants)
-    full = [tuple(Fraction(1) if t == i else Fraction(0) for t in range(n))
-            for i in range(n)]
+    full = unit_rows(n)
     derived = subspace_bracket(constants, full, full)
     if not derived:
         return full  # abelian: everything is radical
@@ -286,12 +253,11 @@ def quotient_tensor(constants, rad_rows):
         return v
 
     m = len(comp)
+    unit = unit_rows(n)
     tensor = [[None] * m for _ in range(m)]
     for a in range(m):
         for b in range(m):
-            u = [Fraction(1) if t == comp[a] else Fraction(0) for t in range(n)]
-            v = [Fraction(1) if t == comp[b] else Fraction(0) for t in range(n)]
-            w = reduce_mod(bracket_vec(constants, u, v))
+            w = reduce_mod(bracket_vec(constants, unit[comp[a]], unit[comp[b]]))
             tensor[a][b] = tuple(w[c] for c in comp)
     return tuple(tuple(r) for r in tensor), comp
 
@@ -309,9 +275,8 @@ def is_sl2_tensor(constants) -> bool:
 def is_heisenberg_tensor(constants) -> bool:
     if len(constants) != 3:
         return False
-    full = [tuple(Fraction(1) if t == i else Fraction(0) for t in range(3))
-            for i in range(3)]
-    lcs = lower_central_dims(constants, full)
+    full = unit_rows(3)
+    lcs = series_dims(constants, full, lower_central=True)
     if lcs != [3, 1, 0]:
         return False
     zc = center_rows(constants)
@@ -359,8 +324,8 @@ def levi_complement(constants, rad_rows):
         return None  # radical is not two-step nilpotent
     qt, comp = quotient_tensor(constants, rad)
     m = len(comp)
-    w = [[Fraction(1) if t == comp[a] else Fraction(0) for t in range(n)]
-         for a in range(m)]
+    unit = unit_rows(n)
+    w = [unit[a] for a in comp]
 
     def correct(ws, target_rows, mod_rows):
         """Solve for phi: W -> span(target_rows) killing the defect modulo
@@ -464,26 +429,11 @@ class LieAlgebraPresentation:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def bracket_coords(self, i: int, j: int):
-        return self.constants[i][j]
-
     def antisymmetry_ok(self) -> bool:
         return antisymmetry_holds(self.constants)
 
     def jacobi_ok(self) -> bool:
         return jacobi_holds(self.constants)
-
-    def combination(self, coords) -> VectorField:
-        out = VectorField.zero(self.basis[0].chart)
-        for c, b in zip(coords, self.basis):
-            if c:
-                out = out + b.scale(c)
-        return out
-
-    def bracket_table(self):
-        """Human-readable bracket table in basis coordinates."""
-        return [[tuple(str(c) for c in self.constants[i][j])
-                 for j in range(self.dimension)] for i in range(self.dimension)]
 
 
 def _aligned_indices(rows):
@@ -537,13 +487,13 @@ class StructureReport:
 
 
 def analyze(p: LieAlgebraPresentation) -> StructureReport:
+    """Every structure invariant of the presentation, and its recognition."""
     c = p.constants
     n = p.dimension
-    full = [tuple(Fraction(1) if t == i else Fraction(0) for t in range(n))
-            for i in range(n)]
+    full = unit_rows(n)
     zc = center_rows(c)
-    dseries = derived_series_dims(c, full)
-    lseries = lower_central_dims(c, full)
+    dseries = series_dims(c, full)
+    lseries = series_dims(c, full, lower_central=True)
     solvable = dseries[-1] == 0
     nilpotent = lseries[-1] == 0
     km = killing_matrix(c)
@@ -580,38 +530,3 @@ def analyze(p: LieAlgebraPresentation) -> StructureReport:
         verdict=verdict,
         complement=None if complement is None else tuple(complement),
     )
-
-
-# spec-shaped convenience wrappers ------------------------------------------
-
-def structure_constants(basis) -> tuple:
-    return presentation_from_basis(list(basis)).constants
-
-def center(p: LieAlgebraPresentation):
-    return center_rows(p.constants)
-
-def derived_series(p: LieAlgebraPresentation):
-    n = p.dimension
-    full = [tuple(Fraction(1) if t == i else Fraction(0) for t in range(n))
-            for i in range(n)]
-    return derived_series_dims(p.constants, full)
-
-def lower_central_series(p: LieAlgebraPresentation):
-    n = p.dimension
-    full = [tuple(Fraction(1) if t == i else Fraction(0) for t in range(n))
-            for i in range(n)]
-    return lower_central_dims(p.constants, full)
-
-def is_solvable(p: LieAlgebraPresentation) -> bool:
-    return derived_series(p)[-1] == 0
-
-def is_nilpotent(p: LieAlgebraPresentation) -> bool:
-    return lower_central_series(p)[-1] == 0
-
-def killing_form(p: LieAlgebraPresentation):
-    km = killing_matrix(p.constants)
-    plus, minus, _ = symmetric_signature(km)
-    return km, matrix_rank(km), (plus, minus)
-
-def recognize(p: LieAlgebraPresentation) -> StructureReport:
-    return analyze(p)

@@ -211,23 +211,6 @@ def solve_exact(matrix, rhs):
     return x
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            v = ai[t]
-            if v == 0:
-                continue
-            bt = b[t]
-            row = out[i]
-            for j in range(m):
-                if bt[j] != 0:
-                    row[j] += v * bt[j]
-    return out
-
-
 def symmetric_signature(matrix):
     """Signature (n_plus, n_minus, n_zero) of a symmetric Fraction matrix.
 

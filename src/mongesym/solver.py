@@ -38,6 +38,7 @@ characteristic polynomial (see exp_rates_for).
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,12 +48,19 @@ from .expr import (Expr, PowerAtom, ExpAtom, _canonical_term, mono_from_dict,
                    mono_mul)
 from .fields import (Distribution2, MongeEquation, VectorField,
                      distribution_from_monge, is_symmetry, symmetry_residuals)
+from .liealg import analyze
 from .linalg import rows_to_integer, sparse_nullspace
 from .rationals import exact_pow
 
 
 class AnsatzError(ValueError):
     """An ansatz specification outside the supported class."""
+
+
+# Largest admitted ansatz, in unknowns.  The largest shipped solve,
+# dz13(10,9) at degree 5 in `reproduce`, has 11340; the runtime of a solve
+# near this limit is unmeasured.
+MAX_UNKNOWNS = 50_000
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,11 @@ class AnsatzSpec:
             raise AnsatzError("offset 0 is required")
         if Fraction(0) not in rates:
             raise AnsatzError("rate 0 is required")
+        unknowns = 5 * math.comb(self.degree + 5, 5) * len(offs) * len(rates)
+        if unknowns > MAX_UNKNOWNS:
+            raise AnsatzError(
+                f"the ansatz has {unknowns} unknowns (degree {self.degree}, "
+                f"{len(offs)} offsets, {len(rates)} rates), more than {MAX_UNKNOWNS}")
         object.__setattr__(self, "offsets", offs)
         object.__setattr__(self, "rates", rates)
 
@@ -187,11 +200,6 @@ class DeterminingSystem:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    def provenance(self, key):
-        names = ("[S,X1]: dy - y1 dx", "[S,X1]: dy1 - y2 dx", "[S,X1]: dz - F dx",
-                 "[S,X2]: dy - y1 dx", "[S,X2]: dy1 - y2 dx", "[S,X2]: dz - F dx")
-        return names[key[0]], key[1], key[2]
 
     def restrict(self, degree: int) -> "DeterminingSystem":
         """The system of the degree-`degree` sub-ansatz.
@@ -483,14 +491,13 @@ class MaximalityReport:
 def maximality_argument(six_presentation, candidate_presentations) -> MaximalityReport:
     """Check that every 7-dimensional candidate algebra is solvable while the
     6-dimensional algebra is not, so the latter embeds in none of them."""
-    from .liealg import is_solvable
-    six_solvable = is_solvable(six_presentation)
+    six_solvable = analyze(six_presentation).solvable
     rows = []
     ok = not six_solvable
     for label, p in candidate_presentations:
         if p.dimension != 7:
             raise ValueError(f"candidate {label} is {p.dimension}-dimensional, not 7")
-        solv = is_solvable(p)
+        solv = analyze(p).solvable
         rows.append({"label": label, "dimension": p.dimension, "solvable": solv})
         ok = ok and solv
     verdict = ("the 6-dimensional non-solvable algebra embeds in none of the "

@@ -8,7 +8,8 @@ from fractions import Fraction
 from mongesym.charts import J20
 from mongesym.expr import ExpAtom, Expr, NonRationalPowerError
 from mongesym.fields import (VectorField, distribution_from_monge,
-                             symmetry_residuals)
+                             lie_bracket, symmetry_residuals)
+from mongesym.liealg import express_in_basis
 from mongesym.linalg import dense_nullspace, rref
 from mongesym.solver import AnsatzSpec, build_ansatz
 
@@ -135,6 +136,25 @@ def brute_force_symmetry_space(equation, degree: int):
               for row in rows.values()]
     null = dense_nullspace(matrix, ansatz.size)
     return len(null), null, ansatz
+
+
+# ---------------------------------------------------------------------------
+# structure constants by the two-pass definition
+# ---------------------------------------------------------------------------
+
+def reference_constants(basis) -> tuple:
+    """Structure constants of a bracket-closed basis, each bracket expressed
+    in the final basis after the fact: constants[i][j] = coords of [b_i, b_j]."""
+    n = len(basis)
+    constants = [[(Fraction(0),) * n for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for i in range(j):
+            coords = express_in_basis(lie_bracket(basis[i], basis[j]), basis)
+            if coords is None:
+                raise ValueError("fields are not closed under bracket")
+            constants[i][j] = tuple(coords)
+            constants[j][i] = tuple(-c for c in coords)
+    return tuple(tuple(r) for r in constants)
 
 
 def same_span(vectors_a, vectors_b) -> bool:

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the checklist lines.
-Heavy solver runs are shared through module-scoped fixtures; the whole module
-is budgeted to finish well inside ten minutes on a laptop.
+Heavy solver runs go through a module memo keyed by (equation label, degree),
+so the fixtures and the reproduce checklist share one run of each; the whole
+module is budgeted to finish well inside ten minutes on a laptop.
 """
 
 import json
@@ -35,6 +36,24 @@ S = symmetry_fields()
 ALL_S = [S[f"S{i}"] for i in range(1, 7)]
 
 
+# (equation label, degree) -> SolveReport of the default ansatz
+_SOLVES = {}
+
+
+def solve_once(equation, degree, label):
+    key = (label, degree)
+    if key not in _SOLVES:
+        _SOLVES[key] = symmetry_dimension(equation, degree, equation_label=label)
+    return _SOLVES[key]
+
+
+def shared_symmetry_dimension(m, max_degree, **kwargs):
+    """symmetry_dimension through the memo when only a label is given."""
+    if set(kwargs) != {"equation_label"}:
+        return symmetry_dimension(m, max_degree, **kwargs)
+    return solve_once(m, max_degree, kwargs["equation_label"])
+
+
 def report(criterion, ok, detail=""):
     line = f"[{'PASS' if ok else 'FAIL'}] {criterion}"
     if detail:
@@ -50,22 +69,22 @@ def p6():
 
 @pytest.fixture(scope="module")
 def solve_flat():
-    return symmetry_dimension(flat(), 7, equation_label="flat")
+    return solve_once(flat(), 7, "flat")
 
 
 @pytest.fixture(scope="module")
 def solve_ap():
-    return symmetry_dimension(dz13(10, 9), 5, equation_label="dz13(10,9)")
+    return solve_once(dz13(10, 9), 5, "dz13(10,9)")
 
 
 @pytest.fixture(scope="module")
 def solve_eq2():
-    return symmetry_dimension(eq2(), 3, equation_label="eq2")
+    return solve_once(eq2(), 3, "eq2")
 
 
 @pytest.fixture(scope="module")
 def solve_seven():
-    return symmetry_dimension(dz13(5, 4), 3, equation_label="dz13(5,4)")
+    return solve_once(dz13(5, 4), 3, "dz13(5,4)")
 
 
 def test_criterion_1_symmetry_verification():
@@ -203,7 +222,7 @@ def test_criterion_5_dz13_1_1_literal():
 def test_criterion_6_maximality(p6, solve_seven):
     t0 = time.perf_counter()
     p7 = close_under_bracket(solve_seven.basis, cap=10)
-    extra = symmetry_dimension(dz13(13, 36), 2, equation_label="dz13(13,36)")
+    extra = solve_once(dz13(13, 36), 2, "dz13(13,36)")
     p7b = close_under_bracket(extra.basis, cap=10)
     rep = maximality_argument(p6, [("dz13(5,4)", p7), ("dz13(13,36)", p7b)])
     elapsed = time.perf_counter() - t0
@@ -281,11 +300,14 @@ def test_criterion_8_grammar_edge():
            f"hessian={hess}, {elapsed:.2f}s")
 
 
-def test_reproduce_cli_schema_and_exit():
-    """The reproduce command runs the same checklist and exits zero."""
+def test_reproduce_cli_schema_and_exit(monkeypatch):
+    """The reproduce command runs the same checklist and exits zero; its
+    solves come from the memo the fixtures filled."""
     import jsonschema
-    from mongesym.cli import run_reproduction
-    items, notes = run_reproduction()
+    import mongesym.cli
+    monkeypatch.setattr(mongesym.cli, "symmetry_dimension",
+                        shared_symmetry_dimension)
+    items, notes = mongesym.cli.run_reproduction()
     schema_path = os.path.join(os.path.dirname(__file__), "..", "src",
                                "mongesym", "schemas", "reproduce.schema.json")
     with open(schema_path) as fh:

@@ -48,9 +48,16 @@ class TestExitCodes:
         ("--degree", "-1"),
         ("--offsets", "1/3"),
         ("--rates", "1/2"),
+        ("--degree", "100000"),  # about 4e23 unknowns: refused before any work
     ])
     def test_bad_solve_arguments_are_two(self, capsys, flags):
         code, out, err = run(capsys, "solve", *flags, "--", "y2^2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_structure_cap_is_two(self, capsys):
+        code, out, err = run(capsys, "structure", "eq2", "--cap", "-1")
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -7,12 +7,13 @@ import pytest
 
 from mongesym.catalog import (dz13, eq1, eq2, equiaffine_generators, flat,
                               get_equation, strazzullo, symmetry_fields)
-from mongesym.charts import J20, PLANE
+from mongesym.charts import J2, J20, PLANE, Chart, ChartMismatchError
 from mongesym.fields import (MongeEquation, ProjectionError, VectorField,
                              distribution_from_monge, frame_determinant,
                              frame_fields, genericity_hessian, in_distribution,
                              is_symmetry, lie_bracket, project_to_j2,
-                             prolong_plane_field)
+                             extend_chart, prolong_plane_field,
+                             restrict_chart)
 from mongesym.parser import parse
 
 from helpers import flow_commutator
@@ -188,6 +189,26 @@ class TestProjection:
         with pytest.raises(ProjectionError):
             project_to_j2(v)
 
+    def test_atoms_survive_projection(self):
+        text = "exp(x)*(y2 - 1/2*y1^2)^(2/3)"
+        v = VectorField.from_strings(J20, {"y": text, "z": "z*exp(z)"})
+        p = project_to_j2(v)
+        assert p.coefficients[1] == parse(text, J2)
+        assert all(c.is_zero() for i, c in enumerate(p.coefficients) if i != 1)
+
+    def test_z_inside_an_atom_rejected(self):
+        with pytest.raises(ProjectionError):
+            project_to_j2(VectorField.from_strings(
+                J20, {"y": "exp(x + z)*(y2 - 1/2*y1^2)^(2/3)"}))
+        with pytest.raises(ProjectionError):
+            restrict_chart(P("(y2 - z)^(1/3)"), J2)
+
+    def test_chart_change_needs_a_shared_prefix(self):
+        # coordinate indices carry over only between prefix charts
+        swapped = Chart("swapped", ("y", "x"))
+        with pytest.raises(ChartMismatchError):
+            extend_chart(parse("x*exp(y)", swapped), J2)
+
     def test_coherence_with_prolongation(self):
         gens = equiaffine_generators()
         for i in range(1, 6):
@@ -217,6 +238,18 @@ class TestProlongation:
     def test_translation(self):
         v = prolong_plane_field(parse("1", PLANE), parse("0", PLANE))
         assert [str(c) for c in v.coefficients] == ["1", "0", "0", "0"]
+
+    def test_atoms_survive_prolongation(self):
+        # xi = exp(x), eta = y^(1/3), prolonged by hand with
+        # eta_k = Dx eta_(k-1) - y_k Dx xi
+        v = prolong_plane_field(parse("exp(x)", PLANE), parse("y^(1/3)", PLANE))
+        expected = VectorField.from_strings(J2, {
+            "x": "exp(x)",
+            "y": "y^(1/3)",
+            "y1": "1/3*y^(-2/3)*y1 - y1*exp(x)",
+            "y2": "1/3*y^(-2/3)*y2 - 2/9*y^(-5/3)*y1^2 - y1*exp(x) - 2*y2*exp(x)",
+        })
+        assert v == expected
 
 
 class TestCatalogEquations:

@@ -7,14 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from mongesym.catalog import symmetry_fields
+from mongesym.catalog import dz13, symmetry_fields
 from mongesym.charts import J20
 from mongesym.fields import VectorField, lie_bracket
-from mongesym.liealg import (ClosureCapExceeded, analyze, center,
-                             close_under_bracket, derived_series,
-                             express_in_basis, is_nilpotent, is_solvable,
-                             jacobi_holds, killing_form, lower_central_series,
-                             presentation_from_basis, sample_point)
+from mongesym.liealg import (ClosureCapExceeded, analyze, close_under_bracket,
+                             express_in_basis, jacobi_holds)
+from mongesym.solver import symmetry_dimension
+
+from helpers import reference_constants
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -22,9 +22,34 @@ S = symmetry_fields()
 ALL_S = [S[f"S{i}"] for i in range(1, 7)]
 
 
+def recombined(fields, rng, steps=10):
+    """The fields recombined by a random invertible integer matrix."""
+    n = len(fields)
+    m = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = Fraction(rng.choice([-2, -1, 1, 2, 3]))
+        for k in range(n):
+            m[i][k] += c * m[j][k]
+    new_fields = []
+    for i in range(n):
+        f = VectorField.zero(fields[0].chart)
+        for j in range(n):
+            if m[i][j]:
+                f = f + fields[j].scale(m[i][j])
+        new_fields.append(f)
+    return new_fields
+
+
 @pytest.fixture(scope="module")
 def p6():
     return close_under_bracket(ALL_S, cap=8)
+
+
+@pytest.fixture(scope="module")
+def eq2_recombinations():
+    rng = random.Random(2024)
+    return [recombined(ALL_S, rng) for _ in range(4)]
 
 
 class TestExpressInBasis:
@@ -56,12 +81,6 @@ class TestExpressInBasis:
         assert coords == [1, 1]
         assert express_in_basis(VectorField.coordinate(J20, "y"), [g, h]) is None
 
-    def test_sample_points_admissible(self):
-        from mongesym.rationals import exact_pow
-        for t in range(6):
-            pt = sample_point(J20, t)
-            assert exact_pow(pt["y2"], Fraction(1, 3)) is not None  # perfect cubes
-
 
 class TestClosure:
     def test_six_fields_already_closed(self, p6):
@@ -85,6 +104,23 @@ class TestClosure:
     def test_constants_validity(self, p6):
         assert p6.antisymmetry_ok()
         assert p6.jacobi_ok()
+
+    def test_one_pass_equals_final_basis_expression(self, eq2_recombinations):
+        # brackets expressed once during closure, over the basis as it was,
+        # equal every bracket expressed afterwards in the final basis; the
+        # first two fields of each basis generate a larger algebra, so the
+        # zero padding and the unit vectors of added brackets are exercised
+        seven = symmetry_dimension(dz13(5, 4), 2, equation_label="dz13(5,4)").basis
+        bases = eq2_recombinations + [recombined(seven, random.Random(7))]
+        assert any(t.atoms for f in bases[-1] for e in f.coefficients
+                   for t in e.terms)  # exp atoms reach the key match
+        grown = []
+        for fields in bases:
+            for generators in (fields, fields[:2]):
+                p = close_under_bracket(generators, cap=len(fields))
+                assert p.constants == reference_constants(list(p.basis))
+            grown.append(p.dimension)
+        assert grown == [6, 6, 5, 6, 3]
 
 
 class TestGoldenTable:
@@ -110,41 +146,42 @@ class TestGoldenTable:
 
 class TestSeries:
     def test_center(self, p6):
-        zc = center(p6)
+        zc = analyze(p6).center
         assert len(zc) == 1
         assert list(zc[0]) == [0, 0, 0, 0, 0, 1]
 
     def test_six_dim_not_solvable(self, p6):
-        dims = derived_series(p6)
+        rep = analyze(p6)
+        dims = rep.derived_dims
         assert dims[0] == 6 and dims[-1] == 6  # perfect algebra, stabilizes above 0
-        assert not is_solvable(p6)
-        assert not is_nilpotent(p6)
+        assert not rep.solvable
+        assert not rep.nilpotent
 
     def test_heisenberg_series(self):
-        p = close_under_bracket([S["S4"], S["S5"], S["S6"]], cap=4)
-        assert lower_central_series(p) == [3, 1, 0]
-        assert is_nilpotent(p)
-        assert is_solvable(p)
+        rep = analyze(close_under_bracket([S["S4"], S["S5"], S["S6"]], cap=4))
+        assert rep.lcs_dims == (3, 1, 0)
+        assert rep.nilpotent
+        assert rep.solvable
 
 
 class TestKilling:
     def test_sl2_signature(self):
-        p = presentation_from_basis([S["S1"], S["S2"], S["S3"]])
-        km, rank, signature = killing_form(p)
-        assert rank == 3
-        assert signature == (2, 1)
+        p = close_under_bracket([S["S1"], S["S2"], S["S3"]], cap=3)
+        assert p.basis == (S["S1"], S["S2"], S["S3"])
+        rep = analyze(p)
+        km = rep.killing
+        assert rep.killing_rank == 3
+        assert rep.killing_signature == (2, 1)
         assert km[1][1] == 8 and km[0][2] == 4
 
     def test_nilpotent_killing_vanishes(self):
-        p = close_under_bracket([S["S4"], S["S5"], S["S6"]], cap=4)
-        km, rank, _ = killing_form(p)
-        assert rank == 0
-        assert all(v == 0 for row in km for v in row)
+        rep = analyze(close_under_bracket([S["S4"], S["S5"], S["S6"]], cap=4))
+        assert rep.killing_rank == 0
+        assert all(v == 0 for row in rep.killing for v in row)
 
     def test_one_dim_abelian(self):
-        p = close_under_bracket([S["S6"]], cap=2)
-        km, rank, _ = killing_form(p)
-        assert km == [[0]] and rank == 0
+        rep = analyze(close_under_bracket([S["S6"]], cap=2))
+        assert rep.killing == ((0,),) and rep.killing_rank == 0
 
 
 class TestRecognition:
@@ -168,23 +205,8 @@ class TestRecognition:
         assert rep.verdict == "unrecognized"
         assert rep.dimension == 2
 
-    def test_invariance_under_basis_change(self, p6):
-        rng = random.Random(2024)
-        for _ in range(4):
-            n = 6
-            m = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-            for _ in range(10):
-                i, j = rng.sample(range(n), 2)
-                c = Fraction(rng.choice([-2, -1, 1, 2, 3]))
-                for k in range(n):
-                    m[i][k] += c * m[j][k]
-            new_fields = []
-            for i in range(n):
-                f = VectorField.zero(J20)
-                for j in range(n):
-                    if m[i][j]:
-                        f = f + ALL_S[j].scale(m[i][j])
-                new_fields.append(f)
+    def test_invariance_under_basis_change(self, eq2_recombinations):
+        for new_fields in eq2_recombinations:
             p = close_under_bracket(new_fields, cap=8)
             rep = analyze(p)
             assert p.dimension == 6

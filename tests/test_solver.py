@@ -9,7 +9,8 @@ from mongesym.catalog import dz13, eq1, eq2, flat
 from mongesym.fields import (distribution_from_monge, is_symmetry,
                              lie_bracket)
 from mongesym.liealg import close_under_bracket, express_in_basis
-from mongesym.solver import (AnsatzSpec, build_ansatz, determining_equations,
+from mongesym.solver import (MAX_UNKNOWNS, AnsatzError, AnsatzSpec,
+                             build_ansatz, determining_equations,
                              exp_rates_for, maximality_argument, nullspace,
                              symmetry_dimension)
 
@@ -25,6 +26,14 @@ class TestAnsatz:
     def test_offsets_require_zero(self):
         with pytest.raises(ValueError):
             AnsatzSpec(1, offsets=(Fraction(1, 3),))
+
+    def test_size_limit(self):
+        # the largest shipped solve, dz13(10,9) at degree 5, fits 4 times over
+        rates = exp_rates_for(dz13(10, 9))
+        assert 4 * 5 * 252 * len(rates) <= MAX_UNKNOWNS
+        AnsatzSpec(5, rates=rates)
+        with pytest.raises(AnsatzError):  # 19 offsets: 190190 unknowns
+            AnsatzSpec(9, offsets=range(-9, 10))
 
     def test_deterministic_enumeration(self):
         a1 = build_ansatz(AnsatzSpec(2))
@@ -55,13 +64,6 @@ class TestDeterminingSystem:
             assert all(0 <= col < system.n_unknowns for col in row)
         zero_field = system.ansatz.assemble([0] * system.n_unknowns)
         assert is_symmetry(zero_field, d).ok
-
-    def test_provenance(self):
-        d = distribution_from_monge(eq2())
-        system = determining_equations(d, build_ansatz(AnsatzSpec(0)))
-        key = next(iter(system.rows))
-        label, mono, atoms = system.provenance(key)
-        assert "[S,X" in label
 
 
 class TestCompiledOperator:
