@@ -15,9 +15,10 @@ the second y2-derivative of F is nonzero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .charts import Chart, ChartMismatchError, J2, J20, PLANE, require_same_chart
-from .expr import Expr, ExprError
+from .expr import Expr, ExprError, mono_mul
 from .parser import parse
 
 
@@ -76,15 +77,12 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coefficients)
 
-    def apply(self, f: Expr) -> Expr:
-        """Directional derivative of a function along the field."""
-        if f.chart != self.chart:
-            raise ChartMismatchError("function lives on a different chart")
-        out = Expr.zero(self.chart)
-        for coord, a in zip(self.chart.coords, self.coefficients):
-            if not a.is_zero():
-                out = out + a * f.diff(coord)
-        return out
+    @cached_property
+    def jacobian(self) -> tuple:
+        """First partials: jacobian[i][j] = d(coefficient i)/d(coordinate j)."""
+        return tuple(
+            tuple(c.diff(u) if c.terms else c for u in self.chart.coords)
+            for c in self.coefficients)
 
     def to_json(self) -> dict:
         return {"chart": self.chart.name,
@@ -102,11 +100,23 @@ class VectorField:
 
 
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
-    """[V, W]_i = sum_j (V_j dW_i/du_j - W_j dV_i/du_j)."""
+    """[V, W]_i = sum_j (V_j dW_i/du_j - W_j dV_i/du_j).
+
+    The products of both sums are gathered as raw terms and each coefficient
+    is normalized once.
+    """
     require_same_chart(v, w)
-    return VectorField(v.chart, tuple(
-        v.apply(wc) - w.apply(vc)
-        for vc, wc in zip(v.coefficients, w.coefficients)))
+    raw = [[] for _ in v.coefficients]
+    for a, b, sign in ((v, w, 1), (w, v, -1)):
+        for j, aj in enumerate(a.coefficients):
+            for t1 in aj.terms:
+                c1 = sign * t1.coefficient
+                for i, row in enumerate(b.jacobian):
+                    raw[i].extend((c1 * t2.coefficient,
+                                   mono_mul(t1.monomial, t2.monomial),
+                                   t1.atoms + t2.atoms)
+                                  for t2 in row[j].terms)
+    return VectorField(v.chart, tuple(Expr.from_raw(v.chart, r) for r in raw))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 The entry point is close_under_bracket, which grows a basis until brackets
 close and records each bracket's exact rational coordinates as it goes.
-Coordinates of a field in a basis come from one exact linear solve over the
-canonical-form (direction, monomial, atoms) keys of the coefficients, and a
+Coordinates come from one running echelon of the fields' coefficients over
+their canonical-form (direction, monomial, atoms) keys: the closure keeps one
+for its whole run, and express_in_basis builds one from the basis.  A
 symbolic zero-test of the resulting combination confirms every answer.
 
 On the structure-constant tensor everything is standard and exact: center,
@@ -21,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .expr import Expr
 from .fields import VectorField, lie_bracket
 from .linalg import (dense_nullspace, matrix_rank, rref, solve_exact,
                      symmetric_signature)
@@ -34,47 +36,88 @@ class ClosureCapExceeded(RuntimeError):
 # expressing fields in a basis
 # ---------------------------------------------------------------------------
 
-def _coefficient_rows(fields):
-    """Key-indexed exact linear description of the fields' coefficients."""
-    keys = {}
-    columns = []
-    for f in fields:
-        col = {}
+def _add_scaled(target: dict, c, row: dict) -> None:
+    """target += c * row on sparse rows, dropping entries that cancel."""
+    for k, v in row.items():
+        t = target.get(k, 0) + c * v
+        if t:
+            target[k] = t
+        else:
+            del target[k]
+
+
+class _Echelon:
+    """The span of some fields, kept as pivot rows over the canonical-form
+    (direction, monomial, atoms) keys of their coefficients.
+
+    A field that lies outside the span joins it: its row, reduced against
+    the pivot rows, becomes a new pivot row.  Each pivot row carries its
+    coordinates over the joined fields, so reducing a field to zero also
+    gives its coordinates.
+    """
+
+    def __init__(self):
+        self.fields = []
+        self._rows = []  # (pivot key, key row, coordinates over self.fields)
+
+    def place(self, f: VectorField):
+        """Exact coordinates of f over the joined fields, confirmed by a
+        symbolic zero-test, or None after f joins them from outside their span."""
+        row = {}
         for i, e in enumerate(f.coefficients):
-            for term in e.terms:
-                key = (i, term.monomial, term.atoms)
-                keys.setdefault(key, len(keys))
-                col[key] = term.coefficient
-        columns.append(col)
-    return keys, columns
+            for t in e.terms:
+                row[i, t.monomial, t.atoms] = t.coefficient
+        coords = {}
+        for pivot, prow, pcoords in self._rows:
+            c = row.get(pivot)
+            if c:
+                _add_scaled(row, -c, prow)
+                _add_scaled(coords, c, pcoords)
+        if not row:
+            x = [coords.get(k, Fraction(0)) for k in range(len(self.fields))]
+            if not _verify_combination(f, self.fields, x):
+                raise ArithmeticError("key match and zero-test disagree")
+            return x
+        # row = f - sum(coords[k] * fields[k]); scale it to pivot 1
+        pivot = next(iter(row))
+        inv = 1 / row[pivot]
+        own = {len(self.fields): Fraction(1)}
+        _add_scaled(own, -1, coords)
+        self._rows.append((pivot, {k: v * inv for k, v in row.items()},
+                           {k: v * inv for k, v in own.items()}))
+        self.fields.append(f)
+        return None
 
 
 def express_in_basis(v: VectorField, basis):
     """Exact rational coordinates of v in the basis, or None when not in the span.
 
-    The coefficients are matched key by key over their canonical forms, and
-    a symbolic zero-test confirms the combination the match produces.
+    A basis field that lies in the span of the fields before it gets
+    coordinate 0, so the answer is unique even for a dependent basis.
     """
-    if not basis:
-        return [] if v.is_zero() else None
-    keys, columns = _coefficient_rows(list(basis) + [v])
-    matrix = []
-    rhs = []
-    for key in keys:
-        matrix.append([col.get(key, Fraction(0)) for col in columns[:-1]])
-        rhs.append(columns[-1].get(key, Fraction(0)))
-    solution = solve_exact(matrix, rhs)
-    if solution is not None and _verify_combination(v, basis, solution):
-        return solution
-    return None
+    span = _Echelon()
+    independent = [k for k, b in enumerate(basis) if span.place(b) is None]
+    coords = span.place(v)
+    if coords is None:
+        return None
+    out = [Fraction(0)] * len(basis)
+    for k, c in zip(independent, coords):
+        out[k] = c
+    return out
 
 
 def _verify_combination(v: VectorField, basis, coords) -> bool:
-    residual = v
-    for c, b in zip(coords, basis):
-        if c:
-            residual = residual - b.scale(c)
-    return residual.is_zero()
+    """Whether v - sum(coords[k] * basis[k]) is zero, one normalization per
+    coefficient."""
+    for i, vc in enumerate(v.coefficients):
+        raw = [(t.coefficient, t.monomial, t.atoms) for t in vc.terms]
+        for c, b in zip(coords, basis):
+            if c:
+                raw.extend((-c * t.coefficient, t.monomial, t.atoms)
+                           for t in b.coefficients[i].terms)
+        if not Expr.from_raw(v.chart, raw).is_zero():
+            return False
+    return True
 
 
 def close_under_bracket(fields, cap: int = 32) -> "LieAlgebraPresentation":
@@ -87,16 +130,14 @@ def close_under_bracket(fields, cap: int = 32) -> "LieAlgebraPresentation":
     gets the unit vector.  Raises ClosureCapExceeded when more than cap
     independent fields appear.
     """
-    basis: list = []
+    span = _Echelon()
+    basis = span.fields
 
     def place(f):
         """Coordinates of f over the basis, adding f when it lies outside."""
-        if f.is_zero():
-            return [Fraction(0)] * len(basis)
-        coords = express_in_basis(f, basis)
+        coords = span.place(f)
         if coords is not None:
             return coords
-        basis.append(f)
         if len(basis) > cap:
             raise ClosureCapExceeded(f"dimension exceeded cap {cap}")
         return [Fraction(0)] * (len(basis) - 1) + [Fraction(1)]
@@ -165,17 +206,19 @@ def subspace_bracket(constants, rows_a, rows_b):
     return span_rows(prods)[0]
 
 
-def series_dims(constants, rows, lower_central=False):
+def series_dims(constants, rows, lower_central=False, bracket=None):
     """Dimensions of the derived series of span(rows), or of its lower
-    central series, until a term vanishes or repeats."""
+    central series, until a term vanishes or repeats.  bracket, when given,
+    is subspace_bracket(constants, rows, rows), the second term of both."""
     dims = [len(rows)]
     current = rows
+    nxt = bracket if bracket is not None else subspace_bracket(constants, rows, rows)
     while True:
-        nxt = subspace_bracket(constants, rows if lower_central else current, current)
         dims.append(len(nxt))
         if len(nxt) == 0 or len(nxt) == len(current):
             return dims
         current = nxt
+        nxt = subspace_bracket(constants, rows if lower_central else current, current)
 
 
 def center_rows(constants):
@@ -203,11 +246,13 @@ def killing_matrix(constants):
     return km
 
 
-def radical_rows(constants, killing=None):
-    """The radical as the Killing-orthogonal complement of the derived algebra."""
+def radical_rows(constants, killing=None, derived=None):
+    """The radical as the Killing-orthogonal complement of the derived
+    algebra, which is computed unless given."""
     n = len(constants)
     full = unit_rows(n)
-    derived = subspace_bracket(constants, full, full)
+    if derived is None:
+        derived = subspace_bracket(constants, full, full)
     if not derived:
         return full  # abelian: everything is radical
     km = killing if killing is not None else killing_matrix(constants)
@@ -276,11 +321,11 @@ def is_heisenberg_tensor(constants) -> bool:
     if len(constants) != 3:
         return False
     full = unit_rows(3)
-    lcs = series_dims(constants, full, lower_central=True)
+    der = subspace_bracket(constants, full, full)
+    lcs = series_dims(constants, full, lower_central=True, bracket=der)
     if lcs != [3, 1, 0]:
         return False
     zc = center_rows(constants)
-    der = subspace_bracket(constants, full, full)
     return len(zc) == 1 and span_rows(zc)[0] == span_rows(der)[0]
 
 
@@ -492,14 +537,15 @@ def analyze(p: LieAlgebraPresentation) -> StructureReport:
     n = p.dimension
     full = unit_rows(n)
     zc = center_rows(c)
-    dseries = series_dims(c, full)
-    lseries = series_dims(c, full, lower_central=True)
+    derived = subspace_bracket(c, full, full)
+    dseries = series_dims(c, full, bracket=derived)
+    lseries = series_dims(c, full, lower_central=True, bracket=derived)
     solvable = dseries[-1] == 0
     nilpotent = lseries[-1] == 0
     km = killing_matrix(c)
     k_rank = matrix_rank(km)
     plus, minus, _ = symmetric_signature(km)
-    rad = radical_rows(c, km)
+    rad = radical_rows(c, km, derived)
     rad_span, _ = span_rows(rad)
     verdict = "unrecognized"
     complement = None

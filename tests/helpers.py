@@ -9,8 +9,7 @@ from mongesym.charts import J20
 from mongesym.expr import ExpAtom, Expr, NonRationalPowerError
 from mongesym.fields import (VectorField, distribution_from_monge,
                              lie_bracket, symmetry_residuals)
-from mongesym.liealg import express_in_basis
-from mongesym.linalg import dense_nullspace, rref
+from mongesym.linalg import dense_nullspace, rref, solve_exact
 from mongesym.solver import AnsatzSpec, build_ansatz
 
 
@@ -66,6 +65,26 @@ def admissible_point(rng: random.Random, chart=J20) -> dict:
     if "y2" in chart:
         pt["y2"] = Fraction(rng.randint(1, 3) ** 6)
     return pt
+
+
+# ---------------------------------------------------------------------------
+# the Lie bracket by its two-step definition
+# ---------------------------------------------------------------------------
+
+def _directional_derivative(field: VectorField, f: Expr) -> Expr:
+    out = Expr.zero(field.chart)
+    for coord, a in zip(field.chart.coords, field.coefficients):
+        if not a.is_zero():
+            out = out + a * f.diff(coord)
+    return out
+
+
+def reference_bracket(v: VectorField, w: VectorField) -> VectorField:
+    """[V, W]_i = V(W_i) - W(V_i), every product and partial sum normalized
+    on its own."""
+    return VectorField(v.chart, tuple(
+        _directional_derivative(v, wc) - _directional_derivative(w, vc)
+        for vc, wc in zip(v.coefficients, w.coefficients)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +158,36 @@ def brute_force_symmetry_space(equation, degree: int):
 
 
 # ---------------------------------------------------------------------------
-# structure constants by the two-pass definition
+# coordinates and structure constants by one dense solve per bracket
 # ---------------------------------------------------------------------------
+
+def reference_express(v: VectorField, basis):
+    """Coordinates of v in the basis from one exact solve of the matrix over
+    all (direction, monomial, atoms) keys, free variables zero, confirmed by
+    subtracting the scaled basis fields; None when v is not in the span."""
+    if not basis:
+        return [] if v.is_zero() else None
+    keys = {}
+    columns = []
+    for f in list(basis) + [v]:
+        col = {}
+        for i, e in enumerate(f.coefficients):
+            for t in e.terms:
+                key = (i, t.monomial, t.atoms)
+                keys.setdefault(key, len(keys))
+                col[key] = t.coefficient
+        columns.append(col)
+    matrix = [[col.get(key, Fraction(0)) for col in columns[:-1]] for key in keys]
+    rhs = [columns[-1].get(key, Fraction(0)) for key in keys]
+    solution = solve_exact(matrix, rhs)
+    if solution is None:
+        return None
+    residual = v
+    for c, b in zip(solution, basis):
+        if c:
+            residual = residual - b.scale(c)
+    return solution if residual.is_zero() else None
+
 
 def reference_constants(basis) -> tuple:
     """Structure constants of a bracket-closed basis, each bracket expressed
@@ -149,7 +196,7 @@ def reference_constants(basis) -> tuple:
     constants = [[(Fraction(0),) * n for _ in range(n)] for _ in range(n)]
     for j in range(n):
         for i in range(j):
-            coords = express_in_basis(lie_bracket(basis[i], basis[j]), basis)
+            coords = reference_express(lie_bracket(basis[i], basis[j]), basis)
             if coords is None:
                 raise ValueError("fields are not closed under bracket")
             constants[i][j] = tuple(coords)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -23,6 +25,16 @@ def run(capsys, *argv):
 
 
 class TestExitCodes:
+    def test_module_entry_point(self):
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-m", "mongesym", "catalog"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "eq2" in proc.stdout
+
     def test_verify_pass_is_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "eq2", "S1", "S2", "S3", "S4", "S5", "S6")
         assert code == 0

@@ -79,6 +79,13 @@ class TestParse:
             e = random_expr(rng)
             assert parse(str(e), J20) == e
 
+    def test_canonical_terms_renormalize_to_themselves(self):
+        rng = random.Random(102)
+        for _ in range(200):
+            e = random_expr(rng)
+            raw = [(t.coefficient, t.monomial, t.atoms) for t in e.terms]
+            assert Expr.from_raw(e.chart, raw) == e
+
 
 class TestArithmetic:
     def test_additive_inverse(self):

@@ -15,8 +15,9 @@ from mongesym.fields import (MongeEquation, ProjectionError, VectorField,
                              extend_chart, prolong_plane_field,
                              restrict_chart)
 from mongesym.parser import parse
+from mongesym.solver import symmetry_dimension
 
-from helpers import flow_commutator
+from helpers import flow_commutator, reference_bracket
 
 
 def P(text, chart=J20):
@@ -62,6 +63,28 @@ class TestBracket:
         left = lie_bracket(a + b.scale(3), c)
         right = lie_bracket(a, c) + lie_bracket(b, c).scale(3)
         assert all((x - y).is_zero() for x, y in zip(left.coefficients, right.coefficients))
+
+    def test_one_pass_equals_two_step_definition(self):
+        # every coefficient normalized once equals the sum of separately
+        # normalized products, on polynomial fields, exp atoms, two powers
+        # of one base, ln and negative exponents
+        gens = symmetry_dimension(dz13(5, 4), 1, equation_label="dz13(5,4)").basis
+        assert any(t.atoms for f in gens for e in f.coefficients for t in e.terms)
+        b = "(y2 - 1/2*y1^2)"
+        odd = [
+            VectorField.from_strings(J20, {
+                "x": f"{b}^(2/3) + y1*{b}^(-1/3)", "y1": "y2",
+                "z": f"z*{b}^(-1/3) - x*{b}^(2/3)"}),
+            VectorField.from_strings(J20, {
+                "y": f"y1^2*{b}^(2/3)", "y2": f"x*{b}^(-1/3)", "z": "1"}),
+            VectorField.from_strings(J20, {"y": "ln(y1)", "y1": "x*ln(y1)", "z": "y*ln(y1 + y2)"}),
+            VectorField.from_strings(J20, {"y1": "y2^(-1)", "y2": "x*y1^(-2)", "z": "x^(-2)*y"}),
+            VectorField.from_strings(J20, {"x": "y1^(-1)*y2^(-1)", "y": "y^(-3)", "z": "ln(x)*y2^(-2)"}),
+        ]
+        x2 = distribution_from_monge(strazzullo()).X2
+        for group in (ALL_S, gens, odd + [x2] + ALL_S[:3]):
+            for v, w in itertools.product(group, repeat=2):
+                assert lie_bracket(v, w) == reference_bracket(v, w)
 
     def test_flow_commutator_cross_check(self):
         # independent numerical oracle: commutator of RK4 flows

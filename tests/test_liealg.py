@@ -14,7 +14,7 @@ from mongesym.liealg import (ClosureCapExceeded, analyze, close_under_bracket,
                              express_in_basis, jacobi_holds)
 from mongesym.solver import symmetry_dimension
 
-from helpers import reference_constants
+from helpers import reference_constants, reference_express
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -80,6 +80,22 @@ class TestExpressInBasis:
         coords = express_in_basis(f, [g, h])
         assert coords == [1, 1]
         assert express_in_basis(VectorField.coordinate(J20, "y"), [g, h]) is None
+
+    def test_dependent_basis_fields_get_zero(self):
+        # a basis field in the span of the fields before it gets coordinate 0
+        g = VectorField.from_strings(J20, {"y": "exp(x)"})
+        h = VectorField.from_strings(J20, {"y1": "exp(x)"})
+        assert express_in_basis(g + h, [g, g, h]) == [1, 0, 1]
+        assert express_in_basis(g + h, [g, g + h, h]) == [0, 1, 0]
+        assert express_in_basis(g + h, [VectorField.zero(J20), g, h]) == [0, 1, 1]
+        assert express_in_basis(g + h, [g, g]) is None
+
+    def test_agrees_with_the_dense_solve(self, p6, eq2_recombinations):
+        basis = list(p6.basis)
+        for fields in eq2_recombinations:
+            for v in fields + [lie_bracket(fields[0], fields[1])]:
+                assert express_in_basis(v, basis) == reference_express(v, basis)
+                assert express_in_basis(v, fields[:3]) == reference_express(v, fields[:3])
 
 
 class TestClosure:
