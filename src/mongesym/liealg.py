@@ -22,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .charts import require_same_chart
 from .expr import Expr
 from .fields import VectorField, lie_bracket
 from .linalg import (dense_nullspace, matrix_rank, rref, solve_exact,
@@ -53,16 +54,21 @@ class _Echelon:
     A field that lies outside the span joins it: its row, reduced against
     the pivot rows, becomes a new pivot row.  Each pivot row carries its
     coordinates over the joined fields, so reducing a field to zero also
-    gives its coordinates.
+    gives its coordinates.  Every field placed must share the chart of the
+    first one.
     """
 
     def __init__(self):
         self.fields = []
         self._rows = []  # (pivot key, key row, coordinates over self.fields)
+        self._first = None
 
     def place(self, f: VectorField):
         """Exact coordinates of f over the joined fields, confirmed by a
         symbolic zero-test, or None after f joins them from outside their span."""
+        if self._first is None:
+            self._first = f
+        require_same_chart(f, self._first)
         row = {}
         for i, e in enumerate(f.coefficients):
             for t in e.terms:
@@ -206,13 +212,13 @@ def subspace_bracket(constants, rows_a, rows_b):
     return span_rows(prods)[0]
 
 
-def series_dims(constants, rows, lower_central=False, bracket=None):
+def series_dims(constants, rows, derived, lower_central=False):
     """Dimensions of the derived series of span(rows), or of its lower
-    central series, until a term vanishes or repeats.  bracket, when given,
-    is subspace_bracket(constants, rows, rows), the second term of both."""
+    central series, until a term vanishes or repeats.  derived is
+    subspace_bracket(constants, rows, rows), the second term of both."""
     dims = [len(rows)]
     current = rows
-    nxt = bracket if bracket is not None else subspace_bracket(constants, rows, rows)
+    nxt = derived
     while True:
         dims.append(len(nxt))
         if len(nxt) == 0 or len(nxt) == len(current):
@@ -246,19 +252,15 @@ def killing_matrix(constants):
     return km
 
 
-def radical_rows(constants, killing=None, derived=None):
+def radical_rows(constants, killing, derived):
     """The radical as the Killing-orthogonal complement of the derived
-    algebra, which is computed unless given."""
+    algebra, from the Killing matrix and the rows of [g, g]."""
     n = len(constants)
-    full = unit_rows(n)
-    if derived is None:
-        derived = subspace_bracket(constants, full, full)
     if not derived:
-        return full  # abelian: everything is radical
-    km = killing if killing is not None else killing_matrix(constants)
+        return unit_rows(n)  # abelian: everything is radical
     rows = []
     for d in derived:
-        rows.append([sum(d[k] * km[k][i] for k in range(n)) for i in range(n)])
+        rows.append([sum(d[k] * killing[k][i] for k in range(n)) for i in range(n)])
     return [tuple(v) for v in dense_nullspace(rows, n)]
 
 
@@ -322,7 +324,7 @@ def is_heisenberg_tensor(constants) -> bool:
         return False
     full = unit_rows(3)
     der = subspace_bracket(constants, full, full)
-    lcs = series_dims(constants, full, lower_central=True, bracket=der)
+    lcs = series_dims(constants, full, der, lower_central=True)
     if lcs != [3, 1, 0]:
         return False
     zc = center_rows(constants)
@@ -538,8 +540,8 @@ def analyze(p: LieAlgebraPresentation) -> StructureReport:
     full = unit_rows(n)
     zc = center_rows(c)
     derived = subspace_bracket(c, full, full)
-    dseries = series_dims(c, full, bracket=derived)
-    lseries = series_dims(c, full, lower_central=True, bracket=derived)
+    dseries = series_dims(c, full, derived)
+    lseries = series_dims(c, full, derived, lower_central=True)
     solvable = dseries[-1] == 0
     nilpotent = lseries[-1] == 0
     km = killing_matrix(c)

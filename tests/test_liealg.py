@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from mongesym.catalog import dz13, symmetry_fields
-from mongesym.charts import J20
+from mongesym.charts import J2, J20, ChartMismatchError
 from mongesym.fields import VectorField, lie_bracket
 from mongesym.liealg import (ClosureCapExceeded, analyze, close_under_bracket,
                              express_in_basis, jacobi_holds)
@@ -89,6 +89,17 @@ class TestExpressInBasis:
         assert express_in_basis(g + h, [g, g + h, h]) == [0, 1, 0]
         assert express_in_basis(g + h, [VectorField.zero(J20), g, h]) == [0, 1, 1]
         assert express_in_basis(g + h, [g, g]) is None
+
+    def test_mixed_charts_rejected(self):
+        dx2 = VectorField.coordinate(J2, "x")
+        dx20 = VectorField.coordinate(J20, "x")
+        with pytest.raises(ChartMismatchError):
+            express_in_basis(dx2, [dx20])
+        with pytest.raises(ChartMismatchError):
+            express_in_basis(dx20, [dx2])
+        with pytest.raises(ChartMismatchError):
+            # the second field lies in the span of the first on its own chart
+            close_under_bracket([dx20, dx2], cap=4)
 
     def test_agrees_with_the_dense_solve(self, p6, eq2_recombinations):
         basis = list(p6.basis)
