@@ -56,15 +56,24 @@ def _load_field(source: str) -> tuple:
         pass
     text = source
     if source.startswith("@"):
-        with open(source[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read the field file: {exc}") from None
     if text.lstrip().startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"bad field JSON {source!r}: {exc}") from None
         chart = {"J20": J20, "J2": J2}.get(data.get("chart"))
         if chart is None:
             raise UsageError(f"unknown chart in field JSON: {data.get('chart')!r}")
+        coefficients = data.get("coefficients", {})
+        if not isinstance(coefficients, dict):
+            raise UsageError(f"bad field JSON {source!r}: coefficients must be an object")
         try:
-            return VectorField.from_strings(chart, data.get("coefficients", {})), source
+            return VectorField.from_strings(chart, coefficients), source
         except ExprError as exc:
             raise UsageError(f"bad field JSON {source!r}: {exc}") from None
     raise UsageError(f"cannot interpret field {source!r} "
@@ -86,8 +95,11 @@ def _emit(payload, args, renderer):
         if not text.endswith("\n"):
             text += "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write the report: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -40,8 +40,15 @@ class VectorField:
 
     @staticmethod
     def from_strings(chart: Chart, coeffs: dict) -> "VectorField":
-        exprs = [parse(coeffs.get(c, "0"), chart) for c in chart.coords]
-        return VectorField(chart, tuple(exprs))
+        """Parse one coefficient string per coordinate; absent ones are 0."""
+        unknown = coeffs.keys() - set(chart.coords)
+        if unknown:
+            raise ExprError(f"{min(unknown)!r} is not a coordinate of chart {chart.name}")
+        texts = [coeffs.get(c, "0") for c in chart.coords]
+        for c, text in zip(chart.coords, texts):
+            if not isinstance(text, str):
+                raise ExprError(f"the coefficient of {c} is {text!r}, not a string")
+        return VectorField(chart, tuple(parse(text, chart) for text in texts))
 
     @staticmethod
     def zero(chart: Chart) -> "VectorField":

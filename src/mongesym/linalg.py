@@ -88,7 +88,7 @@ def sparse_nullspace(rows, ncols: int):
     increasing order, so the output is deterministic.
     """
     ech = SparseEchelon()
-    for row in sorted((dict(r) for r in rows if r), key=_row_order_key):
+    for row in sorted((r for r in rows if r), key=_row_order_key):
         ech.insert(row)
     pivot_cols = sorted(ech.pivots)
     free_cols = [c for c in range(ncols) if c not in ech.pivots]
@@ -108,33 +108,65 @@ def sparse_nullspace(rows, ncols: int):
                     s += v * xv
             if s:
                 x[c] = -s / row[c]
-        denom = 1
-        for v in x.values():
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-        ints = {k: int(v * denom) for k, v in x.items()}
-        g = 0
-        for v in ints.values():
-            g = math.gcd(g, v)
-        if ints[f] < 0:
-            g = -g
-        vec = [0] * ncols
-        for k, v in ints.items():
-            vec[k] = v // g
-        basis.append(tuple(vec))
+        basis.append(_primitive(x, ncols))
     return ech.rank, basis
 
 
+def _primitive(x: dict, ncols: int) -> tuple:
+    """A sparse rational vector as a dense tuple of coprime integers, the
+    signs kept."""
+    denom = math.lcm(*(v.denominator for v in x.values()))
+    ints = {c: v.numerator * (denom // v.denominator) for c, v in x.items()}
+    g = math.gcd(*ints.values())
+    vec = [0] * ncols
+    for c, v in ints.items():
+        vec[c] = v // g
+    return tuple(vec)
+
+
+def _subtract(x: dict, a, row: dict) -> None:
+    """x -= a * row in place, dropping the entries that cancel."""
+    for c, b in row.items():
+        w = x.get(c, 0) - a * b
+        if w:
+            x[c] = w
+        else:
+            del x[c]
+
+
+def canonical_basis(vectors):
+    """The basis sparse_nullspace gives for the span of `vectors`.
+
+    `vectors` are linearly independent integer tuples of one length.  Their
+    span has one basis in reduced echelon form with each pivot at a
+    vector's largest column: for each such column f, x_f = 1 and every
+    other pivot column is zero.  Those pivots are the free columns of any
+    system whose nullspace is the span, so this is the basis
+    sparse_nullspace returns for it, in primitive integers, ordered by f.
+    """
+    reduced: dict = {}  # pivot column -> {column: Fraction}
+    for v in vectors:
+        x = {c: Fraction(a) for c, a in enumerate(v) if a}
+        for p, row in reduced.items():
+            if p in x:
+                _subtract(x, x[p], row)
+        f = max(x)
+        lead = x[f]
+        x = {c: a / lead for c, a in x.items()}
+        for row in reduced.values():
+            if f in row:
+                _subtract(row, row[f], x)
+        reduced[f] = x
+    return [_primitive(reduced[f], len(vectors[0])) for f in sorted(reduced)]
+
+
 def rows_to_integer(rows):
-    """Clear denominators row by row: Fraction rows -> primitive integer rows."""
+    """Clear denominators row by row: rational rows -> primitive integer rows."""
     out = []
     for row in rows:
-        if not row:
-            continue
-        denom = 1
-        for v in row.values():
-            fr = Fraction(v)
-            denom = denom * fr.denominator // math.gcd(denom, fr.denominator)
-        ints = {c: int(Fraction(v) * denom) for c, v in row.items() if v}
+        denom = math.lcm(*(v.denominator for v in row.values()))
+        ints = {c: v.numerator * (denom // v.denominator)
+                for c, v in row.items() if v}
         if ints:
             out.append(_row_normalize(ints))
     return out

@@ -17,9 +17,11 @@ Lj = R(u_j) - u_j*R(1) exactly: six probes per direction, once per equation.
 A basis unknown's rows then follow from the operator terms alone: shift the
 monomial, multiply in the exponent (and rho for d/dx of exp(rho*x)), and
 canonicalize each product term with the expression engine.
-symmetry_dimension builds the rows once, at the top degree; every lower
-degree keeps the columns of its own unknowns, which is exact because an
-unknown's entries do not depend on the other unknowns.
+symmetry_dimension builds, integerizes and eliminates the rows once, at
+the top degree.  An unknown's entries do not depend on the other unknowns,
+so a lower degree's system is the top system on that degree's columns; the
+elimination orders the columns by degree, so every degree's rank and
+dimension are read off the one echelon (nullspace).
 
 The ansatz class is polynomial coefficients of bounded total degree,
 optionally multiplied by rational powers y2^q (offsets) and by exponentials
@@ -40,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,7 +52,7 @@ from .expr import (Expr, PowerAtom, ExpAtom, _canonical_term, mono_from_dict,
 from .fields import (Distribution2, MongeEquation, VectorField,
                      distribution_from_monge, is_symmetry, symmetry_residuals)
 from .liealg import analyze
-from .linalg import rows_to_integer, sparse_nullspace
+from .linalg import canonical_basis, rows_to_integer, sparse_nullspace
 from .rationals import exact_pow
 
 
@@ -165,11 +168,12 @@ class Ansatz:
         return len(self.unknowns)
 
     def assemble(self, vector) -> VectorField:
-        coeffs = [Expr.zero(J20) for _ in range(5)]
+        raw = [[] for _ in range(5)]
         for c, u in zip(vector, self.unknowns):
             if c:
-                coeffs[u.direction] = coeffs[u.direction] + u.coefficient_expr().scale(c)
-        return VectorField(J20, tuple(coeffs))
+                atoms, factors = u.partials()
+                raw[u.direction].append((Fraction(c), factors[0][0][1], atoms))
+        return VectorField(J20, tuple(Expr.from_raw(J20, r) for r in raw))
 
 
 def build_ansatz(spec: AnsatzSpec) -> Ansatz:
@@ -200,29 +204,6 @@ class DeterminingSystem:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    def restrict(self, degree: int) -> "DeterminingSystem":
-        """The system of the degree-`degree` sub-ansatz.
-
-        Each column's entries depend on its own unknown only, so keeping the
-        columns of degree <= `degree` (re-indexed in their original order,
-        which is the order build_ansatz gives them) and dropping rows left
-        empty equals a fresh build at that degree.
-        """
-        spec = self.ansatz.spec
-        if degree >= spec.degree:
-            return self
-        keep = [c for c, u in enumerate(self.ansatz.unknowns)
-                if sum(u.exponents) <= degree]
-        index = {c: k for k, c in enumerate(keep)}
-        rows = {}
-        for key, row in self.rows.items():
-            sub = {index[c]: v for c, v in row.items() if c in index}
-            if sub:
-                rows[key] = sub
-        ansatz = Ansatz(AnsatzSpec(degree, spec.offsets, spec.rates),
-                        tuple(self.ansatz.unknowns[c] for c in keep))
-        return DeterminingSystem(self.distribution, ansatz, rows)
 
 
 def compile_operator(distribution: Distribution2) -> tuple:
@@ -267,22 +248,30 @@ def determining_equations(distribution: Distribution2, ansatz: Ansatz,
     The operator of the same distribution (compile_operator) may be passed
     to skip compiling it again.  Each operator term times each partial of an
     unknown goes through the expression engine's term canonicalization, so
-    the row keys are those of the expanded residuals.
+    the row keys are those of the expanded residuals.  Canonicalization
+    only multiplies the coefficient, so each distinct (monomial, atoms)
+    product is canonicalized once, with coefficient 1, and the scalar is
+    multiplied in.
     """
     if operator is None:
         operator = compile_operator(distribution)
     rows: dict = {}
+    canonical: dict = {}
     for col, u in enumerate(ansatz.unknowns):
         atoms, factors = u.partials()
         for rid, order, c, m, a in operator[u.direction]:
             for k, s in factors[order + 1]:
-                # operator atoms are canonical and the unknown adds only
-                # y2^q and exp(rho*x), so no polynomial factor comes back
-                coeff, mono, out_atoms, _ = _canonical_term(
-                    c * k, mono_mul(m, s), a + atoms, 5)
-                if coeff:
+                product = (mono_mul(m, s), a + atoms)
+                term = canonical.get(product)
+                if term is None:
+                    # operator atoms are canonical and the unknown adds only
+                    # y2^q and exp(rho*x), so no polynomial factor comes back
+                    term = canonical[product] = _canonical_term(1, *product, 5)[:3]
+                scale, mono, out_atoms = term
+                if scale:
                     row = rows.setdefault((rid, mono, out_atoms), {})
-                    row[col] = row.get(col, 0) + coeff
+                    v = c * k * scale
+                    row[col] = row[col] + v if col in row else v
     for key in list(rows):
         rows[key] = {c: v for c, v in rows[key].items() if v}
         if not rows[key]:
@@ -291,10 +280,42 @@ def determining_equations(distribution: Distribution2, ansatz: Ansatz,
 
 
 def nullspace(system: DeterminingSystem):
-    """Exact nullspace (dimension, integer basis vectors) of the system."""
-    int_rows = rows_to_integer(system.rows.values())
-    rank, basis = sparse_nullspace(int_rows, system.n_unknowns)
-    return system.n_unknowns - rank, basis
+    """Dimension table of every degree and the top-degree basis, from one
+    graded elimination.
+
+    The columns are eliminated in graded order, by (total degree of the
+    unknown, ansatz index), so the unknowns of degree <= k form a prefix.
+    A pivot row whose pivot lies past the prefix is zero on it, so the rank
+    at degree k is the number of pivots inside the prefix, and the
+    dimension is the number of basis vectors whose free (largest) column
+    lies inside it.  Returns (table, basis): table holds one
+    {degree, unknowns, rows, dimension} entry per degree, where a row
+    counts from the lowest degree of its unknowns on; basis holds the
+    integer vectors of the top degree in ansatz column order, in the form
+    an elimination in that order gives (linalg.canonical_basis).
+    """
+    unknowns = system.ansatz.unknowns
+    ncols = len(unknowns)
+    degree_of = [sum(u.exponents) for u in unknowns]
+    order = sorted(range(ncols), key=lambda c: (degree_of[c], c))
+    graded = [0] * ncols
+    for p, c in enumerate(order):
+        graded[c] = p
+    int_rows = rows_to_integer({graded[c]: v for c, v in row.items()}
+                               for row in system.rows.values())
+    _, vectors = sparse_nullspace(int_rows, ncols)
+    degrees = sorted(degree_of)
+    lows = sorted(min(row) for row in int_rows)
+    frees = [max(p for p, x in enumerate(v) if x) for v in vectors]  # ascending
+    table = []
+    for degree in range(system.ansatz.spec.degree + 1):
+        end = bisect_right(degrees, degree)  # the degree's prefix is [0, end)
+        table.append({"degree": degree, "unknowns": end,
+                      "rows": bisect_left(lows, end),
+                      "dimension": bisect_left(frees, end)})
+    basis = canonical_basis([tuple(v[graded[c]] for c in range(ncols))
+                             for v in vectors])
+    return table, basis
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +384,8 @@ class SolveReport:
     dimension: int
     basis: list          # VectorFields at the top degree
     verified: bool
-    timings: dict        # seconds per degree
-    stage_timings: dict  # seconds per stage, summed over degrees
+    timings: dict        # per degree: seconds of the one shared elimination
+    stage_timings: dict  # seconds per stage
 
     def to_json(self, include_timings: bool = False) -> dict:
         out = {
@@ -404,11 +425,13 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
                        progress=None) -> SolveReport:
     """Dimension table for degrees 0..max_degree plus the top-degree basis.
 
-    The rows are built once, at max_degree, and each lower degree's system
-    is restricted from them.  Stabilization (two consecutive degrees with
-    equal dimension) is a reporting heuristic, not a completeness theorem
-    for the ansatz class.  An optional progress callback receives one line
-    per finished degree.
+    The rows are built and eliminated once, at max_degree, and every lower
+    degree is read off the same graded elimination (nullspace).
+    Stabilization (two consecutive degrees with equal dimension) is a
+    reporting heuristic, not a completeness theorem for the ansatz class.
+    An optional progress callback receives one line per degree, all after
+    the elimination.  Every per-degree timing is the seconds of that one
+    shared elimination.
     """
     if rates is None:
         rates = exp_rates_for(m)
@@ -425,32 +448,27 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
 
     operator = compile_operator(distribution)
     lap("operator_s")
-    top = determining_equations(distribution, build_ansatz(spec), operator)
+    system = determining_equations(distribution, build_ansatz(spec), operator)
     lap("rows_s")
-    table = []
-    timings = {}
+    table, vectors = nullspace(system)
+    lap("elimination_s")
+    timings = {str(row["degree"]): round(stages["elimination_s"], 3)
+               for row in table}
     last_dim = None
     stabilized = False
     stabilized_at = None
-    for degree in range(max_degree + 1):
-        t0 = time.perf_counter()
-        system = top.restrict(degree)
-        lap("rows_s")
-        dim, vectors = nullspace(system)
-        lap("elimination_s")
-        timings[str(degree)] = round(time.perf_counter() - t0, 3)
-        table.append({"degree": degree, "unknowns": system.n_unknowns,
-                      "rows": system.n_rows, "dimension": dim})
+    for row in table:
+        degree, dim = row["degree"], row["dimension"]
         if progress:
             progress(f"degree {degree}: dimension {dim} "
-                     f"({system.n_unknowns} unknowns, {system.n_rows} rows)")
+                     f"({row['unknowns']} unknowns, {row['rows']} rows)")
         if last_dim is not None and dim < last_dim:
             raise AssertionError("dimension must be monotone in the degree")
         if last_dim is not None and dim == last_dim and not stabilized:
             stabilized = True
             stabilized_at = degree
         last_dim = dim
-    basis_fields = [top.ansatz.assemble(v) for v in vectors]
+    basis_fields = [system.ansatz.assemble(v) for v in vectors]
     verified = True
     if verify:
         for f in basis_fields:

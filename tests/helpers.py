@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from mongesym.charts import J20
 from mongesym.expr import ExpAtom, Expr, NonRationalPowerError
 from mongesym.fields import (VectorField, distribution_from_monge,
                              lie_bracket, symmetry_residuals)
-from mongesym.linalg import dense_nullspace, rref, solve_exact
-from mongesym.solver import AnsatzSpec, build_ansatz
+from mongesym.linalg import dense_nullspace, rref, solve_exact, sparse_nullspace
+from mongesym.solver import AnsatzSpec, build_ansatz, determining_equations
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +156,33 @@ def brute_force_symmetry_space(equation, degree: int):
               for row in rows.values()]
     null = dense_nullspace(matrix, ansatz.size)
     return len(null), null, ansatz
+
+
+def reference_assemble(ansatz, vector) -> VectorField:
+    """The field of an ansatz vector as a running sum, one normalization per
+    nonzero entry."""
+    coeffs = [Expr.zero(J20) for _ in range(5)]
+    for c, u in zip(vector, ansatz.unknowns):
+        if c:
+            coeffs[u.direction] = coeffs[u.direction] + u.coefficient_expr().scale(c)
+    return VectorField(J20, tuple(coeffs))
+
+
+def reference_graded_solve(distribution, spec):
+    """(table, top basis) by one fresh build and one elimination per degree,
+    columns in ansatz order, rows integerized through Fraction."""
+    table = []
+    for degree in range(spec.degree + 1):
+        system = determining_equations(
+            distribution, build_ansatz(AnsatzSpec(degree, spec.offsets, spec.rates)))
+        int_rows = []
+        for row in system.rows.values():
+            denom = math.lcm(*(Fraction(v).denominator for v in row.values()))
+            int_rows.append({c: int(Fraction(v) * denom) for c, v in row.items()})
+        rank, basis = sparse_nullspace(int_rows, system.n_unknowns)
+        table.append({"degree": degree, "unknowns": system.n_unknowns,
+                      "rows": system.n_rows, "dimension": system.n_unknowns - rank})
+    return table, basis
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,27 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("field", [
+        '{"chart":"J20","coefficients":{"w":"1"}}',  # not a coordinate
+        '{"chart":"J2","coefficients":{"z":"1"}}',  # not on this chart
+        '{"chart": ',                                # malformed JSON
+        '{"chart":"J20","coefficients":{"x":1}}',    # not a string
+        '{"chart":"J20","coefficients":["x"]}',      # not an object
+        "@no/such/field.json",                       # missing file
+    ])
+    def test_bad_field_is_two(self, capsys, field):
+        code, out, err = run(capsys, "verify", "eq2", field)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unwritable_out_is_two(self, capsys, tmp_path):
+        path = tmp_path / "no" / "such" / "report.json"
+        code, out, err = run(capsys, "genericity", "flat", "--json", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_negative_structure_cap_is_two(self, capsys):
         code, out, err = run(capsys, "structure", "eq2", "--cap", "-1")
         assert code == 2

@@ -1,6 +1,8 @@
 """Determining-equation solver: ansatz, oracle equivalence, soundness."""
 
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,12 +11,15 @@ from mongesym.catalog import dz13, eq1, eq2, flat
 from mongesym.fields import (distribution_from_monge, is_symmetry,
                              lie_bracket)
 from mongesym.liealg import close_under_bracket, express_in_basis
+from mongesym.linalg import canonical_basis, matrix_rank, sparse_nullspace
 from mongesym.solver import (MAX_UNKNOWNS, AnsatzError, AnsatzSpec,
-                             build_ansatz, determining_equations,
-                             exp_rates_for, maximality_argument, nullspace,
+                             DeterminingSystem, build_ansatz,
+                             determining_equations, exp_rates_for,
+                             maximality_argument, nullspace,
                              symmetry_dimension)
 
-from helpers import brute_force_symmetry_space, reference_rows, same_span
+from helpers import (brute_force_symmetry_space, reference_assemble,
+                     reference_graded_solve, reference_rows, same_span)
 
 
 class TestAnsatz:
@@ -44,13 +49,25 @@ class TestAnsatz:
         a = build_ansatz(AnsatzSpec(1))
         assert a.assemble([0] * a.size).is_zero()
 
+    def test_assemble_matches_a_running_sum(self):
+        # offset 1 makes y2*m and m*y2^1 the same function, so terms merge
+        # and cancel across unknowns
+        rng = random.Random(5)
+        a = build_ansatz(AnsatzSpec(2, offsets=(0, 1, Fraction(1, 3)), rates=(0, -2)))
+        for _ in range(20):
+            v = [0] * a.size
+            for c in rng.sample(range(a.size), 40):
+                v[c] = rng.choice((1, -1, 2, -3))
+            assert a.assemble(v) == reference_assemble(a, v)
+
 
 class TestDeterminingSystem:
     def test_flat_degree0_dimension3(self):
         d = distribution_from_monge(flat())
         system = determining_equations(d, build_ansatz(AnsatzSpec(0)))
-        dim, basis = nullspace(system)
-        assert dim == 3
+        table, basis = nullspace(system)
+        assert table == [{"degree": 0, "unknowns": 5, "rows": system.n_rows,
+                          "dimension": 3}]
         fields = [system.ansatz.assemble(v) for v in basis]
         spans = {tuple(str(c) for c in f.coefficients) for f in fields}
         assert ("0", "0", "0", "0", "1") in spans  # d/dz
@@ -84,14 +101,68 @@ class TestCompiledOperator:
         ansatz = build_ansatz(AnsatzSpec(2, offsets=offsets, rates=exp_rates_for(m)))
         assert determining_equations(d, ansatz).rows == reference_rows(d, ansatz)
 
-    def test_restriction_matches_fresh_build(self):
-        d = distribution_from_monge(flat())
-        top = determining_equations(d, build_ansatz(AnsatzSpec(3)))
-        for degree in range(4):
-            fresh = determining_equations(d, build_ansatz(AnsatzSpec(degree)))
-            restricted = top.restrict(degree)
-            assert restricted.ansatz == fresh.ansatz
-            assert restricted.rows == fresh.rows
+
+class TestGradedElimination:
+    # one graded elimination of the top system must give the table and the
+    # top basis of a fresh build and elimination per degree
+    @pytest.mark.parametrize("key,degree,offsets", [
+        ("flat", 3, (0,)),
+        ("dz13(5,4)", 3, (0,)),
+        ("eq2", 2, (0, Fraction(1, 3), Fraction(-1, 3))),
+        ("strazzullo", 2, (0, Fraction(1, 3), Fraction(2, 3))),
+    ])
+    def test_matches_a_solve_per_degree(self, key, degree, offsets):
+        from mongesym.catalog import get_equation
+        m = get_equation(key)
+        d = distribution_from_monge(m)
+        spec = AnsatzSpec(degree, offsets=offsets, rates=exp_rates_for(m))
+        system = determining_equations(d, build_ansatz(spec))
+        assert nullspace(system) == reference_graded_solve(d, spec)
+
+    def test_report_matches_a_solve_per_degree(self):
+        r = symmetry_dimension(eq2(), 3, offsets=(0, Fraction(1, 3)))
+        table, basis = reference_graded_solve(
+            distribution_from_monge(eq2()), AnsatzSpec(3, (0, Fraction(1, 3))))
+        assert r.table == table
+        ansatz = build_ansatz(AnsatzSpec(3, (0, Fraction(1, 3))))
+        assert r.basis == [ansatz.assemble(v) for v in basis]
+
+    def test_table_reads_each_prefix(self):
+        # the first degree-1 unknown is free and borders the degree-0 prefix
+        ansatz = build_ansatz(AnsatzSpec(1))
+        low = [c for c, u in enumerate(ansatz.unknowns) if not sum(u.exponents)]
+        high = [c for c, u in enumerate(ansatz.unknowns) if sum(u.exponents)]
+        rows = {"a": {low[0]: Fraction(1)},
+                "b": {high[1]: Fraction(2), high[2]: Fraction(-1, 3)}}
+        table, basis = nullspace(DeterminingSystem(None, ansatz, rows))
+        assert table == [
+            {"degree": 0, "unknowns": 5, "rows": 1, "dimension": 4},
+            {"degree": 1, "unknowns": 30, "rows": 2, "dimension": 28}]
+        int_rows = [{low[0]: 1}, {high[1]: 6, high[2]: -1}]
+        assert basis == sparse_nullspace(int_rows, 30)[1]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_canonical_basis_undoes_recombination(self, seed):
+        rng = random.Random(seed)
+        key, degree = [("flat", 2), ("eq2", 2), ("dz13(5,4)", 1)][seed % 3]
+        from mongesym.catalog import get_equation
+        m = get_equation(key)
+        spec = AnsatzSpec(degree, rates=exp_rates_for(m))
+        _, basis = reference_graded_solve(distribution_from_monge(m), spec)
+        n = len(basis)
+        while True:
+            mix = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    for _ in range(n)] for _ in range(n)]
+            if matrix_rank(mix) == n:
+                break
+        mixed = [tuple(sum(c * v[k] for c, v in zip(row, basis))
+                       for k in range(len(basis[0]))) for row in mix]
+        # canonical_basis takes integer vectors: clear each one's denominators
+        ints = []
+        for v in mixed:
+            denom = math.lcm(*(x.denominator for x in v))
+            ints.append(tuple(int(x * denom) for x in v))
+        assert canonical_basis(ints) == basis
 
 
 class TestOracleEquivalence:
@@ -110,8 +181,8 @@ class TestOracleEquivalence:
         dim_oracle, null_oracle, _ = brute_force_symmetry_space(m, degree)
         d = distribution_from_monge(m)
         system = determining_equations(d, build_ansatz(AnsatzSpec(degree)))
-        dim, basis = nullspace(system)
-        assert dim == dim_oracle
+        table, basis = nullspace(system)
+        assert table[-1]["dimension"] == dim_oracle
         assert same_span(basis, null_oracle)
 
 
