@@ -43,6 +43,14 @@ class ExprError(ValueError):
     pass
 
 
+# Powers are sized before they are computed: a coefficient's numerator and
+# denominator get at most MAX_POWER_BITS bits, and expanding a k-term
+# expression to the n-th power at most MAX_POWER_PRODUCTS coefficient
+# products, k * C(k+n-1, n-1) when no terms merge.
+MAX_POWER_BITS = 1 << 16
+MAX_POWER_PRODUCTS = 20_000
+
+
 class NonRationalPowerError(ExprError):
     """A rational power with an irrational value was requested exactly."""
 
@@ -124,7 +132,24 @@ def poly_mul(a: Poly, b: Poly, nvars: int) -> Poly:
                 d.pop(m, None)
     return _poly_sorted(d, nvars)
 
+def _check_power_size(c: Fraction, q: Fraction) -> None:
+    """Raise ExprError when c**q would have more than MAX_POWER_BITS bits."""
+    size = max(abs(c.numerator), c.denominator)
+    if size > 1 and size.bit_length() * abs(q) > MAX_POWER_BITS:
+        raise ExprError(f"power too large: ({c})^({q}) has about "
+                        f"{math.ceil(size.bit_length() * abs(q))} bits")
+
+
+def _check_expansion_size(k: int, n: int) -> None:
+    """Raise ExprError when a k-term expression to the n-th power is too
+    large to expand."""
+    if n > 0 and k * math.comb(k + n - 1, n - 1) > MAX_POWER_PRODUCTS:
+        raise ExprError(f"power too large: expanding {k} term(s) to the power {n} "
+                        f"takes over {MAX_POWER_PRODUCTS} products")
+
+
 def poly_pow(a: Poly, k: int, nvars: int) -> Poly:
+    _check_expansion_size(len(a), k)
     out: Poly = ((ONE_MONO, Fraction(1)),)
     for _ in range(k):
         out = poly_mul(out, a, nvars)
@@ -253,6 +278,7 @@ def _power_parts(base: Poly, q: Fraction, nvars: int):
     coord: dict = {}
     if len(base) == 1:
         m, c = base[0]
+        _check_power_size(c, q)
         if q.denominator == 1:
             n = int(q)
             for i, e in m:
@@ -272,6 +298,7 @@ def _power_parts(base: Poly, q: Fraction, nvars: int):
             c_kept = -c
         return sign_factor, coord, [PowerAtom(((m, c_kept),), q)], []
     sign, content, m_c, primitive = _poly_content_split(base, nvars)
+    _check_power_size(content, q)
     if q.denominator == 1:
         n = int(q)
         factor = Fraction(sign) ** n * content ** n
@@ -479,12 +506,20 @@ class Expr:
 
     def __pow__(self, exponent) -> "Expr":
         exponent = Fraction(exponent)
-        if exponent.denominator == 1 and exponent >= 0:
-            out = Expr.constant(self.chart, 1)
-            for _ in range(int(exponent)):
-                out = out * self
-            return out
-        return self.pow_rational(exponent)
+        if exponent.denominator != 1 or exponent < 0:
+            return self.pow_rational(exponent)
+        n = int(exponent)
+        if len(self.terms) == 1 and not self.terms[0].atoms:
+            # one atom-free term: exponent arithmetic
+            t = self.terms[0]
+            _check_power_size(t.coefficient, exponent)
+            return Expr(self.chart, (Term(t.coefficient ** n,
+                                          mono_pow(t.monomial, n), ()),))
+        _check_expansion_size(len(self.terms), n)
+        out = Expr.constant(self.chart, 1)
+        for _ in range(n):
+            out = out * self
+        return out
 
     def pow_rational(self, exponent) -> "Expr":
         """Raise to a rational power; the base must be atom-free."""

@@ -2,18 +2,20 @@
 
 The entry point is close_under_bracket, which grows a basis until brackets
 close and records each bracket's exact rational coordinates as it goes.
-Coordinates come from one running echelon of the fields' coefficients over
+Coordinates come from a linalg.KeyedSpan of the fields' coefficients over
 their canonical-form (direction, monomial, atoms) keys: the closure keeps one
 for its whole run, and express_in_basis builds one from the basis.  A
 symbolic zero-test of the resulting combination confirms every answer.
 
-On the structure-constant tensor everything is standard and exact: center,
-derived and lower central series, Killing form with rank and signature, the
-radical as the Killing-orthogonal complement of the derived algebra, and a
-recognition step for the three shapes this package has to distinguish:
-sl(2, R) (dimension 3, nondegenerate indefinite Killing form), the Heisenberg
-algebra (dimension 3, two-step nilpotent), and their semidirect product.
-analyze gathers all of it in one StructureReport.
+On the structure-constant tensor everything is standard and exact, and every
+span, nullspace, solve and reduced echelon form runs on linalg's one
+fraction-free elimination engine: center, derived and lower central series,
+Killing form with signature (the rank is n_plus + n_minus, by Sylvester's law
+of inertia), the radical as the Killing-orthogonal complement of the derived
+algebra, and a recognition step for the three shapes this package has to
+distinguish: sl(2, R) (dimension 3, nondegenerate indefinite Killing form),
+the Heisenberg algebra (dimension 3, two-step nilpotent), and their
+semidirect product.  analyze gathers all of it in one StructureReport.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from fractions import Fraction
 from .charts import require_same_chart
 from .expr import Expr
 from .fields import VectorField, lie_bracket
-from .linalg import (dense_nullspace, matrix_rank, rref, solve_exact,
-                     symmetric_signature)
+from .linalg import (KeyedSpan, coordinates, kernel, reduced_rows,
+                     solve_exact, symmetric_signature)
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -37,62 +39,11 @@ class ClosureCapExceeded(RuntimeError):
 # expressing fields in a basis
 # ---------------------------------------------------------------------------
 
-def _add_scaled(target: dict, c, row: dict) -> None:
-    """target += c * row on sparse rows, dropping entries that cancel."""
-    for k, v in row.items():
-        t = target.get(k, 0) + c * v
-        if t:
-            target[k] = t
-        else:
-            del target[k]
-
-
-class _Echelon:
-    """The span of some fields, kept as pivot rows over the canonical-form
-    (direction, monomial, atoms) keys of their coefficients.
-
-    A field that lies outside the span joins it: its row, reduced against
-    the pivot rows, becomes a new pivot row.  Each pivot row carries its
-    coordinates over the joined fields, so reducing a field to zero also
-    gives its coordinates.  Every field placed must share the chart of the
-    first one.
-    """
-
-    def __init__(self):
-        self.fields = []
-        self._rows = []  # (pivot key, key row, coordinates over self.fields)
-        self._first = None
-
-    def place(self, f: VectorField):
-        """Exact coordinates of f over the joined fields, confirmed by a
-        symbolic zero-test, or None after f joins them from outside their span."""
-        if self._first is None:
-            self._first = f
-        require_same_chart(f, self._first)
-        row = {}
-        for i, e in enumerate(f.coefficients):
-            for t in e.terms:
-                row[i, t.monomial, t.atoms] = t.coefficient
-        coords = {}
-        for pivot, prow, pcoords in self._rows:
-            c = row.get(pivot)
-            if c:
-                _add_scaled(row, -c, prow)
-                _add_scaled(coords, c, pcoords)
-        if not row:
-            x = [coords.get(k, Fraction(0)) for k in range(len(self.fields))]
-            if not _verify_combination(f, self.fields, x):
-                raise ArithmeticError("key match and zero-test disagree")
-            return x
-        # row = f - sum(coords[k] * fields[k]); scale it to pivot 1
-        pivot = next(iter(row))
-        inv = 1 / row[pivot]
-        own = {len(self.fields): Fraction(1)}
-        _add_scaled(own, -1, coords)
-        self._rows.append((pivot, {k: v * inv for k, v in row.items()},
-                           {k: v * inv for k, v in own.items()}))
-        self.fields.append(f)
-        return None
+def _key_row(f: VectorField) -> dict:
+    """The coefficients of f over canonical-form (direction, monomial,
+    atoms) keys."""
+    return {(i, t.monomial, t.atoms): t.coefficient
+            for i, e in enumerate(f.coefficients) for t in e.terms}
 
 
 def express_in_basis(v: VectorField, basis):
@@ -101,20 +52,17 @@ def express_in_basis(v: VectorField, basis):
     A basis field that lies in the span of the fields before it gets
     coordinate 0, so the answer is unique even for a dependent basis.
     """
-    span = _Echelon()
-    independent = [k for k, b in enumerate(basis) if span.place(b) is None]
-    coords = span.place(v)
-    if coords is None:
-        return None
-    out = [Fraction(0)] * len(basis)
-    for k, c in zip(independent, coords):
-        out[k] = c
-    return out
+    for f in (*basis, v):
+        require_same_chart(f, basis[0] if basis else v)
+    coords = coordinates([_key_row(b) for b in basis], _key_row(v))
+    if coords is not None:
+        _verify_combination(v, basis, coords)
+    return coords
 
 
-def _verify_combination(v: VectorField, basis, coords) -> bool:
-    """Whether v - sum(coords[k] * basis[k]) is zero, one normalization per
-    coefficient."""
+def _verify_combination(v: VectorField, basis, coords) -> None:
+    """The symbolic zero-test behind every answer: raise unless
+    v - sum(coords[k] * basis[k]) is zero, one normalization per coefficient."""
     for i, vc in enumerate(v.coefficients):
         raw = [(t.coefficient, t.monomial, t.atoms) for t in vc.terms]
         for c, b in zip(coords, basis):
@@ -122,8 +70,7 @@ def _verify_combination(v: VectorField, basis, coords) -> bool:
                 raw.extend((-c * t.coefficient, t.monomial, t.atoms)
                            for t in b.coefficients[i].terms)
         if not Expr.from_raw(v.chart, raw).is_zero():
-            return False
-    return True
+            raise ArithmeticError("key match and zero-test disagree")
 
 
 def close_under_bracket(fields, cap: int = 32) -> "LieAlgebraPresentation":
@@ -136,14 +83,18 @@ def close_under_bracket(fields, cap: int = 32) -> "LieAlgebraPresentation":
     gets the unit vector.  Raises ClosureCapExceeded when more than cap
     independent fields appear.
     """
-    span = _Echelon()
-    basis = span.fields
+    for f in fields:
+        require_same_chart(f, fields[0])
+    span = KeyedSpan()
+    basis = []
 
     def place(f):
         """Coordinates of f over the basis, adding f when it lies outside."""
-        coords = span.place(f)
+        coords = span.place(_key_row(f))
         if coords is not None:
+            _verify_combination(f, basis, coords)
             return coords
+        basis.append(f)
         if len(basis) > cap:
             raise ClosureCapExceeded(f"dimension exceeded cap {cap}")
         return [Fraction(0)] * (len(basis) - 1) + [Fraction(1)]
@@ -197,11 +148,6 @@ def unit_rows(n):
             for i in range(n)]
 
 
-def span_rows(vectors):
-    reduced, pivots = rref(list(vectors))
-    return [tuple(r) for r in reduced], pivots
-
-
 def subspace_bracket(constants, rows_a, rows_b):
     prods = []
     for a in rows_a:
@@ -209,7 +155,7 @@ def subspace_bracket(constants, rows_a, rows_b):
             w = bracket_vec(constants, a, b)
             if any(w):
                 prods.append(w)
-    return span_rows(prods)[0]
+    return reduced_rows(prods)[0]
 
 
 def series_dims(constants, rows, derived, lower_central=False):
@@ -233,7 +179,7 @@ def center_rows(constants):
     for j in range(n):
         for k in range(n):
             rows.append([constants[i][j][k] for i in range(n)])
-    return [tuple(v) for v in dense_nullspace(rows, n)]
+    return kernel(rows, n)
 
 
 def killing_matrix(constants):
@@ -261,61 +207,43 @@ def radical_rows(constants, killing, derived):
     rows = []
     for d in derived:
         rows.append([sum(d[k] * killing[k][i] for k in range(n)) for i in range(n)])
-    return [tuple(v) for v in dense_nullspace(rows, n)]
+    return kernel(rows, n)
 
 
 def sub_tensor(constants, rows):
     """Structure constants of a bracket-closed subspace, or None."""
-    m = len(rows)
-    matrix_cols = [list(r) for r in rows]
-    matrix = [[matrix_cols[a][i] for a in range(m)] for i in range(len(constants))]
-    sub = [[None] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            w = bracket_vec(constants, rows[a], rows[b])
-            coords = solve_exact(matrix, w)
-            if coords is None:
-                return None
-            if [sum(matrix[i][t] * coords[t] for t in range(m)) for i in range(len(constants))] != list(w):
-                return None
-            sub[a][b] = tuple(coords)
-    return tuple(tuple(r) for r in sub)
+    matrix = list(zip(*rows))
+    sub = []
+    for a in rows:
+        line = [solve_exact(matrix, bracket_vec(constants, a, b)) for b in rows]
+        if None in line:
+            return None
+        sub.append(tuple(map(tuple, line)))
+    return tuple(sub)
 
 
 def quotient_tensor(constants, rad_rows):
-    """Constants of g / radical on the complementary unit coordinates.
+    """Constants of g / radical on the complementary unit coordinates: the
+    unit vectors off the radical's pivot columns, with the radical, are a
+    basis, and a bracket's quotient part is its coordinates on those units.
 
     Returns (tensor, complement_indices)."""
     n = len(constants)
-    reduced, pivots = span_rows(rad_rows)
+    pivots = reduced_rows(rad_rows)[1]
     comp = [i for i in range(n) if i not in pivots]
-
-    def reduce_mod(vec):
-        v = list(vec)
-        for r, p in zip(reduced, pivots):
-            f = v[p]
-            if f:
-                for t in range(n):
-                    v[t] -= f * r[t]
-        return v
-
-    m = len(comp)
     unit = unit_rows(n)
-    tensor = [[None] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            w = reduce_mod(bracket_vec(constants, unit[comp[a]], unit[comp[b]]))
-            tensor[a][b] = tuple(w[c] for c in comp)
-    return tuple(tuple(r) for r in tensor), comp
+    matrix = list(zip(*([unit[c] for c in comp] + list(rad_rows))))
+    tensor = tuple(
+        tuple(tuple(solve_exact(matrix, bracket_vec(constants, unit[a], unit[b]))[:len(comp)])
+              for b in comp)
+        for a in comp)
+    return tensor, comp
 
 
 def is_sl2_tensor(constants) -> bool:
     if len(constants) != 3:
         return False
-    km = killing_matrix(constants)
-    if matrix_rank(km) != 3:
-        return False
-    plus, minus, _ = symmetric_signature(km)
+    plus, minus, _ = symmetric_signature(killing_matrix(constants))
     return (plus, minus) in ((2, 1), (1, 2))
 
 
@@ -328,7 +256,7 @@ def is_heisenberg_tensor(constants) -> bool:
     if lcs != [3, 1, 0]:
         return False
     zc = center_rows(constants)
-    return len(zc) == 1 and span_rows(zc)[0] == span_rows(der)[0]
+    return len(zc) == 1 and reduced_rows(zc)[0] == reduced_rows(der)[0]
 
 
 def jacobi_holds(constants) -> bool:
@@ -365,7 +293,7 @@ def levi_complement(constants, rad_rows):
     radical, then inside it).  Returns None when no correction is found.
     """
     n = len(constants)
-    rad, rad_pivots = span_rows(rad_rows)
+    rad = reduced_rows(rad_rows)[0]
     z = subspace_bracket(constants, rad, rad)
     if subspace_bracket(constants, rad, z):
         return None  # radical is not two-step nilpotent
@@ -381,12 +309,10 @@ def levi_complement(constants, rad_rows):
         r = len(target_rows)
         if r == 0:
             return ws
-        full_rows = list(target_rows) + list(mod_rows)
-        mat_cols = [[full_rows[s][i] for s in range(len(full_rows))]
-                    for i in range(n)]
+        matrix = list(zip(*target_rows, *mod_rows))
 
         def target_components(vec):
-            sol = solve_exact(mat_cols, list(vec))
+            sol = solve_exact(matrix, vec)
             return None if sol is None else sol[:r]
 
         nun = m * r  # unknowns phi[a][s]
@@ -421,44 +347,27 @@ def levi_complement(constants, rad_rows):
         phi = solve_exact(eq_rows, eq_rhs)
         if phi is None:
             return None
-        out = []
-        for a in range(m):
-            vec = list(ws[a])
-            for s in range(r):
-                f = phi[a * r + s]
-                if f:
-                    for i in range(n):
-                        vec[i] += f * target_rows[s][i]
-            out.append(vec)
-        return out
+        return [[x + sum(phi[a * r + s] * target_rows[s][i] for s in range(r))
+                 for i, x in enumerate(ws[a])] for a in range(m)]
 
     # stage 1: correct along a complement of z inside rad, equations mod z;
     # stage 2: correct inside z, equations exact (quadratic terms vanish)
-    z_red, _ = span_rows(z)
-    rad_comp = []
-    cur = list(z_red)
-    for row in rad:
-        trial, _ = span_rows(cur + [row])
-        if len(trial) > len(cur):
-            rad_comp.append(row)
-            cur = trial
-    ws = correct(w, rad_comp, z_red)
+    span = KeyedSpan()
+    for row in z:
+        span.place(dict(enumerate(row)))
+    rad_comp = [row for row in rad if span.place(dict(enumerate(row))) is None]
+    ws = correct(w, rad_comp, z)
     if ws is None:
         return None
-    if z_red:
-        ws = correct(ws, z_red, [])
+    if z:
+        ws = correct(ws, z, [])
         if ws is None:
             return None
     # final exact check: the corrected span closes with quotient constants
     for a in range(m):
         for b in range(m):
-            wab = bracket_vec(constants, ws[a], ws[b])
-            expected = [Fraction(0)] * n
-            for t in range(m):
-                if qt[a][b][t]:
-                    for i in range(n):
-                        expected[i] += qt[a][b][t] * ws[t][i]
-            if list(wab) != expected:
+            expected = [sum(qt[a][b][t] * ws[t][i] for t in range(m)) for i in range(n)]
+            if bracket_vec(constants, ws[a], ws[b]) != expected:
                 return None
     return [tuple(v) for v in ws]
 
@@ -545,10 +454,9 @@ def analyze(p: LieAlgebraPresentation) -> StructureReport:
     solvable = dseries[-1] == 0
     nilpotent = lseries[-1] == 0
     km = killing_matrix(c)
-    k_rank = matrix_rank(km)
     plus, minus, _ = symmetric_signature(km)
     rad = radical_rows(c, km, derived)
-    rad_span, _ = span_rows(rad)
+    rad_span, _ = reduced_rows(rad)
     verdict = "unrecognized"
     complement = None
     if n == 3 and is_sl2_tensor(c):
@@ -571,7 +479,7 @@ def analyze(p: LieAlgebraPresentation) -> StructureReport:
         solvable=solvable,
         nilpotent=nilpotent,
         killing=tuple(tuple(r) for r in km),
-        killing_rank=k_rank,
+        killing_rank=plus + minus,  # Sylvester's law of inertia
         killing_signature=(plus, minus),
         radical=tuple(rad_span),
         radical_indices=_aligned_indices(rad_span),

@@ -1,13 +1,17 @@
-"""Exact linear algebra: sparse fraction-free elimination and dense helpers.
+"""Exact linear algebra on one engine: sparse fraction-free elimination.
 
-The sparse path works on integer rows (dict column -> coefficient) and never
+SparseEchelon works on integer rows (dict column -> coefficient) and never
 leaves the integers: a row is combined against a pivot by cross
 multiplication and re-divided by its content, so no rounding and no rational
-blow-up occurs.  Rows are inserted shortest-first, which keeps fill-in low
-on the very sparse systems produced by determining equations.
+blow-up occurs.  sparse_nullspace inserts the determining equations
+shortest-first, which keeps fill-in low on those very sparse systems.
 
-The dense helpers use Fraction matrices and serve the small Lie-algebra
-computations (structure constants, Killing form, signatures).
+Rational work is the same elimination on rows with their denominators
+cleared.  KeyedSpan keeps the span of sparse vectors over arbitrary keys and
+reads coordinates off tag columns; coordinates, solve_exact and kernel are
+built on it, and reduced_rows gives the reduced row echelon form through
+canonical_basis.  symmetric_signature, a congruence diagonalization, is the
+only dense routine.
 """
 
 from __future__ import annotations
@@ -160,87 +164,130 @@ def canonical_basis(vectors):
     return [_primitive(reduced[f], len(vectors[0])) for f in sorted(reduced)]
 
 
+def _integer_row(row: dict) -> dict:
+    """A rational row with its denominators cleared, as a primitive integer row."""
+    denom = math.lcm(*(v.denominator for v in row.values()))
+    return _row_normalize({c: v.numerator * (denom // v.denominator)
+                           for c, v in row.items() if v})
+
+
 def rows_to_integer(rows):
     """Clear denominators row by row: rational rows -> primitive integer rows."""
-    out = []
-    for row in rows:
-        denom = math.lcm(*(v.denominator for v in row.values()))
-        ints = {c: v.numerator * (denom // v.denominator)
-                for c, v in row.items() if v}
-        if ints:
-            out.append(_row_normalize(ints))
+    return [r for r in map(_integer_row, rows) if r]
+
+
+# ---------------------------------------------------------------------------
+# rational spans on the same engine
+# ---------------------------------------------------------------------------
+
+class KeyedSpan:
+    """The span of sparse rational vectors over hashable keys, as one
+    SparseEchelon.  Keys become columns (0, i) in order of first sight, and
+    each vector placed carries a tag column (1, k) of its own, after every
+    key column.  A vector whose key part reduces to zero keeps only tags, a
+    at its own and a_k at the k-th joined vector's: its coordinates are
+    -a_k / a.  Any other vector can join the span as its reduced row.
+    """
+
+    def __init__(self):
+        self.size = 0  # vectors joined so far
+        self._columns: dict = {}
+        self._echelon = SparseEchelon()
+
+    def _reduce(self, vector: dict) -> dict:
+        row = {(1, self.size): 1}
+        for key, v in vector.items():
+            if v:
+                row[self._columns.setdefault(key, (0, len(self._columns)))] = v
+        return self._echelon.reduce_row(_integer_row(row))
+
+    def _read(self, row: dict):
+        if min(row)[0] == 0:
+            return None
+        own = row[1, self.size]
+        return [Fraction(-row.get((1, k), 0), own) for k in range(self.size)]
+
+    def coordinates(self, vector: dict):
+        """Exact coordinates of vector over the joined vectors, or None
+        when it lies outside their span."""
+        return self._read(self._reduce(vector))
+
+    def place(self, vector: dict):
+        """The coordinates of vector, or None after it joins the span."""
+        row = self._reduce(vector)
+        coords = self._read(row)
+        if coords is None:
+            self._echelon.insert(row)
+            self.size += 1
+        return coords
+
+
+def coordinates(vectors, target):
+    """Exact coordinates of target over vectors (sparse rational dicts), or
+    None when it is not in their span.  A vector in the span of the vectors
+    before it gets coordinate 0, so the answer is unique."""
+    span = KeyedSpan()
+    joined = [k for k, v in enumerate(vectors) if span.place(v) is None]
+    coords = span.coordinates(target)
+    if coords is None:
+        return None
+    out = [Fraction(0)] * len(vectors)
+    for k, c in zip(joined, coords):
+        out[k] = c
     return out
-
-
-# ---------------------------------------------------------------------------
-# dense Fraction helpers
-# ---------------------------------------------------------------------------
-
-def rref(matrix):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    rows = [list(map(Fraction, r)) for r in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [row for row in rows if any(v != 0 for v in row)], pivots
-
-
-def matrix_rank(matrix) -> int:
-    return len(rref(matrix)[0])
-
-
-def dense_nullspace(matrix, ncols: int):
-    """Nullspace basis (list of Fraction tuples) of a dense system."""
-    reduced, pivots = rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
-        basis.append(tuple(vec))
-    return basis
 
 
 def solve_exact(matrix, rhs):
     """One exact solution of matrix * x = rhs, or None when inconsistent.
 
-    Free variables are set to zero, so the answer is deterministic.
+    A column that depends on the columns before it gets x = 0, which is the
+    solution with every free variable of the reduced echelon form at zero.
     """
-    if not matrix:
-        return [] if all(v == 0 for v in rhs) else None
-    ncols = len(matrix[0])
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    reduced, pivots = rref(aug)
-    x = [Fraction(0)] * ncols
-    # with free variables pinned to zero each RREF row reads x_p = rhs entry
-    for row, p in zip(reduced, pivots):
-        if p == ncols:
-            return None
-        x[p] = row[ncols]
-    return x
+    columns = [dict(enumerate(col)) for col in zip(*matrix)]
+    return coordinates(columns, dict(enumerate(rhs)))
+
+
+def kernel(matrix, ncols: int):
+    """Nullspace basis of a rational matrix, one Fraction tuple per column
+    that depends on the columns before it: column f with coordinates c_k
+    over the independent columns k gives e_f - sum(c_k * e_k)."""
+    span = KeyedSpan()
+    joined, basis = [], []
+    for f in range(ncols):
+        coords = span.place({i: row[f] for i, row in enumerate(matrix)})
+        if coords is None:
+            joined.append(f)
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for k, c in zip(joined, coords):
+            vec[k] = -c
+        basis.append(tuple(vec))
+    return basis
+
+
+def reduced_rows(vectors):
+    """Reduced row echelon form of rational vectors of one length, as
+    (Fraction tuples with pivot 1, pivot columns): canonical_basis of the
+    echelon over reversed columns, read forwards."""
+    vectors = list(vectors)
+    if not vectors:
+        return [], []
+    n = len(vectors[0])
+    echelon = SparseEchelon()
+    for v in vectors:
+        echelon.insert(_integer_row({n - 1 - c: a for c, a in enumerate(v)}))
+    if not echelon.rank:
+        return [], []
+    flipped = canonical_basis([tuple(row.get(c, 0) for c in range(n))
+                               for row in echelon.pivots.values()])
+    rows, pivots = [], []
+    for v in reversed(flipped):
+        row = v[::-1]
+        p = next(c for c, a in enumerate(row) if a)
+        rows.append(tuple(Fraction(a, row[p]) for a in row))
+        pivots.append(p)
+    return rows, pivots
 
 
 def symmetric_signature(matrix):

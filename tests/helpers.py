@@ -1,4 +1,8 @@
-"""Shared test utilities: random expression generation and independent oracles."""
+"""Shared test utilities: random expression generation and independent oracles.
+
+The linear-algebra oracles run on sympy, so they share no code with the
+package's elimination engine; a test that reaches one skips without sympy.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +10,58 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from mongesym.charts import J20
 from mongesym.expr import ExpAtom, Expr, NonRationalPowerError
 from mongesym.fields import (VectorField, distribution_from_monge,
                              lie_bracket, symmetry_residuals)
-from mongesym.linalg import dense_nullspace, rref, solve_exact, sparse_nullspace
+from mongesym.linalg import sparse_nullspace
 from mongesym.solver import AnsatzSpec, build_ansatz, determining_equations
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra on sympy
+# ---------------------------------------------------------------------------
+
+def sympy_matrix(rows, ncols: int):
+    sympy = pytest.importorskip("sympy")
+
+    def entry(i, j):
+        v = Fraction(rows[i][j])
+        return sympy.Rational(v.numerator, v.denominator)
+    return sympy.Matrix(len(rows), ncols, entry)
+
+
+def _fraction(r) -> Fraction:
+    return Fraction(int(r.p), int(r.q))
+
+
+def reference_rref(rows, ncols: int):
+    """sympy's reduced row echelon form: (nonzero rows as Fraction tuples,
+    pivot columns)."""
+    reduced, pivots = sympy_matrix(rows, ncols).rref()
+    return ([tuple(_fraction(x) for x in reduced.row(i)) for i in range(len(pivots))],
+            list(pivots))
+
+
+def reference_nullspace(rows, ncols: int):
+    """sympy's nullspace basis, as Fraction tuples."""
+    return [tuple(_fraction(x) for x in v)
+            for v in sympy_matrix(rows, ncols).nullspace()]
+
+
+def reference_solve(rows, rhs, ncols: int):
+    """The solution of rows * x = rhs with every free variable zero, or None
+    when the system is inconsistent."""
+    reduced, pivots = reference_rref([list(r) + [b] for r, b in zip(rows, rhs)],
+                                     ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(reduced, pivots):
+        x[p] = row[ncols]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +199,12 @@ def reference_rows(distribution, ansatz) -> dict:
 def brute_force_symmetry_space(equation, degree: int):
     """Dimension and nullspace of the symmetry condition on a generic
     polynomial field, computed by direct symbolic coefficient matching on the
-    six residual expressions and a dense rational reduction."""
+    six residual expressions and sympy's nullspace."""
     ansatz = build_ansatz(AnsatzSpec(degree))
     rows = reference_rows(distribution_from_monge(equation), ansatz)
     matrix = [[row.get(j, Fraction(0)) for j in range(ansatz.size)]
               for row in rows.values()]
-    null = dense_nullspace(matrix, ansatz.size)
+    null = reference_nullspace(matrix, ansatz.size)
     return len(null), null, ansatz
 
 
@@ -186,11 +236,11 @@ def reference_graded_solve(distribution, spec):
 
 
 # ---------------------------------------------------------------------------
-# coordinates and structure constants by one dense solve per bracket
+# coordinates and structure constants by one sympy solve per bracket
 # ---------------------------------------------------------------------------
 
 def reference_express(v: VectorField, basis):
-    """Coordinates of v in the basis from one exact solve of the matrix over
+    """Coordinates of v in the basis from one sympy solve of the matrix over
     all (direction, monomial, atoms) keys, free variables zero, confirmed by
     subtracting the scaled basis fields; None when v is not in the span."""
     if not basis:
@@ -207,7 +257,7 @@ def reference_express(v: VectorField, basis):
         columns.append(col)
     matrix = [[col.get(key, Fraction(0)) for col in columns[:-1]] for key in keys]
     rhs = [columns[-1].get(key, Fraction(0)) for key in keys]
-    solution = solve_exact(matrix, rhs)
+    solution = reference_solve(matrix, rhs, len(basis))
     if solution is None:
         return None
     residual = v
@@ -233,8 +283,6 @@ def reference_constants(basis) -> tuple:
 
 
 def same_span(vectors_a, vectors_b) -> bool:
-    if not vectors_a and not vectors_b:
-        return True
-    ra = rref([list(map(Fraction, v)) for v in vectors_a])[0]
-    rb = rref([list(map(Fraction, v)) for v in vectors_b])[0]
-    return ra == rb
+    def reduced(vectors):
+        return reference_rref(vectors, len(vectors[0]))[0] if vectors else []
+    return reduced(vectors_a) == reduced(vectors_b)

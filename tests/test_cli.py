@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -24,16 +25,55 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _two_gigabytes():
+    resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+
+
+def run_module(*argv, timeout=60):
+    """python -m mongesym in a child process with at most 2 GB of address
+    space, so that a runaway computation fails the test instead of stalling
+    the suite or the machine."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "mongesym", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=_two_gigabytes)
+
+
 class TestExitCodes:
     def test_module_entry_point(self):
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run([sys.executable, "-m", "mongesym", "catalog"],
-                              env=env, capture_output=True, text=True, timeout=60)
+        proc = run_module("catalog")
         assert proc.returncode == 0, proc.stderr
         assert "eq2" in proc.stdout
+
+    def test_huge_power_of_a_coordinate_is_exponent_arithmetic(self):
+        # answered at once, like the negative power, instead of 10^11
+        # multiplications
+        n = 100000000000
+        for sign in (1, -1):
+            proc = run_module("genericity", f"y2^{sign * n}", "--json", timeout=20)
+            assert proc.returncode == 0, proc.stderr
+            payload = json.loads(proc.stdout)
+            assert payload["generic"] is True and payload["sign"] == 1
+            power = sign * n - 2
+            assert payload["frame_determinant"] == (
+                f"{sign * n * (sign * n - 1)}*y2^"
+                + (str(power) if power > 0 else f"({power})"))
+
+    @pytest.mark.parametrize("equation", [
+        "(2*y2)^(-100000000000)",    # a coefficient of 10^11 bits
+        "(8*y2)^(100000000001/3)",   # the same through an exact root
+        "(x+y)^100000",              # 100001 terms by 10^10 products
+        "(x+y+y1+y2+z)^40",          # 135751 terms
+    ])
+    def test_huge_power_is_two(self, equation):
+        proc = run_module("genericity", equation, timeout=20)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "power too large" in proc.stderr
 
     def test_verify_pass_is_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "eq2", "S1", "S2", "S3", "S4", "S5", "S6")

@@ -90,6 +90,27 @@ class TestExpressInBasis:
         assert express_in_basis(g + h, [VectorField.zero(J20), g, h]) == [0, 1, 1]
         assert express_in_basis(g + h, [g, g]) is None
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dependent_bases_agree_with_the_sympy_solve(self, seed):
+        # random combinations of four fields, with a repeat and a zero field:
+        # every dependent basis field gets coordinate 0, as in a solve with
+        # the free variables at zero
+        rng = random.Random(seed)
+        gens = [S["S1"], S["S4"], S["S6"],
+                VectorField.from_strings(J20, {"y": "exp(x)", "z": "y1"})]
+
+        def combination():
+            f = VectorField.zero(J20)
+            for g in rng.sample(gens, rng.randint(1, 3)):
+                f = f + g.scale(Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3)))
+            return f
+
+        basis = [combination() for _ in range(rng.randint(2, 5))]
+        basis.insert(rng.randint(0, len(basis)), rng.choice(basis))
+        basis.insert(rng.randint(0, len(basis)), VectorField.zero(J20))
+        for v in [combination() for _ in range(3)] + [VectorField.coordinate(J20, "y")]:
+            assert express_in_basis(v, basis) == reference_express(v, basis)
+
     def test_mixed_charts_rejected(self):
         dx2 = VectorField.coordinate(J2, "x")
         dx20 = VectorField.coordinate(J20, "x")
