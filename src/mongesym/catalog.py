@@ -16,8 +16,7 @@ import re
 from fractions import Fraction
 
 from .charts import J20, PLANE
-from .expr import Expr
-from .fields import MongeEquation, VectorField
+from .fields import MongeEquation, VectorField, prolong_plane_field
 from .parser import parse
 
 
@@ -25,35 +24,39 @@ class CatalogKeyError(KeyError):
     pass
 
 
-def _vf(coeffs: dict) -> VectorField:
-    return VectorField.from_strings(J20, coeffs)
+# S key -> {J20 coordinate: coefficient text}; absent coordinates are 0.
+SYMMETRY_FIELDS = {
+    "S1": {"y": "x", "y1": "1", "z": "1/2*x^2"},
+    "S2": {"x": "x", "y": "-1*y", "y1": "-2*y1", "y2": "-3*y2"},
+    "S3": {"x": "y", "y1": "-1*y1^2", "y2": "-3*y1*y2", "z": "1/2*y^2"},
+    "S4": {"x": "1"},
+    "S5": {"y": "1", "z": "x"},
+    "S6": {"z": "1"},
+}
+
+# equiaffine key -> (xi, eta) texts on PLANE for xi d/dx + eta d/dy.
+EQUIAFFINE = {
+    "equiaffine1": ("0", "x"),      # x d/dy
+    "equiaffine2": ("x", "-1*y"),   # x d/dx - y d/dy
+    "equiaffine3": ("y", "0"),      # y d/dx
+    "equiaffine4": ("1", "0"),      # d/dx
+    "equiaffine5": ("0", "1"),      # d/dy
+}
+
+
+def _plane_pair(key: str) -> tuple:
+    xi, eta = EQUIAFFINE[key]
+    return parse(xi, PLANE), parse(eta, PLANE)
 
 
 def symmetry_fields() -> dict:
     """The six symmetry generators of the cubic-root equation z' = y + y2^(1/3)."""
-    return {
-        "S1": _vf({"y": "x", "y1": "1", "z": "1/2*x^2"}),
-        "S2": _vf({"x": "x", "y": "-1*y", "y1": "-2*y1", "y2": "-3*y2"}),
-        "S3": _vf({"x": "y", "y1": "-1*y1^2", "y2": "-3*y1*y2", "z": "1/2*y^2"}),
-        "S4": _vf({"x": "1"}),
-        "S5": _vf({"y": "1", "z": "x"}),
-        "S6": _vf({"z": "1"}),
-    }
+    return {key: get_field(key) for key in SYMMETRY_FIELDS}
 
 
 def equiaffine_generators() -> dict:
     """Plane generators of the area-preserving affine action, as (xi, eta) pairs."""
-    x = Expr.coordinate(PLANE, "x")
-    y = Expr.coordinate(PLANE, "y")
-    zero = Expr.zero(PLANE)
-    one = Expr.constant(PLANE, 1)
-    return {
-        "equiaffine1": (zero, x),      # x d/dy
-        "equiaffine2": (x, -y),        # x d/dx - y d/dy
-        "equiaffine3": (y, zero),      # y d/dx
-        "equiaffine4": (one, zero),    # d/dx
-        "equiaffine5": (zero, one),    # d/dy
-    }
+    return {key: _plane_pair(key) for key in EQUIAFFINE}
 
 
 def eq2() -> MongeEquation:
@@ -80,7 +83,7 @@ def strazzullo() -> MongeEquation:
 _PARAM = re.compile(r"^([a-z0-9]+)\(([^()]*)\)$")
 
 def field_keys() -> list:
-    return [f"S{i}" for i in range(1, 7)] + [f"equiaffine{i}" for i in range(1, 6)]
+    return [*SYMMETRY_FIELDS, *EQUIAFFINE]
 
 
 def get_equation(key: str) -> MongeEquation:
@@ -107,13 +110,11 @@ def get_equation(key: str) -> MongeEquation:
 
 
 def get_field(key: str) -> VectorField:
+    """The catalog field `key`, parsed from its entry alone: an S field on
+    J20, or an equiaffine generator prolonged to J2."""
     key = key.strip()
-    fields = symmetry_fields()
-    if key in fields:
-        return fields[key]
-    gens = equiaffine_generators()
-    if key in gens:
-        from .fields import prolong_plane_field
-        xi, eta = gens[key]
-        return prolong_plane_field(xi, eta)
+    if key in SYMMETRY_FIELDS:
+        return VectorField.from_strings(J20, SYMMETRY_FIELDS[key])
+    if key in EQUIAFFINE:
+        return prolong_plane_field(*_plane_pair(key))
     raise CatalogKeyError(f"unknown field key {key!r}")

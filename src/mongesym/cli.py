@@ -14,11 +14,11 @@ import sys
 from fractions import Fraction
 
 from . import catalog
-from .charts import J2, J20
+from .charts import J20
 from .expr import Expr, ExprError
-from .fields import (VectorField, distribution_from_monge, frame_determinant,
-                     genericity_hessian, is_symmetry,
-                     prolong_plane_field, project_to_j2, ProjectionError)
+from .fields import (MongeEquation, VectorField, distribution_from_monge,
+                     frame_determinant, genericity_hessian, is_symmetry,
+                     project_to_j2, ProjectionError)
 from .liealg import (LieAlgebraPresentation, analyze, close_under_bracket,
                      express_in_basis, ClosureCapExceeded)
 from .parser import parse
@@ -37,23 +37,29 @@ class UsageError(Exception):
 # argument helpers
 # ---------------------------------------------------------------------------
 
-def _load_equation(source: str):
+def _load_equation(source: str) -> MongeEquation:
     try:
-        return catalog.get_equation(source), source
+        return catalog.get_equation(source)
     except catalog.CatalogKeyError:
         pass
     try:
-        from .fields import MongeEquation
-        return MongeEquation(parse(source, J20)), source
+        return MongeEquation(parse(source, J20))
     except ExprError as exc:
         raise UsageError(f"cannot interpret equation {source!r}: {exc}") from None
 
 
-def _load_field(source: str) -> tuple:
+def _load_field(source: str) -> VectorField:
+    """A catalog key, field JSON or @file.json, as a field on J20."""
     try:
-        return catalog.get_field(source), source
+        f = catalog.get_field(source)
     except catalog.CatalogKeyError:
-        pass
+        return _json_field(source)
+    if f.chart != J20:
+        raise UsageError(f"field {source!r} is not on chart J20")
+    return f
+
+
+def _json_field(source: str) -> VectorField:
     text = source
     if source.startswith("@"):
         try:
@@ -61,23 +67,22 @@ def _load_field(source: str) -> tuple:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read the field file: {exc}") from None
-    if text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"bad field JSON {source!r}: {exc}") from None
-        chart = {"J20": J20, "J2": J2}.get(data.get("chart"))
-        if chart is None:
-            raise UsageError(f"unknown chart in field JSON: {data.get('chart')!r}")
-        coefficients = data.get("coefficients", {})
-        if not isinstance(coefficients, dict):
-            raise UsageError(f"bad field JSON {source!r}: coefficients must be an object")
-        try:
-            return VectorField.from_strings(chart, coefficients), source
-        except ExprError as exc:
-            raise UsageError(f"bad field JSON {source!r}: {exc}") from None
-    raise UsageError(f"cannot interpret field {source!r} "
-                     "(not a catalog key and not JSON)")
+    if not text.lstrip().startswith("{"):
+        raise UsageError(f"cannot interpret field {source!r} "
+                         "(not a catalog key and not JSON)")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"bad field JSON {source!r}: {exc}") from None
+    if data.get("chart") != "J20":
+        raise UsageError(f"field {source!r} is not on chart J20")
+    coefficients = data.get("coefficients", {})
+    if not isinstance(coefficients, dict):
+        raise UsageError(f"bad field JSON {source!r}: coefficients must be an object")
+    try:
+        return VectorField.from_strings(J20, coefficients)
+    except ExprError as exc:
+        raise UsageError(f"bad field JSON {source!r}: {exc}") from None
 
 
 def _fractions_list(text: str):
@@ -136,7 +141,7 @@ def _vanishing_description(hessian: Expr) -> str:
 
 
 def cmd_genericity(args) -> int:
-    m, label = _load_equation(args.equation)
+    m = _load_equation(args.equation)
     hess = genericity_hessian(m)
     det = frame_determinant(distribution_from_monge(m))
     if det.equals(hess):
@@ -146,7 +151,7 @@ def cmd_genericity(args) -> int:
     else:
         sign = 0
     payload = {
-        "equation": label,
+        "equation": args.equation,
         "hessian": str(hess),
         "frame_determinant": str(det),
         "determinant_matches_hessian_up_to_sign": sign != 0,
@@ -171,21 +176,18 @@ def cmd_genericity(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    m, label = _load_equation(args.equation)
-    d = distribution_from_monge(m)
-    names = args.fields or [f"S{i}" for i in range(1, 7)]
+    d = distribution_from_monge(_load_equation(args.equation))
     results = []
     all_ok = True
-    for name in names:
-        f, key = _load_field(name)
-        rep = is_symmetry(f, d)
+    for name in args.fields or catalog.SYMMETRY_FIELDS:
+        rep = is_symmetry(_load_field(name), d)
         all_ok = all_ok and rep.ok
         results.append({
-            "field": key,
+            "field": name,
             "symmetry": rep.ok,
             "residuals": [str(r) for r in rep.residuals],
         })
-    payload = {"equation": label, "fields": results, "all_pass": all_ok}
+    payload = {"equation": args.equation, "fields": results, "all_pass": all_ok}
 
     def render(p):
         lines = [f"equation: {p['equation']}"]
@@ -213,8 +215,7 @@ def projection_analysis(p: LieAlgebraPresentation):
         images = [project_to_j2(b) for b in p.basis]
     except ProjectionError as exc:
         return {"projectable": False, "reason": str(exc)}
-    gens = catalog.equiaffine_generators()
-    prolonged = [prolong_plane_field(*gens[f"equiaffine{i}"]) for i in range(1, 6)]
+    prolonged = [catalog.get_field(key) for key in catalog.EQUIAFFINE]
     kernel = [i for i, img in enumerate(images) if img.is_zero()]
     matches = []
     for i, img in enumerate(images):
@@ -230,15 +231,13 @@ def projection_analysis(p: LieAlgebraPresentation):
 def cmd_structure(args) -> int:
     if args.cap < 0:
         raise UsageError("--cap must be non-negative")
-    m, label = _load_equation(args.equation)
-    d = distribution_from_monge(m)
-    names = args.fields or [f"S{i}" for i in range(1, 7)]
+    d = distribution_from_monge(_load_equation(args.equation))
+    names = args.fields or list(catalog.SYMMETRY_FIELDS)
     fields = []
     for name in names:
-        f, key = _load_field(name)
-        rep = is_symmetry(f, d)
-        if not rep.ok:
-            sys.stderr.write(f"field {key} is not a symmetry of {label}\n")
+        f = _load_field(name)
+        if not is_symmetry(f, d).ok:
+            sys.stderr.write(f"field {name} is not a symmetry of {args.equation}\n")
             return EXIT_MISMATCH
         fields.append(f)
     try:
@@ -254,7 +253,7 @@ def cmd_structure(args) -> int:
             if any(coords):
                 table[f"[{i},{j}]"] = [str(c) for c in coords]
     payload = {
-        "equation": label,
+        "equation": args.equation,
         "input_fields": names,
         "dimension": p.dimension,
         "bracket_table": table,
@@ -294,23 +293,21 @@ def cmd_structure(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    m, label = _load_equation(args.equation)
+    m = _load_equation(args.equation)
     offsets = _fractions_list(args.offsets) if args.offsets else (Fraction(0),)
     rates = _fractions_list(args.rates) if args.rates else None
-    progress = None if args.json else (lambda line: sys.stderr.write(line + "\n"))
     try:
         report = symmetry_dimension(m, args.degree, offsets=offsets, rates=rates,
-                                    equation_label=label, verify=True,
-                                    progress=progress)
+                                    equation_label=args.equation)
     except AnsatzError as exc:
         raise UsageError(str(exc)) from None
     except ExprError as exc:
         sys.stderr.write(f"solve failed: {exc}\n")
         return EXIT_MISMATCH
-    if args.verify:
-        d = distribution_from_monge(m)
-        recheck = all(is_symmetry(f, d).ok for f in report.basis)
-        report.verified = report.verified and recheck
+    if not args.json:
+        for row in report.table:
+            sys.stderr.write(f"degree {row['degree']}: dimension {row['dimension']} "
+                             f"({row['unknowns']} unknowns, {row['rows']} rows)\n")
     payload = report.to_json(include_timings=args.timings)
 
     def render(_):
@@ -338,22 +335,20 @@ def _golden_bracket_table():
     }
 
 
-def run_reproduction(perturb: bool = False, progress=None):
+def run_reproduction(perturb: bool = False):
     """Execute the whole verification checklist; returns (items, notes)."""
     items = []
     notes = []
 
     def check(name, ok, detail=""):
         items.append({"item": name, "pass": bool(ok), "detail": detail})
-        if progress:
-            progress(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
 
     S = catalog.symmetry_fields()
     if perturb:
         # negative-control hook: tamper the quadratic part of the third field
         S = dict(S)
         S["S3"] = S["S3"] + VectorField.from_strings(J20, {"y1": "y1"})
-    fields = [S[f"S{i}"] for i in range(1, 7)]
+    fields = list(S.values())
     m2 = catalog.eq2()
     d2 = distribution_from_monge(m2)
 
@@ -467,16 +462,18 @@ def run_reproduction(perturb: bool = False, progress=None):
 
 
 def cmd_reproduce(args) -> int:
-    progress = None if args.json else (lambda line: sys.stdout.write(line + "\n"))
-    items, notes = run_reproduction(perturb=args.perturb, progress=progress)
+    items, notes = run_reproduction(perturb=args.perturb)
     ok = all(i["pass"] for i in items)
     payload = {"items": items, "notes": notes, "all_pass": ok}
-    if args.json:
-        _emit(payload, args, lambda p: "")
-    else:
-        for n in notes:
-            sys.stdout.write(f"[NOTE] {n}\n")
-        sys.stdout.write("all items pass\n" if ok else "some items FAILED\n")
+
+    def render(p):
+        lines = [f"[{'PASS' if i['pass'] else 'FAIL'}] {i['item']}"
+                 + (f" ({i['detail']})" if i["detail"] else "") for i in p["items"]]
+        lines += [f"[NOTE] {n}" for n in p["notes"]]
+        lines.append("all items pass" if p["all_pass"] else "some items FAILED")
+        return "\n".join(lines)
+
+    _emit(payload, args, render)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -549,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offsets", help="comma-separated rational y2-power offsets")
     p.add_argument("--rates", help="comma-separated rational exp rates (default: auto)")
     p.add_argument("--verify", action="store_true",
-                   help="re-check every basis field symbolically (again)")
+                   help="verify every basis field symbolically (always on)")
     p.add_argument("--timings", action="store_true",
                    help="include per-degree and per-stage timings in JSON")
     common(p)

@@ -260,9 +260,6 @@ class Term:
     monomial: Mono
     atoms: tuple
 
-    def key(self):
-        return (self.monomial, self.atoms)
-
 
 def _power_parts(base: Poly, q: Fraction, nvars: int):
     """Decompose base**q into (rational_factor, coord_exponents, atoms, poly_factors).

@@ -61,9 +61,6 @@ class VectorField:
             Expr.constant(chart, 1) if i == idx else Expr.zero(chart)
             for i in range(len(chart))))
 
-    def coefficient(self, coord: str) -> Expr:
-        return self.coefficients[self.chart.index(coord)]
-
     def __add__(self, other: "VectorField") -> "VectorField":
         require_same_chart(self, other)
         return VectorField(self.chart, tuple(

@@ -421,17 +421,15 @@ class SolveReport:
 
 def symmetry_dimension(m: MongeEquation, max_degree: int,
                        offsets=(Fraction(0),), rates=None,
-                       equation_label: str = "", verify: bool = True,
-                       progress=None) -> SolveReport:
+                       equation_label: str = "") -> SolveReport:
     """Dimension table for degrees 0..max_degree plus the top-degree basis.
 
     The rows are built and eliminated once, at max_degree, and every lower
     degree is read off the same graded elimination (nullspace).
     Stabilization (two consecutive degrees with equal dimension) is a
     reporting heuristic, not a completeness theorem for the ansatz class.
-    An optional progress callback receives one line per degree, all after
-    the elimination.  Every per-degree timing is the seconds of that one
-    shared elimination.
+    Every basis field is verified symbolically.  Every per-degree timing is
+    the seconds of that one shared elimination.
     """
     if rates is None:
         rates = exp_rates_for(m)
@@ -459,9 +457,6 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
     stabilized_at = None
     for row in table:
         degree, dim = row["degree"], row["dimension"]
-        if progress:
-            progress(f"degree {degree}: dimension {dim} "
-                     f"({row['unknowns']} unknowns, {row['rows']} rows)")
         if last_dim is not None and dim < last_dim:
             raise AssertionError("dimension must be monotone in the degree")
         if last_dim is not None and dim == last_dim and not stabilized:
@@ -469,11 +464,7 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
             stabilized_at = degree
         last_dim = dim
     basis_fields = [system.ansatz.assemble(v) for v in vectors]
-    verified = True
-    if verify:
-        for f in basis_fields:
-            if not is_symmetry(f, distribution).ok:
-                verified = False
+    verified = all(is_symmetry(f, distribution).ok for f in basis_fields)
     lap("assemble_verify_s")
     return SolveReport(
         equation=equation_label or str(m),

@@ -317,3 +317,18 @@ def test_reproduce_cli_schema_and_exit(monkeypatch):
     jsonschema.validate(payload, schema)
     report("reproduction checklist: every item passes",
            payload["all_pass"], f"{len(items)} items, {len(notes)} notes")
+
+
+def test_reproduce_out_writes_the_checklist(monkeypatch, capsys, tmp_path):
+    """reproduce --out writes exactly what plain reproduce prints, and
+    prints nothing itself."""
+    import mongesym.cli
+    monkeypatch.setattr(mongesym.cli, "symmetry_dimension",
+                        shared_symmetry_dimension)
+    assert mongesym.cli.main(["reproduce"]) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "checklist.txt"
+    assert mongesym.cli.main(["reproduce", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == printed
+    assert printed.endswith("all items pass\n")

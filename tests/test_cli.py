@@ -111,6 +111,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("field", [
         '{"chart":"J20","coefficients":{"w":"1"}}',  # not a coordinate
         '{"chart":"J2","coefficients":{"z":"1"}}',  # not on this chart
+        '{"chart":"J2","coefficients":{"x":"1"}}',  # on J2, not J20
+        '{"chart":["J20"]}',                         # chart not a name
+        "equiaffine1",                               # catalog field on J2
         '{"chart": ',                                # malformed JSON
         '{"chart":"J20","coefficients":{"x":1}}',    # not a string
         '{"chart":"J20","coefficients":["x"]}',      # not an object
@@ -121,6 +124,12 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_structure_field_off_j20_is_two(self, capsys):
+        code, out, err = run(capsys, "structure", "eq2", "equiaffine4")
+        assert code == 2
+        assert out == ""
+        assert err == "error: field 'equiaffine4' is not on chart J20\n"
 
     def test_unwritable_out_is_two(self, capsys, tmp_path):
         path = tmp_path / "no" / "such" / "report.json"
@@ -213,6 +222,19 @@ class TestOutput:
         code, out, _ = run(capsys, "genericity", "x + y*y2")
         assert code == 0
         assert "vanishes identically" in out
+
+    def test_solve_text_writes_one_stderr_line_per_degree(self, capsys):
+        code, out, err = run(capsys, "solve", "flat", "--degree", "1")
+        assert code == 0
+        assert err == ("degree 0: dimension 3 (5 unknowns, 3 rows)\n"
+                       "degree 1: dimension 6 (30 unknowns, 36 rows)\n")
+        assert "basis fields verified symbolically: True" in out
+
+    def test_solve_verify_flag_is_always_on(self, capsys):
+        plain = run(capsys, "solve", "eq2", "--degree", "2")
+        flagged = run(capsys, "solve", "eq2", "--degree", "2", "--verify")
+        assert plain[0] == flagged[0] == 0
+        assert plain[1] == flagged[1]
 
     def test_solve_with_explicit_rates(self, capsys):
         code, out, _ = run(capsys, "solve", "dz13(5,4)", "--degree", "1",

@@ -5,9 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from mongesym.catalog import (dz13, eq1, eq2, equiaffine_generators, flat,
-                              get_equation, strazzullo, symmetry_fields)
+import mongesym.catalog
+import mongesym.fields
+from mongesym.catalog import (CatalogKeyError, dz13, eq1, eq2,
+                              equiaffine_generators, field_keys, flat,
+                              get_equation, get_field, strazzullo,
+                              symmetry_fields)
 from mongesym.charts import J2, J20, PLANE, Chart, ChartMismatchError
+from mongesym.expr import Expr
 from mongesym.fields import (MongeEquation, ProjectionError, VectorField,
                              distribution_from_monge, frame_determinant,
                              frame_fields, genericity_hessian, in_distribution,
@@ -295,3 +300,51 @@ class TestCatalogEquations:
             back = VectorField.from_strings(J20, data["coefficients"])
             assert all((a - b).is_zero() for a, b in
                        zip(f.coefficients, back.coefficients))
+
+
+class TestCatalogFields:
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """(text, chart) of every parse made by the catalog and by
+        VectorField.from_strings."""
+        calls = []
+
+        def counting(text, chart):
+            calls.append((text, chart))
+            return parse(text, chart)
+
+        for module in (mongesym.catalog, mongesym.fields):
+            monkeypatch.setattr(module, "parse", counting)
+        return calls
+
+    def test_miss_parses_nothing(self, parsed):
+        for key in ("S7", "equiaffine6", "eq2", ""):
+            with pytest.raises(CatalogKeyError):
+                get_field(key)
+        assert parsed == []
+
+    def test_symmetry_key_parses_its_own_five_texts(self, parsed):
+        f = get_field("S3")
+        assert parsed == [(t, J20) for t in
+                          ("y", "0", "-1*y1^2", "-3*y1*y2", "1/2*y^2")]
+        assert f == S["S3"]
+
+    def test_equiaffine_key_parses_its_two_plane_texts(self, parsed):
+        f = get_field("equiaffine2")
+        assert parsed == [("x", PLANE), ("-1*y", PLANE)]
+        assert f == prolong_plane_field(P("x", PLANE), -P("y", PLANE))
+        assert f.chart == J2
+
+    def test_tables_keep_the_catalog_values(self):
+        x = Expr.coordinate(PLANE, "x")
+        y = Expr.coordinate(PLANE, "y")
+        zero = Expr.zero(PLANE)
+        one = Expr.constant(PLANE, 1)
+        assert equiaffine_generators() == {
+            "equiaffine1": (zero, x), "equiaffine2": (x, -y),
+            "equiaffine3": (y, zero), "equiaffine4": (one, zero),
+            "equiaffine5": (zero, one)}
+        assert S["S2"] == VectorField(J20, (P("x"), -P("y"), P("-2*y1"),
+                                            P("-3*y2"), Expr.zero(J20)))
+        assert field_keys() == ([f"S{i}" for i in range(1, 7)]
+                                + [f"equiaffine{i}" for i in range(1, 6)])
