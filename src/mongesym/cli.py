@@ -9,6 +9,7 @@ All reports are deterministic byte-for-byte for identical inputs and flags
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -512,6 +513,7 @@ def cmd_catalog(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built on the first main call, then shared
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mongesym",

@@ -285,19 +285,18 @@ def antisymmetry_holds(constants) -> bool:
 # Levi complement for a two-step nilpotent radical
 # ---------------------------------------------------------------------------
 
-def levi_complement(constants, rad_rows):
+def levi_complement(constants, rad, qt, comp):
     """A subalgebra complementary to the radical, as coordinate vectors.
 
+    rad is the reduced radical and (qt, comp) its quotient_tensor.
     Implemented for radicals with [R, [R, R]] = 0 by correcting an arbitrary
     complement in two linear stages (first modulo the derived part of the
     radical, then inside it).  Returns None when no correction is found.
     """
     n = len(constants)
-    rad = reduced_rows(rad_rows)[0]
     z = subspace_bracket(constants, rad, rad)
     if subspace_bracket(constants, rad, z):
         return None  # radical is not two-step nilpotent
-    qt, comp = quotient_tensor(constants, rad)
     m = len(comp)
     unit = unit_rows(n)
     w = [unit[a] for a in comp]
@@ -465,9 +464,9 @@ def analyze(p: LieAlgebraPresentation) -> StructureReport:
         verdict = "heisenberg"
     elif n == 6 and len(rad_span) == 3:
         st = sub_tensor(c, rad_span)
-        qt, _ = quotient_tensor(c, rad_span)
+        qt, comp = quotient_tensor(c, rad_span)
         if st is not None and is_heisenberg_tensor(st) and is_sl2_tensor(qt):
-            complement = levi_complement(c, rad_span)
+            complement = levi_complement(c, rad_span, qt, comp)
             if complement is not None:
                 verdict = "sl2_semidirect_heisenberg"
     return StructureReport(

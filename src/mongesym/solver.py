@@ -14,9 +14,10 @@ a*d/du_i the residuals are first order and linear in a, so each one reads
 L0*a + sum_j Lj*da/du_j with coefficients independent of a.  Probing
 fields.symmetry_residuals with a = 1 and a = u_j recovers L0 = R(1) and
 Lj = R(u_j) - u_j*R(1) exactly: six probes per direction, once per equation.
-A basis unknown's rows then follow from the operator terms alone: shift the
-monomial, multiply in the exponent (and rho for d/dx of exp(rho*x)), and
-canonicalize each product term with the expression engine.
+determining_equations then reads every unknown's rows off the operator
+terms in one pass: shift the monomial, multiply in the exponent (and rho for
+d/dx of exp(rho*x)), and canonicalize each distinct product term once with
+the expression engine, checking that it carries coefficient 1.
 symmetry_dimension builds, integerizes and eliminates the rows once, at
 the top degree.  An unknown's entries do not depend on the other unknowns,
 so a lower degree's system is the top system on that degree's columns; the
@@ -193,7 +194,6 @@ def build_ansatz(spec: AnsatzSpec) -> Ansatz:
 
 @dataclass
 class DeterminingSystem:
-    distribution: Distribution2
     ansatz: Ansatz
     rows: dict  # (residual_id, monomial, atoms) -> {column: Fraction}
 
@@ -241,42 +241,46 @@ def compile_operator(distribution: Distribution2) -> tuple:
     return tuple(operator)
 
 
-def determining_equations(distribution: Distribution2, ansatz: Ansatz,
-                          operator: tuple = None) -> DeterminingSystem:
+def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
     """Collect the exact linear rows of the ansatz from the compiled operator.
 
-    The operator of the same distribution (compile_operator) may be passed
-    to skip compiling it again.  Each operator term times each partial of an
-    unknown goes through the expression engine's term canonicalization, so
-    the row keys are those of the expanded residuals.  Canonicalization
-    only multiplies the coefficient, so each distinct (monomial, atoms)
-    product is canonicalized once, with coefficient 1, and the scalar is
-    multiplied in.
+    The columns come one coefficient function at a time, so its partials
+    are built once for its five directions.  Each distinct (monomial, atoms)
+    product of an operator term and a partial is canonicalized once, so the
+    row keys are those of the expanded residuals.  The operator's atoms are
+    canonical and an unknown adds only y2^q and exp(rho*x), so a product
+    with a coefficient other than 1 or a polynomial factor raises
+    ArithmeticError.  Cancelled entries and emptied rows go at once.
     """
-    if operator is None:
-        operator = compile_operator(distribution)
     rows: dict = {}
     canonical: dict = {}
+    columns: dict = {}  # coefficient function -> its columns
     for col, u in enumerate(ansatz.unknowns):
-        atoms, factors = u.partials()
-        for rid, order, c, m, a in operator[u.direction]:
-            for k, s in factors[order + 1]:
-                product = (mono_mul(m, s), a + atoms)
-                term = canonical.get(product)
-                if term is None:
-                    # operator atoms are canonical and the unknown adds only
-                    # y2^q and exp(rho*x), so no polynomial factor comes back
-                    term = canonical[product] = _canonical_term(1, *product, 5)[:3]
-                scale, mono, out_atoms = term
-                if scale:
-                    row = rows.setdefault((rid, mono, out_atoms), {})
-                    v = c * k * scale
-                    row[col] = row[col] + v if col in row else v
-    for key in list(rows):
-        rows[key] = {c: v for c, v in rows[key].items() if v}
-        if not rows[key]:
-            del rows[key]
-    return DeterminingSystem(distribution, ansatz, rows)
+        columns.setdefault((u.exponents, u.offset, u.rate), []).append(col)
+    for cols in columns.values():
+        atoms, factors = ansatz.unknowns[cols[0]].partials()
+        for col in cols:
+            for rid, order, c, m, a in operator[ansatz.unknowns[col].direction]:
+                for k, s in factors[order + 1]:
+                    product = (mono_mul(m, s), a + atoms)
+                    out = canonical.get(product)
+                    if out is None:
+                        scale, mono, out_atoms, polys = _canonical_term(1, *product, 5)
+                        if scale != 1 or polys:
+                            raise ArithmeticError(f"non-canonical product {product}")
+                        out = canonical[product] = (mono, out_atoms)
+                    key = (rid, *out)
+                    row = rows.setdefault(key, {})
+                    v = c * k
+                    if col in row:
+                        v += row[col]
+                    if v:
+                        row[col] = v
+                    else:
+                        del row[col]
+                        if not row:
+                            del rows[key]
+    return DeterminingSystem(ansatz, rows)
 
 
 def nullspace(system: DeterminingSystem):
@@ -446,34 +450,28 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
 
     operator = compile_operator(distribution)
     lap("operator_s")
-    system = determining_equations(distribution, build_ansatz(spec), operator)
+    system = determining_equations(operator, build_ansatz(spec))
     lap("rows_s")
     table, vectors = nullspace(system)
     lap("elimination_s")
     timings = {str(row["degree"]): round(stages["elimination_s"], 3)
                for row in table}
-    last_dim = None
-    stabilized = False
-    stabilized_at = None
-    for row in table:
-        degree, dim = row["degree"], row["dimension"]
-        if last_dim is not None and dim < last_dim:
-            raise AssertionError("dimension must be monotone in the degree")
-        if last_dim is not None and dim == last_dim and not stabilized:
-            stabilized = True
-            stabilized_at = degree
-        last_dim = dim
+    dims = [row["dimension"] for row in table]
+    if any(a > b for a, b in zip(dims, dims[1:])):
+        raise AssertionError("dimension must be monotone in the degree")
+    stabilized_at = next((row["degree"] for prev, row in zip(table, table[1:])
+                          if row["dimension"] == prev["dimension"]), None)
     basis_fields = [system.ansatz.assemble(v) for v in vectors]
     verified = all(is_symmetry(f, distribution).ok for f in basis_fields)
     lap("assemble_verify_s")
     return SolveReport(
         equation=equation_label or str(m),
-        offsets=tuple(offsets),
-        rates=tuple(rates),
+        offsets=spec.offsets,
+        rates=spec.rates,
         table=table,
-        stabilized=stabilized,
+        stabilized=stabilized_at is not None,
         stabilized_at=stabilized_at,
-        dimension=last_dim,
+        dimension=dims[-1],
         basis=basis_fields,
         verified=verified,
         timings=timings,

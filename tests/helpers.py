@@ -17,7 +17,8 @@ from mongesym.expr import ExpAtom, Expr, NonRationalPowerError
 from mongesym.fields import (VectorField, distribution_from_monge,
                              lie_bracket, symmetry_residuals)
 from mongesym.linalg import sparse_nullspace
-from mongesym.solver import AnsatzSpec, build_ansatz, determining_equations
+from mongesym.solver import (AnsatzSpec, build_ansatz, compile_operator,
+                             determining_equations)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +222,11 @@ def reference_assemble(ansatz, vector) -> VectorField:
 def reference_graded_solve(distribution, spec):
     """(table, top basis) by one fresh build and one elimination per degree,
     columns in ansatz order, rows integerized through Fraction."""
+    operator = compile_operator(distribution)
     table = []
     for degree in range(spec.degree + 1):
         system = determining_equations(
-            distribution, build_ansatz(AnsatzSpec(degree, spec.offsets, spec.rates)))
+            operator, build_ansatz(AnsatzSpec(degree, spec.offsets, spec.rates)))
         int_rows = []
         for row in system.rows.values():
             denom = math.lcm(*(Fraction(v).denominator for v in row.values()))

@@ -22,9 +22,9 @@ from mongesym.fields import (VectorField, distribution_from_monge,
                              prolong_plane_field)
 from mongesym.liealg import (analyze, close_under_bracket, jacobi_holds)
 from mongesym.parser import parse
-from mongesym.solver import (AnsatzSpec, build_ansatz, determining_equations,
-                             maximality_argument, nullspace,
-                             symmetry_dimension)
+from mongesym.solver import (AnsatzSpec, build_ansatz, compile_operator,
+                             determining_equations, maximality_argument,
+                             nullspace, symmetry_dimension)
 
 from helpers import brute_force_symmetry_space, flow_commutator, same_span
 
@@ -250,7 +250,8 @@ def test_criterion_7_property_suites(p6, solve_flat, solve_eq2, solve_seven):
         for degree in (0, 1):
             dim_o, null_o, _ = brute_force_symmetry_space(m, degree)
             system = determining_equations(
-                distribution_from_monge(m), build_ansatz(AnsatzSpec(degree)))
+                compile_operator(distribution_from_monge(m)),
+                build_ansatz(AnsatzSpec(degree)))
             table, null_s = nullspace(system)
             if table[-1]["dimension"] != dim_o or not same_span(null_s, null_o):
                 oracle_ok = False

@@ -243,6 +243,31 @@ class TestOutput:
         payload = json.loads(out)
         assert payload["table"][-1]["dimension"] == 7
 
+    def test_solve_reports_the_offsets_and_rates_it_solved_with(self, capsys):
+        # the ansatz sorts and de-duplicates --offsets and --rates
+        code, out, _ = run(capsys, "solve", "eq2", "--degree", "0",
+                           "--offsets", "1/3,0,1/3", "--rates", "0,0", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["offsets"], payload["rates"]) == (["0", "1/3"], ["0"])
+        assert payload["table"][0]["unknowns"] == 10
+        code, out, _ = run(capsys, "solve", "eq2", "--degree", "0",
+                           "--offsets", "0,1/3,1/3")
+        assert code == 0
+        assert "offsets: 0, 1/3\n" in out
+
+    def test_consecutive_calls_share_no_state(self, capsys):
+        argv = ("solve", "eq2", "--degree", "1", "--json")
+        run(capsys, *argv, "--timings")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "timings" not in json.loads(out)
+        run(capsys, "catalog", "--json")
+        code, out, _ = run(capsys, "catalog")
+        assert code == 0
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out)
+
     def test_structure_subset(self, capsys):
         code, out, _ = run(capsys, "structure", "eq2", "S1", "S2", "S3", "--json")
         assert code == 0

@@ -8,14 +8,15 @@ from fractions import Fraction
 import pytest
 
 from mongesym.catalog import dz13, eq1, eq2, flat
+from mongesym.expr import PowerAtom
 from mongesym.fields import (distribution_from_monge, is_symmetry,
                              lie_bracket)
 from mongesym.liealg import close_under_bracket, express_in_basis
 from mongesym.linalg import canonical_basis, reduced_rows, sparse_nullspace
 from mongesym.solver import (MAX_UNKNOWNS, AnsatzError, AnsatzSpec,
-                             DeterminingSystem, build_ansatz,
-                             determining_equations, exp_rates_for,
-                             maximality_argument, nullspace,
+                             DeterminingSystem, UnknownBasis, build_ansatz,
+                             compile_operator, determining_equations,
+                             exp_rates_for, maximality_argument, nullspace,
                              symmetry_dimension)
 
 from helpers import (brute_force_symmetry_space, reference_assemble,
@@ -64,7 +65,7 @@ class TestAnsatz:
 class TestDeterminingSystem:
     def test_flat_degree0_dimension3(self):
         d = distribution_from_monge(flat())
-        system = determining_equations(d, build_ansatz(AnsatzSpec(0)))
+        system = determining_equations(compile_operator(d), build_ansatz(AnsatzSpec(0)))
         table, basis = nullspace(system)
         assert table == [{"degree": 0, "unknowns": 5, "rows": system.n_rows,
                           "dimension": 3}]
@@ -75,12 +76,55 @@ class TestDeterminingSystem:
 
     def test_homogeneous(self):
         d = distribution_from_monge(eq2())
-        system = determining_equations(d, build_ansatz(AnsatzSpec(1)))
+        system = determining_equations(compile_operator(d), build_ansatz(AnsatzSpec(1)))
         # every entry indexes an unknown column: the zero vector always solves
         for row in system.rows.values():
             assert all(0 <= col < system.n_unknowns for col in row)
         zero_field = system.ansatz.assemble([0] * system.n_unknowns)
         assert is_symmetry(zero_field, d).ok
+
+
+class TestRowBuilder:
+    # hand-made operators reach the builder paths no catalog equation does;
+    # a term is (residual, order, coefficient, monomial, atoms), the same
+    # for all five directions
+    @staticmethod
+    def operator(*terms):
+        return tuple(tuple(terms) for _ in range(5))
+
+    def test_cancelled_entries_and_emptied_rows_go(self):
+        ansatz = build_ansatz(AnsatzSpec(0))
+        y = ((1, 1),)
+        cancel = ((0, -1, Fraction(1), y, ()), (0, -1, Fraction(-1), y, ()))
+        assert determining_equations(self.operator(*cancel), ansatz).rows == {}
+        x = ((0, 1),)
+        survive = (1, -1, Fraction(2), x, ())
+        rows = determining_equations(self.operator(*cancel, survive), ansatz).rows
+        assert rows == {(1, x, ()): {c: Fraction(2) for c in range(5)}}
+
+    @pytest.mark.parametrize("base,exponent", [
+        # (4*y2)^(1/2) canonicalizes to 2*y2^(1/2): coefficient 2
+        (((((3, 1),), Fraction(4)),), Fraction(1, 2)),
+        # (y1 + y2)^1 canonicalizes to a polynomial factor
+        (((((2, 1),), Fraction(1)), (((3, 1),), Fraction(1))), Fraction(1)),
+    ])
+    def test_non_canonical_atom_raises(self, base, exponent):
+        term = (0, -1, Fraction(1), (), (PowerAtom(base, exponent),))
+        with pytest.raises(ArithmeticError):
+            determining_equations(self.operator(term), build_ansatz(AnsatzSpec(0)))
+
+    def test_partials_once_per_coefficient_function(self, monkeypatch):
+        calls = []
+        partials = UnknownBasis.partials
+
+        def counted(u):
+            calls.append(u)
+            return partials(u)
+
+        monkeypatch.setattr(UnknownBasis, "partials", counted)
+        ansatz = build_ansatz(AnsatzSpec(1, offsets=(0, Fraction(1, 3)), rates=(0, 2)))
+        determining_equations(compile_operator(distribution_from_monge(eq2())), ansatz)
+        assert len(calls) == ansatz.size // 5
 
 
 class TestCompiledOperator:
@@ -99,7 +143,8 @@ class TestCompiledOperator:
         m = get_equation(key)
         d = distribution_from_monge(m)
         ansatz = build_ansatz(AnsatzSpec(2, offsets=offsets, rates=exp_rates_for(m)))
-        assert determining_equations(d, ansatz).rows == reference_rows(d, ansatz)
+        rows = determining_equations(compile_operator(d), ansatz).rows
+        assert rows == reference_rows(d, ansatz)
 
 
 class TestGradedElimination:
@@ -116,7 +161,7 @@ class TestGradedElimination:
         m = get_equation(key)
         d = distribution_from_monge(m)
         spec = AnsatzSpec(degree, offsets=offsets, rates=exp_rates_for(m))
-        system = determining_equations(d, build_ansatz(spec))
+        system = determining_equations(compile_operator(d), build_ansatz(spec))
         assert nullspace(system) == reference_graded_solve(d, spec)
 
     def test_report_matches_a_solve_per_degree(self):
@@ -134,7 +179,7 @@ class TestGradedElimination:
         high = [c for c, u in enumerate(ansatz.unknowns) if sum(u.exponents)]
         rows = {"a": {low[0]: Fraction(1)},
                 "b": {high[1]: Fraction(2), high[2]: Fraction(-1, 3)}}
-        table, basis = nullspace(DeterminingSystem(None, ansatz, rows))
+        table, basis = nullspace(DeterminingSystem(ansatz, rows))
         assert table == [
             {"degree": 0, "unknowns": 5, "rows": 1, "dimension": 4},
             {"degree": 1, "unknowns": 30, "rows": 2, "dimension": 28}]
@@ -180,7 +225,8 @@ class TestOracleEquivalence:
         m = get_equation(key)
         dim_oracle, null_oracle, _ = brute_force_symmetry_space(m, degree)
         d = distribution_from_monge(m)
-        system = determining_equations(d, build_ansatz(AnsatzSpec(degree)))
+        system = determining_equations(compile_operator(d),
+                                       build_ansatz(AnsatzSpec(degree)))
         table, basis = nullspace(system)
         assert table[-1]["dimension"] == dim_oracle
         assert same_span(basis, null_oracle)
@@ -194,7 +240,7 @@ class TestSoundness:
             rates = exp_rates_for(m)
             d = distribution_from_monge(m)
             system = determining_equations(
-                d, build_ansatz(AnsatzSpec(degree, rates=rates)))
+                compile_operator(d), build_ansatz(AnsatzSpec(degree, rates=rates)))
             _, basis = nullspace(system)
             for v in basis:
                 f = system.ansatz.assemble(v)
