@@ -565,10 +565,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _glue_list_flags(argv):
+    """argv with `--offsets -1/3,0` as `--offsets=-1/3,0`, likewise --rates:
+    argparse reads a spaced value that starts with '-' as an option."""
+    out = []
+    for a in argv:
+        if (out and out[-1] in ("--offsets", "--rates") and a.startswith("-")
+                and not a.startswith("--")):
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_glue_list_flags(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

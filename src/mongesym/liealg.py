@@ -11,11 +11,15 @@ On the structure-constant tensor everything is standard and exact, and every
 span, nullspace, solve and reduced echelon form runs on linalg's one
 fraction-free elimination engine: center, derived and lower central series,
 Killing form with signature (the rank is n_plus + n_minus, by Sylvester's law
-of inertia), the radical as the Killing-orthogonal complement of the derived
-algebra, and a recognition step for the three shapes this package has to
-distinguish: sl(2, R) (dimension 3, nondegenerate indefinite Killing form),
-the Heisenberg algebra (dimension 3, two-step nilpotent), and their
-semidirect product.  analyze gathers all of it in one StructureReport.
+of inertia), and the radical as the Killing-orthogonal complement of the
+derived algebra.  Recognition reads those invariants: sl(2, R) is dimension 3
+with an indefinite nondegenerate Killing form, the Heisenberg algebra is
+dimension 3 with lower central series 3, 1, 0 and center [g, g].  For a
+six-dimensional algebra one adapted basis (a complement of the radical R,
+then R modulo z = [R, R], then z) makes the radical's and the quotient's
+constants blocks of one rebased tensor; the same path recognizes both
+blocks, and the Levi complement of sl(2) ⋉ heisenberg is corrected in those
+coordinates.  analyze gathers all of it in one StructureReport.
 """
 
 from __future__ import annotations
@@ -210,55 +214,6 @@ def radical_rows(constants, killing, derived):
     return kernel(rows, n)
 
 
-def sub_tensor(constants, rows):
-    """Structure constants of a bracket-closed subspace, or None."""
-    matrix = list(zip(*rows))
-    sub = []
-    for a in rows:
-        line = [solve_exact(matrix, bracket_vec(constants, a, b)) for b in rows]
-        if None in line:
-            return None
-        sub.append(tuple(map(tuple, line)))
-    return tuple(sub)
-
-
-def quotient_tensor(constants, rad_rows):
-    """Constants of g / radical on the complementary unit coordinates: the
-    unit vectors off the radical's pivot columns, with the radical, are a
-    basis, and a bracket's quotient part is its coordinates on those units.
-
-    Returns (tensor, complement_indices)."""
-    n = len(constants)
-    pivots = reduced_rows(rad_rows)[1]
-    comp = [i for i in range(n) if i not in pivots]
-    unit = unit_rows(n)
-    matrix = list(zip(*([unit[c] for c in comp] + list(rad_rows))))
-    tensor = tuple(
-        tuple(tuple(solve_exact(matrix, bracket_vec(constants, unit[a], unit[b]))[:len(comp)])
-              for b in comp)
-        for a in comp)
-    return tensor, comp
-
-
-def is_sl2_tensor(constants) -> bool:
-    if len(constants) != 3:
-        return False
-    plus, minus, _ = symmetric_signature(killing_matrix(constants))
-    return (plus, minus) in ((2, 1), (1, 2))
-
-
-def is_heisenberg_tensor(constants) -> bool:
-    if len(constants) != 3:
-        return False
-    full = unit_rows(3)
-    der = subspace_bracket(constants, full, full)
-    lcs = series_dims(constants, full, der, lower_central=True)
-    if lcs != [3, 1, 0]:
-        return False
-    zc = center_rows(constants)
-    return len(zc) == 1 and reduced_rows(zc)[0] == reduced_rows(der)[0]
-
-
 def jacobi_holds(constants) -> bool:
     n = len(constants)
     for i in range(n):
@@ -282,93 +237,114 @@ def antisymmetry_holds(constants) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Levi complement for a two-step nilpotent radical
+# the adapted basis and the Levi complement
 # ---------------------------------------------------------------------------
 
-def levi_complement(constants, rad, qt, comp):
-    """A subalgebra complementary to the radical, as coordinate vectors.
+def rebase(constants, rows):
+    """The constants in the basis rows of the coordinate space, read off one
+    KeyedSpan of the rows: one bracket per unordered pair, the other by
+    antisymmetry."""
+    span = KeyedSpan()
+    for row in rows:
+        span.place(dict(enumerate(row)))
+    n = len(rows)
+    out = [[(Fraction(0),) * n] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            w = bracket_vec(constants, rows[a], rows[b])
+            out[a][b] = tuple(span.coordinates(dict(enumerate(w))))
+            out[b][a] = tuple(-x for x in out[a][b])
+    return tuple(map(tuple, out))
 
-    rad is the reduced radical and (qt, comp) its quotient_tensor.
-    Implemented for radicals with [R, [R, R]] = 0 by correcting an arbitrary
-    complement in two linear stages (first modulo the derived part of the
-    radical, then inside it).  Returns None when no correction is found.
-    """
+
+def block(adapted, lo, hi):
+    """The constants of the basis vectors lo..hi-1 on their own coordinates."""
+    return tuple(tuple(adapted[i][j][lo:hi] for j in range(lo, hi))
+                 for i in range(lo, hi))
+
+
+def adapted_rows(constants, rad, pivots):
+    """The unit vectors off the reduced radical's pivot columns, then the
+    radical rows independent modulo z = [R, R], then z; returns (rows, m, r)
+    with m units and r rows before z.  The rows are a basis exactly when z
+    lies in R, that is when the radical is closed, and then the radical's
+    and the quotient's constants are blocks of the rebased tensor."""
     n = len(constants)
+    comp = [row for i, row in enumerate(unit_rows(n)) if i not in pivots]
     z = subspace_bracket(constants, rad, rad)
-    if subspace_bracket(constants, rad, z):
-        return None  # radical is not two-step nilpotent
-    m = len(comp)
-    unit = unit_rows(n)
-    w = [unit[a] for a in comp]
-
-    def correct(ws, target_rows, mod_rows):
-        """Solve for phi: W -> span(target_rows) killing the defect modulo
-        span(mod_rows); equations and images are decomposed over the direct
-        sum target + mod and only the target components are constrained."""
-        r = len(target_rows)
-        if r == 0:
-            return ws
-        matrix = list(zip(*target_rows, *mod_rows))
-
-        def target_components(vec):
-            sol = solve_exact(matrix, vec)
-            return None if sol is None else sol[:r]
-
-        nun = m * r  # unknowns phi[a][s]
-        eq_rows, eq_rhs = [], []
-        for a in range(m):
-            for b in range(a + 1, m):
-                defect = bracket_vec(constants, ws[a], ws[b])
-                for t in range(m):
-                    if qt[a][b][t]:
-                        defect = [d - qt[a][b][t] * x
-                                  for d, x in zip(defect, ws[t])]
-                coeffs = [[Fraction(0)] * nun for _ in range(n)]
-                for s in range(r):
-                    img_b = bracket_vec(constants, ws[a], target_rows[s])
-                    img_a = bracket_vec(constants, ws[b], target_rows[s])
-                    for i in range(n):
-                        coeffs[i][b * r + s] += img_b[i]
-                        coeffs[i][a * r + s] -= img_a[i]
-                for t in range(m):
-                    if qt[a][b][t]:
-                        for s in range(r):
-                            for i in range(n):
-                                coeffs[i][t * r + s] -= qt[a][b][t] * target_rows[s][i]
-                dcomp = target_components(defect)
-                ccomp = [target_components([coeffs[i][u] for i in range(n)])
-                         for u in range(nun)]
-                if dcomp is None or any(c is None for c in ccomp):
-                    return None
-                for pos in range(r):
-                    eq_rows.append([ccomp[u][pos] for u in range(nun)])
-                    eq_rhs.append(-dcomp[pos])
-        phi = solve_exact(eq_rows, eq_rhs)
-        if phi is None:
-            return None
-        return [[x + sum(phi[a * r + s] * target_rows[s][i] for s in range(r))
-                 for i, x in enumerate(ws[a])] for a in range(m)]
-
-    # stage 1: correct along a complement of z inside rad, equations mod z;
-    # stage 2: correct inside z, equations exact (quadratic terms vanish)
     span = KeyedSpan()
     for row in z:
         span.place(dict(enumerate(row)))
     rad_comp = [row for row in rad if span.place(dict(enumerate(row))) is None]
-    ws = correct(w, rad_comp, z)
-    if ws is None:
+    return comp + rad_comp + z, len(comp), len(rad_comp)
+
+
+def _correct(adapted, ws, m, lo, hi):
+    """Solve for phi: W -> span(e_lo..e_hi-1) killing the defect
+    [w_a, w_b] - sum_t q_abt w_t on the target coordinates lo..hi-1; the
+    coordinates from hi on are the part taken modulo.  A defect or image with
+    a coordinate before lo lies outside target + mod: no correction."""
+    n = len(adapted)
+    r = hi - lo
+    unit = unit_rows(n)
+    eq_rows, eq_rhs = [], []
+    for a in range(m):
+        for b in range(a + 1, m):
+            q = adapted[a][b][:m]
+            defect = bracket_vec(adapted, ws[a], ws[b])
+            for t in range(m):
+                if q[t]:
+                    defect = [d - q[t] * x for d, x in zip(defect, ws[t])]
+            cols = [[Fraction(0)] * n for _ in range(m * r)]  # phi[a][s] at a*r+s
+            for s in range(r):
+                img_b = bracket_vec(adapted, ws[a], unit[lo + s])
+                img_a = bracket_vec(adapted, ws[b], unit[lo + s])
+                for i in range(n):
+                    cols[b * r + s][i] += img_b[i]
+                    cols[a * r + s][i] -= img_a[i]
+                for t in range(m):
+                    cols[t * r + s][lo + s] -= q[t]
+            if any(any(v[:lo]) for v in (defect, *cols)):
+                return None
+            for pos in range(lo, hi):
+                eq_rows.append([col[pos] for col in cols])
+                eq_rhs.append(-defect[pos])
+    phi = solve_exact(eq_rows, eq_rhs)
+    if phi is None:
         return None
-    if z:
-        ws = correct(ws, z, [])
+    out = [list(w) for w in ws]
+    for a in range(m):
+        for s in range(r):
+            out[a][lo + s] += phi[a * r + s]
+    return out
+
+
+def levi_complement(constants, rows, adapted, m, r):
+    """A subalgebra complementary to the Heisenberg radical, as coordinate
+    vectors, or None when no correction is found.
+
+    (rows, m, r) is adapted_rows and adapted the constants rebased on rows.
+    The first m unit vectors span an arbitrary complement; two linear
+    stages correct it, first along the r radical rows modulo z, then inside
+    z, where the quadratic terms vanish because [R, [R, R]] = 0.  The result
+    goes back to the original coordinates and is checked there exactly.
+    """
+    n = len(constants)
+    ws = unit_rows(n)[:m]
+    for lo, hi in ((m, m + r), (m + r, n)):
+        ws = _correct(adapted, ws, m, lo, hi)
         if ws is None:
             return None
+    complement = [tuple(sum(w[k] * rows[k][i] for k in range(n)) for i in range(n))
+                  for w in ws]
     # final exact check: the corrected span closes with quotient constants
     for a in range(m):
         for b in range(m):
-            expected = [sum(qt[a][b][t] * ws[t][i] for t in range(m)) for i in range(n)]
-            if bracket_vec(constants, ws[a], ws[b]) != expected:
+            expected = [sum(adapted[a][b][t] * complement[t][i] for t in range(m))
+                        for i in range(n)]
+            if bracket_vec(constants, complement[a], complement[b]) != expected:
                 return None
-    return [tuple(v) for v in ws]
+    return complement
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +419,13 @@ class StructureReport:
 
 def analyze(p: LieAlgebraPresentation) -> StructureReport:
     """Every structure invariant of the presentation, and its recognition."""
-    c = p.constants
-    n = p.dimension
+    return _analyze_tensor(p.constants)
+
+
+def _analyze_tensor(c) -> StructureReport:
+    """analyze on a bare tensor; a six-dimensional tensor's radical and
+    quotient blocks are recognized by the same path."""
+    n = len(c)
     full = unit_rows(n)
     zc = center_rows(c)
     derived = subspace_bracket(c, full, full)
@@ -454,21 +435,22 @@ def analyze(p: LieAlgebraPresentation) -> StructureReport:
     nilpotent = lseries[-1] == 0
     km = killing_matrix(c)
     plus, minus, _ = symmetric_signature(km)
-    rad = radical_rows(c, km, derived)
-    rad_span, _ = reduced_rows(rad)
+    rad, pivots = reduced_rows(radical_rows(c, km, derived))
     verdict = "unrecognized"
     complement = None
-    if n == 3 and is_sl2_tensor(c):
+    if n == 3 and (plus, minus) in ((2, 1), (1, 2)):
         verdict = "sl2"
-    elif n == 3 and is_heisenberg_tensor(c):
+    elif n == 3 and lseries == [3, 1, 0] and reduced_rows(zc)[0] == derived:
         verdict = "heisenberg"
-    elif n == 6 and len(rad_span) == 3:
-        st = sub_tensor(c, rad_span)
-        qt, comp = quotient_tensor(c, rad_span)
-        if st is not None and is_heisenberg_tensor(st) and is_sl2_tensor(qt):
-            complement = levi_complement(c, rad_span, qt, comp)
-            if complement is not None:
-                verdict = "sl2_semidirect_heisenberg"
+    elif n == 6 and len(rad) == 3:
+        rows, m, r = adapted_rows(c, rad, pivots)
+        if len(rows) == n:  # z lies in R: the radical is closed
+            adapted = rebase(c, rows)
+            if (_analyze_tensor(block(adapted, m, n)).verdict == "heisenberg"
+                    and _analyze_tensor(block(adapted, 0, m)).verdict == "sl2"):
+                complement = levi_complement(c, rows, adapted, m, r)
+                if complement is not None:
+                    verdict = "sl2_semidirect_heisenberg"
     return StructureReport(
         dimension=n,
         center=tuple(zc),
@@ -477,11 +459,11 @@ def analyze(p: LieAlgebraPresentation) -> StructureReport:
         lcs_dims=tuple(lseries),
         solvable=solvable,
         nilpotent=nilpotent,
-        killing=tuple(tuple(r) for r in km),
+        killing=tuple(tuple(row) for row in km),
         killing_rank=plus + minus,  # Sylvester's law of inertia
         killing_signature=(plus, minus),
-        radical=tuple(rad_span),
-        radical_indices=_aligned_indices(rad_span),
+        radical=tuple(rad),
+        radical_indices=_aligned_indices(rad),
         verdict=verdict,
         complement=None if complement is None else tuple(complement),
     )

@@ -256,6 +256,15 @@ class TestOutput:
         assert code == 0
         assert "offsets: 0, 1/3\n" in out
 
+    @pytest.mark.parametrize("flag, value", [("--offsets", "-1/3,0,1/3"),
+                                             ("--rates", "-1,0")])
+    def test_spaced_list_starting_negative(self, capsys, flag, value):
+        argv = ("solve", "eq2", "--degree", "1", "--json")
+        spaced = run(capsys, *argv, flag, value)
+        joined = run(capsys, *argv, f"{flag}={value}")
+        assert spaced[0] == joined[0] == 0, spaced[2]
+        assert spaced[1] == joined[1]
+
     def test_consecutive_calls_share_no_state(self, capsys):
         argv = ("solve", "eq2", "--degree", "1", "--json")
         run(capsys, *argv, "--timings")

@@ -10,11 +10,12 @@ import pytest
 from mongesym.catalog import dz13, symmetry_fields
 from mongesym.charts import J2, J20, ChartMismatchError
 from mongesym.fields import VectorField, lie_bracket
-from mongesym.liealg import (ClosureCapExceeded, analyze, close_under_bracket,
-                             express_in_basis, jacobi_holds)
+from mongesym.liealg import (ClosureCapExceeded, LieAlgebraPresentation,
+                             analyze, close_under_bracket, express_in_basis,
+                             jacobi_holds)
 from mongesym.solver import symmetry_dimension
 
-from helpers import reference_constants, reference_express
+from helpers import reference_constants, reference_express, sympy_matrix
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -270,3 +271,114 @@ class TestRecognition:
                          [[tuple(map(Fraction, c[i][j])) for j in range(6)]
                           for i in range(6)])
         assert not jacobi_holds(tampered)
+
+
+# ---------------------------------------------------------------------------
+# recognition on hand-made tensors
+# ---------------------------------------------------------------------------
+
+def tensor(n, brackets):
+    """Structure constants from {(i, j): {k: coefficient}}, i < j, filled in
+    by antisymmetry."""
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), out in brackets.items():
+        for k, v in out.items():
+            c[i][j][k] = Fraction(v)
+            c[j][i][k] = -Fraction(v)
+    return tuple(tuple(tuple(row) for row in plane) for plane in c)
+
+
+def shifted(brackets, by):
+    return {(i + by, j + by): {k + by: v for k, v in out.items()}
+            for (i, j), out in brackets.items()}
+
+
+SL2 = {(0, 1): {0: -2}, (0, 2): {1: 1}, (1, 2): {2: -2}}  # basis e, h, f
+SO3 = {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}
+HEIS = {(0, 1): {2: 1}}  # [p, q] = c
+# sl2 acting on span(p, q) by its standard representation, c central
+PAPER = {**SL2, **shifted(HEIS, 3), (0, 4): {3: 1}, (1, 3): {3: 1},
+         (1, 4): {4: -1}, (2, 3): {4: 1}}
+# sl2 acting on an abelian copy of itself by the adjoint representation
+SL2_ADJOINT = {**SL2, (0, 4): {3: -2}, (0, 5): {4: 1}, (1, 3): {3: 2},
+               (1, 5): {5: -2}, (2, 3): {4: -1}, (2, 4): {5: 2}}
+
+HAND_MADE = {
+    "sl2": (3, SL2, "sl2"),
+    "so3": (3, SO3, "unrecognized"),
+    "heisenberg": (3, HEIS, "heisenberg"),
+    "abelian": (3, {}, "unrecognized"),
+    "paper": (6, PAPER, "sl2_semidirect_heisenberg"),
+    "sl2+heisenberg": (6, {**SL2, **shifted(HEIS, 3)}, "sl2_semidirect_heisenberg"),
+    "sl2+adjoint": (6, SL2_ADJOINT, "unrecognized"),
+    "so3+heisenberg": (6, {**SO3, **shifted(HEIS, 3)}, "unrecognized"),
+}
+
+
+def bracket(c, u, v):
+    n = len(c)
+    return [sum(u[i] * v[j] * c[i][j][k] for i in range(n) for j in range(n))
+            for k in range(n)]
+
+
+def rebased(c, seed):
+    """c in the basis of the rows of a seeded random invertible rational
+    matrix P: a bracket's new coordinates are its old ones times P^-1."""
+    n = len(c)
+    rng = random.Random(seed)
+    while True:
+        p = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)]
+        if sympy_matrix(p, n).det() != 0:
+            break
+    inv = sympy_matrix(p, n).inv()
+    inv = [[Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in range(n)]
+           for i in range(n)]
+    return tuple(tuple(tuple(sum(w[i] * inv[i][k] for i in range(n))
+                             for k in range(n))
+                       for w in (bracket(c, p[a], p[b]) for b in range(n)))
+                 for a in range(n))
+
+
+def hand_made_analysis(c):
+    return analyze(LieAlgebraPresentation(tuple(range(len(c))), c))
+
+
+class TestHandMadeRecognition:
+    @pytest.mark.parametrize("name", HAND_MADE)
+    def test_verdict(self, name):
+        n, brackets, verdict = HAND_MADE[name]
+        c = tensor(n, brackets)
+        assert jacobi_holds(c)
+        assert hand_made_analysis(c).verdict == verdict
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("name", [k for k, v in HAND_MADE.items() if v[0] == 6])
+    def test_verdict_under_basis_change(self, name, seed):
+        n, brackets, verdict = HAND_MADE[name]
+        c = rebased(tensor(n, brackets), seed)
+        assert jacobi_holds(c)
+        rep = hand_made_analysis(c)
+        assert rep.verdict == verdict
+        if verdict != "sl2_semidirect_heisenberg":
+            assert rep.complement is None
+            return
+        comp = [list(v) for v in rep.complement]
+        assert sympy_matrix(comp, n).rank() == 3
+        assert sympy_matrix(comp + [list(v) for v in rep.radical], n).rank() == 6
+        for a in range(3):
+            for b in range(a + 1, 3):
+                w = bracket(c, comp[a], comp[b])
+                assert sympy_matrix(comp + [w], n).rank() == 3
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_radical_that_is_not_an_ideal_gets_no_correction(self, seed):
+        # off Jacobi: [e, c] = -f takes the radical span(p, q, c) out of
+        # itself, although its block is Heisenberg and the quotient is sl2
+        c = tensor(6, {**PAPER, (0, 5): {2: -1}})
+        if seed is not None:
+            c = rebased(c, seed)
+        assert not jacobi_holds(c)
+        rep = hand_made_analysis(c)
+        assert len(rep.radical) == 3
+        assert (rep.verdict, rep.complement) == ("unrecognized", None)
