@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import catalog
 from .charts import J20
-from .expr import Expr, ExprError
+from .expr import Expr, ExprError, LnAtom, PowerAtom, poly_text
 from .fields import (MongeEquation, VectorField, distribution_from_monge,
                      frame_determinant, genericity_hessian, is_symmetry,
                      project_to_j2, ProjectionError)
@@ -115,42 +115,47 @@ def _emit(payload, args, renderer):
 # ---------------------------------------------------------------------------
 
 def _vanishing_description(hessian: Expr) -> str:
+    """Where a nonzero one-term Hessian vanishes or is singular: off the
+    coordinates with a positive exponent, away from those with a negative
+    one and from the zero set of each power base.  A one-term base is named
+    by its coordinates, a multi-term base by its printed form.  An ln atom
+    vanishes where its argument is 1, so it gets no closed description."""
     if hessian.is_zero():
         return "not generic: the second y2-derivative vanishes identically"
-    if len(hessian.terms) == 1:
-        t = hessian.terms[0]
-        positive = sorted(hessian.chart.coords[i] for i, e in t.monomial if e > 0)
-        from .expr import PowerAtom
-        excluded = set()
-        for i, e in t.monomial:
-            if e < 0:
-                excluded.add(hessian.chart.coords[i])
-        for a in t.atoms:
-            if isinstance(a, PowerAtom):
-                for m, _ in a.base:
-                    for i, _ in m:
-                        excluded.add(hessian.chart.coords[i])
-        if not positive and not excluded:
-            return "generic everywhere (constant nonzero)"
-        pieces = []
-        if excluded:
-            pieces.append("away from " + " = 0, ".join(sorted(excluded)) + " = 0")
-        if positive:
-            pieces.append("off " + " = 0, ".join(positive) + " = 0")
-        return "generic " + " and ".join(pieces)
-    return "generic off the zero locus of the printed expression"
+    t = hessian.terms[0]
+    if len(hessian.terms) > 1 or any(isinstance(a, LnAtom) for a in t.atoms):
+        return "generic off the zero locus of the printed expression"
+    coords = hessian.chart.coords
+    positive = sorted(coords[i] for i, e in t.monomial if e > 0)
+    excluded = {coords[i] for i, e in t.monomial if e < 0}
+    for a in t.atoms:
+        if isinstance(a, PowerAtom):
+            if len(a.base) == 1:
+                excluded.update(coords[i] for i, _ in a.base[0][0])
+            else:
+                excluded.add(poly_text(a.base, hessian.chart))
+    if not positive and not excluded:
+        return "generic everywhere" + ("" if t.atoms else " (constant nonzero)")
+    pieces = []
+    if excluded:
+        pieces.append("away from " + " = 0, ".join(sorted(excluded)) + " = 0")
+    if positive:
+        pieces.append("off " + " = 0, ".join(positive) + " = 0")
+    return "generic " + " and ".join(pieces)
+
+
+def _determinant_sign(det: Expr, hess: Expr) -> int:
+    """s = 1 or -1 when the frame determinant is s * Hessian, else 0."""
+    if det.equals(hess):
+        return 1
+    return -1 if det.equals(-hess) else 0
 
 
 def cmd_genericity(args) -> int:
     m = _load_equation(args.equation)
     hess = genericity_hessian(m)
     det = frame_determinant(distribution_from_monge(m))
-    if det.equals(hess):
-        sign = 1
-    elif det.equals(-hess):
-        sign = -1
-    else:
-        sign = 0
+    sign = _determinant_sign(det, hess)
     payload = {
         "equation": args.equation,
         "hessian": str(hess),
@@ -209,6 +214,17 @@ def cmd_verify(args) -> int:
 # structure
 # ---------------------------------------------------------------------------
 
+def bracket_table(p: LieAlgebraPresentation) -> dict:
+    """The nonzero brackets "[i,j]", i < j, as coordinates in the closed basis."""
+    table = {}
+    for i in range(p.dimension):
+        for j in range(i + 1, p.dimension):
+            coords = p.constants[i][j]
+            if any(coords):
+                table[f"[{i},{j}]"] = [str(c) for c in coords]
+    return table
+
+
 def projection_analysis(p: LieAlgebraPresentation):
     """Kernel of the pushforward to J2 and the match against the prolonged
     plane generators, for presentations whose fields project."""
@@ -247,17 +263,11 @@ def cmd_structure(args) -> int:
         sys.stderr.write(f"{exc}\n")
         return EXIT_MISMATCH
     report = analyze(p)
-    table = {}
-    for i in range(p.dimension):
-        for j in range(i + 1, p.dimension):
-            coords = p.constants[i][j]
-            if any(coords):
-                table[f"[{i},{j}]"] = [str(c) for c in coords]
     payload = {
         "equation": args.equation,
         "input_fields": names,
         "dimension": p.dimension,
-        "bracket_table": table,
+        "bracket_table": bracket_table(p),
         "structure": report.to_json(),
         "projection": projection_analysis(p),
     }
@@ -322,18 +332,17 @@ def cmd_solve(args) -> int:
 # reproduce
 # ---------------------------------------------------------------------------
 
-def _golden_bracket_table():
-    """The frozen nonzero bracket table of the six symmetry generators."""
-    return {
-        "[0,1]": {0: "-2"},
-        "[0,2]": {1: "1"},
-        "[0,3]": {4: "-1"},
-        "[1,2]": {2: "-2"},
-        "[1,3]": {3: "-1"},
-        "[1,4]": {4: "1"},
-        "[2,4]": {3: "-1"},
-        "[3,4]": {5: "1"},
-    }
+# The frozen bracket_table of the six symmetry generators.
+GOLDEN_BRACKET_TABLE = {
+    "[0,1]": ["-2", "0", "0", "0", "0", "0"],
+    "[0,2]": ["0", "1", "0", "0", "0", "0"],
+    "[0,3]": ["0", "0", "0", "0", "-1", "0"],
+    "[1,2]": ["0", "0", "-2", "0", "0", "0"],
+    "[1,3]": ["0", "0", "0", "-1", "0", "0"],
+    "[1,4]": ["0", "0", "0", "0", "1", "0"],
+    "[2,4]": ["0", "0", "0", "-1", "0", "0"],
+    "[3,4]": ["0", "0", "0", "0", "0", "1"],
+}
 
 
 def run_reproduction(perturb: bool = False):
@@ -364,17 +373,9 @@ def run_reproduction(perturb: bool = False):
     except ClosureCapExceeded:
         check("bracket table and recognition", False, "closure exceeded cap")
     if p6 is not None:
-        golden = _golden_bracket_table()
-        table_ok = p6.dimension == 6
-        for i in range(6):
-            for j in range(i + 1, 6):
-                expected = golden.get(f"[{i},{j}]", {})
-                actual = {k: str(c) for k, c in enumerate(p6.constants[i][j]) if c}
-                expected = {int(k): v for k, v in expected.items()}
-                if actual != expected:
-                    table_ok = False
         rep6 = analyze(p6)
-        check("bracket table matches the frozen table", table_ok)
+        check("bracket table matches the frozen table",
+              bracket_table(p6) == GOLDEN_BRACKET_TABLE)
         check("recognition: sl2 semidirect heisenberg with radical = last three",
               rep6.verdict == "sl2_semidirect_heisenberg"
               and rep6.radical_indices == [3, 4, 5]
@@ -399,10 +400,8 @@ def run_reproduction(perturb: bool = False):
     frame_ok = True
     for key in ("eq2", "flat", "dz13(1,1)", "dz13(10,9)", "eq1(0)", "strazzullo"):
         mm = catalog.get_equation(key)
-        dd = distribution_from_monge(mm)
-        h = genericity_hessian(mm)
-        det = frame_determinant(dd)
-        if not (det.equals(h) or det.equals(-h)):
+        if not _determinant_sign(frame_determinant(distribution_from_monge(mm)),
+                                 genericity_hessian(mm)):
             frame_ok = False
     check("frame determinant equals the hessian up to sign (catalog equations)",
           frame_ok)
@@ -586,10 +585,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except ExprError as exc:
+    except (UsageError, ExprError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -261,6 +261,14 @@ class Term:
     atoms: tuple
 
 
+def _odd_root_sign(s: Fraction, q: Fraction):
+    """(sign factor, kept scale) of s**q with q not an integer: an odd root
+    takes out the sign of a negative s, as (-1)**numerator."""
+    if s < 0 and q.denominator % 2 == 1:
+        return Fraction(-1 if q.numerator % 2 else 1), -s
+    return Fraction(1), s
+
+
 def _power_parts(base: Poly, q: Fraction, nvars: int):
     """Decompose base**q into (rational_factor, coord_exponents, atoms, poly_factors).
 
@@ -288,11 +296,7 @@ def _power_parts(base: Poly, q: Fraction, nvars: int):
             return cf, coord, [], []
         if not m:
             raise NonRationalPowerError(f"{c}^({q}) is not rational")
-        sign_factor = Fraction(1)
-        c_kept = c
-        if c < 0 and q.denominator % 2 == 1:
-            sign_factor = Fraction(-1) if q.numerator % 2 else Fraction(1)
-            c_kept = -c
+        sign_factor, c_kept = _odd_root_sign(c, q)
         return sign_factor, coord, [PowerAtom(((m, c_kept),), q)], []
     sign, content, m_c, primitive = _poly_content_split(base, nvars)
     _check_power_size(content, q)
@@ -311,11 +315,7 @@ def _power_parts(base: Poly, q: Fraction, nvars: int):
     sc = exact_pow(Fraction(sign) * content, q)
     if sc is not None:
         return sc, coord, [PowerAtom(primitive, q)], []
-    sign_factor = Fraction(1)
-    kept_scale = Fraction(sign) * content
-    if sign < 0 and q.denominator % 2 == 1:
-        sign_factor = Fraction(-1) if q.numerator % 2 else Fraction(1)
-        kept_scale = content
+    sign_factor, kept_scale = _odd_root_sign(Fraction(sign) * content, q)
     return sign_factor, coord, [PowerAtom(poly_scale(primitive, kept_scale), q)], []
 
 
@@ -368,11 +368,6 @@ def _canonical_term(coeff: Fraction, mono: Mono, atoms: Iterable, nvars: int):
                     and atoms_o[0].base == base and atoms_o[0].exponent == q):
                 identity = False
             for a in atoms_o:
-                idx = _unit_coord_index(a.base)
-                if idx is not None:
-                    coord[idx] = coord.get(idx, Fraction(0)) + a.exponent
-                    identity = False
-                    continue
                 q2 = decomposed.get(a.base, Fraction(0)) + a.exponent
                 if q2:
                     decomposed[a.base] = q2
@@ -702,7 +697,7 @@ def _mono_factors(m: Mono, chart: Chart):
         out.append(name if e == 1 else name + _exp_text(e))
     return out
 
-def _poly_text(poly: Poly, chart: Chart) -> str:
+def poly_text(poly: Poly, chart: Chart) -> str:
     if not poly:
         return "0"
     pieces = []
@@ -723,10 +718,10 @@ def _atom_text(atom: Atom, chart: Chart) -> str:
         idx = _unit_coord_index(atom.base)
         if idx is not None:
             return chart.coords[idx] + _exp_text(atom.exponent)
-        return "(" + _poly_text(atom.base, chart) + ")" + _exp_text(atom.exponent)
+        return "(" + poly_text(atom.base, chart) + ")" + _exp_text(atom.exponent)
     if isinstance(atom, ExpAtom):
-        return "exp(" + _poly_text(atom.argument, chart) + ")"
-    return "ln(" + _poly_text(atom.argument, chart) + ")"
+        return "exp(" + poly_text(atom.argument, chart) + ")"
+    return "ln(" + poly_text(atom.argument, chart) + ")"
 
 def to_text(expr: Expr) -> str:
     if not expr.terms:

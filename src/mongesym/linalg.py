@@ -1,17 +1,20 @@
 """Exact linear algebra on one engine: sparse fraction-free elimination.
 
 SparseEchelon works on integer rows (dict column -> coefficient) and never
-leaves the integers: a row is combined against a pivot by cross
-multiplication and re-divided by its content, so no rounding and no rational
-blow-up occurs.  sparse_nullspace inserts the determining equations
-shortest-first, which keeps fill-in low on those very sparse systems.
+leaves the integers: its one step clears a column against a pivot row by
+cross multiplication and re-divides by the content, so no rounding and no
+rational blow-up occurs.  The forward elimination applies it at each row's
+leading column, and the back-reduction reduced() from the highest pivot
+down; canonical_basis, reduced_rows and kernel read the reduced form.
+sparse_nullspace inserts the determining equations shortest-first, which
+keeps fill-in low on those very sparse systems, and keeps a Fraction
+back-substitution, which computes only the free columns' vectors.
 
 Rational work is the same elimination on rows with their denominators
 cleared.  KeyedSpan keeps the span of sparse vectors over arbitrary keys and
-reads coordinates off tag columns; coordinates, solve_exact and kernel are
-built on it, and reduced_rows gives the reduced row echelon form through
-canonical_basis.  symmetric_signature, a congruence diagonalization, is the
-only dense routine.
+reads coordinates off tag columns; coordinates and solve_exact are built on
+it.  symmetric_signature, a congruence diagonalization, is the only dense
+routine.
 """
 
 from __future__ import annotations
@@ -44,6 +47,22 @@ def _row_order_key(row: dict):
     return (len(row), min(row), items)
 
 
+def _eliminate(row: dict, piv: dict, c: int) -> dict:
+    """row with column c cleared against piv by cross multiplication,
+    normalized."""
+    a, b = row[c], piv[c]
+    g = math.gcd(a, b)
+    ma, mb = b // g, a // g
+    new = {k: ma * v for k, v in row.items()}
+    for k, v in piv.items():
+        w = new.get(k, 0) - mb * v
+        if w:
+            new[k] = w
+        else:
+            new.pop(k, None)
+    return _row_normalize(new)
+
+
 class SparseEchelon:
     """Incremental echelon form of an integer sparse matrix."""
 
@@ -57,19 +76,7 @@ class SparseEchelon:
             piv = self.pivots.get(c)
             if piv is None:
                 return _row_normalize(row)
-            a, b = row[c], piv[c]
-            g = math.gcd(a, b)
-            ma, mb = b // g, a // g
-            new = {}
-            for k, v in row.items():
-                new[k] = ma * v
-            for k, v in piv.items():
-                w = new.get(k, 0) - mb * v
-                if w:
-                    new[k] = w
-                else:
-                    new.pop(k, None)
-            row = _row_normalize(new)
+            row = _eliminate(row, piv, c)
         return row
 
     def insert(self, row: dict) -> bool:
@@ -83,13 +90,30 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def reduced(self) -> dict:
+        """Reduced row echelon form of the pivot rows: pivot column ->
+        primitive row with a positive pivot and no other pivot column.  From
+        the highest pivot down, a row is cleared of each later pivot column
+        against the rows already reduced, which hold only their own pivot
+        and free columns, so one pass per row is enough."""
+        out: dict = {}
+        for p in sorted(self.pivots, reverse=True):
+            row = self.pivots[p]
+            for c in [c for c in row if c in out]:
+                row = _eliminate(row, out[c], c)
+            out[p] = row
+        return out
+
 
 def sparse_nullspace(rows, ncols: int):
     """Exact nullspace basis of a sparse homogeneous integer system.
 
     Returns (rank, basis) where each basis vector is a primitive integer
-    tuple of length ncols; basis vectors are indexed by their free column in
-    increasing order, so the output is deterministic.
+    tuple of length ncols, positive at its free (largest) column; basis
+    vectors are ordered by free column, so the output is deterministic.
+    They come from a back-substitution, which computes only the free
+    columns' vectors, not from reduced(), which clears every pivot row:
+    11,326 of them for the 14 vectors of dz13(10,9) at degree 5.
     """
     ech = SparseEchelon()
     for row in sorted((r for r in rows if r), key=_row_order_key):
@@ -112,30 +136,13 @@ def sparse_nullspace(rows, ncols: int):
                     s += v * xv
             if s:
                 x[c] = -s / row[c]
-        basis.append(_primitive(x, ncols))
+        ints = _integer_row(x)
+        sign = 1 if ints[f] > 0 else -1
+        vec = [0] * ncols
+        for c, v in ints.items():
+            vec[c] = sign * v
+        basis.append(tuple(vec))
     return ech.rank, basis
-
-
-def _primitive(x: dict, ncols: int) -> tuple:
-    """A sparse rational vector as a dense tuple of coprime integers, the
-    signs kept."""
-    denom = math.lcm(*(v.denominator for v in x.values()))
-    ints = {c: v.numerator * (denom // v.denominator) for c, v in x.items()}
-    g = math.gcd(*ints.values())
-    vec = [0] * ncols
-    for c, v in ints.items():
-        vec[c] = v // g
-    return tuple(vec)
-
-
-def _subtract(x: dict, a, row: dict) -> None:
-    """x -= a * row in place, dropping the entries that cancel."""
-    for c, b in row.items():
-        w = x.get(c, 0) - a * b
-        if w:
-            x[c] = w
-        else:
-            del x[c]
 
 
 def canonical_basis(vectors):
@@ -146,22 +153,21 @@ def canonical_basis(vectors):
     vector's largest column: for each such column f, x_f = 1 and every
     other pivot column is zero.  Those pivots are the free columns of any
     system whose nullspace is the span, so this is the basis
-    sparse_nullspace returns for it, in primitive integers, ordered by f.
-    """
-    reduced: dict = {}  # pivot column -> {column: Fraction}
+    sparse_nullspace returns for it, in primitive integers, ordered by f:
+    SparseEchelon.reduced() over reversed columns."""
+    if not vectors:
+        return []
+    n = len(vectors[0])
+    echelon = SparseEchelon()
     for v in vectors:
-        x = {c: Fraction(a) for c, a in enumerate(v) if a}
-        for p, row in reduced.items():
-            if p in x:
-                _subtract(x, x[p], row)
-        f = max(x)
-        lead = x[f]
-        x = {c: a / lead for c, a in x.items()}
-        for row in reduced.values():
-            if f in row:
-                _subtract(row, row[f], x)
-        reduced[f] = x
-    return [_primitive(reduced[f], len(vectors[0])) for f in sorted(reduced)]
+        echelon.insert({n - 1 - c: a for c, a in enumerate(v) if a})
+    basis = []
+    for _, row in sorted(echelon.reduced().items(), reverse=True):
+        vec = [0] * n
+        for c, a in row.items():
+            vec[n - 1 - c] = a
+        basis.append(tuple(vec))
+    return basis
 
 
 def _integer_row(row: dict) -> dict:
@@ -248,44 +254,38 @@ def solve_exact(matrix, rhs):
 
 
 def kernel(matrix, ncols: int):
-    """Nullspace basis of a rational matrix, one Fraction tuple per column
-    that depends on the columns before it: column f with coordinates c_k
-    over the independent columns k gives e_f - sum(c_k * e_k)."""
-    span = KeyedSpan()
-    joined, basis = [], []
-    for f in range(ncols):
-        coords = span.place({i: row[f] for i, row in enumerate(matrix)})
-        if coords is None:
-            joined.append(f)
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for k, c in zip(joined, coords):
-            vec[k] = -c
-        basis.append(tuple(vec))
-    return basis
+    """Nullspace basis of a rational matrix, one Fraction tuple per free
+    column f of its reduced echelon form R: x_f = 1, x_p = -R[p][f] / R[p][p]
+    at each pivot p, and every other entry zero."""
+    echelon = SparseEchelon()
+    for v in matrix:
+        echelon.insert(_integer_row(dict(enumerate(v))))
+    reduced = echelon.reduced()
+    basis = {f: [Fraction(1) if c == f else Fraction(0) for c in range(ncols)]
+             for f in range(ncols) if f not in reduced}
+    for p, row in reduced.items():
+        for c, a in row.items():
+            if c != p:
+                basis[c][p] = Fraction(-a, row[p])
+    return [tuple(v) for v in basis.values()]
 
 
 def reduced_rows(vectors):
     """Reduced row echelon form of rational vectors of one length, as
-    (Fraction tuples with pivot 1, pivot columns): canonical_basis of the
-    echelon over reversed columns, read forwards."""
+    (Fraction tuples with pivot 1, pivot columns)."""
     vectors = list(vectors)
     if not vectors:
         return [], []
     n = len(vectors[0])
     echelon = SparseEchelon()
     for v in vectors:
-        echelon.insert(_integer_row({n - 1 - c: a for c, a in enumerate(v)}))
-    if not echelon.rank:
-        return [], []
-    flipped = canonical_basis([tuple(row.get(c, 0) for c in range(n))
-                               for row in echelon.pivots.values()])
+        echelon.insert(_integer_row(dict(enumerate(v))))
     rows, pivots = [], []
-    for v in reversed(flipped):
-        row = v[::-1]
-        p = next(c for c, a in enumerate(row) if a)
-        rows.append(tuple(Fraction(a, row[p]) for a in row))
+    for p, row in sorted(echelon.reduced().items()):
+        vec = [Fraction(0)] * n
+        for c, a in row.items():
+            vec[c] = Fraction(a, row[p])
+        rows.append(tuple(vec))
         pivots.append(p)
     return rows, pivots
 

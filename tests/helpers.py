@@ -46,6 +46,21 @@ def reference_rref(rows, ncols: int):
             list(pivots))
 
 
+def reference_canonical_basis(vectors):
+    """sympy's reduced row echelon form of independent integer vectors over
+    reversed columns, read forwards: primitive integer tuples ordered by
+    pivot, which is each vector's largest column."""
+    n = len(vectors[0])
+    reduced, _ = reference_rref([v[::-1] for v in vectors], n)
+    basis = []
+    for row in reduced:
+        denom = math.lcm(*(x.denominator for x in row))
+        ints = [int(x * denom) for x in row[::-1]]
+        g = math.gcd(*ints)
+        basis.append(tuple(x // g for x in ints))
+    return sorted(basis, key=lambda v: max(c for c, x in enumerate(v) if x))
+
+
 def reference_nullspace(rows, ncols: int):
     """sympy's nullspace basis, as Fraction tuples."""
     return [tuple(_fraction(x) for x in v)

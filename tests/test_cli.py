@@ -218,6 +218,21 @@ class TestOutput:
         payload = json.loads(path.read_text())
         assert payload["generic"] is True
 
+    @pytest.mark.parametrize("equation, locus", [
+        ("eq2", "generic away from y2 = 0"),
+        ("flat", "generic everywhere (constant nonzero)"),
+        ("(y2 + 2*y1^2)^(2/3)", "generic away from 2*y1^2 + y2 = 0"),
+        ("y2^2*(y1+y)^(1/3)", "generic away from y + y1 = 0"),
+        ("y2^2*ln(y)", "generic off the zero locus of the printed expression"),
+        ("y2^2*exp(y)", "generic everywhere"),
+    ])
+    def test_genericity_locus(self, capsys, equation, locus):
+        # a multi-term power base is named whole, and an ln atom vanishes
+        # where its argument is 1
+        code, out, _ = run(capsys, "genericity", equation, "--json")
+        assert code == 0
+        assert json.loads(out)["locus"] == locus
+
     def test_inline_equation(self, capsys):
         code, out, _ = run(capsys, "genericity", "x + y*y2")
         assert code == 0

@@ -7,7 +7,8 @@ import pytest
 
 from mongesym.charts import J2, J20, PLANE, ChartMismatchError
 from mongesym.expr import (EvaluationError, Expr, NonRationalPowerError,
-                           ExpAtom)
+                           ExpAtom, _poly_sorted, _power_parts, _unit_coord_index,
+                           mono_from_dict)
 from mongesym.parser import ParseError, parse
 
 from helpers import admissible_point, random_expr
@@ -135,6 +136,32 @@ class TestArithmetic:
             rebuilt = Expr.from_raw(
                 e.chart, [(t.coefficient, t.monomial, t.atoms) for t in e.terms])
             assert rebuilt == e
+
+    def test_power_parts_returns_no_bare_coordinate_atom(self):
+        # _canonical_term folds a bare-coordinate power into the monomial
+        # only before it calls _power_parts
+        rng = random.Random(1305)
+        nvars = len(J20.coords)
+        kinds = set()
+        for _ in range(3000):
+            terms = {}
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                mono = mono_from_dict({i: rng.randint(-1, 2)
+                                       for i in rng.sample(range(nvars), rng.randint(0, 2))})
+                terms[mono] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                       rng.randint(1, 4))
+            base = _poly_sorted(terms, nvars)
+            q = Fraction(rng.randint(-7, 7), rng.randint(2, 6))
+            if q.denominator == 1:
+                continue
+            try:
+                _, _, atoms, _ = _power_parts(base, q, nvars)
+            except NonRationalPowerError:
+                continue
+            for a in atoms:
+                assert _unit_coord_index(a.base) is None, (base, q)
+                kinds.add(len(a.base) > 1)
+        assert kinds == {False, True}
 
 
 class TestDifferentiation:

@@ -1,13 +1,16 @@
 """The one elimination engine on rational input, checked against sympy."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from mongesym.linalg import KeyedSpan, kernel, reduced_rows, solve_exact
+from mongesym.linalg import (KeyedSpan, SparseEchelon, canonical_basis, kernel,
+                             reduced_rows, solve_exact)
 
-from helpers import reference_nullspace, reference_rref, reference_solve
+from helpers import (reference_canonical_basis, reference_nullspace,
+                     reference_rref, reference_solve)
 
 
 def random_matrix(rng: random.Random):
@@ -40,6 +43,57 @@ def test_reduced_rows_is_the_sympy_rref():
         rows, ncols = random_matrix(random.Random(seed))
         expected = reference_rref(rows, ncols) if rows else ([], [])
         assert reduced_rows(rows) == expected, seed
+
+
+def test_reduced_is_the_sympy_rref_up_to_row_scaling():
+    for seed in SEEDS:
+        rows, ncols = random_matrix(random.Random(seed))
+        echelon = SparseEchelon()
+        for row in rows:
+            denom = math.lcm(*(x.denominator for x in row))
+            echelon.insert({c: int(x * denom) for c, x in enumerate(row) if x})
+        reduced = echelon.reduced()
+        got = []
+        for p in sorted(reduced):
+            row = reduced[p]
+            assert row[p] > 0 and math.gcd(*row.values()) == 1, seed
+            got.append(tuple(Fraction(row.get(c, 0), row[p]) for c in range(ncols)))
+        expected = reference_rref(rows, ncols) if rows else ([], [])
+        assert (got, sorted(reduced)) == expected, seed
+
+
+def wide_vectors(rng: random.Random):
+    """Up to 6 sparse integer vectors of up to 60 entries, the shape of a
+    solver basis: vectors with distinct largest columns, recombined by a
+    random integer matrix, which may be singular."""
+    n = rng.randint(1, 60)
+    k = rng.randint(1, min(6, n))
+    vectors = []
+    for top in sorted(rng.sample(range(n), k)):
+        v = [0] * n
+        v[top] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        for c in range(top):
+            if rng.random() < 0.3:
+                v[c] = rng.randint(-9, 9)
+        vectors.append(v)
+    rng.shuffle(vectors)
+    mixed = []
+    for _ in range(k):
+        weights = [rng.randint(-3, 3) for _ in range(k)]
+        mixed.append(tuple(sum(w * v[c] for w, v in zip(weights, vectors))
+                           for c in range(n)))
+    return mixed
+
+
+def test_canonical_basis_is_the_sympy_rref_over_reversed_columns():
+    checked = 0
+    for seed in SEEDS:
+        vectors = wide_vectors(random.Random(seed))
+        if len(reference_rref(vectors, len(vectors[0]))[1]) < len(vectors):
+            continue
+        checked += 1
+        assert canonical_basis(vectors) == reference_canonical_basis(vectors), seed
+    assert checked > 200
 
 
 def test_kernel_is_the_sympy_nullspace_basis():

@@ -1,8 +1,10 @@
-"""Every function the benchmark's layer trace wraps still exists.
+"""Every function the benchmark's layer trace wraps still exists, and every
+measure it takes still reads the result it is given.
 
-perfbench/layertrace.py reports a renamed or deleted target as missing and
-carries on, so without this check a refactor would quietly drop a layer
-from the benchmark's per-layer metrics.
+perfbench/layertrace.py reports a renamed or deleted target, or a measure
+that breaks on a changed result shape, as missing and carries on, so
+without these checks a refactor would quietly drop a layer from the
+benchmark's per-layer metrics.
 """
 
 import importlib
@@ -12,10 +14,12 @@ import sys
 
 import pytest
 
+from mongesym import cli
+
 LAYERTRACE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "layertrace.py")
 
 
-def trace_targets():
+def layertrace():
     spec = importlib.util.spec_from_file_location("_layertrace", LAYERTRACE)
     module = importlib.util.module_from_spec(spec)
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
@@ -23,13 +27,31 @@ def trace_targets():
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = dont_write
-    return module.TARGETS
+    return module
 
 
 @pytest.mark.parametrize("module_name,attribute",
-                         sorted({t[:2] for t in trace_targets()}))
+                         sorted({t[:2] for t in layertrace().TARGETS}))
 def test_trace_target_resolves(module_name, attribute):
     target = importlib.import_module(module_name)
     for part in attribute.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def test_trace_measures_read_every_result(capsys):
+    recorder = layertrace().Recorder()
+    recorder.install()
+    try:
+        for argv in (("solve", "eq2", "--degree", "1", "--json"),
+                     ("structure", "eq2", "--json"),
+                     ("verify", "eq2", "S1", "--json"),
+                     ("genericity", "eq2", "--json")):
+            assert cli.main(list(argv)) == 0, argv
+    finally:
+        recorder.uninstall()
+    capsys.readouterr()
+    assert recorder.missing == []
+    for counter in ("solver.unknowns", "solver.rows", "linalg.sparse_nullspace.rank",
+                    "liealg.close_under_bracket.pairs"):
+        assert counter in recorder.counters, counter
