@@ -77,7 +77,12 @@ def _json_field(source: str) -> VectorField:
         raise UsageError(f"bad field JSON {source!r}: {exc}") from None
     if data.get("chart") != "J20":
         raise UsageError(f"field {source!r} is not on chart J20")
-    coefficients = data.get("coefficients", {})
+    unknown = data.keys() - {"chart", "coefficients"}
+    if unknown:
+        raise UsageError(f"bad field JSON {source!r}: unknown key {min(unknown)!r}")
+    if "coefficients" not in data:
+        raise UsageError(f"bad field JSON {source!r}: no \"coefficients\" key")
+    coefficients = data["coefficients"]
     if not isinstance(coefficients, dict):
         raise UsageError(f"bad field JSON {source!r}: coefficients must be an object")
     try:

@@ -21,6 +21,19 @@ attempted: (4*y2)^(1/3) is not rewritten as 4^(1/3)*y2^(1/3) because the
 content 4^(1/3) is irrational, and no polynomial factorization is performed.
 Zero-testing is complete on the fragment actually exercised here (all bases
 that occur are primitive after content extraction).
+
+Every term of an Expr is canonical: _canonical_term returns it unchanged.
+Its coefficient is nonzero; its monomial is sorted with nonzero integer
+exponents; its atoms are sorted by atom_sort_key, with at most one exp atom,
+power atoms on distinct bases, and no coordinate both in the monomial and as
+the base of a power atom (a bare coordinate with a fractional exponent).
+Arithmetic relies on this: _normalize takes terms known to be canonical as
+`ready` and sends only the others with atoms through _canonical_term (an
+atom-free term whose monomial is in Mono form is canonical as it stands).
+Sums, scalings and the monomial part of a partial stay canonical, and so
+does a product of two terms when neither has atoms, or when one is
+atom-free and its monomial avoids the other's bare-coordinate power atoms
+(y2 * y2^(1/3) must become y2^(4/3)); see multiply_terms.
 """
 
 from __future__ import annotations
@@ -28,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Union
 
 from .charts import Chart, require_same_chart
@@ -394,30 +408,45 @@ def _canonical_term(coeff: Fraction, mono: Mono, atoms: Iterable, nvars: int):
     return coeff, mono_from_dict(mono_out), tuple(out_atoms), polys
 
 
-def _normalize(chart: Chart, raw) -> tuple:
-    nvars = len(chart)
-    acc: dict = {}
+def _canonical_terms(raw, nvars: int):
+    """The nonzero canonical terms a sum of raw terms expands to, with
+    repeats; an atom-free raw term is canonical as it stands."""
     stack = list(raw)
     while stack:
         coeff, mono, atoms = stack.pop()
         if coeff == 0:
             continue
-        coeff, mono, atoms, polys = _canonical_term(coeff, mono, atoms, nvars)
-        if coeff == 0:
-            continue
-        if polys:
-            prod = polys[0]
-            for p in polys[1:]:
-                prod = poly_mul(prod, p, nvars)
-            for m2, c2 in prod:
-                stack.append((coeff * c2, mono_mul(mono, m2), atoms))
-            continue
+        if atoms:
+            coeff, mono, atoms, polys = _canonical_term(coeff, mono, atoms, nvars)
+            if coeff == 0:
+                continue
+            if polys:
+                prod = polys[0]
+                for p in polys[1:]:
+                    prod = poly_mul(prod, p, nvars)
+                for m2, c2 in prod:
+                    stack.append((coeff * c2, mono_mul(mono, m2), atoms))
+                continue
+        yield coeff, mono, atoms
+
+
+def _normalize(chart: Chart, raw, ready=()) -> tuple:
+    """The sorted canonical terms of a sum of (coefficient, monomial, atoms)
+    triples: the ready ones are canonical already and are only collected,
+    the raw ones go through _canonical_terms."""
+    nvars = len(chart)
+    acc: dict = {}
+    for coeff, mono, atoms in chain(ready, _canonical_terms(raw, nvars)):
         key = (mono, atoms)
-        c2 = acc.get(key, Fraction(0)) + coeff
-        if c2:
-            acc[key] = c2
+        c2 = acc.get(key)
+        if c2 is None:
+            acc[key] = coeff
         else:
-            acc.pop(key, None)
+            c2 += coeff
+            if c2:
+                acc[key] = c2
+            else:
+                del acc[key]
     terms = [Term(c, m, a) for (m, a), c in acc.items()]
     terms.sort(
         key=lambda t: (mono_key(t.monomial, nvars),
@@ -425,6 +454,37 @@ def _normalize(chart: Chart, raw) -> tuple:
         reverse=True,
     )
     return tuple(terms)
+
+
+def _bare_coords(atoms) -> frozenset:
+    """The coordinates that occur as the base of a power atom."""
+    return frozenset(i for a in atoms if isinstance(a, PowerAtom)
+                     for i in (_unit_coord_index(a.base),) if i is not None)
+
+
+def _clash(mono: Mono, bare: frozenset) -> bool:
+    return any(i in bare for i, _ in mono)
+
+
+def multiply_terms(ready: list, raw: list, left, right, sign=1) -> None:
+    """Append sign times every product of a left and a right canonical
+    term: to ready when the product is canonical as it stands (see the
+    module docstring), to raw otherwise."""
+    if not (left and right):
+        return
+    right = [(t, _bare_coords(t.atoms) if t.atoms else None) for t in right]
+    for t1 in left:
+        c1 = t1.coefficient if sign == 1 else sign * t1.coefficient
+        m1, a1 = t1.monomial, t1.atoms
+        b1 = _bare_coords(a1) if a1 else None
+        for t2, b2 in right:
+            m2 = t2.monomial
+            product = (c1 * t2.coefficient, mono_mul(m1, m2), a1 + t2.atoms)
+            if b1 is None:
+                canonical = b2 is None or not _clash(m1, b2)
+            else:
+                canonical = b2 is None and not _clash(m2, b1)
+            (ready if canonical else raw).append(product)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +499,11 @@ class Expr:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_raw(chart: Chart, raw) -> "Expr":
-        return Expr(chart, _normalize(chart, raw))
+    def from_raw(chart: Chart, raw, ready=()) -> "Expr":
+        """The canonical sum of raw (coefficient, monomial, atoms) triples,
+        whose monomials are in Mono form, and of ready ones, which must be
+        canonical terms already."""
+        return Expr(chart, _normalize(chart, raw, ready))
 
     @staticmethod
     def zero(chart: Chart) -> "Expr":
@@ -463,7 +526,7 @@ class Expr:
     def __add__(self, other: "Expr") -> "Expr":
         require_same_chart(self, other)
         return Expr.from_raw(
-            self.chart,
+            self.chart, (),
             [(t.coefficient, t.monomial, t.atoms) for t in self.terms]
             + [(t.coefficient, t.monomial, t.atoms) for t in other.terms],
         )
@@ -486,13 +549,9 @@ class Expr:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         require_same_chart(self, other)
-        raw = []
-        for t1 in self.terms:
-            for t2 in other.terms:
-                raw.append((t1.coefficient * t2.coefficient,
-                            mono_mul(t1.monomial, t2.monomial),
-                            t1.atoms + t2.atoms))
-        return Expr.from_raw(self.chart, raw)
+        ready, raw = [], []
+        multiply_terms(ready, raw, self.terms, other.terms)
+        return Expr.from_raw(self.chart, raw, ready)
 
     __rmul__ = __mul__
 
@@ -557,13 +616,14 @@ class Expr:
     def diff(self, coord: str) -> "Expr":
         idx = self.chart.index(coord)
         nvars = len(self.chart)
-        raw = []
+        ready, raw = [], []
         for t in self.terms:
+            # lowering a monomial exponent keeps a term canonical
             for j, e in t.monomial:
                 if j == idx:
-                    raw.append((t.coefficient * e,
-                                mono_mul(t.monomial, ((idx, -1),)),
-                                t.atoms))
+                    ready.append((t.coefficient * e,
+                                  mono_mul(t.monomial, ((idx, -1),)),
+                                  t.atoms))
             for k, atom in enumerate(t.atoms):
                 rest = t.atoms[:k] + t.atoms[k + 1:]
                 if isinstance(atom, PowerAtom):
@@ -575,18 +635,18 @@ class Expr:
                                     mono_mul(t.monomial, m2),
                                     rest + (PowerAtom(atom.base, atom.exponent - 1),)))
                 elif isinstance(atom, ExpAtom):
-                    da = poly_diff(atom.argument, idx, nvars)
-                    for m2, c2 in da:
-                        raw.append((t.coefficient * c2,
-                                    mono_mul(t.monomial, m2),
-                                    t.atoms))
+                    # a product with an atom-free term (see multiply_terms)
+                    bare = _bare_coords(t.atoms)
+                    for m2, c2 in poly_diff(atom.argument, idx, nvars):
+                        (raw if _clash(m2, bare) else ready).append(
+                            (t.coefficient * c2, mono_mul(t.monomial, m2), t.atoms))
                 else:  # LnAtom
                     da = poly_diff(atom.argument, idx, nvars)
                     for m2, c2 in da:
                         raw.append((t.coefficient * c2,
                                     mono_mul(t.monomial, m2),
                                     rest + (PowerAtom(atom.argument, Fraction(-1)),)))
-        return Expr.from_raw(self.chart, raw)
+        return Expr.from_raw(self.chart, raw, ready)
 
     # -- evaluation --------------------------------------------------------
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .charts import Chart, ChartMismatchError, J2, J20, PLANE, require_same_chart
-from .expr import Expr, ExprError, mono_mul
+from .expr import Expr, ExprError, multiply_terms
 from .parser import parse
 
 
@@ -106,21 +106,19 @@ class VectorField:
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     """[V, W]_i = sum_j (V_j dW_i/du_j - W_j dV_i/du_j).
 
-    The products of both sums are gathered as raw terms and each coefficient
-    is normalized once.
+    The products of both sums are gathered as terms and each coefficient
+    is normalized once; only the products that are not canonical as they
+    stand go through the canonicalizer.
     """
     require_same_chart(v, w)
+    ready = [[] for _ in v.coefficients]
     raw = [[] for _ in v.coefficients]
     for a, b, sign in ((v, w, 1), (w, v, -1)):
-        for j, aj in enumerate(a.coefficients):
-            for t1 in aj.terms:
-                c1 = sign * t1.coefficient
-                for i, row in enumerate(b.jacobian):
-                    raw[i].extend((c1 * t2.coefficient,
-                                   mono_mul(t1.monomial, t2.monomial),
-                                   t1.atoms + t2.atoms)
-                                  for t2 in row[j].terms)
-    return VectorField(v.chart, tuple(Expr.from_raw(v.chart, r) for r in raw))
+        for aj, column in zip(a.coefficients, zip(*b.jacobian)):
+            for i, partial in enumerate(column):
+                multiply_terms(ready[i], raw[i], aj.terms, partial.terms, sign)
+    return VectorField(v.chart, tuple(Expr.from_raw(v.chart, r, c)
+                                      for r, c in zip(raw, ready)))
 
 
 @dataclass(frozen=True)
@@ -248,8 +246,8 @@ def _carry_terms(e: Expr, target: Chart) -> Expr:
     if e.chart.coords[:shared] != target.coords[:shared]:
         raise ChartMismatchError(
             f"charts {e.chart.name} and {target.name} share no coordinate prefix")
-    return Expr.from_raw(target, [(t.coefficient, t.monomial, t.atoms)
-                                  for t in e.terms])
+    return Expr.from_raw(target, (), [(t.coefficient, t.monomial, t.atoms)
+                                      for t in e.terms])
 
 
 def restrict_chart(e: Expr, target: Chart) -> Expr:

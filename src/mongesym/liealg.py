@@ -66,14 +66,15 @@ def express_in_basis(v: VectorField, basis):
 
 def _verify_combination(v: VectorField, basis, coords) -> None:
     """The symbolic zero-test behind every answer: raise unless
-    v - sum(coords[k] * basis[k]) is zero, one normalization per coefficient."""
+    v - sum(coords[k] * basis[k]) is zero, one normalization per coefficient.
+    Every term is a multiple of a canonical one, so none is re-canonicalized."""
     for i, vc in enumerate(v.coefficients):
-        raw = [(t.coefficient, t.monomial, t.atoms) for t in vc.terms]
+        ready = [(t.coefficient, t.monomial, t.atoms) for t in vc.terms]
         for c, b in zip(coords, basis):
             if c:
-                raw.extend((-c * t.coefficient, t.monomial, t.atoms)
-                           for t in b.coefficients[i].terms)
-        if not Expr.from_raw(v.chart, raw).is_zero():
+                ready.extend((-c * t.coefficient, t.monomial, t.atoms)
+                             for t in b.coefficients[i].terms)
+        if not Expr.from_raw(v.chart, (), ready).is_zero():
             raise ArithmeticError("key match and zero-test disagree")
 
 

@@ -70,7 +70,7 @@ class SparseEchelon:
         self.pivots: dict = {}   # leading column -> normalized row
 
     def reduce_row(self, row: dict) -> dict:
-        row = dict(row)
+        row = {c: v for c, v in row.items() if v}
         while row:
             c = min(row)
             piv = self.pivots.get(c)

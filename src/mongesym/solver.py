@@ -430,8 +430,9 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
 
     The rows are built and eliminated once, at max_degree, and every lower
     degree is read off the same graded elimination (nullspace).
-    Stabilization (two consecutive degrees with equal dimension) is a
-    reporting heuristic, not a completeness theorem for the ansatz class.
+    Stabilization (the last two degrees have equal dimension; stabilized_at
+    is the first degree of that final plateau) is a reporting heuristic, not
+    a completeness theorem for the ansatz class.
     Every basis field is verified symbolically.  Every per-degree timing is
     the seconds of that one shared elimination.
     """
@@ -459,8 +460,11 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
     dims = [row["dimension"] for row in table]
     if any(a > b for a, b in zip(dims, dims[1:])):
         raise AssertionError("dimension must be monotone in the degree")
-    stabilized_at = next((row["degree"] for prev, row in zip(table, table[1:])
-                          if row["dimension"] == prev["dimension"]), None)
+    stabilized_at = None
+    if len(dims) > 1 and dims[-1] == dims[-2]:
+        # dimensions are monotone, so the final plateau starts one degree
+        # after the first degree with the last dimension
+        stabilized_at = table[dims.index(dims[-1]) + 1]["degree"]
     basis_fields = [system.ansatz.assemble(v) for v in vectors]
     verified = all(is_symmetry(f, distribution).ok for f in basis_fields)
     lap("assemble_verify_s")

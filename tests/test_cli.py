@@ -117,6 +117,8 @@ class TestExitCodes:
         '{"chart": ',                                # malformed JSON
         '{"chart":"J20","coefficients":{"x":1}}',    # not a string
         '{"chart":"J20","coefficients":["x"]}',      # not an object
+        '{"chart":"J20","coefficient":{"x":"1"}}',   # misspelled key
+        '{"chart":"J20"}',                           # no coefficients
         "@no/such/field.json",                       # missing file
     ])
     def test_bad_field_is_two(self, capsys, field):
@@ -124,6 +126,12 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_explicit_empty_coefficients_are_the_zero_field(self, capsys):
+        field = '{"chart":"J20","coefficients":{}}'
+        code, out, err = run(capsys, "verify", "eq2", field, "--json")
+        assert (code, err) == (0, "")
+        assert [f["symmetry"] for f in json.loads(out)["fields"]] == [True]
 
     def test_structure_field_off_j20_is_two(self, capsys):
         code, out, err = run(capsys, "structure", "eq2", "equiaffine4")
@@ -270,6 +278,15 @@ class TestOutput:
                            "--offsets", "0,1/3,1/3")
         assert code == 0
         assert "offsets: 0, 1/3\n" in out
+
+    def test_stabilization_reads_the_last_plateau(self, capsys):
+        # dimensions 3, 6, 6, 6, 6, 7: the plateau at 6 is not the last one
+        code, out, _ = run(capsys, "solve", "y2^3", "--degree", "5")
+        assert code == 0
+        assert "not stabilized within the degree bound; last dimension 7\n" in out
+        code, out, _ = run(capsys, "solve", "y2^3", "--degree", "4", "--json")
+        payload = json.loads(out)
+        assert (payload["stabilized"], payload["stabilized_at"]) == (True, 2)
 
     @pytest.mark.parametrize("flag, value", [("--offsets", "-1/3,0,1/3"),
                                              ("--rates", "-1,0")])

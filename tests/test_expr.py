@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from mongesym import expr
 from mongesym.charts import J2, J20, PLANE, ChartMismatchError
 from mongesym.expr import (EvaluationError, Expr, NonRationalPowerError,
-                           ExpAtom, _poly_sorted, _power_parts, _unit_coord_index,
-                           mono_from_dict)
+                           ExpAtom, _canonical_term, _poly_sorted, _power_parts,
+                           _unit_coord_index, mono_from_dict, mono_mul, poly_mul)
+from mongesym.fields import VectorField, extend_chart, lie_bracket, restrict_chart
 from mongesym.parser import ParseError, parse
 
 from helpers import admissible_point, random_expr
@@ -295,3 +297,108 @@ class TestPrinting:
     def test_plane_chart(self):
         e = parse("x*y - 2", PLANE)
         assert str(e) == "x*y - 2"
+
+
+def reference_normalize(chart, raw, ready=(), normalize=expr._normalize):
+    """Every term, ready or raw, through _canonical_term; the canonical
+    results are then summed by the package's normalizer."""
+    nvars = len(chart)
+    out = []
+    stack = [*raw, *ready]
+    while stack:
+        coeff, mono, atoms = stack.pop()
+        coeff, mono, atoms, polys = _canonical_term(coeff, mono, atoms, nvars)
+        if coeff == 0:
+            continue
+        if not polys:
+            out.append((coeff, mono, atoms))
+            continue
+        prod = polys[0]
+        for p in polys[1:]:
+            prod = poly_mul(prod, p, nvars)
+        stack.extend((coeff * c, mono_mul(mono, m), atoms) for m, c in prod)
+    return normalize(chart, (), out)
+
+
+# Factors whose products exercise every merge _canonical_term performs: a
+# coordinate against its own fractional power, exp arguments that cancel,
+# repeated power bases, ln atoms and negative monomial exponents.
+PIECES = ("y2", "y2^(1/3)", "y2^(-4/3)", "y2^(-1)", "x^(-2)*y1", "y1^(1/2)",
+          "exp(x)", "exp(-x)", "exp(y + 2*x)", "exp(y1*y2)", "ln(y1)", "ln(y1 + y2)",
+          "(y1 + y2)^(1/3)", "(y1 + y2)^(2/3)", "(y1 + y2)^(-1/3)",
+          "(y2 - 1/2*y1^2)^(2/3)", "(2*y2)^(1/3)", "x*y", "z", "3/2")
+
+
+def random_mixed_expr(rng: random.Random) -> Expr:
+    e = random_expr(rng) if rng.random() < 0.3 else Expr.zero(J20)
+    for _ in range(rng.randint(1, 3)):
+        term = Expr.constant(J20, Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 3)):
+            term = term * P(rng.choice(PIECES))
+        e = e + term
+    return e
+
+
+def assert_canonical(e: Expr):
+    n = len(e.chart)
+    for t in e.terms:
+        assert _canonical_term(t.coefficient, t.monomial, t.atoms, n) == \
+            (t.coefficient, t.monomial, t.atoms, []), (str(e), t)
+
+
+class TestCanonicalFastPaths:
+    """Sums, products, partials and brackets keep canonical terms out of
+    _canonical_term; they must agree with a normalizer that sends every
+    term through it."""
+
+    def test_clash_with_a_bare_coordinate_power(self):
+        assert P("y2") * P("y2^(1/3)") == P("y2^(4/3)")
+        assert str(P("x*y2") * P("y2^(1/3)*exp(x)")) == "x*y2^(4/3)*exp(x)"
+        assert P("exp(x)") * P("exp(-x)") == P("1")
+        assert P("y2^(1/3)*exp(x)").diff("x") == P("y2^(1/3)*exp(x)")
+        assert P("exp(y2^2)*y2^(1/3)").diff("y2") == \
+            P("2*y2^(4/3)*exp(y2^2) + 1/3*y2^(-2/3)*exp(y2^2)")
+
+    def test_matches_the_reference_normalizer(self, monkeypatch):
+        rng = random.Random(1101)
+        cases = []
+        for _ in range(250):
+            a, b = random_mixed_expr(rng), random_mixed_expr(rng)
+            cases.append((a, b, rng.choice(J20.coords)))
+        fast = [(a * b, a + b, a - b, a.diff(v), (a * b).diff(v))
+                for a, b, v in cases]
+        monkeypatch.setattr(expr, "_normalize", reference_normalize)
+        slow = [(a * b, a + b, a - b, a.diff(v), (a * b).diff(v))
+                for a, b, v in cases]
+        assert fast == slow
+        for results in fast:
+            for e in results:
+                assert_canonical(e)
+
+    def test_brackets_and_chart_changes_match_the_reference(self, monkeypatch):
+        rng = random.Random(1102)
+        pairs = [tuple(VectorField(J20, tuple(random_mixed_expr(rng) for _ in range(5)))
+                       for _ in range(2)) for _ in range(12)]
+        small = [parse("x*y2^(1/3) + y1*exp(x) - ln(y)*x^(-1)", J2),
+                 parse("y^(1/2)*x + 1/3", PLANE)]
+
+        def run():
+            # fresh fields, so that no partial is read from a cache
+            return ([lie_bracket(*(VectorField(J20, f.coefficients) for f in pair))
+                     for pair in pairs],
+                    [extend_chart(e, J20) for e in small])
+
+        fast, extended = run()
+        assert [restrict_chart(e, s.chart) for e, s in zip(extended, small)] == small
+        monkeypatch.setattr(expr, "_normalize", reference_normalize)
+        assert run() == (fast, extended)
+        for f in fast:
+            for e in f.coefficients:
+                assert_canonical(e)
+
+    def test_canonical_term_is_idempotent(self):
+        rng = random.Random(1103)
+        for _ in range(300):
+            assert_canonical(random_mixed_expr(rng))
+        for text in PIECES:
+            assert_canonical(P(text))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mongesym.linalg import (KeyedSpan, SparseEchelon, canonical_basis, kernel,
-                             reduced_rows, solve_exact)
+                             reduced_rows, solve_exact, sparse_nullspace)
 
 from helpers import (reference_canonical_basis, reference_nullspace,
                      reference_rref, reference_solve)
@@ -117,6 +117,14 @@ def test_solve_exact_is_none_exactly_when_inconsistent():
             assert got == reference_solve(rows, rhs, ncols), seed
             outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+def test_explicit_zero_entries_are_dropped():
+    assert sparse_nullspace([{0: 0, 1: 1}], 2) == (1, [(1, 0)])
+    echelon = SparseEchelon()
+    assert echelon.insert({0: 2, 1: 0})
+    assert echelon.reduce_row({0: 0, 1: 3}) == {1: 1}
+    assert not echelon.insert({0: 0})
 
 
 def test_solve_exact_without_rows_or_columns():
