@@ -3,12 +3,16 @@
 Three fixed charts are used throughout: the mixed jet space J20 with
 coordinates (x, y, y1, y2, z), its z-free restriction J2, and the plane
 (x, y).  Expressions and vector fields always carry the chart they live on,
-and cross-chart arithmetic is rejected.
+and cross-chart arithmetic is rejected.  A chart has at most MAX_COORDS
+coordinates, J20's five, so that every monomial is one exponent vector of
+that length (see expr.Mono).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+MAX_COORDS = 5
 
 
 class ChartMismatchError(ValueError):
@@ -23,6 +27,9 @@ class Chart:
     def __post_init__(self):
         if len(set(self.coords)) != len(self.coords):
             raise ValueError(f"duplicate coordinate in chart {self.name}")
+        if len(self.coords) > MAX_COORDS:
+            raise ValueError(f"chart {self.name} has {len(self.coords)} coordinates, "
+                             f"more than {MAX_COORDS}")
 
     def index(self, coord: str) -> int:
         try:

@@ -131,12 +131,12 @@ def _vanishing_description(hessian: Expr) -> str:
     if len(hessian.terms) > 1 or any(isinstance(a, LnAtom) for a in t.atoms):
         return "generic off the zero locus of the printed expression"
     coords = hessian.chart.coords
-    positive = sorted(coords[i] for i, e in t.monomial if e > 0)
-    excluded = {coords[i] for i, e in t.monomial if e < 0}
+    positive = sorted(c for c, e in zip(coords, t.monomial) if e > 0)
+    excluded = {c for c, e in zip(coords, t.monomial) if e < 0}
     for a in t.atoms:
         if isinstance(a, PowerAtom):
             if len(a.base) == 1:
-                excluded.update(coords[i] for i, _ in a.base[0][0])
+                excluded.update(c for c, e in zip(coords, a.base[0][0]) if e)
             else:
                 excluded.add(poly_text(a.base, hessian.chart))
     if not positive and not excluded:
@@ -350,7 +350,7 @@ GOLDEN_BRACKET_TABLE = {
 }
 
 
-def run_reproduction(perturb: bool = False):
+def run_reproduction():
     """Execute the whole verification checklist; returns (items, notes)."""
     items = []
     notes = []
@@ -358,12 +358,7 @@ def run_reproduction(perturb: bool = False):
     def check(name, ok, detail=""):
         items.append({"item": name, "pass": bool(ok), "detail": detail})
 
-    S = catalog.symmetry_fields()
-    if perturb:
-        # negative-control hook: tamper the quadratic part of the third field
-        S = dict(S)
-        S["S3"] = S["S3"] + VectorField.from_strings(J20, {"y1": "y1"})
-    fields = list(S.values())
+    fields = list(catalog.symmetry_fields().values())
     m2 = catalog.eq2()
     d2 = distribution_from_monge(m2)
 
@@ -467,7 +462,7 @@ def run_reproduction(perturb: bool = False):
 
 
 def cmd_reproduce(args) -> int:
-    items, notes = run_reproduction(perturb=args.perturb)
+    items, notes = run_reproduction()
     ok = all(i["pass"] for i in items)
     payload = {"items": items, "notes": notes, "all_pass": ok}
 
@@ -559,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("reproduce", help="run the full verification checklist")
-    p.add_argument("--perturb", action="store_true", help=argparse.SUPPRESS)
     common(p)
     p.set_defaults(func=cmd_reproduce)
 

@@ -4,13 +4,12 @@ An expression is a finite sum of terms
 
     coefficient * monomial * atom * atom * ...
 
-where the coefficient is a Fraction, the monomial maps chart coordinates to
-integer exponents, and the atoms are fractional powers of polynomials,
-exponentials of polynomials, or logarithms of polynomials.  The constructor
-normalizes aggressively (merging equal power bases, folding integer
-exponents, absorbing single-coordinate powers) so that equality of canonical
-forms is decidable syntactically: an expression is zero iff its term list is
-empty.
+where the coefficient is a Fraction, the monomial is an exponent vector
+over the chart's coordinates (see Mono), and the atoms are fractional
+powers of polynomials, exponentials of polynomials, or logarithms of
+polynomials.  The constructor normalizes aggressively (merging equal power
+bases, folding integer exponents, absorbing single-coordinate powers) and
+an expression is zero iff its term list is empty.
 
 Monomial exponents may be negative (y2^(-1) arises from products such as
 y2^(1/3) * y2^(-4/3) and from differentiating ln); evaluation guards against
@@ -19,38 +18,48 @@ vanishing denominators.
 Simplifications outside the supported fragment are intentionally not
 attempted: (4*y2)^(1/3) is not rewritten as 4^(1/3)*y2^(1/3) because the
 content 4^(1/3) is irrational, and no polynomial factorization is performed.
-Zero-testing is complete on the fragment actually exercised here (all bases
-that occur are primitive after content extraction).
+So the zero test is not complete: powers of one base whose exponents differ
+by an integer are kept as separate atoms.  With B = y2 - 1/2*y1^2, the
+identically zero y2*B^(-1/3) - 1/2*y1^2*B^(-1/3) - B^(2/3) keeps three
+terms; that is why `verify` rejects the scaling symmetry of strazzullo and
+`solve strazzullo --degree 2` reports 3 where the dimension is 4.
 
 Every term of an Expr is canonical: _canonical_term returns it unchanged.
-Its coefficient is nonzero; its monomial is sorted with nonzero integer
-exponents; its atoms are sorted by atom_sort_key, with at most one exp atom,
-power atoms on distinct bases, and no coordinate both in the monomial and as
-the base of a power atom (a bare coordinate with a fractional exponent).
+Its coefficient is nonzero; its atoms are sorted by atom_sort_key, with at
+most one exp atom, power atoms on distinct bases, and no coordinate both
+with a nonzero monomial exponent and as the base of a power atom (a bare
+coordinate with a fractional exponent).
 Arithmetic relies on this: _normalize takes terms known to be canonical as
 `ready` and sends only the others with atoms through _canonical_term (an
-atom-free term whose monomial is in Mono form is canonical as it stands).
+atom-free term is canonical as it stands).
 Sums, scalings and the monomial part of a partial stay canonical, and so
 does a product of two terms when neither has atoms, or when one is
 atom-free and its monomial avoids the other's bare-coordinate power atoms
 (y2 * y2^(1/3) must become y2^(4/3)); see multiply_terms.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Mapping, Union
+from operator import add, sub
+from typing import Iterable, Mapping, NamedTuple, Union
 
-from .charts import Chart, require_same_chart
+from .charts import MAX_COORDS, Chart, require_same_chart
 from .rationals import exact_pow
 
-Mono = tuple  # tuple[(coord_index, exponent), ...] sorted by index, exponent != 0
+# A monomial is a tuple of MAX_COORDS integer exponents, entry i for the
+# chart's coordinate i.  J2 and PLANE are prefixes of J20, so their
+# monomials are J20's with the trailing exponents zero, and the graded-lex
+# order mono_key gives is the same on every chart.
+Mono = tuple
 Poly = tuple  # tuple[(Mono, Fraction), ...] in canonical descending term order
 
-ONE_MONO: Mono = ()
+ONE_MONO: Mono = (0,) * MAX_COORDS
+UNIT_MONOS = tuple(tuple(int(i == j) for j in range(MAX_COORDS))
+                   for i in range(MAX_COORDS))
+_UNIT_INDEX = {m: i for i, m in enumerate(UNIT_MONOS)}
 
 
 class ExprError(ValueError):
@@ -77,49 +86,31 @@ class EvaluationError(ExprError):
 # monomials
 # ---------------------------------------------------------------------------
 
-def mono_from_dict(d: Mapping[int, int]) -> Mono:
-    return tuple(sorted((i, e) for i, e in d.items() if e))
-
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    d = dict(a)
-    for i, e in b:
-        e2 = d.get(i, 0) + e
-        if e2:
-            d[i] = e2
-        else:
-            del d[i]
-    return tuple(sorted(d.items()))
+    return tuple(map(add, a, b))
 
 def mono_pow(m: Mono, k: int) -> Mono:
-    if k == 0:
-        return ONE_MONO
-    return tuple((i, e * k) for i, e in m)
+    return tuple(e * k for e in m)
 
-def mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
+def _mono_lower(m: Mono, idx: int) -> Mono:
+    """m divided by coordinate idx."""
+    return m[:idx] + (m[idx] - 1,) + m[idx + 1:]
 
-def mono_key(m: Mono, nvars: int):
+def mono_key(m: Mono):
     """Graded-lex key (total degree first, then exponent vector)."""
-    dense = [0] * nvars
-    for i, e in m:
-        dense[i] = e
-    return (mono_degree(m), tuple(dense))
+    return (sum(m), m)
 
 
 # ---------------------------------------------------------------------------
 # atom-free polynomials (used for power bases and exp/ln arguments)
 # ---------------------------------------------------------------------------
 
-def _poly_sorted(d: dict, nvars: int) -> Poly:
+def _poly_sorted(d: dict) -> Poly:
     items = [(m, c) for m, c in d.items() if c]
-    items.sort(key=lambda mc: mono_key(mc[0], nvars), reverse=True)
+    items.sort(key=lambda mc: mono_key(mc[0]), reverse=True)
     return tuple(items)
 
-def poly_add(a: Poly, b: Poly, nvars: int) -> Poly:
+def poly_add(a: Poly, b: Poly) -> Poly:
     d = dict(a)
     for m, c in b:
         c2 = d.get(m, Fraction(0)) + c
@@ -127,14 +118,14 @@ def poly_add(a: Poly, b: Poly, nvars: int) -> Poly:
             d[m] = c2
         else:
             d.pop(m, None)
-    return _poly_sorted(d, nvars)
+    return _poly_sorted(d)
 
 def poly_scale(a: Poly, s: Fraction) -> Poly:
     if s == 0:
         return ()
     return tuple((m, c * s) for m, c in a)
 
-def poly_mul(a: Poly, b: Poly, nvars: int) -> Poly:
+def poly_mul(a: Poly, b: Poly) -> Poly:
     d: dict = {}
     for m1, c1 in a:
         for m2, c2 in b:
@@ -144,7 +135,7 @@ def poly_mul(a: Poly, b: Poly, nvars: int) -> Poly:
                 d[m] = c
             else:
                 d.pop(m, None)
-    return _poly_sorted(d, nvars)
+    return _poly_sorted(d)
 
 def _check_power_size(c: Fraction, q: Fraction) -> None:
     """Raise ExprError when c**q would have more than MAX_POWER_BITS bits."""
@@ -162,63 +153,49 @@ def _check_expansion_size(k: int, n: int) -> None:
                         f"takes over {MAX_POWER_PRODUCTS} products")
 
 
-def poly_pow(a: Poly, k: int, nvars: int) -> Poly:
+def poly_pow(a: Poly, k: int) -> Poly:
     _check_expansion_size(len(a), k)
     out: Poly = ((ONE_MONO, Fraction(1)),)
     for _ in range(k):
-        out = poly_mul(out, a, nvars)
+        out = poly_mul(out, a)
     return out
 
-def poly_diff(a: Poly, idx: int, nvars: int) -> Poly:
-    d: dict = {}
-    for m, c in a:
-        for j, e in m:
-            if j == idx:
-                m2 = mono_mul(m, ((idx, -1),))
-                c2 = d.get(m2, Fraction(0)) + c * e
-                if c2:
-                    d[m2] = c2
-                else:
-                    d.pop(m2, None)
-    return _poly_sorted(d, nvars)
+def poly_diff(a: Poly, idx: int) -> Poly:
+    # lowering one exponent keeps distinct monomials distinct and in order
+    return tuple((_mono_lower(m, idx), c * m[idx]) for m, c in a if m[idx])
 
 def poly_eval(a: Poly, values) -> Fraction:
     total = Fraction(0)
     for m, c in a:
         v = c
-        for i, e in m:
-            base = values[i]
-            if e < 0 and base == 0:
-                raise ZeroDivisionError("negative power of zero in evaluation")
-            v *= Fraction(base) ** e
+        for base, e in zip(values, m):
+            if e:
+                if e < 0 and base == 0:
+                    raise ZeroDivisionError("negative power of zero in evaluation")
+                v *= Fraction(base) ** e
         total += v
     return total
 
-def poly_key(a: Poly, nvars: int):
-    return tuple((mono_key(m, nvars), c) for m, c in a)
+def _mono_approx(m: Mono, values) -> float:
+    return math.prod(x ** e for x, e in zip(values, m) if e)
+
+def poly_key(a: Poly):
+    return tuple((mono_key(m), c) for m, c in a)
 
 POLY_ONE: Poly = ((ONE_MONO, Fraction(1)),)
 
 
-def _poly_content_split(base: Poly, nvars: int):
-    """Split base into sign * content * common_monomial * primitive_part."""
-    union: set = set()
-    for m, _ in base:
-        union.update(i for i, _ in m)
-    common = {}
-    for i in union:
-        e = min(dict(m).get(i, 0) for m, _ in base)
-        if e:
-            common[i] = e
-    m_c = mono_from_dict(common)
+def _poly_content_split(base: Poly):
+    """Split a base of two or more terms into sign * content *
+    common_monomial * primitive_part."""
+    m_c = tuple(map(min, *(m for m, _ in base)))
     num_gcd = 0
     den_lcm = 1
     for _, c in base:
         num_gcd = math.gcd(num_gcd, abs(c.numerator))
         den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
     content = Fraction(num_gcd, den_lcm)
-    inv_m = mono_pow(m_c, -1)
-    reduced = tuple((mono_mul(m, inv_m), c / content) for m, c in base)
+    reduced = tuple((tuple(map(sub, m, m_c)), c / content) for m, c in base)
     sign = 1 if reduced[0][1] > 0 else -1
     if sign < 0:
         reduced = tuple((m, -c) for m, c in reduced)
@@ -247,29 +224,26 @@ Atom = Union[PowerAtom, ExpAtom, LnAtom]
 
 def _unit_coord_index(base: Poly):
     """Coordinate index when the base is a bare coordinate, else None."""
-    if len(base) == 1:
-        m, c = base[0]
-        if c == 1 and len(m) == 1 and m[0][1] == 1:
-            return m[0][0]
+    if len(base) == 1 and base[0][1] == 1:
+        return _UNIT_INDEX.get(base[0][0])
     return None
 
 def _coord_base(idx: int) -> Poly:
-    return ((((idx, 1),), Fraction(1)),)
+    return ((UNIT_MONOS[idx], Fraction(1)),)
 
-def atom_sort_key(atom: Atom, nvars: int):
+def atom_sort_key(atom: Atom):
     if isinstance(atom, PowerAtom):
-        return (0, poly_key(atom.base, nvars), atom.exponent)
+        return (0, poly_key(atom.base), atom.exponent)
     if isinstance(atom, ExpAtom):
-        return (1, poly_key(atom.argument, nvars), Fraction(0))
-    return (2, poly_key(atom.argument, nvars), Fraction(0))
+        return (1, poly_key(atom.argument), Fraction(0))
+    return (2, poly_key(atom.argument), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
 # terms and normalization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     coefficient: Fraction
     monomial: Mono
     atoms: tuple
@@ -283,10 +257,15 @@ def _odd_root_sign(s: Fraction, q: Fraction):
     return Fraction(1), s
 
 
-def _power_parts(base: Poly, q: Fraction, nvars: int):
+def _scaled_exponents(m: Mono, q) -> dict:
+    """The nonzero exponents of m**q, by coordinate index."""
+    return {i: e * q for i, e in enumerate(m) if e}
+
+
+def _power_parts(base: Poly, q: Fraction):
     """Decompose base**q into (rational_factor, coord_exponents, atoms, poly_factors).
 
-    coord_exponents maps coordinate index -> Fraction exponent contribution;
+    coord_exponents maps coordinate index -> exponent contribution;
     poly_factors are expanded polynomials to be multiplied into the carrying
     term (from non-negative integer powers of multi-term bases).
     """
@@ -294,38 +273,31 @@ def _power_parts(base: Poly, q: Fraction, nvars: int):
         if q > 0:
             return Fraction(0), {}, [], []
         raise ExprError("zero raised to a non-positive power")
-    coord: dict = {}
     if len(base) == 1:
         m, c = base[0]
         _check_power_size(c, q)
         if q.denominator == 1:
             n = int(q)
-            for i, e in m:
-                coord[i] = coord.get(i, Fraction(0)) + e * n
-            return c ** n, coord, [], []
+            return c ** n, _scaled_exponents(m, n), [], []
         cf = exact_pow(c, q)
         if cf is not None:
-            for i, e in m:
-                coord[i] = coord.get(i, Fraction(0)) + e * q
-            return cf, coord, [], []
-        if not m:
+            return cf, _scaled_exponents(m, q), [], []
+        if m == ONE_MONO:
             raise NonRationalPowerError(f"{c}^({q}) is not rational")
         sign_factor, c_kept = _odd_root_sign(c, q)
-        return sign_factor, coord, [PowerAtom(((m, c_kept),), q)], []
-    sign, content, m_c, primitive = _poly_content_split(base, nvars)
+        return sign_factor, {}, [PowerAtom(((m, c_kept),), q)], []
+    sign, content, m_c, primitive = _poly_content_split(base)
     _check_power_size(content, q)
     if q.denominator == 1:
         n = int(q)
         factor = Fraction(sign) ** n * content ** n
-        for i, e in m_c:
-            coord[i] = coord.get(i, Fraction(0)) + e * n
+        coord = _scaled_exponents(m_c, n)
         if n > 0:
-            return factor, coord, [], [poly_pow(primitive, n, nvars)]
+            return factor, coord, [], [poly_pow(primitive, n)]
         # negative integer power of an irreducible-for-us polynomial: kept as
         # an atom (closure needed by the ln chain rule)
         return factor, coord, [PowerAtom(primitive, q)], []
-    for i, e in m_c:
-        coord[i] = coord.get(i, Fraction(0)) + e * q
+    coord = _scaled_exponents(m_c, q)
     sc = exact_pow(Fraction(sign) * content, q)
     if sc is not None:
         return sc, coord, [PowerAtom(primitive, q)], []
@@ -333,9 +305,9 @@ def _power_parts(base: Poly, q: Fraction, nvars: int):
     return sign_factor, coord, [PowerAtom(poly_scale(primitive, kept_scale), q)], []
 
 
-def _canonical_term(coeff: Fraction, mono: Mono, atoms: Iterable, nvars: int):
+def _canonical_term(coeff: Fraction, mono: Mono, atoms: Iterable):
     """Return (coeff, mono, atoms, poly_factors); coeff 0 means the term died."""
-    coord: dict = {i: Fraction(e) for i, e in mono}
+    coord = list(mono)  # int exponents, Fraction once a power adds to one
     powers: dict = {}
     exp_arg: Poly = ()
     lns: list = []
@@ -346,7 +318,7 @@ def _canonical_term(coeff: Fraction, mono: Mono, atoms: Iterable, nvars: int):
                 continue
             idx = _unit_coord_index(atom.base)
             if idx is not None:
-                coord[idx] = coord.get(idx, Fraction(0)) + atom.exponent
+                coord[idx] += atom.exponent
             else:
                 q = powers.get(atom.base, Fraction(0)) + atom.exponent
                 if q:
@@ -354,7 +326,7 @@ def _canonical_term(coeff: Fraction, mono: Mono, atoms: Iterable, nvars: int):
                 else:
                     powers.pop(atom.base, None)
         elif isinstance(atom, ExpAtom):
-            exp_arg = poly_add(exp_arg, atom.argument, nvars)
+            exp_arg = poly_add(exp_arg, atom.argument)
         elif isinstance(atom, LnAtom):
             if not atom.argument:
                 raise ExprError("ln(0) is undefined")
@@ -368,15 +340,15 @@ def _canonical_term(coeff: Fraction, mono: Mono, atoms: Iterable, nvars: int):
     while pending:
         decomposed: dict = {}
         identity = True
-        for base in sorted(pending, key=lambda b: poly_key(b, nvars)):
+        for base in sorted(pending, key=poly_key):
             q = pending[base]
-            cf, coord_add, atoms_o, polys_o = _power_parts(base, q, nvars)
+            cf, coord_add, atoms_o, polys_o = _power_parts(base, q)
             if cf == 0:
                 return Fraction(0), ONE_MONO, (), []
             coeff *= cf
             polys.extend(polys_o)
             for i, e in coord_add.items():
-                coord[i] = coord.get(i, Fraction(0)) + e
+                coord[i] += e
             if not (cf == 1 and not coord_add and not polys_o
                     and len(atoms_o) == 1
                     and atoms_o[0].base == base and atoms_o[0].exponent == q):
@@ -388,27 +360,22 @@ def _canonical_term(coeff: Fraction, mono: Mono, atoms: Iterable, nvars: int):
                 else:
                     decomposed.pop(a.base, None)
         if identity and len(decomposed) == len(pending):
-            for b in sorted(decomposed, key=lambda b: poly_key(b, nvars)):
+            for b in sorted(decomposed, key=poly_key):
                 out_atoms.append(PowerAtom(b, decomposed[b]))
             break
         pending = decomposed
-    mono_out: dict = {}
-    for i in sorted(coord):
-        e = coord[i]
-        if e == 0:
-            continue
-        if e.denominator == 1:
-            mono_out[i] = int(e)
-        else:
+    for i, e in enumerate(coord):
+        if e.denominator != 1:
             out_atoms.append(PowerAtom(_coord_base(i), e))
+            coord[i] = 0
     if exp_arg:
         out_atoms.append(ExpAtom(exp_arg))
     out_atoms.extend(lns)
-    out_atoms.sort(key=lambda a: atom_sort_key(a, nvars))
-    return coeff, mono_from_dict(mono_out), tuple(out_atoms), polys
+    out_atoms.sort(key=atom_sort_key)
+    return coeff, tuple(map(int, coord)), tuple(out_atoms), polys
 
 
-def _canonical_terms(raw, nvars: int):
+def _canonical_terms(raw):
     """The nonzero canonical terms a sum of raw terms expands to, with
     repeats; an atom-free raw term is canonical as it stands."""
     stack = list(raw)
@@ -417,26 +384,29 @@ def _canonical_terms(raw, nvars: int):
         if coeff == 0:
             continue
         if atoms:
-            coeff, mono, atoms, polys = _canonical_term(coeff, mono, atoms, nvars)
+            coeff, mono, atoms, polys = _canonical_term(coeff, mono, atoms)
             if coeff == 0:
                 continue
             if polys:
                 prod = polys[0]
                 for p in polys[1:]:
-                    prod = poly_mul(prod, p, nvars)
+                    prod = poly_mul(prod, p)
                 for m2, c2 in prod:
                     stack.append((coeff * c2, mono_mul(mono, m2), atoms))
                 continue
         yield coeff, mono, atoms
 
 
-def _normalize(chart: Chart, raw, ready=()) -> tuple:
+def _term_key(t: Term):
+    return mono_key(t.monomial), tuple(map(atom_sort_key, t.atoms))
+
+
+def _normalize(raw, ready=()) -> tuple:
     """The sorted canonical terms of a sum of (coefficient, monomial, atoms)
     triples: the ready ones are canonical already and are only collected,
     the raw ones go through _canonical_terms."""
-    nvars = len(chart)
     acc: dict = {}
-    for coeff, mono, atoms in chain(ready, _canonical_terms(raw, nvars)):
+    for coeff, mono, atoms in chain(ready, _canonical_terms(raw)):
         key = (mono, atoms)
         c2 = acc.get(key)
         if c2 is None:
@@ -448,11 +418,7 @@ def _normalize(chart: Chart, raw, ready=()) -> tuple:
             else:
                 del acc[key]
     terms = [Term(c, m, a) for (m, a), c in acc.items()]
-    terms.sort(
-        key=lambda t: (mono_key(t.monomial, nvars),
-                       tuple(atom_sort_key(a, nvars) for a in t.atoms)),
-        reverse=True,
-    )
+    terms.sort(key=_term_key, reverse=True)
     return tuple(terms)
 
 
@@ -463,7 +429,7 @@ def _bare_coords(atoms) -> frozenset:
 
 
 def _clash(mono: Mono, bare: frozenset) -> bool:
-    return any(i in bare for i, _ in mono)
+    return any(mono[i] for i in bare)
 
 
 def multiply_terms(ready: list, raw: list, left, right, sign=1) -> None:
@@ -503,7 +469,7 @@ class Expr:
         """The canonical sum of raw (coefficient, monomial, atoms) triples,
         whose monomials are in Mono form, and of ready ones, which must be
         canonical terms already."""
-        return Expr(chart, _normalize(chart, raw, ready))
+        return Expr(chart, _normalize(raw, ready))
 
     @staticmethod
     def zero(chart: Chart) -> "Expr":
@@ -519,17 +485,13 @@ class Expr:
     @staticmethod
     def coordinate(chart: Chart, name: str) -> "Expr":
         idx = chart.index(name)
-        return Expr(chart, (Term(Fraction(1), ((idx, 1),), ()),))
+        return Expr(chart, (Term(Fraction(1), UNIT_MONOS[idx], ()),))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Expr") -> "Expr":
         require_same_chart(self, other)
-        return Expr.from_raw(
-            self.chart, (),
-            [(t.coefficient, t.monomial, t.atoms) for t in self.terms]
-            + [(t.coefficient, t.monomial, t.atoms) for t in other.terms],
-        )
+        return Expr.from_raw(self.chart, (), self.terms + other.terms)
 
     def __sub__(self, other: "Expr") -> "Expr":
         return self + (-other)
@@ -593,41 +555,34 @@ class Expr:
         for t in self.terms:
             if t.atoms:
                 raise ExprError("expression is not a polynomial (atoms present)")
-            for _, e in t.monomial:
-                if e < 0:
-                    raise ExprError("expression is not a polynomial (negative power)")
-        d = {t.monomial: t.coefficient for t in self.terms}
-        return _poly_sorted(d, len(self.chart))
+            if min(t.monomial) < 0:
+                raise ExprError("expression is not a polynomial (negative power)")
+        # atom-free terms are sorted by monomial already
+        return tuple((t.monomial, t.coefficient) for t in self.terms)
 
     def coordinates_used(self) -> set:
-        used = set()
+        monos = []
         for t in self.terms:
-            for i, _ in t.monomial:
-                used.add(i)
+            monos.append(t.monomial)
             for a in t.atoms:
                 poly = a.base if isinstance(a, PowerAtom) else a.argument
-                for m, _ in poly:
-                    for i, _ in m:
-                        used.add(i)
-        return used
+                monos.extend(m for m, _ in poly)
+        return {i for m in monos for i, e in enumerate(m) if e}
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, coord: str) -> "Expr":
         idx = self.chart.index(coord)
-        nvars = len(self.chart)
         ready, raw = [], []
         for t in self.terms:
             # lowering a monomial exponent keeps a term canonical
-            for j, e in t.monomial:
-                if j == idx:
-                    ready.append((t.coefficient * e,
-                                  mono_mul(t.monomial, ((idx, -1),)),
-                                  t.atoms))
+            e = t.monomial[idx]
+            if e:
+                ready.append((t.coefficient * e, _mono_lower(t.monomial, idx), t.atoms))
             for k, atom in enumerate(t.atoms):
                 rest = t.atoms[:k] + t.atoms[k + 1:]
                 if isinstance(atom, PowerAtom):
-                    da = poly_diff(atom.base, idx, nvars)
+                    da = poly_diff(atom.base, idx)
                     if not da:
                         continue
                     for m2, c2 in da:
@@ -637,12 +592,11 @@ class Expr:
                 elif isinstance(atom, ExpAtom):
                     # a product with an atom-free term (see multiply_terms)
                     bare = _bare_coords(t.atoms)
-                    for m2, c2 in poly_diff(atom.argument, idx, nvars):
+                    for m2, c2 in poly_diff(atom.argument, idx):
                         (raw if _clash(m2, bare) else ready).append(
                             (t.coefficient * c2, mono_mul(t.monomial, m2), t.atoms))
                 else:  # LnAtom
-                    da = poly_diff(atom.argument, idx, nvars)
-                    for m2, c2 in da:
+                    for m2, c2 in poly_diff(atom.argument, idx):
                         raw.append((t.coefficient * c2,
                                     mono_mul(t.monomial, m2),
                                     rest + (PowerAtom(atom.argument, Fraction(-1)),)))
@@ -667,12 +621,12 @@ class Expr:
         total = Fraction(0)
         for t in self.terms:
             v = t.coefficient
-            for i, e in t.monomial:
-                base = values[i]
-                if base == 0 and e < 0:
-                    raise ZeroDivisionError(
-                        f"{self.chart.coords[i]} = 0 not admissible (negative power)")
-                v *= base ** e
+            for name, base, e in zip(self.chart.coords, values, t.monomial):
+                if e:
+                    if base == 0 and e < 0:
+                        raise ZeroDivisionError(
+                            f"{name} = 0 not admissible (negative power)")
+                    v *= base ** e
             for atom in t.atoms:
                 if isinstance(atom, PowerAtom):
                     b = poly_eval(atom.base, values)
@@ -701,12 +655,12 @@ class Expr:
         total = 0.0
         for t in self.terms:
             v = float(t.coefficient)
-            for i, e in t.monomial:
-                v *= values[i] ** e
+            for x, e in zip(values, t.monomial):
+                if e:
+                    v *= x ** e
             for atom in t.atoms:
                 if isinstance(atom, PowerAtom):
-                    b = sum(float(c) * math.prod(values[i] ** e for i, e in m)
-                            for m, c in atom.base)
+                    b = sum(float(c) * _mono_approx(m, values) for m, c in atom.base)
                     q = atom.exponent
                     if b > 0:
                         v *= b ** float(q)
@@ -718,12 +672,10 @@ class Expr:
                     else:
                         raise EvaluationError(f"{b}^({q}) not a real value")
                 elif isinstance(atom, ExpAtom):
-                    a = sum(float(c) * math.prod(values[i] ** e for i, e in m)
-                            for m, c in atom.argument)
+                    a = sum(float(c) * _mono_approx(m, values) for m, c in atom.argument)
                     v *= math.exp(a)
                 else:
-                    a = sum(float(c) * math.prod(values[i] ** e for i, e in m)
-                            for m, c in atom.argument)
+                    a = sum(float(c) * _mono_approx(m, values) for m, c in atom.argument)
                     if a <= 0:
                         raise EvaluationError("ln of a non-positive value")
                     v *= math.log(a)
@@ -751,11 +703,8 @@ def _exp_text(e) -> str:
     return f"^({e})"
 
 def _mono_factors(m: Mono, chart: Chart):
-    out = []
-    for i, e in m:
-        name = chart.coords[i]
-        out.append(name if e == 1 else name + _exp_text(e))
-    return out
+    return [name if e == 1 else name + _exp_text(e)
+            for name, e in zip(chart.coords, m) if e]
 
 def poly_text(poly: Poly, chart: Chart) -> str:
     if not poly:
@@ -791,17 +740,13 @@ def to_text(expr: Expr) -> str:
         factors = _mono_factors(t.monomial, expr.chart)
         factors += [_atom_text(a, expr.chart) for a in t.atoms]
         mag = abs(t.coefficient)
-        if mag != 1 or not factors:
-            factors = [str(mag)] + factors
-        body = "*".join(factors)
+        unit = mag == 1 and factors
+        body = "*".join(factors if unit else [str(mag)] + factors)
         if n == 0:
             # a leading negative coefficient is emitted as a signed literal,
             # so a lone "-x" prints as "-1*x" and stays inside the grammar
             if t.coefficient < 0:
-                if mag == 1 and len(t.monomial) + len(t.atoms) > 0:
-                    body = "-1*" + body
-                else:
-                    body = "-" + body
+                body = ("-1*" if unit else "-") + body
             pieces.append(body)
         else:
             pieces.append((" + " if t.coefficient > 0 else " - ") + body)

@@ -240,14 +240,13 @@ def _carry_terms(e: Expr, target: Chart) -> Expr:
     """The terms of e on a chart that shares its leading coordinates.
 
     PLANE is a prefix of J2 and J2 a prefix of J20, so coordinate indices
-    carry over unchanged, and with them the graded-lex term order.
+    carry over unchanged, and with them the canonical terms and their order.
     """
     shared = min(len(e.chart), len(target))
     if e.chart.coords[:shared] != target.coords[:shared]:
         raise ChartMismatchError(
             f"charts {e.chart.name} and {target.name} share no coordinate prefix")
-    return Expr.from_raw(target, (), [(t.coefficient, t.monomial, t.atoms)
-                                      for t in e.terms])
+    return Expr(target, e.terms)
 
 
 def restrict_chart(e: Expr, target: Chart) -> Expr:

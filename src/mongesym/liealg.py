@@ -69,7 +69,7 @@ def _verify_combination(v: VectorField, basis, coords) -> None:
     v - sum(coords[k] * basis[k]) is zero, one normalization per coefficient.
     Every term is a multiple of a canonical one, so none is re-canonicalized."""
     for i, vc in enumerate(v.coefficients):
-        ready = [(t.coefficient, t.monomial, t.atoms) for t in vc.terms]
+        ready = list(vc.terms)
         for c, b in zip(coords, basis):
             if c:
                 ready.extend((-c * t.coefficient, t.monomial, t.atoms)

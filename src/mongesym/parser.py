@@ -109,26 +109,28 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
+        """A sum of terms, normalized once: its terms' canonical terms,
+        negated after a minus sign, are collected in one pass."""
         ch = self.s.peek()
-        negate = False
         if ch == "-" and not self._starts_number():
             self.s.expect("-")
-            negate = True
-        elif ch == "+":
-            self.s.expect("+")
-        e = self.term()
-        if negate:
-            e = -e
+            parts = [-self.term()]
+        else:
+            if ch == "+":
+                self.s.expect("+")
+            parts = [self.term()]
         while True:
             ch = self.s.peek()
             if ch == "+":
                 self.s.expect("+")
-                e = e + self.term()
+                parts.append(self.term())
             elif ch == "-":
                 self.s.expect("-")
-                e = e - self.term()
+                parts.append(-self.term())
+            elif len(parts) == 1:
+                return parts[0]
             else:
-                return e
+                return Expr.from_raw(self.chart, (), [t for e in parts for t in e.terms])
 
     def _starts_number(self) -> bool:
         self.s.skip_ws()

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charts import J20
-from .expr import (Expr, PowerAtom, ExpAtom, _canonical_term, mono_from_dict,
+from .expr import (UNIT_MONOS, Expr, PowerAtom, ExpAtom, _canonical_term,
                    mono_mul)
 from .fields import (Distribution2, MongeEquation, VectorField,
                      distribution_from_monge, is_symmetry, symmetry_residuals)
@@ -97,12 +97,12 @@ class AnsatzSpec:
         object.__setattr__(self, "rates", rates)
 
 
-def monomials_up_to(degree: int, nvars: int):
-    """Exponent tuples with total degree <= degree, ascending (degree, lex)."""
+def monomials_up_to(degree: int):
+    """J20 exponent tuples with total degree <= degree, ascending (degree, lex)."""
     out = []
     for total in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(nvars), total):
-            exps = [0] * nvars
+        for combo in itertools.combinations_with_replacement(range(5), total):
+            exps = [0] * 5
             for i in combo:
                 exps[i] += 1
             out.append(tuple(exps))
@@ -136,10 +136,10 @@ class UnknownBasis:
             exps[3] += int(self.offset)
         else:
             frac_q = self.offset
-            atoms += (PowerAtom(((((3, 1),), Fraction(1)),), self.offset),)
+            atoms += (PowerAtom(((UNIT_MONOS[3], Fraction(1)),), self.offset),)
         if self.rate:
-            atoms += (ExpAtom(((((0, 1),), self.rate),)),)
-        mono = mono_from_dict(dict(enumerate(exps)))
+            atoms += (ExpAtom(((UNIT_MONOS[0], self.rate),)),)
+        mono = tuple(exps)
         factors = [[(Fraction(1), mono)]]
         for j in range(5):
             power = exps[j] + (frac_q if j == 3 else 0)
@@ -147,7 +147,7 @@ class UnknownBasis:
             if power:
                 shifted = exps[:]
                 shifted[j] -= 1
-                parts.append((Fraction(power), mono_from_dict(dict(enumerate(shifted)))))
+                parts.append((Fraction(power), tuple(shifted)))
             if j == 0 and self.rate:
                 parts.append((self.rate, mono))
             factors.append(parts)
@@ -178,7 +178,7 @@ class Ansatz:
 
 
 def build_ansatz(spec: AnsatzSpec) -> Ansatz:
-    monos = monomials_up_to(spec.degree, 5)
+    monos = monomials_up_to(spec.degree)
     unknowns = []
     for rate in spec.rates:
         for offset in spec.offsets:
@@ -230,13 +230,11 @@ def compile_operator(distribution: Distribution2) -> tuple:
     operator = []
     for i in range(5):
         base = residuals(i, Expr.constant(J20, 1))
-        terms = [(rid, -1, t.coefficient, t.monomial, t.atoms)
-                 for rid, e in enumerate(base) for t in e.terms]
+        terms = [(rid, -1, *t) for rid, e in enumerate(base) for t in e.terms]
         for j, name in enumerate(J20.coords):
             u = Expr.coordinate(J20, name)
             for rid, (r, r0) in enumerate(zip(residuals(i, u), base)):
-                terms.extend((rid, j, t.coefficient, t.monomial, t.atoms)
-                             for t in (r - u * r0).terms)
+                terms.extend((rid, j, *t) for t in (r - u * r0).terms)
         operator.append(tuple(terms))
     return tuple(operator)
 
@@ -265,7 +263,7 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
                     product = (mono_mul(m, s), a + atoms)
                     out = canonical.get(product)
                     if out is None:
-                        scale, mono, out_atoms, polys = _canonical_term(1, *product, 5)
+                        scale, mono, out_atoms, polys = _canonical_term(1, *product)
                         if scale != 1 or polys:
                             raise ArithmeticError(f"non-canonical product {product}")
                         out = canonical[product] = (mono, out_atoms)
@@ -332,12 +330,12 @@ def _quadratic_profile(F: Expr):
     for t in F.terms:
         if t.atoms:
             return None
-        m = dict(t.monomial)
-        if m == {3: 2}:
+        m = t.monomial
+        if m == (0, 0, 0, 2, 0):
             p = t.coefficient
-        elif m == {2: 2}:
+        elif m == (0, 0, 2, 0, 0):
             q = t.coefficient
-        elif m == {1: 2}:
+        elif m == (0, 2, 0, 0, 0):
             s = t.coefficient
         else:
             return None

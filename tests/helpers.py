@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from mongesym.charts import J20
-from mongesym.expr import ExpAtom, Expr, NonRationalPowerError
+from mongesym.expr import ONE_MONO, ExpAtom, Expr, NonRationalPowerError
 from mongesym.fields import (VectorField, distribution_from_monge,
                              lie_bracket, symmetry_residuals)
 from mongesym.linalg import sparse_nullspace
@@ -109,7 +109,7 @@ def random_expr(rng: random.Random, chart=J20, allow_atoms=True) -> Expr:
         elif kind < 0.85:
             arg = random_polynomial(rng, chart, max_terms=2, max_degree=1)
             atom_expr = Expr.from_raw(
-                chart, [(Fraction(1), (), (ExpAtom(arg.as_poly()),))])
+                chart, [(Fraction(1), ONE_MONO, (ExpAtom(arg.as_poly()),))])
             e = e + atom_expr
         else:
             base = random_polynomial(rng, chart, max_terms=2, max_degree=2)

@@ -333,3 +333,20 @@ def test_reproduce_out_writes_the_checklist(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().out == ""
     assert path.read_text() == printed
     assert printed.endswith("all items pass\n")
+
+
+def test_reproduce_fails_on_a_tampered_field(monkeypatch, capsys):
+    """Negative control: with S3 replaced by S3 + y1 d/dy1 the checklist
+    fails its six-field verification item and reproduce exits 1."""
+    import mongesym.catalog
+    import mongesym.cli
+    monkeypatch.setattr(mongesym.cli, "symmetry_dimension",
+                        shared_symmetry_dimension)
+    tampered = dict(S, S3=S["S3"] + VectorField.from_strings(J20, {"y1": "y1"}))
+    monkeypatch.setattr(mongesym.catalog, "symmetry_fields", lambda: tampered)
+    assert mongesym.cli.main(["reproduce", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    item = payload["items"][0]
+    assert item["item"] == "six-field symmetry verification (36 residuals)"
+    assert not item["pass"] and item["detail"] == "5/6 fields pass"
+    assert not payload["all_pass"]

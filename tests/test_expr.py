@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from mongesym import expr
-from mongesym.charts import J2, J20, PLANE, ChartMismatchError
+from mongesym.charts import J2, J20, PLANE, Chart, ChartMismatchError
 from mongesym.expr import (EvaluationError, Expr, NonRationalPowerError,
                            ExpAtom, _canonical_term, _poly_sorted, _power_parts,
-                           _unit_coord_index, mono_from_dict, mono_mul, poly_mul)
+                           _unit_coord_index, mono_mul, poly_mul)
 from mongesym.fields import VectorField, extend_chart, lie_bracket, restrict_chart
 from mongesym.parser import ParseError, parse
 
@@ -75,6 +75,37 @@ class TestParse:
         for text in samples:
             e = P(text)
             assert parse(str(e), J20) == e
+
+    def test_sum_is_normalized_once(self, monkeypatch):
+        # a sum parses like its left fold, with one normalization whatever
+        # its length (terms without products normalize nothing themselves)
+        def pieces(n):
+            return [(-1 if k % 2 else 1,
+                     f"{k + 1}/7" if k % 5 == 0 else f"{J20.coords[k % 5]}^{k % 4 + 1}")
+                    for k in range(n)]
+
+        def text(ps):
+            return " ".join(("- " if sign < 0 else "+ ") + piece for sign, piece in ps)
+
+        for ps in (pieces(40), [(1, f"{k}*x^{k % 3}*y1") for k in range(30)]):
+            fold = Expr.zero(J20)
+            for sign, piece in ps:
+                fold = fold + P(piece).scale(sign)
+            assert P(text(ps)) == fold
+        calls = []
+        normalize = expr._normalize
+
+        def counted(*args):
+            calls.append(1)
+            return normalize(*args)
+
+        monkeypatch.setattr(expr, "_normalize", counted)
+        counts = []
+        for n in (10, 80):
+            calls.clear()
+            P(text(pieces(n)))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_roundtrip_random(self):
         rng = random.Random(101)
@@ -143,21 +174,21 @@ class TestArithmetic:
         # _canonical_term folds a bare-coordinate power into the monomial
         # only before it calls _power_parts
         rng = random.Random(1305)
-        nvars = len(J20.coords)
+        n = len(J20.coords)
         kinds = set()
         for _ in range(3000):
             terms = {}
             for _ in range(rng.choice((1, 1, 2, 3))):
-                mono = mono_from_dict({i: rng.randint(-1, 2)
-                                       for i in rng.sample(range(nvars), rng.randint(0, 2))})
+                exps = {i: rng.randint(-1, 2) for i in rng.sample(range(n), rng.randint(0, 2))}
+                mono = tuple(exps.get(i, 0) for i in range(n))
                 terms[mono] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
                                        rng.randint(1, 4))
-            base = _poly_sorted(terms, nvars)
+            base = _poly_sorted(terms)
             q = Fraction(rng.randint(-7, 7), rng.randint(2, 6))
             if q.denominator == 1:
                 continue
             try:
-                _, _, atoms, _ = _power_parts(base, q, nvars)
+                _, _, atoms, _ = _power_parts(base, q)
             except NonRationalPowerError:
                 continue
             for a in atoms:
@@ -298,16 +329,41 @@ class TestPrinting:
         e = parse("x*y - 2", PLANE)
         assert str(e) == "x*y - 2"
 
+    @pytest.mark.parametrize("chart", [J20, PLANE])
+    @pytest.mark.parametrize("text,printed", [
+        ("-1", "-1"), ("1", "1"), ("-1/2", "-1/2"), ("0 - 1", "-1"),
+        ("-exp(y)", "-1*exp(y)"), ("-(x + y)^(1/3)", "-1*(x + y)^(1/3)"),
+        ("1 - x", "-1*x + 1"),
+    ])
+    def test_lone_unit_constants(self, chart, text, printed):
+        # the constant term's monomial is the zero vector, not an empty one
+        e = parse(text, chart)
+        assert str(e) == printed
+        assert parse(printed, chart) == e
 
-def reference_normalize(chart, raw, ready=(), normalize=expr._normalize):
+
+class TestMonomials:
+    def test_charts_share_the_exponent_vector(self):
+        for chart in (J20, J2, PLANE):
+            e = parse("x^2*y - 3*y + 1/2", chart)
+            assert [t.monomial for t in e.terms] == \
+                [(2, 1, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 0, 0)]
+            assert extend_chart(e, J20).terms == e.terms
+
+    def test_chart_longer_than_the_vector_is_rejected(self):
+        with pytest.raises(ValueError, match="more than 5"):
+            Chart("J30", ("x", "y", "y1", "y2", "y3", "z"))
+        assert len(Chart("Q", ("a", "b", "c", "d", "e"))) == len(J20)
+
+
+def reference_normalize(raw, ready=(), normalize=expr._normalize):
     """Every term, ready or raw, through _canonical_term; the canonical
     results are then summed by the package's normalizer."""
-    nvars = len(chart)
     out = []
     stack = [*raw, *ready]
     while stack:
         coeff, mono, atoms = stack.pop()
-        coeff, mono, atoms, polys = _canonical_term(coeff, mono, atoms, nvars)
+        coeff, mono, atoms, polys = _canonical_term(coeff, mono, atoms)
         if coeff == 0:
             continue
         if not polys:
@@ -315,9 +371,9 @@ def reference_normalize(chart, raw, ready=(), normalize=expr._normalize):
             continue
         prod = polys[0]
         for p in polys[1:]:
-            prod = poly_mul(prod, p, nvars)
+            prod = poly_mul(prod, p)
         stack.extend((coeff * c, mono_mul(mono, m), atoms) for m, c in prod)
-    return normalize(chart, (), out)
+    return normalize((), out)
 
 
 # Factors whose products exercise every merge _canonical_term performs: a
@@ -340,9 +396,8 @@ def random_mixed_expr(rng: random.Random) -> Expr:
 
 
 def assert_canonical(e: Expr):
-    n = len(e.chart)
     for t in e.terms:
-        assert _canonical_term(t.coefficient, t.monomial, t.atoms, n) == \
+        assert _canonical_term(t.coefficient, t.monomial, t.atoms) == \
             (t.coefficient, t.monomial, t.atoms, []), (str(e), t)
 
 

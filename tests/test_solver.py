@@ -94,22 +94,22 @@ class TestRowBuilder:
 
     def test_cancelled_entries_and_emptied_rows_go(self):
         ansatz = build_ansatz(AnsatzSpec(0))
-        y = ((1, 1),)
+        y = (0, 1, 0, 0, 0)
         cancel = ((0, -1, Fraction(1), y, ()), (0, -1, Fraction(-1), y, ()))
         assert determining_equations(self.operator(*cancel), ansatz).rows == {}
-        x = ((0, 1),)
+        x = (1, 0, 0, 0, 0)
         survive = (1, -1, Fraction(2), x, ())
         rows = determining_equations(self.operator(*cancel, survive), ansatz).rows
         assert rows == {(1, x, ()): {c: Fraction(2) for c in range(5)}}
 
     @pytest.mark.parametrize("base,exponent", [
         # (4*y2)^(1/2) canonicalizes to 2*y2^(1/2): coefficient 2
-        (((((3, 1),), Fraction(4)),), Fraction(1, 2)),
+        ((((0, 0, 0, 1, 0), Fraction(4)),), Fraction(1, 2)),
         # (y1 + y2)^1 canonicalizes to a polynomial factor
-        (((((2, 1),), Fraction(1)), (((3, 1),), Fraction(1))), Fraction(1)),
+        ((((0, 0, 1, 0, 0), Fraction(1)), ((0, 0, 0, 1, 0), Fraction(1))), Fraction(1)),
     ])
     def test_non_canonical_atom_raises(self, base, exponent):
-        term = (0, -1, Fraction(1), (), (PowerAtom(base, exponent),))
+        term = (0, -1, Fraction(1), (0, 0, 0, 0, 0), (PowerAtom(base, exponent),))
         with pytest.raises(ArithmeticError):
             determining_equations(self.operator(term), build_ansatz(AnsatzSpec(0)))
 
