@@ -35,7 +35,8 @@ atom-free term is canonical as it stands).
 Sums, scalings and the monomial part of a partial stay canonical, and so
 does a product of two terms when neither has atoms, or when one is
 atom-free and its monomial avoids the other's bare-coordinate power atoms
-(y2 * y2^(1/3) must become y2^(4/3)); see multiply_terms.
+(y2 * y2^(1/3) must become y2^(4/3)); see product_is_canonical, the one
+rule that multiply_terms, Expr.diff and the solver's row builder apply.
 """
 from __future__ import annotations
 
@@ -422,35 +423,42 @@ def _normalize(raw, ready=()) -> tuple:
     return tuple(terms)
 
 
-def _bare_coords(atoms) -> frozenset:
-    """The coordinates that occur as the base of a power atom."""
+def bare_coords(atoms):
+    """The coordinates that occur as the base of a power atom, or None for
+    no atoms at all (an atom-free term)."""
+    if not atoms:
+        return None
     return frozenset(i for a in atoms if isinstance(a, PowerAtom)
                      for i in (_unit_coord_index(a.base),) if i is not None)
 
 
-def _clash(mono: Mono, bare: frozenset) -> bool:
-    return any(mono[i] for i in bare)
+def product_is_canonical(mono: Mono, bare1, bare2) -> bool:
+    """Whether the product of two terms is canonical as it stands, given
+    the product's monomial and each side's bare_coords.  The sides'
+    atoms must be canonical; a side with atoms may carry any monomial, since
+    only the product's is checked.  The product is canonical when neither
+    side has atoms, or when one side is atom-free and the product's monomial
+    avoids the other side's bare-coordinate power atoms (y2 * y2^(1/3) must
+    become y2^(4/3)).  When both sides have atoms, they need merging."""
+    if bare1 is None:
+        return bare2 is None or not any(mono[i] for i in bare2)
+    return bare2 is None and not any(mono[i] for i in bare1)
 
 
 def multiply_terms(ready: list, raw: list, left, right, sign=1) -> None:
     """Append sign times every product of a left and a right canonical
-    term: to ready when the product is canonical as it stands (see the
-    module docstring), to raw otherwise."""
+    term: to ready when the product is canonical as it stands
+    (product_is_canonical), to raw otherwise."""
     if not (left and right):
         return
-    right = [(t, _bare_coords(t.atoms) if t.atoms else None) for t in right]
+    right = [(t, bare_coords(t.atoms)) for t in right]
     for t1 in left:
         c1 = t1.coefficient if sign == 1 else sign * t1.coefficient
         m1, a1 = t1.monomial, t1.atoms
-        b1 = _bare_coords(a1) if a1 else None
+        b1 = bare_coords(a1)
         for t2, b2 in right:
-            m2 = t2.monomial
-            product = (c1 * t2.coefficient, mono_mul(m1, m2), a1 + t2.atoms)
-            if b1 is None:
-                canonical = b2 is None or not _clash(m1, b2)
-            else:
-                canonical = b2 is None and not _clash(m2, b1)
-            (ready if canonical else raw).append(product)
+            product = (c1 * t2.coefficient, mono_mul(m1, t2.monomial), a1 + t2.atoms)
+            (ready if product_is_canonical(product[1], b1, b2) else raw).append(product)
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +598,12 @@ class Expr:
                                     mono_mul(t.monomial, m2),
                                     rest + (PowerAtom(atom.base, atom.exponent - 1),)))
                 elif isinstance(atom, ExpAtom):
-                    # a product with an atom-free term (see multiply_terms)
-                    bare = _bare_coords(t.atoms)
+                    # a product with an atom-free term
+                    bare = bare_coords(t.atoms)
                     for m2, c2 in poly_diff(atom.argument, idx):
-                        (raw if _clash(m2, bare) else ready).append(
-                            (t.coefficient * c2, mono_mul(t.monomial, m2), t.atoms))
+                        product = (t.coefficient * c2, mono_mul(t.monomial, m2), t.atoms)
+                        (ready if product_is_canonical(product[1], bare, None)
+                         else raw).append(product)
                 else:  # LnAtom
                     for m2, c2 in poly_diff(atom.argument, idx):
                         raw.append((t.coefficient * c2,

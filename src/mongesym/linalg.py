@@ -6,9 +6,15 @@ cross multiplication and re-divides by the content, so no rounding and no
 rational blow-up occurs.  The forward elimination applies it at each row's
 leading column, and the back-reduction reduced() from the highest pivot
 down; canonical_basis, reduced_rows and kernel read the reduced form.
-sparse_nullspace inserts the determining equations shortest-first, which
-keeps fill-in low on those very sparse systems, and keeps a Fraction
-back-substitution, which computes only the free columns' vectors.
+sparse_nullspace first presolves: a row with one live entry forces its
+column to zero in every kernel vector, and forcing propagates through a
+column -> rows index (_forced_zeros).  Striking the forced columns, and the
+rows they empty, leaves the kernel as it was, so the basis, the free
+columns and the rank (pivots plus forced columns) are exactly those of the
+whole system; on the determining equations the presolve strikes most rows.
+Only the surviving rows are integerized (rows_to_integer) and eliminated,
+shortest-first, which keeps fill-in low on those very sparse systems; a
+Fraction back-substitution computes only the free columns' vectors.
 
 Rational work is the same elimination on rows with their denominators
 cleared.  KeyedSpan keeps the span of sparse vectors over arbitrary keys and
@@ -105,21 +111,68 @@ class SparseEchelon:
         return out
 
 
+def _forced_zeros(rows) -> tuple:
+    """The singleton presolve: (forced columns, live entries per row).
+
+    A row with one live entry, nonzero and in a column not yet forced,
+    forces that column to zero in every kernel vector.  Striking it lowers
+    the live count of every row through the column -> rows index, and a row
+    left with one live entry forces its column in turn.  The worklist holds
+    each row at most once, so the propagation reads each entry a bounded
+    number of times and needs no recursion.
+    """
+    where: dict = {}  # column -> rows with a nonzero entry there
+    live = []
+    for i, row in enumerate(rows):
+        n = 0
+        for c, v in row.items():
+            if v:
+                where.setdefault(c, []).append(i)
+                n += 1
+        live.append(n)
+    forced: set = set()
+    todo = [i for i, n in enumerate(live) if n == 1]
+    while todo:
+        i = todo.pop()
+        if live[i] != 1:  # emptied since it was queued
+            continue
+        c = next(c for c, v in rows[i].items() if v and c not in forced)
+        forced.add(c)
+        for j in where[c]:
+            live[j] -= 1
+            if live[j] == 1:
+                todo.append(j)
+    return forced, live
+
+
 def sparse_nullspace(rows, ncols: int):
-    """Exact nullspace basis of a sparse homogeneous integer system.
+    """Exact nullspace basis of a sparse homogeneous system with integer or
+    rational rows.
 
     Returns (rank, basis) where each basis vector is a primitive integer
     tuple of length ncols, positive at its free (largest) column; basis
     vectors are ordered by free column, so the output is deterministic.
-    They come from a back-substitution, which computes only the free
-    columns' vectors, not from reduced(), which clears every pivot row:
-    11,326 of them for the 14 vectors of dz13(10,9) at degree 5.
+
+    A singleton presolve (_forced_zeros) runs first.  The forced columns are
+    zero in every kernel vector, so striking them and the rows they empty
+    leaves the kernel as it was: its free columns and its basis, which
+    depend only on the kernel, are unchanged, and the rank is the pivots of
+    the rest plus the forced columns.  Only the surviving rows, struck,
+    are integerized and eliminated.  The basis comes from a
+    back-substitution, which computes only the free columns' vectors, not
+    from reduced(), which clears every pivot row: 11,326 of them for the 14
+    vectors of dz13(10,9) at degree 5 without the presolve.
     """
+    rows = [r for r in rows if r]
+    forced, live = _forced_zeros(rows)
+    survivors = rows_to_integer({c: v for c, v in row.items() if c not in forced}
+                                for row, n in zip(rows, live) if n)
     ech = SparseEchelon()
-    for row in sorted((r for r in rows if r), key=_row_order_key):
+    for row in sorted(survivors, key=_row_order_key):
         ech.insert(row)
     pivot_cols = sorted(ech.pivots)
-    free_cols = [c for c in range(ncols) if c not in ech.pivots]
+    free_cols = [c for c in range(ncols)
+                 if c not in ech.pivots and c not in forced]
     basis = []
     for f in free_cols:
         x: dict = {f: Fraction(1)}
@@ -142,7 +195,7 @@ def sparse_nullspace(rows, ncols: int):
         for c, v in ints.items():
             vec[c] = sign * v
         basis.append(tuple(vec))
-    return ech.rank, basis
+    return ech.rank + len(forced), basis
 
 
 def canonical_basis(vectors):

@@ -17,12 +17,19 @@ Lj = R(u_j) - u_j*R(1) exactly: six probes per direction, once per equation.
 determining_equations then reads every unknown's rows off the operator
 terms in one pass: shift the monomial, multiply in the exponent (and rho for
 d/dx of exp(rho*x)), and canonicalize each distinct product term once with
-the expression engine, checking that it carries coefficient 1.
-symmetry_dimension builds, integerizes and eliminates the rows once, at
-the top degree.  An unknown's entries do not depend on the other unknowns,
-so a lower degree's system is the top system on that degree's columns; the
+the expression engine, checking that it carries coefficient 1.  The rows
+are integer at birth: the operator's coefficients are scaled by D, the lcm
+of their denominators, and the partials' scalars (exponents, offsets q and
+rates rho) by E, the lcm of the offsets' and rates' denominators, so every
+row is D*E times its rational form, with the same primitive form.
+symmetry_dimension builds and eliminates the rows once, at the top degree.
+An unknown's entries do not depend on the other unknowns, so a lower
+degree's system is the top system on that degree's columns; the
 elimination orders the columns by degree, so every degree's rank and
-dimension are read off the one echelon (nullspace).
+dimension are read off the one echelon (nullspace).  The singleton
+presolve of linalg.sparse_nullspace strikes only unknowns that vanish in
+every top-degree solution, hence in every lower degree's, so every
+degree's dimension and the basis stay exact.
 
 The ansatz class is polynomial coefficients of bounded total degree,
 optionally multiplied by rational powers y2^q (offsets) and by exponentials
@@ -49,11 +56,11 @@ from fractions import Fraction
 
 from .charts import J20
 from .expr import (UNIT_MONOS, Expr, PowerAtom, ExpAtom, _canonical_term,
-                   mono_mul)
+                   bare_coords, mono_mul, product_is_canonical)
 from .fields import (Distribution2, MongeEquation, VectorField,
                      distribution_from_monge, is_symmetry, symmetry_residuals)
 from .liealg import analyze
-from .linalg import canonical_basis, rows_to_integer, sparse_nullspace
+from .linalg import canonical_basis, sparse_nullspace
 from .rationals import exact_pow
 
 
@@ -62,8 +69,9 @@ class AnsatzError(ValueError):
 
 
 # Largest admitted ansatz, in unknowns.  The largest shipped solve,
-# dz13(10,9) at degree 5 in `reproduce`, has 11340; the runtime of a solve
-# near this limit is unmeasured.
+# dz13(10,9) at degree 5 in `reproduce`, has 11340 and takes about 1 s
+# (2 cores, Python 3.11); the runtime of a solve near this limit is
+# unmeasured.
 MAX_UNKNOWNS = 50_000
 
 
@@ -195,7 +203,7 @@ def build_ansatz(spec: AnsatzSpec) -> Ansatz:
 @dataclass
 class DeterminingSystem:
     ansatz: Ansatz
-    rows: dict  # (residual_id, monomial, atoms) -> {column: Fraction}
+    rows: dict  # (residual_id, monomial, atoms) -> {column: int}
 
     @property
     def n_unknowns(self) -> int:
@@ -239,35 +247,71 @@ def compile_operator(distribution: Distribution2) -> tuple:
     return tuple(operator)
 
 
+def _exact_integer(v) -> int:
+    """v, which a scaling has made an integer; anything else raises."""
+    if v.denominator != 1:
+        raise ArithmeticError(f"scaled row entry {v} is not an integer")
+    return v.numerator
+
+
 def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
-    """Collect the exact linear rows of the ansatz from the compiled operator.
+    """Collect the exact linear rows of the ansatz from the compiled operator,
+    as integer rows.
+
+    Every entry is an operator coefficient times a partial's scalar (an
+    exponent, a y2^q offset or an exp(rho*x) rate).  The operator's
+    coefficients are scaled once by D, the lcm of their denominators, and
+    the partials' scalars by E, the lcm of the offsets' and rates'
+    denominators, so every entry is an int and every row is D*E times the
+    rational row, with the same primitive form.  Each scaled value is
+    checked to be an integer, never truncated.
 
     The columns come one coefficient function at a time, so its partials
     are built once for its five directions.  Each distinct (monomial, atoms)
     product of an operator term and a partial is canonicalized once, so the
-    row keys are those of the expanded residuals.  The operator's atoms are
-    canonical and an unknown adds only y2^q and exp(rho*x), so a product
-    with a coefficient other than 1 or a polynomial factor raises
-    ArithmeticError.  Cancelled entries and emptied rows go at once.
+    row keys are those of the expanded residuals; a product that
+    expr.product_is_canonical calls canonical is taken as it stands.  The
+    operator's terms are canonical (checked once per distinct term) and an
+    unknown adds only y2^q and exp(rho*x), so a product with a coefficient
+    other than 1 or a polynomial factor raises ArithmeticError.  Cancelled
+    entries and emptied rows go at once.
     """
-    rows: dict = {}
-    canonical: dict = {}
+    spec = ansatz.spec
+    D = math.lcm(*(t[2].denominator for terms in operator for t in terms))
+    E = math.lcm(*(v.denominator for v in spec.offsets + spec.rates))
+    for m, a in {t[3:] for terms in operator for t in terms}:
+        if a and _canonical_term(1, m, a) != (1, m, a, []):
+            raise ArithmeticError(f"non-canonical operator term {(m, a)}")
+    ids: dict = {}  # atoms -> a small int, so that products hash no atoms
+    operator = [[(rid, order, _exact_integer(c * D), m, a,
+                  ids.setdefault(a, len(ids)), bare_coords(a))
+                 for rid, order, c, m, a in terms] for terms in operator]
+    keys: dict = {}  # a row's (monomial, atoms) -> its index
+    canonical: dict = {}  # (monomial, operator atoms, unknown atoms) -> key index
+    rows: dict = {}  # (residual, key index) -> row
     columns: dict = {}  # coefficient function -> its columns
     for col, u in enumerate(ansatz.unknowns):
         columns.setdefault((u.exponents, u.offset, u.rate), []).append(col)
     for cols in columns.values():
         atoms, factors = ansatz.unknowns[cols[0]].partials()
+        uid = ids.setdefault(atoms, len(ids))
+        bare = bare_coords(atoms)
+        factors = [[(_exact_integer(k * E), s) for k, s in f] for f in factors]
         for col in cols:
-            for rid, order, c, m, a in operator[ansatz.unknowns[col].direction]:
+            for rid, order, c, m, a, aid, b in operator[ansatz.unknowns[col].direction]:
                 for k, s in factors[order + 1]:
-                    product = (mono_mul(m, s), a + atoms)
-                    out = canonical.get(product)
-                    if out is None:
-                        scale, mono, out_atoms, polys = _canonical_term(1, *product)
-                        if scale != 1 or polys:
-                            raise ArithmeticError(f"non-canonical product {product}")
-                        out = canonical[product] = (mono, out_atoms)
-                    key = (rid, *out)
+                    mono = mono_mul(m, s)
+                    product = (mono, aid, uid)
+                    kid = canonical.get(product)
+                    if kid is None:
+                        out = (mono, a + atoms)
+                        if not product_is_canonical(mono, b, bare):
+                            scale, out_mono, out_atoms, polys = _canonical_term(1, *out)
+                            if scale != 1 or polys:
+                                raise ArithmeticError(f"non-canonical product {out}")
+                            out = (out_mono, out_atoms)
+                        kid = canonical[product] = keys.setdefault(out, len(keys))
+                    key = (rid, kid)
                     row = rows.setdefault(key, {})
                     v = c * k
                     if col in row:
@@ -278,6 +322,8 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
                         del row[col]
                         if not row:
                             del rows[key]
+    keys = list(keys)
+    rows = {(rid, *keys[kid]): row for (rid, kid), row in rows.items()}
     return DeterminingSystem(ansatz, rows)
 
 
@@ -290,11 +336,14 @@ def nullspace(system: DeterminingSystem):
     A pivot row whose pivot lies past the prefix is zero on it, so the rank
     at degree k is the number of pivots inside the prefix, and the
     dimension is the number of basis vectors whose free (largest) column
-    lies inside it.  Returns (table, basis): table holds one
-    {degree, unknowns, rows, dimension} entry per degree, where a row
-    counts from the lowest degree of its unknowns on; basis holds the
-    integer vectors of the top degree in ansatz column order, in the form
-    an elimination in that order gives (linalg.canonical_basis).
+    lies inside it.  The presolve of sparse_nullspace keeps this exact: it
+    strikes only columns that are zero in every top-degree kernel vector,
+    and every lower degree's kernel lies inside that kernel.  Returns
+    (table, basis): table holds one {degree, unknowns, rows, dimension}
+    entry per degree, where a row counts from the lowest degree of its
+    unknowns on, in the rows as built; basis holds the integer vectors of
+    the top degree in ansatz column order, in the form an elimination in
+    that order gives (linalg.canonical_basis).
     """
     unknowns = system.ansatz.unknowns
     ncols = len(unknowns)
@@ -303,11 +352,11 @@ def nullspace(system: DeterminingSystem):
     graded = [0] * ncols
     for p, c in enumerate(order):
         graded[c] = p
-    int_rows = rows_to_integer({graded[c]: v for c, v in row.items()}
-                               for row in system.rows.values())
-    _, vectors = sparse_nullspace(int_rows, ncols)
+    graded_rows = [{graded[c]: v for c, v in row.items()}
+                   for row in system.rows.values()]
+    _, vectors = sparse_nullspace(graded_rows, ncols)
     degrees = sorted(degree_of)
-    lows = sorted(min(row) for row in int_rows)
+    lows = sorted(min(row) for row in graded_rows)
     frees = [max(p for p, x in enumerate(v) if x) for v in vectors]  # ascending
     table = []
     for degree in range(system.ansatz.spec.degree + 1):

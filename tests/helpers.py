@@ -13,10 +13,11 @@ from fractions import Fraction
 import pytest
 
 from mongesym.charts import J20
-from mongesym.expr import ONE_MONO, ExpAtom, Expr, NonRationalPowerError
+from mongesym.expr import (ONE_MONO, ExpAtom, Expr, NonRationalPowerError,
+                           _canonical_term, mono_mul)
 from mongesym.fields import (VectorField, distribution_from_monge,
                              lie_bracket, symmetry_residuals)
-from mongesym.linalg import sparse_nullspace
+from mongesym.linalg import SparseEchelon, sparse_nullspace
 from mongesym.solver import (AnsatzSpec, build_ansatz, compile_operator,
                              determining_equations)
 
@@ -78,6 +79,49 @@ def reference_solve(rows, rhs, ncols: int):
     for row, p in zip(reduced, pivots):
         x[p] = row[ncols]
     return x
+
+
+def reference_sparse_nullspace(rows, ncols: int):
+    """(rank, basis) as sparse_nullspace gives them, by an elimination
+    without presolve: every nonzero row, integerized through Fraction and
+    inserted shortest-first, then one Fraction back-substitution per free
+    column, scaled to a primitive vector positive at that column."""
+    echelon = SparseEchelon()
+    int_rows = []
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        if row:
+            denom = math.lcm(*(v.denominator for v in row.values()))
+            int_rows.append({c: int(v * denom) for c, v in row.items()})
+    for row in sorted(int_rows, key=lambda r: (len(r), min(r), sorted(r.items()))):
+        echelon.insert(row)
+    basis = []
+    for f in range(ncols):
+        if f in echelon.pivots:
+            continue
+        x = {f: Fraction(1)}
+        for p in sorted(echelon.pivots, reverse=True):
+            if p < f:
+                row = echelon.pivots[p]
+                x[p] = -Fraction(sum(v * x.get(c, 0) for c, v in row.items()
+                                     if c != p), row[p])
+        denom = math.lcm(*(v.denominator for v in x.values()))
+        ints = [int(x.get(c, 0) * denom) for c in range(ncols)]
+        g = math.gcd(*ints)
+        basis.append(tuple(v // g for v in ints))
+    return echelon.rank, basis
+
+
+def primitive_row(row: dict) -> dict:
+    """A rational row scaled to primitive integers, positive at its lowest
+    column."""
+    row = {c: Fraction(v) for c, v in row.items() if v}
+    denom = math.lcm(*(v.denominator for v in row.values()))
+    ints = {c: int(v * denom) for c, v in row.items()}
+    g = math.gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    return {c: v // g for c, v in ints.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +254,23 @@ def reference_rows(distribution, ansatz) -> dict:
             for t in e.terms:
                 rows.setdefault((rid, t.monomial, t.atoms), {})[col] = t.coefficient
     return rows
+
+
+def reference_determining_rows(operator, ansatz) -> dict:
+    """The determining rows with Fraction entries, every operator-term x
+    partial product sent through _canonical_term: (residual, monomial,
+    atoms) -> {column: Fraction}."""
+    rows: dict = {}
+    for col, u in enumerate(ansatz.unknowns):
+        atoms, factors = u.partials()
+        for rid, order, c, m, a in operator[u.direction]:
+            for k, s in factors[order + 1]:
+                scale, mono, out_atoms, polys = _canonical_term(1, mono_mul(m, s), a + atoms)
+                assert scale == 1 and not polys
+                row = rows.setdefault((rid, mono, out_atoms), {})
+                row[col] = row.get(col, 0) + c * k
+    return {key: {c: v for c, v in row.items() if v}
+            for key, row in rows.items() if any(row.values())}
 
 
 def brute_force_symmetry_space(equation, degree: int):

@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from mongesym.linalg import (KeyedSpan, SparseEchelon, canonical_basis, kernel,
-                             reduced_rows, solve_exact, sparse_nullspace)
+from mongesym import linalg
+from mongesym.linalg import (KeyedSpan, SparseEchelon, _forced_zeros,
+                             canonical_basis, kernel, reduced_rows, solve_exact,
+                             sparse_nullspace)
 
 from helpers import (reference_canonical_basis, reference_nullspace,
-                     reference_rref, reference_solve)
+                     reference_rref, reference_solve,
+                     reference_sparse_nullspace, same_span)
 
 
 def random_matrix(rng: random.Random):
@@ -146,3 +149,124 @@ def test_keyed_span_reads_coordinates_off_tags():
     assert span.place({"a": 1, "c": 3}) is None
     assert span.coordinates({"a": 3, "b": 1, "c": 3}) == [2, 2, 1]
     assert span.coordinates({}) == [0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# the singleton presolve of sparse_nullspace
+# ---------------------------------------------------------------------------
+
+# (rows, ncols, forced columns)
+PLANTED = {
+    # the second row is a singleton only once column 0 is forced, and the
+    # third only once column 1 is
+    "after_propagation": ([{0: 2}, {0: 1, 1: 3}, {1: -1, 2: 5}, {2: 4, 3: 4, 4: -4},
+                           {3: 1, 4: 1, 5: 1}], 6, {0, 1, 2}),
+    "forced_by_two_rows": ([{2: 3}, {2: -1}, {0: 1, 2: 7, 3: 1}, {0: 2, 1: 1}],
+                           4, {2}),
+    "every_column": ([{0: 1, 1: 1, 2: 1}, {2: 5}, {1: 2, 2: -3}, {0: -1, 3: 2},
+                      {3: 1, 2: 1}], 4, {0, 1, 2, 3}),
+    "no_singleton": ([{0: 1, 1: -1}, {1: 2, 2: 1}, {0: 3, 2: 3, 3: 1}, {3: 0, 4: 1, 5: 1}],
+                     6, set()),
+}
+
+
+def random_sparse_system(rng: random.Random):
+    """(rows, ncols): short integer rows, many of them singletons or pairs,
+    so that forcing propagates along chains, with explicit zero entries and
+    empty rows mixed in."""
+    ncols = rng.randint(1, 16)
+    rows = []
+    for _ in range(rng.randint(0, 14)):
+        size = rng.choice((0, 1, 1, 2, 2, 2, 3, 4))
+        row = {c: rng.choice((-3, -2, -1, 1, 2, 5))
+               for c in rng.sample(range(ncols), min(size, ncols))}
+        if row and rng.random() < 0.1:
+            row[rng.randrange(ncols)] = 0
+        rows.append(row)
+    return rows, ncols
+
+
+def dense(rows, ncols):
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+def check_against_oracles(rows, ncols):
+    rank, basis = sparse_nullspace(rows, ncols)
+    assert (rank, basis) == reference_sparse_nullspace(rows, ncols)
+    null = reference_nullspace(dense(rows, ncols), ncols)
+    assert rank == ncols - len(null)
+    assert len(basis) == len(null)
+    if basis:
+        assert same_span(basis, null)
+
+
+@pytest.mark.parametrize("case", sorted(PLANTED))
+def test_presolve_on_planted_systems(case):
+    rows, ncols, forced = PLANTED[case]
+    assert _forced_zeros(rows)[0] == forced
+    check_against_oracles(rows, ncols)
+
+
+def test_presolve_on_seeded_systems():
+    forced = 0
+    for seed in range(300):
+        rows, ncols = random_sparse_system(random.Random(seed))
+        forced += len(_forced_zeros([r for r in rows if r])[0])
+        check_against_oracles(rows, ncols)
+    assert forced > 300
+
+
+def test_presolve_passes_only_survivors_on(monkeypatch):
+    seen = []
+    rows_to_integer = linalg.rows_to_integer
+
+    def spy(rows):
+        out = rows_to_integer(rows)
+        seen.extend(out)
+        return out
+
+    monkeypatch.setattr(linalg, "rows_to_integer", spy)
+    rows, ncols, _ = PLANTED["after_propagation"]
+    assert sparse_nullspace(rows, ncols) == (5, [(0, 0, 0, -1, -1, 2)])
+    assert seen == [{3: 1, 4: -1}, {3: 1, 4: 1, 5: 1}]
+
+
+class CountedRow(dict):
+    """A row that counts the passes over its entries."""
+    passes = 0
+
+    def items(self):
+        CountedRow.passes += 1
+        return super().items()
+
+    def __iter__(self):
+        CountedRow.passes += 1
+        return super().__iter__()
+
+    def keys(self):
+        CountedRow.passes += 1
+        return super().keys()
+
+    def values(self):
+        CountedRow.passes += 1
+        return super().values()
+
+
+def test_a_long_singleton_chain_is_forced_in_linear_work(monkeypatch):
+    # the singleton comes last and each row forces the one before it, so a
+    # sweep over the rows in order would force one column per sweep, and a
+    # recursive propagation would nest 20,000 deep
+    n = 20_000
+    rows = [CountedRow({i: 1, i + 1: -2}) for i in range(n - 1)]
+    rows.append(CountedRow({n - 1: 3}))
+    eliminations = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda *args: eliminations.append(1) or eliminate(*args))
+    CountedRow.passes = 0
+    assert sparse_nullspace(rows, n) == (n, [])
+    assert CountedRow.passes <= 3 * n
+    assert not eliminations
+    CountedRow.passes = 0
+    assert sparse_nullspace(rows, n + 1) == (n, [(0,) * n + (1,)])
+    assert CountedRow.passes <= 3 * n

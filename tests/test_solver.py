@@ -7,19 +7,23 @@ from fractions import Fraction
 
 import pytest
 
-from mongesym.catalog import dz13, eq1, eq2, flat
+from mongesym import solver
+from mongesym.catalog import dz13, eq1, eq2, flat, get_equation
+from mongesym.charts import J20
 from mongesym.expr import PowerAtom
-from mongesym.fields import (distribution_from_monge, is_symmetry,
-                             lie_bracket)
+from mongesym.fields import (MongeEquation, distribution_from_monge,
+                             is_symmetry, lie_bracket)
 from mongesym.liealg import close_under_bracket, express_in_basis
 from mongesym.linalg import canonical_basis, reduced_rows, sparse_nullspace
+from mongesym.parser import parse
 from mongesym.solver import (MAX_UNKNOWNS, AnsatzError, AnsatzSpec,
                              DeterminingSystem, UnknownBasis, build_ansatz,
                              compile_operator, determining_equations,
                              exp_rates_for, maximality_argument, nullspace,
                              symmetry_dimension)
 
-from helpers import (brute_force_symmetry_space, reference_assemble,
+from helpers import (brute_force_symmetry_space, primitive_row,
+                     reference_assemble, reference_determining_rows,
                      reference_graded_solve, reference_rows, same_span)
 
 
@@ -127,9 +131,73 @@ class TestRowBuilder:
         assert len(calls) == ansatz.size // 5
 
 
+# (equation, offsets, rates); rates None takes exp_rates_for's
+INTEGER_ROW_CASES = [
+    ("eq2", (0, Fraction(1, 3), Fraction(2, 3)), None),
+    ("dz13(5,4)", (0,), None),
+    ("strazzullo", (0,), None),
+    # D > 1 and E > 1 on every kind of partial scalar
+    ("3/5*y2^(1/2) + 2/7*y1*y2", (0, Fraction(1, 2), Fraction(-1, 4)),
+     (0, Fraction(2, 3))),
+]
+
+
+def integer_row_case(key, offsets, rates):
+    m = (get_equation(key) if key in ("eq2", "dz13(5,4)", "strazzullo")
+         else MongeEquation(parse(key, J20)))
+    spec = AnsatzSpec(1, offsets, exp_rates_for(m) if rates is None else rates)
+    return compile_operator(distribution_from_monge(m)), build_ansatz(spec)
+
+
+class TestIntegerRows:
+    @pytest.mark.parametrize("key,offsets,rates", INTEGER_ROW_CASES)
+    def test_rows_are_the_rational_rows_scaled(self, key, offsets, rates):
+        operator, ansatz = integer_row_case(key, offsets, rates)
+        rows = determining_equations(operator, ansatz).rows
+        reference = reference_determining_rows(operator, ansatz)
+        assert rows.keys() == reference.keys()
+        for k, row in rows.items():
+            assert all(type(v) is int for v in row.values()), k
+            assert primitive_row(row) == primitive_row(reference[k]), k
+
+    def test_the_scalings_are_not_trivial(self):
+        operator, ansatz = integer_row_case(*INTEGER_ROW_CASES[-1])
+        D = math.lcm(*(t[2].denominator for terms in operator for t in terms))
+        E = math.lcm(*(v.denominator for v in ansatz.spec.offsets + ansatz.spec.rates))
+        assert D > 1 and E > 1
+        rows = determining_equations(operator, ansatz).rows
+        reference = reference_determining_rows(operator, ansatz)
+        assert all(v == D * E * reference[k][c]
+                   for k, row in rows.items() for c, v in row.items())
+
+    def test_an_inexact_scaling_raises(self):
+        with pytest.raises(ArithmeticError):
+            solver._exact_integer(Fraction(1, 3) * 2)
+        assert solver._exact_integer(Fraction(1, 3) * 3) == 1
+
+    @pytest.mark.parametrize("key,offsets,rates", INTEGER_ROW_CASES)
+    def test_canonical_products_skip_canonical_term(self, monkeypatch, key,
+                                                   offsets, rates):
+        operator, ansatz = integer_row_case(key, offsets, rates)
+        calls = []
+        canonical_term = solver._canonical_term
+
+        def counted(*args):
+            calls.append(args)
+            return canonical_term(*args)
+
+        monkeypatch.setattr(solver, "_canonical_term", counted)
+        rows = determining_equations(operator, ansatz).rows
+        with_rule = len(calls)
+        calls.clear()
+        monkeypatch.setattr(solver, "product_is_canonical", lambda *args: False)
+        assert determining_equations(operator, ansatz).rows == rows
+        assert with_rule < len(calls)
+
+
 class TestCompiledOperator:
-    # the compiled operator must give exactly the rows (keys and entries)
-    # of the expanded residuals; the degree-2 ansatz holds every unknown of
+    # the compiled operator must give the rows of the expanded residuals:
+    # the same keys, and entries equal up to each row's scaling; the degree-2 ansatz holds every unknown of
     # degree <= 2
     @pytest.mark.parametrize("key,offsets", [
         ("eq2", (0, Fraction(1, 3), Fraction(-1, 3))),
@@ -144,7 +212,10 @@ class TestCompiledOperator:
         d = distribution_from_monge(m)
         ansatz = build_ansatz(AnsatzSpec(2, offsets=offsets, rates=exp_rates_for(m)))
         rows = determining_equations(compile_operator(d), ansatz).rows
-        assert rows == reference_rows(d, ansatz)
+        reference = reference_rows(d, ansatz)
+        assert rows.keys() == reference.keys()
+        assert all(primitive_row(row) == primitive_row(reference[k])
+                   for k, row in rows.items())
 
 
 class TestGradedElimination:
