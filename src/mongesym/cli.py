@@ -136,7 +136,7 @@ def _vanishing_description(hessian: Expr) -> str:
     for a in t.atoms:
         if isinstance(a, PowerAtom):
             if len(a.base) == 1:
-                excluded.update(c for c, e in zip(coords, a.base[0][0]) if e)
+                excluded.update(c for c, e in zip(coords, a.base[0].monomial) if e)
             else:
                 excluded.add(poly_text(a.base, hessian.chart))
     if not positive and not excluded:

@@ -11,6 +11,13 @@ polynomials.  The constructor normalizes aggressively (merging equal power
 bases, folding integer exponents, absorbing single-coordinate powers) and
 an expression is zero iff its term list is empty.
 
+There is one polynomial form.  A power base or an exp/ln argument is a
+tuple of atom-free canonical Terms in Expr order, the form of an atom-free
+Expr's terms, so one set of chart-free term operations serves expressions
+and atom arguments alike: _normalize collects, _product multiplies, _power
+raises to an integer power, _scaled scales, _lowered takes the monomial
+part of a partial, and _evaluate evaluates, recursing into the atoms.
+
 Monomial exponents may be negative (y2^(-1) arises from products such as
 y2^(1/3) * y2^(-4/3) and from differentiating ln); evaluation guards against
 vanishing denominators.
@@ -43,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from operator import add, sub
 from typing import Iterable, Mapping, NamedTuple, Union
@@ -55,7 +63,7 @@ from .rationals import exact_pow
 # monomials are J20's with the trailing exponents zero, and the graded-lex
 # order mono_key gives is the same on every chart.
 Mono = tuple
-Poly = tuple  # tuple[(Mono, Fraction), ...] in canonical descending term order
+Poly = tuple  # an atom's base or argument: atom-free canonical Terms in Expr order
 
 ONE_MONO: Mono = (0,) * MAX_COORDS
 UNIT_MONOS = tuple(tuple(int(i == j) for j in range(MAX_COORDS))
@@ -93,50 +101,10 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
 def mono_pow(m: Mono, k: int) -> Mono:
     return tuple(e * k for e in m)
 
-def _mono_lower(m: Mono, idx: int) -> Mono:
-    """m divided by coordinate idx."""
-    return m[:idx] + (m[idx] - 1,) + m[idx + 1:]
-
 def mono_key(m: Mono):
     """Graded-lex key (total degree first, then exponent vector)."""
     return (sum(m), m)
 
-
-# ---------------------------------------------------------------------------
-# atom-free polynomials (used for power bases and exp/ln arguments)
-# ---------------------------------------------------------------------------
-
-def _poly_sorted(d: dict) -> Poly:
-    items = [(m, c) for m, c in d.items() if c]
-    items.sort(key=lambda mc: mono_key(mc[0]), reverse=True)
-    return tuple(items)
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    d = dict(a)
-    for m, c in b:
-        c2 = d.get(m, Fraction(0)) + c
-        if c2:
-            d[m] = c2
-        else:
-            d.pop(m, None)
-    return _poly_sorted(d)
-
-def poly_scale(a: Poly, s: Fraction) -> Poly:
-    if s == 0:
-        return ()
-    return tuple((m, c * s) for m, c in a)
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    d: dict = {}
-    for m1, c1 in a:
-        for m2, c2 in b:
-            m = mono_mul(m1, m2)
-            c = d.get(m, Fraction(0)) + c1 * c2
-            if c:
-                d[m] = c
-            else:
-                d.pop(m, None)
-    return _poly_sorted(d)
 
 def _check_power_size(c: Fraction, q: Fraction) -> None:
     """Raise ExprError when c**q would have more than MAX_POWER_BITS bits."""
@@ -154,58 +122,35 @@ def _check_expansion_size(k: int, n: int) -> None:
                         f"takes over {MAX_POWER_PRODUCTS} products")
 
 
-def poly_pow(a: Poly, k: int) -> Poly:
-    _check_expansion_size(len(a), k)
-    out: Poly = ((ONE_MONO, Fraction(1)),)
-    for _ in range(k):
-        out = poly_mul(out, a)
-    return out
+# ---------------------------------------------------------------------------
+# terms and atoms
+# ---------------------------------------------------------------------------
 
-def poly_diff(a: Poly, idx: int) -> Poly:
-    # lowering one exponent keeps distinct monomials distinct and in order
-    return tuple((_mono_lower(m, idx), c * m[idx]) for m, c in a if m[idx])
+class Term(NamedTuple):
+    coefficient: Fraction
+    monomial: Mono
+    atoms: tuple
 
-def poly_eval(a: Poly, values) -> Fraction:
-    total = Fraction(0)
-    for m, c in a:
-        v = c
-        for base, e in zip(values, m):
-            if e:
-                if e < 0 and base == 0:
-                    raise ZeroDivisionError("negative power of zero in evaluation")
-                v *= Fraction(base) ** e
-        total += v
-    return total
-
-def _mono_approx(m: Mono, values) -> float:
-    return math.prod(x ** e for x, e in zip(values, m) if e)
 
 def poly_key(a: Poly):
-    return tuple((mono_key(m), c) for m, c in a)
+    return tuple((mono_key(m), c) for c, m, _ in a)
 
-POLY_ONE: Poly = ((ONE_MONO, Fraction(1)),)
+POLY_ONE: Poly = (Term(Fraction(1), ONE_MONO, ()),)
 
 
 def _poly_content_split(base: Poly):
     """Split a base of two or more terms into sign * content *
     common_monomial * primitive_part."""
-    m_c = tuple(map(min, *(m for m, _ in base)))
-    num_gcd = 0
-    den_lcm = 1
-    for _, c in base:
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    reduced = tuple((tuple(map(sub, m, m_c)), c / content) for m, c in base)
-    sign = 1 if reduced[0][1] > 0 else -1
+    m_c = tuple(map(min, *(m for _, m, _ in base)))
+    content = Fraction(math.gcd(*(c.numerator for c, _, _ in base)),
+                       math.lcm(*(c.denominator for c, _, _ in base)))
+    # dividing by a common monomial keeps the graded order
+    reduced = tuple(Term(c / content, tuple(map(sub, m, m_c)), ()) for c, m, _ in base)
+    sign = 1 if reduced[0].coefficient > 0 else -1
     if sign < 0:
-        reduced = tuple((m, -c) for m, c in reduced)
+        reduced = _scaled(reduced, -1)
     return sign, content, m_c, reduced
 
-
-# ---------------------------------------------------------------------------
-# atoms
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PowerAtom:
@@ -225,12 +170,12 @@ Atom = Union[PowerAtom, ExpAtom, LnAtom]
 
 def _unit_coord_index(base: Poly):
     """Coordinate index when the base is a bare coordinate, else None."""
-    if len(base) == 1 and base[0][1] == 1:
-        return _UNIT_INDEX.get(base[0][0])
+    if len(base) == 1 and base[0][0] == 1:
+        return _UNIT_INDEX.get(base[0][1])
     return None
 
 def _coord_base(idx: int) -> Poly:
-    return ((UNIT_MONOS[idx], Fraction(1)),)
+    return (Term(Fraction(1), UNIT_MONOS[idx], ()),)
 
 def atom_sort_key(atom: Atom):
     if isinstance(atom, PowerAtom):
@@ -241,14 +186,113 @@ def atom_sort_key(atom: Atom):
 
 
 # ---------------------------------------------------------------------------
-# terms and normalization
+# chart-free term operations, for expressions and atom arguments alike
 # ---------------------------------------------------------------------------
 
-class Term(NamedTuple):
-    coefficient: Fraction
-    monomial: Mono
-    atoms: tuple
+def _scaled(terms, s) -> tuple:
+    """Canonical terms times a nonzero scalar."""
+    return tuple(Term(c * s, m, a) for c, m, a in terms)
 
+
+def _lowered(terms, idx: int) -> list:
+    """The part of the d/d(coordinate idx) partial of canonical terms that
+    lowers a monomial exponent, as plain (coefficient, monomial, atoms)
+    triples.  Lowering an exponent keeps a term canonical, and keeps the
+    monomials of atom-free terms distinct and in order.  (A loop, not a
+    comprehension: every partial calls this, mostly on a few terms.)"""
+    out = []
+    for c, m, a in terms:
+        e = m[idx]
+        if e:
+            out.append((c * e, m[:idx] + (e - 1,) + m[idx + 1:], a))
+    return out
+
+
+def _product(left, right) -> tuple:
+    """The canonical terms of the product of two sums of canonical terms."""
+    ready, raw = [], []
+    multiply_terms(ready, raw, left, right)
+    return _normalize(raw, ready)
+
+
+def _power(terms, n: int) -> tuple:
+    """The canonical terms of a sum of canonical terms to the integer power
+    n >= 0.  One term whose atoms are all exp atoms takes exponent
+    arithmetic: coefficient to the n, monomial and exp argument times n.
+    Anything else is sized and multiplied out: a power atom's exponents
+    summed to an integer expand its base, so ((x+y)^(1/2))^3 becomes
+    x*(x+y)^(1/2) + y*(x+y)^(1/2), and only _canonical_term knows how."""
+    if n == 0:
+        return POLY_ONE
+    if len(terms) == 1 and (not terms[0].atoms
+                            or all(isinstance(a, ExpAtom) for a in terms[0].atoms)):
+        c, m, atoms = terms[0]
+        _check_power_size(c, n)
+        return (Term(c ** n, mono_pow(m, n),
+                     tuple(ExpAtom(_scaled(a.argument, n)) for a in atoms)),)
+    _check_expansion_size(len(terms), n)
+    out = POLY_ONE
+    for _ in range(n):
+        out = _product(out, terms)
+    return out
+
+
+def _evaluate(terms, point, cast, atom_value):
+    """The value of a sum of canonical terms at point, a list of (coordinate
+    name, value) pairs: cast converts the coefficients, and
+    atom_value(atom, v) is an atom's factor when its base or argument, a
+    sum of terms evaluated by this same loop, has the value v."""
+    total = cast(0)
+    for c, m, atoms in terms:
+        v = cast(c)
+        for (name, x), e in zip(point, m):
+            if e:
+                if e < 0 and x == 0:
+                    raise ZeroDivisionError(f"{name} = 0 not admissible (negative power)")
+                v *= x ** e
+        for atom in atoms:
+            poly = atom.base if isinstance(atom, PowerAtom) else atom.argument
+            v *= atom_value(atom, _evaluate(poly, point, cast, atom_value))
+        total += v
+    return total
+
+
+def _exact_atom_value(atom: Atom, v: Fraction) -> Fraction:
+    if isinstance(atom, PowerAtom):
+        p = exact_pow(v, atom.exponent)
+        if p is None:
+            raise NonRationalPowerError(f"{v}^({atom.exponent}) is not rational")
+        return p
+    if isinstance(atom, ExpAtom):
+        if v != 0:
+            raise EvaluationError(
+                "exp atom with nonzero argument has no exact rational value")
+        return Fraction(1)
+    if v != 1:
+        raise EvaluationError("ln atom with argument != 1 has no exact rational value")
+    return Fraction(0)
+
+
+def _float_atom_value(atom: Atom, v: float) -> float:
+    if isinstance(atom, PowerAtom):
+        q = atom.exponent
+        if v > 0:
+            return v ** float(q)
+        if v == 0 and q > 0:
+            return 0.0
+        if v < 0 and q.denominator % 2 == 1:
+            return (-v) ** float(q) * (-1.0 if q.numerator % 2 else 1.0)
+        raise EvaluationError(f"{v}^({q}) not a real value")
+    if isinstance(atom, ExpAtom):
+        return math.exp(v)
+    if v <= 0:
+        raise EvaluationError("ln of a non-positive value")
+    return math.log(v)
+
+
+# ---------------------------------------------------------------------------
+# normalization
+# ---------------------------------------------------------------------------
 
 def _odd_root_sign(s: Fraction, q: Fraction):
     """(sign factor, kept scale) of s**q with q not an integer: an odd root
@@ -275,7 +319,7 @@ def _power_parts(base: Poly, q: Fraction):
             return Fraction(0), {}, [], []
         raise ExprError("zero raised to a non-positive power")
     if len(base) == 1:
-        m, c = base[0]
+        c, m, _ = base[0]
         _check_power_size(c, q)
         if q.denominator == 1:
             n = int(q)
@@ -286,7 +330,7 @@ def _power_parts(base: Poly, q: Fraction):
         if m == ONE_MONO:
             raise NonRationalPowerError(f"{c}^({q}) is not rational")
         sign_factor, c_kept = _odd_root_sign(c, q)
-        return sign_factor, {}, [PowerAtom(((m, c_kept),), q)], []
+        return sign_factor, {}, [PowerAtom((Term(c_kept, m, ()),), q)], []
     sign, content, m_c, primitive = _poly_content_split(base)
     _check_power_size(content, q)
     if q.denominator == 1:
@@ -294,7 +338,7 @@ def _power_parts(base: Poly, q: Fraction):
         factor = Fraction(sign) ** n * content ** n
         coord = _scaled_exponents(m_c, n)
         if n > 0:
-            return factor, coord, [], [poly_pow(primitive, n)]
+            return factor, coord, [], [_power(primitive, n)]
         # negative integer power of an irreducible-for-us polynomial: kept as
         # an atom (closure needed by the ln chain rule)
         return factor, coord, [PowerAtom(primitive, q)], []
@@ -303,14 +347,14 @@ def _power_parts(base: Poly, q: Fraction):
     if sc is not None:
         return sc, coord, [PowerAtom(primitive, q)], []
     sign_factor, kept_scale = _odd_root_sign(Fraction(sign) * content, q)
-    return sign_factor, coord, [PowerAtom(poly_scale(primitive, kept_scale), q)], []
+    return sign_factor, coord, [PowerAtom(_scaled(primitive, kept_scale), q)], []
 
 
 def _canonical_term(coeff: Fraction, mono: Mono, atoms: Iterable):
     """Return (coeff, mono, atoms, poly_factors); coeff 0 means the term died."""
     coord = list(mono)  # int exponents, Fraction once a power adds to one
     powers: dict = {}
-    exp_arg: Poly = ()
+    exp_args: list = []
     lns: list = []
     polys: list = []
     for atom in atoms:
@@ -327,7 +371,7 @@ def _canonical_term(coeff: Fraction, mono: Mono, atoms: Iterable):
                 else:
                     powers.pop(atom.base, None)
         elif isinstance(atom, ExpAtom):
-            exp_arg = poly_add(exp_arg, atom.argument)
+            exp_args.append(atom.argument)
         elif isinstance(atom, LnAtom):
             if not atom.argument:
                 raise ExprError("ln(0) is undefined")
@@ -369,8 +413,11 @@ def _canonical_term(coeff: Fraction, mono: Mono, atoms: Iterable):
         if e.denominator != 1:
             out_atoms.append(PowerAtom(_coord_base(i), e))
             coord[i] = 0
-    if exp_arg:
-        out_atoms.append(ExpAtom(exp_arg))
+    if exp_args:
+        # a lone argument is canonical as it stands
+        exp_arg = exp_args[0] if len(exp_args) == 1 else _normalize((), chain(*exp_args))
+        if exp_arg:
+            out_atoms.append(ExpAtom(exp_arg))
     out_atoms.extend(lns)
     out_atoms.sort(key=atom_sort_key)
     return coeff, tuple(map(int, coord)), tuple(out_atoms), polys
@@ -389,10 +436,7 @@ def _canonical_terms(raw):
             if coeff == 0:
                 continue
             if polys:
-                prod = polys[0]
-                for p in polys[1:]:
-                    prod = poly_mul(prod, p)
-                for m2, c2 in prod:
+                for c2, m2, _ in reduce(_product, polys):
                     stack.append((coeff * c2, mono_mul(mono, m2), atoms))
                 continue
         yield coeff, mono, atoms
@@ -505,23 +549,19 @@ class Expr:
         return self + (-other)
 
     def __neg__(self) -> "Expr":
-        return Expr(self.chart,
-                    tuple(Term(-t.coefficient, t.monomial, t.atoms) for t in self.terms))
+        return Expr(self.chart, tuple(Term(-c, m, a) for c, m, a in self.terms))
 
     def scale(self, s) -> "Expr":
         s = Fraction(s)
         if s == 0:
             return Expr.zero(self.chart)
-        return Expr(self.chart,
-                    tuple(Term(t.coefficient * s, t.monomial, t.atoms) for t in self.terms))
+        return Expr(self.chart, _scaled(self.terms, s))
 
     def __mul__(self, other) -> "Expr":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         require_same_chart(self, other)
-        ready, raw = [], []
-        multiply_terms(ready, raw, self.terms, other.terms)
-        return Expr.from_raw(self.chart, raw, ready)
+        return Expr(self.chart, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -529,18 +569,7 @@ class Expr:
         exponent = Fraction(exponent)
         if exponent.denominator != 1 or exponent < 0:
             return self.pow_rational(exponent)
-        n = int(exponent)
-        if len(self.terms) == 1 and not self.terms[0].atoms:
-            # one atom-free term: exponent arithmetic
-            t = self.terms[0]
-            _check_power_size(t.coefficient, exponent)
-            return Expr(self.chart, (Term(t.coefficient ** n,
-                                          mono_pow(t.monomial, n), ()),))
-        _check_expansion_size(len(self.terms), n)
-        out = Expr.constant(self.chart, 1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return Expr(self.chart, _power(self.terms, int(exponent)))
 
     def pow_rational(self, exponent) -> "Expr":
         """Raise to a rational power; the base must be atom-free."""
@@ -565,8 +594,7 @@ class Expr:
                 raise ExprError("expression is not a polynomial (atoms present)")
             if min(t.monomial) < 0:
                 raise ExprError("expression is not a polynomial (negative power)")
-        # atom-free terms are sorted by monomial already
-        return tuple((t.monomial, t.coefficient) for t in self.terms)
+        return self.terms
 
     def coordinates_used(self) -> set:
         monos = []
@@ -574,50 +602,44 @@ class Expr:
             monos.append(t.monomial)
             for a in t.atoms:
                 poly = a.base if isinstance(a, PowerAtom) else a.argument
-                monos.extend(m for m, _ in poly)
+                monos.extend(u.monomial for u in poly)
         return {i for m in monos for i, e in enumerate(m) if e}
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, coord: str) -> "Expr":
         idx = self.chart.index(coord)
-        ready, raw = [], []
-        for t in self.terms:
-            # lowering a monomial exponent keeps a term canonical
-            e = t.monomial[idx]
-            if e:
-                ready.append((t.coefficient * e, _mono_lower(t.monomial, idx), t.atoms))
-            for k, atom in enumerate(t.atoms):
-                rest = t.atoms[:k] + t.atoms[k + 1:]
-                if isinstance(atom, PowerAtom):
-                    da = poly_diff(atom.base, idx)
-                    if not da:
-                        continue
-                    for m2, c2 in da:
-                        raw.append((t.coefficient * atom.exponent * c2,
-                                    mono_mul(t.monomial, m2),
-                                    rest + (PowerAtom(atom.base, atom.exponent - 1),)))
-                elif isinstance(atom, ExpAtom):
+        ready, raw = _lowered(self.terms, idx), []
+        for c, m, atoms in self.terms:
+            for k, atom in enumerate(atoms):
+                poly = atom.base if isinstance(atom, PowerAtom) else atom.argument
+                lowered = _lowered(poly, idx)
+                if not lowered:
+                    continue
+                if isinstance(atom, ExpAtom):
                     # a product with an atom-free term
-                    bare = bare_coords(t.atoms)
-                    for m2, c2 in poly_diff(atom.argument, idx):
-                        product = (t.coefficient * c2, mono_mul(t.monomial, m2), t.atoms)
+                    bare = bare_coords(atoms)
+                    for c2, m2, _ in lowered:
+                        product = (c * c2, mono_mul(m, m2), atoms)
                         (ready if product_is_canonical(product[1], bare, None)
                          else raw).append(product)
+                    continue
+                if isinstance(atom, PowerAtom):
+                    s, factor = atom.exponent, PowerAtom(poly, atom.exponent - 1)
                 else:  # LnAtom
-                    for m2, c2 in poly_diff(atom.argument, idx):
-                        raw.append((t.coefficient * c2,
-                                    mono_mul(t.monomial, m2),
-                                    rest + (PowerAtom(atom.argument, Fraction(-1)),)))
+                    s, factor = 1, PowerAtom(poly, Fraction(-1))
+                rest = atoms[:k] + atoms[k + 1:] + (factor,)
+                for c2, m2, _ in lowered:
+                    raw.append((c * s * c2, mono_mul(m, m2), rest))
         return Expr.from_raw(self.chart, raw, ready)
 
     # -- evaluation --------------------------------------------------------
 
-    def _values_vector(self, assignment: Mapping[str, object], cast):
+    def _point(self, assignment: Mapping[str, object], cast):
         missing = {self.chart.coords[i] for i in self.coordinates_used()} - set(assignment)
         if missing:
             raise EvaluationError(f"missing values for {sorted(missing)}")
-        return [cast(assignment.get(c, 0)) for c in self.chart.coords]
+        return [(c, cast(assignment.get(c, 0))) for c in self.chart.coords]
 
     def substitute(self, assignment: Mapping[str, object]) -> Fraction:
         """Exact value at a rational point.
@@ -626,70 +648,13 @@ class Expr:
         evaluates to 0 resp. 1) and NonRationalPowerError when a power atom
         has an irrational value at the point.
         """
-        values = self._values_vector(assignment, Fraction)
-        total = Fraction(0)
-        for t in self.terms:
-            v = t.coefficient
-            for name, base, e in zip(self.chart.coords, values, t.monomial):
-                if e:
-                    if base == 0 and e < 0:
-                        raise ZeroDivisionError(
-                            f"{name} = 0 not admissible (negative power)")
-                    v *= base ** e
-            for atom in t.atoms:
-                if isinstance(atom, PowerAtom):
-                    b = poly_eval(atom.base, values)
-                    p = exact_pow(b, atom.exponent)
-                    if p is None:
-                        raise NonRationalPowerError(
-                            f"{b}^({atom.exponent}) is not rational")
-                    v *= p
-                elif isinstance(atom, ExpAtom):
-                    a = poly_eval(atom.argument, values)
-                    if a != 0:
-                        raise EvaluationError(
-                            "exp atom with nonzero argument has no exact rational value")
-                else:
-                    a = poly_eval(atom.argument, values)
-                    if a != 1:
-                        raise EvaluationError(
-                            "ln atom with argument != 1 has no exact rational value")
-                    v = Fraction(0)
-            total += v
-        return total
+        return _evaluate(self.terms, self._point(assignment, Fraction), Fraction,
+                         _exact_atom_value)
 
     def approx(self, assignment: Mapping[str, object]) -> float:
         """Floating-point value; used only for randomized cross-checks."""
-        values = self._values_vector(assignment, float)
-        total = 0.0
-        for t in self.terms:
-            v = float(t.coefficient)
-            for x, e in zip(values, t.monomial):
-                if e:
-                    v *= x ** e
-            for atom in t.atoms:
-                if isinstance(atom, PowerAtom):
-                    b = sum(float(c) * _mono_approx(m, values) for m, c in atom.base)
-                    q = atom.exponent
-                    if b > 0:
-                        v *= b ** float(q)
-                    elif b == 0 and q > 0:
-                        v = 0.0
-                    elif b < 0 and q.denominator % 2 == 1:
-                        mag = (-b) ** float(q)
-                        v *= mag * (-1.0 if q.numerator % 2 else 1.0)
-                    else:
-                        raise EvaluationError(f"{b}^({q}) not a real value")
-                elif isinstance(atom, ExpAtom):
-                    a = sum(float(c) * _mono_approx(m, values) for m, c in atom.argument)
-                    v *= math.exp(a)
-                else:
-                    a = sum(float(c) * _mono_approx(m, values) for m, c in atom.argument)
-                    if a <= 0:
-                        raise EvaluationError("ln of a non-positive value")
-                    v *= math.log(a)
-            total += v
-        return total
+        return _evaluate(self.terms, self._point(assignment, float), float,
+                         _float_atom_value)
 
     # -- printing ----------------------------------------------------------
 
@@ -715,21 +680,28 @@ def _mono_factors(m: Mono, chart: Chart):
     return [name if e == 1 else name + _exp_text(e)
             for name, e in zip(chart.coords, m) if e]
 
-def poly_text(poly: Poly, chart: Chart) -> str:
-    if not poly:
+def _sum_text(terms, chart: Chart, unit_minus: str) -> str:
+    """Terms as a signed sum; a leading negative unit coefficient before
+    factors prints as unit_minus."""
+    if not terms:
         return "0"
     pieces = []
-    for n, (m, c) in enumerate(poly):
-        factors = _mono_factors(m, chart)
+    for n, (c, m, atoms) in enumerate(terms):
+        factors = _mono_factors(m, chart) + [_atom_text(a, chart) for a in atoms]
         mag = abs(c)
-        if mag != 1 or not factors:
-            factors = [str(mag)] + factors
-        body = "*".join(factors)
+        unit = mag == 1 and factors
+        body = "*".join(factors if unit else [str(mag)] + factors)
         if n == 0:
-            pieces.append(body if c > 0 else "-" + body)
+            if c < 0:
+                body = (unit_minus if unit else "-") + body
+            pieces.append(body)
         else:
             pieces.append((" + " if c > 0 else " - ") + body)
     return "".join(pieces)
+
+def poly_text(poly: Poly, chart: Chart) -> str:
+    """An atom's base or argument; a leading -x prints as -x, not -1*x."""
+    return _sum_text(poly, chart, "-")
 
 def _atom_text(atom: Atom, chart: Chart) -> str:
     if isinstance(atom, PowerAtom):
@@ -742,21 +714,6 @@ def _atom_text(atom: Atom, chart: Chart) -> str:
     return "ln(" + poly_text(atom.argument, chart) + ")"
 
 def to_text(expr: Expr) -> str:
-    if not expr.terms:
-        return "0"
-    pieces = []
-    for n, t in enumerate(expr.terms):
-        factors = _mono_factors(t.monomial, expr.chart)
-        factors += [_atom_text(a, expr.chart) for a in t.atoms]
-        mag = abs(t.coefficient)
-        unit = mag == 1 and factors
-        body = "*".join(factors if unit else [str(mag)] + factors)
-        if n == 0:
-            # a leading negative coefficient is emitted as a signed literal,
-            # so a lone "-x" prints as "-1*x" and stays inside the grammar
-            if t.coefficient < 0:
-                body = ("-1*" if unit else "-") + body
-            pieces.append(body)
-        else:
-            pieces.append((" + " if t.coefficient > 0 else " - ") + body)
-    return "".join(pieces)
+    # a leading negative coefficient is emitted as a signed literal, so a
+    # lone "-x" prints as "-1*x" and stays inside the grammar
+    return _sum_text(expr.terms, expr.chart, "-1*")

@@ -160,8 +160,10 @@ def sparse_nullspace(rows, ncols: int):
     the rest plus the forced columns.  Only the surviving rows, struck,
     are integerized and eliminated.  The basis comes from a
     back-substitution, which computes only the free columns' vectors, not
-    from reduced(), which clears every pivot row: 11,326 of them for the 14
-    vectors of dz13(10,9) at degree 5 without the presolve.
+    from reduced(), which clears every pivot row: 4,649 of them, after the
+    presolve, for the 14 vectors of dz13(10,9) at degree 5, where reading
+    the basis off reduced() took 0.048 s against 0.039-0.047 s for the
+    back-substitution (best of 5, process time, 2 cores, Python 3.11).
     """
     rows = [r for r in rows if r]
     forced, live = _forced_zeros(rows)

@@ -11,6 +11,10 @@ Whitespace is insignificant.  A leading unary minus is accepted as a
 convenience superset ("-x" parses like "-1*x"); printed output always stays
 inside the grammar above and re-parses to the identical canonical form.
 
+Nesting is bounded: at most MAX_NESTING parentheses, exp( and ln( may be
+open at once, so deep input raises ParseError instead of exhausting the
+recursive descent's stack.
+
 Rational powers are kept exact: integer powers are expanded, fractional
 powers of polynomials become power atoms, and a fractional power of a bare
 rational literal must itself be rational (8^(1/3) parses to 2, 2^(1/3) is
@@ -23,6 +27,9 @@ from fractions import Fraction
 
 from .charts import Chart
 from .expr import Expr, ExprError, NonRationalPowerError, ExpAtom, LnAtom, ONE_MONO
+
+# Parentheses, exp( and ln( open at once; deeper input is a ParseError.
+MAX_NESTING = 100
 
 
 class ParseError(ExprError):
@@ -101,6 +108,7 @@ class _Parser:
     def __init__(self, text: str, chart: Chart):
         self.s = _Scanner(text)
         self.chart = chart
+        self.depth = 0
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -169,21 +177,29 @@ class _Parser:
             return q
         return self.s.read_rational()
 
+    def parenthesized(self) -> Expr:
+        """The expression inside a parenthesis about to open, one level
+        deeper."""
+        pos = self.s.pos
+        self.s.expect("(")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
+        e = self.expr()
+        self.s.expect(")")
+        self.depth -= 1
+        return e
+
     def base(self) -> Expr:
         ch = self.s.peek()
         if ch == "(":
-            self.s.expect("(")
-            e = self.expr()
-            self.s.expect(")")
-            return e
+            return self.parenthesized()
         if ch.isdigit() or ch == "-":
             return Expr.constant(self.chart, self.s.read_rational())
         pos = self.s.pos
         name = self.s.read_name()
         if name in ("exp", "ln"):
-            self.s.expect("(")
-            arg = self.expr()
-            self.s.expect(")")
+            arg = self.parenthesized()
             try:
                 poly = arg.as_poly()
             except ExprError:

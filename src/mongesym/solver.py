@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charts import J20
-from .expr import (UNIT_MONOS, Expr, PowerAtom, ExpAtom, _canonical_term,
+from .expr import (UNIT_MONOS, Expr, PowerAtom, ExpAtom, Term, _canonical_term,
                    bare_coords, mono_mul, product_is_canonical)
 from .fields import (Distribution2, MongeEquation, VectorField,
                      distribution_from_monge, is_symmetry, symmetry_residuals)
@@ -144,9 +144,9 @@ class UnknownBasis:
             exps[3] += int(self.offset)
         else:
             frac_q = self.offset
-            atoms += (PowerAtom(((UNIT_MONOS[3], Fraction(1)),), self.offset),)
+            atoms += (PowerAtom((Term(Fraction(1), UNIT_MONOS[3], ()),), self.offset),)
         if self.rate:
-            atoms += (ExpAtom(((UNIT_MONOS[0], self.rate),)),)
+            atoms += (ExpAtom((Term(self.rate, UNIT_MONOS[0], ()),)),)
         mono = tuple(exps)
         factors = [[(Fraction(1), mono)]]
         for j in range(5):
@@ -183,6 +183,15 @@ class Ansatz:
                 atoms, factors = u.partials()
                 raw[u.direction].append((Fraction(c), factors[0][0][1], atoms))
         return VectorField(J20, tuple(Expr.from_raw(J20, r) for r in raw))
+
+    def coefficient_functions(self) -> list:
+        """The columns of each coefficient function x^alpha * y2^q *
+        exp(rho x), one per direction in direction order, read off
+        build_ansatz's layout: a block of 5*n columns per (rate, offset),
+        holding the n monomials of each direction in turn."""
+        n = self.size // (5 * len(self.spec.offsets) * len(self.spec.rates))
+        return [[block + d * n + i for d in range(5)]
+                for block in range(0, self.size, 5 * n) for i in range(n)]
 
 
 def build_ansatz(spec: AnsatzSpec) -> Ansatz:
@@ -266,8 +275,9 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
     rational row, with the same primitive form.  Each scaled value is
     checked to be an integer, never truncated.
 
-    The columns come one coefficient function at a time, so its partials
-    are built once for its five directions.  Each distinct (monomial, atoms)
+    The columns come one coefficient function at a time
+    (Ansatz.coefficient_functions), so its partials are built once for its
+    five directions.  Each distinct (monomial, atoms)
     product of an operator term and a partial is canonicalized once, so the
     row keys are those of the expanded residuals; a product that
     expr.product_is_canonical calls canonical is taken as it stands.  The
@@ -289,10 +299,7 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
     keys: dict = {}  # a row's (monomial, atoms) -> its index
     canonical: dict = {}  # (monomial, operator atoms, unknown atoms) -> key index
     rows: dict = {}  # (residual, key index) -> row
-    columns: dict = {}  # coefficient function -> its columns
-    for col, u in enumerate(ansatz.unknowns):
-        columns.setdefault((u.exponents, u.offset, u.rate), []).append(col)
-    for cols in columns.values():
+    for cols in ansatz.coefficient_functions():
         atoms, factors = ansatz.unknowns[cols[0]].partials()
         uid = ids.setdefault(atoms, len(ids))
         bare = bare_coords(atoms)

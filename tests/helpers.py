@@ -14,7 +14,7 @@ import pytest
 
 from mongesym.charts import J20
 from mongesym.expr import (ONE_MONO, ExpAtom, Expr, NonRationalPowerError,
-                           _canonical_term, mono_mul)
+                           _canonical_term, mono_key, mono_mul)
 from mongesym.fields import (VectorField, distribution_from_monge,
                              lie_bracket, symmetry_residuals)
 from mongesym.linalg import SparseEchelon, sparse_nullspace
@@ -122,6 +122,61 @@ def primitive_row(row: dict) -> dict:
     if ints[min(ints)] < 0:
         g = -g
     return {c: v // g for c, v in ints.items()}
+
+
+# ---------------------------------------------------------------------------
+# polynomials as (monomial, coefficient) pairs: the separate arithmetic that
+# atom bases and arguments once had, kept as a reference for the term
+# operations that replaced it
+# ---------------------------------------------------------------------------
+
+def pair_form(terms) -> tuple:
+    """Atom-free terms as (monomial, coefficient) pairs."""
+    return tuple((m, c) for c, m, _ in terms)
+
+
+def _pairs_sorted(d: dict) -> tuple:
+    items = [(m, c) for m, c in d.items() if c]
+    items.sort(key=lambda mc: mono_key(mc[0]), reverse=True)
+    return tuple(items)
+
+
+def pair_add(a, b) -> tuple:
+    d = dict(a)
+    for m, c in b:
+        d[m] = d.get(m, Fraction(0)) + c
+    return _pairs_sorted(d)
+
+
+def pair_mul(a, b) -> tuple:
+    d: dict = {}
+    for m1, c1 in a:
+        for m2, c2 in b:
+            m = mono_mul(m1, m2)
+            d[m] = d.get(m, Fraction(0)) + c1 * c2
+    return _pairs_sorted(d)
+
+
+def pair_pow(a, k: int) -> tuple:
+    out = ((ONE_MONO, Fraction(1)),)
+    for _ in range(k):
+        out = pair_mul(out, a)
+    return out
+
+
+def pair_diff(a, idx: int) -> tuple:
+    return tuple((m[:idx] + (m[idx] - 1,) + m[idx + 1:], c * m[idx])
+                 for m, c in a if m[idx])
+
+
+def pair_eval(a, values) -> Fraction:
+    total = Fraction(0)
+    for m, c in a:
+        v = c
+        for x, e in zip(values, m):
+            v *= Fraction(x) ** e
+        total += v
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,24 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "power too large" in proc.stderr
 
+    @pytest.mark.parametrize("depth", [250, 5000])
+    @pytest.mark.parametrize("kind", ["parentheses", "exp", "field"])
+    def test_deep_nesting_is_two(self, kind, depth):
+        if kind == "parentheses":
+            argv = ("genericity", "(" * depth + "y2" + ")" * depth)
+        elif kind == "exp":
+            argv = ("genericity", "exp(" * depth + "y2" + ")" * depth)
+        else:
+            field = {"chart": "J20",
+                     "coefficients": {"x": "(" * depth + "1" + ")" * depth}}
+            argv = ("verify", "eq2", json.dumps(field))
+        proc = run_module(*argv, timeout=20)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "nesting deeper than 100" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_verify_pass_is_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "eq2", "S1", "S2", "S3", "S4", "S5", "S6")
         assert code == 0

@@ -7,13 +7,15 @@ import pytest
 
 from mongesym import expr
 from mongesym.charts import J2, J20, PLANE, Chart, ChartMismatchError
-from mongesym.expr import (EvaluationError, Expr, NonRationalPowerError,
-                           ExpAtom, _canonical_term, _poly_sorted, _power_parts,
-                           _unit_coord_index, mono_mul, poly_mul)
+from mongesym.expr import (EvaluationError, Expr, ExprError, NonRationalPowerError,
+                           ExpAtom, PowerAtom, Term, _canonical_term, _evaluate,
+                           _lowered, _normalize, _power, _power_parts, _product,
+                           _unit_coord_index, mono_mul)
 from mongesym.fields import VectorField, extend_chart, lie_bracket, restrict_chart
-from mongesym.parser import ParseError, parse
+from mongesym.parser import MAX_NESTING, ParseError, parse
 
-from helpers import admissible_point, random_expr
+from helpers import (admissible_point, pair_add, pair_diff, pair_eval, pair_form,
+                     pair_mul, pair_pow, random_expr, random_polynomial)
 
 
 def P(text, chart=J20):
@@ -62,6 +64,20 @@ class TestParse:
             P("(y2^(1/3) + 1)^(1/2)")
         with pytest.raises(ParseError):
             P("exp(y2^(1/3))")
+
+    def test_nesting_bound(self):
+        deep = "(" * MAX_NESTING + "y2" + ")" * MAX_NESTING
+        assert P(deep) == P("y2")
+        for opener in ("(", "exp(", "ln("):
+            text = opener * (MAX_NESTING + 1) + "y2" + ")" * (MAX_NESTING + 1)
+            with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING}"):
+                P(text)
+        # atoms and parentheses count together; exponents do not nest
+        mixed = "exp(" + "(" * (MAX_NESTING - 1) + "y2" + ")" * MAX_NESTING
+        assert P(mixed) == P("exp(y2)")
+        with pytest.raises(ParseError, match="nesting deeper"):
+            P("ln(" + mixed + ")")
+        assert P("(" * 99 + "y2^(1/3)" + ")" * 99) == P("y2^(1/3)")
 
     def test_roundtrip_examples(self):
         samples = [
@@ -150,6 +166,38 @@ class TestArithmetic:
         assert P("(x + 1)")**3 == P("x^3 + 3*x^2 + 3*x + 1")
         assert P("x")**0 == P("1")
 
+    @pytest.mark.parametrize("text", [
+        "exp(y2)", "-3/2*x^(-2)*y1*exp(y - 2*x)", "2/3*y2^(-1)*exp(-x*y1 + 1/2)",
+        "-exp(x)", "-5*x^3*y^(-1)"])
+    def test_one_term_exp_power_matches_the_repeated_product(self, text):
+        base = P(text)
+        product = Expr.constant(J20, 1)
+        for n in range(8):
+            assert base ** n == product, n
+            product = product * base
+
+    def test_one_term_exp_power_is_not_multiplied_out(self, monkeypatch):
+        base = P("exp(y2)")
+        calls = []
+        canonical = expr._canonical_term
+
+        def counted(*args):
+            calls.append(args)
+            return canonical(*args)
+
+        monkeypatch.setattr(expr, "_canonical_term", counted)
+        power = base ** 19999
+        assert len(calls) <= 1
+        assert str(power) == "exp(19999*y2)"
+
+    def test_powers_keep_their_size_checks(self):
+        with pytest.raises(ExprError, match="power too large"):
+            P("3*exp(y2)") ** 100_000
+        # a power atom keeps the repeated product and its expansion bound
+        with pytest.raises(ExprError, match="expanding 1 term"):
+            P("x*(x + y)^(1/2)") ** 20_001
+        assert P("((x + y)^(1/2))^3") == P("x*(x + y)^(1/2) + y*(x + y)^(1/2)")
+
     def test_ring_properties_randomized(self):
         rng = random.Random(7)
         for _ in range(1000):
@@ -183,7 +231,7 @@ class TestArithmetic:
                 mono = tuple(exps.get(i, 0) for i in range(n))
                 terms[mono] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
                                        rng.randint(1, 4))
-            base = _poly_sorted(terms)
+            base = _normalize((), [(c, m, ()) for m, c in terms.items()])
             q = Fraction(rng.randint(-7, 7), rng.randint(2, 6))
             if q.denominator == 1:
                 continue
@@ -342,6 +390,42 @@ class TestPrinting:
         assert parse(printed, chart) == e
 
 
+    @pytest.mark.parametrize("text,printed", [
+        ("(-x-y)^(1/2)", "(-x - y)^(1/2)"), ("ln(-x+1)", "ln(-x + 1)"),
+        ("exp(-x-y)", "exp(-x - y)"), ("y2*exp(-x)", "y2*exp(-x)"),
+        ("-x", "-1*x"),
+    ])
+    def test_atom_arguments_print_a_bare_leading_minus(self, text, printed):
+        # inside an atom a leading unit negative prints as -x, at the top
+        # level as -1*x; both re-parse
+        e = P(text)
+        assert str(e) == printed
+        assert P(printed) == e
+
+
+class TestOnePolynomialForm:
+    """Atom bases and arguments are atom-free terms, handled by the same
+    term operations as expressions; they agree with the pair-form
+    arithmetic atom arguments once had (tests/helpers.py)."""
+
+    def test_term_operations_match_the_pair_form(self):
+        rng = random.Random(1401)
+        for _ in range(300):
+            a = random_polynomial(rng).as_poly()
+            b = random_polynomial(rng).as_poly()
+            pa, pb = pair_form(a), pair_form(b)
+            assert pair_form(_normalize((), a + b)) == pair_add(pa, pb)
+            assert pair_form(_product(a, b)) == pair_mul(pa, pb)
+            n = rng.randint(0, 4)
+            assert pair_form(_power(a, n)) == pair_pow(pa, n)
+            idx = rng.randrange(len(J20.coords))
+            assert pair_form(_lowered(a, idx)) == pair_diff(pa, idx)
+            point = [(c, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                     for c in J20.coords]
+            assert _evaluate(a, point, Fraction, None) == \
+                pair_eval(pa, [v for _, v in point])
+
+
 class TestMonomials:
     def test_charts_share_the_exponent_vector(self):
         for chart in (J20, J2, PLANE):
@@ -371,8 +455,8 @@ def reference_normalize(raw, ready=(), normalize=expr._normalize):
             continue
         prod = polys[0]
         for p in polys[1:]:
-            prod = poly_mul(prod, p)
-        stack.extend((coeff * c, mono_mul(mono, m), atoms) for m, c in prod)
+            prod = _product(prod, p)
+        stack.extend((coeff * c, mono_mul(mono, m), atoms) for c, m, _ in prod)
     return normalize((), out)
 
 
@@ -450,6 +534,20 @@ class TestCanonicalFastPaths:
         for f in fast:
             for e in f.coefficients:
                 assert_canonical(e)
+
+    def test_atom_arguments_are_atom_free_canonical_terms(self):
+        rng = random.Random(1101)
+        corpus = [P(text) for text in PIECES]
+        for _ in range(250):
+            a, b = random_mixed_expr(rng), random_mixed_expr(rng)
+            v = rng.choice(J20.coords)
+            corpus += [a, b, a * b, a.diff(v), (a * b).diff(v)]
+        arguments = [a.base if isinstance(a, PowerAtom) else a.argument
+                     for e in corpus for t in e.terms for a in t.atoms]
+        assert len(arguments) > 1000
+        for arg in arguments:
+            assert arg and all(type(u) is Term and not u.atoms for u in arg), arg
+            assert _normalize((), arg) == arg
 
     def test_canonical_term_is_idempotent(self):
         rng = random.Random(1103)

@@ -10,7 +10,7 @@ import pytest
 from mongesym import solver
 from mongesym.catalog import dz13, eq1, eq2, flat, get_equation
 from mongesym.charts import J20
-from mongesym.expr import PowerAtom
+from mongesym.expr import PowerAtom, Term
 from mongesym.fields import (MongeEquation, distribution_from_monge,
                              is_symmetry, lie_bracket)
 from mongesym.liealg import close_under_bracket, express_in_basis
@@ -108,14 +108,35 @@ class TestRowBuilder:
 
     @pytest.mark.parametrize("base,exponent", [
         # (4*y2)^(1/2) canonicalizes to 2*y2^(1/2): coefficient 2
-        ((((0, 0, 0, 1, 0), Fraction(4)),), Fraction(1, 2)),
+        ((Term(Fraction(4), (0, 0, 0, 1, 0), ()),), Fraction(1, 2)),
         # (y1 + y2)^1 canonicalizes to a polynomial factor
-        ((((0, 0, 1, 0, 0), Fraction(1)), ((0, 0, 0, 1, 0), Fraction(1))), Fraction(1)),
+        ((Term(Fraction(1), (0, 0, 1, 0, 0), ()), Term(Fraction(1), (0, 0, 0, 1, 0), ())),
+         Fraction(1)),
     ])
     def test_non_canonical_atom_raises(self, base, exponent):
         term = (0, -1, Fraction(1), (0, 0, 0, 0, 0), (PowerAtom(base, exponent),))
         with pytest.raises(ArithmeticError):
             determining_equations(self.operator(term), build_ansatz(AnsatzSpec(0)))
+
+    @pytest.mark.parametrize("spec", [
+        AnsatzSpec(2), AnsatzSpec(1, offsets=(0, Fraction(1, 3)), rates=(0, 2, Fraction(-1, 2)))])
+    def test_coefficient_functions_read_the_layout(self, spec, monkeypatch):
+        ansatz = build_ansatz(spec)
+        grouped: dict = {}
+        for col, u in enumerate(ansatz.unknowns):
+            grouped.setdefault((u.exponents, u.offset, u.rate), []).append(col)
+        hashed = []
+        fraction_hash = Fraction.__hash__
+
+        def counted(self):
+            hashed.append(self)
+            return fraction_hash(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counted)
+        functions = ansatz.coefficient_functions()
+        monkeypatch.undo()
+        assert hashed == []
+        assert functions == list(grouped.values())
 
     def test_partials_once_per_coefficient_function(self, monkeypatch):
         calls = []
