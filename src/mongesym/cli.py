@@ -3,7 +3,7 @@
 Subcommands: genericity, verify, structure, solve, reproduce, catalog.
 Exit codes: 0 success, 1 verification or solve mismatch, 2 usage/parse error.
 All reports are deterministic byte-for-byte for identical inputs and flags
-(solve timings are excluded unless --timings is given).
+(solve and structure timings are excluded unless --timings is given).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 from fractions import Fraction
 
 from . import catalog
@@ -22,7 +23,7 @@ from .fields import (MongeEquation, VectorField, distribution_from_monge,
                      project_to_j2, ProjectionError)
 from .liealg import (LieAlgebraPresentation, analyze, close_under_bracket,
                      express_in_basis, ClosureCapExceeded)
-from .parser import parse
+from .parser import parse, quoted
 from .solver import AnsatzError, maximality_argument, symmetry_dimension
 
 EXIT_OK = 0
@@ -46,7 +47,7 @@ def _load_equation(source: str) -> MongeEquation:
     try:
         return MongeEquation(parse(source, J20))
     except ExprError as exc:
-        raise UsageError(f"cannot interpret equation {source!r}: {exc}") from None
+        raise UsageError(f"cannot interpret equation {quoted(source)}: {exc}") from None
 
 
 def _load_field(source: str) -> VectorField:
@@ -56,7 +57,7 @@ def _load_field(source: str) -> VectorField:
     except catalog.CatalogKeyError:
         return _json_field(source)
     if f.chart != J20:
-        raise UsageError(f"field {source!r} is not on chart J20")
+        raise UsageError(f"field {quoted(source)} is not on chart J20")
     return f
 
 
@@ -69,33 +70,39 @@ def _json_field(source: str) -> VectorField:
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read the field file: {exc}") from None
     if not text.lstrip().startswith("{"):
-        raise UsageError(f"cannot interpret field {source!r} "
+        raise UsageError(f"cannot interpret field {quoted(source)} "
                          "(not a catalog key and not JSON)")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"bad field JSON {source!r}: {exc}") from None
+        raise UsageError(f"bad field JSON {quoted(source)}: {exc}") from None
     if data.get("chart") != "J20":
-        raise UsageError(f"field {source!r} is not on chart J20")
+        raise UsageError(f"field {quoted(source)} is not on chart J20")
     unknown = data.keys() - {"chart", "coefficients"}
     if unknown:
-        raise UsageError(f"bad field JSON {source!r}: unknown key {min(unknown)!r}")
+        raise UsageError(f"bad field JSON {quoted(source)}: unknown key {quoted(min(unknown))}")
     if "coefficients" not in data:
-        raise UsageError(f"bad field JSON {source!r}: no \"coefficients\" key")
+        raise UsageError(f"bad field JSON {quoted(source)}: no \"coefficients\" key")
     coefficients = data["coefficients"]
     if not isinstance(coefficients, dict):
-        raise UsageError(f"bad field JSON {source!r}: coefficients must be an object")
+        raise UsageError(f"bad field JSON {quoted(source)}: coefficients must be an object")
     try:
         return VectorField.from_strings(J20, coefficients)
     except ExprError as exc:
-        raise UsageError(f"bad field JSON {source!r}: {exc}") from None
+        raise UsageError(f"bad field JSON {quoted(source)}: {exc}") from None
 
 
 def _fractions_list(text: str):
-    try:
-        return tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational list {text!r}: {exc}") from None
+    out = []
+    for part in filter(None, map(str.strip, text.split(","))):
+        try:
+            out.append(Fraction(part))
+        except ValueError:  # Fraction's own message repeats the part whole
+            raise UsageError(f"bad rational list {quoted(text)}: "
+                             f"Invalid literal for Fraction: {quoted(part)}") from None
+        except ZeroDivisionError as exc:
+            raise UsageError(f"bad rational list {quoted(text)}: {exc}") from None
+    return tuple(out)
 
 
 def _emit(payload, args, renderer):
@@ -253,29 +260,46 @@ def projection_analysis(p: LieAlgebraPresentation):
 def cmd_structure(args) -> int:
     if args.cap < 0:
         raise UsageError("--cap must be non-negative")
+    clock = time.perf_counter()
+    stages = {}
+
+    def lap(stage):
+        nonlocal clock
+        now = time.perf_counter()
+        stages[stage] = stages.get(stage, 0) + now - clock
+        clock = now
+
     d = distribution_from_monge(_load_equation(args.equation))
     names = args.fields or list(catalog.SYMMETRY_FIELDS)
     fields = []
     for name in names:
         f = _load_field(name)
+        lap("load_s")
         if not is_symmetry(f, d).ok:
             sys.stderr.write(f"field {name} is not a symmetry of {args.equation}\n")
             return EXIT_MISMATCH
+        lap("symmetry_check_s")
         fields.append(f)
     try:
         p = close_under_bracket(fields, cap=args.cap)
     except ClosureCapExceeded as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_MISMATCH
+    lap("closure_s")
     report = analyze(p)
+    lap("analyze_s")
+    projection = projection_analysis(p)
+    lap("projection_s")
     payload = {
         "equation": args.equation,
         "input_fields": names,
         "dimension": p.dimension,
         "bracket_table": bracket_table(p),
         "structure": report.to_json(),
-        "projection": projection_analysis(p),
+        "projection": projection,
     }
+    if args.timings:
+        payload["stage_timings"] = {k: round(v, 3) for k, v in stages.items()}
 
     def render(pl):
         lines = [f"equation: {pl['equation']}",
@@ -538,6 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("equation")
     p.add_argument("fields", nargs="*", help="symmetry fields (default S1..S6)")
     p.add_argument("--cap", type=int, default=32, help="dimension cap for closure")
+    p.add_argument("--timings", action="store_true",
+                   help="include per-stage timings in JSON")
     common(p)
     p.set_defaults(func=cmd_structure)
 

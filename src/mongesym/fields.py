@@ -14,12 +14,13 @@ the second y2-derivative of F is nonzero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .charts import Chart, ChartMismatchError, J2, J20, PLANE, require_same_chart
 from .expr import Expr, ExprError, multiply_terms
-from .parser import parse
+from .parser import parse, quoted
 
 
 class ProjectionError(ExprError):
@@ -43,11 +44,11 @@ class VectorField:
         """Parse one coefficient string per coordinate; absent ones are 0."""
         unknown = coeffs.keys() - set(chart.coords)
         if unknown:
-            raise ExprError(f"{min(unknown)!r} is not a coordinate of chart {chart.name}")
+            raise ExprError(f"{quoted(min(unknown))} is not a coordinate of chart {chart.name}")
         texts = [coeffs.get(c, "0") for c in chart.coords]
         for c, text in zip(chart.coords, texts):
             if not isinstance(text, str):
-                raise ExprError(f"the coefficient of {c} is {text!r}, not a string")
+                raise ExprError(f"the coefficient of {c} is {quoted(text)}, not a string")
         return VectorField(chart, tuple(parse(text, chart) for text in texts))
 
     @staticmethod
@@ -87,6 +88,19 @@ class VectorField:
         return tuple(
             tuple(c.diff(u) if c.terms else c for u in self.chart.coords)
             for c in self.coefficients)
+
+    @cached_property
+    def integer_coefficients(self) -> tuple:
+        """Each coefficient over one positive denominator: (d, numerators),
+        numerators mapping every canonical (monomial, atoms) key to the
+        integer d * coefficient."""
+        out = []
+        for c in self.coefficients:
+            d = math.lcm(*(t.coefficient.denominator for t in c.terms))
+            out.append((d, {(t.monomial, t.atoms):
+                            t.coefficient.numerator * (d // t.coefficient.denominator)
+                            for t in c.terms}))
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {"chart": self.chart.name,

@@ -4,32 +4,42 @@ The entry point is close_under_bracket, which grows a basis until brackets
 close and records each bracket's exact rational coordinates as it goes.
 Coordinates come from a linalg.KeyedSpan of the fields' coefficients over
 their canonical-form (direction, monomial, atoms) keys: the closure keeps one
-for its whole run, and express_in_basis builds one from the basis.  A
-symbolic zero-test of the resulting combination confirms every answer.
+for its whole run, and express_in_basis builds one from the basis.  An
+integer zero-test of the resulting combination confirms every answer: each
+field's coefficients are cached as integer numerators over one denominator
+per coefficient (VectorField.integer_coefficients), and v - sum c_k b_k
+vanishes when, over the lcm of d_v and of each c_k.denominator * d_k, every
+key's integer sum is zero.
 
-On the structure-constant tensor everything is standard and exact, and every
-span, nullspace, solve and reduced echelon form runs on linalg's one
-fraction-free elimination engine: center, derived and lower central series,
-Killing form with signature (the rank is n_plus + n_minus, by Sylvester's law
-of inertia), and the radical as the Killing-orthogonal complement of the
-derived algebra.  Recognition reads those invariants: sl(2, R) is dimension 3
-with an indefinite nondegenerate Killing form, the Heisenberg algebra is
-dimension 3 with lower central series 3, 1, 0 and center [g, g].  For a
-six-dimensional algebra one adapted basis (a complement of the radical R,
-then R modulo z = [R, R], then z) makes the radical's and the quotient's
-constants blocks of one rebased tensor; the same path recognizes both
-blocks, and the Levi complement of sl(2) ⋉ heisenberg is corrected in those
-coordinates.  analyze gathers all of it in one StructureReport.
+analyze works on one integer tensor: the constants over their common
+denominator D, stored sparse per (i, j) as (k, D * c_ijk) pairs.  Every
+bracket on it is D times the true one, which changes no span, kernel,
+series, Killing signature or verdict; the Killing matrix it gives is D^2
+times the true one, and the report divides by D^2.  Spans are primitive
+integer rows, and every span, nullspace, solve and reduced echelon form runs
+on linalg's one fraction-free elimination engine: center, derived and lower
+central series, Killing form with signature (the rank is n_plus + n_minus,
+by Sylvester's law of inertia), and the radical as the Killing-orthogonal
+complement of the derived algebra.  Recognition reads those invariants:
+sl(2, R) is dimension 3 with an indefinite nondegenerate Killing form, the
+Heisenberg algebra is dimension 3 with lower central series 3, 1, 0 and
+center [g, g].  For a six-dimensional algebra one adapted basis (a
+complement of the radical R, then R modulo z = [R, R], then z) makes the
+radical's and the quotient's constants blocks of one rebased integer
+tensor; the same path recognizes both blocks, and the Levi complement of
+sl(2) ⋉ heisenberg is corrected in those coordinates.  Every equation of
+that correction carries one common scale, so the solve returns the true
+correction times that scale.  Fractions appear only in the StructureReport.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .charts import require_same_chart
-from .expr import Expr
 from .fields import VectorField, lie_bracket
 from .linalg import (KeyedSpan, coordinates, kernel, reduced_rows,
                      solve_exact, symmetric_signature)
@@ -65,16 +75,23 @@ def express_in_basis(v: VectorField, basis):
 
 
 def _verify_combination(v: VectorField, basis, coords) -> None:
-    """The symbolic zero-test behind every answer: raise unless
-    v - sum(coords[k] * basis[k]) is zero, one normalization per coefficient.
-    Every term is a multiple of a canonical one, so none is re-canonicalized."""
-    for i, vc in enumerate(v.coefficients):
-        ready = list(vc.terms)
-        for c, b in zip(coords, basis):
-            if c:
-                ready.extend((-c * t.coefficient, t.monomial, t.atoms)
-                             for t in b.coefficients[i].terms)
-        if not Expr.from_raw(v.chart, (), ready).is_zero():
+    """The zero-test behind every answer: raise unless
+    v - sum(coords[k] * basis[k]) is zero.  On each coefficient's integer
+    form, numerators n over one denominator d per field, every term is
+    brought to the lcm L of d_v and of each c_k.denominator * d_k, and each
+    canonical key's integer sum must vanish."""
+    for i, (dv, nv) in enumerate(v.integer_coefficients):
+        parts = [(c, d * c.denominator, nb)
+                 for c, b in zip(coords, basis) if c
+                 for d, nb in (b.integer_coefficients[i],) if nb]
+        lcm = math.lcm(dv, *(den for _, den, _ in parts))
+        f = lcm // dv
+        total = {key: f * x for key, x in nv.items()}
+        for c, den, nb in parts:
+            f = c.numerator * (lcm // den)
+            for key, x in nb.items():
+                total[key] = total.get(key, 0) - f * x
+        if any(total.values()):
             raise ArithmeticError("key match and zero-test disagree")
 
 
@@ -126,47 +143,58 @@ def close_under_bracket(fields, cap: int = 32) -> "LieAlgebraPresentation":
 
 
 # ---------------------------------------------------------------------------
-# tensor-level computations
+# tensor-level computations on one integer tensor
 # ---------------------------------------------------------------------------
 
-def bracket_vec(constants, u, v):
-    n = len(constants)
-    out = [Fraction(0)] * n
+def integer_tensor(constants):
+    """(t, d): the constants over one common denominator d, the lcm of every
+    constant's denominator, with t[i][j] the pairs (k, d * c_ijk) of the
+    nonzero c_ijk.  Every routine below takes such a tensor and integer
+    vectors; its brackets are d times the true ones."""
+    d = math.lcm(*(c.denominator for plane in constants for row in plane
+                   for c in row))
+    return tuple(tuple(tuple((k, c.numerator * (d // c.denominator))
+                             for k, c in enumerate(row) if c)
+                       for row in plane)
+                 for plane in constants), d
+
+
+def bracket_vec(t, u, v):
+    """The bracket of integer coordinate vectors u and v on the tensor t."""
+    out = [0] * len(t)
     for i, ui in enumerate(u):
         if not ui:
             continue
-        ci = constants[i]
+        ti = t[i]
         for j, vj in enumerate(v):
             if not vj:
                 continue
-            row = ci[j]
             f = ui * vj
-            for k in range(n):
-                if row[k]:
-                    out[k] += f * row[k]
+            for k, c in ti[j]:
+                out[k] += f * c
     return out
 
 
 def unit_rows(n):
     """The standard basis of the n-dimensional coordinate space, as rows."""
-    return [tuple(Fraction(1) if t == i else Fraction(0) for t in range(n))
-            for i in range(n)]
+    return [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
 
 
-def subspace_bracket(constants, rows_a, rows_b):
+def subspace_bracket(t, rows_a, rows_b):
+    """[span(rows_a), span(rows_b)] as reduced primitive integer rows."""
     prods = []
     for a in rows_a:
         for b in rows_b:
-            w = bracket_vec(constants, a, b)
+            w = bracket_vec(t, a, b)
             if any(w):
                 prods.append(w)
     return reduced_rows(prods)[0]
 
 
-def series_dims(constants, rows, derived, lower_central=False):
+def series_dims(t, rows, derived, lower_central=False):
     """Dimensions of the derived series of span(rows), or of its lower
     central series, until a term vanishes or repeats.  derived is
-    subspace_bracket(constants, rows, rows), the second term of both."""
+    subspace_bracket(t, rows, rows), the second term of both."""
     dims = [len(rows)]
     current = rows
     nxt = derived
@@ -175,38 +203,43 @@ def series_dims(constants, rows, derived, lower_central=False):
         if len(nxt) == 0 or len(nxt) == len(current):
             return dims
         current = nxt
-        nxt = subspace_bracket(constants, rows if lower_central else current, current)
+        nxt = subspace_bracket(t, rows if lower_central else current, current)
 
 
-def center_rows(constants):
-    n = len(constants)
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([constants[i][j][k] for i in range(n)])
-    return kernel(rows, n)
+def center_rows(t):
+    """The center: the kernel of the rows x -> [x, e_j]_k, one per (j, k)."""
+    n = len(t)
+    rows: dict = {}
+    for i, plane in enumerate(t):
+        for j, pairs in enumerate(plane):
+            for k, c in pairs:
+                rows.setdefault((j, k), [0] * n)[i] = c
+    return kernel(list(rows.values()), n)
 
 
-def killing_matrix(constants):
-    n = len(constants)
-    km = [[Fraction(0)] * n for _ in range(n)]
+def killing_matrix(t):
+    """d^2 times the Killing matrix, K_ij = tr(ad e_i ad e_j): the sum over
+    l and k of c_ilk * c_jkl."""
+    n = len(t)
+    ad = [{(l, k): c for l, pairs in enumerate(plane) for k, c in pairs}
+          for plane in t]
+    km = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            s = Fraction(0)
-            for l in range(n):
-                cil = constants[i][l]
-                for k in range(n):
-                    if cil[k]:
-                        s += cil[k] * constants[j][k][l]
-            km[i][j] = s
-            km[j][i] = s
+            aj = ad[j]
+            s = 0
+            for (l, k), c in ad[i].items():
+                other = aj.get((k, l))
+                if other:
+                    s += c * other
+            km[i][j] = km[j][i] = s
     return km
 
 
-def radical_rows(constants, killing, derived):
+def radical_rows(t, killing, derived):
     """The radical as the Killing-orthogonal complement of the derived
     algebra, from the Killing matrix and the rows of [g, g]."""
-    n = len(constants)
+    n = len(t)
     if not derived:
         return unit_rows(n)  # abelian: everything is radical
     rows = []
@@ -241,38 +274,42 @@ def antisymmetry_holds(constants) -> bool:
 # the adapted basis and the Levi complement
 # ---------------------------------------------------------------------------
 
-def rebase(constants, rows):
-    """The constants in the basis rows of the coordinate space, read off one
+def rebase(t, d, rows):
+    """The tensor (t, d) in the basis rows of the coordinate space, as
+    another integer tensor and its scale.  The coordinates are read off one
     KeyedSpan of the rows: one bracket per unordered pair, the other by
-    antisymmetry."""
+    antisymmetry.  They are d times the true constants, and integer_tensor
+    scales them once more."""
     span = KeyedSpan()
     for row in rows:
         span.place(dict(enumerate(row)))
     n = len(rows)
-    out = [[(Fraction(0),) * n] * n for _ in range(n)]
+    out = [[(0,) * n] * n for _ in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            w = bracket_vec(constants, rows[a], rows[b])
+            w = bracket_vec(t, rows[a], rows[b])
             out[a][b] = tuple(span.coordinates(dict(enumerate(w))))
             out[b][a] = tuple(-x for x in out[a][b])
-    return tuple(map(tuple, out))
+    adapted, scale = integer_tensor(out)
+    return adapted, d * scale
 
 
-def block(adapted, lo, hi):
-    """The constants of the basis vectors lo..hi-1 on their own coordinates."""
-    return tuple(tuple(adapted[i][j][lo:hi] for j in range(lo, hi))
+def block(t, lo, hi):
+    """The tensor of the basis vectors lo..hi-1 on their own coordinates."""
+    return tuple(tuple(tuple((k - lo, c) for k, c in t[i][j] if lo <= k < hi)
+                       for j in range(lo, hi))
                  for i in range(lo, hi))
 
 
-def adapted_rows(constants, rad, pivots):
+def adapted_rows(t, rad, pivots):
     """The unit vectors off the reduced radical's pivot columns, then the
     radical rows independent modulo z = [R, R], then z; returns (rows, m, r)
     with m units and r rows before z.  The rows are a basis exactly when z
     lies in R, that is when the radical is closed, and then the radical's
     and the quotient's constants are blocks of the rebased tensor."""
-    n = len(constants)
+    n = len(t)
     comp = [row for i, row in enumerate(unit_rows(n)) if i not in pivots]
-    z = subspace_bracket(constants, rad, rad)
+    z = subspace_bracket(t, rad, rad)
     span = KeyedSpan()
     for row in z:
         span.place(dict(enumerate(row)))
@@ -280,23 +317,32 @@ def adapted_rows(constants, rad, pivots):
     return comp + rad_comp + z, len(comp), len(rad_comp)
 
 
-def _correct(adapted, ws, m, lo, hi):
+def _correct(adapted, ws, e, m, lo, hi):
     """Solve for phi: W -> span(e_lo..e_hi-1) killing the defect
     [w_a, w_b] - sum_t q_abt w_t on the target coordinates lo..hi-1; the
     coordinates from hi on are the part taken modulo.  A defect or image with
-    a coordinate before lo lies outside target + mod: no correction."""
+    a coordinate before lo lies outside target + mod: no correction.
+
+    The vectors are ws / e with ws integer, and adapted is s times the true
+    constants.  Then the defect below is s * e^2 times the true one and every
+    column s * e times its own, so the solve returns e * phi, and ws + e * phi
+    over e are the corrected vectors: returns them as (integer rows, common
+    denominator), or None."""
     n = len(adapted)
     r = hi - lo
     unit = unit_rows(n)
     eq_rows, eq_rhs = [], []
     for a in range(m):
         for b in range(a + 1, m):
-            q = adapted[a][b][:m]
+            q = [0] * m  # e * q_abt, on the scale of the defect's columns
+            for k, c in adapted[a][b]:
+                if k < m:
+                    q[k] = e * c
             defect = bracket_vec(adapted, ws[a], ws[b])
             for t in range(m):
                 if q[t]:
                     defect = [d - q[t] * x for d, x in zip(defect, ws[t])]
-            cols = [[Fraction(0)] * n for _ in range(m * r)]  # phi[a][s] at a*r+s
+            cols = [[0] * n for _ in range(m * r)]  # phi[a][s] at a*r+s
             for s in range(r):
                 img_b = bracket_vec(adapted, ws[a], unit[lo + s])
                 img_a = bracket_vec(adapted, ws[b], unit[lo + s])
@@ -310,42 +356,52 @@ def _correct(adapted, ws, m, lo, hi):
             for pos in range(lo, hi):
                 eq_rows.append([col[pos] for col in cols])
                 eq_rhs.append(-defect[pos])
-    phi = solve_exact(eq_rows, eq_rhs)
-    if phi is None:
+    psi = solve_exact(eq_rows, eq_rhs)
+    if psi is None:
         return None
-    out = [list(w) for w in ws]
+    scale = math.lcm(*(x.denominator for x in psi))
+    out = [[scale * x for x in w] for w in ws]
     for a in range(m):
         for s in range(r):
-            out[a][lo + s] += phi[a * r + s]
-    return out
+            x = psi[a * r + s]
+            out[a][lo + s] += x.numerator * (scale // x.denominator)
+    return out, e * scale
 
 
-def levi_complement(constants, rows, adapted, m, r):
-    """A subalgebra complementary to the Heisenberg radical, as coordinate
-    vectors, or None when no correction is found.
+def levi_complement(t, d, rows, adapted, s, m, r):
+    """A subalgebra complementary to the Heisenberg radical, as Fraction
+    coordinate vectors, or None when no correction is found.
 
-    (rows, m, r) is adapted_rows and adapted the constants rebased on rows.
-    The first m unit vectors span an arbitrary complement; two linear
-    stages correct it, first along the r radical rows modulo z, then inside
-    z, where the quadratic terms vanish because [R, [R, R]] = 0.  The result
-    goes back to the original coordinates and is checked there exactly.
+    (t, d) is the tensor, (rows, m, r) adapted_rows, and (adapted, s) the
+    tensor rebased on rows.  The first m unit vectors span an arbitrary
+    complement; two linear stages correct it, first along the r radical rows
+    modulo z, then inside z, where the quadratic terms vanish because
+    [R, [R, R]] = 0.  The result goes back to the original coordinates and
+    is checked there exactly: for complement vectors c / e, with c integer,
+    [c_a, c_b] on t is d * e^2 times the true bracket and the quotient
+    combination of the c_t on adapted is s * e times its own.
     """
-    n = len(constants)
-    ws = unit_rows(n)[:m]
+    n = len(t)
+    ws, e = unit_rows(n)[:m], 1
     for lo, hi in ((m, m + r), (m + r, n)):
-        ws = _correct(adapted, ws, m, lo, hi)
-        if ws is None:
+        corrected = _correct(adapted, ws, e, m, lo, hi)
+        if corrected is None:
             return None
-    complement = [tuple(sum(w[k] * rows[k][i] for k in range(n)) for i in range(n))
+        ws, e = corrected
+    complement = [[sum(w[k] * rows[k][i] for k in range(n)) for i in range(n)]
                   for w in ws]
     # final exact check: the corrected span closes with quotient constants
     for a in range(m):
         for b in range(m):
-            expected = [sum(adapted[a][b][t] * complement[t][i] for t in range(m))
-                        for i in range(n)]
-            if bracket_vec(constants, complement[a], complement[b]) != expected:
+            expected = [0] * n
+            for q, c in adapted[a][b]:
+                if q < m:
+                    for i in range(n):
+                        expected[i] += c * complement[q][i]
+            got = bracket_vec(t, complement[a], complement[b])
+            if any(s * x != d * e * y for x, y in zip(got, expected)):
                 return None
-    return complement
+    return [tuple(Fraction(x, e) for x in row) for row in complement]
 
 
 # ---------------------------------------------------------------------------
@@ -420,23 +476,25 @@ class StructureReport:
 
 def analyze(p: LieAlgebraPresentation) -> StructureReport:
     """Every structure invariant of the presentation, and its recognition."""
-    return _analyze_tensor(p.constants)
+    return _analyze_tensor(*integer_tensor(p.constants))
 
 
-def _analyze_tensor(c) -> StructureReport:
-    """analyze on a bare tensor; a six-dimensional tensor's radical and
-    quotient blocks are recognized by the same path."""
-    n = len(c)
+def _analyze_tensor(t, d) -> StructureReport:
+    """analyze on the integer tensor t, d times the constants; a
+    six-dimensional tensor's radical and quotient blocks are recognized by
+    the same path.  Spans are primitive integer rows, and the Killing matrix
+    of t is d^2 times the true one; the report holds Fractions."""
+    n = len(t)
     full = unit_rows(n)
-    zc = center_rows(c)
-    derived = subspace_bracket(c, full, full)
-    dseries = series_dims(c, full, derived)
-    lseries = series_dims(c, full, derived, lower_central=True)
+    zc = center_rows(t)
+    derived = subspace_bracket(t, full, full)
+    dseries = series_dims(t, full, derived)
+    lseries = series_dims(t, full, derived, lower_central=True)
     solvable = dseries[-1] == 0
     nilpotent = lseries[-1] == 0
-    km = killing_matrix(c)
+    km = killing_matrix(t)
     plus, minus, _ = symmetric_signature(km)
-    rad, pivots = reduced_rows(radical_rows(c, km, derived))
+    rad, pivots = reduced_rows(radical_rows(t, km, derived))
     verdict = "unrecognized"
     complement = None
     if n == 3 and (plus, minus) in ((2, 1), (1, 2)):
@@ -444,14 +502,15 @@ def _analyze_tensor(c) -> StructureReport:
     elif n == 3 and lseries == [3, 1, 0] and reduced_rows(zc)[0] == derived:
         verdict = "heisenberg"
     elif n == 6 and len(rad) == 3:
-        rows, m, r = adapted_rows(c, rad, pivots)
+        rows, m, r = adapted_rows(t, rad, pivots)
         if len(rows) == n:  # z lies in R: the radical is closed
-            adapted = rebase(c, rows)
-            if (_analyze_tensor(block(adapted, m, n)).verdict == "heisenberg"
-                    and _analyze_tensor(block(adapted, 0, m)).verdict == "sl2"):
-                complement = levi_complement(c, rows, adapted, m, r)
+            adapted, s = rebase(t, d, rows)
+            if (_analyze_tensor(block(adapted, m, n), s).verdict == "heisenberg"
+                    and _analyze_tensor(block(adapted, 0, m), s).verdict == "sl2"):
+                complement = levi_complement(t, d, rows, adapted, s, m, r)
                 if complement is not None:
                     verdict = "sl2_semidirect_heisenberg"
+    rad = [tuple(Fraction(a, row[p]) for a in row) for row, p in zip(rad, pivots)]
     return StructureReport(
         dimension=n,
         center=tuple(zc),
@@ -460,7 +519,7 @@ def _analyze_tensor(c) -> StructureReport:
         lcs_dims=tuple(lseries),
         solvable=solvable,
         nilpotent=nilpotent,
-        killing=tuple(tuple(row) for row in km),
+        killing=tuple(tuple(Fraction(v, d * d) for v in row) for row in km),
         killing_rank=plus + minus,  # Sylvester's law of inertia
         killing_signature=(plus, minus),
         radical=tuple(rad),

@@ -326,8 +326,9 @@ def kernel(matrix, ncols: int):
 
 
 def reduced_rows(vectors):
-    """Reduced row echelon form of rational vectors of one length, as
-    (Fraction tuples with pivot 1, pivot columns)."""
+    """Reduced row echelon form of integer or rational vectors of one
+    length, as (primitive integer tuples with a positive pivot, pivot
+    columns): SparseEchelon.reduced() in pivot order."""
     vectors = list(vectors)
     if not vectors:
         return [], []
@@ -337,9 +338,9 @@ def reduced_rows(vectors):
         echelon.insert(_integer_row(dict(enumerate(v))))
     rows, pivots = [], []
     for p, row in sorted(echelon.reduced().items()):
-        vec = [Fraction(0)] * n
+        vec = [0] * n
         for c, a in row.items():
-            vec[c] = Fraction(a, row[p])
+            vec[c] = a
         rows.append(tuple(vec))
         pivots.append(p)
     return rows, pivots

@@ -32,6 +32,19 @@ from .expr import Expr, ExprError, NonRationalPowerError, ExpAtom, LnAtom, ONE_M
 MAX_NESTING = 100
 
 
+def quoted(value, limit: int = 80) -> str:
+    """repr(value) for an error message, cut when it is long: a string
+    longer than limit shows its first limit characters, an ellipsis and its
+    length, any other value its repr's first limit characters likewise.  An
+    error on a huge input stays one short line."""
+    if isinstance(value, str):
+        if len(value) <= limit:
+            return repr(value)
+        return f"{value[:limit]!r}... ({len(value)} characters)"
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 class ParseError(ExprError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -208,7 +221,7 @@ class _Parser:
             atom = ExpAtom(poly) if name == "exp" else LnAtom(poly)
             return Expr.from_raw(self.chart, [(Fraction(1), ONE_MONO, (atom,))])
         if name not in self.chart:
-            raise ParseError(f"unknown identifier {name!r} in chart {self.chart.name}", pos)
+            raise ParseError(f"unknown identifier {quoted(name)} in chart {self.chart.name}", pos)
         return Expr.coordinate(self.chart, name)
 
 

@@ -369,6 +369,78 @@ def reference_graded_solve(distribution, spec):
 
 
 # ---------------------------------------------------------------------------
+# the Lie layer's Fraction path: the dense tensor routines and the zero-test
+# that the integer tensor and the integer zero-test replaced
+# ---------------------------------------------------------------------------
+
+def dense_tensor(t) -> tuple:
+    """A sparse integer tensor, t[i][j] the pairs (k, c), as a dense tuple
+    of Fractions."""
+    n = len(t)
+    dense = []
+    for plane in t:
+        rows = []
+        for pairs in plane:
+            row = [Fraction(0)] * n
+            for k, c in pairs:
+                row[k] = Fraction(c)
+            rows.append(tuple(row))
+        dense.append(tuple(rows))
+    return tuple(dense)
+
+
+def reference_bracket_vec(constants, u, v):
+    """[u, v] on a dense Fraction tensor, by the triple loop."""
+    n = len(constants)
+    out = [Fraction(0)] * n
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        ci = constants[i]
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            row = ci[j]
+            f = ui * vj
+            for k in range(n):
+                if row[k]:
+                    out[k] += f * row[k]
+    return out
+
+
+def reference_killing_matrix(constants):
+    """The Killing matrix of a dense Fraction tensor,
+    K_ij = sum over l, k of c_ilk * c_jkl."""
+    n = len(constants)
+    km = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            s = Fraction(0)
+            for l in range(n):
+                cil = constants[i][l]
+                for k in range(n):
+                    if cil[k]:
+                        s += cil[k] * constants[j][k][l]
+            km[i][j] = s
+            km[j][i] = s
+    return km
+
+
+def reference_verify_combination(v: VectorField, basis, coords) -> None:
+    """Raise ArithmeticError unless v - sum(coords[k] * basis[k]) is zero:
+    one Fraction product per term and one Expr normalization per
+    coefficient."""
+    for i, vc in enumerate(v.coefficients):
+        ready = list(vc.terms)
+        for c, b in zip(coords, basis):
+            if c:
+                ready.extend((-c * t.coefficient, t.monomial, t.atoms)
+                             for t in b.coefficients[i].terms)
+        if not Expr.from_raw(v.chart, (), ready).is_zero():
+            raise ArithmeticError("key match and zero-test disagree")
+
+
+# ---------------------------------------------------------------------------
 # coordinates and structure constants by one sympy solve per bracket
 # ---------------------------------------------------------------------------
 

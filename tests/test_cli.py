@@ -93,6 +93,41 @@ class TestExitCodes:
         assert "nesting deeper than 100" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    MEGABYTE = 1 << 20
+    HUGE_ARGUMENTS = {
+        "equation": ("genericity", "y" * MEGABYTE),
+        "equation_tail": ("structure", "y2 + " * (MEGABYTE // 5) + "?"),
+        "field_json": ("verify", "eq2", json.dumps(
+            {"chart": "J20", "coefficients": {"x": "x" * MEGABYTE}})),
+        "field_json_syntax": ("verify", "eq2", "{" + " " * MEGABYTE),
+        "field_key": ("verify", "eq2", json.dumps(
+            {"chart": "J20", "coefficients": {"q" * MEGABYTE: "1"}})),
+        "field_value": ("verify", "eq2", json.dumps(
+            {"chart": "J20", "coefficients": {"x": [1] * (MEGABYTE // 3)}})),
+        "rational_list": ("solve", "eq2", "--offsets", "1/" * (MEGABYTE // 2)),
+    }
+
+    @pytest.mark.parametrize("name", HUGE_ARGUMENTS)
+    def test_a_huge_argument_gives_one_short_error_line(self, capsys, name):
+        code, out, err = run(capsys, *self.HUGE_ARGUMENTS[name])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+        assert "characters)" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("genericity", "w"), "error: cannot interpret equation 'w': unknown "
+         "identifier 'w' in chart J20 (at position 0)\n"),
+        (("verify", "eq2", '{"chart":"J20","coefficients":{"x":1}}'),
+         'error: bad field JSON \'{"chart":"J20","coefficients":{"x":1}}\': '
+         "the coefficient of x is 1, not a string\n"),
+        (("solve", "eq2", "--offsets", "0,a"),
+         "error: bad rational list '0,a': Invalid literal for Fraction: 'a'\n"),
+    ])
+    def test_a_short_argument_is_quoted_whole(self, capsys, argv, message):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (2, message)
+
     def test_verify_pass_is_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "eq2", "S1", "S2", "S3", "S4", "S5", "S6")
         assert code == 0
@@ -194,6 +229,26 @@ class TestSchemas:
         jsonschema.validate(payload, schema("structure"))
         assert payload["structure"]["verdict"] == "sl2_semidirect_heisenberg"
         assert payload["projection"]["kernel_indices"] == [5]
+
+    def test_structure_json_with_timings(self, capsys):
+        code, out, _ = run(capsys, "structure", "eq2", "--json", "--timings")
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema("structure"))
+        assert set(payload["stage_timings"]) == {
+            "load_s", "symmetry_check_s", "closure_s", "analyze_s", "projection_s"}
+        code, out, _ = run(capsys, "structure", "eq2", "--json")
+        assert "stage_timings" not in json.loads(out)
+
+    @pytest.mark.parametrize("field, dimension", [
+        ('{"chart":"J20","coefficients":{}}', 0), ("S6", 1)])
+    def test_structure_of_the_smallest_algebras(self, capsys, field, dimension):
+        code, out, _ = run(capsys, "structure", "eq2", field, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema("structure"))
+        assert payload["structure"]["dimension"] == dimension
+        assert payload["structure"]["killing"]["matrix"] == [["0"] * dimension] * dimension
 
     def test_solve_json(self, capsys):
         code, out, _ = run(capsys, "solve", "eq2", "--degree", "2", "--json")

@@ -1,21 +1,27 @@
 """Lie-algebra structure: closure, constants, series, Killing form, recognition."""
 
 import json
+import math
 import os
 import random
 from fractions import Fraction
 
 import pytest
 
+from mongesym import liealg
 from mongesym.catalog import dz13, symmetry_fields
 from mongesym.charts import J2, J20, ChartMismatchError
 from mongesym.fields import VectorField, lie_bracket
 from mongesym.liealg import (ClosureCapExceeded, LieAlgebraPresentation,
-                             analyze, close_under_bracket, express_in_basis,
-                             jacobi_holds)
+                             _verify_combination, analyze, bracket_vec,
+                             close_under_bracket, express_in_basis,
+                             integer_tensor, jacobi_holds, killing_matrix,
+                             unit_rows)
 from mongesym.solver import symmetry_dimension
 
-from helpers import reference_constants, reference_express, sympy_matrix
+from helpers import (dense_tensor, reference_bracket_vec, reference_constants,
+                     reference_express, reference_killing_matrix,
+                     reference_verify_combination, sympy_matrix)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -23,13 +29,15 @@ S = symmetry_fields()
 ALL_S = [S[f"S{i}"] for i in range(1, 7)]
 
 
-def recombined(fields, rng, steps=10):
-    """The fields recombined by a random invertible integer matrix."""
+def recombined(fields, rng, steps=10, choices=(-2, -1, 1, 2, 3)):
+    """The fields recombined by a random invertible matrix: steps row
+    operations, each adding a multiple drawn from choices of one row to
+    another."""
     n = len(fields)
     m = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for _ in range(steps):
         i, j = rng.sample(range(n), 2)
-        c = Fraction(rng.choice([-2, -1, 1, 2, 3]))
+        c = Fraction(rng.choice(choices))
         for k in range(n):
             m[i][k] += c * m[j][k]
     new_fields = []
@@ -51,6 +59,20 @@ def p6():
 def eq2_recombinations():
     rng = random.Random(2024)
     return [recombined(ALL_S, rng) for _ in range(4)]
+
+
+# rational multiples, so that the recombined constants have denominators
+DZ13_CHOICES = (Fraction(-2, 3), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 5),
+                Fraction(2))
+
+
+@pytest.fixture(scope="module")
+def dz13_recombined():
+    """The seven degree-1 symmetries of dz13(5,4), with exp atoms,
+    recombined by the seeded rational matrix of the structure_dz13_5_4
+    golden."""
+    gens = symmetry_dimension(dz13(5, 4), 1, equation_label="dz13(5,4)").basis
+    return recombined(list(gens), random.Random(0), choices=DZ13_CHOICES)
 
 
 class TestExpressInBasis:
@@ -244,6 +266,18 @@ class TestRecognition:
             golden = json.load(fh)
         assert rep.to_json() == golden
 
+    def test_dz13_golden(self, dz13_recombined):
+        # solvable, with exp atoms, and constants over a denominator d > 1
+        p = close_under_bracket(dz13_recombined, cap=7)
+        assert integer_tensor(p.constants)[1] > 1
+        assert any(t.atoms for f in p.basis for e in f.coefficients
+                   for t in e.terms)
+        rep = analyze(p)
+        assert (rep.dimension, rep.solvable) == (7, True)
+        with open(os.path.join(GOLDEN, "structure_dz13_5_4.json")) as fh:
+            golden = json.load(fh)
+        assert rep.to_json() == golden
+
     def test_heisenberg_alone(self):
         p = close_under_bracket([S["S4"], S["S5"], S["S6"]], cap=4)
         assert analyze(p).verdict == "heisenberg"
@@ -382,3 +416,119 @@ class TestHandMadeRecognition:
         rep = hand_made_analysis(c)
         assert len(rep.radical) == 3
         assert (rep.verdict, rep.complement) == ("unrecognized", None)
+
+
+# ---------------------------------------------------------------------------
+# the integer tensor and the integer zero-test against the Fraction path
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def oracle_fields(eq2_recombinations, dz13_recombined):
+    """Generators of the 0- and 1-dimensional algebras, of the four eq2
+    recombinations and of the recombined dz13(5,4) basis."""
+    return [[VectorField.zero(J20)], [S["S6"]], *eq2_recombinations,
+            dz13_recombined]
+
+
+@pytest.fixture(scope="module")
+def oracle_tensors(oracle_fields):
+    """Every hand-made tensor, its 8 rebased copies, and the closures of
+    oracle_fields."""
+    hand = [tensor(n, brackets) for n, brackets, _ in HAND_MADE.values()]
+    copies = [rebased(c, seed) for c in hand for seed in range(8)]
+    closures = [close_under_bracket(f, cap=len(f)).constants for f in oracle_fields]
+    assert [len(c) for c in closures] == [0, 1, 6, 6, 6, 6, 7]
+    return hand + copies + closures
+
+
+class TestIntegerTensor:
+    def test_one_common_denominator(self, oracle_tensors):
+        for c in oracle_tensors:
+            t, d = integer_tensor(c)
+            assert d == math.lcm(*(x.denominator for plane in c for row in plane
+                                   for x in row))
+            assert dense_tensor(t) == tuple(tuple(tuple(d * x for x in row)
+                                                  for row in plane) for plane in c)
+
+    def test_bracket_vec_is_d_times_the_fraction_bracket(self, oracle_tensors):
+        rng = random.Random(15)
+        for c in oracle_tensors:
+            t, d = integer_tensor(c)
+            n = len(c)
+            units = unit_rows(n)
+            mixed = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(3)]
+            pairs = [(u, v) for u in units for v in units]
+            pairs += [(u, v) for u in mixed for v in mixed + units[:1]]
+            for u, v in pairs:
+                assert bracket_vec(t, u, v) == [d * x for x in
+                                                reference_bracket_vec(c, u, v)]
+
+    def test_killing_matrix_is_d_squared_times_the_fraction_one(self, oracle_tensors):
+        for c in oracle_tensors:
+            t, d = integer_tensor(c)
+            expected = reference_killing_matrix(c)
+            assert killing_matrix(t) == [[d * d * x for x in row] for row in expected]
+            rep = analyze(LieAlgebraPresentation(tuple(range(len(c))), c))
+            assert rep.killing == tuple(map(tuple, expected))
+
+    def test_reports_equal_those_of_the_fraction_routines(
+            self, monkeypatch, oracle_tensors, oracle_fields):
+        closures = [close_under_bracket(f, cap=len(f)) for f in oracle_fields]
+        reports = [analyze(LieAlgebraPresentation(tuple(range(len(c))), c))
+                   for c in oracle_tensors]
+        monkeypatch.setattr(liealg, "bracket_vec", lambda t, u, v:
+                            reference_bracket_vec(dense_tensor(t), u, v))
+        monkeypatch.setattr(liealg, "killing_matrix",
+                            lambda t: reference_killing_matrix(dense_tensor(t)))
+        monkeypatch.setattr(liealg, "_verify_combination",
+                            reference_verify_combination)
+        assert [close_under_bracket(f, cap=len(f)) for f in oracle_fields] == closures
+        assert [analyze(LieAlgebraPresentation(tuple(range(len(c))), c))
+                for c in oracle_tensors] == reports
+
+
+class TestZeroTest:
+    """_verify_combination on hand-built combinations: the integer forms
+    of v and of the basis fields meet over one lcm per coefficient."""
+
+    # coefficients over 2, 3 and 5, a power atom and an exp atom
+    B1 = VectorField.from_strings(J20, {
+        "x": "1/2*x + y2^(1/3)", "y1": "1/3*exp(-4/3*y)*y2^(2/3)"})
+    B2 = VectorField.from_strings(J20, {
+        "x": "1/3*x", "y1": "1/5*exp(-4/3*y)*y2^(2/3) + 1/5*y1", "z": "1/2"})
+    COORDS = [Fraction(1, 5), Fraction(3, 10)]
+
+    def combination(self):
+        return self.B1.scale(self.COORDS[0]) + self.B2.scale(self.COORDS[1])
+
+    def test_the_terms_cancel_only_over_a_common_denominator(self):
+        v = self.combination()
+        # x: 1/10 + 1/10 of x; y1: 1/15 + 3/50 of the atom term, 3/50 of y1
+        assert [(d, sorted(n.values())) for d, n in v.integer_coefficients] == [
+            (5, [1, 1]), (1, []), (150, [9, 19]), (1, []), (20, [3])]
+
+    def test_right_coordinates_pass(self):
+        v = self.combination()
+        for check in (_verify_combination, reference_verify_combination):
+            assert check(v, [self.B1, self.B2], self.COORDS) is None
+        assert express_in_basis(v, [self.B1, self.B2]) == self.COORDS
+
+    @pytest.mark.parametrize("coords", [
+        [Fraction(1, 5), Fraction(3, 10) + Fraction(1, 30)],
+        [Fraction(3, 10), Fraction(1, 5)],
+        [Fraction(2, 5), Fraction(3, 10)],
+        [Fraction(1, 5), 0],
+        [0, 0],
+    ])
+    def test_wrong_coordinates_raise(self, coords):
+        v = self.combination()
+        for check in (_verify_combination, reference_verify_combination):
+            with pytest.raises(ArithmeticError):
+                check(v, [self.B1, self.B2], coords)
+
+    def test_one_wrong_atom_term_raises(self):
+        v = self.combination() + VectorField.from_strings(J20, {
+            "y1": "1/150*exp(-4/3*y)*y2^(2/3)"})
+        for check in (_verify_combination, reference_verify_combination):
+            with pytest.raises(ArithmeticError):
+                check(v, [self.B1, self.B2], self.COORDS)

@@ -11,8 +11,8 @@ from mongesym.linalg import (KeyedSpan, SparseEchelon, _forced_zeros,
                              canonical_basis, kernel, reduced_rows, solve_exact,
                              sparse_nullspace)
 
-from helpers import (reference_canonical_basis, reference_nullspace,
-                     reference_rref, reference_solve,
+from helpers import (primitive_row, reference_canonical_basis,
+                     reference_nullspace, reference_rref, reference_solve,
                      reference_sparse_nullspace, same_span)
 
 
@@ -42,10 +42,13 @@ SEEDS = range(300)
 
 
 def test_reduced_rows_is_the_sympy_rref():
+    # each sympy row scaled to primitive integers with a positive pivot
     for seed in SEEDS:
         rows, ncols = random_matrix(random.Random(seed))
-        expected = reference_rref(rows, ncols) if rows else ([], [])
-        assert reduced_rows(rows) == expected, seed
+        reduced, pivots = reference_rref(rows, ncols) if rows else ([], [])
+        expected = [tuple(primitive_row(dict(enumerate(r))).get(c, 0)
+                          for c in range(ncols)) for r in reduced]
+        assert reduced_rows(rows) == (expected, pivots), seed
 
 
 def test_reduced_is_the_sympy_rref_up_to_row_scaling():
