@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-import time
 from fractions import Fraction
 
 from . import catalog
@@ -24,7 +23,8 @@ from .fields import (MongeEquation, VectorField, distribution_from_monge,
 from .liealg import (LieAlgebraPresentation, analyze, close_under_bracket,
                      express_in_basis, ClosureCapExceeded)
 from .parser import parse, quoted
-from .solver import AnsatzError, maximality_argument, symmetry_dimension
+from .solver import (AnsatzError, StageTimer, maximality_argument,
+                     symmetry_dimension)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -97,11 +97,10 @@ def _fractions_list(text: str):
     for part in filter(None, map(str.strip, text.split(","))):
         try:
             out.append(Fraction(part))
-        except ValueError:  # Fraction's own message repeats the part whole
-            raise UsageError(f"bad rational list {quoted(text)}: "
-                             f"Invalid literal for Fraction: {quoted(part)}") from None
-        except ZeroDivisionError as exc:
-            raise UsageError(f"bad rational list {quoted(text)}: {exc}") from None
+        except (ValueError, ZeroDivisionError) as exc:
+            # Fraction's own message, with the part it repeats quoted short
+            reason = str(exc).replace(repr(part), quoted(part))
+            raise UsageError(f"bad rational list {quoted(text)}: {reason}") from None
     return tuple(out)
 
 
@@ -260,36 +259,28 @@ def projection_analysis(p: LieAlgebraPresentation):
 def cmd_structure(args) -> int:
     if args.cap < 0:
         raise UsageError("--cap must be non-negative")
-    clock = time.perf_counter()
-    stages = {}
-
-    def lap(stage):
-        nonlocal clock
-        now = time.perf_counter()
-        stages[stage] = stages.get(stage, 0) + now - clock
-        clock = now
-
+    timer = StageTimer()
     d = distribution_from_monge(_load_equation(args.equation))
     names = args.fields or list(catalog.SYMMETRY_FIELDS)
     fields = []
     for name in names:
         f = _load_field(name)
-        lap("load_s")
+        timer.lap("load_s")
         if not is_symmetry(f, d).ok:
             sys.stderr.write(f"field {name} is not a symmetry of {args.equation}\n")
             return EXIT_MISMATCH
-        lap("symmetry_check_s")
+        timer.lap("symmetry_check_s")
         fields.append(f)
     try:
         p = close_under_bracket(fields, cap=args.cap)
     except ClosureCapExceeded as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_MISMATCH
-    lap("closure_s")
+    timer.lap("closure_s")
     report = analyze(p)
-    lap("analyze_s")
+    timer.lap("analyze_s")
     projection = projection_analysis(p)
-    lap("projection_s")
+    timer.lap("projection_s")
     payload = {
         "equation": args.equation,
         "input_fields": names,
@@ -299,7 +290,7 @@ def cmd_structure(args) -> int:
         "projection": projection,
     }
     if args.timings:
-        payload["stage_timings"] = {k: round(v, 3) for k, v in stages.items()}
+        payload["stage_timings"] = timer.rounded()
 
     def render(pl):
         lines = [f"equation: {pl['equation']}",

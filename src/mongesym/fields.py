@@ -14,12 +14,12 @@ the second y2-derivative of F is nonzero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .charts import Chart, ChartMismatchError, J2, J20, PLANE, require_same_chart
 from .expr import Expr, ExprError, multiply_terms
+from .linalg import over_common_denominator
 from .parser import parse, quoted
 
 
@@ -96,10 +96,8 @@ class VectorField:
         integer d * coefficient."""
         out = []
         for c in self.coefficients:
-            d = math.lcm(*(t.coefficient.denominator for t in c.terms))
-            out.append((d, {(t.monomial, t.atoms):
-                            t.coefficient.numerator * (d // t.coefficient.denominator)
-                            for t in c.terms}))
+            d, ints = over_common_denominator(t.coefficient for t in c.terms)
+            out.append((d, {(t.monomial, t.atoms): x for t, x in zip(c.terms, ints)}))
         return tuple(out)
 
     def to_json(self) -> dict:

@@ -41,8 +41,8 @@ from fractions import Fraction
 
 from .charts import require_same_chart
 from .fields import VectorField, lie_bracket
-from .linalg import (KeyedSpan, coordinates, kernel, reduced_rows,
-                     solve_exact, symmetric_signature)
+from .linalg import (KeyedSpan, coordinates, kernel, over_common_denominator,
+                     reduced_rows, solve_exact, symmetric_signature)
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -151,12 +151,13 @@ def integer_tensor(constants):
     constant's denominator, with t[i][j] the pairs (k, d * c_ijk) of the
     nonzero c_ijk.  Every routine below takes such a tensor and integer
     vectors; its brackets are d times the true ones."""
-    d = math.lcm(*(c.denominator for plane in constants for row in plane
-                   for c in row))
-    return tuple(tuple(tuple((k, c.numerator * (d // c.denominator))
-                             for k, c in enumerate(row) if c)
-                       for row in plane)
-                 for plane in constants), d
+    n = len(constants)
+    d, flat = over_common_denominator(c for plane in constants for row in plane
+                                      for c in row)
+    rows = [flat[s * n:s * n + n] for s in range(n * n)]
+    return tuple(tuple(tuple((k, x) for k, x in enumerate(rows[i * n + j]) if x)
+                       for j in range(n))
+                 for i in range(n)), d
 
 
 def bracket_vec(t, u, v):
@@ -359,12 +360,11 @@ def _correct(adapted, ws, e, m, lo, hi):
     psi = solve_exact(eq_rows, eq_rhs)
     if psi is None:
         return None
-    scale = math.lcm(*(x.denominator for x in psi))
+    scale, phi = over_common_denominator(psi)
     out = [[scale * x for x in w] for w in ws]
     for a in range(m):
         for s in range(r):
-            x = psi[a * r + s]
-            out[a][lo + s] += x.numerator * (scale // x.denominator)
+            out[a][lo + s] += phi[a * r + s]
     return out, e * scale
 
 

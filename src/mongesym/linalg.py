@@ -225,11 +225,18 @@ def canonical_basis(vectors):
     return basis
 
 
+def over_common_denominator(values):
+    """(d, ints): rationals over one positive common denominator d, the lcm
+    of their denominators, with ints the integers d * value in order."""
+    values = list(values)
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def _integer_row(row: dict) -> dict:
     """A rational row with its denominators cleared, as a primitive integer row."""
-    denom = math.lcm(*(v.denominator for v in row.values()))
-    return _row_normalize({c: v.numerator * (denom // v.denominator)
-                           for c, v in row.items() if v})
+    _, ints = over_common_denominator(row.values())
+    return _row_normalize({c: x for c, x in zip(row, ints) if x})
 
 
 def rows_to_integer(rows):

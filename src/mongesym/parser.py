@@ -30,19 +30,22 @@ from .expr import Expr, ExprError, NonRationalPowerError, ExpAtom, LnAtom, ONE_M
 
 # Parentheses, exp( and ln( open at once; deeper input is a ParseError.
 MAX_NESTING = 100
+# Characters of an argument that an error message quotes.
+QUOTE_LIMIT = 80
 
 
-def quoted(value, limit: int = 80) -> str:
+def quoted(value) -> str:
     """repr(value) for an error message, cut when it is long: a string
-    longer than limit shows its first limit characters, an ellipsis and its
-    length, any other value its repr's first limit characters likewise.  An
-    error on a huge input stays one short line."""
+    longer than QUOTE_LIMIT shows its first QUOTE_LIMIT characters, an
+    ellipsis and its length, any other value its repr's first QUOTE_LIMIT
+    characters likewise.  An error on a huge input stays one short line."""
     if isinstance(value, str):
-        if len(value) <= limit:
+        if len(value) <= QUOTE_LIMIT:
             return repr(value)
-        return f"{value[:limit]!r}... ({len(value)} characters)"
+        return f"{value[:QUOTE_LIMIT]!r}... ({len(value)} characters)"
     text = repr(value)
-    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+    return (text if len(text) <= QUOTE_LIMIT
+            else f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)")
 
 
 class ParseError(ExprError):

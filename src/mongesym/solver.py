@@ -477,6 +477,24 @@ class SolveReport:
         return "\n".join(lines)
 
 
+class StageTimer:
+    """Seconds per named stage: lap(stage) adds the time since the previous
+    lap, or since the timer was made, to that stage."""
+
+    def __init__(self):
+        self.stages = {}
+        self._clock = time.perf_counter()
+
+    def lap(self, stage: str):
+        now = time.perf_counter()
+        self.stages[stage] = self.stages.get(stage, 0) + now - self._clock
+        self._clock = now
+
+    def rounded(self) -> dict:
+        """The stage seconds, rounded to the millisecond."""
+        return {k: round(v, 3) for k, v in self.stages.items()}
+
+
 def symmetry_dimension(m: MongeEquation, max_degree: int,
                        offsets=(Fraction(0),), rates=None,
                        equation_label: str = "") -> SolveReport:
@@ -494,22 +512,14 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
         rates = exp_rates_for(m)
     spec = AnsatzSpec(max_degree, tuple(offsets), tuple(rates))
     distribution = distribution_from_monge(m)
-    clock = time.perf_counter()
-    stages = {}
-
-    def lap(stage):
-        nonlocal clock
-        now = time.perf_counter()
-        stages[stage] = stages.get(stage, 0) + now - clock
-        clock = now
-
+    timer = StageTimer()
     operator = compile_operator(distribution)
-    lap("operator_s")
+    timer.lap("operator_s")
     system = determining_equations(operator, build_ansatz(spec))
-    lap("rows_s")
+    timer.lap("rows_s")
     table, vectors = nullspace(system)
-    lap("elimination_s")
-    timings = {str(row["degree"]): round(stages["elimination_s"], 3)
+    timer.lap("elimination_s")
+    timings = {str(row["degree"]): round(timer.stages["elimination_s"], 3)
                for row in table}
     dims = [row["dimension"] for row in table]
     if any(a > b for a, b in zip(dims, dims[1:])):
@@ -521,7 +531,7 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
         stabilized_at = table[dims.index(dims[-1]) + 1]["degree"]
     basis_fields = [system.ansatz.assemble(v) for v in vectors]
     verified = all(is_symmetry(f, distribution).ok for f in basis_fields)
-    lap("assemble_verify_s")
+    timer.lap("assemble_verify_s")
     return SolveReport(
         equation=equation_label or str(m),
         offsets=spec.offsets,
@@ -533,7 +543,7 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
         basis=basis_fields,
         verified=verified,
         timings=timings,
-        stage_timings={k: round(v, 3) for k, v in stages.items()},
+        stage_timings=timer.rounded(),
     )
 
 

@@ -105,6 +105,7 @@ class TestExitCodes:
         "field_value": ("verify", "eq2", json.dumps(
             {"chart": "J20", "coefficients": {"x": [1] * (MEGABYTE // 3)}})),
         "rational_list": ("solve", "eq2", "--offsets", "1/" * (MEGABYTE // 2)),
+        "rational_digits": ("solve", "eq2", "--offsets", "1" * 5000),
     }
 
     @pytest.mark.parametrize("name", HUGE_ARGUMENTS)
@@ -114,6 +115,12 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err.encode()) < 300
         assert "characters)" in err
+
+    def test_a_literal_over_the_digit_limit_names_the_limit(self, capsys):
+        code, _, err = run(capsys, *self.HUGE_ARGUMENTS["rational_digits"])
+        assert code == 2
+        assert err.startswith(f"error: bad rational list '{'1' * 80}'... "
+                              "(5000 characters): Exceeds the limit")
 
     @pytest.mark.parametrize("argv, message", [
         (("genericity", "w"), "error: cannot interpret equation 'w': unknown "

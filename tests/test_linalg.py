@@ -8,8 +8,8 @@ import pytest
 
 from mongesym import linalg
 from mongesym.linalg import (KeyedSpan, SparseEchelon, _forced_zeros,
-                             canonical_basis, kernel, reduced_rows, solve_exact,
-                             sparse_nullspace)
+                             canonical_basis, kernel, over_common_denominator,
+                             reduced_rows, solve_exact, sparse_nullspace)
 
 from helpers import (primitive_row, reference_canonical_basis,
                      reference_nullspace, reference_rref, reference_solve,
@@ -131,6 +131,13 @@ def test_explicit_zero_entries_are_dropped():
     assert echelon.insert({0: 2, 1: 0})
     assert echelon.reduce_row({0: 0, 1: 3}) == {1: 1}
     assert not echelon.insert({0: 0})
+
+
+def test_over_common_denominator_keeps_order_and_zeros():
+    F = Fraction
+    assert over_common_denominator([F(1, 2), F(0), F(-2, 3), F(5)]) == (6, [3, 0, -4, 30])
+    assert over_common_denominator(x for x in (F(2, 4), F(3, 6))) == (2, [1, 1])
+    assert over_common_denominator([]) == (1, [])
 
 
 def test_solve_exact_without_rows_or_columns():
