@@ -3,7 +3,7 @@
 Subcommands: genericity, verify, structure, solve, reproduce, catalog.
 Exit codes: 0 success, 1 verification or solve mismatch, 2 usage/parse error.
 All reports are deterministic byte-for-byte for identical inputs and flags
-(solve and structure timings are excluded unless --timings is given).
+(stage timings are excluded unless --timings is given).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import catalog
 from .charts import J20
 from .expr import Expr, ExprError, LnAtom, PowerAtom, poly_text
 from .fields import (MongeEquation, VectorField, distribution_from_monge,
-                     frame_determinant, genericity_hessian, is_symmetry,
+                     frame_determinant, frame_fields, genericity_hessian, is_symmetry,
                      project_to_j2, ProjectionError)
 from .liealg import (LieAlgebraPresentation, analyze, close_under_bracket,
                      express_in_basis, ClosureCapExceeded)
@@ -141,8 +141,8 @@ def _vanishing_description(hessian: Expr) -> str:
     excluded = {c for c, e in zip(coords, t.monomial) if e < 0}
     for a in t.atoms:
         if isinstance(a, PowerAtom):
-            if len(a.base) == 1:
-                excluded.update(c for c, e in zip(coords, a.base[0].monomial) if e)
+            if len(a.base.terms) == 1:
+                excluded.update(c for c, e in zip(coords, a.base.terms[0].monomial) if e)
             else:
                 excluded.add(poly_text(a.base, hessian.chart))
     if not positive and not excluded:
@@ -163,10 +163,16 @@ def _determinant_sign(det: Expr, hess: Expr) -> int:
 
 
 def cmd_genericity(args) -> int:
+    timer = StageTimer()
     m = _load_equation(args.equation)
+    timer.lap("load_s")
+    d = distribution_from_monge(m)
+    frame = frame_fields(d)
+    timer.lap("frame_s")
     hess = genericity_hessian(m)
-    det = frame_determinant(distribution_from_monge(m))
+    det = frame_determinant(d, frame)
     sign = _determinant_sign(det, hess)
+    timer.lap("determinant_s")
     payload = {
         "equation": args.equation,
         "hessian": str(hess),
@@ -176,6 +182,9 @@ def cmd_genericity(args) -> int:
         "generic": not hess.is_zero(),
         "locus": _vanishing_description(hess),
     }
+    timer.lap("report_s")
+    if args.timings:
+        payload["stage_timings"] = timer.rounded()
 
     def render(p):
         return (f"equation: {p['equation']}\n"
@@ -193,18 +202,25 @@ def cmd_genericity(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    timer = StageTimer()
     d = distribution_from_monge(_load_equation(args.equation))
     results = []
     all_ok = True
     for name in args.fields or catalog.SYMMETRY_FIELDS:
-        rep = is_symmetry(_load_field(name), d)
+        f = _load_field(name)
+        timer.lap("load_s")
+        rep = is_symmetry(f, d)
+        timer.lap("residuals_s")
         all_ok = all_ok and rep.ok
         results.append({
             "field": name,
             "symmetry": rep.ok,
             "residuals": [str(r) for r in rep.residuals],
         })
+        timer.lap("report_s")
     payload = {"equation": args.equation, "fields": results, "all_pass": all_ok}
+    if args.timings:
+        payload["stage_timings"] = timer.rounded()
 
     def render(p):
         lines = [f"equation: {p['equation']}"]
@@ -267,7 +283,8 @@ def cmd_structure(args) -> int:
         f = _load_field(name)
         timer.lap("load_s")
         if not is_symmetry(f, d).ok:
-            sys.stderr.write(f"field {name} is not a symmetry of {args.equation}\n")
+            sys.stderr.write(f"field {quoted(name)} is not a symmetry of "
+                             f"{quoted(args.equation)}\n")
             return EXIT_MISMATCH
         timer.lap("symmetry_check_s")
         fields.append(f)
@@ -540,12 +557,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genericity", help="hessian, frame determinant and genericity verdict")
     p.add_argument("equation", help="catalog key or inline expression")
+    p.add_argument("--timings", action="store_true",
+                   help="include per-stage timings in JSON")
     common(p)
     p.set_defaults(func=cmd_genericity)
 
     p = sub.add_parser("verify", help="check fields for the symmetry property")
     p.add_argument("equation")
     p.add_argument("fields", nargs="*", help="catalog keys, JSON, or @file (default S1..S6)")
+    p.add_argument("--timings", action="store_true",
+                   help="include per-stage timings in JSON")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -2,21 +2,29 @@
 
 An expression is a finite sum of terms
 
-    coefficient * monomial * atom * atom * ...
+    (numerator / den) * monomial * atom * atom * ...
 
-where the coefficient is a Fraction, the monomial is an exponent vector
-over the chart's coordinates (see Mono), and the atoms are fractional
-powers of polynomials, exponentials of polynomials, or logarithms of
-polynomials.  The constructor normalizes aggressively (merging equal power
-bases, folding integer exponents, absorbing single-coordinate powers) and
-an expression is zero iff its term list is empty.
+over one denominator.  The numerators are ints and den is a positive int,
+kept in lowest terms: gcd(den, every numerator) = 1, and zero has den 1, so
+equal values have equal representations.  The monomial is an exponent vector
+over the chart's coordinates (see Mono), and the atoms are fractional powers
+of polynomials, exponentials of polynomials, or logarithms of polynomials.
+The constructor normalizes aggressively (merging equal power bases, folding
+integer exponents, absorbing single-coordinate powers) and an expression is
+zero iff its term list is empty.
 
-There is one polynomial form.  A power base or an exp/ln argument is a
-tuple of atom-free canonical Terms in Expr order, the form of an atom-free
-Expr's terms, so one set of chart-free term operations serves expressions
-and atom arguments alike: _normalize collects, _product multiplies, _power
-raises to an integer power, _scaled scales, _lowered takes the monomial
-part of a partial, and _evaluate evaluates, recursing into the atoms.
+There is one polynomial form.  A power base or an exp/ln argument is a Poly:
+atom-free canonical Terms in Expr order over one den, the form of an
+atom-free Expr, so one set of chart-free operations serves expressions and
+atom arguments alike: _normalize collects, _sum adds, _product multiplies,
+_power raises to an integer power, _scaled scales, _lowered takes the
+monomial part of a partial, and _evaluate evaluates, recursing into the
+atoms.  Every coefficient operation lives in those functions, in
+_power_parts and _canonical_term (which fold the rational factors that
+content powers and exact roots take out into the denominator), and in
+multiply_terms and Expr.diff; they touch ints only.  Fractions appear at the
+interface alone: literals and exponents, constant and scale, printing,
+substitute and approx, and Expr.coefficient.
 
 Monomial exponents may be negative (y2^(-1) arises from products such as
 y2^(1/3) * y2^(-4/3) and from differentiating ln); evaluation guards against
@@ -32,10 +40,10 @@ terms; that is why `verify` rejects the scaling symmetry of strazzullo and
 `solve strazzullo --degree 2` reports 3 where the dimension is 4.
 
 Every term of an Expr is canonical: _canonical_term returns it unchanged.
-Its coefficient is nonzero; its atoms are sorted by atom_sort_key, with at
-most one exp atom, power atoms on distinct bases, and no coordinate both
-with a nonzero monomial exponent and as the base of a power atom (a bare
-coordinate with a fractional exponent).
+Its numerator is nonzero; its atoms are sorted (atoms order by kind, then
+base or argument, then exponent), with at most one exp atom, power atoms on
+distinct bases, and no coordinate both with a nonzero monomial exponent and
+as the base of a power atom (a bare coordinate with a fractional exponent).
 Arithmetic relies on this: _normalize takes terms known to be canonical as
 `ready` and sends only the others with atoms through _canonical_term (an
 atom-free term is canonical as it stands).
@@ -53,17 +61,16 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from operator import add, sub
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Union
 
 from .charts import MAX_COORDS, Chart, require_same_chart
-from .rationals import exact_pow
+from .rationals import exact_pow, ratio_pow
 
 # A monomial is a tuple of MAX_COORDS integer exponents, entry i for the
 # chart's coordinate i.  J2 and PLANE are prefixes of J20, so their
 # monomials are J20's with the trailing exponents zero, and the graded-lex
 # order mono_key gives is the same on every chart.
 Mono = tuple
-Poly = tuple  # an atom's base or argument: atom-free canonical Terms in Expr order
 
 ONE_MONO: Mono = (0,) * MAX_COORDS
 UNIT_MONOS = tuple(tuple(int(i == j) for j in range(MAX_COORDS))
@@ -106,11 +113,19 @@ def mono_key(m: Mono):
     return (sum(m), m)
 
 
-def _check_power_size(c: Fraction, q: Fraction) -> None:
-    """Raise ExprError when c**q would have more than MAX_POWER_BITS bits."""
-    size = max(abs(c.numerator), c.denominator)
-    if size > 1 and size.bit_length() * abs(q) > MAX_POWER_BITS:
-        raise ExprError(f"power too large: ({c})^({q}) has about "
+def _ratio_text(n: int, d: int) -> str:
+    """n/d as Fraction prints it."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _check_power_size(n: int, d: int, q) -> None:
+    """Raise ExprError when (n/d)**q, q an int or a Fraction, would have more
+    than MAX_POWER_BITS bits."""
+    size = max(abs(n), d)
+    if size > 1 and size.bit_length() * abs(q.numerator) > MAX_POWER_BITS * q.denominator:
+        raise ExprError(f"power too large: ({_ratio_text(n, d)})^({q}) has about "
                         f"{math.ceil(size.bit_length() * abs(q))} bits")
 
 
@@ -123,127 +138,181 @@ def _check_expansion_size(k: int, n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# terms and atoms
+# terms, polynomials and atoms
 # ---------------------------------------------------------------------------
 
 class Term(NamedTuple):
-    coefficient: Fraction
+    numerator: int  # over the enclosing form's den
     monomial: Mono
     atoms: tuple
 
 
-def poly_key(a: Poly):
-    return tuple((mono_key(m), c) for c, m, _ in a)
+class Poly(NamedTuple):
+    """An atom's base or argument: atom-free canonical Terms in Expr order
+    with integer numerators over den, in lowest terms, like an Expr."""
+    terms: tuple
+    den: int = 1
 
-POLY_ONE: Poly = (Term(Fraction(1), ONE_MONO, ()),)
+
+POLY_ONE = Poly((Term(1, ONE_MONO, ()),))
+_COORD_BASES = tuple(Poly((Term(1, m, ()),)) for m in UNIT_MONOS)
 
 
-def _poly_content_split(base: Poly):
-    """Split a base of two or more terms into sign * content *
-    common_monomial * primitive_part."""
-    m_c = tuple(map(min, *(m for _, m, _ in base)))
-    content = Fraction(math.gcd(*(c.numerator for c, _, _ in base)),
-                       math.lcm(*(c.denominator for c, _, _ in base)))
-    # dividing by a common monomial keeps the graded order
-    reduced = tuple(Term(c / content, tuple(map(sub, m, m_c)), ()) for c, m, _ in base)
-    sign = 1 if reduced[0].coefficient > 0 else -1
-    if sign < 0:
-        reduced = _scaled(reduced, -1)
-    return sign, content, m_c, reduced
+def _poly_cmp(a: Poly, b: Poly) -> int:
+    """-1, 0 or 1 as a sorts before, with or after b: term by term, by
+    monomial in graded order and then by coefficient value, and a proper
+    prefix first."""
+    for (ca, ma, _), (cb, mb, _) in zip(a.terms, b.terms):
+        if ma != mb:
+            return -1 if mono_key(ma) < mono_key(mb) else 1
+        x, y = ca * b.den, cb * a.den
+        if x != y:
+            return -1 if x < y else 1
+    return (len(a.terms) > len(b.terms)) - (len(a.terms) < len(b.terms))
+
+
+class _Atom:
+    """Atoms sort by kind (power, exp, ln), then by base or argument
+    (_poly_cmp), then by exponent."""
+    __slots__ = ()
+
+    def __lt__(self, other: "_Atom") -> bool:
+        if self.RANK != other.RANK:
+            return self.RANK < other.RANK
+        c = _poly_cmp(atom_poly(self), atom_poly(other))
+        if c:
+            return c < 0
+        return self.RANK == 0 and self.exponent < other.exponent
 
 
 @dataclass(frozen=True)
-class PowerAtom:
+class PowerAtom(_Atom):
+    RANK = 0
     base: Poly
     exponent: Fraction
 
 @dataclass(frozen=True)
-class ExpAtom:
+class ExpAtom(_Atom):
+    RANK = 1
     argument: Poly
 
 @dataclass(frozen=True)
-class LnAtom:
+class LnAtom(_Atom):
+    RANK = 2
     argument: Poly
 
 Atom = Union[PowerAtom, ExpAtom, LnAtom]
 
 
+def atom_poly(atom: Atom) -> Poly:
+    """A power atom's base, an exp or ln atom's argument."""
+    return atom.base if type(atom) is PowerAtom else atom.argument
+
+
 def _unit_coord_index(base: Poly):
     """Coordinate index when the base is a bare coordinate, else None."""
-    if len(base) == 1 and base[0][0] == 1:
-        return _UNIT_INDEX.get(base[0][1])
+    terms = base.terms
+    if len(terms) == 1 and terms[0][0] == 1 and base.den == 1:
+        return _UNIT_INDEX.get(terms[0][1])
     return None
 
-def _coord_base(idx: int) -> Poly:
-    return (Term(Fraction(1), UNIT_MONOS[idx], ()),)
 
-def atom_sort_key(atom: Atom):
-    if isinstance(atom, PowerAtom):
-        return (0, poly_key(atom.base), atom.exponent)
-    if isinstance(atom, ExpAtom):
-        return (1, poly_key(atom.argument), Fraction(0))
-    return (2, poly_key(atom.argument), Fraction(0))
+def _poly_content_split(terms):
+    """Split the numerators of a base of two or more terms into sign *
+    content * common_monomial * primitive_part, content a positive int."""
+    m_c = tuple(map(min, *(m for _, m, _ in terms)))
+    content = math.gcd(*(c for c, _, _ in terms))
+    sign = 1 if terms[0][0] > 0 else -1
+    # dividing by a common monomial keeps the graded order
+    k = sign * content
+    primitive = tuple(Term(c // k, tuple(map(sub, m, m_c)), ()) for c, m, _ in terms)
+    return sign, content, m_c, primitive
 
 
 # ---------------------------------------------------------------------------
-# chart-free term operations, for expressions and atom arguments alike
+# chart-free term operations, for expressions and atom arguments alike; a
+# form is anything with .terms and .den (an Expr or a Poly)
 # ---------------------------------------------------------------------------
 
-def _scaled(terms, s) -> tuple:
-    """Canonical terms times a nonzero scalar."""
-    return tuple(Term(c * s, m, a) for c, m, a in terms)
+def _lowest(terms: tuple, den: int) -> Poly:
+    """Sorted canonical terms with integer numerators over den > 0, as a
+    Poly in lowest terms."""
+    if den == 1:
+        return Poly(terms)
+    g = math.gcd(den, *(t[0] for t in terms))
+    if g == 1:
+        return Poly(terms, den)
+    return Poly(tuple(Term(c // g, m, a) for c, m, a in terms), den // g)
+
+
+def _scaled(form, p: int, r: int = 1) -> Poly:
+    """A form times the nonzero rational p/r, r > 0."""
+    return _lowest(tuple(Term(c * p, m, a) for c, m, a in form.terms), form.den * r)
+
+
+def _sum(forms) -> Poly:
+    """The sum of forms, over the lcm of their denominators."""
+    den = math.lcm(*[f.den for f in forms])
+    ready = []
+    for f in forms:
+        k = den // f.den
+        ready.extend(f.terms if k == 1 else [(c * k, m, a) for c, m, a in f.terms])
+    return _normalize((), ready, den)
 
 
 def _lowered(terms, idx: int) -> list:
     """The part of the d/d(coordinate idx) partial of canonical terms that
-    lowers a monomial exponent, as plain (coefficient, monomial, atoms)
-    triples.  Lowering an exponent keeps a term canonical, and keeps the
-    monomials of atom-free terms distinct and in order.  (A loop, not a
-    comprehension: every partial calls this, mostly on a few terms.)"""
+    lowers a monomial exponent, as Terms over the terms' denominator.
+    Lowering an exponent keeps a term canonical, and keeps the terms
+    distinct and in order, so for atom-free terms it is the whole partial.
+    (A loop, not a comprehension: every partial calls this, mostly on a few
+    terms.)"""
     out = []
     for c, m, a in terms:
         e = m[idx]
         if e:
-            out.append((c * e, m[:idx] + (e - 1,) + m[idx + 1:], a))
+            out.append(Term(c * e, m[:idx] + (e - 1,) + m[idx + 1:], a))
     return out
 
 
-def _product(left, right) -> tuple:
-    """The canonical terms of the product of two sums of canonical terms."""
+def _product(left, right) -> Poly:
+    """The product of two forms."""
     ready, raw = [], []
-    multiply_terms(ready, raw, left, right)
-    return _normalize(raw, ready)
+    multiply_terms(ready, raw, left.terms, right.terms)
+    return _normalize(raw, ready, left.den * right.den)
 
 
-def _power(terms, n: int) -> tuple:
-    """The canonical terms of a sum of canonical terms to the integer power
-    n >= 0.  One term whose atoms are all exp atoms takes exponent
-    arithmetic: coefficient to the n, monomial and exp argument times n.
-    Anything else is sized and multiplied out: a power atom's exponents
-    summed to an integer expand its base, so ((x+y)^(1/2))^3 becomes
-    x*(x+y)^(1/2) + y*(x+y)^(1/2), and only _canonical_term knows how."""
+def _power(form, n: int) -> Poly:
+    """A form to the integer power n >= 0.  One term whose atoms are all exp
+    atoms takes exponent arithmetic: coefficient to the n, monomial and exp
+    argument times n.  Anything else is sized and multiplied out: a power
+    atom's exponents summed to an integer expand its base, so
+    ((x+y)^(1/2))^3 becomes x*(x+y)^(1/2) + y*(x+y)^(1/2), and only
+    _canonical_term knows how."""
     if n == 0:
         return POLY_ONE
+    terms = form.terms
     if len(terms) == 1 and (not terms[0].atoms
-                            or all(isinstance(a, ExpAtom) for a in terms[0].atoms)):
+                            or all(type(a) is ExpAtom for a in terms[0].atoms)):
         c, m, atoms = terms[0]
-        _check_power_size(c, n)
-        return (Term(c ** n, mono_pow(m, n),
-                     tuple(ExpAtom(_scaled(a.argument, n)) for a in atoms)),)
+        _check_power_size(c, form.den, n)
+        return Poly((Term(c ** n, mono_pow(m, n),
+                          tuple(ExpAtom(_scaled(a.argument, n)) for a in atoms)),),
+                    form.den ** n)
     _check_expansion_size(len(terms), n)
     out = POLY_ONE
     for _ in range(n):
-        out = _product(out, terms)
+        out = _product(out, form)
     return out
 
 
-def _evaluate(terms, point, cast, atom_value):
-    """The value of a sum of canonical terms at point, a list of (coordinate
-    name, value) pairs: cast converts the coefficients, and
+def _evaluate(form, point, cast, atom_value):
+    """The value of a form at point, a list of (coordinate name, value)
+    pairs: cast converts the numerators and the denominator, and
     atom_value(atom, v) is an atom's factor when its base or argument, a
-    sum of terms evaluated by this same loop, has the value v."""
+    form evaluated by this same loop, has the value v."""
     total = cast(0)
-    for c, m, atoms in terms:
+    for c, m, atoms in form.terms:
         v = cast(c)
         for (name, x), e in zip(point, m):
             if e:
@@ -251,10 +320,9 @@ def _evaluate(terms, point, cast, atom_value):
                     raise ZeroDivisionError(f"{name} = 0 not admissible (negative power)")
                 v *= x ** e
         for atom in atoms:
-            poly = atom.base if isinstance(atom, PowerAtom) else atom.argument
-            v *= atom_value(atom, _evaluate(poly, point, cast, atom_value))
+            v *= atom_value(atom, _evaluate(atom_poly(atom), point, cast, atom_value))
         total += v
-    return total
+    return total / cast(form.den)
 
 
 def _exact_atom_value(atom: Atom, v: Fraction) -> Fraction:
@@ -294,12 +362,12 @@ def _float_atom_value(atom: Atom, v: float) -> float:
 # normalization
 # ---------------------------------------------------------------------------
 
-def _odd_root_sign(s: Fraction, q: Fraction):
+def _odd_root_sign(s: int, q: Fraction):
     """(sign factor, kept scale) of s**q with q not an integer: an odd root
     takes out the sign of a negative s, as (-1)**numerator."""
     if s < 0 and q.denominator % 2 == 1:
-        return Fraction(-1 if q.numerator % 2 else 1), -s
-    return Fraction(1), s
+        return -1 if q.numerator % 2 else 1, -s
+    return 1, s
 
 
 def _scaled_exponents(m: Mono, q) -> dict:
@@ -308,50 +376,52 @@ def _scaled_exponents(m: Mono, q) -> dict:
 
 
 def _power_parts(base: Poly, q: Fraction):
-    """Decompose base**q into (rational_factor, coord_exponents, atoms, poly_factors).
+    """Decompose base**q into (factor, coord_exponents, atoms, poly_factors).
 
-    coord_exponents maps coordinate index -> exponent contribution;
-    poly_factors are expanded polynomials to be multiplied into the carrying
-    term (from non-negative integer powers of multi-term bases).
+    factor is a rational (numerator, denominator > 0): the powers of a
+    numerical content, and the exact roots; coord_exponents maps coordinate
+    index -> exponent contribution; poly_factors are expanded polynomials
+    with denominator 1 to be multiplied into the carrying term (from
+    non-negative integer powers of multi-term bases).
     """
-    if not base:
+    terms, den = base
+    if not terms:
         if q > 0:
-            return Fraction(0), {}, [], []
+            return (0, 1), {}, [], []
         raise ExprError("zero raised to a non-positive power")
-    if len(base) == 1:
-        c, m, _ = base[0]
-        _check_power_size(c, q)
-        if q.denominator == 1:
-            n = int(q)
-            return c ** n, _scaled_exponents(m, n), [], []
-        cf = exact_pow(c, q)
+    if len(terms) == 1:
+        c, m, _ = terms[0]
+        _check_power_size(c, den, q)
+        cf = ratio_pow(c, den, q)  # never None for an integer q
         if cf is not None:
-            return cf, _scaled_exponents(m, q), [], []
+            return cf, _scaled_exponents(m, q.numerator if q.denominator == 1 else q), [], []
         if m == ONE_MONO:
-            raise NonRationalPowerError(f"{c}^({q}) is not rational")
+            raise NonRationalPowerError(f"{_ratio_text(c, den)}^({q}) is not rational")
         sign_factor, c_kept = _odd_root_sign(c, q)
-        return sign_factor, {}, [PowerAtom((Term(c_kept, m, ()),), q)], []
-    sign, content, m_c, primitive = _poly_content_split(base)
-    _check_power_size(content, q)
+        return (sign_factor, 1), {}, [PowerAtom(Poly((Term(c_kept, m, ()),), den), q)], []
+    sign, content, m_c, primitive = _poly_content_split(terms)
+    _check_power_size(content, den, q)
+    factor = ratio_pow(sign * content, den, q)
     if q.denominator == 1:
-        n = int(q)
-        factor = Fraction(sign) ** n * content ** n
+        n = q.numerator
         coord = _scaled_exponents(m_c, n)
         if n > 0:
-            return factor, coord, [], [_power(primitive, n)]
+            return factor, coord, [], [_power(Poly(primitive), n)]
         # negative integer power of an irreducible-for-us polynomial: kept as
         # an atom (closure needed by the ln chain rule)
-        return factor, coord, [PowerAtom(primitive, q)], []
+        return factor, coord, [PowerAtom(Poly(primitive), q)], []
     coord = _scaled_exponents(m_c, q)
-    sc = exact_pow(Fraction(sign) * content, q)
-    if sc is not None:
-        return sc, coord, [PowerAtom(primitive, q)], []
-    sign_factor, kept_scale = _odd_root_sign(Fraction(sign) * content, q)
-    return sign_factor, coord, [PowerAtom(_scaled(primitive, kept_scale), q)], []
+    if factor is not None:
+        return factor, coord, [PowerAtom(Poly(primitive), q)], []
+    sign_factor, kept = _odd_root_sign(sign * content, q)
+    return (sign_factor, 1), coord, [PowerAtom(_scaled(Poly(primitive), kept, den), q)], []
 
 
-def _canonical_term(coeff: Fraction, mono: Mono, atoms: Iterable):
-    """Return (coeff, mono, atoms, poly_factors); coeff 0 means the term died."""
+def _canonical_term(mono: Mono, atoms):
+    """Return (factor, mono, atoms, poly_factors): the product mono * atoms
+    is factor * mono * atoms * (the product of poly_factors) with the
+    returned parts, factor a rational (numerator, denominator > 0) in lowest
+    terms; numerator 0 means the term vanishes."""
     coord = list(mono)  # int exponents, Fraction once a power adds to one
     powers: dict = {}
     exp_args: list = []
@@ -359,99 +429,118 @@ def _canonical_term(coeff: Fraction, mono: Mono, atoms: Iterable):
     polys: list = []
     for atom in atoms:
         if isinstance(atom, PowerAtom):
-            if atom.exponent == 0:
+            if not atom.exponent:
                 continue
             idx = _unit_coord_index(atom.base)
             if idx is not None:
                 coord[idx] += atom.exponent
             else:
-                q = powers.get(atom.base, Fraction(0)) + atom.exponent
+                q = powers.get(atom.base)
+                q = atom.exponent if q is None else q + atom.exponent
                 if q:
                     powers[atom.base] = q
                 else:
-                    powers.pop(atom.base, None)
+                    del powers[atom.base]
         elif isinstance(atom, ExpAtom):
             exp_args.append(atom.argument)
         elif isinstance(atom, LnAtom):
-            if not atom.argument:
+            if not atom.argument.terms:
                 raise ExprError("ln(0) is undefined")
             if atom.argument == POLY_ONE:
-                return Fraction(0), ONE_MONO, (), []
+                return (0, 1), ONE_MONO, (), []
             lns.append(atom)
         else:  # pragma: no cover
             raise TypeError(f"unknown atom {atom!r}")
+    p = r = 1
     out_atoms: list = []
     pending = powers
     while pending:
         decomposed: dict = {}
         identity = True
-        for base in sorted(pending, key=poly_key):
-            q = pending[base]
-            cf, coord_add, atoms_o, polys_o = _power_parts(base, q)
-            if cf == 0:
-                return Fraction(0), ONE_MONO, (), []
-            coeff *= cf
+        for base, q in pending.items():
+            (fp, fr), coord_add, atoms_o, polys_o = _power_parts(base, q)
+            if not fp:
+                return (0, 1), ONE_MONO, (), []
+            p *= fp
+            r *= fr
             polys.extend(polys_o)
             for i, e in coord_add.items():
                 coord[i] += e
-            if not (cf == 1 and not coord_add and not polys_o
+            if not (fp == fr == 1 and not coord_add and not polys_o
                     and len(atoms_o) == 1
                     and atoms_o[0].base == base and atoms_o[0].exponent == q):
                 identity = False
             for a in atoms_o:
-                q2 = decomposed.get(a.base, Fraction(0)) + a.exponent
+                q2 = decomposed.get(a.base)
+                q2 = a.exponent if q2 is None else q2 + a.exponent
                 if q2:
                     decomposed[a.base] = q2
                 else:
-                    decomposed.pop(a.base, None)
+                    del decomposed[a.base]
         if identity and len(decomposed) == len(pending):
-            for b in sorted(decomposed, key=poly_key):
-                out_atoms.append(PowerAtom(b, decomposed[b]))
+            out_atoms.extend(PowerAtom(b, e) for b, e in decomposed.items())
             break
         pending = decomposed
     for i, e in enumerate(coord):
         if e.denominator != 1:
-            out_atoms.append(PowerAtom(_coord_base(i), e))
+            out_atoms.append(PowerAtom(_COORD_BASES[i], e))
             coord[i] = 0
     if exp_args:
         # a lone argument is canonical as it stands
-        exp_arg = exp_args[0] if len(exp_args) == 1 else _normalize((), chain(*exp_args))
-        if exp_arg:
+        exp_arg = exp_args[0] if len(exp_args) == 1 else _sum(exp_args)
+        if exp_arg.terms:
             out_atoms.append(ExpAtom(exp_arg))
     out_atoms.extend(lns)
-    out_atoms.sort(key=atom_sort_key)
-    return coeff, tuple(map(int, coord)), tuple(out_atoms), polys
+    out_atoms.sort()
+    if r != 1:
+        g = math.gcd(p, r)
+        p, r = p // g, r // g
+    return (p, r), tuple(map(int, coord)), tuple(out_atoms), polys
 
 
-def _canonical_terms(raw):
-    """The nonzero canonical terms a sum of raw terms expands to, with
-    repeats; an atom-free raw term is canonical as it stands."""
-    stack = list(raw)
-    while stack:
-        coeff, mono, atoms = stack.pop()
-        if coeff == 0:
+def _canonical_terms(raw) -> list:
+    """The nonzero canonical terms a sum of raw (numerator, monomial, atoms)
+    terms expands to, with repeats, as (numerator, denominator, monomial,
+    atoms): the denominator is what canonicalization takes out of the term
+    (_canonical_term's factor).  An atom-free raw term is canonical as it
+    stands."""
+    out = []
+    for coeff, mono, atoms in raw:
+        if not coeff:
             continue
-        if atoms:
-            coeff, mono, atoms, polys = _canonical_term(coeff, mono, atoms)
-            if coeff == 0:
-                continue
-            if polys:
-                for c2, m2, _ in reduce(_product, polys):
-                    stack.append((coeff * c2, mono_mul(mono, m2), atoms))
-                continue
-        yield coeff, mono, atoms
+        if not atoms:
+            out.append((coeff, 1, mono, atoms))
+            continue
+        (p, r), mono, atoms, polys = _canonical_term(mono, atoms)
+        if not p:
+            continue
+        if polys:
+            out.extend((c, d * r, m, a) for c, d, m, a in _canonical_terms(
+                [(coeff * p * c2, mono_mul(mono, m2), atoms)
+                 for c2, m2, _ in reduce(_product, polys).terms]))
+        else:
+            out.append((coeff * p, r, mono, atoms))
+    return out
 
 
 def _term_key(t: Term):
-    return mono_key(t.monomial), tuple(map(atom_sort_key, t.atoms))
+    return mono_key(t.monomial), t.atoms
 
 
-def _normalize(raw, ready=()) -> tuple:
-    """The sorted canonical terms of a sum of (coefficient, monomial, atoms)
-    triples: the ready ones are canonical already and are only collected,
-    the raw ones go through _canonical_terms."""
+def _normalize(raw, ready=(), den: int = 1) -> Poly:
+    """The sum of (numerator, monomial, atoms) triples over the common
+    denominator den, as a Poly: the ready ones are canonical already and
+    are only collected, the raw ones go through _canonical_terms, and the
+    denominator those take out joins den."""
+    if raw:
+        canonical = _canonical_terms(raw)
+        scale = math.lcm(*[d for _, d, _, _ in canonical])
+        if scale != 1:
+            den *= scale
+            ready = [(c * scale, m, a) for c, m, a in ready]
+        ready = chain(ready, [(c * (scale // d), m, a) for c, d, m, a in canonical])
     acc: dict = {}
-    for coeff, mono, atoms in chain(ready, _canonical_terms(raw)):
+    for coeff, mono, atoms in ready:
         key = (mono, atoms)
         c2 = acc.get(key)
         if c2 is None:
@@ -464,7 +553,7 @@ def _normalize(raw, ready=()) -> tuple:
                 del acc[key]
     terms = [Term(c, m, a) for (m, a), c in acc.items()]
     terms.sort(key=_term_key, reverse=True)
-    return tuple(terms)
+    return Poly(tuple(terms)) if den == 1 else _lowest(tuple(terms), den)
 
 
 def bare_coords(atoms):
@@ -472,7 +561,7 @@ def bare_coords(atoms):
     no atoms at all (an atom-free term)."""
     if not atoms:
         return None
-    return frozenset(i for a in atoms if isinstance(a, PowerAtom)
+    return frozenset(i for a in atoms if type(a) is PowerAtom
                      for i in (_unit_coord_index(a.base),) if i is not None)
 
 
@@ -489,19 +578,18 @@ def product_is_canonical(mono: Mono, bare1, bare2) -> bool:
     return bare2 is None and not any(mono[i] for i in bare1)
 
 
-def multiply_terms(ready: list, raw: list, left, right, sign=1) -> None:
-    """Append sign times every product of a left and a right canonical
-    term: to ready when the product is canonical as it stands
-    (product_is_canonical), to raw otherwise."""
+def multiply_terms(ready: list, raw: list, left, right, scale: int = 1) -> None:
+    """Append scale times every product of a left and a right canonical
+    term, numerators multiplied: to ready when the product is canonical as
+    it stands (product_is_canonical), to raw otherwise."""
     if not (left and right):
         return
     right = [(t, bare_coords(t.atoms)) for t in right]
-    for t1 in left:
-        c1 = t1.coefficient if sign == 1 else sign * t1.coefficient
-        m1, a1 = t1.monomial, t1.atoms
+    for c1, m1, a1 in left:
+        c1 *= scale
         b1 = bare_coords(a1)
         for t2, b2 in right:
-            product = (c1 * t2.coefficient, mono_mul(m1, t2.monomial), a1 + t2.atoms)
+            product = (c1 * t2.numerator, mono_mul(m1, t2.monomial), a1 + t2.atoms)
             (ready if product_is_canonical(product[1], b1, b2) else raw).append(product)
 
 
@@ -509,19 +597,27 @@ def multiply_terms(ready: list, raw: list, left, right, sign=1) -> None:
 # expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(NamedTuple):
+    """An expression on a chart: canonical terms with integer numerators
+    over den, in lowest terms (the module docstring).  Immutable, and as
+    light to build as a tuple, which it is."""
     chart: Chart
     terms: tuple
+    den: int = 1
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_raw(chart: Chart, raw, ready=()) -> "Expr":
-        """The canonical sum of raw (coefficient, monomial, atoms) triples,
+    def from_raw(chart: Chart, raw, ready=(), den: int = 1) -> "Expr":
+        """The canonical sum of raw (numerator, monomial, atoms) triples,
         whose monomials are in Mono form, and of ready ones, which must be
-        canonical terms already."""
-        return Expr(chart, _normalize(raw, ready))
+        canonical terms already, all over the denominator den."""
+        return Expr(chart, *_normalize(raw, ready, den))
+
+    @staticmethod
+    def sum(chart: Chart, exprs) -> "Expr":
+        """The sum of expressions on the chart, normalized once."""
+        return Expr(chart, *_sum(exprs))
 
     @staticmethod
     def zero(chart: Chart) -> "Expr":
@@ -529,54 +625,56 @@ class Expr:
 
     @staticmethod
     def constant(chart: Chart, value) -> "Expr":
-        value = Fraction(value)
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
         if value == 0:
             return Expr.zero(chart)
-        return Expr(chart, (Term(value, ONE_MONO, ()),))
+        return Expr(chart, (Term(value.numerator, ONE_MONO, ()),), value.denominator)
 
     @staticmethod
     def coordinate(chart: Chart, name: str) -> "Expr":
-        idx = chart.index(name)
-        return Expr(chart, (Term(Fraction(1), UNIT_MONOS[idx], ()),))
+        return Expr(chart, _COORD_BASES[chart.index(name)].terms)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Expr") -> "Expr":
         require_same_chart(self, other)
-        return Expr.from_raw(self.chart, (), self.terms + other.terms)
+        return Expr.sum(self.chart, (self, other))
 
     def __sub__(self, other: "Expr") -> "Expr":
         return self + (-other)
 
     def __neg__(self) -> "Expr":
-        return Expr(self.chart, tuple(Term(-c, m, a) for c, m, a in self.terms))
+        return Expr(self.chart, tuple(Term(-c, m, a) for c, m, a in self.terms), self.den)
 
     def scale(self, s) -> "Expr":
-        s = Fraction(s)
+        if not isinstance(s, (int, Fraction)):
+            s = Fraction(s)
         if s == 0:
             return Expr.zero(self.chart)
-        return Expr(self.chart, _scaled(self.terms, s))
+        return Expr(self.chart, *_scaled(self, s.numerator, s.denominator))
 
     def __mul__(self, other) -> "Expr":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         require_same_chart(self, other)
-        return Expr(self.chart, _product(self.terms, other.terms))
+        return Expr(self.chart, *_product(self, other))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent) -> "Expr":
-        exponent = Fraction(exponent)
+        if not isinstance(exponent, (int, Fraction)):
+            exponent = Fraction(exponent)
         if exponent.denominator != 1 or exponent < 0:
             return self.pow_rational(exponent)
-        return Expr(self.chart, _power(self.terms, int(exponent)))
+        return Expr(self.chart, *_power(self, exponent.numerator))
 
     def pow_rational(self, exponent) -> "Expr":
         """Raise to a rational power; the base must be atom-free."""
-        exponent = Fraction(exponent)
+        if not isinstance(exponent, Fraction):
+            exponent = Fraction(exponent)
         poly = self.as_poly()
-        return Expr.from_raw(self.chart,
-                             [(Fraction(1), ONE_MONO, (PowerAtom(poly, exponent),))])
+        return Expr.from_raw(self.chart, [(1, ONE_MONO, (PowerAtom(poly, exponent),))])
 
     # -- structure ---------------------------------------------------------
 
@@ -587,6 +685,10 @@ class Expr:
         require_same_chart(self, other)
         return (self - other).is_zero()
 
+    def coefficient(self, k: int) -> Fraction:
+        """The rational coefficient of term k."""
+        return Fraction(self.terms[k].numerator, self.den)
+
     def as_poly(self) -> Poly:
         """The expression as an atom-free polynomial; raises if atoms occur."""
         for t in self.terms:
@@ -594,44 +696,60 @@ class Expr:
                 raise ExprError("expression is not a polynomial (atoms present)")
             if min(t.monomial) < 0:
                 raise ExprError("expression is not a polynomial (negative power)")
-        return self.terms
+        return Poly(self.terms, self.den)
 
     def coordinates_used(self) -> set:
         monos = []
         for t in self.terms:
             monos.append(t.monomial)
             for a in t.atoms:
-                poly = a.base if isinstance(a, PowerAtom) else a.argument
-                monos.extend(u.monomial for u in poly)
+                monos.extend(u.monomial for u in atom_poly(a).terms)
         return {i for m in monos for i, e in enumerate(m) if e}
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, coord: str) -> "Expr":
+        """The partial by one coordinate.  The chain rule of an atom brings
+        in the denominator of its base or argument, and a power atom's also
+        that of its exponent; the partial is over den times their lcm."""
         idx = self.chart.index(coord)
-        ready, raw = _lowered(self.terms, idx), []
+        for t in self.terms:
+            if t.atoms:
+                break
+        else:
+            return Expr(self.chart, *_lowest(tuple(_lowered(self.terms, idx)), self.den))
+        chains = []  # (denominator, numerator, monomial, atoms, lowered, exp?)
         for c, m, atoms in self.terms:
             for k, atom in enumerate(atoms):
-                poly = atom.base if isinstance(atom, PowerAtom) else atom.argument
-                lowered = _lowered(poly, idx)
+                poly = atom_poly(atom)
+                lowered = _lowered(poly.terms, idx)
                 if not lowered:
                     continue
-                if isinstance(atom, ExpAtom):
-                    # a product with an atom-free term
-                    bare = bare_coords(atoms)
-                    for c2, m2, _ in lowered:
-                        product = (c * c2, mono_mul(m, m2), atoms)
-                        (ready if product_is_canonical(product[1], bare, None)
-                         else raw).append(product)
+                if type(atom) is ExpAtom:
+                    chains.append((poly.den, c, m, atoms, lowered, True))
                     continue
-                if isinstance(atom, PowerAtom):
+                if type(atom) is PowerAtom:
                     s, factor = atom.exponent, PowerAtom(poly, atom.exponent - 1)
                 else:  # LnAtom
                     s, factor = 1, PowerAtom(poly, Fraction(-1))
-                rest = atoms[:k] + atoms[k + 1:] + (factor,)
+                chains.append((poly.den * s.denominator, c * s.numerator, m,
+                               atoms[:k] + atoms[k + 1:] + (factor,), lowered, False))
+        ready, raw = _lowered(self.terms, idx), []
+        lcm = math.lcm(*[ch[0] for ch in chains])
+        if lcm != 1:
+            ready = [(c * lcm, m, a) for c, m, a in ready]
+        for d, c, m, atoms, lowered, exp in chains:
+            c *= lcm // d
+            if exp:
+                # a product with an atom-free term
+                bare = bare_coords(atoms)
                 for c2, m2, _ in lowered:
-                    raw.append((c * s * c2, mono_mul(m, m2), rest))
-        return Expr.from_raw(self.chart, raw, ready)
+                    product = (c * c2, mono_mul(m, m2), atoms)
+                    (ready if product_is_canonical(product[1], bare, None)
+                     else raw).append(product)
+            else:
+                raw.extend((c * c2, mono_mul(m, m2), atoms) for c2, m2, _ in lowered)
+        return Expr.from_raw(self.chart, raw, ready, self.den * lcm)
 
     # -- evaluation --------------------------------------------------------
 
@@ -648,12 +766,12 @@ class Expr:
         evaluates to 0 resp. 1) and NonRationalPowerError when a power atom
         has an irrational value at the point.
         """
-        return _evaluate(self.terms, self._point(assignment, Fraction), Fraction,
+        return _evaluate(self, self._point(assignment, Fraction), Fraction,
                          _exact_atom_value)
 
     def approx(self, assignment: Mapping[str, object]) -> float:
         """Floating-point value; used only for randomized cross-checks."""
-        return _evaluate(self.terms, self._point(assignment, float), float,
+        return _evaluate(self, self._point(assignment, float), float,
                          _float_atom_value)
 
     # -- printing ----------------------------------------------------------
@@ -680,17 +798,18 @@ def _mono_factors(m: Mono, chart: Chart):
     return [name if e == 1 else name + _exp_text(e)
             for name, e in zip(chart.coords, m) if e]
 
-def _sum_text(terms, chart: Chart, unit_minus: str) -> str:
-    """Terms as a signed sum; a leading negative unit coefficient before
+def _sum_text(form, chart: Chart, unit_minus: str) -> str:
+    """A form as a signed sum; a leading negative unit coefficient before
     factors prints as unit_minus."""
-    if not terms:
+    if not form.terms:
         return "0"
     pieces = []
-    for n, (c, m, atoms) in enumerate(terms):
+    den = form.den
+    for n, (c, m, atoms) in enumerate(form.terms):
         factors = _mono_factors(m, chart) + [_atom_text(a, chart) for a in atoms]
         mag = abs(c)
-        unit = mag == 1 and factors
-        body = "*".join(factors if unit else [str(mag)] + factors)
+        unit = mag == den and factors
+        body = "*".join(factors if unit else [_ratio_text(mag, den)] + factors)
         if n == 0:
             if c < 0:
                 body = (unit_minus if unit else "-") + body
@@ -716,4 +835,4 @@ def _atom_text(atom: Atom, chart: Chart) -> str:
 def to_text(expr: Expr) -> str:
     # a leading negative coefficient is emitted as a signed literal, so a
     # lone "-x" prints as "-1*x" and stays inside the grammar
-    return _sum_text(expr.terms, expr.chart, "-1*")
+    return _sum_text(expr, expr.chart, "-1*")

@@ -14,12 +14,12 @@ the second y2-derivative of F is nonzero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .charts import Chart, ChartMismatchError, J2, J20, PLANE, require_same_chart
 from .expr import Expr, ExprError, multiply_terms
-from .linalg import over_common_denominator
 from .parser import parse, quoted
 
 
@@ -91,14 +91,10 @@ class VectorField:
 
     @cached_property
     def integer_coefficients(self) -> tuple:
-        """Each coefficient over one positive denominator: (d, numerators),
-        numerators mapping every canonical (monomial, atoms) key to the
-        integer d * coefficient."""
-        out = []
-        for c in self.coefficients:
-            d, ints = over_common_denominator(t.coefficient for t in c.terms)
-            out.append((d, {(t.monomial, t.atoms): x for t, x in zip(c.terms, ints)}))
-        return tuple(out)
+        """Each coefficient's own form (den, numerators), numerators mapping
+        every canonical (monomial, atoms) key to its integer numerator."""
+        return tuple((c.den, {(t.monomial, t.atoms): t.numerator for t in c.terms})
+                     for c in self.coefficients)
 
     def to_json(self) -> dict:
         return {"chart": self.chart.name,
@@ -118,19 +114,29 @@ class VectorField:
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     """[V, W]_i = sum_j (V_j dW_i/du_j - W_j dV_i/du_j).
 
-    The products of both sums are gathered as terms and each coefficient
-    is normalized once; only the products that are not canonical as they
-    stand go through the canonicalizer.
+    The products of both sums are gathered as terms over one denominator
+    per component, the lcm of the products' denominators, and each
+    component is normalized once; only the products that are not canonical
+    as they stand go through the canonicalizer.
     """
     require_same_chart(v, w)
+    pairs = [(a, column, sign)
+             for x, y, sign in ((v, w, 1), (w, v, -1))
+             for a, column in zip(x.coefficients, zip(*y.jacobian)) if a.terms]
+    dens = [1] * len(v.coefficients)
+    for a, column, _ in pairs:
+        for i, partial in enumerate(column):
+            if partial.terms:
+                dens[i] = math.lcm(dens[i], a.den * partial.den)
     ready = [[] for _ in v.coefficients]
     raw = [[] for _ in v.coefficients]
-    for a, b, sign in ((v, w, 1), (w, v, -1)):
-        for aj, column in zip(a.coefficients, zip(*b.jacobian)):
-            for i, partial in enumerate(column):
-                multiply_terms(ready[i], raw[i], aj.terms, partial.terms, sign)
-    return VectorField(v.chart, tuple(Expr.from_raw(v.chart, r, c)
-                                      for r, c in zip(raw, ready)))
+    for a, column, sign in pairs:
+        for i, partial in enumerate(column):
+            if partial.terms:
+                multiply_terms(ready[i], raw[i], a.terms, partial.terms,
+                               sign * (dens[i] // (a.den * partial.den)))
+    return VectorField(v.chart, tuple(Expr.from_raw(v.chart, r, c, d)
+                                      for r, c, d in zip(raw, ready, dens)))
 
 
 @dataclass(frozen=True)
@@ -197,8 +203,10 @@ def _det(matrix):
     return total
 
 
-def frame_determinant(d: Distribution2) -> Expr:
-    rows = [list(f.coefficients) for f in frame_fields(d)]
+def frame_determinant(d: Distribution2, frame=None) -> Expr:
+    """The determinant of the frame's coefficients; frame is
+    frame_fields(d), computed here unless given."""
+    rows = [list(f.coefficients) for f in frame or frame_fields(d)]
     return _det(rows)
 
 
@@ -258,7 +266,7 @@ def _carry_terms(e: Expr, target: Chart) -> Expr:
     if e.chart.coords[:shared] != target.coords[:shared]:
         raise ChartMismatchError(
             f"charts {e.chart.name} and {target.name} share no coordinate prefix")
-    return Expr(target, e.terms)
+    return Expr(target, e.terms, e.den)
 
 
 def restrict_chart(e: Expr, target: Chart) -> Expr:

@@ -2,12 +2,12 @@
 
 The entry point is close_under_bracket, which grows a basis until brackets
 close and records each bracket's exact rational coordinates as it goes.
-Coordinates come from a linalg.KeyedSpan of the fields' coefficients over
-their canonical-form (direction, monomial, atoms) keys: the closure keeps one
-for its whole run, and express_in_basis builds one from the basis.  An
-integer zero-test of the resulting combination confirms every answer: each
-field's coefficients are cached as integer numerators over one denominator
-per coefficient (VectorField.integer_coefficients), and v - sum c_k b_k
+Coordinates come from a linalg.KeyedSpan of the fields' integer numerators
+over their canonical-form (direction, monomial, atoms) keys, one denominator
+per field: the closure keeps one for its whole run, and express_in_basis
+builds one from the basis.  An integer zero-test of the resulting combination
+confirms every answer: each coefficient is an Expr, integer numerators over
+one denominator (VectorField.integer_coefficients), and v - sum c_k b_k
 vanishes when, over the lcm of d_v and of each c_k.denominator * d_k, every
 key's integer sum is zero.
 
@@ -53,11 +53,13 @@ class ClosureCapExceeded(RuntimeError):
 # expressing fields in a basis
 # ---------------------------------------------------------------------------
 
-def _key_row(f: VectorField) -> dict:
+def _key_row(f: VectorField):
     """The coefficients of f over canonical-form (direction, monomial,
-    atoms) keys."""
-    return {(i, t.monomial, t.atoms): t.coefficient
-            for i, e in enumerate(f.coefficients) for t in e.terms}
+    atoms) keys, as (numerators, den): integer numerators over den, the lcm
+    of the coefficients' denominators."""
+    den = math.lcm(*(e.den for e in f.coefficients))
+    return ({(i, t.monomial, t.atoms): t.numerator * (den // e.den)
+             for i, e in enumerate(f.coefficients) for t in e.terms}, den)
 
 
 def express_in_basis(v: VectorField, basis):
@@ -112,7 +114,7 @@ def close_under_bracket(fields, cap: int = 32) -> "LieAlgebraPresentation":
 
     def place(f):
         """Coordinates of f over the basis, adding f when it lies outside."""
-        coords = span.place(_key_row(f))
+        coords = span.place(*_key_row(f))
         if coords is not None:
             _verify_combination(f, basis, coords)
             return coords

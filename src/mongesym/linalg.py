@@ -255,6 +255,8 @@ class KeyedSpan:
     key column.  A vector whose key part reduces to zero keeps only tags, a
     at its own and a_k at the k-th joined vector's: its coordinates are
     -a_k / a.  Any other vector can join the span as its reduced row.
+    A vector may come as numerators over a denominator den: its tag is then
+    den, which places den times the vector, so nothing else changes.
     """
 
     def __init__(self):
@@ -262,8 +264,8 @@ class KeyedSpan:
         self._columns: dict = {}
         self._echelon = SparseEchelon()
 
-    def _reduce(self, vector: dict) -> dict:
-        row = {(1, self.size): 1}
+    def _reduce(self, vector: dict, den: int) -> dict:
+        row = {(1, self.size): den}
         for key, v in vector.items():
             if v:
                 row[self._columns.setdefault(key, (0, len(self._columns)))] = v
@@ -275,14 +277,14 @@ class KeyedSpan:
         own = row[1, self.size]
         return [Fraction(-row.get((1, k), 0), own) for k in range(self.size)]
 
-    def coordinates(self, vector: dict):
-        """Exact coordinates of vector over the joined vectors, or None
-        when it lies outside their span."""
-        return self._read(self._reduce(vector))
+    def coordinates(self, vector: dict, den: int = 1):
+        """Exact coordinates of vector / den over the joined vectors, or
+        None when it lies outside their span."""
+        return self._read(self._reduce(vector, den))
 
-    def place(self, vector: dict):
-        """The coordinates of vector, or None after it joins the span."""
-        row = self._reduce(vector)
+    def place(self, vector: dict, den: int = 1):
+        """The coordinates of vector / den, or None after it joins the span."""
+        row = self._reduce(vector, den)
         coords = self._read(row)
         if coords is None:
             self._echelon.insert(row)
@@ -291,12 +293,13 @@ class KeyedSpan:
 
 
 def coordinates(vectors, target):
-    """Exact coordinates of target over vectors (sparse rational dicts), or
-    None when it is not in their span.  A vector in the span of the vectors
-    before it gets coordinate 0, so the answer is unique."""
+    """Exact coordinates of target over vectors, or None when it is not in
+    their span; each is a pair (sparse rational dict, den) standing for
+    dict / den.  A vector in the span of the vectors before it gets
+    coordinate 0, so the answer is unique."""
     span = KeyedSpan()
-    joined = [k for k, v in enumerate(vectors) if span.place(v) is None]
-    coords = span.coordinates(target)
+    joined = [k for k, v in enumerate(vectors) if span.place(*v) is None]
+    coords = span.coordinates(*target)
     if coords is None:
         return None
     out = [Fraction(0)] * len(vectors)
@@ -312,7 +315,7 @@ def solve_exact(matrix, rhs):
     solution with every free variable of the reduced echelon form at zero.
     """
     columns = [dict(enumerate(col)) for col in zip(*matrix)]
-    return coordinates(columns, dict(enumerate(rhs)))
+    return coordinates([(c, 1) for c in columns], (dict(enumerate(rhs)), 1))
 
 
 def kernel(matrix, ncols: int):

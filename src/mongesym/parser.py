@@ -23,6 +23,7 @@ rejected).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .charts import Chart
@@ -64,8 +65,14 @@ class _Scanner:
             self.pos += 1
 
     def peek(self):
+        if self.pos < len(self.text) and not self.text[self.pos].isspace():
+            return self.text[self.pos]
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def advance(self):
+        """Step past the character peek has just returned."""
+        self.pos += 1
 
     def expect(self, ch: str):
         if self.peek() != ch:
@@ -85,9 +92,24 @@ class _Scanner:
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        return self.integer(start, digits)
 
-    def read_rational(self) -> Fraction:
+    def integer(self, start: int, digits: int) -> int:
+        """The integer text[start:pos], its digits from position digits on.
+        More digits than Python converts (sys.get_int_max_str_digits()), or
+        digits int() does not read, are a ParseError."""
+        limit = sys.get_int_max_str_digits()
+        if limit and self.pos - digits > limit:
+            raise ParseError(f"integer literal of {self.pos - digits} digits, "
+                             f"more than the {limit} Python converts", start)
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:
+            raise ParseError(f"invalid integer literal {quoted(self.text[start:self.pos])}",
+                             start) from None
+
+    def read_rational(self):
+        """An integer literal as an int, num/den as a Fraction."""
         num = self.read_integer()
         save = self.pos
         self.skip_ws()
@@ -99,12 +121,12 @@ class _Scanner:
                 self.pos += 1
             if self.pos == den_start:
                 raise ParseError("expected a positive integer denominator", start)
-            den = int(self.text[den_start:self.pos])
+            den = self.integer(den_start, den_start)
             if den == 0:
                 raise ParseError("zero denominator", start)
             return Fraction(num, den)
         self.pos = save
-        return Fraction(num)
+        return num
 
     def read_name(self) -> str:
         self.skip_ws()
@@ -137,24 +159,24 @@ class _Parser:
         negated after a minus sign, are collected in one pass."""
         ch = self.s.peek()
         if ch == "-" and not self._starts_number():
-            self.s.expect("-")
+            self.s.advance()
             parts = [-self.term()]
         else:
             if ch == "+":
-                self.s.expect("+")
+                self.s.advance()
             parts = [self.term()]
         while True:
             ch = self.s.peek()
             if ch == "+":
-                self.s.expect("+")
+                self.s.advance()
                 parts.append(self.term())
             elif ch == "-":
-                self.s.expect("-")
+                self.s.advance()
                 parts.append(-self.term())
             elif len(parts) == 1:
                 return parts[0]
             else:
-                return Expr.from_raw(self.chart, (), [t for e in parts for t in e.terms])
+                return Expr.sum(self.chart, parts)
 
     def _starts_number(self) -> bool:
         self.s.skip_ws()
@@ -167,14 +189,14 @@ class _Parser:
     def term(self) -> Expr:
         e = self.factor()
         while self.s.peek() == "*":
-            self.s.expect("*")
+            self.s.advance()
             e = e * self.factor()
         return e
 
     def factor(self) -> Expr:
         base = self.base()
         if self.s.peek() == "^":
-            self.s.expect("^")
+            self.s.advance()
             q = self.exponent()
             try:
                 return base ** q
@@ -185,7 +207,7 @@ class _Parser:
                 raise ParseError(str(exc), self.s.pos) from None
         return base
 
-    def exponent(self) -> Fraction:
+    def exponent(self):
         if self.s.peek() == "(":
             self.s.expect("(")
             q = self.s.read_rational()
@@ -222,7 +244,7 @@ class _Parser:
                 raise ParseError(
                     f"{name} argument must be polynomial", pos) from None
             atom = ExpAtom(poly) if name == "exp" else LnAtom(poly)
-            return Expr.from_raw(self.chart, [(Fraction(1), ONE_MONO, (atom,))])
+            return Expr.from_raw(self.chart, [(1, ONE_MONO, (atom,))])
         if name not in self.chart:
             raise ParseError(f"unknown identifier {quoted(name)} in chart {self.chart.name}", pos)
         return Expr.coordinate(self.chart, name)

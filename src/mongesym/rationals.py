@@ -1,8 +1,11 @@
-"""Exact rational power helpers on top of fractions.Fraction.
+"""Exact rational powers, on integer pairs and on fractions.Fraction.
 
-Every number in this package is a Fraction; no float ever enters an exact
-computation.  The helpers here decide when a rational power of a rational
-number is again rational (8^(1/3) = 2) and compute it exactly when it is.
+No float ever enters an exact computation.  Expressions keep integer
+numerators over one denominator per expression (see expr), so their rational
+powers go through ratio_pow on (numerator, denominator) pairs; exact_pow is
+the same on Fractions, for values at the interface (substitution, exp rates).
+Both decide when a rational power of a rational number is again rational
+(8^(1/3) = 2) and compute it exactly when it is.
 """
 
 from __future__ import annotations
@@ -32,27 +35,32 @@ def exact_root(n: int, p: int):
     r = integer_nth_root(n, p)
     return r if r ** p == n else None
 
-def exact_pow(base: Fraction, exponent: Fraction):
-    """base**exponent as a Fraction, or None when the value is irrational.
+def ratio_pow(n: int, d: int, exponent: Fraction):
+    """(n/d)**exponent as a pair (numerator, denominator > 0), or None when
+    the value is irrational; n/d must be in lowest terms with d > 0, and so
+    is the result.
 
     Negative bases are supported only for odd root orders ((-8)^(1/3) = -2).
     0**q is 0 for q > 0 and None otherwise.
     """
-    base = Fraction(base)
-    exponent = Fraction(exponent)
-    if base == 0:
-        return Fraction(0) if exponent > 0 else None
-    if exponent.denominator == 1:
-        return base ** int(exponent)
     s, p = exponent.numerator, exponent.denominator
+    if n == 0:
+        return (0, 1) if s > 0 else None
     sign = 1
-    if base < 0:
+    if n < 0:
         if p % 2 == 0:
             return None
-        base = -base
-        sign = -1 if s % 2 else 1
-    rn = exact_root(base.numerator, p)
-    rd = exact_root(base.denominator, p)
+        n, sign = -n, (-1 if s % 2 else 1)
+    rn, rd = exact_root(n, p), exact_root(d, p)
     if rn is None or rd is None:
         return None
-    return sign * Fraction(rn, rd) ** s
+    if s < 0:
+        rn, rd, s = rd, rn, -s
+    return sign * rn ** s, rd ** s
+
+def exact_pow(base: Fraction, exponent: Fraction):
+    """base**exponent as a Fraction, or None when the value is irrational
+    (ratio_pow on the base's numerator and denominator)."""
+    base = Fraction(base)
+    power = ratio_pow(base.numerator, base.denominator, Fraction(exponent))
+    return None if power is None else Fraction(*power)

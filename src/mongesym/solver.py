@@ -18,10 +18,11 @@ determining_equations then reads every unknown's rows off the operator
 terms in one pass: shift the monomial, multiply in the exponent (and rho for
 d/dx of exp(rho*x)), and canonicalize each distinct product term once with
 the expression engine, checking that it carries coefficient 1.  The rows
-are integer at birth: the operator's coefficients are scaled by D, the lcm
-of their denominators, and the partials' scalars (exponents, offsets q and
-rates rho) by E, the lcm of the offsets' and rates' denominators, so every
-row is D*E times its rational form, with the same primitive form.
+are integer at birth: the operator's numerators are brought to D, the lcm
+of its expressions' denominators, and the partials' scalars (exponents,
+offsets q and rates rho) are scaled by E, the lcm of the offsets' and
+rates' denominators, so every row is D*E times its rational form, with the
+same primitive form.
 symmetry_dimension builds and eliminates the rows once, at the top degree.
 An unknown's entries do not depend on the other unknowns, so a lower
 degree's system is the top system on that degree's columns; the
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charts import J20
-from .expr import (UNIT_MONOS, Expr, PowerAtom, ExpAtom, Term, _canonical_term,
+from .expr import (UNIT_MONOS, Expr, PowerAtom, ExpAtom, Poly, Term, _canonical_term,
                    bare_coords, mono_mul, product_is_canonical)
 from .fields import (Distribution2, MongeEquation, VectorField,
                      distribution_from_monge, is_symmetry, symmetry_residuals)
@@ -128,7 +129,7 @@ class UnknownBasis:
 
     def coefficient_expr(self) -> Expr:
         atoms, factors = self.partials()
-        return Expr.from_raw(J20, [(Fraction(1), factors[0][0][1], atoms)])
+        return Expr.from_raw(J20, [(1, factors[0][0][1], atoms)])
 
     def partials(self):
         """The coefficient and its five first partials.
@@ -144,9 +145,10 @@ class UnknownBasis:
             exps[3] += int(self.offset)
         else:
             frac_q = self.offset
-            atoms += (PowerAtom((Term(Fraction(1), UNIT_MONOS[3], ()),), self.offset),)
+            atoms += (PowerAtom(Poly((Term(1, UNIT_MONOS[3], ()),)), self.offset),)
         if self.rate:
-            atoms += (ExpAtom((Term(self.rate, UNIT_MONOS[0], ()),)),)
+            atoms += (ExpAtom(Poly((Term(self.rate.numerator, UNIT_MONOS[0], ()),),
+                                   self.rate.denominator)),)
         mono = tuple(exps)
         factors = [[(Fraction(1), mono)]]
         for j in range(5):
@@ -177,11 +179,12 @@ class Ansatz:
         return len(self.unknowns)
 
     def assemble(self, vector) -> VectorField:
+        """The field of an integer coefficient vector."""
         raw = [[] for _ in range(5)]
         for c, u in zip(vector, self.unknowns):
             if c:
                 atoms, factors = u.partials()
-                raw[u.direction].append((Fraction(c), factors[0][0][1], atoms))
+                raw[u.direction].append((c, factors[0][0][1], atoms))
         return VectorField(J20, tuple(Expr.from_raw(J20, r) for r in raw))
 
     def coefficient_functions(self) -> list:
@@ -234,8 +237,8 @@ def compile_operator(distribution: Distribution2) -> tuple:
     with coefficients that do not depend on a.  Six probes of
     fields.symmetry_residuals per direction read them off exactly:
     L0 = R(1) and Lj = R(u_j) - u_j*R(1).  Entry i of the result lists
-    direction i's coefficients expanded as (residual, order, coefficient,
-    monomial, atoms) terms; order -1 multiplies a, order j da/du_j.
+    direction i's nonzero coefficients as (residual, order, Expr) triples;
+    order -1 multiplies a, order j da/du_j.
     """
     zero = Expr.zero(J20)
 
@@ -247,12 +250,12 @@ def compile_operator(distribution: Distribution2) -> tuple:
     operator = []
     for i in range(5):
         base = residuals(i, Expr.constant(J20, 1))
-        terms = [(rid, -1, *t) for rid, e in enumerate(base) for t in e.terms]
+        terms = [(rid, -1, e) for rid, e in enumerate(base)]
         for j, name in enumerate(J20.coords):
             u = Expr.coordinate(J20, name)
-            for rid, (r, r0) in enumerate(zip(residuals(i, u), base)):
-                terms.extend((rid, j, *t) for t in (r - u * r0).terms)
-        operator.append(tuple(terms))
+            terms.extend((rid, j, r - u * r0)
+                         for rid, (r, r0) in enumerate(zip(residuals(i, u), base)))
+        operator.append(tuple(t for t in terms if t[2].terms))
     return tuple(operator)
 
 
@@ -269,11 +272,11 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
 
     Every entry is an operator coefficient times a partial's scalar (an
     exponent, a y2^q offset or an exp(rho*x) rate).  The operator's
-    coefficients are scaled once by D, the lcm of their denominators, and
-    the partials' scalars by E, the lcm of the offsets' and rates'
-    denominators, so every entry is an int and every row is D*E times the
-    rational row, with the same primitive form.  Each scaled value is
-    checked to be an integer, never truncated.
+    coefficients are brought to D, the lcm of the operator expressions'
+    denominators, and the partials' scalars are scaled by E, the lcm of the
+    offsets' and rates' denominators, so every entry is an int and every
+    row is D*E times the rational row, with the same primitive form.  Each
+    scaled scalar is checked to be an integer, never truncated.
 
     The columns come one coefficient function at a time
     (Ansatz.coefficient_functions), so its partials are built once for its
@@ -287,15 +290,16 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
     entries and emptied rows go at once.
     """
     spec = ansatz.spec
-    D = math.lcm(*(t[2].denominator for terms in operator for t in terms))
+    D = math.lcm(*(e.den for terms in operator for _, _, e in terms))
     E = math.lcm(*(v.denominator for v in spec.offsets + spec.rates))
-    for m, a in {t[3:] for terms in operator for t in terms}:
-        if a and _canonical_term(1, m, a) != (1, m, a, []):
+    for m, a in {t[1:] for terms in operator for _, _, e in terms for t in e.terms}:
+        if a and _canonical_term(m, a) != ((1, 1), m, a, []):
             raise ArithmeticError(f"non-canonical operator term {(m, a)}")
     ids: dict = {}  # atoms -> a small int, so that products hash no atoms
-    operator = [[(rid, order, _exact_integer(c * D), m, a,
+    operator = [[(rid, order, c * (D // e.den), m, a,
                   ids.setdefault(a, len(ids)), bare_coords(a))
-                 for rid, order, c, m, a in terms] for terms in operator]
+                 for rid, order, e in terms for c, m, a in e.terms]
+                for terms in operator]
     keys: dict = {}  # a row's (monomial, atoms) -> its index
     canonical: dict = {}  # (monomial, operator atoms, unknown atoms) -> key index
     rows: dict = {}  # (residual, key index) -> row
@@ -313,8 +317,8 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
                     if kid is None:
                         out = (mono, a + atoms)
                         if not product_is_canonical(mono, b, bare):
-                            scale, out_mono, out_atoms, polys = _canonical_term(1, *out)
-                            if scale != 1 or polys:
+                            factor, out_mono, out_atoms, polys = _canonical_term(*out)
+                            if factor != (1, 1) or polys:
                                 raise ArithmeticError(f"non-canonical product {out}")
                             out = (out_mono, out_atoms)
                         kid = canonical[product] = keys.setdefault(out, len(keys))
@@ -383,16 +387,16 @@ def nullspace(system: DeterminingSystem):
 def _quadratic_profile(F: Expr):
     """(p, q, s) when F = p*y2^2 + q*y1^2 + s*y^2 with p != 0, else None."""
     p = q = s = Fraction(0)
-    for t in F.terms:
+    for k, t in enumerate(F.terms):
         if t.atoms:
             return None
         m = t.monomial
         if m == (0, 0, 0, 2, 0):
-            p = t.coefficient
+            p = F.coefficient(k)
         elif m == (0, 0, 2, 0, 0):
-            q = t.coefficient
+            q = F.coefficient(k)
         elif m == (0, 2, 0, 0, 0):
-            s = t.coefficient
+            s = F.coefficient(k)
         else:
             return None
     return (p, q, s) if p else None

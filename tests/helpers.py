@@ -13,8 +13,9 @@ from fractions import Fraction
 import pytest
 
 from mongesym.charts import J20
-from mongesym.expr import (ONE_MONO, ExpAtom, Expr, NonRationalPowerError,
-                           _canonical_term, mono_key, mono_mul)
+from mongesym.expr import (ONE_MONO, ExpAtom, Expr, NonRationalPowerError, PowerAtom,
+                           _canonical_term, _exp_text, _unit_coord_index, mono_key,
+                           mono_mul)
 from mongesym.fields import (VectorField, distribution_from_monge,
                              lie_bracket, symmetry_residuals)
 from mongesym.linalg import SparseEchelon, sparse_nullspace
@@ -130,9 +131,10 @@ def primitive_row(row: dict) -> dict:
 # operations that replaced it
 # ---------------------------------------------------------------------------
 
-def pair_form(terms) -> tuple:
-    """Atom-free terms as (monomial, coefficient) pairs."""
-    return tuple((m, c) for c, m, _ in terms)
+def pair_form(form) -> tuple:
+    """An atom-free form (an Expr or a Poly) as (monomial, Fraction
+    coefficient) pairs."""
+    return tuple((m, Fraction(c, form.den)) for c, m, _ in form.terms)
 
 
 def _pairs_sorted(d: dict) -> tuple:
@@ -180,6 +182,77 @@ def pair_eval(a, values) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# a Fraction reference for the integer-over-denominator form
+# ---------------------------------------------------------------------------
+
+def fraction_text(e) -> str:
+    """str(e) as a printer on Fraction coefficients gives it: each term's
+    coefficient is Fraction(numerator, den), printed by Fraction itself."""
+    chart = e.chart
+
+    def sum_text(form, unit_minus):
+        if not form.terms:
+            return "0"
+        pieces = []
+        for n, (c, m, atoms) in enumerate(form.terms):
+            c = Fraction(c, form.den)
+            factors = [name if k == 1 else name + _exp_text(k)
+                       for name, k in zip(chart.coords, m) if k]
+            factors += [atom_text(a) for a in atoms]
+            unit = abs(c) == 1 and factors
+            body = "*".join(factors if unit else [str(abs(c))] + factors)
+            if n == 0:
+                pieces.append((unit_minus if unit else "-") + body if c < 0 else body)
+            else:
+                pieces.append((" + " if c > 0 else " - ") + body)
+        return "".join(pieces)
+
+    def atom_text(a):
+        if isinstance(a, PowerAtom):
+            idx = _unit_coord_index(a.base)
+            base = chart.coords[idx] if idx is not None else f"({sum_text(a.base, '-')})"
+            return base + _exp_text(a.exponent)
+        name = "exp" if isinstance(a, ExpAtom) else "ln"
+        return f"{name}({sum_text(a.argument, '-')})"
+
+    return sum_text(e, "-1*")
+
+
+def to_sympy(form, chart=J20):
+    """An Expr or a Poly as a sympy expression, term by term, each
+    coefficient sympy.Rational(numerator, den)."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(chart.coords)
+    total = sympy.Integer(0)
+    for c, m, atoms in form.terms:
+        v = sympy.Rational(c, form.den)
+        for x, k in zip(xs, m):
+            v *= x ** k
+        for a in atoms:
+            if isinstance(a, PowerAtom):
+                q = a.exponent
+                v *= to_sympy(a.base, chart) ** sympy.Rational(q.numerator, q.denominator)
+            elif isinstance(a, ExpAtom):
+                v *= sympy.exp(to_sympy(a.argument, chart))
+            else:
+                v *= sympy.log(to_sympy(a.argument, chart))
+        total += v
+    return total
+
+
+def assert_lowest_terms(form) -> None:
+    """The integer form's invariant on a form and on every atom's base or
+    argument: den > 0, gcd(den, every numerator) = 1, and zero has den 1."""
+    nums = [c for c, _, _ in form.terms]
+    assert type(form.den) is int and form.den > 0, form
+    assert all(type(c) is int and c for c in nums), form
+    assert math.gcd(form.den, *nums) == 1, form
+    for _, _, atoms in form.terms:
+        for a in atoms:
+            assert_lowest_terms(a.base if isinstance(a, PowerAtom) else a.argument)
+
+
+# ---------------------------------------------------------------------------
 # random expressions (seeded, deterministic)
 # ---------------------------------------------------------------------------
 
@@ -208,7 +281,7 @@ def random_expr(rng: random.Random, chart=J20, allow_atoms=True) -> Expr:
         elif kind < 0.85:
             arg = random_polynomial(rng, chart, max_terms=2, max_degree=1)
             atom_expr = Expr.from_raw(
-                chart, [(Fraction(1), ONE_MONO, (ExpAtom(arg.as_poly()),))])
+                chart, [(1, ONE_MONO, (ExpAtom(arg.as_poly()),))])
             e = e + atom_expr
         else:
             base = random_polynomial(rng, chart, max_terms=2, max_degree=2)
@@ -306,8 +379,8 @@ def reference_rows(distribution, ansatz) -> dict:
     rows: dict = {}
     for col, u in enumerate(ansatz.unknowns):
         for rid, e in enumerate(symmetry_residuals(u.field(), distribution)):
-            for t in e.terms:
-                rows.setdefault((rid, t.monomial, t.atoms), {})[col] = t.coefficient
+            for k, t in enumerate(e.terms):
+                rows.setdefault((rid, t.monomial, t.atoms), {})[col] = e.coefficient(k)
     return rows
 
 
@@ -318,12 +391,13 @@ def reference_determining_rows(operator, ansatz) -> dict:
     rows: dict = {}
     for col, u in enumerate(ansatz.unknowns):
         atoms, factors = u.partials()
-        for rid, order, c, m, a in operator[u.direction]:
-            for k, s in factors[order + 1]:
-                scale, mono, out_atoms, polys = _canonical_term(1, mono_mul(m, s), a + atoms)
-                assert scale == 1 and not polys
-                row = rows.setdefault((rid, mono, out_atoms), {})
-                row[col] = row.get(col, 0) + c * k
+        for rid, order, e in operator[u.direction]:
+            for n, m, a in e.terms:
+                for k, s in factors[order + 1]:
+                    factor, mono, out_atoms, polys = _canonical_term(mono_mul(m, s), a + atoms)
+                    assert factor == (1, 1) and not polys
+                    row = rows.setdefault((rid, mono, out_atoms), {})
+                    row[col] = row.get(col, 0) + Fraction(n, e.den) * k
     return {key: {c: v for c, v in row.items() if v}
             for key, row in rows.items() if any(row.values())}
 
@@ -428,15 +502,15 @@ def reference_killing_matrix(constants):
 
 def reference_verify_combination(v: VectorField, basis, coords) -> None:
     """Raise ArithmeticError unless v - sum(coords[k] * basis[k]) is zero:
-    one Fraction product per term and one Expr normalization per
-    coefficient."""
+    one Fraction product per term, summed per canonical key."""
     for i, vc in enumerate(v.coefficients):
-        ready = list(vc.terms)
-        for c, b in zip(coords, basis):
-            if c:
-                ready.extend((-c * t.coefficient, t.monomial, t.atoms)
-                             for t in b.coefficients[i].terms)
-        if not Expr.from_raw(v.chart, (), ready).is_zero():
+        total: dict = {}
+        for c, e in [(Fraction(1), vc)] + [(-c, b.coefficients[i])
+                                           for c, b in zip(coords, basis) if c]:
+            for k, t in enumerate(e.terms):
+                key = (t.monomial, t.atoms)
+                total[key] = total.get(key, 0) + c * e.coefficient(k)
+        if any(total.values()):
             raise ArithmeticError("key match and zero-test disagree")
 
 
@@ -455,10 +529,10 @@ def reference_express(v: VectorField, basis):
     for f in list(basis) + [v]:
         col = {}
         for i, e in enumerate(f.coefficients):
-            for t in e.terms:
+            for k, t in enumerate(e.terms):
                 key = (i, t.monomial, t.atoms)
                 keys.setdefault(key, len(keys))
-                col[key] = t.coefficient
+                col[key] = e.coefficient(k)
         columns.append(col)
     matrix = [[col.get(key, Fraction(0)) for col in columns[:-1]] for key in keys]
     rhs = [columns[-1].get(key, Fraction(0)) for key in keys]

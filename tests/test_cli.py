@@ -122,6 +122,33 @@ class TestExitCodes:
         assert err.startswith(f"error: bad rational list '{'1' * 80}'... "
                               "(5000 characters): Exceeds the limit")
 
+    @pytest.mark.parametrize("equation, message", [
+        ("1" * 5000 + "*y2^2", "integer literal of 5000 digits, more than the "
+         f"{sys.get_int_max_str_digits()} Python converts (at position 0)"),
+        ("y2^2 + 1/" + "1" * 5000, "integer literal of 5000 digits, more than the "
+         f"{sys.get_int_max_str_digits()} Python converts (at position 9)"),
+        ("y2^²", "invalid integer literal '²' (at position 3)"),
+    ], ids=["numerator", "denominator", "superscript"])
+    def test_an_integer_int_cannot_read_is_a_parse_error(self, capsys, equation, message):
+        # numerator and denominator alike: int() past the digit limit, or on
+        # digits it does not read, would raise ValueError, a traceback with
+        # exit code 1
+        code, out, err = run(capsys, "genericity", equation)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+        assert err.endswith(message + "\n")
+
+    def test_a_huge_rejected_field_gives_one_short_line(self, capsys):
+        # structure names a field that is not a symmetry through quoted
+        x = " + ".join(f"{k}*x^{k}*y1" for k in range(1, 2001))
+        field = json.dumps({"chart": "J20", "coefficients": {"x": x}})
+        code, out, err = run(capsys, "structure", "eq2", field)
+        assert code == 1 and out == ""
+        assert err.startswith("field ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+        assert err.endswith(" is not a symmetry of 'eq2'\n")
+
     @pytest.mark.parametrize("argv, message", [
         (("genericity", "w"), "error: cannot interpret equation 'w': unknown "
          "identifier 'w' in chart J20 (at position 0)\n"),
@@ -246,6 +273,20 @@ class TestSchemas:
             "load_s", "symmetry_check_s", "closure_s", "analyze_s", "projection_s"}
         code, out, _ = run(capsys, "structure", "eq2", "--json")
         assert "stage_timings" not in json.loads(out)
+
+    @pytest.mark.parametrize("command, argv, stages", [
+        ("verify", ("eq2", "S1", "S6"), {"load_s", "residuals_s", "report_s"}),
+        ("genericity", ("eq2",), {"load_s", "frame_s", "determinant_s", "report_s"}),
+    ])
+    def test_json_with_timings(self, capsys, command, argv, stages):
+        code, out, _ = run(capsys, command, *argv, "--json", "--timings")
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema(command))
+        assert set(payload["stage_timings"]) == stages
+        code, plain, _ = run(capsys, command, *argv, "--json")
+        del payload["stage_timings"]
+        assert json.loads(plain) == payload
 
     @pytest.mark.parametrize("field, dimension", [
         ('{"chart":"J20","coefficients":{}}', 0), ("S6", 1)])

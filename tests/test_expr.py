@@ -1,5 +1,6 @@
 """Expression engine: parsing, arithmetic, differentiation, evaluation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,14 +9,15 @@ import pytest
 from mongesym import expr
 from mongesym.charts import J2, J20, PLANE, Chart, ChartMismatchError
 from mongesym.expr import (EvaluationError, Expr, ExprError, NonRationalPowerError,
-                           ExpAtom, PowerAtom, Term, _canonical_term, _evaluate,
+                           ExpAtom, Poly, PowerAtom, Term, _canonical_term, _evaluate,
                            _lowered, _normalize, _power, _power_parts, _product,
-                           _unit_coord_index, mono_mul)
+                           _sum, _unit_coord_index, mono_mul)
 from mongesym.fields import VectorField, extend_chart, lie_bracket, restrict_chart
 from mongesym.parser import MAX_NESTING, ParseError, parse
 
-from helpers import (admissible_point, pair_add, pair_diff, pair_eval, pair_form,
-                     pair_mul, pair_pow, random_expr, random_polynomial)
+from helpers import (admissible_point, assert_lowest_terms, fraction_text, pair_add,
+                     pair_diff, pair_eval, pair_form, pair_mul, pair_pow, random_expr,
+                     random_polynomial, to_sympy)
 
 
 def P(text, chart=J20):
@@ -133,8 +135,8 @@ class TestParse:
         rng = random.Random(102)
         for _ in range(200):
             e = random_expr(rng)
-            raw = [(t.coefficient, t.monomial, t.atoms) for t in e.terms]
-            assert Expr.from_raw(e.chart, raw) == e
+            raw = [(t.numerator, t.monomial, t.atoms) for t in e.terms]
+            assert Expr.from_raw(e.chart, raw, (), e.den) == e
 
 
 class TestArithmetic:
@@ -215,7 +217,7 @@ class TestArithmetic:
         for _ in range(300):
             e = random_expr(rng)
             rebuilt = Expr.from_raw(
-                e.chart, [(t.coefficient, t.monomial, t.atoms) for t in e.terms])
+                e.chart, [(t.numerator, t.monomial, t.atoms) for t in e.terms], (), e.den)
             assert rebuilt == e
 
     def test_power_parts_returns_no_bare_coordinate_atom(self):
@@ -231,7 +233,9 @@ class TestArithmetic:
                 mono = tuple(exps.get(i, 0) for i in range(n))
                 terms[mono] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
                                        rng.randint(1, 4))
-            base = _normalize((), [(c, m, ()) for m, c in terms.items()])
+            den = math.lcm(*(c.denominator for c in terms.values()))
+            base = _normalize((), [(c.numerator * (den // c.denominator), m, ())
+                                   for m, c in terms.items()], den)
             q = Fraction(rng.randint(-7, 7), rng.randint(2, 6))
             if q.denominator == 1:
                 continue
@@ -241,7 +245,7 @@ class TestArithmetic:
                 continue
             for a in atoms:
                 assert _unit_coord_index(a.base) is None, (base, q)
-                kinds.add(len(a.base) > 1)
+                kinds.add(len(a.base.terms) > 1)
         assert kinds == {False, True}
 
 
@@ -414,12 +418,13 @@ class TestOnePolynomialForm:
             a = random_polynomial(rng).as_poly()
             b = random_polynomial(rng).as_poly()
             pa, pb = pair_form(a), pair_form(b)
-            assert pair_form(_normalize((), a + b)) == pair_add(pa, pb)
+            assert pair_form(_sum((a, b))) == pair_add(pa, pb)
             assert pair_form(_product(a, b)) == pair_mul(pa, pb)
             n = rng.randint(0, 4)
             assert pair_form(_power(a, n)) == pair_pow(pa, n)
             idx = rng.randrange(len(J20.coords))
-            assert pair_form(_lowered(a, idx)) == pair_diff(pa, idx)
+            assert pair_form(Poly(tuple(_lowered(a.terms, idx)), a.den)) == \
+                pair_diff(pa, idx)
             point = [(c, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
                      for c in J20.coords]
             assert _evaluate(a, point, Fraction, None) == \
@@ -440,24 +445,29 @@ class TestMonomials:
         assert len(Chart("Q", ("a", "b", "c", "d", "e"))) == len(J20)
 
 
-def reference_normalize(raw, ready=(), normalize=expr._normalize):
-    """Every term, ready or raw, through _canonical_term; the canonical
-    results are then summed by the package's normalizer."""
+def reference_normalize(raw, ready=(), den=1, normalize=expr._normalize):
+    """Every term, ready or raw, through _canonical_term with a Fraction
+    coefficient; the canonical results are then brought to one denominator
+    and summed by the package's normalizer."""
     out = []
-    stack = [*raw, *ready]
+    stack = [(Fraction(c, den), m, a) for c, m, a in (*raw, *ready)]
     while stack:
         coeff, mono, atoms = stack.pop()
-        coeff, mono, atoms, polys = _canonical_term(coeff, mono, atoms)
-        if coeff == 0:
+        (p, r), mono, atoms, polys = _canonical_term(mono, atoms)
+        if p == 0:
             continue
+        coeff *= Fraction(p, r)
         if not polys:
             out.append((coeff, mono, atoms))
             continue
         prod = polys[0]
-        for p in polys[1:]:
-            prod = _product(prod, p)
-        stack.extend((coeff * c, mono_mul(mono, m), atoms) for c, m, _ in prod)
-    return normalize((), out)
+        for q in polys[1:]:
+            prod = _product(prod, q)
+        stack.extend((coeff * Fraction(c, prod.den), mono_mul(mono, m), atoms)
+                     for c, m, _ in prod.terms)
+    common = math.lcm(*(c.denominator for c, _, _ in out))
+    return normalize((), [(c.numerator * (common // c.denominator), m, a)
+                          for c, m, a in out], common)
 
 
 # Factors whose products exercise every merge _canonical_term performs: a
@@ -481,8 +491,8 @@ def random_mixed_expr(rng: random.Random) -> Expr:
 
 def assert_canonical(e: Expr):
     for t in e.terms:
-        assert _canonical_term(t.coefficient, t.monomial, t.atoms) == \
-            (t.coefficient, t.monomial, t.atoms, []), (str(e), t)
+        assert _canonical_term(t.monomial, t.atoms) == \
+            ((1, 1), t.monomial, t.atoms, []), (str(e), t)
 
 
 class TestCanonicalFastPaths:
@@ -546,8 +556,9 @@ class TestCanonicalFastPaths:
                      for e in corpus for t in e.terms for a in t.atoms]
         assert len(arguments) > 1000
         for arg in arguments:
-            assert arg and all(type(u) is Term and not u.atoms for u in arg), arg
-            assert _normalize((), arg) == arg
+            assert type(arg) is Poly and arg.terms, arg
+            assert all(type(u) is Term and not u.atoms for u in arg.terms), arg
+            assert _normalize((), arg.terms, arg.den) == arg
 
     def test_canonical_term_is_idempotent(self):
         rng = random.Random(1103)
@@ -555,3 +566,119 @@ class TestCanonicalFastPaths:
             assert_canonical(random_mixed_expr(rng))
         for text in PIECES:
             assert_canonical(P(text))
+
+
+def _rational_text(rng: random.Random, positive=False) -> str:
+    c = Fraction(rng.randint(1, 9), rng.choice((1, 1, 2, 3, 4, 6)))
+    if not positive and rng.random() < 0.5:
+        c = -c
+    return str(c)
+
+
+def _monomial_text(rng: random.Random, least=0) -> str:
+    names = rng.sample(J20.coords, rng.randint(least, 2))
+    return "".join(f"*{name}^{rng.randint(1, 2)}" for name in names)
+
+
+def _poly_text(rng: random.Random, positive: bool) -> str:
+    """A polynomial that is not a constant, with positive coefficients when
+    positive is set."""
+    return " + ".join(_rational_text(rng, positive) + _monomial_text(rng, int(k == 0))
+                      for k in range(rng.randint(1, 3))).replace("+ -", "- ")
+
+
+def random_rational_expr(rng: random.Random) -> str:
+    """Text of a sum of terms with rational coefficients, power atoms on
+    bases positive at positive points, and exp atoms."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        t = _rational_text(rng) + _monomial_text(rng)
+        if rng.random() < 0.5:
+            p, q = rng.choice(((1, 3), (2, 3), (-1, 3), (4, 3), (1, 2), (-3, 2)))
+            t += f"*({_poly_text(rng, True)})^({p}/{q})"
+        if rng.random() < 0.4:
+            t += f"*exp({_poly_text(rng, False)})"
+        terms.append(t)
+    return " + ".join(terms)
+
+
+def sympy_rational(q: Fraction):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+class TestIntegerForm:
+    """Expressions keep integer numerators over one positive denominator in
+    lowest terms; a sympy oracle checks their values and a printer on
+    Fraction coefficients their text."""
+
+    def cases(self, n, seed):
+        rng = random.Random(seed)
+        for _ in range(n):
+            a, b = P(random_rational_expr(rng)), P(random_rational_expr(rng))
+            s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 6))
+            v = rng.choice(J20.coords)
+            poly = P(_poly_text(rng, True))
+            q = Fraction(rng.choice((-2, -1, 1, 2, 4)), rng.choice((2, 3)))
+            k = rng.randint(0, 3)
+            yield {"a + b": (a + b, lambda A, B: A + B),
+                   "a - b": (a - b, lambda A, B: A - B),
+                   "a * b": (a * b, lambda A, B: A * B),
+                   "scale": (a.scale(s), lambda A, B: A * sympy_rational(s)),
+                   "diff": (a.diff(v), lambda A, B: A.diff(v)),
+                   "integer power": (a ** k, lambda A, B: A ** k),
+                   "rational power": (poly.pow_rational(q), None)}, (a, b, poly, q)
+
+    def test_matches_a_sympy_oracle_and_a_fraction_printer(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1601)
+        checked = set()
+        for results, (a, b, poly, q) in self.cases(40, 1601):
+            A, B = to_sympy(a), to_sympy(b)
+            point = {sympy.Symbol(c): sympy.Rational(rng.randint(1, 9), rng.randint(1, 4))
+                     for c in J20.coords}
+            for name, (e, reference) in results.items():
+                assert_lowest_terms(e)
+                assert str(e) == fraction_text(e), name
+                assert parse(str(e), J20) == e, name
+                want = (to_sympy(poly) ** sympy.Rational(q.numerator, q.denominator)
+                        if reference is None else reference(A, B))
+                got = to_sympy(e)
+                diff = sympy.N((got - want).subs(point), 40)
+                assert abs(diff) <= 1e-25 * (1 + abs(sympy.N(want.subs(point), 40))), \
+                    (name, str(a), str(b), str(e))
+                atoms = [atom for t in e.terms for atom in t.atoms]
+                if e.den > 1 or any(expr.atom_poly(atom).den > 1 for atom in atoms):
+                    checked.add(name)
+        # every operation met a denominator at least once
+        assert checked == set(results)
+
+    def test_the_form_is_in_lowest_terms(self):
+        rng = random.Random(1602)
+        assert Expr.zero(J20).den == 1
+        assert P("1/2*x - 1/2*x").den == 1
+        e = P("1/6*x + 2/3*y2^(1/3)*exp(-4/3*y)")
+        assert (e.den, [t.numerator for t in e.terms]) == (6, [1, 4])
+        assert P("1/2*x + 3/2*y").diff("x") == P("1/2")
+        assert P("3/4*x^2").diff("x").den == 2
+        # content powers and exact roots fold into the denominator
+        assert P("(1/4*x + 1/4*y)^(-1)") == P("4*(x + y)^(-1)")
+        assert P("(4/9*y2)^(1/2)").den == 3
+        for _ in range(200):
+            e = random_mixed_expr(rng)
+            assert_lowest_terms(e)
+            assert_lowest_terms(e - e)
+            assert (e - e).den == 1
+
+    def test_equal_values_have_equal_forms(self):
+        rng = random.Random(1603)
+        for _ in range(150):
+            a, b = P(random_rational_expr(rng)), P(random_rational_expr(rng))
+            c = random_mixed_expr(rng)
+            s = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+            assert (a + b) - b == a
+            assert a.scale(s).scale(1 / s) == a
+            assert a * (b + c) == a * b + a * c
+            assert (a * b).diff("y2") == a.diff("y2") * b + a * b.diff("y2")
+            assert Expr.from_raw(J20, [(t.numerator * 3, t.monomial, t.atoms)
+                                       for t in a.terms], (), 3 * a.den) == a

@@ -10,7 +10,7 @@ import pytest
 from mongesym import solver
 from mongesym.catalog import dz13, eq1, eq2, flat, get_equation
 from mongesym.charts import J20
-from mongesym.expr import PowerAtom, Term
+from mongesym.expr import Expr, Poly, PowerAtom, Term
 from mongesym.fields import (MongeEquation, distribution_from_monge,
                              is_symmetry, lie_bracket)
 from mongesym.liealg import close_under_bracket, express_in_basis
@@ -99,22 +99,23 @@ class TestRowBuilder:
     def test_cancelled_entries_and_emptied_rows_go(self):
         ansatz = build_ansatz(AnsatzSpec(0))
         y = (0, 1, 0, 0, 0)
-        cancel = ((0, -1, Fraction(1), y, ()), (0, -1, Fraction(-1), y, ()))
+        cancel = ((0, -1, parse("y", J20)), (0, -1, parse("-y", J20)))
         assert determining_equations(self.operator(*cancel), ansatz).rows == {}
         x = (1, 0, 0, 0, 0)
-        survive = (1, -1, Fraction(2), x, ())
+        survive = (1, -1, parse("2*x", J20))
         rows = determining_equations(self.operator(*cancel, survive), ansatz).rows
         assert rows == {(1, x, ()): {c: Fraction(2) for c in range(5)}}
 
     @pytest.mark.parametrize("base,exponent", [
         # (4*y2)^(1/2) canonicalizes to 2*y2^(1/2): coefficient 2
-        ((Term(Fraction(4), (0, 0, 0, 1, 0), ()),), Fraction(1, 2)),
+        (Poly((Term(4, (0, 0, 0, 1, 0), ()),)), Fraction(1, 2)),
         # (y1 + y2)^1 canonicalizes to a polynomial factor
-        ((Term(Fraction(1), (0, 0, 1, 0, 0), ()), Term(Fraction(1), (0, 0, 0, 1, 0), ())),
+        (Poly((Term(1, (0, 0, 1, 0, 0), ()), Term(1, (0, 0, 0, 1, 0), ()))),
          Fraction(1)),
     ])
     def test_non_canonical_atom_raises(self, base, exponent):
-        term = (0, -1, Fraction(1), (0, 0, 0, 0, 0), (PowerAtom(base, exponent),))
+        # a non-canonical term, built as it stands
+        term = (0, -1, Expr(J20, (Term(1, (0, 0, 0, 0, 0), (PowerAtom(base, exponent),)),)))
         with pytest.raises(ArithmeticError):
             determining_equations(self.operator(term), build_ansatz(AnsatzSpec(0)))
 
@@ -183,7 +184,7 @@ class TestIntegerRows:
 
     def test_the_scalings_are_not_trivial(self):
         operator, ansatz = integer_row_case(*INTEGER_ROW_CASES[-1])
-        D = math.lcm(*(t[2].denominator for terms in operator for t in terms))
+        D = math.lcm(*(e.den for terms in operator for _, _, e in terms))
         E = math.lcm(*(v.denominator for v in ansatz.spec.offsets + ansatz.spec.rates))
         assert D > 1 and E > 1
         rows = determining_equations(operator, ansatz).rows
