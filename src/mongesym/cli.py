@@ -382,8 +382,9 @@ GOLDEN_BRACKET_TABLE = {
 }
 
 
-def run_reproduction():
-    """Execute the whole verification checklist; returns (items, notes)."""
+def run_reproduction(timer: StageTimer):
+    """Execute the whole verification checklist; returns (items, notes).
+    The timer gets one lap per checklist section."""
     items = []
     notes = []
 
@@ -398,6 +399,7 @@ def run_reproduction():
     check("six-field symmetry verification (36 residuals)",
           all(r.ok for r in reports),
           f"{sum(r.ok for r in reports)}/6 fields pass")
+    timer.lap("symmetry_s")
 
     p6 = None
     try:
@@ -425,6 +427,7 @@ def run_reproduction():
                 proj_ok = False
         check("projection kernel is the center; images are the five prolongations",
               proj_ok)
+    timer.lap("structure_s")
 
     hess = genericity_hessian(m2)
     check("genericity hessian of the cubic-root equation",
@@ -437,6 +440,7 @@ def run_reproduction():
             frame_ok = False
     check("frame determinant equals the hessian up to sign (catalog equations)",
           frame_ok)
+    timer.lap("genericity_s")
 
     sr_flat = symmetry_dimension(catalog.flat(), 7, equation_label="flat")
     check("flat equation: stabilized symmetry dimension 14",
@@ -462,6 +466,7 @@ def run_reproduction():
         "fields with irrational rates (roots of t^4 - t^2 + 1), outside any "
         "exact polynomial/exponential ansatz over the rationals; "
         "the rational-root instance dz13(5,4) exhibits the 7-dimensional case exactly")
+    timer.lap("solve_s")
 
     if p6 is not None and sr_7.verified and len(sr_7.basis) == 7:
         try:
@@ -475,6 +480,7 @@ def run_reproduction():
         except (ClosureCapExceeded, ValueError) as exc:
             check("maximality: 7-dimensional algebras solvable, 6-dimensional not",
                   False, str(exc))
+    timer.lap("maximality_s")
 
     st = catalog.strazzullo()
     h = genericity_hessian(st)
@@ -490,13 +496,17 @@ def run_reproduction():
             fd_ok = False
     check("grammar edge: exp/power equation parses, hessian nonzero, "
           "derivative matches finite differences", fd_ok, str(h))
+    timer.lap("grammar_s")
     return items, notes
 
 
 def cmd_reproduce(args) -> int:
-    items, notes = run_reproduction()
+    timer = StageTimer()
+    items, notes = run_reproduction(timer)
     ok = all(i["pass"] for i in items)
     payload = {"items": items, "notes": notes, "all_pass": ok}
+    if args.timings:
+        payload["stage_timings"] = timer.rounded()
 
     def render(p):
         lines = [f"[{'PASS' if i['pass'] else 'FAIL'}] {i['item']}"
@@ -592,6 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("reproduce", help="run the full verification checklist")
+    p.add_argument("--timings", action="store_true",
+                   help="include per-section timings in JSON")
     common(p)
     p.set_defaults(func=cmd_reproduce)
 

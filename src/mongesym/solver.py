@@ -11,18 +11,18 @@ that is re-verified symbolically.
 
 The rows come from a compiled operator (compile_operator).  For a field
 a*d/du_i the residuals are first order and linear in a, so each one reads
-L0*a + sum_j Lj*da/du_j with coefficients independent of a.  Probing
-fields.symmetry_residuals with a = 1 and a = u_j recovers L0 = R(1) and
-Lj = R(u_j) - u_j*R(1) exactly: six probes per direction, once per equation.
+L0*a + sum_j Lj*da/du_j with coefficients independent of a.  By the
+Leibniz rule one probe of fields.symmetry_residuals per direction gives L0,
+and the membership residuals of d/du_i give the Lj: five probes per equation.
 determining_equations then reads every unknown's rows off the operator
 terms in one pass: shift the monomial, multiply in the exponent (and rho for
 d/dx of exp(rho*x)), and canonicalize each distinct product term once with
 the expression engine, checking that it carries coefficient 1.  The rows
 are integer at birth: the operator's numerators are brought to D, the lcm
 of its expressions' denominators, and the partials' scalars (exponents,
-offsets q and rates rho) are scaled by E, the lcm of the offsets' and
-rates' denominators, so every row is D*E times its rational form, with the
-same primitive form.
+offsets q and rates rho) come as ints scaled by E, the lcm of the offsets'
+and rates' denominators, so every row is D*E times its rational form, with
+the same primitive form.
 symmetry_dimension builds and eliminates the rows once, at the top degree.
 An unknown's entries do not depend on the other unknowns, so a lower
 degree's system is the top system on that degree's columns; the
@@ -58,8 +58,8 @@ from fractions import Fraction
 from .charts import J20
 from .expr import (UNIT_MONOS, Expr, PowerAtom, ExpAtom, Poly, Term, _canonical_term,
                    bare_coords, mono_mul, product_is_canonical)
-from .fields import (Distribution2, MongeEquation, VectorField,
-                     distribution_from_monge, is_symmetry, symmetry_residuals)
+from .fields import (Distribution2, MongeEquation, VectorField, distribution_from_monge,
+                     is_symmetry, membership_residuals, symmetry_residuals)
 from .liealg import analyze
 from .linalg import canonical_basis, sparse_nullspace
 from .rationals import exact_pow
@@ -70,9 +70,9 @@ class AnsatzError(ValueError):
 
 
 # Largest admitted ansatz, in unknowns.  The largest shipped solve,
-# dz13(10,9) at degree 5 in `reproduce`, has 11340 and takes about 1 s
-# (2 cores, Python 3.11); the runtime of a solve near this limit is
-# unmeasured.
+# dz13(10,9) at degree 5 in `reproduce`, has 11340 and takes about 0.95 s,
+# 0.2 s of it for the rows (2 cores, Python 3.11); the runtime of a solve
+# near this limit is unmeasured.
 MAX_UNKNOWNS = 50_000
 
 
@@ -119,6 +119,14 @@ def monomials_up_to(degree: int):
     return seen
 
 
+def _exact_integer(n: int, d: int) -> int:
+    """n / d, which a scaling has made an integer; anything else raises."""
+    q, r = divmod(n, d)
+    if r:
+        raise ArithmeticError(f"scaled scalar {n}/{d} is not an integer")
+    return q
+
+
 @dataclass(frozen=True)
 class UnknownBasis:
     """One ansatz coefficient: x^alpha * y2^q * exp(rho x) on direction d/du_i."""
@@ -127,39 +135,42 @@ class UnknownBasis:
     offset: Fraction
     rate: Fraction
 
-    def coefficient_expr(self) -> Expr:
-        atoms, factors = self.partials()
-        return Expr.from_raw(J20, [(1, factors[0][0][1], atoms)])
-
-    def partials(self):
-        """The coefficient and its five first partials.
-
-        Returns (atoms, factors): factors[order + 1] lists (scalar, monomial)
-        pairs such that sum scalar*monomial*atoms is the d/du_order partial
-        (order -1: the coefficient itself).
-        """
+    def term(self):
+        """The coefficient as a (monomial, atoms) pair: an integer q joins
+        the monomial, a fractional one is the atom y2^q."""
         exps = list(self.exponents)
         atoms = ()
-        frac_q = Fraction(0)
         if self.offset.denominator == 1:
-            exps[3] += int(self.offset)
+            exps[3] += self.offset.numerator
         else:
-            frac_q = self.offset
             atoms += (PowerAtom(Poly((Term(1, UNIT_MONOS[3], ()),)), self.offset),)
         if self.rate:
             atoms += (ExpAtom(Poly((Term(self.rate.numerator, UNIT_MONOS[0], ()),),
                                    self.rate.denominator)),)
-        mono = tuple(exps)
-        factors = [[(Fraction(1), mono)]]
+        return tuple(exps), atoms
+
+    def coefficient_expr(self) -> Expr:
+        return Expr.from_raw(J20, [(1, *self.term())])
+
+    def partials(self, E: int):
+        """The coefficient and its five first partials, times E.
+
+        Returns (atoms, factors): factors[order + 1] lists (scalar, monomial)
+        pairs such that sum scalar*monomial*atoms is E times the d/du_order
+        partial (order -1: the coefficient itself).  Each scalar is the int
+        E times an exponent, the offset q or the rate rho; E must be a
+        multiple of the offset's and the rate's denominators.
+        """
+        mono, atoms = self.term()
+        q = (0 if self.offset.denominator == 1 else
+             _exact_integer(self.offset.numerator * E, self.offset.denominator))
+        factors = [[(E, mono)]]
         for j in range(5):
-            power = exps[j] + (frac_q if j == 3 else 0)
-            parts = []
-            if power:
-                shifted = exps[:]
-                shifted[j] -= 1
-                parts.append((Fraction(power), tuple(shifted)))
+            power = E * mono[j] + (q if j == 3 else 0)
+            parts = [(power, mono[:j] + (mono[j] - 1,) + mono[j + 1:])] if power else []
             if j == 0 and self.rate:
-                parts.append((self.rate, mono))
+                parts.append((_exact_integer(self.rate.numerator * E,
+                                             self.rate.denominator), mono))
             factors.append(parts)
         return atoms, factors
 
@@ -183,8 +194,7 @@ class Ansatz:
         raw = [[] for _ in range(5)]
         for c, u in zip(vector, self.unknowns):
             if c:
-                atoms, factors = u.partials()
-                raw[u.direction].append((c, factors[0][0][1], atoms))
+                raw[u.direction].append((c, *u.term()))
         return VectorField(J20, tuple(Expr.from_raw(J20, r) for r in raw))
 
     def coefficient_functions(self) -> list:
@@ -230,40 +240,29 @@ def compile_operator(distribution: Distribution2) -> tuple:
     """The six symmetry residuals of a*d/du_i as a linear operator in a.
 
     Both brackets are first order in the field and the membership
-    residuals are linear, so residual r of a*d/du_i is
+    residuals are linear over functions, so residual r of a*d/du_i is
 
         L0[i][r] * a + sum_j Lj[i][r] * da/du_j
 
-    with coefficients that do not depend on a.  Six probes of
-    fields.symmetry_residuals per direction read them off exactly:
-    L0 = R(1) and Lj = R(u_j) - u_j*R(1).  Entry i of the result lists
-    direction i's nonzero coefficients as (residual, order, Expr) triples;
-    order -1 multiplies a, order j da/du_j.
+    with coefficients that do not depend on a.  By the Leibniz rule
+    [a*e_i, X] = a*[e_i, X] - X(a)*e_i, with e_i = d/du_i, L0 = R(e_i), one
+    probe of fields.symmetry_residuals, and for the bracket with X_k
+    (k = 0, 1) residual 3k + r has Lj = -X_k[j] * M(e_i)[r], M the
+    membership residuals.  Entry i lists direction i's nonzero coefficients
+    as (residual, order, Expr) triples, by order, then residual; order -1
+    multiplies a, order j da/du_j.
     """
-    zero = Expr.zero(J20)
-
-    def residuals(i, a):
-        coeffs = [zero] * 5
-        coeffs[i] = a
-        return symmetry_residuals(VectorField(J20, tuple(coeffs)), distribution)
-
+    brackets = (distribution.X1, distribution.X2)
     operator = []
-    for i in range(5):
-        base = residuals(i, Expr.constant(J20, 1))
-        terms = [(rid, -1, e) for rid, e in enumerate(base)]
-        for j, name in enumerate(J20.coords):
-            u = Expr.coordinate(J20, name)
-            terms.extend((rid, j, r - u * r0)
-                         for rid, (r, r0) in enumerate(zip(residuals(i, u), base)))
+    for name in J20.coords:
+        e = VectorField.coordinate(J20, name)
+        terms = [(rid, -1, r) for rid, r in enumerate(symmetry_residuals(e, distribution))]
+        members = membership_residuals(e, distribution)
+        terms.extend((3 * k + r, j, -(x.coefficients[j] * m))
+                     for j in range(5) for k, x in enumerate(brackets)
+                     for r, m in enumerate(members))
         operator.append(tuple(t for t in terms if t[2].terms))
     return tuple(operator)
-
-
-def _exact_integer(v) -> int:
-    """v, which a scaling has made an integer; anything else raises."""
-    if v.denominator != 1:
-        raise ArithmeticError(f"scaled row entry {v} is not an integer")
-    return v.numerator
 
 
 def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
@@ -273,10 +272,11 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
     Every entry is an operator coefficient times a partial's scalar (an
     exponent, a y2^q offset or an exp(rho*x) rate).  The operator's
     coefficients are brought to D, the lcm of the operator expressions'
-    denominators, and the partials' scalars are scaled by E, the lcm of the
-    offsets' and rates' denominators, so every entry is an int and every
-    row is D*E times the rational row, with the same primitive form.  Each
-    scaled scalar is checked to be an integer, never truncated.
+    denominators, and UnknownBasis.partials(E) gives the partials' scalars
+    as ints scaled by E, the lcm of the offsets' and rates' denominators, so
+    every entry is an int and every row is D*E times the rational row, with
+    the same primitive form.  Each scaled scalar is checked to be an
+    integer, never truncated.
 
     The columns come one coefficient function at a time
     (Ansatz.coefficient_functions), so its partials are built once for its
@@ -287,7 +287,7 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
     operator's terms are canonical (checked once per distinct term) and an
     unknown adds only y2^q and exp(rho*x), so a product with a coefficient
     other than 1 or a polynomial factor raises ArithmeticError.  Cancelled
-    entries and emptied rows go at once.
+    entries go at once, and rows they empty at the end.
     """
     spec = ansatz.spec
     D = math.lcm(*(e.den for terms in operator for _, _, e in terms))
@@ -295,35 +295,34 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
     for m, a in {t[1:] for terms in operator for _, _, e in terms for t in e.terms}:
         if a and _canonical_term(m, a) != ((1, 1), m, a, []):
             raise ArithmeticError(f"non-canonical operator term {(m, a)}")
-    ids: dict = {}  # atoms -> a small int, so that products hash no atoms
+    ids: dict = {}  # operator atoms -> a small int
     operator = [[(rid, order, c * (D // e.den), m, a,
                   ids.setdefault(a, len(ids)), bare_coords(a))
                  for rid, order, e in terms for c, m, a in e.terms]
                 for terms in operator]
-    keys: dict = {}  # a row's (monomial, atoms) -> its index
-    canonical: dict = {}  # (monomial, operator atoms, unknown atoms) -> key index
-    rows: dict = {}  # (residual, key index) -> row
+    keys: dict = {}  # a row's (monomial, atoms) -> its six rows, one per residual
+    # unknown atoms -> per operator atoms id, {product monomial: the same}
+    canonical: dict = {}
     for cols in ansatz.coefficient_functions():
-        atoms, factors = ansatz.unknowns[cols[0]].partials()
-        uid = ids.setdefault(atoms, len(ids))
+        atoms, factors = ansatz.unknowns[cols[0]].partials(E)
+        known = canonical.setdefault(atoms, [{} for _ in ids])
         bare = bare_coords(atoms)
-        factors = [[(_exact_integer(k * E), s) for k, s in f] for f in factors]
-        for col in cols:
-            for rid, order, c, m, a, aid, b in operator[ansatz.unknowns[col].direction]:
+        for col, terms in zip(cols, operator):  # one column per direction
+            for rid, order, c, m, a, aid, b in terms:
                 for k, s in factors[order + 1]:
                     mono = mono_mul(m, s)
-                    product = (mono, aid, uid)
-                    kid = canonical.get(product)
-                    if kid is None:
+                    slots = known[aid].get(mono)
+                    if slots is None:
                         out = (mono, a + atoms)
                         if not product_is_canonical(mono, b, bare):
                             factor, out_mono, out_atoms, polys = _canonical_term(*out)
                             if factor != (1, 1) or polys:
                                 raise ArithmeticError(f"non-canonical product {out}")
                             out = (out_mono, out_atoms)
-                        kid = canonical[product] = keys.setdefault(out, len(keys))
-                    key = (rid, kid)
-                    row = rows.setdefault(key, {})
+                        slots = known[aid][mono] = keys.setdefault(out, [None] * 6)
+                    row = slots[rid]
+                    if row is None:
+                        row = slots[rid] = {}
                     v = c * k
                     if col in row:
                         v += row[col]
@@ -331,10 +330,8 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
                         row[col] = v
                     else:
                         del row[col]
-                        if not row:
-                            del rows[key]
-    keys = list(keys)
-    rows = {(rid, *keys[kid]): row for (rid, kid), row in rows.items()}
+    rows = {(rid, *key): row for key, slots in keys.items()
+            for rid, row in enumerate(slots) if row}
     return DeterminingSystem(ansatz, rows)
 
 

@@ -384,20 +384,47 @@ def reference_rows(distribution, ansatz) -> dict:
     return rows
 
 
+def reference_compile_operator(distribution) -> tuple:
+    """The compiled operator by six probes of symmetry_residuals per
+    direction: L0 = R(1) and Lj = R(u_j) - u_j*R(1), in the order of
+    solver.compile_operator."""
+    zero = Expr.zero(J20)
+
+    def residuals(i, a):
+        coeffs = [zero] * 5
+        coeffs[i] = a
+        return symmetry_residuals(VectorField(J20, tuple(coeffs)), distribution)
+
+    operator = []
+    for i in range(5):
+        base = residuals(i, Expr.constant(J20, 1))
+        terms = [(rid, -1, e) for rid, e in enumerate(base)]
+        for j, name in enumerate(J20.coords):
+            u = Expr.coordinate(J20, name)
+            terms.extend((rid, j, r - u * r0)
+                         for rid, (r, r0) in enumerate(zip(residuals(i, u), base)))
+        operator.append(tuple(t for t in terms if t[2].terms))
+    return tuple(operator)
+
+
 def reference_determining_rows(operator, ansatz) -> dict:
-    """The determining rows with Fraction entries, every operator-term x
-    partial product sent through _canonical_term: (residual, monomial,
-    atoms) -> {column: Fraction}."""
+    """The determining rows with Fraction entries, each partial taken by
+    Expr.diff of the unknown's coefficient expression and every
+    operator-term x partial-term product sent through _canonical_term:
+    (residual, monomial, atoms) -> {column: Fraction}."""
     rows: dict = {}
     for col, u in enumerate(ansatz.unknowns):
-        atoms, factors = u.partials()
+        coefficient = u.coefficient_expr()
+        partials = [coefficient] + [coefficient.diff(c) for c in J20.coords]
         for rid, order, e in operator[u.direction]:
+            p = partials[order + 1]
             for n, m, a in e.terms:
-                for k, s in factors[order + 1]:
-                    factor, mono, out_atoms, polys = _canonical_term(mono_mul(m, s), a + atoms)
-                    assert factor == (1, 1) and not polys
+                for pn, pm, pa in p.terms:
+                    (fn, fd), mono, out_atoms, polys = _canonical_term(mono_mul(m, pm), a + pa)
+                    assert not polys
                     row = rows.setdefault((rid, mono, out_atoms), {})
-                    row[col] = row.get(col, 0) + Fraction(n, e.den) * k
+                    row[col] = (row.get(col, 0)
+                                + Fraction(n, e.den) * Fraction(pn, p.den) * Fraction(fn, fd))
     return {key: {c: v for c, v in row.items() if v}
             for key, row in rows.items() if any(row.values())}
 

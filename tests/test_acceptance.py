@@ -308,13 +308,15 @@ def test_reproduce_cli_schema_and_exit(monkeypatch):
     import mongesym.cli
     monkeypatch.setattr(mongesym.cli, "symmetry_dimension",
                         shared_symmetry_dimension)
-    items, notes = mongesym.cli.run_reproduction()
+    timer = mongesym.cli.StageTimer()
+    items, notes = mongesym.cli.run_reproduction(timer)
     schema_path = os.path.join(os.path.dirname(__file__), "..", "src",
                                "mongesym", "schemas", "reproduce.schema.json")
     with open(schema_path) as fh:
         schema = json.load(fh)
     payload = {"items": items, "notes": notes,
-               "all_pass": all(i["pass"] for i in items)}
+               "all_pass": all(i["pass"] for i in items),
+               "stage_timings": timer.rounded()}
     jsonschema.validate(payload, schema)
     report("reproduction checklist: every item passes",
            payload["all_pass"], f"{len(items)} items, {len(notes)} notes")

@@ -277,6 +277,8 @@ class TestSchemas:
     @pytest.mark.parametrize("command, argv, stages", [
         ("verify", ("eq2", "S1", "S6"), {"load_s", "residuals_s", "report_s"}),
         ("genericity", ("eq2",), {"load_s", "frame_s", "determinant_s", "report_s"}),
+        ("reproduce", (), {"symmetry_s", "structure_s", "genericity_s", "solve_s",
+                           "maximality_s", "grammar_s"}),
     ])
     def test_json_with_timings(self, capsys, command, argv, stages):
         code, out, _ = run(capsys, command, *argv, "--json", "--timings")

@@ -10,7 +10,7 @@ import pytest
 from mongesym import solver
 from mongesym.catalog import dz13, eq1, eq2, flat, get_equation
 from mongesym.charts import J20
-from mongesym.expr import Expr, Poly, PowerAtom, Term
+from mongesym.expr import ExpAtom, Expr, Poly, PowerAtom, Term
 from mongesym.fields import (MongeEquation, distribution_from_monge,
                              is_symmetry, lie_bracket)
 from mongesym.liealg import close_under_bracket, express_in_basis
@@ -22,9 +22,10 @@ from mongesym.solver import (MAX_UNKNOWNS, AnsatzError, AnsatzSpec,
                              exp_rates_for, maximality_argument, nullspace,
                              symmetry_dimension)
 
-from helpers import (brute_force_symmetry_space, primitive_row,
-                     reference_assemble, reference_determining_rows,
-                     reference_graded_solve, reference_rows, same_span)
+from helpers import (brute_force_symmetry_space, primitive_row, random_expr,
+                     reference_assemble, reference_compile_operator,
+                     reference_determining_rows, reference_graded_solve,
+                     reference_rows, same_span)
 
 
 class TestAnsatz:
@@ -143,9 +144,9 @@ class TestRowBuilder:
         calls = []
         partials = UnknownBasis.partials
 
-        def counted(u):
+        def counted(u, E):
             calls.append(u)
-            return partials(u)
+            return partials(u, E)
 
         monkeypatch.setattr(UnknownBasis, "partials", counted)
         ansatz = build_ansatz(AnsatzSpec(1, offsets=(0, Fraction(1, 3)), rates=(0, 2)))
@@ -194,8 +195,61 @@ class TestIntegerRows:
 
     def test_an_inexact_scaling_raises(self):
         with pytest.raises(ArithmeticError):
-            solver._exact_integer(Fraction(1, 3) * 2)
-        assert solver._exact_integer(Fraction(1, 3) * 3) == 1
+            solver._exact_integer(2, 3)
+        assert solver._exact_integer(3, 3) == 1
+        # E must be a multiple of the offset's and the rate's denominators
+        for offset, rate in ((Fraction(1, 3), 0), (0, Fraction(2, 3))):
+            u = UnknownBasis(0, (1, 0, 0, 1, 0), Fraction(offset), Fraction(rate))
+            with pytest.raises(ArithmeticError):
+                u.partials(2)
+            assert u.partials(6)[0] == u.partials(3)[0]
+
+    @pytest.mark.parametrize("key,offsets,rates", INTEGER_ROW_CASES)
+    def test_partials_are_the_scaled_derivatives(self, key, offsets, rates):
+        # factors[order + 1] read as an expression is E times the partial
+        _, ansatz = integer_row_case(key, offsets, rates)
+        E = math.lcm(*(v.denominator for v in ansatz.spec.offsets + ansatz.spec.rates))
+        for u in ansatz.unknowns[::7]:
+            atoms, factors = u.partials(E)
+            assert all(type(k) is int for f in factors for k, _ in f)
+            coefficient = u.coefficient_expr()
+            expected = [coefficient] + [coefficient.diff(c) for c in J20.coords]
+            for f, partial in zip(factors, expected):
+                got = Expr.from_raw(J20, [(k, s, atoms) for k, s in f])
+                assert got == partial.scale(E)
+
+    def test_no_fraction_per_column_or_product(self, monkeypatch):
+        # outside the canonicalization of a new product key (y2 * y2^(1/2)
+        # must become y2^(3/2), an exponent Fraction), building the rows
+        # makes a fixed number of Fractions: none per coefficient function,
+        # column or product, so the count does not grow with the degree
+        key, offsets, rates = INTEGER_ROW_CASES[-1]
+        operator = compile_operator(distribution_from_monge(MongeEquation(parse(key, J20))))
+        made, inside = [], []
+        new, canonical_term = Fraction.__new__, solver._canonical_term
+
+        def counted(cls, *args, **kwargs):
+            if not inside:
+                made.append(args)
+            return new(cls, *args, **kwargs)
+
+        def canonical(*args):
+            inside.append(args)
+            try:
+                return canonical_term(*args)
+            finally:
+                inside.pop()
+
+        counts = []
+        for degree in (1, 3):
+            ansatz = build_ansatz(AnsatzSpec(degree, offsets, rates))
+            made.clear()
+            monkeypatch.setattr(solver, "_canonical_term", canonical)
+            monkeypatch.setattr(Fraction, "__new__", counted)
+            determining_equations(operator, ansatz)
+            monkeypatch.undo()
+            counts.append(len(made))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("key,offsets,rates", INTEGER_ROW_CASES)
     def test_canonical_products_skip_canonical_term(self, monkeypatch, key,
@@ -238,6 +292,25 @@ class TestCompiledOperator:
         assert rows.keys() == reference.keys()
         assert all(primitive_row(row) == primitive_row(reference[k])
                    for k, row in rows.items())
+
+
+    # the five-probe operator equals the six-probe one as a tuple: the same
+    # terms, in the same order, with equal expressions
+    @pytest.mark.parametrize("key", [
+        "eq2", "flat", "strazzullo", "eq1(1)", "dz13(5,4)", "dz13(1,1)"])
+    def test_equals_the_six_probe_operator(self, key):
+        d = distribution_from_monge(get_equation(key))
+        assert compile_operator(d) == reference_compile_operator(d)
+
+    def test_equals_the_six_probe_operator_on_random_equations(self):
+        rng = random.Random(17)
+        kinds = set()
+        for _ in range(30):
+            F = random_expr(rng)
+            kinds.update(type(a) for t in F.terms for a in t.atoms)
+            d = distribution_from_monge(MongeEquation(F))
+            assert compile_operator(d) == reference_compile_operator(d), F
+        assert kinds == {PowerAtom, ExpAtom}
 
 
 class TestGradedElimination:
