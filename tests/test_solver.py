@@ -293,7 +293,6 @@ class TestCompiledOperator:
         assert all(primitive_row(row) == primitive_row(reference[k])
                    for k, row in rows.items())
 
-
     # the five-probe operator equals the six-probe one as a tuple: the same
     # terms, in the same order, with equal expressions
     @pytest.mark.parametrize("key", [
