@@ -346,7 +346,8 @@ def cmd_solve(args) -> int:
     rates = _fractions_list(args.rates) if args.rates else None
     try:
         report = symmetry_dimension(m, args.degree, offsets=offsets, rates=rates,
-                                    equation_label=args.equation)
+                                    equation_label=args.equation,
+                                    elimination_counts=args.timings)
     except AnsatzError as exc:
         raise UsageError(str(exc)) from None
     except ExprError as exc:
@@ -597,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="verify every basis field symbolically (always on)")
     p.add_argument("--timings", action="store_true",
-                   help="include per-degree and per-stage timings in JSON")
+                   help="include per-degree and per-stage timings and the "
+                        "elimination counts in JSON")
     common(p)
     p.set_defaults(func=cmd_solve)
 

@@ -54,6 +54,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .charts import J20
 from .expr import (UNIT_MONOS, Expr, PowerAtom, ExpAtom, Poly, Term, _canonical_term,
@@ -127,8 +128,7 @@ def _exact_integer(n: int, d: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class UnknownBasis:
+class UnknownBasis(NamedTuple):
     """One ansatz coefficient: x^alpha * y2^q * exp(rho x) on direction d/du_i."""
     direction: int
     exponents: tuple
@@ -335,7 +335,7 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
     return DeterminingSystem(ansatz, rows)
 
 
-def nullspace(system: DeterminingSystem):
+def nullspace(system: DeterminingSystem, counts: dict | None = None):
     """Dimension table of every degree and the top-degree basis, from one
     graded elimination.
 
@@ -351,7 +351,8 @@ def nullspace(system: DeterminingSystem):
     entry per degree, where a row counts from the lowest degree of its
     unknowns on, in the rows as built; basis holds the integer vectors of
     the top degree in ansatz column order, in the form an elimination in
-    that order gives (linalg.canonical_basis).
+    that order gives (linalg.canonical_basis).  A dict given as counts
+    receives the elimination's sizes (sparse_nullspace).
     """
     unknowns = system.ansatz.unknowns
     ncols = len(unknowns)
@@ -362,18 +363,19 @@ def nullspace(system: DeterminingSystem):
         graded[c] = p
     graded_rows = [{graded[c]: v for c, v in row.items()}
                    for row in system.rows.values()]
-    _, vectors = sparse_nullspace(graded_rows, ncols)
+    _, vectors = sparse_nullspace(graded_rows, ncols, counts)
     degrees = sorted(degree_of)
-    lows = sorted(min(row) for row in graded_rows)
-    frees = [max(p for p, x in enumerate(v) if x) for v in vectors]  # ascending
+    lows = sorted(map(min, graded_rows))
+    # a vector's free column is its last nonzero entry, read from the end
+    frees = [next(itertools.compress(range(ncols - 1, -1, -1), reversed(v)))
+             for v in vectors]  # ascending
     table = []
     for degree in range(system.ansatz.spec.degree + 1):
         end = bisect_right(degrees, degree)  # the degree's prefix is [0, end)
         table.append({"degree": degree, "unknowns": end,
                       "rows": bisect_left(lows, end),
                       "dimension": bisect_left(frees, end)})
-    basis = canonical_basis([tuple(v[graded[c]] for c in range(ncols))
-                             for v in vectors])
+    basis = canonical_basis([tuple([v[g] for g in graded]) for v in vectors])
     return table, basis
 
 
@@ -445,6 +447,7 @@ class SolveReport:
     verified: bool
     timings: dict        # per degree: seconds of the one shared elimination
     stage_timings: dict  # seconds per stage
+    elimination: dict | None = None  # sparse_nullspace's counts, when asked for
 
     def to_json(self, include_timings: bool = False) -> dict:
         out = {
@@ -461,6 +464,8 @@ class SolveReport:
         if include_timings:
             out["timings"] = self.timings
             out["stage_timings"] = self.stage_timings
+            if self.elimination is not None:
+                out["elimination"] = self.elimination
         return out
 
     def to_text(self) -> str:
@@ -498,7 +503,8 @@ class StageTimer:
 
 def symmetry_dimension(m: MongeEquation, max_degree: int,
                        offsets=(Fraction(0),), rates=None,
-                       equation_label: str = "") -> SolveReport:
+                       equation_label: str = "",
+                       elimination_counts: bool = False) -> SolveReport:
     """Dimension table for degrees 0..max_degree plus the top-degree basis.
 
     The rows are built and eliminated once, at max_degree, and every lower
@@ -507,7 +513,8 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
     is the first degree of that final plateau) is a reporting heuristic, not
     a completeness theorem for the ansatz class.
     Every basis field is verified symbolically.  Every per-degree timing is
-    the seconds of that one shared elimination.
+    the seconds of that one shared elimination.  With elimination_counts,
+    the report also holds the elimination's sizes (linalg.sparse_nullspace).
     """
     if rates is None:
         rates = exp_rates_for(m)
@@ -518,7 +525,8 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
     timer.lap("operator_s")
     system = determining_equations(operator, build_ansatz(spec))
     timer.lap("rows_s")
-    table, vectors = nullspace(system)
+    counts = {} if elimination_counts else None
+    table, vectors = nullspace(system, counts)
     timer.lap("elimination_s")
     timings = {str(row["degree"]): round(timer.stages["elimination_s"], 3)
                for row in table}
@@ -545,6 +553,7 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
         verified=verified,
         timings=timings,
         stage_timings=timer.rounded(),
+        elimination=counts,
     )
 
 

@@ -308,6 +308,7 @@ class TestSchemas:
         assert payload["table"][-1]["dimension"] == 6
         assert "timings" not in payload
         assert "stage_timings" not in payload
+        assert "elimination" not in payload
 
     def test_solve_json_with_timings(self, capsys):
         code, out, _ = run(capsys, "solve", "flat", "--degree", "1", "--json", "--timings")
@@ -317,6 +318,9 @@ class TestSchemas:
         assert "timings" in payload
         assert set(payload["stage_timings"]) == {
             "operator_s", "rows_s", "elimination_s", "assemble_verify_s"}
+        assert set(payload["elimination"]) == {
+            "rows", "forced_columns", "surviving_rows", "pivots", "pivot_nonzeros",
+            "max_pivot_bits"}
 
     def test_catalog_json(self, capsys):
         code, out, _ = run(capsys, "catalog", "--json")

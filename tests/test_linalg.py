@@ -280,3 +280,81 @@ def test_a_long_singleton_chain_is_forced_in_linear_work(monkeypatch):
     CountedRow.passes = 0
     assert sparse_nullspace(rows, n + 1) == (n, [(0,) * n + (1,)])
     assert CountedRow.passes <= 3 * n
+
+
+# ---------------------------------------------------------------------------
+# the integer back-substitution of sparse_nullspace
+# ---------------------------------------------------------------------------
+
+def test_integer_rows_make_no_fraction(monkeypatch):
+    # the presolve, the elimination and the back-substitution all stay in
+    # the integers; the systems have pivot entries up to 5, so the
+    # back-substitution must rescale to stay integer
+    systems = [random_sparse_system(random.Random(seed)) for seed in range(300)]
+    expected = [reference_sparse_nullspace(rows, ncols) for rows, ncols in systems]
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    got = [sparse_nullspace(rows, ncols) for rows, ncols in systems]
+    monkeypatch.undo()
+    assert made == []
+    assert got == expected
+    assert sum(len(basis) for _, basis in got) > 300
+
+
+# one block of the block-diagonal system below: no singleton, so nothing is
+# forced, pivot entries other than 1, and two free columns, each reaching
+# pivot rows of its own block only
+BLOCK = ([{0: 2, 1: 3, 3: -1}, {1: 5, 2: -2, 4: 1}, {2: 3, 3: 1, 4: 2}], 5)
+
+
+def block_diagonal(copies: int):
+    rows, width = BLOCK
+    return ([{c + b * width: v for c, v in row.items()} for b in range(copies) for row in rows],
+            copies * width)
+
+
+def test_each_free_column_reads_only_its_own_block(monkeypatch):
+    # the pivot rows are CountedRows; a back-substitution that walked every
+    # pivot row below each free column would read the earlier blocks' rows
+    # too, and the passes would grow with the square of the copies
+    reduce_row = SparseEchelon.reduce_row
+    passes = {}
+    for copies in (1, 8):
+        rows, ncols = block_diagonal(copies)
+        expected = reference_sparse_nullspace(rows, ncols)
+        assert len(expected[1]) == 2 * copies
+        with monkeypatch.context() as patch:
+            patch.setattr(SparseEchelon, "reduce_row",
+                          lambda self, row: CountedRow(reduce_row(self, row)))
+            CountedRow.passes = 0
+            assert sparse_nullspace(rows, ncols) == expected
+            passes[copies] = CountedRow.passes
+    assert passes[8] == 8 * passes[1]
+
+
+def test_the_vectors_rescale_and_reach_through_new_columns():
+    # free column 3 is first reached by pivot 2 only; its vector then
+    # reaches pivot 1 through column 2 and pivot 0 through column 1, and
+    # each pivot entry divides nothing, so x is rescaled at every step
+    rows = [{0: 3, 1: 1}, {1: 5, 2: 1}, {2: 7, 3: 1}]
+    assert sparse_nullspace(rows, 4) == (3, [(-1, 3, -15, 105)])
+    assert sparse_nullspace(rows, 4) == reference_sparse_nullspace(rows, 4)
+
+
+def test_reduction_normalizes_once_and_leaves_the_pivot_rows_as_they_are():
+    # the step updates a row in place when its multiplier is 1, which
+    # clearing column 1 of the first row against the second one has
+    echelon = SparseEchelon()
+    assert echelon.insert({0: 2, 1: 2, 2: 6})
+    assert echelon.insert({1: 1, 2: 1})
+    pivots = {p: dict(row) for p, row in echelon.pivots.items()}
+    assert pivots == {0: {0: 1, 1: 1, 2: 3}, 1: {1: 1, 2: 1}}
+    assert echelon.reduce_row({0: 3, 1: 9, 2: 3, 3: 12}) == {2: 1, 3: -1}
+    assert echelon.reduced() == {0: {0: 1, 2: 2}, 1: {1: 1, 2: 1}}
+    assert echelon.pivots == pivots

@@ -375,6 +375,28 @@ class TestGradedElimination:
         assert canonical_basis(ints) == basis
 
 
+class TestEliminationCounts:
+    # (rows, forced_columns, surviving_rows, pivots, pivot_nonzeros,
+    # max_pivot_bits) of the degree-7 elimination, as the Fraction
+    # back-substitution's elimination held them: pivot rows are primitive
+    @pytest.mark.parametrize("key,counts", [
+        ("y2^2", (6408, 2667, 1515, 1279, 3146, 10)),
+        ("2*y2^2", (6408, 2667, 1515, 1279, 3135, 11)),
+    ])
+    def test_flat_at_degree_7(self, key, counts):
+        report = symmetry_dimension(MongeEquation(parse(key, J20)), 7,
+                                    elimination_counts=True)
+        assert report.dimension == 14
+        assert report.elimination == dict(zip(
+            ("rows", "forced_columns", "surviving_rows", "pivots", "pivot_nonzeros",
+             "max_pivot_bits"), counts))
+
+    def test_counted_only_when_asked_for(self):
+        report = symmetry_dimension(flat(), 1)
+        assert report.elimination is None
+        assert "elimination" not in report.to_json(include_timings=True)
+
+
 class TestOracleEquivalence:
     # the sparse integer solver must agree with direct symbolic coefficient
     # matching solved by sympy's nullspace, at degrees 0 and 1
