@@ -346,8 +346,7 @@ def cmd_solve(args) -> int:
     rates = _fractions_list(args.rates) if args.rates else None
     try:
         report = symmetry_dimension(m, args.degree, offsets=offsets, rates=rates,
-                                    equation_label=args.equation,
-                                    elimination_counts=args.timings)
+                                    equation_label=args.equation)
     except AnsatzError as exc:
         raise UsageError(str(exc)) from None
     except ExprError as exc:

@@ -18,9 +18,12 @@ series, Killing signature or verdict; the Killing matrix it gives is D^2
 times the true one, and the report divides by D^2.  Spans are primitive
 integer rows, and every span, nullspace, solve and reduced echelon form runs
 on linalg's one fraction-free elimination engine: center, derived and lower
-central series, Killing form with signature (the rank is n_plus + n_minus,
-by Sylvester's law of inertia), and the radical as the Killing-orthogonal
-complement of the derived algebra.  Recognition reads those invariants:
+central series, and the radical as the Killing-orthogonal complement of the
+derived algebra; both kernels are primitive integer rows from linalg.kernel.
+The Killing signature comes from the integer Killing matrix's
+characteristic polynomial by Descartes' rule of signs, and the rank is
+n_plus + n_minus, by Sylvester's law of inertia.  Recognition reads those
+invariants:
 sl(2, R) is dimension 3 with an indefinite nondegenerate Killing form, the
 Heisenberg algebra is dimension 3 with lower central series 3, 1, 0 and
 center [g, g].  For a six-dimensional algebra one adapted basis (a
@@ -29,7 +32,9 @@ radical's and the quotient's constants blocks of one rebased integer
 tensor; the same path recognizes both blocks, and the Levi complement of
 sl(2) ⋉ heisenberg is corrected in those coordinates.  Every equation of
 that correction carries one common scale, so the solve returns the true
-correction times that scale.  Fractions appear only in the StructureReport.
+correction times that scale.  No Fraction reaches linalg: Fractions appear
+only in the StructureReport, which scales the center to 1 at each vector's
+free (last nonzero) column and the radical to 1 at each row's pivot.
 """
 
 from __future__ import annotations
@@ -481,6 +486,12 @@ def analyze(p: LieAlgebraPresentation) -> StructureReport:
     return _analyze_tensor(*integer_tensor(p.constants))
 
 
+def _scaled(rows, columns) -> tuple:
+    """Each integer row over its entry at the matching column, as Fractions."""
+    return tuple(tuple(Fraction(a, row[c]) for a in row)
+                 for row, c in zip(rows, columns))
+
+
 def _analyze_tensor(t, d) -> StructureReport:
     """analyze on the integer tensor t, d times the constants; a
     six-dimensional tensor's radical and quotient blocks are recognized by
@@ -512,10 +523,10 @@ def _analyze_tensor(t, d) -> StructureReport:
                 complement = levi_complement(t, d, rows, adapted, s, m, r)
                 if complement is not None:
                     verdict = "sl2_semidirect_heisenberg"
-    rad = [tuple(Fraction(a, row[p]) for a in row) for row, p in zip(rad, pivots)]
+    free = [max(c for c, a in enumerate(row) if a) for row in zc]
     return StructureReport(
         dimension=n,
-        center=tuple(zc),
+        center=_scaled(zc, free),
         center_indices=_aligned_indices(zc),
         derived_dims=tuple(dseries),
         lcs_dims=tuple(lseries),
@@ -524,7 +535,7 @@ def _analyze_tensor(t, d) -> StructureReport:
         killing=tuple(tuple(Fraction(v, d * d) for v in row) for row in km),
         killing_rank=plus + minus,  # Sylvester's law of inertia
         killing_signature=(plus, minus),
-        radical=tuple(rad),
+        radical=_scaled(rad, pivots),
         radical_indices=_aligned_indices(rad),
         verdict=verdict,
         complement=None if complement is None else tuple(complement),

@@ -5,8 +5,10 @@ leaves the integers: its one step clears a column against a pivot row by
 cross multiplication, and each reduced row is divided by its content once,
 at the end, so no rounding and no rational blow-up occurs.  The forward
 elimination applies the step at each row's leading column, and the
-back-reduction reduced() from the highest pivot down; canonical_basis,
-reduced_rows and kernel read the reduced form.
+back-reduction reduced() from the highest pivot down; canonical_basis and
+reduced_rows read the reduced form.  Every kernel is read off the pivot
+rows by one integer back-substitution (_back_substitute): kernel's on a
+small dense matrix, sparse_nullspace's after a presolve.
 sparse_nullspace first presolves: a row with one live entry forces its
 column to zero in every kernel vector, and forcing propagates through a
 column -> rows index (_forced_zeros).  Striking the forced columns, and the
@@ -21,14 +23,15 @@ columns' vectors, each from just the pivot rows it reaches.
 Rational work is the same elimination on rows with their denominators
 cleared.  KeyedSpan keeps the span of sparse vectors over arbitrary keys and
 reads coordinates off tag columns; coordinates and solve_exact are built on
-it.  symmetric_signature, a congruence diagonalization, is the only dense
-routine.
+it.  symmetric_signature reads the signature of a symmetric integer matrix
+off its characteristic polynomial, by Descartes' rule of signs.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections import defaultdict
 from itertools import compress
 from fractions import Fraction
@@ -254,13 +257,18 @@ def sparse_nullspace(rows, ncols: int, counts: dict | None = None):
                       max_pivot_bits=max((abs(v).bit_length() for row in pivots.values()
                                           for v in row.values()), default=0))
     free_cols = [c for c in range(ncols) if c not in pivots and c not in forced]
-    basis = []
-    for x in _back_substitute(pivots, free_cols):
+    return ech.rank + len(forced), _dense(_back_substitute(pivots, free_cols), ncols)
+
+
+def _dense(rows, ncols: int) -> list:
+    """Sparse integer rows as dense tuples of length ncols."""
+    out = []
+    for row in rows:
         vec = [0] * ncols
-        for c, v in x.items():
+        for c, v in row.items():
             vec[c] = v
-        basis.append(tuple(vec))
-    return ech.rank + len(forced), basis
+        out.append(tuple(vec))
+    return out
 
 
 def canonical_basis(vectors):
@@ -387,20 +395,16 @@ def solve_exact(matrix, rhs):
 
 
 def kernel(matrix, ncols: int):
-    """Nullspace basis of a rational matrix, one Fraction tuple per free
-    column f of its reduced echelon form R: x_f = 1, x_p = -R[p][f] / R[p][p]
-    at each pivot p, and every other entry zero."""
+    """Nullspace basis of a rational matrix, one primitive integer tuple per
+    free column f of its echelon form, positive at f (its largest nonzero
+    column) and zero at every other free column: sparse_nullspace's
+    back-substitution (_back_substitute), without the presolve."""
     echelon = SparseEchelon()
     for v in matrix:
         echelon.insert(_integer_row(dict(enumerate(v))))
-    reduced = echelon.reduced()
-    basis = {f: [Fraction(1) if c == f else Fraction(0) for c in range(ncols)]
-             for f in range(ncols) if f not in reduced}
-    for p, row in reduced.items():
-        for c, a in row.items():
-            if c != p:
-                basis[c][p] = Fraction(-a, row[p])
-    return [tuple(v) for v in basis.values()]
+    pivots = echelon.pivots
+    return _dense(_back_substitute(pivots, [c for c in range(ncols) if c not in pivots]),
+                  ncols)
 
 
 def reduced_rows(vectors):
@@ -414,62 +418,39 @@ def reduced_rows(vectors):
     echelon = SparseEchelon()
     for v in vectors:
         echelon.insert(_integer_row(dict(enumerate(v))))
-    rows, pivots = [], []
-    for p, row in sorted(echelon.reduced().items()):
-        vec = [0] * n
-        for c, a in row.items():
-            vec[c] = a
-        rows.append(tuple(vec))
-        pivots.append(p)
-    return rows, pivots
+    reduced = echelon.reduced()
+    pivots = sorted(reduced)
+    return _dense([reduced[p] for p in pivots], n), pivots
+
+
+def _sign_changes(coefficients) -> int:
+    """Sign changes along the sequence, zero entries skipped."""
+    signs = [c > 0 for c in coefficients if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def symmetric_signature(matrix):
-    """Signature (n_plus, n_minus, n_zero) of a symmetric Fraction matrix.
+    """Signature (n_plus, n_minus, n_zero) of a symmetric integer matrix A.
 
-    Exact congruence diagonalization; no floating point is involved.
+    Its characteristic polynomial det(tI - A) = sum c_k t^k comes from the
+    Faddeev-LeVerrier recursion: c_n = 1, M_1 = I, and for k = 1..n
+    c_(n-k) = -tr(A M_k) / k and M_(k+1) = A M_k + c_(n-k) I, where every
+    division is exact over the integers.  Every M_k is a polynomial in A,
+    so it is symmetric, and (A M_k)_ij is row i of A dotted with row j of
+    M_k.  A symmetric matrix has only real eigenvalues, so Descartes' rule
+    of signs is exact: the sign changes of p(t) count the positive ones,
+    those of p(-t) the negative ones, and the rest are zero.
     """
-    a = [list(map(Fraction, row)) for row in matrix]
-    n = len(a)
-    plus = minus = zero = 0
-    active = list(range(n))
-    while active:
-        # prefer a nonzero diagonal entry
-        k = None
-        for i in active:
-            if a[i][i] != 0:
-                k = i
-                break
-        if k is None:
-            # all diagonal entries zero: fold an off-diagonal entry onto the diagonal
-            found = None
-            for i in active:
-                for j in active:
-                    if i != j and a[i][j] != 0:
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
-                zero += len(active)
-                break
-            i, j = found
-            for t in range(n):
-                a[i][t] += a[j][t]
-            for t in range(n):
-                a[t][i] += a[t][j]
-            continue
-        d = a[k][k]
-        if d > 0:
-            plus += 1
-        else:
-            minus += 1
-        active.remove(k)
-        for i in active:
-            if a[i][k] != 0:
-                f = a[i][k] / d
-                for t in range(n):
-                    a[i][t] -= f * a[k][t]
-                for t in range(n):
-                    a[t][i] -= f * a[t][k]
-    return plus, minus, zero
+    n = len(matrix)
+    coefficients = [1]  # c_n, c_(n-1), ..., c_0
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum(map(operator.mul, a, row)) for row in m] for a in matrix]
+        c = -sum(am[i][i] for i in range(n)) // k
+        coefficients.append(c)
+        for i in range(n):
+            am[i][i] += c
+        m = am
+    plus = _sign_changes(coefficients)
+    minus = _sign_changes(-x if j % 2 else x for j, x in enumerate(coefficients))
+    return plus, minus, n - plus - minus

@@ -202,7 +202,7 @@ class _Parser:
                 return base ** q
             except NonRationalPowerError:
                 raise ParseError(
-                    f"non-rational literal power {base}^({q})", self.s.pos) from None
+                    f"non-rational literal power ({base})^({q})", self.s.pos) from None
             except ExprError as exc:
                 raise ParseError(str(exc), self.s.pos) from None
         return base

@@ -174,11 +174,6 @@ class UnknownBasis(NamedTuple):
             factors.append(parts)
         return atoms, factors
 
-    def field(self) -> VectorField:
-        coeffs = [Expr.zero(J20)] * 5
-        coeffs[self.direction] = self.coefficient_expr()
-        return VectorField(J20, tuple(coeffs))
-
 
 @dataclass(frozen=True)
 class Ansatz:
@@ -447,7 +442,7 @@ class SolveReport:
     verified: bool
     timings: dict        # per degree: seconds of the one shared elimination
     stage_timings: dict  # seconds per stage
-    elimination: dict | None = None  # sparse_nullspace's counts, when asked for
+    elimination: dict    # sparse_nullspace's counts
 
     def to_json(self, include_timings: bool = False) -> dict:
         out = {
@@ -464,8 +459,7 @@ class SolveReport:
         if include_timings:
             out["timings"] = self.timings
             out["stage_timings"] = self.stage_timings
-            if self.elimination is not None:
-                out["elimination"] = self.elimination
+            out["elimination"] = self.elimination
         return out
 
     def to_text(self) -> str:
@@ -503,8 +497,7 @@ class StageTimer:
 
 def symmetry_dimension(m: MongeEquation, max_degree: int,
                        offsets=(Fraction(0),), rates=None,
-                       equation_label: str = "",
-                       elimination_counts: bool = False) -> SolveReport:
+                       equation_label: str = "") -> SolveReport:
     """Dimension table for degrees 0..max_degree plus the top-degree basis.
 
     The rows are built and eliminated once, at max_degree, and every lower
@@ -513,8 +506,8 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
     is the first degree of that final plateau) is a reporting heuristic, not
     a completeness theorem for the ansatz class.
     Every basis field is verified symbolically.  Every per-degree timing is
-    the seconds of that one shared elimination.  With elimination_counts,
-    the report also holds the elimination's sizes (linalg.sparse_nullspace).
+    the seconds of that one shared elimination.  The report also holds the
+    elimination's sizes (linalg.sparse_nullspace).
     """
     if rates is None:
         rates = exp_rates_for(m)
@@ -525,7 +518,7 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
     timer.lap("operator_s")
     system = determining_equations(operator, build_ansatz(spec))
     timer.lap("rows_s")
-    counts = {} if elimination_counts else None
+    counts = {}
     table, vectors = nullspace(system, counts)
     timer.lap("elimination_s")
     timings = {str(row["degree"]): round(timer.stages["elimination_s"], 3)

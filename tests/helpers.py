@@ -113,6 +113,64 @@ def reference_sparse_nullspace(rows, ncols: int):
     return echelon.rank, basis
 
 
+def reference_symmetric_signature(matrix):
+    """Signature (n_plus, n_minus, n_zero) of a symmetric rational matrix by
+    exact congruence diagonalization, the routine linalg.symmetric_signature
+    replaced: a nonzero diagonal pivot when there is one, else an
+    off-diagonal entry folded onto the diagonal."""
+    a = [list(map(Fraction, row)) for row in matrix]
+    n = len(a)
+    plus = minus = zero = 0
+    active = list(range(n))
+    while active:
+        k = next((i for i in active if a[i][i]), None)
+        if k is None:
+            found = next(((i, j) for i in active for j in active
+                          if i != j and a[i][j]), None)
+            if found is None:
+                zero += len(active)
+                break
+            i, j = found
+            for t in range(n):
+                a[i][t] += a[j][t]
+            for t in range(n):
+                a[t][i] += a[t][j]
+            continue
+        d = a[k][k]
+        if d > 0:
+            plus += 1
+        else:
+            minus += 1
+        active.remove(k)
+        for i in active:
+            if a[i][k]:
+                f = a[i][k] / d
+                for t in range(n):
+                    a[i][t] -= f * a[k][t]
+                for t in range(n):
+                    a[t][i] -= f * a[t][k]
+    return plus, minus, zero
+
+
+def reference_root_signature(matrix):
+    """(n_plus, n_minus, n_zero) as sympy's exact count of the
+    characteristic polynomial's positive, negative and zero roots, with
+    multiplicity: count_roots counts distinct roots, so it runs on each
+    square-free factor, and 0 is a simple root of a factor it lies on."""
+    sympy = pytest.importorskip("sympy")
+    n = len(matrix)
+    t = sympy.Symbol("t")
+    p = sympy.Poly(sympy_matrix(matrix, n).charpoly(t).as_expr(), t)
+    counts = [0, 0, 0]
+    for factor, m in p.sqf_list()[1]:
+        at_zero = int(factor.eval(0) == 0)
+        counts[0] += m * (factor.count_roots(0, None) - at_zero)
+        counts[1] += m * (factor.count_roots(None, 0) - at_zero)
+        counts[2] += m * at_zero
+    assert sum(counts) == n  # a symmetric matrix has only real eigenvalues
+    return tuple(counts)
+
+
 def primitive_row(row: dict) -> dict:
     """A rational row scaled to primitive integers, positive at its lowest
     column."""
@@ -378,7 +436,10 @@ def reference_rows(distribution, ansatz) -> dict:
     unknown's field: (residual, monomial, atoms) -> {column: coefficient}."""
     rows: dict = {}
     for col, u in enumerate(ansatz.unknowns):
-        for rid, e in enumerate(symmetry_residuals(u.field(), distribution)):
+        coeffs = [Expr.zero(J20)] * 5
+        coeffs[u.direction] = u.coefficient_expr()
+        field = VectorField(J20, tuple(coeffs))
+        for rid, e in enumerate(symmetry_residuals(field, distribution)):
             for k, t in enumerate(e.terms):
                 rows.setdefault((rid, t.monomial, t.atoms), {})[col] = e.coefficient(k)
     return rows

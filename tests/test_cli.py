@@ -157,6 +157,11 @@ class TestExitCodes:
          "the coefficient of x is 1, not a string\n"),
         (("solve", "eq2", "--offsets", "0,a"),
          "error: bad rational list '0,a': Invalid literal for Fraction: 'a'\n"),
+        # the base of a non-rational power is printed in parentheses
+        (("genericity", "(1/2)^(1/2)"), "error: cannot interpret equation "
+         "'(1/2)^(1/2)': non-rational literal power (1/2)^(1/2) (at position 11)\n"),
+        (("genericity", "(-1/8)^(1/2)"), "error: cannot interpret equation "
+         "'(-1/8)^(1/2)': non-rational literal power (-1/8)^(1/2) (at position 12)\n"),
     ])
     def test_a_short_argument_is_quoted_whole(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)

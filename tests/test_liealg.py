@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from mongesym import liealg
+from mongesym import liealg, linalg
 from mongesym.catalog import dz13, symmetry_fields
 from mongesym.charts import J2, J20, ChartMismatchError
+from mongesym.cli import main
 from mongesym.fields import VectorField, lie_bracket
 from mongesym.liealg import (ClosureCapExceeded, LieAlgebraPresentation,
                              _verify_combination, analyze, bracket_vec,
@@ -233,6 +234,25 @@ class TestSeries:
         assert rep.lcs_dims == (3, 1, 0)
         assert rep.nilpotent
         assert rep.solvable
+
+    def test_an_unaligned_center_is_scaled_to_one_at_its_free_column(
+            self, eq2_recombinations):
+        # on a recombined S1..S6 basis the center is S6's coordinates, as
+        # Fractions with 1 at the last nonzero entry; one of them has a
+        # half, so a primitive integer center would differ
+        halves = 0
+        for fields in eq2_recombinations:
+            p = close_under_bracket(fields, cap=8)
+            coords = express_in_basis(S["S6"], p.basis)
+            f = max(c for c, x in enumerate(coords) if x)
+            expected = tuple(x / coords[f] for x in coords)
+            rep = analyze(p)
+            assert rep.center == (expected,)
+            assert all(type(x) is Fraction for x in rep.center[0])
+            if rep.center_indices is None:
+                assert rep.to_json()["center"] == [[str(x) for x in expected]]
+            halves += any(x.denominator == 2 for x in expected)
+        assert halves
 
 
 class TestKilling:
@@ -485,6 +505,29 @@ class TestIntegerTensor:
         assert [close_under_bracket(f, cap=len(f)) for f in oracle_fields] == closures
         assert [analyze(LieAlgebraPresentation(tuple(range(len(c))), c))
                 for c in oracle_tensors] == reports
+
+    def test_structure_eq2_sends_no_fraction_into_linalg(self, monkeypatch, capsys):
+        # every row linalg integerizes, and the Killing matrix, are integer
+        # on the whole structure command
+        seen = []
+        integer_row = linalg._integer_row
+        signature = linalg.symmetric_signature
+
+        def row_spy(row):
+            seen.append(row.values())
+            return integer_row(row)
+
+        def signature_spy(matrix):
+            seen.extend(matrix)
+            return signature(matrix)
+
+        monkeypatch.setattr(linalg, "_integer_row", row_spy)
+        monkeypatch.setattr(liealg, "symmetric_signature", signature_spy)
+        assert main(["structure", "eq2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["structure"]["verdict"] == (
+            "sl2_semidirect_heisenberg")
+        assert seen
+        assert not [row for row in seen if any(type(v) is not int for v in row)]
 
 
 class TestZeroTest:

@@ -9,11 +9,13 @@ import pytest
 from mongesym import linalg
 from mongesym.linalg import (KeyedSpan, SparseEchelon, _forced_zeros,
                              canonical_basis, kernel, over_common_denominator,
-                             reduced_rows, solve_exact, sparse_nullspace)
+                             reduced_rows, solve_exact, sparse_nullspace,
+                             symmetric_signature)
 
 from helpers import (primitive_row, reference_canonical_basis,
-                     reference_nullspace, reference_rref, reference_solve,
-                     reference_sparse_nullspace, same_span)
+                     reference_nullspace, reference_root_signature,
+                     reference_rref, reference_solve, reference_sparse_nullspace,
+                     reference_symmetric_signature, same_span)
 
 
 def random_matrix(rng: random.Random):
@@ -103,9 +105,66 @@ def test_canonical_basis_is_the_sympy_rref_over_reversed_columns():
 
 
 def test_kernel_is_the_sympy_nullspace_basis():
+    # one primitive integer vector per free column f, positive at f, its
+    # largest nonzero column; sympy's vector is the same one scaled to x_f = 1
     for seed in SEEDS:
         rows, ncols = random_matrix(random.Random(seed))
-        assert kernel(rows, ncols) == reference_nullspace(rows, ncols), seed
+        got = kernel(rows, ncols)
+        expected = reference_nullspace(rows, ncols)
+        assert len(got) == len(expected), seed
+        for v, w in zip(got, expected):
+            assert len(v) == ncols and all(type(x) is int for x in v), seed
+            f = max(c for c, x in enumerate(v) if x)
+            assert v[f] > 0 and math.gcd(*v) == 1, seed
+            assert tuple(Fraction(x, v[f]) for x in v) == w, seed
+
+
+def random_symmetric(rng: random.Random, n: int):
+    """(kind, matrix): a symmetric integer n x n matrix that is the zero
+    matrix, a rank-deficient B^T D B with B of k < n rows and D = diag(+-1),
+    one with a zero diagonal, or one with entries in -3..3."""
+    kind = rng.choice(("zero", "deficient", "zero_diagonal", "random"))
+    if kind == "zero":
+        return kind, [[0] * n for _ in range(n)]
+    if kind == "deficient":
+        k = rng.randrange(n) if n else 0
+        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+        d = [rng.choice((-1, 1)) for _ in range(k)]
+        return kind, [[sum(d[r] * b[r][i] * b[r][j] for r in range(k))
+                       for j in range(n)] for i in range(n)]
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or kind == "random":
+                m[i][j] = m[j][i] = rng.randint(-3, 3)
+    return kind, m
+
+
+# hand-checked signatures: t^2 - 1 has a zero coefficient, and the last
+# matrix has a zero diagonal and rank 2
+SMALL_SIGNATURES = [
+    ([], (0, 0, 0)),
+    ([[0, 0], [0, 0]], (0, 0, 2)),
+    ([[0, 1], [1, 0]], (1, 1, 0)),
+    ([[1, 0, 0], [0, 0, 0], [0, 0, -2]], (1, 1, 1)),
+    ([[-1, 0], [0, -3]], (0, 2, 0)),
+    ([[0, 4, -2], [4, 0, 0], [-2, 0, 0]], (1, 1, 1)),
+]
+
+
+def test_symmetric_signature_matches_congruence_and_sympy_root_counts():
+    # 360 seeded matrices, n = 0..8; sympy counts the characteristic
+    # polynomial's roots, so it shares nothing with Descartes' rule
+    for m, signature in SMALL_SIGNATURES:
+        assert symmetric_signature(m) == signature, m
+    kinds = set()
+    for seed in range(360):
+        kind, m = random_symmetric(random.Random(seed), seed % 9)
+        kinds.add(kind)
+        got = symmetric_signature(m)
+        assert got == reference_symmetric_signature(m), seed
+        assert got == reference_root_signature(m), seed
+    assert kinds == {"zero", "deficient", "zero_diagonal", "random"}
 
 
 def test_solve_exact_is_none_exactly_when_inconsistent():

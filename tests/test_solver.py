@@ -384,17 +384,18 @@ class TestEliminationCounts:
         ("2*y2^2", (6408, 2667, 1515, 1279, 3135, 11)),
     ])
     def test_flat_at_degree_7(self, key, counts):
-        report = symmetry_dimension(MongeEquation(parse(key, J20)), 7,
-                                    elimination_counts=True)
+        report = symmetry_dimension(MongeEquation(parse(key, J20)), 7)
         assert report.dimension == 14
         assert report.elimination == dict(zip(
             ("rows", "forced_columns", "surviving_rows", "pivots", "pivot_nonzeros",
              "max_pivot_bits"), counts))
 
-    def test_counted_only_when_asked_for(self):
+    def test_reported_only_with_timings(self):
+        # always counted, written to the report only with its timings
         report = symmetry_dimension(flat(), 1)
-        assert report.elimination is None
-        assert "elimination" not in report.to_json(include_timings=True)
+        assert report.elimination["rows"] > 0
+        assert "elimination" not in report.to_json()
+        assert report.to_json(include_timings=True)["elimination"] == report.elimination
 
 
 class TestOracleEquivalence:
