@@ -76,9 +76,6 @@ class VectorField:
     def scale(self, s) -> "VectorField":
         return VectorField(self.chart, tuple(a.scale(s) for a in self.coefficients))
 
-    def mul_expr(self, f: Expr) -> "VectorField":
-        return VectorField(self.chart, tuple(f * a for a in self.coefficients))
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coefficients)
 

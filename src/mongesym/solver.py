@@ -25,9 +25,12 @@ and rates' denominators, so every row is D*E times its rational form, with
 the same primitive form.
 symmetry_dimension builds and eliminates the rows once, at the top degree.
 An unknown's entries do not depend on the other unknowns, so a lower
-degree's system is the top system on that degree's columns; the
-elimination orders the columns by degree, so every degree's rank and
-dimension are read off the one echelon (nullspace).  The singleton
+degree's system is the top system on that degree's columns.  The builder
+numbers every column by its graded position (degree, then ansatz index) as
+it makes the rows, and nullspace hands those very rows to the elimination,
+so every degree's columns are a prefix and every degree's rank and
+dimension are read off the one echelon; only the basis vectors go back to
+ansatz order.  The singleton
 presolve of linalg.sparse_nullspace strikes only unknowns that vanish in
 every top-degree solution, hence in every lower degree's, so every
 degree's dimension and the basis stay exact.
@@ -71,9 +74,9 @@ class AnsatzError(ValueError):
 
 
 # Largest admitted ansatz, in unknowns.  The largest shipped solve,
-# dz13(10,9) at degree 5 in `reproduce`, has 11340 and takes about 0.95 s,
-# 0.2 s of it for the rows (2 cores, Python 3.11); the runtime of a solve
-# near this limit is unmeasured.
+# dz13(10,9) at degree 5 in `reproduce`, has 11340 and takes 0.33-0.53 s,
+# 0.09-0.17 s of it for the rows; flat at degree 13, 42840 unknowns, takes
+# 1.1-1.5 s (2 shared cores, Python 3.11).
 MAX_UNKNOWNS = 50_000
 
 
@@ -82,7 +85,9 @@ class AnsatzSpec:
     """Function class for the unknown field's coefficients.
 
     degree: total-degree bound of the polynomial part (all five coordinates);
-    offsets: admitted exponents q in y2^q multipliers (0 must be present);
+    offsets: admitted exponents q in y2^q multipliers (0 must be present,
+             and no two may differ by an integer k, since y2^(q+k) * m is
+             y2^q times the monomial y2^k * m);
     rates:   admitted rho in exp(rho*x) multipliers (0 must be present).
     """
     degree: int
@@ -98,6 +103,12 @@ class AnsatzSpec:
             raise AnsatzError("offset 0 is required")
         if Fraction(0) not in rates:
             raise AnsatzError("rate 0 is required")
+        residues: dict = {}  # q mod 1 -> the first offset with that residue
+        for q in offs:
+            p = residues.setdefault(q % 1, q)
+            if p != q:
+                raise AnsatzError(f"offsets {p} and {q} differ by an integer, "
+                                  "so one function would get two columns")
         unknowns = 5 * math.comb(self.degree + 5, 5) * len(offs) * len(rates)
         if unknowns > MAX_UNKNOWNS:
             raise AnsatzError(
@@ -149,9 +160,6 @@ class UnknownBasis(NamedTuple):
                                    self.rate.denominator)),)
         return tuple(exps), atoms
 
-    def coefficient_expr(self) -> Expr:
-        return Expr.from_raw(J20, [(1, *self.term())])
-
     def partials(self, E: int):
         """The coefficient and its five first partials, times E.
 
@@ -201,6 +209,24 @@ class Ansatz:
         return [[block + d * n + i for d in range(5)]
                 for block in range(0, self.size, 5 * n) for i in range(n)]
 
+    def graded_columns(self) -> list:
+        """The graded position of each column: the columns ordered by the
+        total degree of their unknown, then by ansatz index, so that the
+        unknowns of degree <= k come first.  Read off build_ansatz's layout:
+        m blocks of n columns, one per (rate, offset, direction), each
+        holding the n monomials ascending by degree, so the n_k columns of
+        degree k in block g sit after the m*s_k columns of lower degree
+        (s_k monomials) and the g*n_k of degree k in earlier blocks."""
+        n = math.comb(self.spec.degree + 5, 5)
+        m = self.size // n
+        degrees = [sum(u.exponents) for u in self.unknowns[:n]]
+        base, stride = [], []  # per monomial: its column in block 0, its n_k
+        for k in range(self.spec.degree + 1):
+            s, n_k = bisect_left(degrees, k), degrees.count(k)
+            base.extend(range(m * s, m * s + n_k))
+            stride.extend([n_k] * n_k)
+        return [b + g * w for g in range(m) for b, w in zip(base, stride)]
+
 
 def build_ansatz(spec: AnsatzSpec) -> Ansatz:
     monos = monomials_up_to(spec.degree)
@@ -220,11 +246,8 @@ def build_ansatz(spec: AnsatzSpec) -> Ansatz:
 @dataclass
 class DeterminingSystem:
     ansatz: Ansatz
-    rows: dict  # (residual_id, monomial, atoms) -> {column: int}
-
-    @property
-    def n_unknowns(self) -> int:
-        return self.ansatz.size
+    rows: list   # the nonempty rows, {graded column: int}
+    slots: dict  # (monomial, atoms) -> its six rows, one per residual id
 
     @property
     def n_rows(self) -> int:
@@ -245,7 +268,8 @@ def compile_operator(distribution: Distribution2) -> tuple:
     (k = 0, 1) residual 3k + r has Lj = -X_k[j] * M(e_i)[r], M the
     membership residuals.  Entry i lists direction i's nonzero coefficients
     as (residual, order, Expr) triples, by order, then residual; order -1
-    multiplies a, order j da/du_j.
+    multiplies a, order j da/du_j.  A product with a zero factor is zero,
+    so it is not formed.
     """
     brackets = (distribution.X1, distribution.X2)
     operator = []
@@ -255,14 +279,15 @@ def compile_operator(distribution: Distribution2) -> tuple:
         members = membership_residuals(e, distribution)
         terms.extend((3 * k + r, j, -(x.coefficients[j] * m))
                      for j in range(5) for k, x in enumerate(brackets)
-                     for r, m in enumerate(members))
+                     if x.coefficients[j].terms
+                     for r, m in enumerate(members) if m.terms)
         operator.append(tuple(t for t in terms if t[2].terms))
     return tuple(operator)
 
 
 def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
     """Collect the exact linear rows of the ansatz from the compiled operator,
-    as integer rows.
+    as integer rows in graded columns.
 
     Every entry is an operator coefficient times a partial's scalar (an
     exponent, a y2^q offset or an exp(rho*x) rate).  The operator's
@@ -275,14 +300,19 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
 
     The columns come one coefficient function at a time
     (Ansatz.coefficient_functions), so its partials are built once for its
-    five directions.  Each distinct (monomial, atoms)
+    five directions, and each column is numbered at once by its graded
+    position (Ansatz.graded_columns), the order nullspace eliminates in.
+    Each distinct (monomial, atoms)
     product of an operator term and a partial is canonicalized once, so the
     row keys are those of the expanded residuals; a product that
     expr.product_is_canonical calls canonical is taken as it stands.  The
     operator's terms are canonical (checked once per distinct term) and an
     unknown adds only y2^q and exp(rho*x), so a product with a coefficient
     other than 1 or a polynomial factor raises ArithmeticError.  Cancelled
-    entries go at once, and rows they empty at the end.
+    entries go at once, and rows they empty at the end.  The system holds
+    the nonempty rows as a list, residual by residual within each key in
+    the order the keys arose, and, as slots, each (monomial, atoms) key's
+    six rows, one per residual id (None or empty where there is none).
     """
     spec = ansatz.spec
     D = math.lcm(*(e.den for terms in operator for _, _, e in terms))
@@ -295,6 +325,7 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
                   ids.setdefault(a, len(ids)), bare_coords(a))
                  for rid, order, e in terms for c, m, a in e.terms]
                 for terms in operator]
+    graded = ansatz.graded_columns()
     keys: dict = {}  # a row's (monomial, atoms) -> its six rows, one per residual
     # unknown atoms -> per operator atoms id, {product monomial: the same}
     canonical: dict = {}
@@ -302,7 +333,7 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
         atoms, factors = ansatz.unknowns[cols[0]].partials(E)
         known = canonical.setdefault(atoms, [{} for _ in ids])
         bare = bare_coords(atoms)
-        for col, terms in zip(cols, operator):  # one column per direction
+        for col, terms in zip([graded[c] for c in cols], operator):  # one per direction
             for rid, order, c, m, a, aid, b in terms:
                 for k, s in factors[order + 1]:
                     mono = mono_mul(m, s)
@@ -325,17 +356,17 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
                         row[col] = v
                     else:
                         del row[col]
-    rows = {(rid, *key): row for key, slots in keys.items()
-            for rid, row in enumerate(slots) if row}
-    return DeterminingSystem(ansatz, rows)
+    rows = [row for slots in keys.values() for row in slots if row]
+    return DeterminingSystem(ansatz, rows, keys)
 
 
 def nullspace(system: DeterminingSystem, counts: dict | None = None):
     """Dimension table of every degree and the top-degree basis, from one
     graded elimination.
 
-    The columns are eliminated in graded order, by (total degree of the
-    unknown, ansatz index), so the unknowns of degree <= k form a prefix.
+    The rows come in graded columns, by (total degree of the unknown,
+    ansatz index), so the unknowns of degree <= k form a prefix, and go to
+    sparse_nullspace as the builder made them.
     A pivot row whose pivot lies past the prefix is zero on it, so the rank
     at degree k is the number of pivots inside the prefix, and the
     dimension is the number of basis vectors whose free (largest) column
@@ -345,31 +376,25 @@ def nullspace(system: DeterminingSystem, counts: dict | None = None):
     (table, basis): table holds one {degree, unknowns, rows, dimension}
     entry per degree, where a row counts from the lowest degree of its
     unknowns on, in the rows as built; basis holds the integer vectors of
-    the top degree in ansatz column order, in the form an elimination in
-    that order gives (linalg.canonical_basis).  A dict given as counts
-    receives the elimination's sizes (sparse_nullspace).
+    the top degree mapped back to ansatz column order, in the form an
+    elimination in that order gives (linalg.canonical_basis).  A dict given
+    as counts receives the elimination's sizes (sparse_nullspace).
     """
-    unknowns = system.ansatz.unknowns
-    ncols = len(unknowns)
-    degree_of = [sum(u.exponents) for u in unknowns]
-    order = sorted(range(ncols), key=lambda c: (degree_of[c], c))
-    graded = [0] * ncols
-    for p, c in enumerate(order):
-        graded[c] = p
-    graded_rows = [{graded[c]: v for c, v in row.items()}
-                   for row in system.rows.values()]
-    _, vectors = sparse_nullspace(graded_rows, ncols, counts)
-    degrees = sorted(degree_of)
-    lows = sorted(map(min, graded_rows))
+    ansatz = system.ansatz
+    ncols = ansatz.size
+    _, vectors = sparse_nullspace(system.rows, ncols, counts)
+    degrees = sorted(sum(u.exponents) for u in ansatz.unknowns)
+    lows = sorted(map(min, system.rows))
     # a vector's free column is its last nonzero entry, read from the end
     frees = [next(itertools.compress(range(ncols - 1, -1, -1), reversed(v)))
              for v in vectors]  # ascending
     table = []
-    for degree in range(system.ansatz.spec.degree + 1):
+    for degree in range(ansatz.spec.degree + 1):
         end = bisect_right(degrees, degree)  # the degree's prefix is [0, end)
         table.append({"degree": degree, "unknowns": end,
                       "rows": bisect_left(lows, end),
                       "dimension": bisect_left(frees, end)})
+    graded = ansatz.graded_columns()
     basis = canonical_basis([tuple([v[g] for g in graded]) for v in vectors])
     return table, basis
 

@@ -171,6 +171,23 @@ def reference_root_signature(matrix):
     return tuple(counts)
 
 
+def field_rank(fields) -> int:
+    """sympy's rank of vector fields, each a row over the (direction,
+    monomial, atoms) keys of its coefficients."""
+    keys: dict = {}
+    rows = []
+    for f in fields:
+        row = {}
+        for i, e in enumerate(f.coefficients):
+            for k, t in enumerate(e.terms):
+                row[keys.setdefault((i, t.monomial, t.atoms), len(keys))] = e.coefficient(k)
+        rows.append(row)
+    if not rows:
+        return 0
+    return sympy_matrix([[row.get(j, 0) for j in range(len(keys))] for row in rows],
+                        len(keys)).rank()
+
+
 def primitive_row(row: dict) -> dict:
     """A rational row scaled to primitive integers, positive at its lowest
     column."""
@@ -431,13 +448,33 @@ def flow_commutator(v: VectorField, w: VectorField, point: dict, t: float = 1 / 
 # brute-force symmetry solver for low degrees (independent of the sparse path)
 # ---------------------------------------------------------------------------
 
+def coefficient_expr(u) -> Expr:
+    """An ansatz unknown's coefficient function as an Expr."""
+    return Expr.from_raw(J20, [(1, *u.term())])
+
+
+def mul_expr(field: VectorField, f: Expr) -> VectorField:
+    """The field f*V, coefficient by coefficient."""
+    return VectorField(field.chart, tuple(f * a for a in field.coefficients))
+
+
+def keyed_rows(system) -> dict:
+    """A determining system's rows keyed by (residual, monomial, atoms), in
+    ansatz columns, read off the builder's slots: the view the rows had
+    before they went to the elimination in graded columns."""
+    ansatz_column = {g: c for c, g in enumerate(system.ansatz.graded_columns())}
+    return {(rid, *key): {ansatz_column[g]: v for g, v in row.items()}
+            for key, slots in system.slots.items()
+            for rid, row in enumerate(slots) if row}
+
+
 def reference_rows(distribution, ansatz) -> dict:
     """Determining rows by expanding fields.symmetry_residuals of every
     unknown's field: (residual, monomial, atoms) -> {column: coefficient}."""
     rows: dict = {}
     for col, u in enumerate(ansatz.unknowns):
         coeffs = [Expr.zero(J20)] * 5
-        coeffs[u.direction] = u.coefficient_expr()
+        coeffs[u.direction] = coefficient_expr(u)
         field = VectorField(J20, tuple(coeffs))
         for rid, e in enumerate(symmetry_residuals(field, distribution)):
             for k, t in enumerate(e.terms):
@@ -475,7 +512,7 @@ def reference_determining_rows(operator, ansatz) -> dict:
     (residual, monomial, atoms) -> {column: Fraction}."""
     rows: dict = {}
     for col, u in enumerate(ansatz.unknowns):
-        coefficient = u.coefficient_expr()
+        coefficient = coefficient_expr(u)
         partials = [coefficient] + [coefficient.diff(c) for c in J20.coords]
         for rid, order, e in operator[u.direction]:
             p = partials[order + 1]
@@ -508,7 +545,7 @@ def reference_assemble(ansatz, vector) -> VectorField:
     coeffs = [Expr.zero(J20) for _ in range(5)]
     for c, u in zip(vector, ansatz.unknowns):
         if c:
-            coeffs[u.direction] = coeffs[u.direction] + u.coefficient_expr().scale(c)
+            coeffs[u.direction] = coeffs[u.direction] + coefficient_expr(u).scale(c)
     return VectorField(J20, tuple(coeffs))
 
 
@@ -521,12 +558,13 @@ def reference_graded_solve(distribution, spec):
         system = determining_equations(
             operator, build_ansatz(AnsatzSpec(degree, spec.offsets, spec.rates)))
         int_rows = []
-        for row in system.rows.values():
+        for row in keyed_rows(system).values():
             denom = math.lcm(*(Fraction(v).denominator for v in row.values()))
             int_rows.append({c: int(Fraction(v) * denom) for c, v in row.items()})
-        rank, basis = sparse_nullspace(int_rows, system.n_unknowns)
-        table.append({"degree": degree, "unknowns": system.n_unknowns,
-                      "rows": system.n_rows, "dimension": system.n_unknowns - rank})
+        n = system.ansatz.size
+        rank, basis = sparse_nullspace(int_rows, n)
+        table.append({"degree": degree, "unknowns": n,
+                      "rows": system.n_rows, "dimension": n - rank})
     return table, basis
 
 

@@ -200,6 +200,21 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # y2^(q+k) * m and y2^q * (y2^k * m) would be one function in two
+    # columns, so such offsets would put zero fields into the kernel
+    @pytest.mark.parametrize("equation,degree,offsets,pair", [
+        ("flat", "2", "0,1", "0 and 1"),
+        ("eq2", "2", "0,1/3,4/3", "1/3 and 4/3"),
+        ("y2^(1/3)", "4", "-2/3,-1/3,0,1/3,2/3", "-2/3 and 1/3"),
+    ])
+    def test_offsets_that_differ_by_an_integer_are_two(self, capsys, equation, degree,
+                                                       offsets, pair):
+        code, out, err = run(capsys, "solve", "--degree", degree, "--offsets", offsets,
+                             "--", equation)
+        assert (code, out) == (2, "")
+        assert err == (f"error: offsets {pair} differ by an integer, "
+                       "so one function would get two columns\n")
+
     @pytest.mark.parametrize("field", [
         '{"chart":"J20","coefficients":{"w":"1"}}',  # not a coordinate
         '{"chart":"J2","coefficients":{"z":"1"}}',  # not on this chart

@@ -22,7 +22,7 @@ from mongesym.fields import (MongeEquation, ProjectionError, VectorField,
 from mongesym.parser import parse
 from mongesym.solver import symmetry_dimension
 
-from helpers import flow_commutator, reference_bracket
+from helpers import flow_commutator, mul_expr, reference_bracket
 
 
 def P(text, chart=J20):
@@ -153,7 +153,7 @@ class TestMembership:
 
     def test_reconstruction(self):
         d = distribution_from_monge(eq2())
-        v = d.X1.mul_expr(P("3*y1")) + d.X2.mul_expr(P("x"))
+        v = mul_expr(d.X1, P("3*y1")) + mul_expr(d.X2, P("x"))
         w = in_distribution(v, d)
         assert w is not None
         assert str(w.alpha) == "3*y1" and str(w.beta) == "x"

@@ -22,10 +22,10 @@ from mongesym.solver import (MAX_UNKNOWNS, AnsatzError, AnsatzSpec,
                              exp_rates_for, maximality_argument, nullspace,
                              symmetry_dimension)
 
-from helpers import (brute_force_symmetry_space, primitive_row, random_expr,
-                     reference_assemble, reference_compile_operator,
-                     reference_determining_rows, reference_graded_solve,
-                     reference_rows, same_span)
+from helpers import (brute_force_symmetry_space, coefficient_expr, field_rank,
+                     keyed_rows, primitive_row, random_expr, reference_assemble,
+                     reference_compile_operator, reference_determining_rows,
+                     reference_graded_solve, reference_rows, same_span)
 
 
 class TestAnsatz:
@@ -43,8 +43,8 @@ class TestAnsatz:
         rates = exp_rates_for(dz13(10, 9))
         assert 4 * 5 * 252 * len(rates) <= MAX_UNKNOWNS
         AnsatzSpec(5, rates=rates)
-        with pytest.raises(AnsatzError):  # 19 offsets: 190190 unknowns
-            AnsatzSpec(9, offsets=range(-9, 10))
+        with pytest.raises(AnsatzError, match="more than 50000"):  # 190190 unknowns
+            AnsatzSpec(9, offsets=[Fraction(k, 19) for k in range(-9, 10)])
 
     def test_deterministic_enumeration(self):
         a1 = build_ansatz(AnsatzSpec(2))
@@ -56,10 +56,9 @@ class TestAnsatz:
         assert a.assemble([0] * a.size).is_zero()
 
     def test_assemble_matches_a_running_sum(self):
-        # offset 1 makes y2*m and m*y2^1 the same function, so terms merge
-        # and cancel across unknowns
         rng = random.Random(5)
-        a = build_ansatz(AnsatzSpec(2, offsets=(0, 1, Fraction(1, 3)), rates=(0, -2)))
+        a = build_ansatz(AnsatzSpec(2, offsets=(0, Fraction(1, 3), Fraction(-1, 3)),
+                                    rates=(0, -2)))
         for _ in range(20):
             v = [0] * a.size
             for c in rng.sample(range(a.size), 40):
@@ -83,9 +82,9 @@ class TestDeterminingSystem:
         d = distribution_from_monge(eq2())
         system = determining_equations(compile_operator(d), build_ansatz(AnsatzSpec(1)))
         # every entry indexes an unknown column: the zero vector always solves
-        for row in system.rows.values():
-            assert all(0 <= col < system.n_unknowns for col in row)
-        zero_field = system.ansatz.assemble([0] * system.n_unknowns)
+        for row in system.rows:
+            assert all(0 <= col < system.ansatz.size for col in row)
+        zero_field = system.ansatz.assemble([0] * system.ansatz.size)
         assert is_symmetry(zero_field, d).ok
 
 
@@ -101,10 +100,10 @@ class TestRowBuilder:
         ansatz = build_ansatz(AnsatzSpec(0))
         y = (0, 1, 0, 0, 0)
         cancel = ((0, -1, parse("y", J20)), (0, -1, parse("-y", J20)))
-        assert determining_equations(self.operator(*cancel), ansatz).rows == {}
+        assert determining_equations(self.operator(*cancel), ansatz).rows == []
         x = (1, 0, 0, 0, 0)
         survive = (1, -1, parse("2*x", J20))
-        rows = determining_equations(self.operator(*cancel, survive), ansatz).rows
+        rows = keyed_rows(determining_equations(self.operator(*cancel, survive), ansatz))
         assert rows == {(1, x, ()): {c: Fraction(2) for c in range(5)}}
 
     @pytest.mark.parametrize("base,exponent", [
@@ -139,6 +138,15 @@ class TestRowBuilder:
         monkeypatch.undo()
         assert hashed == []
         assert functions == list(grouped.values())
+
+    @pytest.mark.parametrize("spec", [
+        AnsatzSpec(0), AnsatzSpec(3),
+        AnsatzSpec(2, offsets=(0, Fraction(1, 3)), rates=(0, 2, Fraction(-1, 2)))])
+    def test_graded_columns_order_by_degree_then_index(self, spec):
+        ansatz = build_ansatz(spec)
+        order = sorted(range(ansatz.size),
+                       key=lambda c: (sum(ansatz.unknowns[c].exponents), c))
+        assert [ansatz.graded_columns()[c] for c in order] == list(range(ansatz.size))
 
     def test_partials_once_per_coefficient_function(self, monkeypatch):
         calls = []
@@ -176,7 +184,7 @@ class TestIntegerRows:
     @pytest.mark.parametrize("key,offsets,rates", INTEGER_ROW_CASES)
     def test_rows_are_the_rational_rows_scaled(self, key, offsets, rates):
         operator, ansatz = integer_row_case(key, offsets, rates)
-        rows = determining_equations(operator, ansatz).rows
+        rows = keyed_rows(determining_equations(operator, ansatz))
         reference = reference_determining_rows(operator, ansatz)
         assert rows.keys() == reference.keys()
         for k, row in rows.items():
@@ -188,7 +196,7 @@ class TestIntegerRows:
         D = math.lcm(*(e.den for terms in operator for _, _, e in terms))
         E = math.lcm(*(v.denominator for v in ansatz.spec.offsets + ansatz.spec.rates))
         assert D > 1 and E > 1
-        rows = determining_equations(operator, ansatz).rows
+        rows = keyed_rows(determining_equations(operator, ansatz))
         reference = reference_determining_rows(operator, ansatz)
         assert all(v == D * E * reference[k][c]
                    for k, row in rows.items() for c, v in row.items())
@@ -212,7 +220,7 @@ class TestIntegerRows:
         for u in ansatz.unknowns[::7]:
             atoms, factors = u.partials(E)
             assert all(type(k) is int for f in factors for k, _ in f)
-            coefficient = u.coefficient_expr()
+            coefficient = coefficient_expr(u)
             expected = [coefficient] + [coefficient.diff(c) for c in J20.coords]
             for f, partial in zip(factors, expected):
                 got = Expr.from_raw(J20, [(k, s, atoms) for k, s in f])
@@ -263,11 +271,11 @@ class TestIntegerRows:
             return canonical_term(*args)
 
         monkeypatch.setattr(solver, "_canonical_term", counted)
-        rows = determining_equations(operator, ansatz).rows
+        rows = keyed_rows(determining_equations(operator, ansatz))
         with_rule = len(calls)
         calls.clear()
         monkeypatch.setattr(solver, "product_is_canonical", lambda *args: False)
-        assert determining_equations(operator, ansatz).rows == rows
+        assert keyed_rows(determining_equations(operator, ansatz)) == rows
         assert with_rule < len(calls)
 
 
@@ -287,7 +295,7 @@ class TestCompiledOperator:
         m = get_equation(key)
         d = distribution_from_monge(m)
         ansatz = build_ansatz(AnsatzSpec(2, offsets=offsets, rates=exp_rates_for(m)))
-        rows = determining_equations(compile_operator(d), ansatz).rows
+        rows = keyed_rows(determining_equations(compile_operator(d), ansatz))
         reference = reference_rows(d, ansatz)
         assert rows.keys() == reference.keys()
         assert all(primitive_row(row) == primitive_row(reference[k])
@@ -320,6 +328,8 @@ class TestGradedElimination:
         ("dz13(5,4)", 3, (0,)),
         ("eq2", 2, (0, Fraction(1, 3), Fraction(-1, 3))),
         ("strazzullo", 2, (0, Fraction(1, 3), Fraction(2, 3))),
+        # seven rates by two offsets: the graded numbering spans 14 blocks
+        ("dz13(5,4)", 2, (0, Fraction(1, 3))),
     ])
     def test_matches_a_solve_per_degree(self, key, degree, offsets):
         from mongesym.catalog import get_equation
@@ -328,6 +338,26 @@ class TestGradedElimination:
         spec = AnsatzSpec(degree, offsets=offsets, rates=exp_rates_for(m))
         system = determining_equations(compile_operator(d), build_ansatz(spec))
         assert nullspace(system) == reference_graded_solve(d, spec)
+
+    def test_the_builder_rows_go_to_the_elimination_as_they_are(self, monkeypatch):
+        handed = []
+        elimination = solver.sparse_nullspace
+
+        def spy(rows, ncols, counts=None):
+            handed.append(rows)
+            return elimination(rows, ncols, counts)
+
+        monkeypatch.setattr(solver, "sparse_nullspace", spy)
+        m = dz13(5, 4)
+        spec = AnsatzSpec(2, offsets=(0, Fraction(1, 3)), rates=exp_rates_for(m))
+        system = determining_equations(compile_operator(distribution_from_monge(m)),
+                                       build_ansatz(spec))
+        built = [dict(row) for row in system.rows]
+        nullspace(system)
+        [rows] = handed
+        assert len(rows) == len(system.rows) > 0
+        assert all(a is b for a, b in zip(rows, system.rows))
+        assert system.rows == built  # and the elimination leaves them as they were
 
     def test_report_matches_a_solve_per_degree(self):
         r = symmetry_dimension(eq2(), 3, offsets=(0, Fraction(1, 3)))
@@ -342,9 +372,9 @@ class TestGradedElimination:
         ansatz = build_ansatz(AnsatzSpec(1))
         low = [c for c, u in enumerate(ansatz.unknowns) if not sum(u.exponents)]
         high = [c for c, u in enumerate(ansatz.unknowns) if sum(u.exponents)]
-        rows = {"a": {low[0]: Fraction(1)},
-                "b": {high[1]: Fraction(2), high[2]: Fraction(-1, 3)}}
-        table, basis = nullspace(DeterminingSystem(ansatz, rows))
+        graded = ansatz.graded_columns()
+        rows = [{graded[low[0]]: 1}, {graded[high[1]]: 6, graded[high[2]]: -1}]
+        table, basis = nullspace(DeterminingSystem(ansatz, rows, {}))
         assert table == [
             {"degree": 0, "unknowns": 5, "rows": 1, "dimension": 4},
             {"degree": 1, "unknowns": 30, "rows": 2, "dimension": 28}]
@@ -390,6 +420,14 @@ class TestEliminationCounts:
             ("rows", "forced_columns", "surviving_rows", "pivots", "pivot_nonzeros",
              "max_pivot_bits"), counts))
 
+    def test_dz13_10_9_at_degree_5(self):
+        # the largest shipped solve: 11340 unknowns in nine rate blocks
+        report = symmetry_dimension(dz13(10, 9), 5)
+        assert report.dimension == 14
+        assert report.elimination == dict(zip(
+            ("rows", "forced_columns", "surviving_rows", "pivots", "pivot_nonzeros",
+             "max_pivot_bits"), (27101, 6677, 5866, 4649, 18980, 29)))
+
     def test_reported_only_with_timings(self):
         # always counted, written to the report only with its timings
         report = symmetry_dimension(flat(), 1)
@@ -421,6 +459,22 @@ class TestOracleEquivalence:
 
 
 class TestSoundness:
+    # no basis field is zero and the fields are independent: a kernel that
+    # held one function in two columns would break both
+    @pytest.mark.parametrize("key,degree,offsets", [
+        ("eq2", 2, (0,)),
+        ("eq2", 3, (0, Fraction(1, 3))),
+        ("eq2", 2, (0, Fraction(1, 3), Fraction(-1, 3))),
+        ("flat", 4, (0,)),
+        ("dz13(5,4)", 2, (0,)),
+        ("strazzullo", 2, (0, Fraction(1, 3), Fraction(2, 3))),
+        ("dz13(10,9)", 5, (0,)),
+    ])
+    def test_the_basis_fields_are_independent(self, key, degree, offsets):
+        r = symmetry_dimension(get_equation(key), degree, offsets=offsets)
+        assert not any(f.is_zero() for f in r.basis)
+        assert field_rank(r.basis) == r.dimension == len(r.basis)
+
     def test_every_nullspace_vector_is_a_symmetry(self):
         for key, degree in (("eq2", 2), ("flat", 3), ("dz13(5,4)", 2)):
             from mongesym.catalog import get_equation
