@@ -16,9 +16,8 @@ from .fields import (Distribution2, MongeEquation, ProjectionError,
                      frame_determinant, frame_fields, genericity_hessian,
                      in_distribution, is_symmetry, lie_bracket,
                      membership_residuals, project_to_j2, prolong_plane_field)
-from .catalog import (CatalogKeyError, dz13, eq1, eq2, equiaffine_generators,
-                      flat, get_equation, get_field, strazzullo,
-                      symmetry_fields)
+from .catalog import (CatalogKeyError, dz13, eq1, eq2, flat, get_equation,
+                      get_field, strazzullo, symmetry_fields)
 from .liealg import (ClosureCapExceeded, LieAlgebraPresentation,
                      StructureReport, analyze, close_under_bracket,
                      express_in_basis)

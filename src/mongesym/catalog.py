@@ -24,6 +24,10 @@ class CatalogKeyError(KeyError):
     pass
 
 
+class CatalogParameterError(CatalogKeyError):
+    """A known equation family with parameters it does not take."""
+
+
 # S key -> {J20 coordinate: coefficient text}; absent coordinates are 0.
 SYMMETRY_FIELDS = {
     "S1": {"y": "x", "y1": "1", "z": "1/2*x^2"},
@@ -52,11 +56,6 @@ def _plane_pair(key: str) -> tuple:
 def symmetry_fields() -> dict:
     """The six symmetry generators of the cubic-root equation z' = y + y2^(1/3)."""
     return {key: get_field(key) for key in SYMMETRY_FIELDS}
-
-
-def equiaffine_generators() -> dict:
-    """Plane generators of the area-preserving affine action, as (xi, eta) pairs."""
-    return {key: _plane_pair(key) for key in EQUIAFFINE}
 
 
 def eq2() -> MongeEquation:
@@ -95,18 +94,19 @@ def get_equation(key: str) -> MongeEquation:
     if key == "strazzullo":
         return strazzullo()
     m = _PARAM.match(key)
-    if m:
-        name, raw = m.group(1), m.group(2)
-        args = [a.strip() for a in raw.split(",")] if raw.strip() else []
-        try:
-            values = [Fraction(a) for a in args]
-        except (ValueError, ZeroDivisionError):
-            raise CatalogKeyError(f"non-rational parameter in {key!r}") from None
-        if name == "eq1" and len(values) == 1:
-            return eq1(values[0])
-        if name == "dz13" and len(values) == 2:
-            return dz13(values[0], values[1])
-    raise CatalogKeyError(f"unknown equation key {key!r}")
+    family = m and {"eq1": (eq1, 1), "dz13": (dz13, 2)}.get(m.group(1))
+    if not family:
+        raise CatalogKeyError(f"unknown equation key {key!r}")
+    make, count = family
+    args = [a.strip() for a in m.group(2).split(",")] if m.group(2).strip() else []
+    try:
+        values = [Fraction(a) for a in args]
+    except (ValueError, ZeroDivisionError):
+        raise CatalogParameterError(f"non-rational parameter in {key!r}") from None
+    if len(values) != count:
+        raise CatalogParameterError(f"{key!r} has {len(values)} parameters, "
+                                    f"where {m.group(1)} takes {count}")
+    return make(*values)
 
 
 def get_field(key: str) -> VectorField:

@@ -42,6 +42,8 @@ class UsageError(Exception):
 def _load_equation(source: str) -> MongeEquation:
     try:
         return catalog.get_equation(source)
+    except catalog.CatalogParameterError as exc:
+        raise UsageError(exc.args[0]) from None
     except catalog.CatalogKeyError:
         pass
     try:

@@ -52,10 +52,6 @@ class VectorField:
         return VectorField(chart, tuple(parse(text, chart) for text in texts))
 
     @staticmethod
-    def zero(chart: Chart) -> "VectorField":
-        return VectorField(chart, tuple(Expr.zero(chart) for _ in chart.coords))
-
-    @staticmethod
     def coordinate(chart: Chart, name: str) -> "VectorField":
         idx = chart.index(name)
         return VectorField(chart, tuple(
@@ -87,11 +83,13 @@ class VectorField:
             for c in self.coefficients)
 
     @cached_property
-    def integer_coefficients(self) -> tuple:
-        """Each coefficient's own form (den, numerators), numerators mapping
-        every canonical (monomial, atoms) key to its integer numerator."""
-        return tuple((c.den, {(t.monomial, t.atoms): t.numerator for t in c.terms})
-                     for c in self.coefficients)
+    def integer_form(self) -> tuple:
+        """The field as (numerators, den): integer numerators over den, the
+        lcm of the coefficients' denominators, keyed by canonical-form
+        (direction, monomial, atoms)."""
+        den = math.lcm(*(e.den for e in self.coefficients))
+        return ({(i, t.monomial, t.atoms): t.numerator * (den // e.den)
+                 for i, e in enumerate(self.coefficients) for t in e.terms}, den)
 
     def to_json(self) -> dict:
         return {"chart": self.chart.name,

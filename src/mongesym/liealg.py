@@ -2,14 +2,14 @@
 
 The entry point is close_under_bracket, which grows a basis until brackets
 close and records each bracket's exact rational coordinates as it goes.
-Coordinates come from a linalg.KeyedSpan of the fields' integer numerators
-over their canonical-form (direction, monomial, atoms) keys, one denominator
-per field: the closure keeps one for its whole run, and express_in_basis
-builds one from the basis.  An integer zero-test of the resulting combination
-confirms every answer: each coefficient is an Expr, integer numerators over
-one denominator (VectorField.integer_coefficients), and v - sum c_k b_k
-vanishes when, over the lcm of d_v and of each c_k.denominator * d_k, every
-key's integer sum is zero.
+Every field is read through one integer form (VectorField.integer_form):
+its numerators over canonical-form (direction, monomial, atoms) keys and
+one denominator, the lcm of its coefficients' denominators, built once per
+field.  Coordinates come from a linalg.KeyedSpan of those forms: the
+closure keeps one for its whole run, and express_in_basis builds one from
+the basis.  An integer zero-test on the same forms confirms every answer:
+v - sum c_k b_k vanishes when, over the lcm of d_v and of each
+c_k.denominator * d_k, every key's integer sum is zero.
 
 analyze works on one integer tensor: the constants over their common
 denominator D, stored sparse per (i, j) as (k, D * c_ijk) pairs.  Every
@@ -58,15 +58,6 @@ class ClosureCapExceeded(RuntimeError):
 # expressing fields in a basis
 # ---------------------------------------------------------------------------
 
-def _key_row(f: VectorField):
-    """The coefficients of f over canonical-form (direction, monomial,
-    atoms) keys, as (numerators, den): integer numerators over den, the lcm
-    of the coefficients' denominators."""
-    den = math.lcm(*(e.den for e in f.coefficients))
-    return ({(i, t.monomial, t.atoms): t.numerator * (den // e.den)
-             for i, e in enumerate(f.coefficients) for t in e.terms}, den)
-
-
 def express_in_basis(v: VectorField, basis):
     """Exact rational coordinates of v in the basis, or None when not in the span.
 
@@ -75,7 +66,7 @@ def express_in_basis(v: VectorField, basis):
     """
     for f in (*basis, v):
         require_same_chart(f, basis[0] if basis else v)
-    coords = coordinates([_key_row(b) for b in basis], _key_row(v))
+    coords = coordinates([b.integer_form for b in basis], v.integer_form)
     if coords is not None:
         _verify_combination(v, basis, coords)
     return coords
@@ -83,23 +74,23 @@ def express_in_basis(v: VectorField, basis):
 
 def _verify_combination(v: VectorField, basis, coords) -> None:
     """The zero-test behind every answer: raise unless
-    v - sum(coords[k] * basis[k]) is zero.  On each coefficient's integer
-    form, numerators n over one denominator d per field, every term is
-    brought to the lcm L of d_v and of each c_k.denominator * d_k, and each
-    canonical key's integer sum must vanish."""
-    for i, (dv, nv) in enumerate(v.integer_coefficients):
-        parts = [(c, d * c.denominator, nb)
-                 for c, b in zip(coords, basis) if c
-                 for d, nb in (b.integer_coefficients[i],) if nb]
-        lcm = math.lcm(dv, *(den for _, den, _ in parts))
-        f = lcm // dv
-        total = {key: f * x for key, x in nv.items()}
-        for c, den, nb in parts:
-            f = c.numerator * (lcm // den)
-            for key, x in nb.items():
-                total[key] = total.get(key, 0) - f * x
-        if any(total.values()):
-            raise ArithmeticError("key match and zero-test disagree")
+    v - sum(coords[k] * basis[k]) is zero.  On each field's integer form,
+    numerators n over one denominator d, every term is brought to the lcm L
+    of d_v and of each c_k.denominator * d_k, and each canonical key's
+    integer sum must vanish."""
+    nv, dv = v.integer_form
+    parts = [(c, d * c.denominator, nb)
+             for c, b in zip(coords, basis) if c
+             for nb, d in (b.integer_form,) if nb]
+    lcm = math.lcm(dv, *(den for _, den, _ in parts))
+    f = lcm // dv
+    total = {key: f * x for key, x in nv.items()}
+    for c, den, nb in parts:
+        f = c.numerator * (lcm // den)
+        for key, x in nb.items():
+            total[key] = total.get(key, 0) - f * x
+    if any(total.values()):
+        raise ArithmeticError("key match and zero-test disagree")
 
 
 def close_under_bracket(fields, cap: int = 32) -> "LieAlgebraPresentation":
@@ -119,7 +110,7 @@ def close_under_bracket(fields, cap: int = 32) -> "LieAlgebraPresentation":
 
     def place(f):
         """Coordinates of f over the basis, adding f when it lies outside."""
-        coords = span.place(*_key_row(f))
+        coords = span.place(*f.integer_form)
         if coords is not None:
             _verify_combination(f, basis, coords)
             return coords

@@ -25,12 +25,13 @@ and rates' denominators, so every row is D*E times its rational form, with
 the same primitive form.
 symmetry_dimension builds and eliminates the rows once, at the top degree.
 An unknown's entries do not depend on the other unknowns, so a lower
-degree's system is the top system on that degree's columns.  The builder
-numbers every column by its graded position (degree, then ansatz index) as
-it makes the rows, and nullspace hands those very rows to the elimination,
-so every degree's columns are a prefix and every degree's rank and
-dimension are read off the one echelon; only the basis vectors go back to
-ansatz order.  The singleton
+degree's system is the top system on that degree's columns.  build_ansatz
+fixes every column's graded position (degree, then ansatz index) and every
+degree's prefix end in closed form; the builder numbers the columns by
+those positions as it makes the rows, and nullspace hands those very rows
+to the elimination, so every degree's columns are a prefix and every
+degree's rank and dimension are read off the one echelon; only the basis
+vectors go back to ansatz order.  The singleton
 presolve of linalg.sparse_nullspace strikes only unknowns that vanish in
 every top-degree solution, hence in every lower degree's, so every
 degree's dimension and the basis stay exact.
@@ -54,7 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -127,8 +128,7 @@ def monomials_up_to(degree: int):
             for i in combo:
                 exps[i] += 1
             out.append(tuple(exps))
-    seen = sorted(set(out), key=lambda e: (sum(e), e))
-    return seen
+    return sorted(out, key=lambda e: (sum(e), e))
 
 
 def _exact_integer(n: int, d: int) -> int:
@@ -185,12 +185,17 @@ class UnknownBasis(NamedTuple):
 
 @dataclass(frozen=True)
 class Ansatz:
+    """The unknowns in column order with build_ansatz's layout: graded[c]
+    is column c's graded position and ends[k] the end of the graded prefix
+    of the unknowns of degree <= k."""
     spec: AnsatzSpec
     unknowns: tuple
+    graded: tuple
+    ends: tuple
 
     @property
     def size(self) -> int:
-        return len(self.unknowns)
+        return len(self.graded)
 
     def assemble(self, vector) -> VectorField:
         """The field of an integer coefficient vector."""
@@ -200,43 +205,37 @@ class Ansatz:
                 raw[u.direction].append((c, *u.term()))
         return VectorField(J20, tuple(Expr.from_raw(J20, r) for r in raw))
 
-    def coefficient_functions(self) -> list:
-        """The columns of each coefficient function x^alpha * y2^q *
-        exp(rho x), one per direction in direction order, read off
-        build_ansatz's layout: a block of 5*n columns per (rate, offset),
-        holding the n monomials of each direction in turn."""
-        n = self.size // (5 * len(self.spec.offsets) * len(self.spec.rates))
-        return [[block + d * n + i for d in range(5)]
-                for block in range(0, self.size, 5 * n) for i in range(n)]
-
-    def graded_columns(self) -> list:
-        """The graded position of each column: the columns ordered by the
-        total degree of their unknown, then by ansatz index, so that the
-        unknowns of degree <= k come first.  Read off build_ansatz's layout:
-        m blocks of n columns, one per (rate, offset, direction), each
-        holding the n monomials ascending by degree, so the n_k columns of
-        degree k in block g sit after the m*s_k columns of lower degree
-        (s_k monomials) and the g*n_k of degree k in earlier blocks."""
+    def coefficient_functions(self):
+        """Each coefficient function x^alpha * y2^q * exp(rho x) as its
+        unknown on d/dx and its five graded columns, one per direction in
+        direction order: a block of 5*n columns per (rate, offset) holds the
+        n monomials of each direction in turn."""
         n = math.comb(self.spec.degree + 5, 5)
-        m = self.size // n
-        degrees = [sum(u.exponents) for u in self.unknowns[:n]]
-        base, stride = [], []  # per monomial: its column in block 0, its n_k
-        for k in range(self.spec.degree + 1):
-            s, n_k = bisect_left(degrees, k), degrees.count(k)
-            base.extend(range(m * s, m * s + n_k))
-            stride.extend([n_k] * n_k)
-        return [b + g * w for g in range(m) for b, w in zip(base, stride)]
+        for block in range(0, self.size, 5 * n):
+            for c in range(block, block + n):
+                yield self.unknowns[c], self.graded[c:c + 5 * n:n]
 
 
 def build_ansatz(spec: AnsatzSpec) -> Ansatz:
+    """The ansatz of spec, with its layout in closed form: m blocks of n
+    columns, one block per (rate, offset, direction), each holding the n
+    monomials ascending by degree.  Degree k has n_k = C(k+4, 4) monomials
+    after the s_k = C(k+4, 5) of lower degree, so the prefix of degree <= k
+    ends at m*C(k+5, 5), and the i-th monomial of degree k in block g sits
+    at graded position m*s_k + g*n_k + i."""
     monos = monomials_up_to(spec.degree)
-    unknowns = []
-    for rate in spec.rates:
-        for offset in spec.offsets:
-            for direction in range(5):
-                for exps in monos:
-                    unknowns.append(UnknownBasis(direction, exps, offset, rate))
-    return Ansatz(spec, tuple(unknowns))
+    unknowns = tuple(UnknownBasis(direction, exps, offset, rate)
+                     for rate in spec.rates for offset in spec.offsets
+                     for direction in range(5) for exps in monos)
+    m = len(unknowns) // len(monos)
+    base, stride = [], []  # per monomial: its graded position in block 0, its n_k
+    for k in range(spec.degree + 1):
+        s, n_k = math.comb(k + 4, 5), math.comb(k + 4, 4)
+        base.extend(range(m * s, m * s + n_k))
+        stride.extend([n_k] * n_k)
+    graded = tuple(b + g * w for g in range(m) for b, w in zip(base, stride))
+    ends = tuple(m * math.comb(k + 5, 5) for k in range(spec.degree + 1))
+    return Ansatz(spec, unknowns, graded, ends)
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +297,13 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
     the same primitive form.  Each scaled scalar is checked to be an
     integer, never truncated.
 
-    The columns come one coefficient function at a time
-    (Ansatz.coefficient_functions), so its partials are built once for its
-    five directions, and each column is numbered at once by its graded
-    position (Ansatz.graded_columns), the order nullspace eliminates in.
-    Each distinct (monomial, atoms)
-    product of an operator term and a partial is canonicalized once, so the
-    row keys are those of the expanded residuals; a product that
+    The columns come one coefficient function at a time, each with its
+    five graded columns (Ansatz.coefficient_functions), so its partials are
+    built once for its five directions, and each column is numbered at once
+    by its graded position, the order nullspace eliminates in.  Each
+    distinct (monomial, atoms) product of an operator term and a partial is
+    canonicalized once, so the row keys are those of the expanded
+    residuals; a product that
     expr.product_is_canonical calls canonical is taken as it stands.  The
     operator's terms are canonical (checked once per distinct term) and an
     unknown adds only y2^q and exp(rho*x), so a product with a coefficient
@@ -325,15 +324,14 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
                   ids.setdefault(a, len(ids)), bare_coords(a))
                  for rid, order, e in terms for c, m, a in e.terms]
                 for terms in operator]
-    graded = ansatz.graded_columns()
     keys: dict = {}  # a row's (monomial, atoms) -> its six rows, one per residual
     # unknown atoms -> per operator atoms id, {product monomial: the same}
     canonical: dict = {}
-    for cols in ansatz.coefficient_functions():
-        atoms, factors = ansatz.unknowns[cols[0]].partials(E)
+    for u, cols in ansatz.coefficient_functions():
+        atoms, factors = u.partials(E)
         known = canonical.setdefault(atoms, [{} for _ in ids])
         bare = bare_coords(atoms)
-        for col, terms in zip([graded[c] for c in cols], operator):  # one per direction
+        for col, terms in zip(cols, operator):  # one per direction
             for rid, order, c, m, a, aid, b in terms:
                 for k, s in factors[order + 1]:
                     mono = mono_mul(m, s)
@@ -365,8 +363,8 @@ def nullspace(system: DeterminingSystem, counts: dict | None = None):
     graded elimination.
 
     The rows come in graded columns, by (total degree of the unknown,
-    ansatz index), so the unknowns of degree <= k form a prefix, and go to
-    sparse_nullspace as the builder made them.
+    ansatz index), so the unknowns of degree <= k form the prefix that ends
+    at Ansatz.ends[k], and go to sparse_nullspace as the builder made them.
     A pivot row whose pivot lies past the prefix is zero on it, so the rank
     at degree k is the number of pivots inside the prefix, and the
     dimension is the number of basis vectors whose free (largest) column
@@ -383,19 +381,14 @@ def nullspace(system: DeterminingSystem, counts: dict | None = None):
     ansatz = system.ansatz
     ncols = ansatz.size
     _, vectors = sparse_nullspace(system.rows, ncols, counts)
-    degrees = sorted(sum(u.exponents) for u in ansatz.unknowns)
     lows = sorted(map(min, system.rows))
     # a vector's free column is its last nonzero entry, read from the end
     frees = [next(itertools.compress(range(ncols - 1, -1, -1), reversed(v)))
              for v in vectors]  # ascending
-    table = []
-    for degree in range(ansatz.spec.degree + 1):
-        end = bisect_right(degrees, degree)  # the degree's prefix is [0, end)
-        table.append({"degree": degree, "unknowns": end,
-                      "rows": bisect_left(lows, end),
-                      "dimension": bisect_left(frees, end)})
-    graded = ansatz.graded_columns()
-    basis = canonical_basis([tuple([v[g] for g in graded]) for v in vectors])
+    table = [{"degree": degree, "unknowns": end, "rows": bisect_left(lows, end),
+              "dimension": bisect_left(frees, end)}
+             for degree, end in enumerate(ansatz.ends)]  # the prefix is [0, end)
+    basis = canonical_basis([tuple([v[g] for g in ansatz.graded]) for v in vectors])
     return table, basis
 
 

@@ -12,13 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from mongesym.charts import J20
+from mongesym.catalog import EQUIAFFINE
+from mongesym.charts import J20, PLANE
 from mongesym.expr import (ONE_MONO, ExpAtom, Expr, NonRationalPowerError, PowerAtom,
                            _canonical_term, _exp_text, _unit_coord_index, mono_key,
                            mono_mul)
 from mongesym.fields import (VectorField, distribution_from_monge,
                              lie_bracket, symmetry_residuals)
 from mongesym.linalg import SparseEchelon, sparse_nullspace
+from mongesym.parser import parse
 from mongesym.solver import (AnsatzSpec, build_ansatz, compile_operator,
                              determining_equations)
 
@@ -444,6 +446,18 @@ def flow_commutator(v: VectorField, w: VectorField, point: dict, t: float = 1 / 
     return [2 * b - a for a, b in zip(d1, d2)]
 
 
+def zero_field(chart=J20) -> VectorField:
+    """The zero vector field on the chart."""
+    return VectorField(chart, tuple(Expr.zero(chart) for _ in chart.coords))
+
+
+def equiaffine_generators() -> dict:
+    """The catalog's plane generators of the area-preserving affine action,
+    as (xi, eta) pairs of expressions on PLANE."""
+    return {key: (parse(xi, PLANE), parse(eta, PLANE))
+            for key, (xi, eta) in EQUIAFFINE.items()}
+
+
 # ---------------------------------------------------------------------------
 # brute-force symmetry solver for low degrees (independent of the sparse path)
 # ---------------------------------------------------------------------------
@@ -451,6 +465,13 @@ def flow_commutator(v: VectorField, w: VectorField, point: dict, t: float = 1 / 
 def coefficient_expr(u) -> Expr:
     """An ansatz unknown's coefficient function as an Expr."""
     return Expr.from_raw(J20, [(1, *u.term())])
+
+
+def unknown_field(u) -> VectorField:
+    """An ansatz unknown's field: its coefficient function on its direction."""
+    coeffs = [Expr.zero(J20)] * 5
+    coeffs[u.direction] = coefficient_expr(u)
+    return VectorField(J20, tuple(coeffs))
 
 
 def mul_expr(field: VectorField, f: Expr) -> VectorField:
@@ -462,7 +483,7 @@ def keyed_rows(system) -> dict:
     """A determining system's rows keyed by (residual, monomial, atoms), in
     ansatz columns, read off the builder's slots: the view the rows had
     before they went to the elimination in graded columns."""
-    ansatz_column = {g: c for c, g in enumerate(system.ansatz.graded_columns())}
+    ansatz_column = {g: c for c, g in enumerate(system.ansatz.graded)}
     return {(rid, *key): {ansatz_column[g]: v for g, v in row.items()}
             for key, slots in system.slots.items()
             for rid, row in enumerate(slots) if row}
@@ -473,10 +494,7 @@ def reference_rows(distribution, ansatz) -> dict:
     unknown's field: (residual, monomial, atoms) -> {column: coefficient}."""
     rows: dict = {}
     for col, u in enumerate(ansatz.unknowns):
-        coeffs = [Expr.zero(J20)] * 5
-        coeffs[u.direction] = coefficient_expr(u)
-        field = VectorField(J20, tuple(coeffs))
-        for rid, e in enumerate(symmetry_residuals(field, distribution)):
+        for rid, e in enumerate(symmetry_residuals(unknown_field(u), distribution)):
             for k, t in enumerate(e.terms):
                 rows.setdefault((rid, t.monomial, t.atoms), {})[col] = e.coefficient(k)
     return rows
@@ -537,6 +555,35 @@ def brute_force_symmetry_space(equation, degree: int):
               for row in rows.values()]
     null = reference_nullspace(matrix, ansatz.size)
     return len(null), null, ansatz
+
+
+def numeric_symmetry_dimension(equation, spec) -> int:
+    """The dimension of the symmetries in the ansatz of spec by numeric rank,
+    without the engine's canonical keys: each unknown's field's six
+    symmetry residuals, evaluated in floating point (Expr.approx) at 80
+    seeded points drawn uniformly from [0.5, 2] in every coordinate, make
+    one column.  Every nonzero column is scaled to unit norm, and the rank counts the
+    singular values above 1e-10 of the largest.  Raises AssertionError when
+    the smallest kept value is less than 1e8 times the largest dropped one,
+    so a rank without a clear gap is never returned."""
+    np = pytest.importorskip("numpy")
+    rng = random.Random(0)
+    at = [{c: rng.uniform(0.5, 2) for c in J20.coords} for _ in range(80)]
+    distribution = distribution_from_monge(equation)
+    ansatz = build_ansatz(spec)
+    columns = []
+    for u in ansatz.unknowns:
+        residuals = symmetry_residuals(unknown_field(u), distribution)
+        columns.append([r.approx(p) if r.terms else 0.0 for p in at for r in residuals])
+    matrix = np.array(columns, dtype=float).T
+    norms = np.linalg.norm(matrix, axis=0)
+    matrix[:, norms > 0] /= norms[norms > 0]
+    values = np.linalg.svd(matrix, compute_uv=False)
+    rank = int(np.sum(values > 1e-10 * values[0])) if values[0] > 0 else 0
+    if 0 < rank < len(values):
+        assert values[rank - 1] >= 1e8 * values[rank], (
+            f"no clear rank gap: kept {values[rank - 1]:.3g}, dropped {values[rank]:.3g}")
+    return ansatz.size - rank
 
 
 def reference_assemble(ansatz, vector) -> VectorField:

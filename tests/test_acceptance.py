@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from mongesym.catalog import (dz13, eq2, equiaffine_generators, flat,
-                              get_equation, strazzullo, symmetry_fields)
+from mongesym.catalog import (dz13, eq2, flat, get_equation, strazzullo,
+                              symmetry_fields)
 from mongesym.charts import J20
 from mongesym.fields import (VectorField, distribution_from_monge,
                              frame_determinant, genericity_hessian,
@@ -26,7 +26,8 @@ from mongesym.solver import (AnsatzSpec, build_ansatz, compile_operator,
                              determining_equations, maximality_argument,
                              nullspace, symmetry_dimension)
 
-from helpers import brute_force_symmetry_space, flow_commutator, same_span
+from helpers import (brute_force_symmetry_space, equiaffine_generators,
+                     flow_commutator, same_span, zero_field)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 CATALOG_INSTANCES = ("eq2", "flat", "eq1(0)", "eq1(1)", "dz13(1,1)",
@@ -121,7 +122,7 @@ def test_criterion_2_structure(p6):
     for i in range(6):
         for j in range(i + 1, 6):
             approx = flow_commutator(ALL_S[i], ALL_S[j], point)
-            combo = VectorField.zero(J20)
+            combo = zero_field()
             for k, coeff in enumerate(c[i][j]):
                 if coeff:
                     combo = combo + ALL_S[k].scale(coeff)

@@ -215,6 +215,21 @@ class TestExitCodes:
         assert err == (f"error: offsets {pair} differ by an integer, "
                        "so one function would get two columns\n")
 
+    @pytest.mark.parametrize("equation,message", [
+        ("dz13(1/0,1)", "non-rational parameter in 'dz13(1/0,1)'"),
+        ("dz13(1,2,3)", "'dz13(1,2,3)' has 3 parameters, where dz13 takes 2"),
+        ("eq1()", "'eq1()' has 0 parameters, where eq1 takes 1"),
+    ])
+    def test_a_catalog_family_with_bad_parameters_is_two(self, capsys, equation, message):
+        # the catalog's own message, not the parser's "unknown identifier"
+        code, out, err = run(capsys, "solve", "--degree", "1", "--", equation)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_a_call_outside_the_catalog_still_parses(self, capsys):
+        code, out, err = run(capsys, "genericity", "exp(y2)")
+        assert (code, err) == (0, "")
+        assert out.startswith("equation: exp(y2)\n")
+
     @pytest.mark.parametrize("field", [
         '{"chart":"J20","coefficients":{"w":"1"}}',  # not a coordinate
         '{"chart":"J2","coefficients":{"z":"1"}}',  # not on this chart

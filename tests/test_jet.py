@@ -7,8 +7,7 @@ import pytest
 
 import mongesym.catalog
 import mongesym.fields
-from mongesym.catalog import (CatalogKeyError, dz13, eq1, eq2,
-                              equiaffine_generators, field_keys, flat,
+from mongesym.catalog import (CatalogKeyError, dz13, eq1, eq2, field_keys, flat,
                               get_equation, get_field, strazzullo,
                               symmetry_fields)
 from mongesym.charts import J2, J20, PLANE, Chart, ChartMismatchError
@@ -22,7 +21,8 @@ from mongesym.fields import (MongeEquation, ProjectionError, VectorField,
 from mongesym.parser import parse
 from mongesym.solver import symmetry_dimension
 
-from helpers import flow_commutator, mul_expr, reference_bracket
+from helpers import (equiaffine_generators, flow_commutator, mul_expr,
+                     reference_bracket)
 
 
 def P(text, chart=J20):

@@ -1,5 +1,6 @@
 """Lie-algebra structure: closure, constants, series, Killing form, recognition."""
 
+import functools
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from mongesym.solver import symmetry_dimension
 
 from helpers import (dense_tensor, reference_bracket_vec, reference_constants,
                      reference_express, reference_killing_matrix,
-                     reference_verify_combination, sympy_matrix)
+                     reference_verify_combination, sympy_matrix, zero_field)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -43,7 +44,7 @@ def recombined(fields, rng, steps=10, choices=(-2, -1, 1, 2, 3)):
             m[i][k] += c * m[j][k]
     new_fields = []
     for i in range(n):
-        f = VectorField.zero(fields[0].chart)
+        f = zero_field(fields[0].chart)
         for j in range(n):
             if m[i][j]:
                 f = f + fields[j].scale(m[i][j])
@@ -83,7 +84,7 @@ class TestExpressInBasis:
         assert coords == [0, 0, 0, 0, 0, 1]
 
     def test_zero_field(self, p6):
-        coords = express_in_basis(VectorField.zero(J20), list(p6.basis))
+        coords = express_in_basis(zero_field(), list(p6.basis))
         assert coords == [0] * 6
 
     def test_not_in_span(self):
@@ -111,7 +112,7 @@ class TestExpressInBasis:
         h = VectorField.from_strings(J20, {"y1": "exp(x)"})
         assert express_in_basis(g + h, [g, g, h]) == [1, 0, 1]
         assert express_in_basis(g + h, [g, g + h, h]) == [0, 1, 0]
-        assert express_in_basis(g + h, [VectorField.zero(J20), g, h]) == [0, 1, 1]
+        assert express_in_basis(g + h, [zero_field(), g, h]) == [0, 1, 1]
         assert express_in_basis(g + h, [g, g]) is None
 
     @pytest.mark.parametrize("seed", range(6))
@@ -124,14 +125,14 @@ class TestExpressInBasis:
                 VectorField.from_strings(J20, {"y": "exp(x)", "z": "y1"})]
 
         def combination():
-            f = VectorField.zero(J20)
+            f = zero_field()
             for g in rng.sample(gens, rng.randint(1, 3)):
                 f = f + g.scale(Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3)))
             return f
 
         basis = [combination() for _ in range(rng.randint(2, 5))]
         basis.insert(rng.randint(0, len(basis)), rng.choice(basis))
-        basis.insert(rng.randint(0, len(basis)), VectorField.zero(J20))
+        basis.insert(rng.randint(0, len(basis)), zero_field())
         for v in [combination() for _ in range(3)] + [VectorField.coordinate(J20, "y")]:
             assert express_in_basis(v, basis) == reference_express(v, basis)
 
@@ -446,7 +447,7 @@ class TestHandMadeRecognition:
 def oracle_fields(eq2_recombinations, dz13_recombined):
     """Generators of the 0- and 1-dimensional algebras, of the four eq2
     recombinations and of the recombined dz13(5,4) basis."""
-    return [[VectorField.zero(J20)], [S["S6"]], *eq2_recombinations,
+    return [[zero_field()], [S["S6"]], *eq2_recombinations,
             dz13_recombined]
 
 
@@ -532,7 +533,7 @@ class TestIntegerTensor:
 
 class TestZeroTest:
     """_verify_combination on hand-built combinations: the integer forms
-    of v and of the basis fields meet over one lcm per coefficient."""
+    of v and of the basis fields meet over one lcm per field."""
 
     # coefficients over 2, 3 and 5, a power atom and an exp atom
     B1 = VectorField.from_strings(J20, {
@@ -546,9 +547,12 @@ class TestZeroTest:
 
     def test_the_terms_cancel_only_over_a_common_denominator(self):
         v = self.combination()
-        # x: 1/10 + 1/10 of x; y1: 1/15 + 3/50 of the atom term, 3/50 of y1
-        assert [(d, sorted(n.values())) for d, n in v.integer_coefficients] == [
-            (5, [1, 1]), (1, []), (150, [9, 19]), (1, []), (20, [3])]
+        # x: 1/5 of x and of y2^(1/3); y1: 1/15 + 3/50 of the atom term,
+        # 3/50 of y1; z: 3/20; all over the lcm of 5, 150 and 20
+        numerators, den = v.integer_form
+        assert den == 300
+        assert sorted(numerators.values()) == [18, 38, 45, 60, 60]
+        assert {key[0] for key in numerators} == {0, 2, 4}
 
     def test_right_coordinates_pass(self):
         v = self.combination()
@@ -575,3 +579,56 @@ class TestZeroTest:
         for check in (_verify_combination, reference_verify_combination):
             with pytest.raises(ArithmeticError):
                 check(v, [self.B1, self.B2], self.COORDS)
+
+
+class TestOneIntegerForm:
+    """Each field's integer form (VectorField.integer_form) is built once,
+    and the span and the zero test both read it."""
+
+    def test_closure_builds_each_form_once(self, monkeypatch):
+        built = []
+        form = VectorField.integer_form.func
+
+        def counted(f):
+            built.append(f)
+            return form(f)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(VectorField, "integer_form")
+        monkeypatch.setattr(VectorField, "integer_form", prop)
+        placed, verified = [], []
+        place = linalg.KeyedSpan.place
+
+        def place_spy(span, vector, den=1):
+            placed.append((vector, den))
+            return place(span, vector, den)
+
+        verify = liealg._verify_combination
+
+        def verify_spy(v, basis, coords):
+            before = len(built)
+            verify(v, basis, coords)
+            assert len(built) == before  # the zero test builds no form
+            verified.append(v)
+
+        monkeypatch.setattr(linalg.KeyedSpan, "place", place_spy)
+        monkeypatch.setattr(liealg, "_verify_combination", verify_spy)
+        fresh = [VectorField(f.chart, f.coefficients) for f in ALL_S]  # nothing cached
+        p = close_under_bracket(fresh, cap=8)
+        # the six generators and the fifteen brackets, one form each
+        assert len(built) == 21 == len({id(f) for f in built})
+        assert all(any(b is f for f in built) for b in p.basis)
+        assert len(placed) == 21
+        assert all(vector is f.integer_form[0] and den == f.integer_form[1]
+                   for (vector, den), f in zip(placed, built))
+        assert [id(v) for v in verified] == [id(f) for f in built[6:]]
+
+    def test_express_in_basis_reads_one_form_for_both(self):
+        # v's form scaled by 1/2: the span and the zero test both read v / 2,
+        # so the coordinates halve and the zero test agrees
+        g = VectorField.from_strings(J20, {"y": "exp(x)"})
+        h = VectorField.from_strings(J20, {"y1": "2*y"})
+        v = g + h.scale(3)
+        numerators, den = v.integer_form
+        v.__dict__["integer_form"] = (numerators, 2 * den)
+        assert express_in_basis(v, [g, h]) == [Fraction(1, 2), Fraction(3, 2)]

@@ -1,14 +1,16 @@
 """Determining-equation solver: ansatz, oracle equivalence, soundness."""
 
+import dataclasses
 import json
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 
 from mongesym import solver
-from mongesym.catalog import dz13, eq1, eq2, flat, get_equation
+from mongesym.catalog import CatalogKeyError, dz13, eq1, eq2, flat, get_equation
 from mongesym.charts import J20
 from mongesym.expr import ExpAtom, Expr, Poly, PowerAtom, Term
 from mongesym.fields import (MongeEquation, distribution_from_monge,
@@ -23,7 +25,8 @@ from mongesym.solver import (MAX_UNKNOWNS, AnsatzError, AnsatzSpec,
                              symmetry_dimension)
 
 from helpers import (brute_force_symmetry_space, coefficient_expr, field_rank,
-                     keyed_rows, primitive_row, random_expr, reference_assemble,
+                     keyed_rows, numeric_symmetry_dimension, primitive_row,
+                     random_expr, reference_assemble,
                      reference_compile_operator, reference_determining_rows,
                      reference_graded_solve, reference_rows, same_span)
 
@@ -134,10 +137,11 @@ class TestRowBuilder:
             return fraction_hash(self)
 
         monkeypatch.setattr(Fraction, "__hash__", counted)
-        functions = ansatz.coefficient_functions()
+        functions = list(ansatz.coefficient_functions())
         monkeypatch.undo()
         assert hashed == []
-        assert functions == list(grouped.values())
+        assert functions == [(ansatz.unknowns[cols[0]], tuple(ansatz.graded[c] for c in cols))
+                             for cols in grouped.values()]
 
     @pytest.mark.parametrize("spec", [
         AnsatzSpec(0), AnsatzSpec(3),
@@ -146,7 +150,10 @@ class TestRowBuilder:
         ansatz = build_ansatz(spec)
         order = sorted(range(ansatz.size),
                        key=lambda c: (sum(ansatz.unknowns[c].exponents), c))
-        assert [ansatz.graded_columns()[c] for c in order] == list(range(ansatz.size))
+        assert [ansatz.graded[c] for c in order] == list(range(ansatz.size))
+        degrees = sorted(sum(u.exponents) for u in ansatz.unknowns)
+        assert ansatz.ends == tuple(bisect_right(degrees, k)
+                                    for k in range(spec.degree + 1))
 
     def test_partials_once_per_coefficient_function(self, monkeypatch):
         calls = []
@@ -372,7 +379,7 @@ class TestGradedElimination:
         ansatz = build_ansatz(AnsatzSpec(1))
         low = [c for c, u in enumerate(ansatz.unknowns) if not sum(u.exponents)]
         high = [c for c, u in enumerate(ansatz.unknowns) if sum(u.exponents)]
-        graded = ansatz.graded_columns()
+        graded = ansatz.graded
         rows = [{graded[low[0]]: 1}, {graded[high[1]]: 6, graded[high[2]]: -1}]
         table, basis = nullspace(DeterminingSystem(ansatz, rows, {}))
         assert table == [
@@ -380,6 +387,21 @@ class TestGradedElimination:
             {"degree": 1, "unknowns": 30, "rows": 2, "dimension": 28}]
         int_rows = [{low[0]: 1}, {high[1]: 6, high[2]: -1}]
         assert basis == sparse_nullspace(int_rows, 30)[1]
+
+    def test_the_layout_not_the_unknowns(self):
+        # nullspace reads the graded positions and prefix ends build_ansatz
+        # laid out, never the unknowns themselves
+        class Opaque:  # no iteration, indexing or length
+            pass
+
+        m = dz13(5, 4)
+        spec = AnsatzSpec(2, offsets=(0, Fraction(1, 3)), rates=exp_rates_for(m))
+        system = determining_equations(compile_operator(distribution_from_monge(m)),
+                                       build_ansatz(spec))
+        table, basis = nullspace(system)
+        blind = dataclasses.replace(system.ansatz, unknowns=Opaque())
+        assert nullspace(DeterminingSystem(blind, system.rows, system.slots)) == (table, basis)
+        assert [row["dimension"] for row in table] == [2, 7, 7]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_canonical_basis_undoes_recombination(self, seed):
@@ -456,6 +478,38 @@ class TestOracleEquivalence:
         table, basis = nullspace(system)
         assert table[-1]["dimension"] == dim_oracle
         assert same_span(basis, null_oracle)
+
+
+def catalog_or_parsed(key):
+    try:
+        return get_equation(key)
+    except CatalogKeyError:
+        return MongeEquation(parse(key, J20))
+
+
+class TestNumericOracle:
+    # numeric rank of the residuals at random real points
+    # (helpers.numeric_symmetry_dimension) reads no canonical key, so it
+    # does not share the zero test's blind spots
+    @pytest.mark.parametrize("key,degree,dimension", [
+        ("flat", 2, 8), ("eq2", 2, 6), ("dz13(5,4)", 2, 3), ("y*y2 + y1^2", 2, 10),
+    ])
+    def test_agrees_with_the_solver(self, key, degree, dimension):
+        m = catalog_or_parsed(key)
+        spec = AnsatzSpec(degree)
+        assert numeric_symmetry_dimension(m, spec) == dimension
+        assert symmetry_dimension(m, degree, rates=spec.rates).dimension == dimension
+
+    # ROADMAP item 2: the zero test keys B^(1/3) and B^(-2/3) apart, so the
+    # solver misses the scaling symmetry that the numeric rank sees
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the zero test misses "
+                                           "identities between powers of one base")
+    @pytest.mark.parametrize("key", ["strazzullo", "(y2 + y1^2)^(1/3)"])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_item_2_reproducers(self, key, degree):
+        m = catalog_or_parsed(key)
+        assert numeric_symmetry_dimension(m, AnsatzSpec(degree)) == 4
+        assert symmetry_dimension(m, degree, rates=(0,)).dimension == 4
 
 
 class TestSoundness:
