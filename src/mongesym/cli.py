@@ -106,7 +106,9 @@ def _fractions_list(text: str):
     return tuple(out)
 
 
-def _emit(payload, args, renderer):
+def _emit(payload, args, renderer, timer=None):
+    if timer is not None and args.timings:
+        payload["stage_timings"] = timer.rounded()
     if args.json:
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -185,8 +187,6 @@ def cmd_genericity(args) -> int:
         "locus": _vanishing_description(hess),
     }
     timer.lap("report_s")
-    if args.timings:
-        payload["stage_timings"] = timer.rounded()
 
     def render(p):
         return (f"equation: {p['equation']}\n"
@@ -195,7 +195,7 @@ def cmd_genericity(args) -> int:
                 f"determinant = ({'+' if p['sign'] >= 0 else '-'}1) * hessian\n"
                 f"verdict: {p['locus']}")
 
-    _emit(payload, args, render)
+    _emit(payload, args, render, timer)
     return EXIT_OK
 
 
@@ -221,8 +221,6 @@ def cmd_verify(args) -> int:
         })
         timer.lap("report_s")
     payload = {"equation": args.equation, "fields": results, "all_pass": all_ok}
-    if args.timings:
-        payload["stage_timings"] = timer.rounded()
 
     def render(p):
         lines = [f"equation: {p['equation']}"]
@@ -235,7 +233,7 @@ def cmd_verify(args) -> int:
         lines.append("all pass" if p["all_pass"] else "some fields fail")
         return "\n".join(lines)
 
-    _emit(payload, args, render)
+    _emit(payload, args, render, timer)
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
@@ -308,8 +306,6 @@ def cmd_structure(args) -> int:
         "structure": report.to_json(),
         "projection": projection,
     }
-    if args.timings:
-        payload["stage_timings"] = timer.rounded()
 
     def render(pl):
         lines = [f"equation: {pl['equation']}",
@@ -334,7 +330,7 @@ def cmd_structure(args) -> int:
             lines.append(f"projection: undefined ({pr.get('reason')})")
         return "\n".join(lines)
 
-    _emit(payload, args, render)
+    _emit(payload, args, render, timer)
     return EXIT_OK
 
 
@@ -507,8 +503,6 @@ def cmd_reproduce(args) -> int:
     items, notes = run_reproduction(timer)
     ok = all(i["pass"] for i in items)
     payload = {"items": items, "notes": notes, "all_pass": ok}
-    if args.timings:
-        payload["stage_timings"] = timer.rounded()
 
     def render(p):
         lines = [f"[{'PASS' if i['pass'] else 'FAIL'}] {i['item']}"
@@ -517,7 +511,7 @@ def cmd_reproduce(args) -> int:
         lines.append("all items pass" if p["all_pass"] else "some items FAILED")
         return "\n".join(lines)
 
-    _emit(payload, args, render)
+    _emit(payload, args, render, timer)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -563,32 +557,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact symmetry analysis of rank-2 distributions from Monge equations")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, timings=None):
+        if timings:
+            p.add_argument("--timings", action="store_true", help=timings)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--out", help="write the report to a file")
 
     p = sub.add_parser("genericity", help="hessian, frame determinant and genericity verdict")
     p.add_argument("equation", help="catalog key or inline expression")
-    p.add_argument("--timings", action="store_true",
-                   help="include per-stage timings in JSON")
-    common(p)
+    common(p, timings="include per-stage timings in JSON")
     p.set_defaults(func=cmd_genericity)
 
     p = sub.add_parser("verify", help="check fields for the symmetry property")
     p.add_argument("equation")
     p.add_argument("fields", nargs="*", help="catalog keys, JSON, or @file (default S1..S6)")
-    p.add_argument("--timings", action="store_true",
-                   help="include per-stage timings in JSON")
-    common(p)
+    common(p, timings="include per-stage timings in JSON")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("structure", help="bracket table, structure report, projections")
     p.add_argument("equation")
     p.add_argument("fields", nargs="*", help="symmetry fields (default S1..S6)")
     p.add_argument("--cap", type=int, default=32, help="dimension cap for closure")
-    p.add_argument("--timings", action="store_true",
-                   help="include per-stage timings in JSON")
-    common(p)
+    common(p, timings="include per-stage timings in JSON")
     p.set_defaults(func=cmd_structure)
 
     p = sub.add_parser("solve", help="degree-bounded symmetry dimension table")
@@ -598,16 +588,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rates", help="comma-separated rational exp rates (default: auto)")
     p.add_argument("--verify", action="store_true",
                    help="verify every basis field symbolically (always on)")
-    p.add_argument("--timings", action="store_true",
-                   help="include per-degree and per-stage timings and the "
-                        "elimination counts in JSON")
-    common(p)
+    common(p, timings="include per-degree and per-stage timings and the "
+                      "elimination counts in JSON")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("reproduce", help="run the full verification checklist")
-    p.add_argument("--timings", action="store_true",
-                   help="include per-section timings in JSON")
-    common(p)
+    common(p, timings="include per-section timings in JSON")
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("catalog", help="list built-in equations and fields")

@@ -46,8 +46,9 @@ from fractions import Fraction
 
 from .charts import require_same_chart
 from .fields import VectorField, lie_bracket
-from .linalg import (KeyedSpan, coordinates, kernel, over_common_denominator,
-                     reduced_rows, solve_exact, symmetric_signature)
+from .linalg import (KeyedSpan, coordinates, kernel, reduced_rows, solve_exact,
+                     symmetric_signature)
+from .rationals import over_common_denominator
 
 
 class ClosureCapExceeded(RuntimeError):

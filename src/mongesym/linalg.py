@@ -1,30 +1,32 @@
 """Exact linear algebra on one engine: sparse fraction-free elimination.
 
-SparseEchelon works on integer rows (dict column -> coefficient) and never
-leaves the integers: its one step clears a column against a pivot row by
-cross multiplication, and each reduced row is divided by its content once,
-at the end, so no rounding and no rational blow-up occurs.  The forward
-elimination applies the step at each row's leading column, and the
-back-reduction reduced() from the highest pivot down; canonical_basis and
-reduced_rows read the reduced form.  Every kernel is read off the pivot
-rows by one integer back-substitution (_back_substitute): kernel's on a
-small dense matrix, sparse_nullspace's after a presolve.
+Every entry point takes integer rows: callers clear denominators before
+they call in.  SparseEchelon works on integer rows (dict column ->
+coefficient) and never leaves the integers: its one step clears a column
+against a pivot row by cross multiplication, and each reduced row is
+divided by its content once, at the end, so no rounding and no rational
+blow-up occurs.  The forward elimination applies the step at each row's
+leading column, and the back-reduction reduced() from the highest pivot
+down; canonical_basis and reduced_rows read the reduced form.  Every
+kernel is read off the pivot rows by one integer back-substitution
+(_back_substitute): kernel's on a small dense matrix, sparse_nullspace's
+after a presolve.
 sparse_nullspace first presolves: a row with one live entry forces its
 column to zero in every kernel vector, and forcing propagates through a
 column -> rows index (_forced_zeros).  Striking the forced columns, and the
 rows they empty, leaves the kernel as it was, so the basis, the free
 columns and the rank (pivots plus forced columns) are exactly those of the
 whole system; on the determining equations the presolve strikes most rows.
-Only the surviving rows are integerized (rows_to_integer) and eliminated,
+Only the surviving rows are normalized (rows_to_integer) and eliminated,
 shortest-first, which keeps fill-in low on those very sparse systems; an
 integer back-substitution (_back_substitute) computes only the free
 columns' vectors, each from just the pivot rows it reaches.
 
-Rational work is the same elimination on rows with their denominators
-cleared.  KeyedSpan keeps the span of sparse vectors over arbitrary keys and
-reads coordinates off tag columns; coordinates and solve_exact are built on
-it.  symmetric_signature reads the signature of a symmetric integer matrix
-off its characteristic polynomial, by Descartes' rule of signs.
+KeyedSpan keeps the span of sparse integer vectors over arbitrary keys and
+reads their rational coordinates off tag columns; coordinates and
+solve_exact are built on it, and their answers are the only Fractions
+here.  symmetric_signature reads the signature of a symmetric integer
+matrix off its characteristic polynomial, by Descartes' rule of signs.
 """
 
 from __future__ import annotations
@@ -217,8 +219,8 @@ def _back_substitute(pivots: dict, free_cols) -> list:
 
 
 def sparse_nullspace(rows, ncols: int, counts: dict | None = None):
-    """Exact nullspace basis of a sparse homogeneous system with integer or
-    rational rows.
+    """Exact nullspace basis of a sparse homogeneous system with integer
+    rows.
 
     Returns (rank, basis) where each basis vector is a primitive integer
     tuple of length ncols, positive at its free (largest) column; basis
@@ -229,7 +231,7 @@ def sparse_nullspace(rows, ncols: int, counts: dict | None = None):
     leaves the kernel as it was: its free columns and its basis, which
     depend only on the kernel, are unchanged, and the rank is the pivots of
     the rest plus the forced columns.  Only the surviving rows, struck,
-    are integerized and eliminated.  The basis comes from an integer
+    are normalized and eliminated.  The basis comes from an integer
     back-substitution (_back_substitute), which visits per free column only
     the pivot rows it reaches, not from reduced(), which clears every pivot
     row: 4,649 of them, after the presolve, for the 14 vectors of
@@ -244,7 +246,7 @@ def sparse_nullspace(rows, ncols: int, counts: dict | None = None):
     rows = [r for r in rows if r]
     forced, live = _forced_zeros(rows)
     survivors = rows_to_integer(
-        row if n == len(row) else {c: v for c, v in row.items() if c not in forced}
+        row if n == len(row) else {c: v for c, v in row.items() if v and c not in forced}
         for row, n in zip(rows, live) if n)
     ech = SparseEchelon()
     for row in sorted(survivors, key=_row_order_key):
@@ -296,43 +298,26 @@ def canonical_basis(vectors):
     return basis
 
 
-def over_common_denominator(values):
-    """(d, ints): rationals over one positive common denominator d, the lcm
-    of their denominators, with ints the integers d * value in order."""
-    values = list(values)
-    d = math.lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
-
-
-def _integer_row(row: dict) -> dict:
-    """A rational row with its denominators cleared, as a primitive integer
-    row without zero entries.  An integer row without zeros is only
-    normalized: a sum of ints and Fractions is an int only when every term is."""
-    values = row.values()
-    if type(sum(values)) is not int or not all(values):
-        _, ints = over_common_denominator(values)
-        row = {c: x for c, x in zip(row, ints) if x}
-    return _row_normalize(row)
-
-
 def rows_to_integer(rows):
-    """Clear denominators row by row: rational rows -> primitive integer rows."""
-    return [r for r in map(_integer_row, rows) if r]
+    """The integer rows, each divided by its content and positive at its
+    leading column; perfbench/layertrace.py times it under this name."""
+    return list(map(_row_normalize, rows))
 
 
 # ---------------------------------------------------------------------------
-# rational spans on the same engine
+# spans of integer vectors and their rational coordinates
 # ---------------------------------------------------------------------------
 
 class KeyedSpan:
-    """The span of sparse rational vectors over hashable keys, as one
+    """The span of sparse integer vectors over hashable keys, as one
     SparseEchelon.  Keys become columns (0, i) in order of first sight, and
     each vector placed carries a tag column (1, k) of its own, after every
     key column.  A vector whose key part reduces to zero keeps only tags, a
     at its own and a_k at the k-th joined vector's: its coordinates are
-    -a_k / a.  Any other vector can join the span as its reduced row.
-    A vector may come as numerators over a denominator den: its tag is then
-    den, which places den times the vector, so nothing else changes.
+    -a_k / a.  Any other vector can join the span as its reduced row.  A
+    rational vector comes as integer numerators over a denominator den: its
+    tag is then den, which places den times the vector, so nothing else
+    changes.
     """
 
     def __init__(self):
@@ -345,7 +330,7 @@ class KeyedSpan:
         for key, v in vector.items():
             if v:
                 row[self._columns.setdefault(key, (0, len(self._columns)))] = v
-        return self._echelon.reduce_row(_integer_row(row))
+        return self._echelon.reduce_row(row)
 
     def _read(self, row: dict):
         if min(row)[0] == 0:
@@ -370,7 +355,7 @@ class KeyedSpan:
 
 def coordinates(vectors, target):
     """Exact coordinates of target over vectors, or None when it is not in
-    their span; each is a pair (sparse rational dict, den) standing for
+    their span; each is a pair (sparse integer dict, den) standing for
     dict / den.  A vector in the span of the vectors before it gets
     coordinate 0, so the answer is unique."""
     span = KeyedSpan()
@@ -385,7 +370,8 @@ def coordinates(vectors, target):
 
 
 def solve_exact(matrix, rhs):
-    """One exact solution of matrix * x = rhs, or None when inconsistent.
+    """One exact rational solution of matrix * x = rhs, with integer matrix
+    and rhs, or None when inconsistent.
 
     A column that depends on the columns before it gets x = 0, which is the
     solution with every free variable of the reduced echelon form at zero.
@@ -395,21 +381,20 @@ def solve_exact(matrix, rhs):
 
 
 def kernel(matrix, ncols: int):
-    """Nullspace basis of a rational matrix, one primitive integer tuple per
+    """Nullspace basis of an integer matrix, one primitive integer tuple per
     free column f of its echelon form, positive at f (its largest nonzero
     column) and zero at every other free column: sparse_nullspace's
     back-substitution (_back_substitute), without the presolve."""
     echelon = SparseEchelon()
     for v in matrix:
-        echelon.insert(_integer_row(dict(enumerate(v))))
+        echelon.insert(dict(enumerate(v)))
     pivots = echelon.pivots
     return _dense(_back_substitute(pivots, [c for c in range(ncols) if c not in pivots]),
                   ncols)
 
 
 def reduced_rows(vectors):
-    """Reduced row echelon form of integer or rational vectors of one
-    length, as (primitive integer tuples with a positive pivot, pivot
+    """Reduced row echelon form of integer vectors of one length, as (primitive integer tuples with a positive pivot, pivot
     columns): SparseEchelon.reduced() in pivot order."""
     vectors = list(vectors)
     if not vectors:
@@ -417,7 +402,7 @@ def reduced_rows(vectors):
     n = len(vectors[0])
     echelon = SparseEchelon()
     for v in vectors:
-        echelon.insert(_integer_row(dict(enumerate(v))))
+        echelon.insert(dict(enumerate(v)))
     reduced = echelon.reduced()
     pivots = sorted(reduced)
     return _dense([reduced[p] for p in pivots], n), pivots

@@ -578,11 +578,6 @@ class MaximalityReport:
     candidates: list  # [{label, dimension, solvable}]
     verdict: str
 
-    def to_json(self) -> dict:
-        return {"six_dim_solvable": self.six_dim_solvable,
-                "candidates": self.candidates,
-                "verdict": self.verdict}
-
 
 def maximality_argument(six_presentation, candidate_presentations) -> MaximalityReport:
     """Check that every 7-dimensional candidate algebra is solvable while the

@@ -6,8 +6,11 @@ package's elimination engine; a test that reaches one skips without sympy.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +26,24 @@ from mongesym.linalg import SparseEchelon, sparse_nullspace
 from mongesym.parser import parse
 from mongesym.solver import (AnsatzSpec, build_ansatz, compile_operator,
                              determining_equations)
+
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+
+def perfbench_module(name: str):
+    """perfbench/<name>.py as a fresh module named _<name>, loaded without
+    writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location(f"_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +213,10 @@ def field_rank(fields) -> int:
 
 def primitive_row(row: dict) -> dict:
     """A rational row scaled to primitive integers, positive at its lowest
-    column."""
+    column; a zero row gives {}."""
     row = {c: Fraction(v) for c, v in row.items() if v}
+    if not row:
+        return {}
     denom = math.lcm(*(v.denominator for v in row.values()))
     ints = {c: int(v * denom) for c, v in row.items()}
     g = math.gcd(*ints.values())

@@ -12,7 +12,6 @@ import pytest
 from mongesym import liealg, linalg
 from mongesym.catalog import dz13, symmetry_fields
 from mongesym.charts import J2, J20, ChartMismatchError
-from mongesym.cli import main
 from mongesym.fields import VectorField, lie_bracket
 from mongesym.liealg import (ClosureCapExceeded, LieAlgebraPresentation,
                              _verify_combination, analyze, bracket_vec,
@@ -462,6 +461,12 @@ def oracle_tensors(oracle_fields):
     return hand + copies + closures
 
 
+def integral(values):
+    """Integral Fractions as ints."""
+    assert all(x.denominator == 1 for x in values)
+    return [int(x) for x in values]
+
+
 class TestIntegerTensor:
     def test_one_common_denominator(self, oracle_tensors):
         for c in oracle_tensors:
@@ -497,38 +502,17 @@ class TestIntegerTensor:
         closures = [close_under_bracket(f, cap=len(f)) for f in oracle_fields]
         reports = [analyze(LieAlgebraPresentation(tuple(range(len(c))), c))
                    for c in oracle_tensors]
+        # the Fraction routines on the integer tensor give integral values;
+        # linalg takes them as ints
         monkeypatch.setattr(liealg, "bracket_vec", lambda t, u, v:
-                            reference_bracket_vec(dense_tensor(t), u, v))
-        monkeypatch.setattr(liealg, "killing_matrix",
-                            lambda t: reference_killing_matrix(dense_tensor(t)))
+                            integral(reference_bracket_vec(dense_tensor(t), u, v)))
+        monkeypatch.setattr(liealg, "killing_matrix", lambda t: [
+            integral(row) for row in reference_killing_matrix(dense_tensor(t))])
         monkeypatch.setattr(liealg, "_verify_combination",
                             reference_verify_combination)
         assert [close_under_bracket(f, cap=len(f)) for f in oracle_fields] == closures
         assert [analyze(LieAlgebraPresentation(tuple(range(len(c))), c))
                 for c in oracle_tensors] == reports
-
-    def test_structure_eq2_sends_no_fraction_into_linalg(self, monkeypatch, capsys):
-        # every row linalg integerizes, and the Killing matrix, are integer
-        # on the whole structure command
-        seen = []
-        integer_row = linalg._integer_row
-        signature = linalg.symmetric_signature
-
-        def row_spy(row):
-            seen.append(row.values())
-            return integer_row(row)
-
-        def signature_spy(matrix):
-            seen.extend(matrix)
-            return signature(matrix)
-
-        monkeypatch.setattr(linalg, "_integer_row", row_spy)
-        monkeypatch.setattr(liealg, "symmetric_signature", signature_spy)
-        assert main(["structure", "eq2", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["structure"]["verdict"] == (
-            "sl2_semidirect_heisenberg")
-        assert seen
-        assert not [row for row in seen if any(type(v) is not int for v in row)]
 
 
 class TestZeroTest:

@@ -1,4 +1,8 @@
-"""The one elimination engine on rational input, checked against sympy."""
+"""The one elimination engine, checked against sympy.
+
+linalg takes integer rows only: the tests draw rational matrices, hand
+linalg each row over the lcm of its denominators, and give the oracles the
+rational system, which has the same row space, kernel and solutions."""
 
 import math
 import random
@@ -6,11 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from mongesym import linalg
+from mongesym import liealg, linalg
+from mongesym.cli import main
 from mongesym.linalg import (KeyedSpan, SparseEchelon, _forced_zeros,
-                             canonical_basis, kernel, over_common_denominator,
-                             reduced_rows, solve_exact, sparse_nullspace,
-                             symmetric_signature)
+                             canonical_basis, kernel, reduced_rows, solve_exact,
+                             sparse_nullspace, symmetric_signature)
+from mongesym.rationals import over_common_denominator
 
 from helpers import (primitive_row, reference_canonical_basis,
                      reference_nullspace, reference_root_signature,
@@ -40,6 +45,13 @@ def random_matrix(rng: random.Random):
     return rows, ncols
 
 
+def integer_rows(rows, ncols):
+    """Each rational row over the lcm of its denominators, as a dense
+    primitive integer row (helpers.primitive_row): the input linalg takes."""
+    return [[r.get(c, 0) for c in range(ncols)]
+            for r in (primitive_row(dict(enumerate(row))) for row in rows)]
+
+
 SEEDS = range(300)
 
 
@@ -50,7 +62,7 @@ def test_reduced_rows_is_the_sympy_rref():
         reduced, pivots = reference_rref(rows, ncols) if rows else ([], [])
         expected = [tuple(primitive_row(dict(enumerate(r))).get(c, 0)
                           for c in range(ncols)) for r in reduced]
-        assert reduced_rows(rows) == (expected, pivots), seed
+        assert reduced_rows(integer_rows(rows, ncols)) == (expected, pivots), seed
 
 
 def test_reduced_is_the_sympy_rref_up_to_row_scaling():
@@ -109,7 +121,7 @@ def test_kernel_is_the_sympy_nullspace_basis():
     # largest nonzero column; sympy's vector is the same one scaled to x_f = 1
     for seed in SEEDS:
         rows, ncols = random_matrix(random.Random(seed))
-        got = kernel(rows, ncols)
+        got = kernel(integer_rows(rows, ncols), ncols)
         expected = reference_nullspace(rows, ncols)
         assert len(got) == len(expected), seed
         for v, w in zip(got, expected):
@@ -178,7 +190,13 @@ def test_solve_exact_is_none_exactly_when_inconsistent():
         consistent = [sum(a * b for a, b in zip(row, x)) for row in rows]
         arbitrary = [Fraction(rng.randint(-3, 3)) for _ in rows]
         for rhs in (consistent, arbitrary):
-            got = solve_exact(rows, rhs)
+            # each equation scaled with its right-hand side to integers
+            matrix, scaled = [], []
+            for row, b in zip(rows, rhs):
+                d = math.lcm(*(x.denominator for x in (*row, b)))
+                matrix.append([int(x * d) for x in row])
+                scaled.append(int(b * d))
+            got = solve_exact(matrix, scaled)
             assert got == reference_solve(rows, rhs, ncols), seed
             outcomes.add(got is None)
     assert outcomes == {True, False}
@@ -211,13 +229,51 @@ def test_keyed_span_reads_coordinates_off_tags():
     # keys seen late still sort before every tag
     span = KeyedSpan()
     assert span.place({"a": 1}) is None
-    assert span.place({"b": Fraction(1, 2)}) is None
+    assert span.place({"b": 1}, 2) is None  # b / 2
     assert span.place({"a": 2, "b": -1}) == [2, -2]
     assert span.coordinates({"c": 1}) is None
     assert span.size == 2
     assert span.place({"a": 1, "c": 3}) is None
     assert span.coordinates({"a": 3, "b": 1, "c": 3}) == [2, 2, 1]
     assert span.coordinates({}) == [0, 0, 0]
+
+
+# verify and genericity reach no elimination today; the test holds them to
+# the contract should one come to
+COMMANDS = {
+    "solve": ["solve", "y + y2^(1/3)", "--degree", "2", "--offsets", "0,1/3,2/3",
+              "--json"],
+    "structure": ["structure", "eq2", "--json"],
+    "verify": ["verify", "eq2", "--json"],
+    "genericity": ["genericity", "eq2", "--json"],
+    "reproduce": ["reproduce", "--json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_only_ints_reach_linalg(monkeypatch, capsys, command):
+    # every row any linalg entry point eliminates passes through
+    # SparseEchelon.reduce_row, and the Killing matrix goes to
+    # symmetric_signature: each value must be an int
+    seen = []
+    reduce_row = SparseEchelon.reduce_row
+    signature = linalg.symmetric_signature
+
+    def row_spy(self, row):
+        seen.append(row.values())
+        return reduce_row(self, row)
+
+    def signature_spy(matrix):
+        seen.extend(matrix)
+        return signature(matrix)
+
+    monkeypatch.setattr(SparseEchelon, "reduce_row", row_spy)
+    monkeypatch.setattr(liealg, "symmetric_signature", signature_spy)
+    assert main(COMMANDS[command]) == 0
+    capsys.readouterr()
+    if command not in ("verify", "genericity"):
+        assert seen
+    assert not [row for row in seen if any(type(v) is not int for v in row)]
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from mongesym.solver import (MAX_UNKNOWNS, AnsatzError, AnsatzSpec,
                              symmetry_dimension)
 
 from helpers import (brute_force_symmetry_space, coefficient_expr, field_rank,
-                     keyed_rows, numeric_symmetry_dimension, primitive_row,
-                     random_expr, reference_assemble,
+                     keyed_rows, numeric_symmetry_dimension, perfbench_module,
+                     primitive_row, random_expr, reference_assemble,
                      reference_compile_operator, reference_determining_rows,
                      reference_graded_solve, reference_rows, same_span)
 
@@ -415,7 +415,12 @@ class TestGradedElimination:
         while True:
             mix = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                     for _ in range(n)] for _ in range(n)]
-            if len(reduced_rows(mix)[0]) == n:
+            # reduced_rows takes integer rows: clear each row's denominators
+            cleared = []
+            for row in mix:
+                denom = math.lcm(*(x.denominator for x in row))
+                cleared.append([int(x * denom) for x in row])
+            if len(reduced_rows(cleared)[0]) == n:
                 break
         mixed = [tuple(sum(c * v[k] for c, v in zip(row, basis))
                        for k in range(len(basis[0]))) for row in mix]
@@ -487,6 +492,10 @@ def catalog_or_parsed(key):
         return MongeEquation(parse(key, J20))
 
 
+ITEM_2 = pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the zero test misses "
+                                               "identities between powers of one base")
+
+
 class TestNumericOracle:
     # numeric rank of the residuals at random real points
     # (helpers.numeric_symmetry_dimension) reads no canonical key, so it
@@ -502,14 +511,49 @@ class TestNumericOracle:
 
     # ROADMAP item 2: the zero test keys B^(1/3) and B^(-2/3) apart, so the
     # solver misses the scaling symmetry that the numeric rank sees
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the zero test misses "
-                                           "identities between powers of one base")
+    @ITEM_2
     @pytest.mark.parametrize("key", ["strazzullo", "(y2 + y1^2)^(1/3)"])
     @pytest.mark.parametrize("degree", [1, 2])
     def test_item_2_reproducers(self, key, degree):
         m = catalog_or_parsed(key)
         assert numeric_symmetry_dimension(m, AnsatzSpec(degree)) == 4
         assert symmetry_dimension(m, degree, rates=(0,)).dimension == 4
+
+
+def generated_equation(seed):
+    """The benchmark's random F (perfbench/workloads.random_monge, nonlinear
+    in y2) for the seed, as an equation, or None when it is not generic."""
+    text, facts = perfbench_module("workloads").random_monge(random.Random(seed), False)
+    return catalog_or_parsed(text) if facts["generic"] else None
+
+
+class TestGeneratedEquations:
+    # ROADMAP items 18 and 11 on seeded generic equations: a generic
+    # equation has at most 14 symmetries, and the numeric rank reads no
+    # canonical key.  Of the generic draws in range(24), seeds 0, 4, 8, 11
+    # and 21 have one symmetry more by numeric rank (item 2), and seed 12
+    # gives the numeric rank no clear gap
+    OFFSETS = (Fraction(0), Fraction(1, 3), Fraction(2, 3))
+
+    @pytest.mark.parametrize("seed", [7, 9, 10, 13, 23,
+                                      pytest.param(8, marks=ITEM_2),
+                                      pytest.param(21, marks=ITEM_2)])
+    def test_the_bound_and_the_numeric_rank_hold(self, seed):
+        m = generated_equation(seed)
+        assert m is not None
+        r = symmetry_dimension(m, 1, offsets=self.OFFSETS)
+        assert not any(f.is_zero() for f in r.basis)
+        assert field_rank(r.basis) == r.dimension <= 14
+        spec = AnsatzSpec(1, offsets=self.OFFSETS, rates=exp_rates_for(m))
+        assert numeric_symmetry_dimension(m, spec) == r.dimension
+
+    def test_the_bound_holds_at_degree_2(self):
+        generic = [m for m in map(generated_equation, range(12)) if m is not None]
+        assert len(generic) == 9
+        for m in generic:
+            r = symmetry_dimension(m, 2, offsets=self.OFFSETS)
+            assert not any(f.is_zero() for f in r.basis), m
+            assert field_rank(r.basis) == r.dimension <= 14, m
 
 
 class TestSoundness:

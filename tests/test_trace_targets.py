@@ -8,26 +8,16 @@ benchmark's per-layer metrics.
 """
 
 import importlib
-import importlib.util
-import os
-import sys
 
 import pytest
 
 from mongesym import cli
 
-LAYERTRACE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "layertrace.py")
+from helpers import perfbench_module
 
 
 def layertrace():
-    spec = importlib.util.spec_from_file_location("_layertrace", LAYERTRACE)
-    module = importlib.util.module_from_spec(spec)
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
+    return perfbench_module("layertrace")
 
 
 @pytest.mark.parametrize("module_name,attribute",
