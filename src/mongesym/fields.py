@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .charts import Chart, ChartMismatchError, J2, J20, PLANE, require_same_chart
-from .expr import Expr, ExprError, multiply_terms
+from .expr import POLY_ONE, Expr, ExprError, multiply_terms
 from .parser import parse, quoted
 
 
@@ -45,11 +45,11 @@ class VectorField:
         unknown = coeffs.keys() - set(chart.coords)
         if unknown:
             raise ExprError(f"{quoted(min(unknown))} is not a coordinate of chart {chart.name}")
-        texts = [coeffs.get(c, "0") for c in chart.coords]
-        for c, text in zip(chart.coords, texts):
-            if not isinstance(text, str):
-                raise ExprError(f"the coefficient of {c} is {quoted(text)}, not a string")
-        return VectorField(chart, tuple(parse(text, chart) for text in texts))
+        for c in chart.coords:
+            if c in coeffs and not isinstance(coeffs[c], str):
+                raise ExprError(f"the coefficient of {c} is {quoted(coeffs[c])}, not a string")
+        return VectorField(chart, tuple(parse(coeffs[c], chart) if c in coeffs
+                                        else Expr.zero(chart) for c in chart.coords))
 
     @staticmethod
     def coordinate(chart: Chart, name: str) -> "VectorField":
@@ -106,32 +106,32 @@ class VectorField:
     __repr__ = __str__
 
 
-def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
-    """[V, W]_i = sum_j (V_j dW_i/du_j - W_j dV_i/du_j).
+def _gather(chart: Chart, products) -> Expr:
+    """The sum of sign * a * b over the (sign, a, b) products, gathered as
+    terms over the lcm of the products' denominators and normalized once;
+    only the products that are not canonical as they stand go through the
+    canonicalizer.  A product with a zero factor is not formed, and a unit
+    a takes no product: b's terms go in as they stand."""
+    products = [p for p in products if p[1].terms and p[2].terms]
+    den = math.lcm(*(a.den * b.den for _, a, b in products))
+    ready, raw = [], []
+    for sign, a, b in products:
+        k = sign * (den // (a.den * b.den))
+        if (a.terms, a.den) == POLY_ONE:
+            ready.extend(b.terms if k == 1 else [(c * k, m, t) for c, m, t in b.terms])
+        else:
+            multiply_terms(ready, raw, a.terms, b.terms, k)
+    return Expr.from_raw(chart, raw, ready, den)
 
-    The products of both sums are gathered as terms over one denominator
-    per component, the lcm of the products' denominators, and each
-    component is normalized once; only the products that are not canonical
-    as they stand go through the canonicalizer.
-    """
+
+def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
+    """[V, W]_i = sum_j (V_j dW_i/du_j - W_j dV_i/du_j), each component one
+    gathered sum (_gather) of the products of both sums."""
     require_same_chart(v, w)
-    pairs = [(a, column, sign)
-             for x, y, sign in ((v, w, 1), (w, v, -1))
-             for a, column in zip(x.coefficients, zip(*y.jacobian)) if a.terms]
-    dens = [1] * len(v.coefficients)
-    for a, column, _ in pairs:
-        for i, partial in enumerate(column):
-            if partial.terms:
-                dens[i] = math.lcm(dens[i], a.den * partial.den)
-    ready = [[] for _ in v.coefficients]
-    raw = [[] for _ in v.coefficients]
-    for a, column, sign in pairs:
-        for i, partial in enumerate(column):
-            if partial.terms:
-                multiply_terms(ready[i], raw[i], a.terms, partial.terms,
-                               sign * (dens[i] // (a.den * partial.den)))
-    return VectorField(v.chart, tuple(Expr.from_raw(v.chart, r, c, d)
-                                      for r, c, d in zip(raw, ready, dens)))
+    return VectorField(v.chart, tuple(
+        _gather(v.chart, [*((1, a, p) for a, p in zip(v.coefficients, w_partials)),
+                          *((-1, a, p) for a, p in zip(w.coefficients, v_partials))])
+        for v_partials, w_partials in zip(v.jacobian, w.jacobian)))
 
 
 @dataclass(frozen=True)
@@ -212,11 +212,13 @@ class MembershipWitness:
 
 
 def membership_residuals(v: VectorField, d: Distribution2):
-    """The three functions whose joint vanishing puts v inside the distribution."""
-    vx, vy, vy1, vy2, vz = v.coefficients
-    y1 = Expr.coordinate(J20, "y1")
-    y2 = Expr.coordinate(J20, "y2")
-    return (vy - y1 * vx, vy1 - y2 * vx, vz - d.equation.F * vx)
+    """The three functions whose joint vanishing puts v inside the
+    distribution: vy - y1*vx, vy1 - y2*vx and vz - F*vx, each one gathered
+    sum."""
+    one, y1, y2, _, F = d.X2.coefficients
+    vx, vy, vy1, _, vz = v.coefficients
+    return tuple(_gather(J20, [(1, one, c), (-1, x2, vx)])
+                 for c, x2 in ((vy, y1), (vy1, y2), (vz, F)))
 
 
 def in_distribution(v: VectorField, d: Distribution2):
@@ -236,9 +238,28 @@ class SymmetryReport:
 
 
 def symmetry_residuals(s: VectorField, d: Distribution2):
-    b1 = lie_bracket(s, d.X1)
-    b2 = lie_bracket(s, d.X2)
-    return membership_residuals(b1, d) + membership_residuals(b2, d)
+    """The membership residuals of [S, X1] and then of [S, X2], in closed
+    form; residual 3k + r is residual r of the bracket with X_{k+1}.
+
+    With S = (xi, eta, eta1, eta2, zeta), D = X2 and subscripts for partials,
+    X1 = d/dy2 gives [S, X1] = -dS/dy2, and
+
+        r0 = y1*xi_y2 - eta_y2         r3 = eta1 - D(eta) + y1*D(xi)
+        r1 = y2*xi_y2 - eta1_y2        r4 = eta2 - D(eta1) + y2*D(xi)
+        r2 = F*xi_y2 - zeta_y2         r5 = S(F) - D(zeta) + F*D(xi)
+
+    where S(F) = sum_j S_j F_{u_j}.  D(xi) is normalized once; every residual
+    is one gathered sum (_gather) of products of S's cached partials, the
+    coefficients of X2 and F's partials.
+    """
+    require_same_chart(s, d.X2)
+    x2, jac, y2 = d.X2.coefficients, s.jacobian, J20.index("y2")
+    # i = 1, 2, 4 are the components y, y1, z, and x2[i] is y1, y2, F
+    d_xi = _gather(J20, [(1, a, p) for a, p in zip(x2, jac[0])])
+    return (*(_gather(J20, [(1, x2[i], jac[0][y2]), (-1, x2[0], jac[i][y2])]) for i in (1, 2, 4)),
+            *(_gather(J20, [*((1, a, p) for a, p in zip(s.coefficients, d.X2.jacobian[i])),
+                            *((-1, a, p) for a, p in zip(x2, jac[i])), (1, x2[i], d_xi)])
+              for i in (1, 2, 4)))
 
 
 def is_symmetry(s: VectorField, d: Distribution2) -> SymmetryReport:

@@ -426,6 +426,21 @@ def reference_bracket(v: VectorField, w: VectorField) -> VectorField:
         for vc, wc in zip(v.coefficients, w.coefficients)))
 
 
+def reference_membership_residuals(v: VectorField, distribution) -> tuple:
+    """vy - y1*vx, vy1 - y2*vx and vz - F*vx, by Expr arithmetic."""
+    vx, vy, vy1, _, vz = v.coefficients
+    y1, y2 = Expr.coordinate(J20, "y1"), Expr.coordinate(J20, "y2")
+    return (vy - y1 * vx, vy1 - y2 * vx, vz - distribution.equation.F * vx)
+
+
+def reference_symmetry_residuals(s: VectorField, distribution) -> tuple:
+    """The six symmetry residuals by their definition: the membership
+    residuals of [S, X1] and then of [S, X2], both brackets built in full by
+    reference_bracket."""
+    return tuple(r for x in (distribution.X1, distribution.X2)
+                 for r in reference_membership_residuals(reference_bracket(s, x), distribution))
+
+
 # ---------------------------------------------------------------------------
 # approximate flow-commutator oracle for the Lie bracket
 # ---------------------------------------------------------------------------
