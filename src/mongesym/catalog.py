@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .charts import J20, PLANE
 from .fields import MongeEquation, VectorField, prolong_plane_field
-from .parser import parse
+from .parser import parse, quoted
 
 
 class CatalogKeyError(KeyError):
@@ -96,15 +96,15 @@ def get_equation(key: str) -> MongeEquation:
     m = _PARAM.match(key)
     family = m and {"eq1": (eq1, 1), "dz13": (dz13, 2)}.get(m.group(1))
     if not family:
-        raise CatalogKeyError(f"unknown equation key {key!r}")
+        raise CatalogKeyError(f"unknown equation key {quoted(key)}")
     make, count = family
     args = [a.strip() for a in m.group(2).split(",")] if m.group(2).strip() else []
     try:
         values = [Fraction(a) for a in args]
     except (ValueError, ZeroDivisionError):
-        raise CatalogParameterError(f"non-rational parameter in {key!r}") from None
+        raise CatalogParameterError(f"non-rational parameter in {quoted(key)}") from None
     if len(values) != count:
-        raise CatalogParameterError(f"{key!r} has {len(values)} parameters, "
+        raise CatalogParameterError(f"{quoted(key)} has {len(values)} parameters, "
                                     f"where {m.group(1)} takes {count}")
     return make(*values)
 
@@ -117,4 +117,4 @@ def get_field(key: str) -> VectorField:
         return VectorField.from_strings(J20, SYMMETRY_FIELDS[key])
     if key in EQUIAFFINE:
         return prolong_plane_field(*_plane_pair(key))
-    raise CatalogKeyError(f"unknown field key {key!r}")
+    raise CatalogKeyError(f"unknown field key {quoted(key)}")

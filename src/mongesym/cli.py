@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import catalog
 from .charts import J20
-from .expr import Expr, ExprError, LnAtom, PowerAtom, poly_text
+from .expr import Expr, ExprError, LnAtom, PowerAtom, number_text, poly_text
 from .fields import (MongeEquation, VectorField, distribution_from_monge,
                      frame_determinant, frame_fields, genericity_hessian, is_symmetry,
                      project_to_j2, ProjectionError)
@@ -248,7 +248,7 @@ def bracket_table(p: LieAlgebraPresentation) -> dict:
         for j in range(i + 1, p.dimension):
             coords = p.constants[i][j]
             if any(coords):
-                table[f"[{i},{j}]"] = [str(c) for c in coords]
+                table[f"[{i},{j}]"] = [number_text(c) for c in coords]
     return table
 
 
@@ -264,7 +264,7 @@ def projection_analysis(p: LieAlgebraPresentation):
     matches = []
     for i, img in enumerate(images):
         coords = express_in_basis(img, prolonged)
-        matches.append(None if coords is None else [str(c) for c in coords])
+        matches.append(None if coords is None else [number_text(c) for c in coords])
     return {
         "projectable": True,
         "kernel_indices": kernel,

@@ -56,6 +56,7 @@ rule that multiply_terms, Expr.diff and the solver's row builder apply.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -80,6 +81,22 @@ _UNIT_INDEX = {m: i for i, m in enumerate(UNIT_MONOS)}
 
 class ExprError(ValueError):
     pass
+
+
+def shortened(text: str) -> str:
+    """A number's text in an error's reason, cut as parser.quoted cuts but at
+    40 characters, since the reason follows an argument quoted to 80."""
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
+def number_text(q) -> str:
+    """str(q) for an int or a Fraction, or ExprError past the digits Python
+    converts to text (sys.get_int_max_str_digits(), which stays as it is)."""
+    try:
+        return str(q)
+    except ValueError:  # str of an int raises it only past that limit
+        raise ExprError(f"a number has more than the {sys.get_int_max_str_digits()} "
+                        "digits Python converts to text") from None
 
 
 # Powers are sized before they are computed: a coefficient's numerator and
@@ -115,10 +132,10 @@ def mono_key(m: Mono):
 
 
 def _ratio_text(n: int, d: int) -> str:
-    """n/d as Fraction prints it."""
+    """n/d as Fraction prints it (number_text)."""
     g = math.gcd(n, d)
     n, d = n // g, d // g
-    return str(n) if d == 1 else f"{n}/{d}"
+    return number_text(n) if d == 1 else f"{number_text(n)}/{number_text(d)}"
 
 
 def _check_power_size(n: int, d: int, q) -> None:
@@ -126,7 +143,8 @@ def _check_power_size(n: int, d: int, q) -> None:
     than MAX_POWER_BITS bits."""
     size = max(abs(n), d)
     if size > 1 and size.bit_length() * abs(q.numerator) > MAX_POWER_BITS * q.denominator:
-        raise ExprError(f"power too large: ({_ratio_text(n, d)})^({q}) has about "
+        raise ExprError(f"power too large: ({shortened(_ratio_text(n, d))})"
+                        f"^({shortened(number_text(q))}) has about "
                         f"{math.ceil(size.bit_length() * abs(q))} bits")
 
 
@@ -789,11 +807,8 @@ class Expr(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def _exp_text(e) -> str:
-    if isinstance(e, Fraction) and e.denominator == 1:
-        e = int(e)
-    if isinstance(e, int):
-        return f"^{e}" if e >= 0 else f"^({e})"
-    return f"^({e})"
+    text = number_text(e)
+    return f"^{text}" if e.denominator == 1 and e >= 0 else f"^({text})"
 
 def _mono_factors(m: Mono, chart: Chart):
     return [name if e == 1 else name + _exp_text(e)

@@ -7,9 +7,9 @@ its numerators over canonical-form (direction, monomial, atoms) keys and
 one denominator, the lcm of its coefficients' denominators, built once per
 field.  Coordinates come from a linalg.KeyedSpan of those forms: the
 closure keeps one for its whole run, and express_in_basis builds one from
-the basis.  An integer zero-test on the same forms confirms every answer:
-v - sum c_k b_k vanishes when, over the lcm of d_v and of each
-c_k.denominator * d_k, every key's integer sum is zero.
+the basis.  An integer zero-test on the same forms confirms every answer,
+numerators c_k over one e: e * v - sum c_k b_k vanishes when, over the lcm
+of d_v and of each d_k, every key's integer sum is zero.
 
 analyze works on one integer tensor: the constants over their common
 denominator D, stored sparse per (i, j) as (k, D * c_ijk) pairs.  Every
@@ -32,9 +32,10 @@ radical's and the quotient's constants blocks of one rebased integer
 tensor; the same path recognizes both blocks, and the Levi complement of
 sl(2) ⋉ heisenberg is corrected in those coordinates.  Every equation of
 that correction carries one common scale, so the solve returns the true
-correction times that scale.  No Fraction reaches linalg: Fractions appear
-only in the StructureReport, which scales the center to 1 at each vector's
-free (last nonzero) column and the radical to 1 at each row's pivot.
+correction times that scale.  linalg takes and gives integers: Fractions
+are made only for express_in_basis, the constants, rebase and the
+StructureReport, which scales the center to 1 at each vector's free (last
+nonzero) column and the radical to 1 at each row's pivot.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charts import require_same_chart
+from .expr import number_text
 from .fields import VectorField, lie_bracket
 from .linalg import (KeyedSpan, coordinates, kernel, reduced_rows, solve_exact,
                      symmetric_signature)
@@ -70,24 +72,24 @@ def express_in_basis(v: VectorField, basis):
     coords = coordinates([b.integer_form for b in basis], v.integer_form)
     if coords is not None:
         _verify_combination(v, basis, coords)
-    return coords
+        return [Fraction(x, coords[1]) for x in coords[0]]
+    return None
 
 
 def _verify_combination(v: VectorField, basis, coords) -> None:
-    """The zero-test behind every answer: raise unless
-    v - sum(coords[k] * basis[k]) is zero.  On each field's integer form,
-    numerators n over one denominator d, every term is brought to the lcm L
-    of d_v and of each c_k.denominator * d_k, and each canonical key's
-    integer sum must vanish."""
+    """The zero-test behind every answer, coords = ([c_k], e) from linalg:
+    raise unless e * v - sum(c_k * basis[k]) is zero.  On each field's
+    integer form, numerators n over one denominator d, every term is brought
+    to the lcm of d_v and of each d_k, and each key's integer sum must vanish."""
     nv, dv = v.integer_form
-    parts = [(c, d * c.denominator, nb)
-             for c, b in zip(coords, basis) if c
+    parts = [(c, d, nb)
+             for c, b in zip(coords[0], basis) if c
              for nb, d in (b.integer_form,) if nb]
-    lcm = math.lcm(dv, *(den for _, den, _ in parts))
-    f = lcm // dv
+    lcm = math.lcm(dv, *(d for _, d, _ in parts))
+    f = coords[1] * (lcm // dv)
     total = {key: f * x for key, x in nv.items()}
-    for c, den, nb in parts:
-        f = c.numerator * (lcm // den)
+    for c, d, nb in parts:
+        f = c * (lcm // d)
         for key, x in nb.items():
             total[key] = total.get(key, 0) - f * x
     if any(total.values()):
@@ -114,7 +116,7 @@ def close_under_bracket(fields, cap: int = 32) -> "LieAlgebraPresentation":
         coords = span.place(*f.integer_form)
         if coords is not None:
             _verify_combination(f, basis, coords)
-            return coords
+            return [Fraction(x, coords[1]) for x in coords[0]]
         basis.append(f)
         if len(basis) > cap:
             raise ClosureCapExceeded(f"dimension exceeded cap {cap}")
@@ -131,14 +133,12 @@ def close_under_bracket(fields, cap: int = 32) -> "LieAlgebraPresentation":
         if len(basis) > k:
             pending.extend((t, k) for t in range(k))
     n = len(basis)
-    zero_row = (Fraction(0),) * n
-    constants = [[zero_row] * n for _ in range(n)]
+    constants = [[(Fraction(0),) * n] * n for _ in range(n)]
     for (i, j), coords in brackets.items():
         row = tuple(coords) + (Fraction(0),) * (n - len(coords))
         constants[i][j] = row
         constants[j][i] = tuple(-c for c in row)
-    return LieAlgebraPresentation(tuple(basis),
-                                  tuple(tuple(r) for r in constants))
+    return LieAlgebraPresentation(tuple(basis), tuple(map(tuple, constants)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +288,8 @@ def rebase(t, d, rows):
     for a in range(n):
         for b in range(a + 1, n):
             w = bracket_vec(t, rows[a], rows[b])
-            out[a][b] = tuple(span.coordinates(dict(enumerate(w))))
+            nums, den = span.coordinates(dict(enumerate(w)))
+            out[a][b] = tuple(Fraction(x, den) for x in nums)
             out[b][a] = tuple(-x for x in out[a][b])
     adapted, scale = integer_tensor(out)
     return adapted, d * scale
@@ -325,9 +326,9 @@ def _correct(adapted, ws, e, m, lo, hi):
 
     The vectors are ws / e with ws integer, and adapted is s times the true
     constants.  Then the defect below is s * e^2 times the true one and every
-    column s * e times its own, so the solve returns e * phi, and ws + e * phi
-    over e are the corrected vectors: returns them as (integer rows, common
-    denominator), or None."""
+    column s * e times its own, so the solve returns e * phi as integers over
+    a scale k, and k * ws plus them, over k * e, are the corrected vectors:
+    returns them as (integer rows, common denominator), or None."""
     n = len(adapted)
     r = hi - lo
     unit = unit_rows(n)
@@ -359,7 +360,7 @@ def _correct(adapted, ws, e, m, lo, hi):
     psi = solve_exact(eq_rows, eq_rhs)
     if psi is None:
         return None
-    scale, phi = over_common_denominator(psi)
+    phi, scale = psi
     out = [[scale * x for x in w] for w in ws]
     for a in range(m):
         for s in range(r):
@@ -455,21 +456,21 @@ class StructureReport:
         return {
             "dimension": self.dimension,
             "center": (list(self.center_indices) if self.center_indices is not None
-                       else [[str(v) for v in row] for row in self.center]),
+                       else [[number_text(v) for v in row] for row in self.center]),
             "derived_dims": list(self.derived_dims),
             "lcs_dims": list(self.lcs_dims),
             "solvable": self.solvable,
             "nilpotent": self.nilpotent,
             "killing": {
-                "matrix": [[str(v) for v in row] for row in self.killing],
+                "matrix": [[number_text(v) for v in row] for row in self.killing],
                 "rank": self.killing_rank,
                 "signature": list(self.killing_signature),
             },
             "radical": (list(self.radical_indices) if self.radical_indices is not None
-                        else [[str(v) for v in row] for row in self.radical]),
+                        else [[number_text(v) for v in row] for row in self.radical]),
             "verdict": self.verdict,
             "complement": (None if self.complement is None
-                           else [[str(v) for v in row] for row in self.complement]),
+                           else [[number_text(v) for v in row] for row in self.complement]),
         }
 
 

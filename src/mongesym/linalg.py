@@ -1,14 +1,15 @@
 """Exact linear algebra on one engine: sparse fraction-free elimination.
 
-Every entry point takes integer rows: callers clear denominators before
-they call in.  SparseEchelon works on integer rows (dict column ->
-coefficient) and never leaves the integers: its one step clears a column
-against a pivot row by cross multiplication, and each reduced row is
-divided by its content once, at the end, so no rounding and no rational
-blow-up occurs.  The forward elimination applies the step at each row's
-leading column, and the back-reduction reduced() from the highest pivot
-down; canonical_basis and reduced_rows read the reduced form.  Every
-kernel is read off the pivot rows by one integer back-substitution
+Every entry point takes integer rows and answers in integers: callers
+clear denominators before they call in.  SparseEchelon works on integer
+rows (dict column -> coefficient) and never leaves the integers: its one
+step clears a column against a pivot row by cross multiplication, and each
+reduced row is divided by its content once, at the end, so no rounding and
+no rational blow-up occurs.  The forward elimination applies the step at
+each row's leading column, and the back-reduction reduced() from the
+highest pivot down; reduced_rows reads the reduced form, and
+canonical_basis is reduced_rows over reversed columns.  Every kernel is
+read off the pivot rows by one integer back-substitution
 (_back_substitute): kernel's on a small dense matrix, sparse_nullspace's
 after a presolve.
 sparse_nullspace first presolves: a row with one live entry forces its
@@ -23,10 +24,10 @@ integer back-substitution (_back_substitute) computes only the free
 columns' vectors, each from just the pivot rows it reaches.
 
 KeyedSpan keeps the span of sparse integer vectors over arbitrary keys and
-reads their rational coordinates off tag columns; coordinates and
-solve_exact are built on it, and their answers are the only Fractions
-here.  symmetric_signature reads the signature of a symmetric integer
-matrix off its characteristic polynomial, by Descartes' rule of signs.
+reads their coordinates off tag columns; it, coordinates and solve_exact
+answer (integer numerators, den > 0) in lowest terms.  symmetric_signature
+reads the signature of a symmetric integer matrix off its characteristic
+polynomial, by Descartes' rule of signs.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import math
 import operator
 from collections import defaultdict
 from itertools import compress
-from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +85,12 @@ def _eliminate(row: dict, piv: dict, c: int) -> dict:
 
 
 class SparseEchelon:
-    """Incremental echelon form of an integer sparse matrix."""
+    """Incremental echelon form of sparse integer rows, inserted in order."""
 
-    def __init__(self):
+    def __init__(self, rows=()):
         self.pivots: dict = {}   # leading column -> normalized row
+        for row in rows:
+            self.insert(row)
 
     def reduce_row(self, row: dict) -> dict:
         """row reduced against the pivots at its leading column until that
@@ -248,9 +250,7 @@ def sparse_nullspace(rows, ncols: int, counts: dict | None = None):
     survivors = rows_to_integer(
         row if n == len(row) else {c: v for c, v in row.items() if v and c not in forced}
         for row, n in zip(rows, live) if n)
-    ech = SparseEchelon()
-    for row in sorted(survivors, key=_row_order_key):
-        ech.insert(row)
+    ech = SparseEchelon(sorted(survivors, key=_row_order_key))
     pivots = ech.pivots
     if counts is not None:
         counts.update(rows=len(rows), forced_columns=len(forced),
@@ -282,20 +282,9 @@ def canonical_basis(vectors):
     other pivot column is zero.  Those pivots are the free columns of any
     system whose nullspace is the span, so this is the basis
     sparse_nullspace returns for it, in primitive integers, ordered by f:
-    SparseEchelon.reduced() over reversed columns."""
-    if not vectors:
-        return []
-    n = len(vectors[0])
-    echelon = SparseEchelon()
-    for v in vectors:
-        echelon.insert({n - 1 - c: v[c] for c in compress(range(n), v)})
-    basis = []
-    for _, row in sorted(echelon.reduced().items(), reverse=True):
-        vec = [0] * n
-        for c, a in row.items():
-            vec[n - 1 - c] = a
-        basis.append(tuple(vec))
-    return basis
+    reduced_rows over reversed columns, read backwards."""
+    rows, _ = reduced_rows(v[::-1] for v in vectors)
+    return [row[::-1] for row in reversed(rows)]
 
 
 def rows_to_integer(rows):
@@ -305,19 +294,20 @@ def rows_to_integer(rows):
 
 
 # ---------------------------------------------------------------------------
-# spans of integer vectors and their rational coordinates
+# spans of integer vectors and their coordinates
 # ---------------------------------------------------------------------------
 
 class KeyedSpan:
     """The span of sparse integer vectors over hashable keys, as one
     SparseEchelon.  Keys become columns (0, i) in order of first sight, and
-    each vector placed carries a tag column (1, k) of its own, after every
-    key column.  A vector whose key part reduces to zero keeps only tags, a
-    at its own and a_k at the k-th joined vector's: its coordinates are
-    -a_k / a.  Any other vector can join the span as its reduced row.  A
-    rational vector comes as integer numerators over a denominator den: its
-    tag is then den, which places den times the vector, so nothing else
-    changes.
+    the k-th vector placed carries a tag column (1, -k) of its own, after
+    every key column.  A vector whose key part reduces to zero keeps only
+    tags: a > 0 at its own, which leads, and a_k at the k-th joined
+    vector's; its coordinates are -a_k over a, in lowest terms since the
+    row is primitive.  Any other vector can join the span as its reduced
+    row.  A rational vector comes as integer numerators over a denominator
+    den: its tag is then den, which places den times the vector, so nothing
+    else changes.
     """
 
     def __init__(self):
@@ -326,7 +316,7 @@ class KeyedSpan:
         self._echelon = SparseEchelon()
 
     def _reduce(self, vector: dict, den: int) -> dict:
-        row = {(1, self.size): den}
+        row = {(1, -self.size): den}
         for key, v in vector.items():
             if v:
                 row[self._columns.setdefault(key, (0, len(self._columns)))] = v
@@ -335,12 +325,11 @@ class KeyedSpan:
     def _read(self, row: dict):
         if min(row)[0] == 0:
             return None
-        own = row[1, self.size]
-        return [Fraction(-row.get((1, k), 0), own) for k in range(self.size)]
+        return [-row.get((1, -k), 0) for k in range(self.size)], row[1, -self.size]
 
     def coordinates(self, vector: dict, den: int = 1):
-        """Exact coordinates of vector / den over the joined vectors, or
-        None when it lies outside their span."""
+        """Exact coordinates of vector / den over the joined vectors, as
+        (numerators, den), or None when it lies outside their span."""
         return self._read(self._reduce(vector, den))
 
     def place(self, vector: dict, den: int = 1):
@@ -354,24 +343,22 @@ class KeyedSpan:
 
 
 def coordinates(vectors, target):
-    """Exact coordinates of target over vectors, or None when it is not in
-    their span; each is a pair (sparse integer dict, den) standing for
-    dict / den.  A vector in the span of the vectors before it gets
-    coordinate 0, so the answer is unique."""
+    """Exact coordinates of target over vectors as (numerators, den), or
+    None when it is not in their span; each is a pair (sparse integer dict,
+    den) standing for dict / den.  A vector in the span of the vectors
+    before it gets coordinate 0, so the answer is unique."""
     span = KeyedSpan()
     joined = [k for k, v in enumerate(vectors) if span.place(*v) is None]
     coords = span.coordinates(*target)
     if coords is None:
         return None
-    out = [Fraction(0)] * len(vectors)
-    for k, c in zip(joined, coords):
-        out[k] = c
-    return out
+    out = dict(zip(joined, coords[0]))
+    return [out.get(k, 0) for k in range(len(vectors))], coords[1]
 
 
 def solve_exact(matrix, rhs):
-    """One exact rational solution of matrix * x = rhs, with integer matrix
-    and rhs, or None when inconsistent.
+    """One exact solution of matrix * x = rhs, with integer matrix and rhs,
+    as (numerators, den), or None when inconsistent.
 
     A column that depends on the columns before it gets x = 0, which is the
     solution with every free variable of the reduced echelon form at zero.
@@ -385,25 +372,19 @@ def kernel(matrix, ncols: int):
     free column f of its echelon form, positive at f (its largest nonzero
     column) and zero at every other free column: sparse_nullspace's
     back-substitution (_back_substitute), without the presolve."""
-    echelon = SparseEchelon()
-    for v in matrix:
-        echelon.insert(dict(enumerate(v)))
-    pivots = echelon.pivots
+    pivots = SparseEchelon(dict(enumerate(v)) for v in matrix).pivots
     return _dense(_back_substitute(pivots, [c for c in range(ncols) if c not in pivots]),
                   ncols)
 
 
 def reduced_rows(vectors):
-    """Reduced row echelon form of integer vectors of one length, as (primitive integer tuples with a positive pivot, pivot
-    columns): SparseEchelon.reduced() in pivot order."""
+    """Reduced row echelon form of integer vectors of one length, as
+    (primitive integer tuples with a positive pivot, pivot columns):
+    SparseEchelon.reduced() in pivot order."""
     vectors = list(vectors)
-    if not vectors:
-        return [], []
-    n = len(vectors[0])
-    echelon = SparseEchelon()
-    for v in vectors:
-        echelon.insert(dict(enumerate(v)))
-    reduced = echelon.reduced()
+    n = len(vectors[0]) if vectors else 0
+    reduced = SparseEchelon({c: v[c] for c in compress(range(n), v)}
+                            for v in vectors).reduced()
     pivots = sorted(reduced)
     return _dense([reduced[p] for p in pivots], n), pivots
 

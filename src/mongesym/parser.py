@@ -27,7 +27,8 @@ import sys
 from fractions import Fraction
 
 from .charts import Chart
-from .expr import Expr, ExprError, NonRationalPowerError, ExpAtom, LnAtom, ONE_MONO
+from .expr import (Expr, ExprError, NonRationalPowerError, ExpAtom, LnAtom, ONE_MONO,
+                   shortened)
 
 # Parentheses, exp( and ln( open at once; deeper input is a ParseError.
 MAX_NESTING = 100
@@ -202,7 +203,8 @@ class _Parser:
                 return base ** q
             except NonRationalPowerError:
                 raise ParseError(
-                    f"non-rational literal power ({base})^({q})", self.s.pos) from None
+                    f"non-rational literal power ({shortened(str(base))})^({shortened(str(q))})",
+                    self.s.pos) from None
             except ExprError as exc:
                 raise ParseError(str(exc), self.s.pos) from None
         return base

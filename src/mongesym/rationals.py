@@ -6,8 +6,8 @@ powers go through ratio_pow on (numerator, denominator) pairs; exact_pow is
 the same on Fractions, for values at the interface (substitution, exp rates).
 Both decide when a rational power of a rational number is again rational
 (8^(1/3) = 2) and compute it exactly when it is.  over_common_denominator
-clears the denominators of a list of rationals at once, for the callers
-that hand integers to linalg.
+clears the denominators of a list of rationals at once, for
+liealg.integer_tensor.
 """
 
 from __future__ import annotations

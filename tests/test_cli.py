@@ -106,6 +106,10 @@ class TestExitCodes:
             {"chart": "J20", "coefficients": {"x": [1] * (MEGABYTE // 3)}})),
         "rational_list": ("solve", "eq2", "--offsets", "1/" * (MEGABYTE // 2)),
         "rational_digits": ("solve", "eq2", "--offsets", "1" * 5000),
+        "catalog_parameter": ("genericity", "dz13(1," + "9" * 3000 + "x)"),
+        "catalog_parameter_count": ("solve", "eq1(" + ",".join(["1"] * 2000) + ")"),
+        "literal_root_base": ("genericity", "(" + "7" * 4000 + ")^(1/2)"),
+        "literal_power_base": ("genericity", "(" + "7" * 4000 + ")^100"),
     }
 
     @pytest.mark.parametrize("name", HUGE_ARGUMENTS)
@@ -115,6 +119,34 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err.encode()) < 300
         assert "characters)" in err
+
+    @pytest.mark.parametrize("name, reason", [
+        ("literal_root_base", "non-rational literal power "
+         f"({'7' * 40}... (4000 characters))^(1/2) (at position 4008)\n"),
+        ("literal_power_base", "power too large: "
+         f"({'7' * 40}... (4000 characters))^(100) has about 1328800 bits "
+         "(at position 4006)\n"),
+    ])
+    def test_a_long_number_in_a_reason_is_cut(self, capsys, name, reason):
+        code, _, err = run(capsys, *self.HUGE_ARGUMENTS[name])
+        assert code == 2 and err.endswith(reason)
+
+    N = "7" * 3000
+
+    @pytest.mark.parametrize("argv", [
+        ("genericity", "y2^(1/" + "7" * 4000 + ")"),
+        ("verify", "eq2", json.dumps(
+            {"chart": "J20", "coefficients": {"y2": f"{N}*{N}*y2"}})),
+        ("structure", "eq2", "S1", json.dumps(
+            {"chart": "J20", "coefficients": {"x": f"{N}*{N}"}})),
+    ], ids=["hessian", "residual", "projection"])
+    def test_a_number_past_the_digit_limit_is_two(self, capsys, argv):
+        # str() of an int past sys.get_int_max_str_digits() raises
+        # ValueError, a traceback with exit code 1; the limit stays as it is
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: a number has more than the "
+                       f"{sys.get_int_max_str_digits()} digits Python converts to text\n")
 
     def test_a_literal_over_the_digit_limit_names_the_limit(self, capsys):
         code, _, err = run(capsys, *self.HUGE_ARGUMENTS["rational_digits"])

@@ -18,6 +18,7 @@ from mongesym.liealg import (ClosureCapExceeded, LieAlgebraPresentation,
                              close_under_bracket, express_in_basis,
                              integer_tensor, jacobi_holds, killing_matrix,
                              unit_rows)
+from mongesym.rationals import over_common_denominator
 from mongesym.solver import symmetry_dimension
 
 from helpers import (dense_tensor, reference_bracket_vec, reference_constants,
@@ -467,6 +468,12 @@ def integral(values):
     return [int(x) for x in values]
 
 
+def fractions(coords):
+    """linalg's (numerators, den) as Fractions."""
+    nums, den = coords
+    return [Fraction(x, den) for x in nums]
+
+
 class TestIntegerTensor:
     def test_one_common_denominator(self, oracle_tensors):
         for c in oracle_tensors:
@@ -508,8 +515,9 @@ class TestIntegerTensor:
                             integral(reference_bracket_vec(dense_tensor(t), u, v)))
         monkeypatch.setattr(liealg, "killing_matrix", lambda t: [
             integral(row) for row in reference_killing_matrix(dense_tensor(t))])
-        monkeypatch.setattr(liealg, "_verify_combination",
-                            reference_verify_combination)
+        # the closure hands the zero test linalg's (numerators, den)
+        monkeypatch.setattr(liealg, "_verify_combination", lambda v, basis, coords:
+                            reference_verify_combination(v, basis, fractions(coords)))
         assert [close_under_bracket(f, cap=len(f)) for f in oracle_fields] == closures
         assert [analyze(LieAlgebraPresentation(tuple(range(len(c))), c))
                 for c in oracle_tensors] == reports
@@ -529,6 +537,14 @@ class TestZeroTest:
     def combination(self):
         return self.B1.scale(self.COORDS[0]) + self.B2.scale(self.COORDS[1])
 
+    @staticmethod
+    def checks(coords):
+        """Each zero test with the coordinates in its form: _verify_combination
+        takes linalg's (numerators, den), the reference Fractions."""
+        den, nums = over_common_denominator(coords)
+        return [(_verify_combination, (nums, den)),
+                (reference_verify_combination, coords)]
+
     def test_the_terms_cancel_only_over_a_common_denominator(self):
         v = self.combination()
         # x: 1/5 of x and of y2^(1/3); y1: 1/15 + 3/50 of the atom term,
@@ -540,8 +556,8 @@ class TestZeroTest:
 
     def test_right_coordinates_pass(self):
         v = self.combination()
-        for check in (_verify_combination, reference_verify_combination):
-            assert check(v, [self.B1, self.B2], self.COORDS) is None
+        for check, coords in self.checks(self.COORDS):
+            assert check(v, [self.B1, self.B2], coords) is None
         assert express_in_basis(v, [self.B1, self.B2]) == self.COORDS
 
     @pytest.mark.parametrize("coords", [
@@ -553,16 +569,16 @@ class TestZeroTest:
     ])
     def test_wrong_coordinates_raise(self, coords):
         v = self.combination()
-        for check in (_verify_combination, reference_verify_combination):
+        for check, form in self.checks(coords):
             with pytest.raises(ArithmeticError):
-                check(v, [self.B1, self.B2], coords)
+                check(v, [self.B1, self.B2], form)
 
     def test_one_wrong_atom_term_raises(self):
         v = self.combination() + VectorField.from_strings(J20, {
             "y1": "1/150*exp(-4/3*y)*y2^(2/3)"})
-        for check in (_verify_combination, reference_verify_combination):
+        for check, coords in self.checks(self.COORDS):
             with pytest.raises(ArithmeticError):
-                check(v, [self.B1, self.B2], self.COORDS)
+                check(v, [self.B1, self.B2], coords)
 
 
 class TestOneIntegerForm:

@@ -2,7 +2,10 @@
 
 linalg takes integer rows only: the tests draw rational matrices, hand
 linalg each row over the lcm of its denominators, and give the oracles the
-rational system, which has the same row space, kernel and solutions."""
+rational system, which has the same row space, kernel and solutions.
+linalg answers in integers too: a rational answer comes as (numerators,
+den), which the tests compare with the oracle's Fractions over their least
+common denominator (as_integers)."""
 
 import math
 import random
@@ -50,6 +53,15 @@ def integer_rows(rows, ncols):
     primitive integer row (helpers.primitive_row): the input linalg takes."""
     return [[r.get(c, 0) for c in range(ncols)]
             for r in (primitive_row(dict(enumerate(row))) for row in rows)]
+
+
+def as_integers(values):
+    """Rationals as (integer numerators, den) over the lcm of their reduced
+    denominators, the lowest terms linalg answers in; None stays None."""
+    if values is None:
+        return None
+    den, nums = over_common_denominator(values)
+    return nums, den
 
 
 SEEDS = range(300)
@@ -197,7 +209,7 @@ def test_solve_exact_is_none_exactly_when_inconsistent():
                 matrix.append([int(x * d) for x in row])
                 scaled.append(int(b * d))
             got = solve_exact(matrix, scaled)
-            assert got == reference_solve(rows, rhs, ncols), seed
+            assert got == as_integers(reference_solve(rows, rhs, ncols)), seed
             outcomes.add(got is None)
     assert outcomes == {True, False}
 
@@ -218,10 +230,10 @@ def test_over_common_denominator_keeps_order_and_zeros():
 
 
 def test_solve_exact_without_rows_or_columns():
-    assert solve_exact([], []) == []
-    assert solve_exact([[], []], [0, 0]) == []
+    assert solve_exact([], []) == ([], 1)
+    assert solve_exact([[], []], [0, 0]) == ([], 1)
     assert solve_exact([[], []], [0, 1]) is None
-    assert solve_exact([[0, 0]], [0]) == [0, 0]
+    assert solve_exact([[0, 0]], [0]) == ([0, 0], 1)
     assert solve_exact([[0, 0]], [1]) is None
 
 
@@ -230,12 +242,15 @@ def test_keyed_span_reads_coordinates_off_tags():
     span = KeyedSpan()
     assert span.place({"a": 1}) is None
     assert span.place({"b": 1}, 2) is None  # b / 2
-    assert span.place({"a": 2, "b": -1}) == [2, -2]
+    assert span.place({"a": 2, "b": -1}) == ([2, -2], 1)
     assert span.coordinates({"c": 1}) is None
     assert span.size == 2
     assert span.place({"a": 1, "c": 3}) is None
-    assert span.coordinates({"a": 3, "b": 1, "c": 3}) == [2, 2, 1]
-    assert span.coordinates({}) == [0, 0, 0]
+    assert span.coordinates({"a": 3, "b": 1, "c": 3}) == ([2, 2, 1], 1)
+    assert span.coordinates({}) == ([0, 0, 0], 1)
+    # (-a + b) / 3 = -1/3 * a + 2/3 * (b / 2): one positive den, lowest terms
+    assert span.coordinates({"a": -1, "b": 1}, 3) == ([-1, 2, 0], 3)
+    assert span.coordinates({"a": 2, "b": 4}, -6) == ([-1, -4, 0], 3)
 
 
 # verify and genericity reach no elimination today; the test holds them to
@@ -274,6 +289,39 @@ def test_only_ints_reach_linalg(monkeypatch, capsys, command):
     if command not in ("verify", "genericity"):
         assert seen
     assert not [row for row in seen if any(type(v) is not int for v in row)]
+
+
+def lowest_terms(answer) -> bool:
+    """answer is int numerators over a positive int den with gcd 1."""
+    nums, den = answer
+    return (all(type(x) is int for x in nums) and type(den) is int and den > 0
+            and math.gcd(den, *nums) == 1)
+
+
+@pytest.mark.parametrize("command", ["structure", "reproduce"])
+def test_linalg_answers_in_lowest_integer_terms(monkeypatch, capsys, command):
+    # every answer of KeyedSpan.place, KeyedSpan.coordinates, coordinates
+    # and solve_exact is None or (int numerators, positive int den), gcd 1
+    answers = {}
+
+    def spy(name, function):
+        def wrapped(*args):
+            answer = function(*args)
+            answers.setdefault(name, []).append(answer)
+            return answer
+        return wrapped
+
+    monkeypatch.setattr(KeyedSpan, "place", spy("place", KeyedSpan.place))
+    monkeypatch.setattr(KeyedSpan, "coordinates",
+                        spy("span.coordinates", KeyedSpan.coordinates))
+    monkeypatch.setattr(liealg, "coordinates", spy("coordinates", linalg.coordinates))
+    monkeypatch.setattr(liealg, "solve_exact", spy("solve_exact", linalg.solve_exact))
+    assert main(COMMANDS[command]) == 0
+    capsys.readouterr()
+    assert sorted(answers) == ["coordinates", "place", "solve_exact", "span.coordinates"]
+    for name, seen in answers.items():
+        assert any(a is not None for a in seen), name
+        assert all(lowest_terms(a) for a in seen if a is not None), name
 
 
 # ---------------------------------------------------------------------------
