@@ -10,8 +10,6 @@ that length (see expr.Mono).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 MAX_COORDS = 5
 
 
@@ -19,17 +17,23 @@ class ChartMismatchError(ValueError):
     """Raised when two values living on different charts are combined."""
 
 
-@dataclass(frozen=True)
 class Chart:
-    name: str
-    coords: tuple[str, ...]
+    __slots__ = ("name", "coords")
 
-    def __post_init__(self):
-        if len(set(self.coords)) != len(self.coords):
-            raise ValueError(f"duplicate coordinate in chart {self.name}")
-        if len(self.coords) > MAX_COORDS:
-            raise ValueError(f"chart {self.name} has {len(self.coords)} coordinates, "
+    def __init__(self, name: str, coords: tuple[str, ...]):
+        if len(set(coords)) != len(coords):
+            raise ValueError(f"duplicate coordinate in chart {name}")
+        if len(coords) > MAX_COORDS:
+            raise ValueError(f"chart {name} has {len(coords)} coordinates, "
                              f"more than {MAX_COORDS}")
+        self.name, self.coords = name, coords
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is Chart and self.name == other.name
+                                 and self.coords == other.coords)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.coords))
 
     def index(self, coord: str) -> int:
         try:

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -192,8 +191,19 @@ def _poly_cmp(a: Poly, b: Poly) -> int:
 
 class _Atom:
     """Atoms sort by kind (power, exp, ln), then by base or argument
-    (_poly_cmp), then by exponent."""
-    __slots__ = ()
+    (_poly_cmp), then by exponent.  An atom equals only an atom of its own
+    kind with equal fields, so exp(p) != ln(p) though the two hash alike,
+    and its hash, that of its fields' tuple, is taken once, at construction."""
+    __slots__ = ("_key", "_hash")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._key))})"
 
     def __lt__(self, other: "_Atom") -> bool:
         if self.RANK != other.RANK:
@@ -204,21 +214,30 @@ class _Atom:
         return self.RANK == 0 and self.exponent < other.exponent
 
 
-@dataclass(frozen=True)
 class PowerAtom(_Atom):
+    __slots__ = ("base", "exponent")
     RANK = 0
-    base: Poly
-    exponent: Fraction
 
-@dataclass(frozen=True)
-class ExpAtom(_Atom):
+    def __init__(self, base: Poly, exponent: Fraction):
+        self.base, self.exponent = self._key = (base, exponent)
+        self._hash = hash(self._key)
+
+class _Applied(_Atom):
+    """exp or ln of an argument."""
+    __slots__ = ("argument",)
+
+    def __init__(self, argument: Poly):
+        self.argument = argument
+        self._key = (argument,)
+        self._hash = hash(self._key)
+
+class ExpAtom(_Applied):
+    __slots__ = ()
     RANK = 1
-    argument: Poly
 
-@dataclass(frozen=True)
-class LnAtom(_Atom):
+class LnAtom(_Applied):
+    __slots__ = ()
     RANK = 2
-    argument: Poly
 
 Atom = Union[PowerAtom, ExpAtom, LnAtom]
 

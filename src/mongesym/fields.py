@@ -15,8 +15,8 @@ the second y2-derivative of F is nonzero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .charts import Chart, ChartMismatchError, J2, J20, PLANE, require_same_chart
 from .expr import POLY_ONE, Expr, ExprError, multiply_terms
@@ -27,17 +27,21 @@ class ProjectionError(ExprError):
     """Pushforward undefined: horizontal coefficients depend on the fiber."""
 
 
-@dataclass(frozen=True)
 class VectorField:
-    chart: Chart
-    coefficients: tuple
-
-    def __post_init__(self):
-        if len(self.coefficients) != len(self.chart):
+    def __init__(self, chart: Chart, coefficients: tuple):
+        if len(coefficients) != len(chart):
             raise ValueError("one coefficient per chart coordinate is required")
-        for c in self.coefficients:
-            if c.chart != self.chart:
+        for c in coefficients:
+            if c.chart != chart:
                 raise ChartMismatchError("coefficient chart mismatch")
+        self.chart, self.coefficients = chart, coefficients
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is VectorField and self.chart == other.chart
+                and self.coefficients == other.coefficients)
+
+    def __hash__(self) -> int:
+        return hash((self.chart, self.coefficients))
 
     @staticmethod
     def from_strings(chart: Chart, coeffs: dict) -> "VectorField":
@@ -134,20 +138,25 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
         for v_partials, w_partials in zip(v.jacobian, w.jacobian)))
 
 
-@dataclass(frozen=True)
 class MongeEquation:
-    F: Expr
-
-    def __post_init__(self):
-        if self.F.chart != J20:
+    def __init__(self, F: Expr):
+        if F.chart != J20:
             raise ChartMismatchError("a Monge right-hand side lives on J20")
+        self.F = F
+
+    def __eq__(self, other) -> bool:
+        return type(other) is MongeEquation and self.F == other.F
+
+    def __hash__(self) -> int:
+        return hash(self.F)
 
     def __str__(self) -> str:
         return f"z' = {self.F}"
 
+    __repr__ = __str__
 
-@dataclass(frozen=True)
-class Distribution2:
+
+class Distribution2(NamedTuple):
     X1: VectorField
     X2: VectorField
     equation: MongeEquation
@@ -205,8 +214,7 @@ def frame_determinant(d: Distribution2, frame=None) -> Expr:
     return _det(rows)
 
 
-@dataclass(frozen=True)
-class MembershipWitness:
+class MembershipWitness(NamedTuple):
     alpha: Expr
     beta: Expr
 
@@ -231,8 +239,7 @@ def in_distribution(v: VectorField, d: Distribution2):
     return None
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     ok: bool
     residuals: tuple  # six expressions: three per bracket with X1, X2
 

@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .charts import require_same_chart
 from .expr import number_text
@@ -408,8 +408,7 @@ def levi_complement(t, d, rows, adapted, s, m, r):
 # presentation and reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LieAlgebraPresentation:
+class LieAlgebraPresentation(NamedTuple):
     basis: tuple
     constants: tuple  # constants[i][j] is the coordinate tuple of [b_i, b_j]
 
@@ -435,8 +434,7 @@ def _aligned_indices(rows):
     return sorted(idx)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     dimension: int
     center: tuple
     center_indices: object

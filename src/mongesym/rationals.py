@@ -22,6 +22,8 @@ def integer_nth_root(n: int, p: int) -> int:
         raise ValueError("integer_nth_root requires n >= 0 and p >= 1")
     if n in (0, 1) or p == 1:
         return n
+    if p >= n.bit_length():  # n < 2^p, so the root is below 2
+        return 1
     # Newton iteration on integers; seed from bit length.
     x = 1 << ((n.bit_length() + p - 1) // p)
     while True:

@@ -56,7 +56,6 @@ import itertools
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -81,7 +80,6 @@ class AnsatzError(ValueError):
 MAX_UNKNOWNS = 50_000
 
 
-@dataclass(frozen=True)
 class AnsatzSpec:
     """Function class for the unknown field's coefficients.
 
@@ -91,15 +89,11 @@ class AnsatzSpec:
              y2^q times the monomial y2^k * m);
     rates:   admitted rho in exp(rho*x) multipliers (0 must be present).
     """
-    degree: int
-    offsets: tuple = (Fraction(0),)
-    rates: tuple = (Fraction(0),)
-
-    def __post_init__(self):
-        if self.degree < 0:
+    def __init__(self, degree: int, offsets: tuple = (0,), rates: tuple = (0,)):
+        if degree < 0:
             raise AnsatzError("degree must be non-negative")
-        offs = tuple(sorted({Fraction(q) for q in self.offsets}))
-        rates = tuple(sorted({Fraction(r) for r in self.rates}))
+        offs = tuple(sorted({Fraction(q) for q in offsets}))
+        rates = tuple(sorted({Fraction(r) for r in rates}))
         if Fraction(0) not in offs:
             raise AnsatzError("offset 0 is required")
         if Fraction(0) not in rates:
@@ -110,13 +104,19 @@ class AnsatzSpec:
             if p != q:
                 raise AnsatzError(f"offsets {p} and {q} differ by an integer, "
                                   "so one function would get two columns")
-        unknowns = 5 * math.comb(self.degree + 5, 5) * len(offs) * len(rates)
+        unknowns = 5 * math.comb(degree + 5, 5) * len(offs) * len(rates)
         if unknowns > MAX_UNKNOWNS:
             raise AnsatzError(
-                f"the ansatz has {unknowns} unknowns (degree {self.degree}, "
+                f"the ansatz has {unknowns} unknowns (degree {degree}, "
                 f"{len(offs)} offsets, {len(rates)} rates), more than {MAX_UNKNOWNS}")
-        object.__setattr__(self, "offsets", offs)
-        object.__setattr__(self, "rates", rates)
+        self.degree, self.offsets, self.rates = degree, offs, rates
+
+    def __eq__(self, other) -> bool:
+        return type(other) is AnsatzSpec and (self.degree, self.offsets, self.rates) == (
+            other.degree, other.offsets, other.rates)
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.offsets, self.rates))
 
 
 def monomials_up_to(degree: int):
@@ -183,8 +183,7 @@ class UnknownBasis(NamedTuple):
         return atoms, factors
 
 
-@dataclass(frozen=True)
-class Ansatz:
+class Ansatz(NamedTuple):
     """The unknowns in column order with build_ansatz's layout: graded[c]
     is column c's graded position and ends[k] the end of the graded prefix
     of the unknowns of degree <= k."""
@@ -242,8 +241,7 @@ def build_ansatz(spec: AnsatzSpec) -> Ansatz:
 # determining system
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DeterminingSystem:
+class DeterminingSystem(NamedTuple):
     ansatz: Ansatz
     rows: list   # the nonempty rows, {graded column: int}
     slots: dict  # (monomial, atoms) -> its six rows, one per residual id
@@ -447,8 +445,7 @@ def exp_rates_for(m: MongeEquation):
 # solve reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SolveReport:
+class SolveReport(NamedTuple):
     equation: str
     offsets: tuple
     rates: tuple
@@ -572,8 +569,7 @@ def symmetry_dimension(m: MongeEquation, max_degree: int,
 # the solvability comparison behind maximality
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MaximalityReport:
+class MaximalityReport(NamedTuple):
     six_dim_solvable: bool
     candidates: list  # [{label, dimension, solvable}]
     verdict: str

@@ -110,6 +110,7 @@ class TestExitCodes:
         "catalog_parameter_count": ("solve", "eq1(" + ",".join(["1"] * 2000) + ")"),
         "literal_root_base": ("genericity", "(" + "7" * 4000 + ")^(1/2)"),
         "literal_power_base": ("genericity", "(" + "7" * 4000 + ")^100"),
+        "literal_root_order": ("genericity", "2^(1/" + "7" * 4000 + ")"),
     }
 
     @pytest.mark.parametrize("name", HUGE_ARGUMENTS)
@@ -147,6 +148,18 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == ("error: a number has more than the "
                        f"{sys.get_int_max_str_digits()} digits Python converts to text\n")
+
+    @pytest.mark.parametrize("equation, power, position", [
+        ("2^(1/" + "7" * 30 + ")", "(2)", 36),
+        ("(1/2)^(1/" + "7" * 30 + ")*y2^2", "(1/2)", 40),
+    ], ids=["integer", "fraction"])
+    def test_a_huge_root_order_is_a_parse_error(self, equation, power, position):
+        # the floor root of n >= 2 of an order past n's bit length is 1, so
+        # no Newton step raises to that order (MemoryError, exit code 1)
+        proc = run_module("genericity", equation, timeout=20)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: cannot interpret equation '{equation}': non-rational "
+                               f"literal power {power}^(1/{'7' * 30}) (at position {position})\n")
 
     def test_a_literal_over_the_digit_limit_names_the_limit(self, capsys):
         code, _, err = run(capsys, *self.HUGE_ARGUMENTS["rational_digits"])

@@ -9,7 +9,7 @@ import pytest
 from mongesym import expr
 from mongesym.charts import J2, J20, PLANE, Chart, ChartMismatchError
 from mongesym.expr import (EvaluationError, Expr, ExprError, NonRationalPowerError,
-                           ExpAtom, Poly, PowerAtom, Term, _canonical_term, _evaluate,
+                           ExpAtom, LnAtom, Poly, PowerAtom, Term, _canonical_term, _evaluate,
                            _lowered, _normalize, _power, _power_parts, _product,
                            _sum, _unit_coord_index, mono_mul)
 from mongesym.fields import VectorField, extend_chart, lie_bracket, restrict_chart
@@ -443,6 +443,62 @@ class TestMonomials:
         with pytest.raises(ValueError, match="more than 5"):
             Chart("J30", ("x", "y", "y1", "y2", "y3", "z"))
         assert len(Chart("Q", ("a", "b", "c", "d", "e"))) == len(J20)
+
+    def test_duplicate_coordinates_are_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate coordinate in chart Q$"):
+            Chart("Q", ("x", "y", "x"))
+
+    def test_a_chart_is_its_name_and_coordinates(self):
+        built = Chart("J20", J20.coords)
+        assert built is not J20 and built == J20 and hash(built) == hash(J20)
+        assert parse("x*y", built) == parse("x*y", J20)
+        assert Chart("J21", J20.coords) != J20 and Chart("J20", J2.coords) != J20
+        assert J20 != ("J20", J20.coords)
+
+
+class TestAtoms:
+    def test_an_atom_equals_only_an_atom_of_its_own_kind(self):
+        (exp_y,), (ln_y,) = (P(text).terms[0].atoms for text in ("exp(y)", "ln(y)"))
+        assert exp_y.argument == ln_y.argument
+        assert ExpAtom(exp_y.argument) != LnAtom(exp_y.argument)
+        assert exp_y != ln_y and exp_y != (exp_y.argument,)
+        both = P("exp(y) + ln(y)")
+        assert len(both.terms) == 2 and str(both) == "ln(y) + exp(y)"
+        assert str(both - P("exp(y)")) == "ln(y)"
+
+    @pytest.mark.parametrize("text", ["(y1 + y2)^(1/3)", "y2^(-2/3)", "exp(2*x - y)",
+                                      "ln(y1^2 + 1/2)"])
+    def test_equal_atoms_built_apart_are_equal_and_hash_alike(self, text):
+        (a,), (b,) = (P(text).terms[0].atoms for _ in range(2))
+        rebuilt = (PowerAtom(a.base, a.exponent) if type(a) is PowerAtom
+                   else type(a)(a.argument))
+        for other in (b, rebuilt):
+            assert other is not a and other == a and hash(other) == hash(a)
+        assert {a: 1}[rebuilt] == 1
+
+    def test_powers_differ_by_base_or_exponent(self):
+        (a,) = P("(y1 + y2)^(1/3)").terms[0].atoms
+        (b,) = P("(y1 - y2)^(1/3)").terms[0].atoms
+        assert PowerAtom(a.base, Fraction(2, 3)) != a
+        assert PowerAtom(a.base._replace(den=2), a.exponent) != a and b != a
+
+    def test_an_atom_is_hashed_once_at_construction(self, monkeypatch):
+        (a,) = P("(y1 + y2)^(1/3)").terms[0].atoms
+        hashed = []
+        fraction_hash = Fraction.__hash__
+
+        def counted(self):
+            hashed.append(self)
+            return fraction_hash(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counted)
+        keys = {(a,): 1, (a, a): 2}
+        for _ in range(3):
+            assert hash(a) == hash(a) and keys[(a,)] == 1
+        assert hashed == []
+        PowerAtom(a.base, a.exponent)
+        monkeypatch.undo()
+        assert hashed == [a.exponent]
 
 
 def reference_normalize(raw, ready=(), den=1, normalize=expr._normalize):

@@ -35,6 +35,37 @@ S = symmetry_fields()
 ALL_S = [S[f"S{i}"] for i in range(1, 7)]
 
 
+class TestRecords:
+    def test_vector_fields_compare_by_value(self):
+        v = VectorField.from_strings(J20, {"x": "x", "z": "1/2*y^2"})
+        w = VectorField(J20, tuple(P(t) for t in ("x", "0", "0", "0", "1/2*y^2")))
+        assert v is not w and v == w and hash(v) == hash(w) and {v: 1}[w] == 1
+        assert v != w.scale(2) and v != VectorField.coordinate(J20, "x")
+        assert v != (v.chart, v.coefficients)
+        assert v.jacobian == w.jacobian and v.integer_form == w.integer_form
+
+    def test_monge_equations_compare_by_value(self):
+        assert MongeEquation(P("y + y2^(1/3)")) == eq2()
+        assert hash(MongeEquation(P("y + y2^(1/3)"))) == hash(eq2())
+        assert MongeEquation(P("y2^2")) != eq2() and eq2() != eq2().F
+        assert str(eq2()) == "z' = y + y2^(1/3)"
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: VectorField(J20, (P("x"),) * 4), ValueError,
+         "one coefficient per chart coordinate is required"),
+        (lambda: VectorField(J2, (P("x"),) * 4), ChartMismatchError,
+         "coefficient chart mismatch"),
+        (lambda: VectorField(J20, (P("x"),) * 4 + (P("x", J2),)), ChartMismatchError,
+         "coefficient chart mismatch"),
+        (lambda: MongeEquation(P("y2", J2)), ChartMismatchError,
+         "a Monge right-hand side lives on J20"),
+    ], ids=["length", "chart", "one_chart", "monge"])
+    def test_bad_input_is_refused_with_its_message(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
+
+
 class TestDistribution:
     def test_from_monge_cubic_root(self):
         d = distribution_from_monge(eq2())

@@ -1,6 +1,5 @@
 """Determining-equation solver: ansatz, oracle equivalence, soundness."""
 
-import dataclasses
 import json
 import math
 import random
@@ -48,6 +47,29 @@ class TestAnsatz:
         AnsatzSpec(5, rates=rates)
         with pytest.raises(AnsatzError, match="more than 50000"):  # 190190 unknowns
             AnsatzSpec(9, offsets=[Fraction(k, 19) for k in range(-9, 10)])
+
+    @pytest.mark.parametrize("args, message", [
+        ((-1,), "degree must be non-negative"),
+        ((1, (Fraction(1, 3),)), "offset 0 is required"),
+        ((1, (0,), (2,)), "rate 0 is required"),
+        ((1, (0, Fraction(1, 3), Fraction(-2, 3))),
+         "offsets -2/3 and 1/3 differ by an integer, so one function would get two columns"),
+        ((9, [Fraction(k, 19) for k in range(-9, 10)]), "the ansatz has 190190 unknowns "
+         "(degree 9, 19 offsets, 1 rates), more than 50000"),
+    ], ids=["degree", "offset", "rate", "residue", "size"])
+    def test_bad_specs_are_refused_with_their_message(self, args, message):
+        with pytest.raises(AnsatzError) as info:
+            AnsatzSpec(*args)
+        assert str(info.value) == message
+
+    def test_specs_compare_by_their_normalized_value(self):
+        spec = AnsatzSpec(2, offsets=[Fraction(1, 3), 0, 0], rates=(2, 0))
+        assert (spec.degree, spec.offsets, spec.rates) == (
+            2, (Fraction(0), Fraction(1, 3)), (Fraction(0), Fraction(2)))
+        same = AnsatzSpec(2, offsets=(0, Fraction(1, 3)), rates=(0, 2))
+        assert spec == same and hash(spec) == hash(same) and {spec: 1}[same] == 1
+        assert AnsatzSpec(2) == AnsatzSpec(2, (0,), (0,)) != AnsatzSpec(3)
+        assert spec != AnsatzSpec(2, offsets=(0, Fraction(1, 3)))
 
     def test_deterministic_enumeration(self):
         a1 = build_ansatz(AnsatzSpec(2))
@@ -399,7 +421,7 @@ class TestGradedElimination:
         system = determining_equations(compile_operator(distribution_from_monge(m)),
                                        build_ansatz(spec))
         table, basis = nullspace(system)
-        blind = dataclasses.replace(system.ansatz, unknowns=Opaque())
+        blind = system.ansatz._replace(unknowns=Opaque())
         assert nullspace(DeterminingSystem(blind, system.rows, system.slots)) == (table, basis)
         assert [row["dimension"] for row in table] == [2, 7, 7]
 
