@@ -288,8 +288,9 @@ def cmd_structure(args) -> int:
             return EXIT_MISMATCH
         timer.lap("symmetry_check_s")
         fields.append(f)
+    closure = {}
     try:
-        p = close_under_bracket(fields, cap=args.cap)
+        p = close_under_bracket(fields, cap=args.cap, counts=closure)
     except ClosureCapExceeded as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_MISMATCH
@@ -306,6 +307,8 @@ def cmd_structure(args) -> int:
         "structure": report.to_json(),
         "projection": projection,
     }
+    if args.timings:
+        payload["closure"] = closure
 
     def render(pl):
         lines = [f"equation: {pl['equation']}",

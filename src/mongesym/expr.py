@@ -28,7 +28,9 @@ substitute and approx, and Expr.coefficient.
 
 Monomial exponents may be negative (y2^(-1) arises from products such as
 y2^(1/3) * y2^(-4/3) and from differentiating ln); evaluation guards against
-vanishing denominators.
+vanishing denominators.  Roots of a one-term base are taken positive, so
+(4*y2^2)^(1/2) - 2*y2 normalizes to 0; no sign is assumed for a base of two
+or more terms, so ((y2+y1)^2)^(1/2) - (y2+y1) keeps its root and is nonzero.
 
 Simplifications outside the supported fragment are intentionally not
 attempted: (4*y2)^(1/3) is not rewritten as 4^(1/3)*y2^(1/3) because the

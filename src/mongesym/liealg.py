@@ -1,13 +1,14 @@
 """Abstract Lie-algebra structure extracted from finite sets of vector fields.
 
-The entry point is close_under_bracket, which grows a basis until brackets
-close and records each bracket's exact rational coordinates as it goes.
-Every field is read through one integer form (VectorField.integer_form):
-its numerators over canonical-form (direction, monomial, atoms) keys and
-one denominator, the lcm of its coefficients' denominators, built once per
-field.  Coordinates come from a linalg.KeyedSpan of those forms: the
-closure keeps one for its whole run, and express_in_basis builds one from
-the basis.  An integer zero-test on the same forms confirms every answer,
+The entry point is close_under_bracket.  It brackets each pair of E, the
+fields' reduced echelon form, once, and the fields' own brackets follow by
+bilinearity over E.  Every field is read through one integer form
+(VectorField.integer_form): its numerators over canonical-form (direction,
+monomial, atoms) keys and one denominator, the lcm of its coefficients'
+denominators, built once per field.  Coordinates come from a
+linalg.KeyedSpan of those forms: the closure keeps one over E, and
+express_in_basis builds one from the basis.  An integer zero-test on the
+same forms confirms every coordinate vector over E and every answer,
 numerators c_k over one e: e * v - sum c_k b_k vanishes when, over the lcm
 of d_v and of each d_k, every key's integer sum is zero.
 
@@ -33,7 +34,7 @@ tensor; the same path recognizes both blocks, and the Levi complement of
 sl(2) ⋉ heisenberg is corrected in those coordinates.  Every equation of
 that correction carries one common scale, so the solve returns the true
 correction times that scale.  linalg takes and gives integers: Fractions
-are made only for express_in_basis, the constants, rebase and the
+are made only for express_in_basis, the constants and the
 StructureReport, which scales the center to 1 at each vector's free (last
 nonzero) column and the radical to 1 at each row's pivot.
 """
@@ -46,10 +47,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .charts import require_same_chart
-from .expr import number_text
+from .expr import Expr, number_text
 from .fields import VectorField, lie_bracket
-from .linalg import (KeyedSpan, coordinates, kernel, reduced_rows, solve_exact,
-                     symmetric_signature)
+from .linalg import (KeyedSpan, SparseEchelon, coordinates, kernel, reduced_rows,
+                     solve_exact, symmetric_signature)
 from .rationals import over_common_denominator
 
 
@@ -96,49 +97,104 @@ def _verify_combination(v: VectorField, basis, coords) -> None:
         raise ArithmeticError("key match and zero-test disagree")
 
 
-def close_under_bracket(fields, cap: int = 32) -> "LieAlgebraPresentation":
+def close_under_bracket(fields, cap: int = 32, counts: dict | None = None
+                        ) -> "LieAlgebraPresentation":
     """Basis and exact structure constants of the algebra the fields generate.
 
-    Every bracket of two basis fields is computed and expressed once.  The
-    basis only grows and stays linearly independent, so a bracket's
-    coordinates over the basis found so far, padded with zeros, are its
-    unique coordinates over the final basis; a bracket that joins the basis
-    gets the unit vector.  Raises ClosureCapExceeded when more than cap
-    independent fields appear.
+    The basis is the independent fields, in order, then each bracket of two
+    basis fields outside the span so far, in _pairs' order.  Phase 1 closes
+    E; phase 2 reads the fields' coordinates over E off its pivots and
+    brackets them by bilinearity, computing a bracket only when it joins the
+    basis.  Every coordinate vector over E is zero-tested.  Raises
+    ClosureCapExceeded past cap independent fields; a dict given as counts
+    gets symbolic_brackets and the terms of the fields and of E.
     """
     for f in fields:
         require_same_chart(f, fields[0])
-    span = KeyedSpan()
-    basis = []
+    columns: dict = {}
+    reduced = SparseEchelon({columns.setdefault(k, len(columns)): x
+                             for k, x in f.integer_form[0].items()} for f in fields).reduced()
+    keys, pivots = list(columns), sorted(reduced)
+    given = {(frozenset(f.integer_form[0].items()), f.integer_form[1]): f for f in fields}
+    span, sparse = KeyedSpan(keys[p] for p in pivots), []
 
     def place(f):
-        """Coordinates of f over the basis, adding f when it lies outside."""
         coords = span.place(*f.integer_form)
         if coords is not None:
-            _verify_combination(f, basis, coords)
-            return [Fraction(x, coords[1]) for x in coords[0]]
-        basis.append(f)
-        if len(basis) > cap:
+            _verify_combination(f, sparse, coords)
+        elif len(sparse) >= cap:
             raise ClosureCapExceeded(f"dimension exceeded cap {cap}")
-        return [Fraction(0)] * (len(basis) - 1) + [Fraction(1)]
+        else:
+            sparse.append(f)
+        return coords
 
+    for p in pivots:  # E_a is 1 at its pivot; a field equal to it stands in for it
+        row, lead = {keys[c]: x for c, x in reduced[p].items()}, reduced[p][p]
+        place(given.get((frozenset(row.items()), lead)) or _field(fields[0].chart, row, lead))
+    table = _pairs(len(sparse), lambda a, b: place(lie_bracket(sparse[a], sparse[b])))
+    t, den = _tensor(table, len(sparse))
+    small, basis = KeyedSpan(), []  # basis: (field, its coordinates over E)
     for f in fields:
-        place(f)
-    brackets = {}
-    pending = deque((i, j) for j in range(len(basis)) for i in range(j))
+        nv, dv = f.integer_form
+        coords = [nv.get(keys[p], 0) for p in pivots] + [0] * (len(t) - len(pivots)), dv
+        _verify_combination(f, sparse, coords)
+        if small.place(dict(enumerate(coords[0])), coords[1]) is None:
+            basis.append((f, coords))
+    m = len(basis)
+
+    def bracket(i, j):
+        (bi, (ni, di)), (bj, (nj, dj)) = basis[i], basis[j]
+        w = bracket_vec(t, ni, nj), di * dj * den
+        coords = small.place(dict(enumerate(w[0])), w[1])
+        if coords is None:  # it joins: compute it, and zero-test it over E
+            basis.append((lie_bracket(bi, bj), w))
+            _verify_combination(basis[-1][0], sparse, w)
+        return coords
+
+    brackets, n = _pairs(m, bracket), len(basis)
+    if counts is not None:
+        counts.update(symbolic_brackets=len(table) + n - m,
+                      input_terms=sum(len(f.integer_form[0]) for f in fields),
+                      sparse_terms=sum(len(f.integer_form[0]) for f in sparse))
+    zero = Fraction(0)
+    constants = [[(zero,) * n] * n for _ in range(n)]
+    for (i, j), (nums, e) in brackets.items():
+        row = [Fraction(x, e) if x else zero for x in nums] + [zero] * (n - len(nums))
+        constants[i][j], constants[j][i] = tuple(row), tuple(-c if c else zero for c in row)
+    return LieAlgebraPresentation(tuple(f for f, _ in basis), tuple(map(tuple, constants)))
+
+
+def _pairs(n: int, bracket) -> dict:
+    """(i, j) -> bracket(i, j), [b_i, b_j] as (numerators, den) over the basis
+    so far, for each pair i < j of a basis of n and of each b that joins it."""
+    out, pending = {}, deque((i, j) for j in range(n) for i in range(j))
     while pending:
         i, j = pending.popleft()
-        k = len(basis)
-        brackets[i, j] = place(lie_bracket(basis[i], basis[j]))
-        if len(basis) > k:
-            pending.extend((t, k) for t in range(k))
-    n = len(basis)
-    constants = [[(Fraction(0),) * n] * n for _ in range(n)]
-    for (i, j), coords in brackets.items():
-        row = tuple(coords) + (Fraction(0),) * (n - len(coords))
-        constants[i][j] = row
-        constants[j][i] = tuple(-c for c in row)
-    return LieAlgebraPresentation(tuple(basis), tuple(map(tuple, constants)))
+        coords = bracket(i, j)
+        if coords is None:  # [b_i, b_j] joins the basis as b_n
+            coords = [0] * n + [1], 1
+            pending.extend((t, n) for t in range(n))
+            n += 1
+        out[i, j] = coords
+    return out
+
+
+def _tensor(coords, n: int):
+    """(t, d) as integer_tensor gives them, from _pairs' coordinates of a
+    basis of n: d is the lcm of the dens, and [b_j, b_i] = -[b_i, b_j]."""
+    d = math.lcm(*(e for _, e in coords.values()))
+    t = [[()] * n for _ in range(n)]
+    for (i, j), (nums, e) in coords.items():
+        t[i][j] = tuple((k, x * (d // e)) for k, x in enumerate(nums) if x)
+        t[j][i] = tuple((k, -x) for k, x in t[i][j])
+    return t, d
+
+
+def _field(chart, row, den: int) -> VectorField:
+    """The field whose integer form is (row, den), up to lowest terms."""
+    return VectorField(chart, tuple(
+        Expr.from_raw(chart, (), [(x, m, a) for (i, m, a), x in row.items() if i == d], den)
+        for d in range(len(chart))))
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +202,12 @@ def close_under_bracket(fields, cap: int = 32) -> "LieAlgebraPresentation":
 # ---------------------------------------------------------------------------
 
 def integer_tensor(constants):
-    """(t, d): the constants over one common denominator d, the lcm of every
-    constant's denominator, with t[i][j] the pairs (k, d * c_ijk) of the
-    nonzero c_ijk.  Every routine below takes such a tensor and integer
-    vectors; its brackets are d times the true ones."""
+    """(t, d): antisymmetric constants over their lcm denominator d, read
+    from i < j (_tensor), t[i][j] holding (k, d * c_ijk) for c_ijk != 0.
+    Every routine below takes one; its brackets are d times the true ones."""
     n = len(constants)
-    d, flat = over_common_denominator(c for plane in constants for row in plane
-                                      for c in row)
-    rows = [flat[s * n:s * n + n] for s in range(n * n)]
-    return tuple(tuple(tuple((k, x) for k, x in enumerate(rows[i * n + j]) if x)
-                       for j in range(n))
-                 for i in range(n)), d
+    return _tensor({(i, j): over_common_denominator(constants[i][j])[::-1]
+                    for j in range(n) for i in range(j)}, n)
 
 
 def bracket_vec(t, u, v):
@@ -278,20 +329,14 @@ def rebase(t, d, rows):
     """The tensor (t, d) in the basis rows of the coordinate space, as
     another integer tensor and its scale.  The coordinates are read off one
     KeyedSpan of the rows: one bracket per unordered pair, the other by
-    antisymmetry.  They are d times the true constants, and integer_tensor
-    scales them once more."""
+    antisymmetry.  They are d times the true constants, and _tensor scales
+    them once more."""
     span = KeyedSpan()
     for row in rows:
         span.place(dict(enumerate(row)))
     n = len(rows)
-    out = [[(0,) * n] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            w = bracket_vec(t, rows[a], rows[b])
-            nums, den = span.coordinates(dict(enumerate(w)))
-            out[a][b] = tuple(Fraction(x, den) for x in nums)
-            out[b][a] = tuple(-x for x in out[a][b])
-    adapted, scale = integer_tensor(out)
+    adapted, scale = _tensor({(a, b): span.coordinates(dict(enumerate(
+        bracket_vec(t, rows[a], rows[b])))) for b in range(n) for a in range(b)}, n)
     return adapted, d * scale
 
 

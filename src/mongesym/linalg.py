@@ -299,20 +299,20 @@ def rows_to_integer(rows):
 
 class KeyedSpan:
     """The span of sparse integer vectors over hashable keys, as one
-    SparseEchelon.  Keys become columns (0, i) in order of first sight, and
-    the k-th vector placed carries a tag column (1, -k) of its own, after
-    every key column.  A vector whose key part reduces to zero keeps only
-    tags: a > 0 at its own, which leads, and a_k at the k-th joined
-    vector's; its coordinates are -a_k over a, in lowest terms since the
-    row is primitive.  Any other vector can join the span as its reduced
-    row.  A rational vector comes as integer numerators over a denominator
-    den: its tag is then den, which places den times the vector, so nothing
-    else changes.
+    SparseEchelon.  Keys become columns (0, i) in order of first sight, the
+    keys given at construction first, and the k-th vector placed carries a
+    tag column (1, -k) of its own, after every key column.  A vector whose
+    key part reduces to zero keeps only tags: a > 0 at its own, which
+    leads, and a_k at the k-th joined vector's; its coordinates are -a_k
+    over a, in lowest terms since the row is primitive.  Any other vector
+    can join the span as its reduced row.  A rational vector comes as
+    integer numerators over a denominator den: its tag is then den, which
+    places den times the vector, so nothing else changes.
     """
 
-    def __init__(self):
+    def __init__(self, keys=()):
         self.size = 0  # vectors joined so far
-        self._columns: dict = {}
+        self._columns = {key: (0, i) for i, key in enumerate(keys)}
         self._echelon = SparseEchelon()
 
     def _reduce(self, vector: dict, den: int) -> dict:

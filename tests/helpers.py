@@ -11,18 +11,20 @@ import math
 import os
 import random
 import sys
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
+from mongesym import liealg
 from mongesym.catalog import EQUIAFFINE
-from mongesym.charts import J20, PLANE
+from mongesym.charts import J20, PLANE, require_same_chart
 from mongesym.expr import (ONE_MONO, ExpAtom, Expr, NonRationalPowerError, PowerAtom,
                            _canonical_term, _exp_text, _unit_coord_index, mono_key,
                            mono_mul)
 from mongesym.fields import (VectorField, distribution_from_monge,
                              lie_bracket, symmetry_residuals)
-from mongesym.linalg import SparseEchelon, sparse_nullspace
+from mongesym.linalg import KeyedSpan, SparseEchelon, sparse_nullspace
 from mongesym.parser import parse
 from mongesym.solver import (AnsatzSpec, build_ansatz, compile_operator,
                              determining_equations)
@@ -770,6 +772,44 @@ def reference_constants(basis) -> tuple:
             constants[i][j] = tuple(coords)
             constants[j][i] = tuple(-c for c in coords)
     return tuple(tuple(r) for r in constants)
+
+
+def reference_close_under_bracket(fields, cap: int = 32):
+    """liealg.close_under_bracket as it was before the sparse basis: one
+    KeyedSpan over the fields as given, every pair of the basis bracketed
+    symbolically and placed in it, each placement zero-tested."""
+    for f in fields:
+        require_same_chart(f, fields[0])
+    span = KeyedSpan()
+    basis = []
+
+    def place(f):
+        coords = span.place(*f.integer_form)
+        if coords is not None:
+            liealg._verify_combination(f, basis, coords)
+            return [Fraction(x, coords[1]) for x in coords[0]]
+        basis.append(f)
+        if len(basis) > cap:
+            raise liealg.ClosureCapExceeded(f"dimension exceeded cap {cap}")
+        return [Fraction(0)] * (len(basis) - 1) + [Fraction(1)]
+
+    for f in fields:
+        place(f)
+    brackets = {}
+    pending = deque((i, j) for j in range(len(basis)) for i in range(j))
+    while pending:
+        i, j = pending.popleft()
+        k = len(basis)
+        brackets[i, j] = place(lie_bracket(basis[i], basis[j]))
+        if len(basis) > k:
+            pending.extend((t, k) for t in range(k))
+    n = len(basis)
+    constants = [[(Fraction(0),) * n] * n for _ in range(n)]
+    for (i, j), coords in brackets.items():
+        row = tuple(coords) + (Fraction(0),) * (n - len(coords))
+        constants[i][j] = row
+        constants[j][i] = tuple(-c for c in row)
+    return liealg.LieAlgebraPresentation(tuple(basis), tuple(map(tuple, constants)))
 
 
 def same_span(vectors_a, vectors_b) -> bool:

@@ -14,6 +14,15 @@ from mongesym.cli import main
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "mongesym", "schemas")
 
 
+# S1 + S3, S1 - S3 + S6 and S5 + S6 as JSON fields: dense recombinations of
+# the symmetries of eq2 whose closure is all six
+RECOMBINED = tuple(json.dumps({"chart": "J20", "coefficients": c}) for c in (
+    {"x": "y", "y": "x", "y1": "1 - y1^2", "y2": "-3*y1*y2", "z": "1/2*x^2 + 1/2*y^2"},
+    {"x": "-1*y", "y": "x", "y1": "1 + y1^2", "y2": "3*y1*y2",
+     "z": "1/2*x^2 - 1/2*y^2 + 1"},
+    {"y": "1", "z": "x + 1"}))
+
+
 def schema(name):
     with open(os.path.join(SCHEMA_DIR, f"{name}.schema.json")) as fh:
         return json.load(fh)
@@ -29,12 +38,14 @@ def _two_gigabytes():
     resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
 
 
-def run_module(*argv, timeout=60):
+def run_module(*argv, timeout=60, hash_seed=None):
     """python -m mongesym in a child process with at most 2 GB of address
     space, so that a runaway computation fails the test instead of stalling
-    the suite or the machine."""
+    the suite or the machine; hash_seed, when given, is its PYTHONHASHSEED."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "mongesym", *argv], env=env,
@@ -354,6 +365,24 @@ class TestSchemas:
         code, out, _ = run(capsys, "structure", "eq2", "--json")
         assert "stage_timings" not in json.loads(out)
 
+    def test_structure_closure_counts(self, capsys):
+        # three recombinations of S1..S6 (18 terms) that close to all six:
+        # the six fields of the sparse basis are bracketed pairwise, and each
+        # of the three brackets that join the basis once more
+        argv = ("structure", "eq2", *RECOMBINED, "--json")
+        code, out, _ = run(capsys, *argv, "--timings")
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema("structure"))
+        assert payload["dimension"] == 6
+        closure = payload["closure"]
+        assert closure["symbolic_brackets"] == 6 * 5 // 2 + 3
+        assert closure["input_terms"] == 7 + 8 + 3
+        assert closure["sparse_terms"] > 0
+        code, plain, _ = run(capsys, *argv)
+        del payload["closure"], payload["stage_timings"]
+        assert json.loads(plain) == payload
+
     @pytest.mark.parametrize("command, argv, stages", [
         ("verify", ("eq2", "S1", "S6"), {"load_s", "residuals_s", "report_s"}),
         ("genericity", ("eq2",), {"load_s", "frame_s", "determinant_s", "report_s"}),
@@ -422,6 +451,18 @@ class TestDeterminism:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+    @pytest.mark.parametrize("argv", [
+        ("reproduce", "--json"),
+        ("structure", "--json", "eq2", *RECOMBINED),
+    ])
+    def test_byte_identical_across_hash_seeds(self, argv):
+        # one process per string-hash seed: a result that follows the
+        # iteration order of a set or of a dict built in hash order differs
+        first, second = (run_module(*argv, hash_seed=seed) for seed in (0, 1))
+        assert first.returncode == 0, first.stderr
+        assert (first.returncode, first.stdout, first.stderr) == (
+            second.returncode, second.stdout, second.stderr)
 
 
 class TestOutput:

@@ -139,6 +139,20 @@ class TestParse:
             assert Expr.from_raw(e.chart, raw, (), e.den) == e
 
 
+class TestDomainConvention:
+    """The sign convention of roots, stated in the module docstring."""
+
+    def test_a_one_term_base_is_taken_positive(self):
+        assert P("(4*y2^2)^(1/2) - 2*y2").is_zero()
+        assert P("(4*y2^2)^(1/2)") == P("2*y2")
+
+    def test_no_sign_is_assumed_for_a_multi_term_base(self):
+        e = P("((y2+y1)^2)^(1/2) - (y2+y1)")
+        assert not e.is_zero()
+        assert any(type(a) is PowerAtom and a.exponent == Fraction(1, 2)
+                   for t in e.terms for a in t.atoms)
+
+
 class TestArithmetic:
     def test_additive_inverse(self):
         y = P("y")

@@ -1,6 +1,7 @@
 """Lie-algebra structure: closure, constants, series, Killing form, recognition."""
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -21,8 +22,9 @@ from mongesym.liealg import (ClosureCapExceeded, LieAlgebraPresentation,
 from mongesym.rationals import over_common_denominator
 from mongesym.solver import symmetry_dimension
 
-from helpers import (dense_tensor, reference_bracket_vec, reference_constants,
-                     reference_express, reference_killing_matrix,
+from helpers import (dense_tensor, perfbench_module, random_expr,
+                     reference_bracket_vec, reference_close_under_bracket,
+                     reference_constants, reference_express, reference_killing_matrix,
                      reference_verify_combination, sympy_matrix, zero_field)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -615,13 +617,18 @@ class TestOneIntegerForm:
         monkeypatch.setattr(liealg, "_verify_combination", verify_spy)
         fresh = [VectorField(f.chart, f.coefficients) for f in ALL_S]  # nothing cached
         p = close_under_bracket(fresh, cap=8)
-        # the six generators and the fifteen brackets, one form each
+        # the six generators and the fifteen brackets of E, one form each:
+        # each generator is a row of the sparse basis E and stands in for it
         assert len(built) == 21 == len({id(f) for f in built})
         assert all(any(b is f for f in built) for b in p.basis)
-        assert len(placed) == 21
-        assert all(vector is f.integer_form[0] and den == f.integer_form[1]
-                   for (vector, den), f in zip(placed, built))
-        assert [id(v) for v in verified] == [id(f) for f in built[6:]]
+        # E and its brackets are placed over E by their forms, then the
+        # generators and their fifteen brackets as coordinate vectors over E
+        assert len(placed) == 21 + 21
+        forms = {id(f.integer_form[0]): f.integer_form[1] for f in built}
+        assert all(forms.get(id(vector)) == den for vector, den in placed[:21])
+        assert all(set(vector) <= set(range(6)) for vector, _ in placed[21:])
+        # the brackets of E, then the generators, are zero-tested over E
+        assert [id(v) for v in verified] == [id(f) for f in built[6:] + built[:6]]
 
     def test_express_in_basis_reads_one_form_for_both(self):
         # v's form scaled by 1/2: the span and the zero test both read v / 2,
@@ -632,3 +639,106 @@ class TestOneIntegerForm:
         numerators, den = v.integer_form
         v.__dict__["integer_form"] = (numerators, 2 * den)
         assert express_in_basis(v, [g, h]) == [Fraction(1, 2), Fraction(3, 2)]
+
+
+def closure_outcome(close, fields, cap):
+    """(basis, constants) of a closure, or the type and message of its error."""
+    try:
+        p = close(fields, cap=cap)
+    except (ClosureCapExceeded, ChartMismatchError) as exc:
+        return type(exc), str(exc)
+    return p.basis, p.constants
+
+
+def combined(matrix, generators):
+    """sum(matrix[i][k] * generators[k]) for each row i."""
+    out = []
+    for row in matrix:
+        f = zero_field(generators[0].chart)
+        for c, g in zip(row, generators):
+            if c:
+                f = f + g.scale(c)
+        out.append(f)
+    return out
+
+
+class TestSparseClosure:
+    """close_under_bracket, which brackets a sparse basis of the span and
+    carries the constants back by a change of basis, against
+    helpers.reference_close_under_bracket, which brackets the fields as
+    given: the same basis field for field, the same constants, and the same
+    error and message."""
+
+    @staticmethod
+    def assert_same(fields, cap):
+        out = closure_outcome(close_under_bracket, fields, cap)
+        assert out == closure_outcome(reference_close_under_bracket, fields, cap)
+        return out
+
+    def test_every_subset_of_the_generators(self):
+        dims = set()
+        for r in range(1, 7):
+            for subset in itertools.combinations(ALL_S, r):
+                basis, _ = self.assert_same(list(subset), 8)
+                dims.add((r, len(basis)))
+        assert (2, 3) in dims  # S1 and S3 close to sl(2): a growing closure
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dense_recombinations(self, seed):
+        workloads = perfbench_module("workloads")
+        rng = random.Random(seed)
+        a, b = rng.choice(workloads.DZ13_PAIRS)
+        dz13_gens = [VectorField.from_strings(J20, g)
+                     for g in workloads.dz13_generators(a, b)]
+        for generators in (ALL_S, dz13_gens):
+            m, _ = workloads.invertible_matrix(rng, len(generators))
+            fields = combined(m, generators)
+            assert self.assert_same(fields, 8)[0] == tuple(fields)
+            grown, _ = self.assert_same(fields[:2], 8)
+            assert grown[:2] == tuple(fields[:2])
+
+    def test_dependent_inputs(self):
+        s1, s2, s3, s6 = S["S1"], S["S2"], S["S3"], S["S6"]
+        zero = zero_field()
+        for fields in ([], [zero], [zero, zero], [s1, s1, s3], [zero, s2, s6, zero],
+                       [s1, s3, s1.scale(Fraction(2)) - s3.scale(Fraction(1, 3)), s2]):
+            self.assert_same(fields, 8)
+
+    def test_solve_basis_and_mixed_charts(self):
+        seven = symmetry_dimension(dz13(5, 4), 1, equation_label="dz13(5,4)").basis
+        assert len(self.assert_same(list(seven), 8)[0]) == 7
+        dx2, dx20 = VectorField.coordinate(J2, "x"), VectorField.coordinate(J20, "x")
+        assert self.assert_same([dx20, dx2], 4)[0] is ChartMismatchError
+
+    def test_counts(self, monkeypatch, eq2_recombinations):
+        calls = []
+        bracket = liealg.lie_bracket
+        monkeypatch.setattr(liealg, "lie_bracket",
+                            lambda v, w: calls.append(1) or bracket(v, w))
+        for fields in eq2_recombinations:
+            for generators in (fields[:2], fields):
+                calls.clear()
+                counts = {}
+                d = close_under_bracket(generators, cap=8, counts=counts).dimension
+                # the pairs of the sparse basis, then one bracket per field
+                # that joins the closure of the fields as given
+                assert counts["symbolic_brackets"] == len(calls) == (
+                    d * (d - 1) // 2 + d - len(generators))
+                assert counts["input_terms"] == sum(len(f.integer_form[0]) for f in generators)
+            # a recombination of S1..S6 has a sparse basis as small as they are
+            assert counts["sparse_terms"] == 15 < counts["input_terms"]
+
+    @pytest.mark.parametrize("cap", [-1, 0, 3])
+    def test_caps(self, cap):
+        assert self.assert_same(ALL_S, cap) == (
+            ClosureCapExceeded, f"dimension exceeded cap {cap}")
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_fields_with_power_atoms(self, seed):
+        rng = random.Random(seed)
+        fields = [VectorField(J20, tuple(random_expr(rng) if rng.random() < 0.5
+                                         else zero_field().coefficients[0]
+                                         for _ in J20.coords))
+                  for _ in range(rng.randint(1, 3))]
+        for cap in (1, 2, 3):
+            self.assert_same(fields, cap)
