@@ -243,10 +243,10 @@ def cmd_verify(args) -> int:
 
 def bracket_table(p: LieAlgebraPresentation) -> dict:
     """The nonzero brackets "[i,j]", i < j, as coordinates in the closed basis."""
-    table = {}
+    table, constants = {}, p.constants
     for i in range(p.dimension):
         for j in range(i + 1, p.dimension):
-            coords = p.constants[i][j]
+            coords = constants[i][j]
             if any(coords):
                 table[f"[{i},{j}]"] = [number_text(c) for c in coords]
     return table

@@ -12,9 +12,10 @@ same forms confirms every coordinate vector over E and every answer,
 numerators c_k over one e: e * v - sum c_k b_k vanishes when, over the lcm
 of d_v and of each d_k, every key's integer sum is zero.
 
-analyze works on one integer tensor: the constants over their common
-denominator D, stored sparse per (i, j) as (k, D * c_ijk) pairs.  Every
-bracket on it is D times the true one, which changes no span, kernel,
+The presentation carries the closure's integer tensor, which analyze reads
+as it is: the constants over their common denominator D, stored sparse per
+(i, j) as (k, D * c_ijk) pairs (_tensor builds every one).  Every bracket
+on it is D times the true one, which changes no span, kernel,
 series, Killing signature or verdict; the Killing matrix it gives is D^2
 times the true one, and the report divides by D^2.  Spans are primitive
 integer rows, and every span, nullspace, solve and reduced echelon form runs
@@ -34,7 +35,7 @@ tensor; the same path recognizes both blocks, and the Levi complement of
 sl(2) ⋉ heisenberg is corrected in those coordinates.  Every equation of
 that correction carries one common scale, so the solve returns the true
 correction times that scale.  linalg takes and gives integers: Fractions
-are made only for express_in_basis, the constants and the
+are made only for express_in_basis, the constants view and the
 StructureReport, which scales the center to 1 at each vector's free (last
 nonzero) column and the radical to 1 at each row's pivot.
 """
@@ -51,7 +52,6 @@ from .expr import Expr, number_text
 from .fields import VectorField, lie_bracket
 from .linalg import (KeyedSpan, SparseEchelon, coordinates, kernel, reduced_rows,
                      solve_exact, symmetric_signature)
-from .rationals import over_common_denominator
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -156,12 +156,7 @@ def close_under_bracket(fields, cap: int = 32, counts: dict | None = None
         counts.update(symbolic_brackets=len(table) + n - m,
                       input_terms=sum(len(f.integer_form[0]) for f in fields),
                       sparse_terms=sum(len(f.integer_form[0]) for f in sparse))
-    zero = Fraction(0)
-    constants = [[(zero,) * n] * n for _ in range(n)]
-    for (i, j), (nums, e) in brackets.items():
-        row = [Fraction(x, e) if x else zero for x in nums] + [zero] * (n - len(nums))
-        constants[i][j], constants[j][i] = tuple(row), tuple(-c if c else zero for c in row)
-    return LieAlgebraPresentation(tuple(f for f, _ in basis), tuple(map(tuple, constants)))
+    return LieAlgebraPresentation(tuple(f for f, _ in basis), *_tensor(brackets, n))
 
 
 def _pairs(n: int, bracket) -> dict:
@@ -180,14 +175,15 @@ def _pairs(n: int, bracket) -> dict:
 
 
 def _tensor(coords, n: int):
-    """(t, d) as integer_tensor gives them, from _pairs' coordinates of a
-    basis of n: d is the lcm of the dens, and [b_j, b_i] = -[b_i, b_j]."""
+    """(t, d) from _pairs' coordinates of a basis of n: d is the lcm of the
+    dens, t[i][j] holds (k, d * c_ijk) for c_ijk != 0, t[j][i] their negatives.
+    Every routine below takes one; its brackets are d times the true ones."""
     d = math.lcm(*(e for _, e in coords.values()))
     t = [[()] * n for _ in range(n)]
     for (i, j), (nums, e) in coords.items():
         t[i][j] = tuple((k, x * (d // e)) for k, x in enumerate(nums) if x)
         t[j][i] = tuple((k, -x) for k, x in t[i][j])
-    return t, d
+    return tuple(map(tuple, t)), d
 
 
 def _field(chart, row, den: int) -> VectorField:
@@ -200,15 +196,6 @@ def _field(chart, row, den: int) -> VectorField:
 # ---------------------------------------------------------------------------
 # tensor-level computations on one integer tensor
 # ---------------------------------------------------------------------------
-
-def integer_tensor(constants):
-    """(t, d): antisymmetric constants over their lcm denominator d, read
-    from i < j (_tensor), t[i][j] holding (k, d * c_ijk) for c_ijk != 0.
-    Every routine below takes one; its brackets are d times the true ones."""
-    n = len(constants)
-    return _tensor({(i, j): over_common_denominator(constants[i][j])[::-1]
-                    for j in range(n) for i in range(j)}, n)
-
 
 def bracket_vec(t, u, v):
     """The bracket of integer coordinate vectors u and v on the tensor t."""
@@ -455,11 +442,20 @@ def levi_complement(t, d, rows, adapted, s, m, r):
 
 class LieAlgebraPresentation(NamedTuple):
     basis: tuple
-    constants: tuple  # constants[i][j] is the coordinate tuple of [b_i, b_j]
+    tensor: tuple  # _tensor's: tensor[i][j] holds (k, den * c_ijk), c_ijk != 0
+    den: int
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    @property
+    def constants(self) -> tuple:
+        """The Fraction view, built on each read: constants[i][j] is the
+        coordinate tuple of [b_i, b_j]."""
+        ks = range(len(self.tensor))
+        return tuple(tuple(tuple(Fraction(row.get(k, 0), self.den) for k in ks)
+                           for row in map(dict, plane)) for plane in self.tensor)
 
     def antisymmetry_ok(self) -> bool:
         return antisymmetry_holds(self.constants)
@@ -519,7 +515,7 @@ class StructureReport(NamedTuple):
 
 def analyze(p: LieAlgebraPresentation) -> StructureReport:
     """Every structure invariant of the presentation, and its recognition."""
-    return _analyze_tensor(*integer_tensor(p.constants))
+    return _analyze_tensor(p.tensor, p.den)
 
 
 def _scaled(rows, columns) -> tuple:

@@ -27,8 +27,8 @@ import sys
 from fractions import Fraction
 
 from .charts import Chart
-from .expr import (Expr, ExprError, NonRationalPowerError, ExpAtom, LnAtom, ONE_MONO,
-                   shortened)
+from .expr import (MAX_POWER_PRODUCTS, Expr, ExprError, NonRationalPowerError, ExpAtom,
+                   LnAtom, ONE_MONO, shortened)
 
 # Parentheses, exp( and ln( open at once; deeper input is a ParseError.
 MAX_NESTING = 100
@@ -188,10 +188,18 @@ class _Parser:
         return p < len(t) and t[p].isdigit()
 
     def term(self) -> Expr:
+        """A product of factors, sized before it expands, as a power is: a
+        k-term by an m-term factor takes k * m <= MAX_POWER_PRODUCTS products."""
         e = self.factor()
         while self.s.peek() == "*":
+            pos = self.s.pos
             self.s.advance()
-            e = e * self.factor()
+            f = self.factor()
+            if len(e.terms) * len(f.terms) > MAX_POWER_PRODUCTS:
+                raise ParseError(f"product too large: multiplying {len(e.terms)} by "
+                                 f"{len(f.terms)} terms takes over {MAX_POWER_PRODUCTS} "
+                                 "products", pos)
+            e = e * f
         return e
 
     def factor(self) -> Expr:

@@ -5,14 +5,11 @@ numerators over one denominator per expression (see expr), so their rational
 powers go through ratio_pow on (numerator, denominator) pairs; exact_pow is
 the same on Fractions, for values at the interface (substitution, exp rates).
 Both decide when a rational power of a rational number is again rational
-(8^(1/3) = 2) and compute it exactly when it is.  over_common_denominator
-clears the denominators of a list of rationals at once, for
-liealg.integer_tensor.
+(8^(1/3) = 2) and compute it exactly when it is.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -69,10 +66,3 @@ def exact_pow(base: Fraction, exponent: Fraction):
     base = Fraction(base)
     power = ratio_pow(base.numerator, base.denominator, Fraction(exponent))
     return None if power is None else Fraction(*power)
-
-def over_common_denominator(values):
-    """(d, ints): rationals over one positive common denominator d, the lcm
-    of their denominators, with ints the integers d * value in order."""
-    values = list(values)
-    d = math.lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]

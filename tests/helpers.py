@@ -660,6 +660,30 @@ def reference_graded_solve(distribution, spec):
 # that the integer tensor and the integer zero-test replaced
 # ---------------------------------------------------------------------------
 
+def over_common_denominator(values):
+    """(d, ints): rationals over one positive common denominator d, the lcm
+    of their denominators, with ints the integers d * value in order."""
+    values = list(values)
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def presentation(constants, basis=None) -> liealg.LieAlgebraPresentation:
+    """The presentation of hand-written Fraction constants, basis the
+    indices unless given: each [b_i, b_j], i < j, over the lcm d of their
+    denominators as (k, d * c_ijk) pairs for c_ijk != 0, and
+    [b_j, b_i] = -[b_i, b_j]."""
+    n = len(constants)
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    d = math.lcm(*(Fraction(c).denominator for i, j in pairs for c in constants[i][j]))
+    t = [[()] * n for _ in range(n)]
+    for i, j in pairs:
+        t[i][j] = tuple((k, int(c * d)) for k, c in enumerate(constants[i][j]) if c)
+        t[j][i] = tuple((k, -x) for k, x in t[i][j])
+    return liealg.LieAlgebraPresentation(tuple(range(n)) if basis is None else basis,
+                                         tuple(map(tuple, t)), d)
+
+
 def dense_tensor(t) -> tuple:
     """A sparse integer tensor, t[i][j] the pairs (k, c), as a dense tuple
     of Fractions."""
@@ -809,7 +833,7 @@ def reference_close_under_bracket(fields, cap: int = 32):
         row = tuple(coords) + (Fraction(0),) * (n - len(coords))
         constants[i][j] = row
         constants[j][i] = tuple(-c for c in row)
-    return liealg.LieAlgebraPresentation(tuple(basis), tuple(map(tuple, constants)))
+    return presentation(constants, tuple(basis))
 
 
 def same_span(vectors_a, vectors_b) -> bool:

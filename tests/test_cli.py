@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -85,6 +86,20 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "power too large" in proc.stderr
+
+    def test_a_huge_product_is_two(self):
+        # each factor is within the power caps, at 330 and 792 terms, but
+        # their product is an F of 11,166 terms that the frame's brackets
+        # multiply again (over 60 s): the parser sizes it before expanding
+        equation = "(x+y+y1+y2+z)^7*(x+y+y1+y2+z+1)^7"
+        start = time.monotonic()
+        proc = run_module("genericity", equation, timeout=20)
+        assert time.monotonic() - start < 5
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: cannot interpret equation '{equation}': product too large: "
+            "multiplying 330 by 792 terms takes over 20000 products (at position 15)\n")
+        assert len(proc.stderr.encode()) < 300
 
     @pytest.mark.parametrize("depth", [250, 5000])
     @pytest.mark.parametrize("kind", ["parentheses", "exp", "field"])

@@ -214,6 +214,15 @@ class TestArithmetic:
             P("x*(x + y)^(1/2)") ** 20_001
         assert P("((x + y)^(1/2))^3") == P("x*(x + y)^(1/2) + y*(x + y)^(1/2)")
 
+    def test_a_product_is_sized_in_the_parser(self):
+        # 100 by 200 terms is at the cap, 100 by 201 past it; Expr's own
+        # product stays unbounded, for the operator and the determinant
+        a, b = "(x + y)^99", "((y1 + y2)^99 + (y + z)^99)"
+        assert P(f"{a}*{b}") == P(a) * P(b)
+        with pytest.raises(ParseError, match="multiplying 100 by 201 terms"):
+            P(f"{a}*({b} + 1)")
+        assert P(a) * P(f"{b} + 1") == P(f"{a}*{b} + {a}")
+
     def test_ring_properties_randomized(self):
         rng = random.Random(7)
         for _ in range(1000):

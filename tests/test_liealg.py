@@ -14,17 +14,15 @@ from mongesym import liealg, linalg
 from mongesym.catalog import dz13, symmetry_fields
 from mongesym.charts import J2, J20, ChartMismatchError
 from mongesym.fields import VectorField, lie_bracket
-from mongesym.liealg import (ClosureCapExceeded, LieAlgebraPresentation,
-                             _verify_combination, analyze, bracket_vec,
-                             close_under_bracket, express_in_basis,
-                             integer_tensor, jacobi_holds, killing_matrix,
-                             unit_rows)
-from mongesym.rationals import over_common_denominator
+from mongesym.liealg import (ClosureCapExceeded, _verify_combination, analyze,
+                             bracket_vec, close_under_bracket, express_in_basis,
+                             jacobi_holds, killing_matrix, unit_rows)
 from mongesym.solver import symmetry_dimension
 
-from helpers import (dense_tensor, perfbench_module, random_expr,
-                     reference_bracket_vec, reference_close_under_bracket,
-                     reference_constants, reference_express, reference_killing_matrix,
+from helpers import (dense_tensor, over_common_denominator, perfbench_module,
+                     presentation, random_expr, reference_bracket_vec,
+                     reference_close_under_bracket, reference_constants,
+                     reference_express, reference_killing_matrix,
                      reference_verify_combination, sympy_matrix, zero_field)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -292,7 +290,7 @@ class TestRecognition:
     def test_dz13_golden(self, dz13_recombined):
         # solvable, with exp atoms, and constants over a denominator d > 1
         p = close_under_bracket(dz13_recombined, cap=7)
-        assert integer_tensor(p.constants)[1] > 1
+        assert p.den > 1
         assert any(t.atoms for f in p.basis for e in f.coefficients
                    for t in e.terms)
         rep = analyze(p)
@@ -398,7 +396,7 @@ def rebased(c, seed):
 
 
 def hand_made_analysis(c):
-    return analyze(LieAlgebraPresentation(tuple(range(len(c))), c))
+    return analyze(presentation(c))
 
 
 class TestHandMadeRecognition:
@@ -454,14 +452,34 @@ def oracle_fields(eq2_recombinations, dz13_recombined):
 
 
 @pytest.fixture(scope="module")
-def oracle_tensors(oracle_fields):
-    """Every hand-made tensor, its 8 rebased copies, and the closures of
-    oracle_fields."""
+def oracle_closures(oracle_fields):
+    """The closures of oracle_fields."""
+    closures = [close_under_bracket(f, cap=len(f)) for f in oracle_fields]
+    assert [p.dimension for p in closures] == [0, 1, 6, 6, 6, 6, 7]
+    return closures
+
+
+@pytest.fixture(scope="module")
+def oracle_tensors(oracle_closures):
+    """Every hand-made tensor, its 8 rebased copies, and the constants of
+    oracle_closures."""
     hand = [tensor(n, brackets) for n, brackets, _ in HAND_MADE.values()]
     copies = [rebased(c, seed) for c in hand for seed in range(8)]
-    closures = [close_under_bracket(f, cap=len(f)).constants for f in oracle_fields]
-    assert [len(c) for c in closures] == [0, 1, 6, 6, 6, 6, 7]
-    return hand + copies + closures
+    return hand + copies + [p.constants for p in oracle_closures]
+
+
+def assert_integer_form(p):
+    """A closure's integer tensor against its Fraction view: den is the lcm
+    of the constants' denominators, the tensor is den times them in sparse
+    (k, x) form, the record hashes, and analyze reads the same report off it
+    as off the constants through helpers.presentation."""
+    c = p.constants
+    assert p.den == math.lcm(*(x.denominator for plane in c for row in plane
+                               for x in row))
+    assert p.tensor == tuple(tuple(tuple((k, p.den * x) for k, x in enumerate(row) if x)
+                                   for row in plane) for plane in c)
+    assert hash(p) == hash((p.basis, p.tensor, p.den))
+    assert analyze(p) == analyze(presentation(c))
 
 
 def integral(values):
@@ -479,7 +497,8 @@ def fractions(coords):
 class TestIntegerTensor:
     def test_one_common_denominator(self, oracle_tensors):
         for c in oracle_tensors:
-            t, d = integer_tensor(c)
+            p = presentation(c)
+            t, d = p.tensor, p.den
             assert d == math.lcm(*(x.denominator for plane in c for row in plane
                                    for x in row))
             assert dense_tensor(t) == tuple(tuple(tuple(d * x for x in row)
@@ -488,7 +507,8 @@ class TestIntegerTensor:
     def test_bracket_vec_is_d_times_the_fraction_bracket(self, oracle_tensors):
         rng = random.Random(15)
         for c in oracle_tensors:
-            t, d = integer_tensor(c)
+            p = presentation(c)
+            t, d = p.tensor, p.den
             n = len(c)
             units = unit_rows(n)
             mixed = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(3)]
@@ -500,17 +520,20 @@ class TestIntegerTensor:
 
     def test_killing_matrix_is_d_squared_times_the_fraction_one(self, oracle_tensors):
         for c in oracle_tensors:
-            t, d = integer_tensor(c)
+            p = presentation(c)
             expected = reference_killing_matrix(c)
-            assert killing_matrix(t) == [[d * d * x for x in row] for row in expected]
-            rep = analyze(LieAlgebraPresentation(tuple(range(len(c))), c))
+            assert killing_matrix(p.tensor) == [[p.den ** 2 * x for x in row]
+                                                for row in expected]
+            rep = analyze(p)
             assert rep.killing == tuple(map(tuple, expected))
 
+    def test_closures_carry_their_integer_tensor(self, oracle_closures):
+        for p in oracle_closures:
+            assert_integer_form(p)
+
     def test_reports_equal_those_of_the_fraction_routines(
-            self, monkeypatch, oracle_tensors, oracle_fields):
-        closures = [close_under_bracket(f, cap=len(f)) for f in oracle_fields]
-        reports = [analyze(LieAlgebraPresentation(tuple(range(len(c))), c))
-                   for c in oracle_tensors]
+            self, monkeypatch, oracle_tensors, oracle_fields, oracle_closures):
+        reports = [analyze(presentation(c)) for c in oracle_tensors]
         # the Fraction routines on the integer tensor give integral values;
         # linalg takes them as ints
         monkeypatch.setattr(liealg, "bracket_vec", lambda t, u, v:
@@ -520,9 +543,8 @@ class TestIntegerTensor:
         # the closure hands the zero test linalg's (numerators, den)
         monkeypatch.setattr(liealg, "_verify_combination", lambda v, basis, coords:
                             reference_verify_combination(v, basis, fractions(coords)))
-        assert [close_under_bracket(f, cap=len(f)) for f in oracle_fields] == closures
-        assert [analyze(LieAlgebraPresentation(tuple(range(len(c))), c))
-                for c in oracle_tensors] == reports
+        assert [close_under_bracket(f, cap=len(f)) for f in oracle_fields] == oracle_closures
+        assert [analyze(presentation(c)) for c in oracle_tensors] == reports
 
 
 class TestZeroTest:
@@ -642,11 +664,13 @@ class TestOneIntegerForm:
 
 
 def closure_outcome(close, fields, cap):
-    """(basis, constants) of a closure, or the type and message of its error."""
+    """(basis, constants) of a closure, its integer form checked, or the
+    type and message of its error."""
     try:
         p = close(fields, cap=cap)
     except (ClosureCapExceeded, ChartMismatchError) as exc:
         return type(exc), str(exc)
+    assert_integer_form(p)
     return p.basis, p.constants
 
 

@@ -18,12 +18,12 @@ from mongesym.cli import main
 from mongesym.linalg import (KeyedSpan, SparseEchelon, _forced_zeros,
                              canonical_basis, kernel, reduced_rows, solve_exact,
                              sparse_nullspace, symmetric_signature)
-from mongesym.rationals import over_common_denominator
 
-from helpers import (primitive_row, reference_canonical_basis,
-                     reference_nullspace, reference_root_signature,
-                     reference_rref, reference_solve, reference_sparse_nullspace,
-                     reference_symmetric_signature, same_span)
+from helpers import (over_common_denominator, primitive_row,
+                     reference_canonical_basis, reference_nullspace,
+                     reference_root_signature, reference_rref, reference_solve,
+                     reference_sparse_nullspace, reference_symmetric_signature,
+                     same_span)
 
 
 def random_matrix(rng: random.Random):
