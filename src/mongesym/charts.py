@@ -1,16 +1,18 @@
 """Coordinate charts.
 
-Three fixed charts are used throughout: the mixed jet space J20 with
-coordinates (x, y, y1, y2, z), its z-free restriction J2, and the plane
-(x, y).  Expressions and vector fields always carry the chart they live on,
-and cross-chart arithmetic is rejected.  A chart has at most MAX_COORDS
-coordinates, J20's five, so that every monomial is one exponent vector of
-that length (see expr.Mono).
+Every expression is a function on the mixed jet space J20 with coordinates
+(x, y, y1, y2, z): a monomial is one exponent vector over those five (see
+expr.Mono), so an expression carries no chart.  A chart is a named prefix
+of J20's coordinates: J20 itself, its z-free restriction J2 and the plane
+(x, y).  Charts matter in two places: a vector field has one coefficient
+per coordinate of its chart, and fields on different charts are not
+combined (ChartMismatchError); parse(text, chart) refuses coordinates off
+the chart.
 """
 
 from __future__ import annotations
 
-MAX_COORDS = 5
+JET_COORDS = ("x", "y", "y1", "y2", "z")
 
 
 class ChartMismatchError(ValueError):
@@ -21,11 +23,8 @@ class Chart:
     __slots__ = ("name", "coords")
 
     def __init__(self, name: str, coords: tuple[str, ...]):
-        if len(set(coords)) != len(coords):
-            raise ValueError(f"duplicate coordinate in chart {name}")
-        if len(coords) > MAX_COORDS:
-            raise ValueError(f"chart {name} has {len(coords)} coordinates, "
-                             f"more than {MAX_COORDS}")
+        if coords != JET_COORDS[:len(coords)]:
+            raise ValueError(f"chart {name}: {coords} is not a prefix of {JET_COORDS}")
         self.name, self.coords = name, coords
 
     def __eq__(self, other) -> bool:
@@ -51,9 +50,9 @@ class Chart:
         return f"Chart({self.name})"
 
 
-J20 = Chart("J20", ("x", "y", "y1", "y2", "z"))
-J2 = Chart("J2", ("x", "y", "y1", "y2"))
-PLANE = Chart("Plane", ("x", "y"))
+J20 = Chart("J20", JET_COORDS)
+J2 = Chart("J2", JET_COORDS[:4])
+PLANE = Chart("Plane", JET_COORDS[:2])
 
 
 def require_same_chart(a, b):

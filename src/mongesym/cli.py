@@ -76,7 +76,9 @@ def _json_field(source: str) -> VectorField:
                          "(not a catalog key and not JSON)")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer past Python's
+        # digit limit; RecursionError, arrays or objects nested too deep
         raise UsageError(f"bad field JSON {quoted(source)}: {exc}") from None
     if data.get("chart") != "J20":
         raise UsageError(f"field {quoted(source)} is not on chart J20")
@@ -99,7 +101,9 @@ def _fractions_list(text: str):
     for part in filter(None, map(str.strip, text.split(","))):
         try:
             out.append(Fraction(part))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError:
+            raise UsageError(f"bad rational list {quoted(text)}: zero denominator") from None
+        except ValueError as exc:
             # Fraction's own message, with the part it repeats quoted short
             reason = str(exc).replace(repr(part), quoted(part))
             raise UsageError(f"bad rational list {quoted(text)}: {reason}") from None
@@ -140,7 +144,7 @@ def _vanishing_description(hessian: Expr) -> str:
     t = hessian.terms[0]
     if len(hessian.terms) > 1 or any(isinstance(a, LnAtom) for a in t.atoms):
         return "generic off the zero locus of the printed expression"
-    coords = hessian.chart.coords
+    coords = J20.coords
     positive = sorted(c for c, e in zip(coords, t.monomial) if e > 0)
     excluded = {c for c, e in zip(coords, t.monomial) if e < 0}
     for a in t.atoms:
@@ -148,7 +152,7 @@ def _vanishing_description(hessian: Expr) -> str:
             if len(a.base.terms) == 1:
                 excluded.update(c for c, e in zip(coords, a.base.terms[0].monomial) if e)
             else:
-                excluded.add(poly_text(a.base, hessian.chart))
+                excluded.add(poly_text(a.base))
     if not positive and not excluded:
         return "generic everywhere" + ("" if t.atoms else " (constant nonzero)")
     pieces = []

@@ -7,22 +7,22 @@ An expression is a finite sum of terms
 over one denominator.  The numerators are ints and den is a positive int,
 kept in lowest terms: gcd(den, every numerator) = 1, and zero has den 1, so
 equal values have equal representations.  The monomial is an exponent vector
-over the chart's coordinates (see Mono), and the atoms are fractional powers
-of polynomials, exponentials of polynomials, or logarithms of polynomials.
+over J20's coordinates (x, y, y1, y2, z) (see Mono), so an expression is the
+same on every chart and carries none, and the atoms are fractional powers of
+polynomials, exponentials of polynomials, or logarithms of polynomials.
 The constructor normalizes aggressively (merging equal power bases, folding
 integer exponents, absorbing single-coordinate powers) and an expression is
 zero iff its term list is empty.
 
-There is one polynomial form.  A power base or an exp/ln argument is a Poly:
-atom-free canonical Terms in Expr order over one den, the form of an
-atom-free Expr, so one set of chart-free operations serves expressions and
-atom arguments alike: _normalize collects, _sum adds, _product multiplies,
-_power raises to an integer power, _scaled scales, _lowered takes the
-monomial part of a partial, and _evaluate evaluates, recursing into the
-atoms.  Every coefficient operation lives in those functions, in
-_power_parts and _canonical_term (which fold the rational factors that
-content powers and exact roots take out into the denominator), and in
-multiply_terms and Expr.diff; they touch ints only.  Fractions appear at the
+There is one form.  A power base or an exp/ln argument is an atom-free
+Expr, so one set of term operations serves expressions and atom arguments
+alike, each handing back an Expr: _normalize collects, _sum adds, _product
+multiplies, _power raises to an integer power, _scaled scales and _lowest
+reduces to lowest terms.  _lowered takes the monomial part of a partial, and
+_evaluate evaluates, recursing into the atoms.  Every coefficient operation
+lives in those functions, in _power_parts and _canonical_term (which fold
+the rational factors that content powers and exact roots take out into the
+denominator), and in multiply_terms and Expr.diff; they touch ints only.  Fractions appear at the
 interface alone: literals and exponents, constant and scale, printing,
 substitute and approx, and Expr.coefficient.
 
@@ -65,18 +65,16 @@ from itertools import chain
 from operator import sub
 from typing import Mapping, NamedTuple, Union
 
-from .charts import MAX_COORDS, Chart, require_same_chart
+from .charts import J20
 from .rationals import exact_pow, ratio_pow
 
-# A monomial is a tuple of MAX_COORDS integer exponents, entry i for the
-# chart's coordinate i.  J2 and PLANE are prefixes of J20, so their
-# monomials are J20's with the trailing exponents zero, and the graded-lex
-# order mono_key gives is the same on every chart.
+# A monomial is a tuple of five integer exponents, entry i for J20's
+# coordinate i.  Every chart is a prefix of J20, so a monomial on J2 or
+# PLANE is J20's with the trailing exponents zero.
 Mono = tuple
 
-ONE_MONO: Mono = (0,) * MAX_COORDS
-UNIT_MONOS = tuple(tuple(int(i == j) for j in range(MAX_COORDS))
-                   for i in range(MAX_COORDS))
+ONE_MONO: Mono = (0,) * len(J20)
+UNIT_MONOS = tuple(tuple(int(i == j) for j in range(len(J20))) for i in range(len(J20)))
 _UNIT_INDEX = {m: i for i, m in enumerate(UNIT_MONOS)}
 
 
@@ -121,7 +119,7 @@ class EvaluationError(ExprError):
 # ---------------------------------------------------------------------------
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    # unrolled over the MAX_COORDS = 5 entries: three times as fast as a map
+    # unrolled over the five entries: three times as fast as a map
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4])
 
 def mono_pow(m: Mono, k: int) -> Mono:
@@ -158,27 +156,16 @@ def _check_expansion_size(k: int, n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# terms, polynomials and atoms
+# terms and atoms
 # ---------------------------------------------------------------------------
 
 class Term(NamedTuple):
-    numerator: int  # over the enclosing form's den
+    numerator: int  # over the enclosing Expr's den
     monomial: Mono
     atoms: tuple
 
 
-class Poly(NamedTuple):
-    """An atom's base or argument: atom-free canonical Terms in Expr order
-    with integer numerators over den, in lowest terms, like an Expr."""
-    terms: tuple
-    den: int = 1
-
-
-POLY_ONE = Poly((Term(1, ONE_MONO, ()),))
-_COORD_BASES = tuple(Poly((Term(1, m, ()),)) for m in UNIT_MONOS)
-
-
-def _poly_cmp(a: Poly, b: Poly) -> int:
+def _poly_cmp(a: "Expr", b: "Expr") -> int:
     """-1, 0 or 1 as a sorts before, with or after b: term by term, by
     monomial in graded order and then by coefficient value, and a proper
     prefix first."""
@@ -220,7 +207,7 @@ class PowerAtom(_Atom):
     __slots__ = ("base", "exponent")
     RANK = 0
 
-    def __init__(self, base: Poly, exponent: Fraction):
+    def __init__(self, base: "Expr", exponent: Fraction):
         self.base, self.exponent = self._key = (base, exponent)
         self._hash = hash(self._key)
 
@@ -228,7 +215,7 @@ class _Applied(_Atom):
     """exp or ln of an argument."""
     __slots__ = ("argument",)
 
-    def __init__(self, argument: Poly):
+    def __init__(self, argument: "Expr"):
         self.argument = argument
         self._key = (argument,)
         self._hash = hash(self._key)
@@ -244,12 +231,12 @@ class LnAtom(_Applied):
 Atom = Union[PowerAtom, ExpAtom, LnAtom]
 
 
-def atom_poly(atom: Atom) -> Poly:
+def atom_poly(atom: Atom) -> "Expr":
     """A power atom's base, an exp or ln atom's argument."""
     return atom.base if type(atom) is PowerAtom else atom.argument
 
 
-def _unit_coord_index(base: Poly):
+def _unit_coord_index(base: "Expr"):
     """Coordinate index when the base is a bare coordinate, else None."""
     terms = base.terms
     if len(terms) == 1 and terms[0][0] == 1 and base.den == 1:
@@ -270,33 +257,32 @@ def _poly_content_split(terms):
 
 
 # ---------------------------------------------------------------------------
-# chart-free term operations, for expressions and atom arguments alike; a
-# form is anything with .terms and .den (an Expr or a Poly)
+# term operations, for expressions and atom arguments alike
 # ---------------------------------------------------------------------------
 
-def _lowest(terms: tuple, den: int) -> Poly:
-    """Sorted canonical terms with integer numerators over den > 0, as a
-    Poly in lowest terms."""
+def _lowest(terms: tuple, den: int) -> "Expr":
+    """Sorted canonical terms with integer numerators over den > 0, as an
+    Expr in lowest terms."""
     if den == 1:
-        return Poly(terms)
+        return Expr(terms)
     g = math.gcd(den, *(t[0] for t in terms))
     if g == 1:
-        return Poly(terms, den)
-    return Poly(tuple(Term(c // g, m, a) for c, m, a in terms), den // g)
+        return Expr(terms, den)
+    return Expr(tuple(Term(c // g, m, a) for c, m, a in terms), den // g)
 
 
-def _scaled(form, p: int, r: int = 1) -> Poly:
-    """A form times the nonzero rational p/r, r > 0."""
-    return _lowest(tuple(Term(c * p, m, a) for c, m, a in form.terms), form.den * r)
+def _scaled(e: "Expr", p: int, r: int = 1) -> "Expr":
+    """e times the nonzero rational p/r, r > 0."""
+    return _lowest(tuple(Term(c * p, m, a) for c, m, a in e.terms), e.den * r)
 
 
-def _sum(forms) -> Poly:
-    """The sum of forms, over the lcm of their denominators."""
-    den = math.lcm(*[f.den for f in forms])
+def _sum(exprs) -> "Expr":
+    """The sum of expressions, over the lcm of their denominators."""
+    den = math.lcm(*[e.den for e in exprs])
     ready = []
-    for f in forms:
-        k = den // f.den
-        ready.extend(f.terms if k == 1 else [(c * k, m, a) for c, m, a in f.terms])
+    for e in exprs:
+        k = den // e.den
+        ready.extend(e.terms if k == 1 else [(c * k, m, a) for c, m, a in e.terms])
     return _normalize((), ready, den)
 
 
@@ -315,44 +301,44 @@ def _lowered(terms, idx: int) -> list:
     return out
 
 
-def _product(left, right) -> Poly:
-    """The product of two forms."""
+def _product(left: "Expr", right: "Expr") -> "Expr":
+    """The product of two expressions."""
     ready, raw = [], []
     multiply_terms(ready, raw, left.terms, right.terms)
     return _normalize(raw, ready, left.den * right.den)
 
 
-def _power(form, n: int) -> Poly:
-    """A form to the integer power n >= 0.  One term whose atoms are all exp
+def _power(e: "Expr", n: int) -> "Expr":
+    """e to the integer power n >= 0.  One term whose atoms are all exp
     atoms takes exponent arithmetic: coefficient to the n, monomial and exp
     argument times n.  Anything else is sized and multiplied out: a power
     atom's exponents summed to an integer expand its base, so
     ((x+y)^(1/2))^3 becomes x*(x+y)^(1/2) + y*(x+y)^(1/2), and only
     _canonical_term knows how."""
     if n == 0:
-        return POLY_ONE
-    terms = form.terms
+        return EXPR_ONE
+    terms = e.terms
     if len(terms) == 1 and (not terms[0].atoms
                             or all(type(a) is ExpAtom for a in terms[0].atoms)):
         c, m, atoms = terms[0]
-        _check_power_size(c, form.den, n)
-        return Poly((Term(c ** n, mono_pow(m, n),
+        _check_power_size(c, e.den, n)
+        return Expr((Term(c ** n, mono_pow(m, n),
                           tuple(ExpAtom(_scaled(a.argument, n)) for a in atoms)),),
-                    form.den ** n)
+                    e.den ** n)
     _check_expansion_size(len(terms), n)
-    out = POLY_ONE
+    out = EXPR_ONE
     for _ in range(n):
-        out = _product(out, form)
+        out = _product(out, e)
     return out
 
 
-def _evaluate(form, point, cast, atom_value):
-    """The value of a form at point, a list of (coordinate name, value)
-    pairs: cast converts the numerators and the denominator, and
-    atom_value(atom, v) is an atom's factor when its base or argument, a
-    form evaluated by this same loop, has the value v."""
+def _evaluate(expr: "Expr", point, cast, atom_value):
+    """The value of expr at point, a list of (coordinate name, value) pairs:
+    cast converts the numerators and the denominator, and atom_value(atom, v)
+    is an atom's factor when its base or argument, evaluated by this same
+    loop, has the value v."""
     total = cast(0)
-    for c, m, atoms in form.terms:
+    for c, m, atoms in expr.terms:
         v = cast(c)
         for (name, x), e in zip(point, m):
             if e:
@@ -362,7 +348,7 @@ def _evaluate(form, point, cast, atom_value):
         for atom in atoms:
             v *= atom_value(atom, _evaluate(atom_poly(atom), point, cast, atom_value))
         total += v
-    return total / cast(form.den)
+    return total / cast(expr.den)
 
 
 def _exact_atom_value(atom: Atom, v: Fraction) -> Fraction:
@@ -415,7 +401,7 @@ def _scaled_exponents(m: Mono, q) -> dict:
     return {i: e * q for i, e in enumerate(m) if e}
 
 
-def _power_parts(base: Poly, q: Fraction):
+def _power_parts(base: "Expr", q: Fraction):
     """Decompose base**q into (factor, coord_exponents, atoms, poly_factors).
 
     factor is a rational (numerator, denominator > 0): the powers of a
@@ -438,7 +424,7 @@ def _power_parts(base: Poly, q: Fraction):
         if m == ONE_MONO:
             raise NonRationalPowerError(f"{_ratio_text(c, den)}^({q}) is not rational")
         sign_factor, c_kept = _odd_root_sign(c, q)
-        return (sign_factor, 1), {}, [PowerAtom(Poly((Term(c_kept, m, ()),), den), q)], []
+        return (sign_factor, 1), {}, [PowerAtom(Expr((Term(c_kept, m, ()),), den), q)], []
     sign, content, m_c, primitive = _poly_content_split(terms)
     _check_power_size(content, den, q)
     factor = ratio_pow(sign * content, den, q)
@@ -446,15 +432,15 @@ def _power_parts(base: Poly, q: Fraction):
         n = q.numerator
         coord = _scaled_exponents(m_c, n)
         if n > 0:
-            return factor, coord, [], [_power(Poly(primitive), n)]
+            return factor, coord, [], [_power(Expr(primitive), n)]
         # negative integer power of an irreducible-for-us polynomial: kept as
         # an atom (closure needed by the ln chain rule)
-        return factor, coord, [PowerAtom(Poly(primitive), q)], []
+        return factor, coord, [PowerAtom(Expr(primitive), q)], []
     coord = _scaled_exponents(m_c, q)
     if factor is not None:
-        return factor, coord, [PowerAtom(Poly(primitive), q)], []
+        return factor, coord, [PowerAtom(Expr(primitive), q)], []
     sign_factor, kept = _odd_root_sign(sign * content, q)
-    return (sign_factor, 1), coord, [PowerAtom(_scaled(Poly(primitive), kept, den), q)], []
+    return (sign_factor, 1), coord, [PowerAtom(_scaled(Expr(primitive), kept, den), q)], []
 
 
 def _canonical_term(mono: Mono, atoms):
@@ -486,7 +472,7 @@ def _canonical_term(mono: Mono, atoms):
         elif isinstance(atom, LnAtom):
             if not atom.argument.terms:
                 raise ExprError("ln(0) is undefined")
-            if atom.argument == POLY_ONE:
+            if atom.argument == EXPR_ONE:
                 return (0, 1), ONE_MONO, (), []
             lns.append(atom)
         else:  # pragma: no cover
@@ -567,9 +553,9 @@ def _term_key(t: Term):
     return mono_key(t.monomial), t.atoms
 
 
-def _normalize(raw, ready=(), den: int = 1) -> Poly:
+def _normalize(raw, ready=(), den: int = 1) -> "Expr":
     """The sum of (numerator, monomial, atoms) triples over the common
-    denominator den, as a Poly: the ready ones are canonical already and
+    denominator den, as an Expr: the ready ones are canonical already and
     are only collected, the raw ones go through _canonical_terms, and the
     denominator those take out joins den."""
     if raw:
@@ -593,7 +579,7 @@ def _normalize(raw, ready=(), den: int = 1) -> Poly:
                 del acc[key]
     terms = [Term(c, m, a) for (m, a), c in acc.items()]
     terms.sort(key=_term_key, reverse=True)
-    return Poly(tuple(terms)) if den == 1 else _lowest(tuple(terms), den)
+    return Expr(tuple(terms)) if den == 1 else _lowest(tuple(terms), den)
 
 
 def bare_coords(atoms):
@@ -638,67 +624,64 @@ def multiply_terms(ready: list, raw: list, left, right, scale: int = 1) -> None:
 # ---------------------------------------------------------------------------
 
 class Expr(NamedTuple):
-    """An expression on a chart: canonical terms with integer numerators
-    over den, in lowest terms (the module docstring).  Immutable, and as
-    light to build as a tuple, which it is."""
-    chart: Chart
+    """An expression on J20: canonical terms with integer numerators over
+    den, in lowest terms (the module docstring).  Immutable, and as light to
+    build as a tuple, which it is."""
     terms: tuple
     den: int = 1
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_raw(chart: Chart, raw, ready=(), den: int = 1) -> "Expr":
+    def from_raw(raw, ready=(), den: int = 1) -> "Expr":
         """The canonical sum of raw (numerator, monomial, atoms) triples,
         whose monomials are in Mono form, and of ready ones, which must be
         canonical terms already, all over the denominator den."""
-        return Expr(chart, *_normalize(raw, ready, den))
+        return _normalize(raw, ready, den)
 
     @staticmethod
-    def sum(chart: Chart, exprs) -> "Expr":
-        """The sum of expressions on the chart, normalized once."""
-        return Expr(chart, *_sum(exprs))
+    def sum(exprs) -> "Expr":
+        """The sum of expressions, normalized once."""
+        return _sum(exprs)
 
     @staticmethod
-    def zero(chart: Chart) -> "Expr":
-        return Expr(chart, ())
+    def zero() -> "Expr":
+        return Expr(())
 
     @staticmethod
-    def constant(chart: Chart, value) -> "Expr":
+    def constant(value) -> "Expr":
         if not isinstance(value, (int, Fraction)):
             value = Fraction(value)
         if value == 0:
-            return Expr.zero(chart)
-        return Expr(chart, (Term(value.numerator, ONE_MONO, ()),), value.denominator)
+            return Expr(())
+        return Expr((Term(value.numerator, ONE_MONO, ()),), value.denominator)
 
     @staticmethod
-    def coordinate(chart: Chart, name: str) -> "Expr":
-        return Expr(chart, _COORD_BASES[chart.index(name)].terms)
+    def coordinate(name: str) -> "Expr":
+        return _COORD_BASES[J20.index(name)]
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Expr") -> "Expr":
-        require_same_chart(self, other)
-        return Expr.sum(self.chart, (self, other))
+        return _sum((self, other))
 
     def __sub__(self, other: "Expr") -> "Expr":
         return self + (-other)
 
     def __neg__(self) -> "Expr":
-        return Expr(self.chart, tuple(Term(-c, m, a) for c, m, a in self.terms), self.den)
+        return Expr(tuple(Term(-c, m, a) for c, m, a in self.terms), self.den)
 
     def scale(self, s) -> "Expr":
         if not isinstance(s, (int, Fraction)):
             s = Fraction(s)
         if s == 0:
-            return Expr.zero(self.chart)
-        return Expr(self.chart, *_scaled(self, s.numerator, s.denominator))
+            return Expr(())
+        return _scaled(self, s.numerator, s.denominator)
 
     def __mul__(self, other) -> "Expr":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        require_same_chart(self, other)
-        return Expr(self.chart, *_product(self, other))
+        return _product(self, other)
 
     __rmul__ = __mul__
 
@@ -707,14 +690,13 @@ class Expr(NamedTuple):
             exponent = Fraction(exponent)
         if exponent.denominator != 1 or exponent < 0:
             return self.pow_rational(exponent)
-        return Expr(self.chart, *_power(self, exponent.numerator))
+        return _power(self, exponent.numerator)
 
     def pow_rational(self, exponent) -> "Expr":
         """Raise to a rational power; the base must be atom-free."""
         if not isinstance(exponent, Fraction):
             exponent = Fraction(exponent)
-        poly = self.as_poly()
-        return Expr.from_raw(self.chart, [(1, ONE_MONO, (PowerAtom(poly, exponent),))])
+        return Expr.from_raw([(1, ONE_MONO, (PowerAtom(self.as_poly(), exponent),))])
 
     # -- structure ---------------------------------------------------------
 
@@ -722,21 +704,20 @@ class Expr(NamedTuple):
         return not self.terms
 
     def equals(self, other: "Expr") -> bool:
-        require_same_chart(self, other)
         return (self - other).is_zero()
 
     def coefficient(self, k: int) -> Fraction:
         """The rational coefficient of term k."""
         return Fraction(self.terms[k].numerator, self.den)
 
-    def as_poly(self) -> Poly:
-        """The expression as an atom-free polynomial; raises if atoms occur."""
+    def as_poly(self) -> "Expr":
+        """The expression itself, checked to be an atom-free polynomial."""
         for t in self.terms:
             if t.atoms:
                 raise ExprError("expression is not a polynomial (atoms present)")
             if min(t.monomial) < 0:
                 raise ExprError("expression is not a polynomial (negative power)")
-        return Poly(self.terms, self.den)
+        return self
 
     def coordinates_used(self) -> set:
         monos = []
@@ -752,12 +733,12 @@ class Expr(NamedTuple):
         """The partial by one coordinate.  The chain rule of an atom brings
         in the denominator of its base or argument, and a power atom's also
         that of its exponent; the partial is over den times their lcm."""
-        idx = self.chart.index(coord)
+        idx = J20.index(coord)
         for t in self.terms:
             if t.atoms:
                 break
         else:
-            return Expr(self.chart, *_lowest(tuple(_lowered(self.terms, idx)), self.den))
+            return _lowest(tuple(_lowered(self.terms, idx)), self.den)
         chains = []  # (denominator, numerator, monomial, atoms, lowered, exp?)
         for c, m, atoms in self.terms:
             for k, atom in enumerate(atoms):
@@ -789,15 +770,15 @@ class Expr(NamedTuple):
                      else raw).append(product)
             else:
                 raw.extend((c * c2, mono_mul(m, m2), atoms) for c2, m2, _ in lowered)
-        return Expr.from_raw(self.chart, raw, ready, self.den * lcm)
+        return Expr.from_raw(raw, ready, self.den * lcm)
 
     # -- evaluation --------------------------------------------------------
 
     def _point(self, assignment: Mapping[str, object], cast):
-        missing = {self.chart.coords[i] for i in self.coordinates_used()} - set(assignment)
+        missing = {J20.coords[i] for i in self.coordinates_used()} - set(assignment)
         if missing:
             raise EvaluationError(f"missing values for {sorted(missing)}")
-        return [(c, cast(assignment.get(c, 0))) for c in self.chart.coords]
+        return [(c, cast(assignment.get(c, 0))) for c in J20.coords]
 
     def substitute(self, assignment: Mapping[str, object]) -> Fraction:
         """Exact value at a rational point.
@@ -820,7 +801,11 @@ class Expr(NamedTuple):
         return to_text(self)
 
     def __repr__(self) -> str:
-        return f"Expr({self.chart.name}: {to_text(self)})"
+        return f"Expr({to_text(self)})"
+
+
+EXPR_ONE = Expr((Term(1, ONE_MONO, ()),))
+_COORD_BASES = tuple(Expr((Term(1, m, ()),)) for m in UNIT_MONOS)
 
 
 # ---------------------------------------------------------------------------
@@ -831,19 +816,18 @@ def _exp_text(e) -> str:
     text = number_text(e)
     return f"^{text}" if e.denominator == 1 and e >= 0 else f"^({text})"
 
-def _mono_factors(m: Mono, chart: Chart):
-    return [name if e == 1 else name + _exp_text(e)
-            for name, e in zip(chart.coords, m) if e]
+def _mono_factors(m: Mono):
+    return [name if e == 1 else name + _exp_text(e) for name, e in zip(J20.coords, m) if e]
 
-def _sum_text(form, chart: Chart, unit_minus: str) -> str:
-    """A form as a signed sum; a leading negative unit coefficient before
+def _sum_text(e: Expr, unit_minus: str) -> str:
+    """e as a signed sum; a leading negative unit coefficient before
     factors prints as unit_minus."""
-    if not form.terms:
+    if not e.terms:
         return "0"
     pieces = []
-    den = form.den
-    for n, (c, m, atoms) in enumerate(form.terms):
-        factors = _mono_factors(m, chart) + [_atom_text(a, chart) for a in atoms]
+    den = e.den
+    for n, (c, m, atoms) in enumerate(e.terms):
+        factors = _mono_factors(m) + [_atom_text(a) for a in atoms]
         mag = abs(c)
         unit = mag == den and factors
         body = "*".join(factors if unit else [_ratio_text(mag, den)] + factors)
@@ -855,21 +839,21 @@ def _sum_text(form, chart: Chart, unit_minus: str) -> str:
             pieces.append((" + " if c > 0 else " - ") + body)
     return "".join(pieces)
 
-def poly_text(poly: Poly, chart: Chart) -> str:
+def poly_text(poly: Expr) -> str:
     """An atom's base or argument; a leading -x prints as -x, not -1*x."""
-    return _sum_text(poly, chart, "-")
+    return _sum_text(poly, "-")
 
-def _atom_text(atom: Atom, chart: Chart) -> str:
+def _atom_text(atom: Atom) -> str:
     if isinstance(atom, PowerAtom):
         idx = _unit_coord_index(atom.base)
         if idx is not None:
-            return chart.coords[idx] + _exp_text(atom.exponent)
-        return "(" + poly_text(atom.base, chart) + ")" + _exp_text(atom.exponent)
+            return J20.coords[idx] + _exp_text(atom.exponent)
+        return "(" + poly_text(atom.base) + ")" + _exp_text(atom.exponent)
     if isinstance(atom, ExpAtom):
-        return "exp(" + poly_text(atom.argument, chart) + ")"
-    return "ln(" + poly_text(atom.argument, chart) + ")"
+        return "exp(" + poly_text(atom.argument) + ")"
+    return "ln(" + poly_text(atom.argument) + ")"
 
 def to_text(expr: Expr) -> str:
     # a leading negative coefficient is emitted as a signed literal, so a
     # lone "-x" prints as "-1*x" and stays inside the grammar
-    return _sum_text(expr, expr.chart, "-1*")
+    return _sum_text(expr, "-1*")

@@ -1,5 +1,11 @@
 """Vector fields and rank-2 distributions on the jet charts.
 
+A vector field carries its chart: one coefficient per coordinate of the
+chart, each an expression, which carries none.  Fields on different charts
+do not combine (ChartMismatchError).  The fields of a Monge equation live on
+J20; project_to_j2 pushes one forward to J2, where prolong_plane_field puts
+the second prolongation of a plane field.
+
 A Monge equation z' = F(x, y, y1, y2, z) determines the rank-2 distribution
 spanned by
 
@@ -18,8 +24,8 @@ import math
 from functools import cached_property
 from typing import NamedTuple
 
-from .charts import Chart, ChartMismatchError, J2, J20, PLANE, require_same_chart
-from .expr import POLY_ONE, Expr, ExprError, multiply_terms
+from .charts import Chart, ChartMismatchError, J2, J20, require_same_chart
+from .expr import EXPR_ONE, Expr, ExprError, multiply_terms
 from .parser import parse, quoted
 
 
@@ -31,9 +37,6 @@ class VectorField:
     def __init__(self, chart: Chart, coefficients: tuple):
         if len(coefficients) != len(chart):
             raise ValueError("one coefficient per chart coordinate is required")
-        for c in coefficients:
-            if c.chart != chart:
-                raise ChartMismatchError("coefficient chart mismatch")
         self.chart, self.coefficients = chart, coefficients
 
     def __eq__(self, other) -> bool:
@@ -53,13 +56,13 @@ class VectorField:
             if c in coeffs and not isinstance(coeffs[c], str):
                 raise ExprError(f"the coefficient of {c} is {quoted(coeffs[c])}, not a string")
         return VectorField(chart, tuple(parse(coeffs[c], chart) if c in coeffs
-                                        else Expr.zero(chart) for c in chart.coords))
+                                        else Expr.zero() for c in chart.coords))
 
     @staticmethod
     def coordinate(chart: Chart, name: str) -> "VectorField":
         idx = chart.index(name)
         return VectorField(chart, tuple(
-            Expr.constant(chart, 1) if i == idx else Expr.zero(chart)
+            Expr.constant(1) if i == idx else Expr.zero()
             for i in range(len(chart))))
 
     def __add__(self, other: "VectorField") -> "VectorField":
@@ -110,7 +113,7 @@ class VectorField:
     __repr__ = __str__
 
 
-def _gather(chart: Chart, products) -> Expr:
+def _gather(products) -> Expr:
     """The sum of sign * a * b over the (sign, a, b) products, gathered as
     terms over the lcm of the products' denominators and normalized once;
     only the products that are not canonical as they stand go through the
@@ -121,11 +124,11 @@ def _gather(chart: Chart, products) -> Expr:
     ready, raw = [], []
     for sign, a, b in products:
         k = sign * (den // (a.den * b.den))
-        if (a.terms, a.den) == POLY_ONE:
+        if a == EXPR_ONE:
             ready.extend(b.terms if k == 1 else [(c * k, m, t) for c, m, t in b.terms])
         else:
             multiply_terms(ready, raw, a.terms, b.terms, k)
-    return Expr.from_raw(chart, raw, ready, den)
+    return Expr.from_raw(raw, ready, den)
 
 
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
@@ -133,15 +136,13 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     gathered sum (_gather) of the products of both sums."""
     require_same_chart(v, w)
     return VectorField(v.chart, tuple(
-        _gather(v.chart, [*((1, a, p) for a, p in zip(v.coefficients, w_partials)),
-                          *((-1, a, p) for a, p in zip(w.coefficients, v_partials))])
+        _gather([*((1, a, p) for a, p in zip(v.coefficients, w_partials)),
+                 *((-1, a, p) for a, p in zip(w.coefficients, v_partials))])
         for v_partials, w_partials in zip(v.jacobian, w.jacobian)))
 
 
 class MongeEquation:
     def __init__(self, F: Expr):
-        if F.chart != J20:
-            raise ChartMismatchError("a Monge right-hand side lives on J20")
         self.F = F
 
     def __eq__(self, other) -> bool:
@@ -163,14 +164,9 @@ class Distribution2(NamedTuple):
 
 
 def distribution_from_monge(m: MongeEquation) -> Distribution2:
-    zero = Expr.zero(J20)
-    one = Expr.constant(J20, 1)
+    zero, one = Expr.zero(), Expr.constant(1)
     x1 = VectorField(J20, (zero, zero, zero, one, zero))
-    x2 = VectorField(J20, (one,
-                           Expr.coordinate(J20, "y1"),
-                           Expr.coordinate(J20, "y2"),
-                           zero,
-                           m.F))
+    x2 = VectorField(J20, (one, Expr.coordinate("y1"), Expr.coordinate("y2"), zero, m.F))
     return Distribution2(x1, x2, m)
 
 
@@ -192,8 +188,7 @@ def _det(matrix):
         return matrix[0][0]
     counts = [sum(0 if e.is_zero() else 1 for e in row) for row in matrix]
     r = counts.index(min(counts))
-    chart = matrix[0][0].chart
-    total = Expr.zero(chart)
+    total = Expr.zero()
     for c, entry in enumerate(matrix[r]):
         if entry.is_zero():
             continue
@@ -225,7 +220,7 @@ def membership_residuals(v: VectorField, d: Distribution2):
     sum."""
     one, y1, y2, _, F = d.X2.coefficients
     vx, vy, vy1, _, vz = v.coefficients
-    return tuple(_gather(J20, [(1, one, c), (-1, x2, vx)])
+    return tuple(_gather([(1, one, c), (-1, x2, vx)])
                  for c, x2 in ((vy, y1), (vy1, y2), (vz, F)))
 
 
@@ -262,10 +257,10 @@ def symmetry_residuals(s: VectorField, d: Distribution2):
     require_same_chart(s, d.X2)
     x2, jac, y2 = d.X2.coefficients, s.jacobian, J20.index("y2")
     # i = 1, 2, 4 are the components y, y1, z, and x2[i] is y1, y2, F
-    d_xi = _gather(J20, [(1, a, p) for a, p in zip(x2, jac[0])])
-    return (*(_gather(J20, [(1, x2[i], jac[0][y2]), (-1, x2[0], jac[i][y2])]) for i in (1, 2, 4)),
-            *(_gather(J20, [*((1, a, p) for a, p in zip(s.coefficients, d.X2.jacobian[i])),
-                            *((-1, a, p) for a, p in zip(x2, jac[i])), (1, x2[i], d_xi)])
+    d_xi = _gather([(1, a, p) for a, p in zip(x2, jac[0])])
+    return (*(_gather([(1, x2[i], jac[0][y2]), (-1, x2[0], jac[i][y2])]) for i in (1, 2, 4)),
+            *(_gather([*((1, a, p) for a, p in zip(s.coefficients, d.X2.jacobian[i])),
+                       *((-1, a, p) for a, p in zip(x2, jac[i])), (1, x2[i], d_xi)])
               for i in (1, 2, 4)))
 
 
@@ -279,34 +274,6 @@ def is_symmetry(s: VectorField, d: Distribution2) -> SymmetryReport:
 # projection to J2 and prolongation from the plane
 # ---------------------------------------------------------------------------
 
-def _carry_terms(e: Expr, target: Chart) -> Expr:
-    """The terms of e on a chart that shares its leading coordinates.
-
-    PLANE is a prefix of J2 and J2 a prefix of J20, so coordinate indices
-    carry over unchanged, and with them the canonical terms and their order.
-    """
-    shared = min(len(e.chart), len(target))
-    if e.chart.coords[:shared] != target.coords[:shared]:
-        raise ChartMismatchError(
-            f"charts {e.chart.name} and {target.name} share no coordinate prefix")
-    return Expr(target, e.terms, e.den)
-
-
-def restrict_chart(e: Expr, target: Chart) -> Expr:
-    """Reinterpret an expression on a sub-chart with the same coordinate names."""
-    used = {e.chart.coords[i] for i in e.coordinates_used()}
-    extra = used - set(target.coords)
-    if extra:
-        raise ProjectionError(f"expression depends on {sorted(extra)}")
-    return _carry_terms(e, target)
-
-def extend_chart(e: Expr, target: Chart) -> Expr:
-    missing = set(e.chart.coords) - set(target.coords)
-    if missing:
-        raise ChartMismatchError(f"target chart lacks {sorted(missing)}")
-    return _carry_terms(e, target)
-
-
 def project_to_j2(v: VectorField) -> VectorField:
     """Pushforward along (x, y, y1, y2, z) -> (x, y, y1, y2).
 
@@ -319,25 +286,19 @@ def project_to_j2(v: VectorField) -> VectorField:
     for c in horizontal:
         if zidx in c.coordinates_used():
             raise ProjectionError(f"coefficient {c} depends on z; pushforward undefined")
-    return VectorField(J2, tuple(restrict_chart(c, J2) for c in horizontal))
+    return VectorField(J2, horizontal)
 
 
 def total_derivative_truncated(f: Expr) -> Expr:
     """Dx = d/dx + y1 d/dy + y2 d/dy1 acting on functions of (x, y, y1[, y2])."""
-    if f.chart != J2:
-        raise ChartMismatchError("the truncated total derivative acts on J2")
-    y1 = Expr.coordinate(J2, "y1")
-    y2 = Expr.coordinate(J2, "y2")
-    return f.diff("x") + y1 * f.diff("y") + y2 * f.diff("y1")
+    return (f.diff("x") + Expr.coordinate("y1") * f.diff("y")
+            + Expr.coordinate("y2") * f.diff("y1"))
 
 
 def prolong_plane_field(xi: Expr, eta: Expr) -> VectorField:
-    """Second prolongation of xi d/dx + eta d/dy from the plane to J2."""
-    if xi.chart != PLANE or eta.chart != PLANE:
-        raise ChartMismatchError("plane components expected")
-    xi2 = extend_chart(xi, J2)
-    eta2 = extend_chart(eta, J2)
-    dxi = total_derivative_truncated(xi2)
-    eta_1 = total_derivative_truncated(eta2) - Expr.coordinate(J2, "y1") * dxi
-    eta_2 = total_derivative_truncated(eta_1) - Expr.coordinate(J2, "y2") * dxi
-    return VectorField(J2, (xi2, eta2, eta_1, eta_2))
+    """Second prolongation of xi d/dx + eta d/dy, xi and eta functions of
+    (x, y), from the plane to J2."""
+    dxi = total_derivative_truncated(xi)
+    eta_1 = total_derivative_truncated(eta) - Expr.coordinate("y1") * dxi
+    eta_2 = total_derivative_truncated(eta_1) - Expr.coordinate("y2") * dxi
+    return VectorField(J2, (xi, eta, eta_1, eta_2))

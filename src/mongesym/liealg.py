@@ -189,7 +189,7 @@ def _tensor(coords, n: int):
 def _field(chart, row, den: int) -> VectorField:
     """The field whose integer form is (row, den), up to lowest terms."""
     return VectorField(chart, tuple(
-        Expr.from_raw(chart, (), [(x, m, a) for (i, m, a), x in row.items() if i == d], den)
+        Expr.from_raw((), [(x, m, a) for (i, m, a), x in row.items() if i == d], den)
         for d in range(len(chart))))
 
 

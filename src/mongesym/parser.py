@@ -177,7 +177,7 @@ class _Parser:
             elif len(parts) == 1:
                 return parts[0]
             else:
-                return Expr.sum(self.chart, parts)
+                return Expr.sum(parts)
 
     def _starts_number(self) -> bool:
         self.s.skip_ws()
@@ -243,7 +243,7 @@ class _Parser:
         if ch == "(":
             return self.parenthesized()
         if ch.isdigit() or ch == "-":
-            return Expr.constant(self.chart, self.s.read_rational())
+            return Expr.constant(self.s.read_rational())
         pos = self.s.pos
         name = self.s.read_name()
         if name in ("exp", "ln"):
@@ -254,12 +254,13 @@ class _Parser:
                 raise ParseError(
                     f"{name} argument must be polynomial", pos) from None
             atom = ExpAtom(poly) if name == "exp" else LnAtom(poly)
-            return Expr.from_raw(self.chart, [(1, ONE_MONO, (atom,))])
+            return Expr.from_raw([(1, ONE_MONO, (atom,))])
         if name not in self.chart:
             raise ParseError(f"unknown identifier {quoted(name)} in chart {self.chart.name}", pos)
-        return Expr.coordinate(self.chart, name)
+        return Expr.coordinate(name)
 
 
 def parse(text: str, chart: Chart) -> Expr:
-    """Parse text into a canonical expression on the given chart."""
+    """Parse text into a canonical expression; a coordinate off the chart
+    is a ParseError."""
     return _Parser(text, chart).parse()

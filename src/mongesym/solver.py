@@ -60,7 +60,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .charts import J20
-from .expr import (UNIT_MONOS, Expr, PowerAtom, ExpAtom, Poly, Term, _canonical_term,
+from .expr import (UNIT_MONOS, Expr, PowerAtom, ExpAtom, Term, _canonical_term,
                    bare_coords, mono_mul, product_is_canonical)
 from .fields import (Distribution2, MongeEquation, VectorField, distribution_from_monge,
                      is_symmetry, membership_residuals, symmetry_residuals)
@@ -154,9 +154,9 @@ class UnknownBasis(NamedTuple):
         if self.offset.denominator == 1:
             exps[3] += self.offset.numerator
         else:
-            atoms += (PowerAtom(Poly((Term(1, UNIT_MONOS[3], ()),)), self.offset),)
+            atoms += (PowerAtom(Expr((Term(1, UNIT_MONOS[3], ()),)), self.offset),)
         if self.rate:
-            atoms += (ExpAtom(Poly((Term(self.rate.numerator, UNIT_MONOS[0], ()),),
+            atoms += (ExpAtom(Expr((Term(self.rate.numerator, UNIT_MONOS[0], ()),),
                                    self.rate.denominator)),)
         return tuple(exps), atoms
 
@@ -202,7 +202,7 @@ class Ansatz(NamedTuple):
         for c, u in zip(vector, self.unknowns):
             if c:
                 raw[u.direction].append((c, *u.term()))
-        return VectorField(J20, tuple(Expr.from_raw(J20, r) for r in raw))
+        return VectorField(J20, tuple(Expr.from_raw(r) for r in raw))
 
     def coefficient_functions(self):
         """Each coefficient function x^alpha * y2^q * exp(rho x) as its

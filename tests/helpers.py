@@ -233,10 +233,9 @@ def primitive_row(row: dict) -> dict:
 # operations that replaced it
 # ---------------------------------------------------------------------------
 
-def pair_form(form) -> tuple:
-    """An atom-free form (an Expr or a Poly) as (monomial, Fraction
-    coefficient) pairs."""
-    return tuple((m, Fraction(c, form.den)) for c, m, _ in form.terms)
+def pair_form(e) -> tuple:
+    """An atom-free Expr as (monomial, Fraction coefficient) pairs."""
+    return tuple((m, Fraction(c, e.den)) for c, m, _ in e.terms)
 
 
 def _pairs_sorted(d: dict) -> tuple:
@@ -290,7 +289,6 @@ def pair_eval(a, values) -> Fraction:
 def fraction_text(e) -> str:
     """str(e) as a printer on Fraction coefficients gives it: each term's
     coefficient is Fraction(numerator, den), printed by Fraction itself."""
-    chart = e.chart
 
     def sum_text(form, unit_minus):
         if not form.terms:
@@ -299,7 +297,7 @@ def fraction_text(e) -> str:
         for n, (c, m, atoms) in enumerate(form.terms):
             c = Fraction(c, form.den)
             factors = [name if k == 1 else name + _exp_text(k)
-                       for name, k in zip(chart.coords, m) if k]
+                       for name, k in zip(J20.coords, m) if k]
             factors += [atom_text(a) for a in atoms]
             unit = abs(c) == 1 and factors
             body = "*".join(factors if unit else [str(abs(c))] + factors)
@@ -312,7 +310,7 @@ def fraction_text(e) -> str:
     def atom_text(a):
         if isinstance(a, PowerAtom):
             idx = _unit_coord_index(a.base)
-            base = chart.coords[idx] if idx is not None else f"({sum_text(a.base, '-')})"
+            base = J20.coords[idx] if idx is not None else f"({sum_text(a.base, '-')})"
             return base + _exp_text(a.exponent)
         name = "exp" if isinstance(a, ExpAtom) else "ln"
         return f"{name}({sum_text(a.argument, '-')})"
@@ -320,36 +318,36 @@ def fraction_text(e) -> str:
     return sum_text(e, "-1*")
 
 
-def to_sympy(form, chart=J20):
-    """An Expr or a Poly as a sympy expression, term by term, each
-    coefficient sympy.Rational(numerator, den)."""
+def to_sympy(e):
+    """An Expr as a sympy expression, term by term, each coefficient
+    sympy.Rational(numerator, den)."""
     sympy = pytest.importorskip("sympy")
-    xs = sympy.symbols(chart.coords)
+    xs = sympy.symbols(J20.coords)
     total = sympy.Integer(0)
-    for c, m, atoms in form.terms:
-        v = sympy.Rational(c, form.den)
+    for c, m, atoms in e.terms:
+        v = sympy.Rational(c, e.den)
         for x, k in zip(xs, m):
             v *= x ** k
         for a in atoms:
             if isinstance(a, PowerAtom):
                 q = a.exponent
-                v *= to_sympy(a.base, chart) ** sympy.Rational(q.numerator, q.denominator)
+                v *= to_sympy(a.base) ** sympy.Rational(q.numerator, q.denominator)
             elif isinstance(a, ExpAtom):
-                v *= sympy.exp(to_sympy(a.argument, chart))
+                v *= sympy.exp(to_sympy(a.argument))
             else:
-                v *= sympy.log(to_sympy(a.argument, chart))
+                v *= sympy.log(to_sympy(a.argument))
         total += v
     return total
 
 
-def assert_lowest_terms(form) -> None:
-    """The integer form's invariant on a form and on every atom's base or
+def assert_lowest_terms(e) -> None:
+    """The integer form's invariant on an Expr and on every atom's base or
     argument: den > 0, gcd(den, every numerator) = 1, and zero has den 1."""
-    nums = [c for c, _, _ in form.terms]
-    assert type(form.den) is int and form.den > 0, form
-    assert all(type(c) is int and c for c in nums), form
-    assert math.gcd(form.den, *nums) == 1, form
-    for _, _, atoms in form.terms:
+    nums = [c for c, _, _ in e.terms]
+    assert type(e.den) is int and e.den > 0, e
+    assert all(type(c) is int and c for c in nums), e
+    assert math.gcd(e.den, *nums) == 1, e
+    for _, _, atoms in e.terms:
         for a in atoms:
             assert_lowest_terms(a.base if isinstance(a, PowerAtom) else a.argument)
 
@@ -359,14 +357,14 @@ def assert_lowest_terms(form) -> None:
 # ---------------------------------------------------------------------------
 
 def random_polynomial(rng: random.Random, chart=J20, max_terms=4, max_degree=3) -> Expr:
-    e = Expr.zero(chart)
+    e = Expr.zero()
     for _ in range(rng.randint(1, max_terms)):
         coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         if coeff == 0:
             coeff = Fraction(1)
-        term = Expr.constant(chart, coeff)
+        term = Expr.constant(coeff)
         for _ in range(rng.randint(0, max_degree)):
-            term = term * Expr.coordinate(chart, rng.choice(chart.coords))
+            term = term * Expr.coordinate(rng.choice(chart.coords))
         e = e + term
     return e
 
@@ -378,12 +376,11 @@ def random_expr(rng: random.Random, chart=J20, allow_atoms=True) -> Expr:
         if kind < 0.6:
             q = Fraction(rng.choice([1, 2, -1, -2, 4, 5]), rng.choice([3, 3, 2]))
             coord = rng.choice(["y2", "y1"])
-            e = e + Expr.coordinate(chart, coord).pow_rational(q).scale(
+            e = e + Expr.coordinate(coord).pow_rational(q).scale(
                 Fraction(rng.randint(1, 3)))
         elif kind < 0.85:
             arg = random_polynomial(rng, chart, max_terms=2, max_degree=1)
-            atom_expr = Expr.from_raw(
-                chart, [(1, ONE_MONO, (ExpAtom(arg.as_poly()),))])
+            atom_expr = Expr.from_raw([(1, ONE_MONO, (ExpAtom(arg.as_poly()),))])
             e = e + atom_expr
         else:
             base = random_polynomial(rng, chart, max_terms=2, max_degree=2)
@@ -413,7 +410,7 @@ def admissible_point(rng: random.Random, chart=J20) -> dict:
 # ---------------------------------------------------------------------------
 
 def _directional_derivative(field: VectorField, f: Expr) -> Expr:
-    out = Expr.zero(field.chart)
+    out = Expr.zero()
     for coord, a in zip(field.chart.coords, field.coefficients):
         if not a.is_zero():
             out = out + a * f.diff(coord)
@@ -431,7 +428,7 @@ def reference_bracket(v: VectorField, w: VectorField) -> VectorField:
 def reference_membership_residuals(v: VectorField, distribution) -> tuple:
     """vy - y1*vx, vy1 - y2*vx and vz - F*vx, by Expr arithmetic."""
     vx, vy, vy1, _, vz = v.coefficients
-    y1, y2 = Expr.coordinate(J20, "y1"), Expr.coordinate(J20, "y2")
+    y1, y2 = Expr.coordinate("y1"), Expr.coordinate("y2")
     return (vy - y1 * vx, vy1 - y2 * vx, vz - distribution.equation.F * vx)
 
 
@@ -488,7 +485,7 @@ def flow_commutator(v: VectorField, w: VectorField, point: dict, t: float = 1 / 
 
 def zero_field(chart=J20) -> VectorField:
     """The zero vector field on the chart."""
-    return VectorField(chart, tuple(Expr.zero(chart) for _ in chart.coords))
+    return VectorField(chart, tuple(Expr.zero() for _ in chart.coords))
 
 
 def equiaffine_generators() -> dict:
@@ -504,12 +501,12 @@ def equiaffine_generators() -> dict:
 
 def coefficient_expr(u) -> Expr:
     """An ansatz unknown's coefficient function as an Expr."""
-    return Expr.from_raw(J20, [(1, *u.term())])
+    return Expr.from_raw([(1, *u.term())])
 
 
 def unknown_field(u) -> VectorField:
     """An ansatz unknown's field: its coefficient function on its direction."""
-    coeffs = [Expr.zero(J20)] * 5
+    coeffs = [Expr.zero()] * 5
     coeffs[u.direction] = coefficient_expr(u)
     return VectorField(J20, tuple(coeffs))
 
@@ -544,7 +541,7 @@ def reference_compile_operator(distribution) -> tuple:
     """The compiled operator by six probes of symmetry_residuals per
     direction: L0 = R(1) and Lj = R(u_j) - u_j*R(1), in the order of
     solver.compile_operator."""
-    zero = Expr.zero(J20)
+    zero = Expr.zero()
 
     def residuals(i, a):
         coeffs = [zero] * 5
@@ -553,10 +550,10 @@ def reference_compile_operator(distribution) -> tuple:
 
     operator = []
     for i in range(5):
-        base = residuals(i, Expr.constant(J20, 1))
+        base = residuals(i, Expr.constant(1))
         terms = [(rid, -1, e) for rid, e in enumerate(base)]
         for j, name in enumerate(J20.coords):
-            u = Expr.coordinate(J20, name)
+            u = Expr.coordinate(name)
             terms.extend((rid, j, r - u * r0)
                          for rid, (r, r0) in enumerate(zip(residuals(i, u), base)))
         operator.append(tuple(t for t in terms if t[2].terms))
@@ -629,7 +626,7 @@ def numeric_symmetry_dimension(equation, spec) -> int:
 def reference_assemble(ansatz, vector) -> VectorField:
     """The field of an ansatz vector as a running sum, one normalization per
     nonzero entry."""
-    coeffs = [Expr.zero(J20) for _ in range(5)]
+    coeffs = [Expr.zero() for _ in range(5)]
     for c, u in zip(vector, ansatz.unknowns):
         if c:
             coeffs[u.direction] = coeffs[u.direction] + coefficient_expr(u).scale(c)

@@ -126,6 +126,11 @@ class TestExitCodes:
         "field_json": ("verify", "eq2", json.dumps(
             {"chart": "J20", "coefficients": {"x": "x" * MEGABYTE}})),
         "field_json_syntax": ("verify", "eq2", "{" + " " * MEGABYTE),
+        # json.loads raises RecursionError on the one, ValueError past
+        # Python's digit limit on the other
+        "field_json_depth": ("verify", "eq2", '{"chart":"J20","coefficients":'
+                             + "[" * 5000 + "]" * 5000 + "}"),
+        "field_json_digits": ("verify", "eq2", '{"chart":"J20","x":' + "7" * 5000 + "}"),
         "field_key": ("verify", "eq2", json.dumps(
             {"chart": "J20", "coefficients": {"q" * MEGABYTE: "1"}})),
         "field_value": ("verify", "eq2", json.dumps(
@@ -210,6 +215,20 @@ class TestExitCodes:
         assert len(err.encode()) < 300
         assert err.endswith(message + "\n")
 
+    @pytest.mark.parametrize("name", ["field_json_depth", "field_json_digits"])
+    @pytest.mark.parametrize("via_file", [False, True], ids=["structure", "file"])
+    def test_field_json_that_json_cannot_decode_is_two(self, capsys, tmp_path, name, via_file):
+        # on verify, test_a_huge_argument_gives_one_short_error_line
+        text = self.HUGE_ARGUMENTS[name][2]
+        if via_file:
+            path = tmp_path / "field.json"
+            path.write_text(text)
+            text = f"@{path}"
+        code, out, err = run(capsys, "structure", "eq2", "S1", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad field JSON ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+
     def test_a_huge_rejected_field_gives_one_short_line(self, capsys):
         # structure names a field that is not a symmetry through quoted
         x = " + ".join(f"{k}*x^{k}*y1" for k in range(1, 2001))
@@ -233,6 +252,7 @@ class TestExitCodes:
          "'(1/2)^(1/2)': non-rational literal power (1/2)^(1/2) (at position 11)\n"),
         (("genericity", "(-1/8)^(1/2)"), "error: cannot interpret equation "
          "'(-1/8)^(1/2)': non-rational literal power (-1/8)^(1/2) (at position 12)\n"),
+        (("solve", "eq2", "--rates", "1/0"), "error: bad rational list '1/0': zero denominator\n"),
     ])
     def test_a_short_argument_is_quoted_whole(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)

@@ -11,7 +11,7 @@ import pytest
 from mongesym import solver
 from mongesym.catalog import CatalogKeyError, dz13, eq1, eq2, flat, get_equation
 from mongesym.charts import J20
-from mongesym.expr import ExpAtom, Expr, Poly, PowerAtom, Term
+from mongesym.expr import ExpAtom, Expr, PowerAtom, Term
 from mongesym.fields import (MongeEquation, distribution_from_monge,
                              is_symmetry, lie_bracket)
 from mongesym.liealg import close_under_bracket, express_in_basis
@@ -133,14 +133,14 @@ class TestRowBuilder:
 
     @pytest.mark.parametrize("base,exponent", [
         # (4*y2)^(1/2) canonicalizes to 2*y2^(1/2): coefficient 2
-        (Poly((Term(4, (0, 0, 0, 1, 0), ()),)), Fraction(1, 2)),
+        (Expr((Term(4, (0, 0, 0, 1, 0), ()),)), Fraction(1, 2)),
         # (y1 + y2)^1 canonicalizes to a polynomial factor
-        (Poly((Term(1, (0, 0, 1, 0, 0), ()), Term(1, (0, 0, 0, 1, 0), ()))),
+        (Expr((Term(1, (0, 0, 1, 0, 0), ()), Term(1, (0, 0, 0, 1, 0), ()))),
          Fraction(1)),
     ])
     def test_non_canonical_atom_raises(self, base, exponent):
         # a non-canonical term, built as it stands
-        term = (0, -1, Expr(J20, (Term(1, (0, 0, 0, 0, 0), (PowerAtom(base, exponent),)),)))
+        term = (0, -1, Expr((Term(1, (0, 0, 0, 0, 0), (PowerAtom(base, exponent),)),)))
         with pytest.raises(ArithmeticError):
             determining_equations(self.operator(term), build_ansatz(AnsatzSpec(0)))
 
@@ -252,7 +252,7 @@ class TestIntegerRows:
             coefficient = coefficient_expr(u)
             expected = [coefficient] + [coefficient.diff(c) for c in J20.coords]
             for f, partial in zip(factors, expected):
-                got = Expr.from_raw(J20, [(k, s, atoms) for k, s in f])
+                got = Expr.from_raw([(k, s, atoms) for k, s in f])
                 assert got == partial.scale(E)
 
     def test_no_fraction_per_column_or_product(self, monkeypatch):
