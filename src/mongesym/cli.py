@@ -18,7 +18,7 @@ from . import catalog
 from .charts import J20
 from .expr import Expr, ExprError, LnAtom, PowerAtom, number_text, poly_text
 from .fields import (MongeEquation, VectorField, distribution_from_monge,
-                     frame_determinant, frame_fields, genericity_hessian, is_symmetry,
+                     frame_determinant, genericity_hessian, is_symmetry,
                      project_to_j2, ProjectionError)
 from .liealg import (LieAlgebraPresentation, analyze, close_under_bracket,
                      express_in_basis, ClosureCapExceeded)
@@ -174,11 +174,8 @@ def cmd_genericity(args) -> int:
     timer = StageTimer()
     m = _load_equation(args.equation)
     timer.lap("load_s")
-    d = distribution_from_monge(m)
-    frame = frame_fields(d)
-    timer.lap("frame_s")
+    det = frame_determinant(distribution_from_monge(m), timer)
     hess = genericity_hessian(m)
-    det = frame_determinant(d, frame)
     sign = _determinant_sign(det, hess)
     timer.lap("determinant_s")
     payload = {

@@ -640,11 +640,6 @@ class Expr(NamedTuple):
         return _normalize(raw, ready, den)
 
     @staticmethod
-    def sum(exprs) -> "Expr":
-        """The sum of expressions, normalized once."""
-        return _sum(exprs)
-
-    @staticmethod
     def zero() -> "Expr":
         return Expr(())
 

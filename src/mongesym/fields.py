@@ -131,14 +131,17 @@ def _gather(products) -> Expr:
     return Expr.from_raw(raw, ready, den)
 
 
+def _bracket_component(v: VectorField, w: VectorField, i: int) -> Expr:
+    """[V, W]_i = sum_j (V_j dW_i/du_j - W_j dV_i/du_j), one gathered sum
+    (_gather) of the products of both sums."""
+    return _gather([*((1, a, p) for a, p in zip(v.coefficients, w.jacobian[i])),
+                    *((-1, a, p) for a, p in zip(w.coefficients, v.jacobian[i]))])
+
+
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
-    """[V, W]_i = sum_j (V_j dW_i/du_j - W_j dV_i/du_j), each component one
-    gathered sum (_gather) of the products of both sums."""
     require_same_chart(v, w)
-    return VectorField(v.chart, tuple(
-        _gather([*((1, a, p) for a, p in zip(v.coefficients, w_partials)),
-                 *((-1, a, p) for a, p in zip(w.coefficients, v_partials))])
-        for v_partials, w_partials in zip(v.jacobian, w.jacobian)))
+    return VectorField(v.chart, tuple(_bracket_component(v, w, i)
+                                      for i in range(len(v.chart))))
 
 
 class MongeEquation:
@@ -202,10 +205,19 @@ def _det(matrix):
     return total
 
 
-def frame_determinant(d: Distribution2, frame=None) -> Expr:
-    """The determinant of the frame's coefficients; frame is
-    frame_fields(d), computed here unless given."""
-    rows = [list(f.coefficients) for f in frame or frame_fields(d)]
+def frame_determinant(d: Distribution2, timer=None) -> Expr:
+    """The determinant of the frame's coefficients.  _det expands it along
+    X1's row (its y2 column) and then X4's (its z column), or stops at X4's
+    zero row, so X5's y2 and z entries, the costly ones, are never read: they
+    are left zero, which keeps that order, and only X5's x, y and y1 entries
+    are computed.  timer, when given, laps "frame_s" after the rows."""
+    x3 = lie_bracket(d.X1, d.X2)
+    x4 = lie_bracket(d.X1, x3)
+    zero = Expr.zero()
+    x5 = [*(_bracket_component(d.X2, x3, i) for i in range(3)), zero, zero]
+    rows = [list(f.coefficients) for f in (d.X1, d.X2, x3, x4)] + [x5]
+    if timer is not None:
+        timer.lap("frame_s")
     return _det(rows)
 
 

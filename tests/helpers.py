@@ -19,13 +19,14 @@ import pytest
 from mongesym import liealg
 from mongesym.catalog import EQUIAFFINE
 from mongesym.charts import J20, PLANE, require_same_chart
-from mongesym.expr import (ONE_MONO, ExpAtom, Expr, NonRationalPowerError, PowerAtom,
-                           _canonical_term, _exp_text, _unit_coord_index, mono_key,
-                           mono_mul)
+from mongesym.expr import (MAX_POWER_PRODUCTS, ONE_MONO, ExpAtom, Expr, ExprError,
+                           LnAtom, NonRationalPowerError, PowerAtom, _canonical_term,
+                           _exp_text, _sum, _unit_coord_index, mono_key, mono_mul,
+                           shortened)
 from mongesym.fields import (VectorField, distribution_from_monge,
                              lie_bracket, symmetry_residuals)
 from mongesym.linalg import KeyedSpan, SparseEchelon, sparse_nullspace
-from mongesym.parser import parse
+from mongesym.parser import MAX_NESTING, ParseError, parse, quoted
 from mongesym.solver import (AnsatzSpec, build_ansatz, compile_operator,
                              determining_equations)
 
@@ -350,6 +351,203 @@ def assert_lowest_terms(e) -> None:
     for _, _, atoms in e.terms:
         for a in atoms:
             assert_lowest_terms(a.base if isinstance(a, PowerAtom) else a.argument)
+
+
+# ---------------------------------------------------------------------------
+# the character scanner and parser that the token parser replaced: a
+# reference for parse's results and errors
+# ---------------------------------------------------------------------------
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str):
+        if self.peek() != ch:
+            raise ParseError(f"expected {ch!r}", self.pos)
+        self.pos += 1
+
+    def read_integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        if self.pos < len(self.text) and self.text[self.pos] == "-":
+            self.pos += 1
+        digits = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == digits:
+            raise ParseError("expected an integer", start)
+        return self.integer(start, digits)
+
+    def integer(self, start: int, digits: int) -> int:
+        limit = sys.get_int_max_str_digits()
+        if limit and self.pos - digits > limit:
+            raise ParseError(f"integer literal of {self.pos - digits} digits, "
+                             f"more than the {limit} Python converts", start)
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:
+            raise ParseError(f"invalid integer literal {quoted(self.text[start:self.pos])}",
+                             start) from None
+
+    def read_rational(self):
+        num = self.read_integer()
+        save = self.pos
+        self.skip_ws()
+        if self.pos < len(self.text) and self.text[self.pos] == "/":
+            self.pos += 1
+            start = self.pos
+            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                self.pos += 1
+            if self.pos == start:
+                raise ParseError("expected a positive integer denominator", start)
+            den = self.integer(start, start)
+            if den == 0:
+                raise ParseError("zero denominator", start)
+            return Fraction(num, den)
+        self.pos = save
+        return num
+
+    def read_name(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        if self.pos < len(self.text) and (self.text[self.pos].isalpha()
+                                          or self.text[self.pos] == "_"):
+            self.pos += 1
+            while self.pos < len(self.text) and (
+                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+            ):
+                self.pos += 1
+        if self.pos == start:
+            raise ParseError("expected an identifier", start)
+        return self.text[start:self.pos]
+
+
+class _Parser:
+    """Every literal, coordinate and term an Expr, each product taken as it
+    is read and each sum added up with expr._sum."""
+
+    def __init__(self, text: str, chart):
+        self.s = _Scanner(text)
+        self.chart = chart
+        self.depth = 0
+
+    def parse(self) -> Expr:
+        e = self.expr()
+        if self.s.peek() != "":
+            raise ParseError(f"unexpected {self.s.peek()!r}", self.s.pos)
+        return e
+
+    def expr(self) -> Expr:
+        ch = self.s.peek()
+        if ch == "-" and not self._starts_number():
+            self.s.pos += 1
+            parts = [-self.term()]
+        else:
+            if ch == "+":
+                self.s.pos += 1
+            parts = [self.term()]
+        while True:
+            ch = self.s.peek()
+            if ch == "+":
+                self.s.pos += 1
+                parts.append(self.term())
+            elif ch == "-":
+                self.s.pos += 1
+                parts.append(-self.term())
+            elif len(parts) == 1:
+                return parts[0]
+            else:
+                return _sum(parts)
+
+    def _starts_number(self) -> bool:
+        self.s.skip_ws()
+        p, t = self.s.pos, self.s.text
+        if p < len(t) and t[p] == "-":
+            p += 1
+        return p < len(t) and t[p].isdigit()
+
+    def term(self) -> Expr:
+        e = self.factor()
+        while self.s.peek() == "*":
+            pos = self.s.pos
+            self.s.pos += 1
+            f = self.factor()
+            if len(e.terms) * len(f.terms) > MAX_POWER_PRODUCTS:
+                raise ParseError(f"product too large: multiplying {len(e.terms)} by "
+                                 f"{len(f.terms)} terms takes over {MAX_POWER_PRODUCTS} "
+                                 "products", pos)
+            e = e * f
+        return e
+
+    def factor(self) -> Expr:
+        base = self.base()
+        if self.s.peek() == "^":
+            self.s.pos += 1
+            q = self.exponent()
+            try:
+                return base ** q
+            except NonRationalPowerError:
+                raise ParseError(
+                    f"non-rational literal power ({shortened(str(base))})^({shortened(str(q))})",
+                    self.s.pos) from None
+            except ExprError as exc:
+                raise ParseError(str(exc), self.s.pos) from None
+        return base
+
+    def exponent(self):
+        if self.s.peek() == "(":
+            self.s.expect("(")
+            q = self.s.read_rational()
+            self.s.expect(")")
+            return q
+        return self.s.read_rational()
+
+    def parenthesized(self) -> Expr:
+        pos = self.s.pos
+        self.s.expect("(")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
+        e = self.expr()
+        self.s.expect(")")
+        self.depth -= 1
+        return e
+
+    def base(self) -> Expr:
+        ch = self.s.peek()
+        if ch == "(":
+            return self.parenthesized()
+        if ch.isdigit() or ch == "-":
+            return Expr.constant(self.s.read_rational())
+        pos = self.s.pos
+        name = self.s.read_name()
+        if name in ("exp", "ln"):
+            arg = self.parenthesized()
+            try:
+                poly = arg.as_poly()
+            except ExprError:
+                raise ParseError(f"{name} argument must be polynomial", pos) from None
+            atom = ExpAtom(poly) if name == "exp" else LnAtom(poly)
+            return Expr.from_raw([(1, ONE_MONO, (atom,))])
+        if name not in self.chart:
+            raise ParseError(f"unknown identifier {quoted(name)} in chart {self.chart.name}",
+                             pos)
+        return Expr.coordinate(name)
+
+
+def reference_parse(text: str, chart) -> Expr:
+    """parse as the character scanner did it, for comparison."""
+    return _Parser(text, chart).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,18 @@ class TestExitCodes:
             "multiplying 330 by 792 terms takes over 20000 products (at position 15)\n")
         assert len(proc.stderr.encode()) < 300
 
+    def test_a_large_equation_within_the_caps_is_answered(self):
+        # X5 = [X2, X3]'s z entry alone took 18 s (2 cores, Python 3.11);
+        # the determinant never reads it, so it is not computed
+        equation = "(x+y+y1+y2+z)^11*(x+y+1)"
+        start = time.monotonic()
+        proc = run_module("genericity", equation, timeout=20)
+        assert time.monotonic() - start < 5
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.endswith("determinant = (+1) * hessian\n"
+                                    "verdict: generic off the zero locus of the printed "
+                                    "expression\n")
+
     @pytest.mark.parametrize("depth", [250, 5000])
     @pytest.mark.parametrize("kind", ["parentheses", "exp", "field"])
     def test_deep_nesting_is_two(self, kind, depth):

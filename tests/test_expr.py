@@ -17,11 +17,14 @@ from mongesym.parser import MAX_NESTING, ParseError, parse
 
 from helpers import (admissible_point, assert_lowest_terms, fraction_text, pair_add,
                      pair_diff, pair_eval, pair_form, pair_mul, pair_pow, random_expr,
-                     random_polynomial, to_sympy)
+                     random_polynomial, reference_parse, to_sympy)
 
 
 def P(text, chart=J20):
     return parse(text, chart)
+
+
+C = Expr.coordinate
 
 
 class TestParse:
@@ -124,6 +127,29 @@ class TestParse:
             P(text(pieces(n)))
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("text, value", [
+        ("2*x*3", C("x").scale(6)),
+        ("x^0*y", C("y")),
+        ("x^-2*x^2", Expr.constant(1)),
+        ("y2*y2^(1/3)", C("y2").pow_rational(Fraction(4, 3))),
+        ("0*exp(y)", Expr.zero()),
+        ("-x^2*3/4", (C("x") ** 2).scale(Fraction(-3, 4))),
+        ("8^(1/3)*x", C("x").scale(2)),
+        ("x*(y+1)^2*x^-1", (C("y") + Expr.constant(1)) ** 2),
+    ])
+    def test_a_term_folds_its_literals_and_coordinate_powers(self, text, value):
+        # the folded coefficient and monomial join the other factors as the
+        # product taken factor by factor does: y2 * y2^(1/3) is one power
+        assert P(text) == value == reference_parse(text, J20)
+
+    def test_folded_factors_keep_the_product_size_and_its_position(self):
+        # x folds into the monomial, yet the product so far still has 330
+        # terms when the 792-term factor comes, and the error is at its '*'
+        with pytest.raises(ParseError) as info:
+            P("x*(x+y+y1+y2+z)^7*(x+y+y1+y2+z+1)^7")
+        assert str(info.value) == ("product too large: multiplying 330 by 792 terms takes "
+                                   "over 20000 products (at position 17)")
 
     def test_roundtrip_random(self):
         rng = random.Random(101)

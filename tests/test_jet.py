@@ -170,6 +170,23 @@ class TestFrame:
             hess = genericity_hessian(m)
             assert det.equals(hess) or det.equals(-hess), key
 
+    def test_determinant_reads_only_the_entries_it_computes(self):
+        # X5's y2 and z entries are left zero: the expansion along X1's row
+        # and then X4's never reads them, so the determinant is the whole
+        # frame's, term for term
+        random_monge = perfbench_module("workloads").random_monge
+        rngs = [random.Random(f"frame:{seed}") for seed in range(12)]
+        equations = [*(get_equation(k) for k in ("eq2", "flat", "dz13(1,1)", "dz13(10,9)",
+                                                 "eq1(0)", "eq1(3/4)", "strazzullo")),
+                     *(MongeEquation(P(random_monge(rng, rng.random() < 0.3)[0]))
+                       for rng in rngs),
+                     *(MongeEquation(P(t)) for t in ("x + y*y2", "0", "exp(y2)*z",
+                                                     "ln(y2 + y1)*x", "y2^(1/3)*z^2 + y1^2"))]
+        for m in equations:
+            d = distribution_from_monge(m)
+            rows = [list(f.coefficients) for f in frame_fields(d)]
+            assert frame_determinant(d) == mongesym.fields._det(rows), m
+
 
 class TestMembership:
     def test_basis_elements(self):
