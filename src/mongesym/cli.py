@@ -17,14 +17,10 @@ from fractions import Fraction
 from . import catalog
 from .charts import J20
 from .expr import Expr, ExprError, LnAtom, PowerAtom, number_text, poly_text
-from .fields import (MongeEquation, VectorField, distribution_from_monge,
+from .fields import (MongeEquation, StageTimer, VectorField, distribution_from_monge,
                      frame_determinant, genericity_hessian, is_symmetry,
                      project_to_j2, ProjectionError)
-from .liealg import (LieAlgebraPresentation, analyze, close_under_bracket,
-                     express_in_basis, ClosureCapExceeded)
 from .parser import parse, quoted
-from .solver import (AnsatzError, StageTimer, maximality_argument,
-                     symmetry_dimension)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -242,7 +238,7 @@ def cmd_verify(args) -> int:
 # structure
 # ---------------------------------------------------------------------------
 
-def bracket_table(p: LieAlgebraPresentation) -> dict:
+def bracket_table(p) -> dict:
     """The nonzero brackets "[i,j]", i < j, as coordinates in the closed basis."""
     table, constants = {}, p.constants
     for i in range(p.dimension):
@@ -253,9 +249,10 @@ def bracket_table(p: LieAlgebraPresentation) -> dict:
     return table
 
 
-def projection_analysis(p: LieAlgebraPresentation):
+def projection_analysis(p):
     """Kernel of the pushforward to J2 and the match against the prolonged
     plane generators, for presentations whose fields project."""
+    from .liealg import express_in_basis
     try:
         images = [project_to_j2(b) for b in p.basis]
     except ProjectionError as exc:
@@ -276,6 +273,7 @@ def projection_analysis(p: LieAlgebraPresentation):
 def cmd_structure(args) -> int:
     if args.cap < 0:
         raise UsageError("--cap must be non-negative")
+    from .liealg import ClosureCapExceeded, analyze, close_under_bracket
     timer = StageTimer()
     d = distribution_from_monge(_load_equation(args.equation))
     names = args.fields or list(catalog.SYMMETRY_FIELDS)
@@ -343,13 +341,14 @@ def cmd_structure(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
+    from . import solver
     m = _load_equation(args.equation)
     offsets = _fractions_list(args.offsets) if args.offsets else (Fraction(0),)
     rates = _fractions_list(args.rates) if args.rates else None
     try:
-        report = symmetry_dimension(m, args.degree, offsets=offsets, rates=rates,
-                                    equation_label=args.equation)
-    except AnsatzError as exc:
+        report = solver.symmetry_dimension(m, args.degree, offsets=offsets, rates=rates,
+                                           equation_label=args.equation)
+    except solver.AnsatzError as exc:
         raise UsageError(str(exc)) from None
     except ExprError as exc:
         sys.stderr.write(f"solve failed: {exc}\n")
@@ -387,6 +386,8 @@ GOLDEN_BRACKET_TABLE = {
 def run_reproduction(timer: StageTimer):
     """Execute the whole verification checklist; returns (items, notes).
     The timer gets one lap per checklist section."""
+    from . import solver
+    from .liealg import ClosureCapExceeded, analyze, close_under_bracket
     items = []
     notes = []
 
@@ -444,24 +445,24 @@ def run_reproduction(timer: StageTimer):
           frame_ok)
     timer.lap("genericity_s")
 
-    sr_flat = symmetry_dimension(catalog.flat(), 7, equation_label="flat")
+    sr_flat = solver.symmetry_dimension(catalog.flat(), 7, equation_label="flat")
     check("flat equation: stabilized symmetry dimension 14",
           sr_flat.stabilized and sr_flat.dimension == 14 and sr_flat.verified,
           f"dims {[r['dimension'] for r in sr_flat.table]}")
-    sr_ap = symmetry_dimension(catalog.dz13(10, 9), 5, equation_label="dz13(10,9)")
+    sr_ap = solver.symmetry_dimension(catalog.dz13(10, 9), 5, equation_label="dz13(10,9)")
     check("dz13(10,9) (arithmetic-progression roots): stabilized dimension 14",
           sr_ap.stabilized and sr_ap.dimension == 14 and sr_ap.verified,
           f"dims {[r['dimension'] for r in sr_ap.table]}")
-    sr_7 = symmetry_dimension(catalog.dz13(5, 4), 3, equation_label="dz13(5,4)")
+    sr_7 = solver.symmetry_dimension(catalog.dz13(5, 4), 3, equation_label="dz13(5,4)")
     check("dz13(5,4) (rational non-progression roots): stabilized dimension 7",
           sr_7.stabilized and sr_7.dimension == 7 and sr_7.verified,
           f"dims {[r['dimension'] for r in sr_7.table]}")
-    sr_eq2 = symmetry_dimension(m2, 3, equation_label="eq2")
+    sr_eq2 = solver.symmetry_dimension(m2, 3, equation_label="eq2")
     check("cubic-root equation: dimension 6 at degree 2, stabilized at 3",
           sr_eq2.table[2]["dimension"] == 6 and sr_eq2.stabilized
           and sr_eq2.dimension == 6 and sr_eq2.verified,
           f"dims {[r['dimension'] for r in sr_eq2.table]}")
-    sr_11 = symmetry_dimension(catalog.dz13(1, 1), 2, equation_label="dz13(1,1)")
+    sr_11 = solver.symmetry_dimension(catalog.dz13(1, 1), 2, equation_label="dz13(1,1)")
     notes.append(
         "dz13(1,1): exact-class symmetry dimension "
         f"{sr_11.dimension}; the full 7-dimensional algebra has exponential "
@@ -474,9 +475,9 @@ def run_reproduction(timer: StageTimer):
         try:
             p7 = close_under_bracket(sr_7.basis, cap=10)
             p7b = close_under_bracket(
-                symmetry_dimension(catalog.dz13(13, 36), 2,
-                                   equation_label="dz13(13,36)").basis, cap=10)
-            mrep = maximality_argument(p6, [("dz13(5,4)", p7), ("dz13(13,36)", p7b)])
+                solver.symmetry_dimension(catalog.dz13(13, 36), 2,
+                                          equation_label="dz13(13,36)").basis, cap=10)
+            mrep = solver.maximality_argument(p6, [("dz13(5,4)", p7), ("dz13(13,36)", p7b)])
             check("maximality: 7-dimensional algebras solvable, 6-dimensional not",
                   mrep.verdict.endswith("maximal"), mrep.verdict)
         except (ClosureCapExceeded, ValueError) as exc:

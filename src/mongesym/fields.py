@@ -21,6 +21,7 @@ the second y2-derivative of F is nonzero.
 from __future__ import annotations
 
 import math
+import time
 from functools import cached_property
 from typing import NamedTuple
 
@@ -203,6 +204,24 @@ def _det(matrix):
             term = -term
         total = total + term
     return total
+
+
+class StageTimer:
+    """Seconds per named stage: lap(stage) adds the time since the previous
+    lap, or since the timer was made, to that stage."""
+
+    def __init__(self):
+        self.stages = {}
+        self._clock = time.perf_counter()
+
+    def lap(self, stage: str):
+        now = time.perf_counter()
+        self.stages[stage] = self.stages.get(stage, 0) + now - self._clock
+        self._clock = now
+
+    def rounded(self) -> dict:
+        """The stage seconds, rounded to the millisecond."""
+        return {k: round(v, 3) for k, v in self.stages.items()}
 
 
 def frame_determinant(d: Distribution2, timer=None) -> Expr:

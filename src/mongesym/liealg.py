@@ -28,7 +28,18 @@ n_plus + n_minus, by Sylvester's law of inertia.  Recognition reads those
 invariants:
 sl(2, R) is dimension 3 with an indefinite nondegenerate Killing form, the
 Heisenberg algebra is dimension 3 with lower central series 3, 1, 0 and
-center [g, g].  For a six-dimensional algebra one adapted basis (a
+center [g, g].  A six-dimensional algebra is sl(2) ⋉ heisenberg when it is
+perfect ([g, g] = g), its radical R is Heisenberg and its Levi quotient is
+sl(2).  Perfectness is what excludes the direct sum sl(2) ⊕ heisenberg,
+which meets the other two conditions.  Over R, sl(2) acts on the plane
+R/z either trivially or by its standard representation.  A trivial action
+on R/z is trivial on R: the derivations of heisenberg that vanish modulo z
+form an abelian ideal, and sl(2), being perfect, has only the zero image in
+it.  That is the direct sum, whose derived algebra sl(2) ⊕ z has dimension
+4.  The standard action makes the algebra perfect, so a perfect algebra
+with a Heisenberg radical and a quotient of Killing signature (2, 1) is
+sl(2, R) ⋉ heisenberg up to isomorphism over R.
+For a six-dimensional algebra one adapted basis (a
 complement of the radical R, then R modulo z = [R, R], then z) makes the
 radical's and the quotient's constants blocks of one rebased integer
 tensor; the same path recognizes both blocks, and the Levi complement of
@@ -546,7 +557,7 @@ def _analyze_tensor(t, d) -> StructureReport:
         verdict = "sl2"
     elif n == 3 and lseries == [3, 1, 0] and reduced_rows(zc)[0] == derived:
         verdict = "heisenberg"
-    elif n == 6 and len(rad) == 3:
+    elif n == 6 and len(rad) == 3 and dseries == [6, 6]:
         rows, m, r = adapted_rows(t, rad, pivots)
         if len(rows) == n:  # z lies in R: the radical is closed
             adapted, s = rebase(t, d, rows)

@@ -10,6 +10,8 @@
 Whitespace is insignificant.  A leading unary minus is accepted as a
 convenience superset ("-x" parses like "-1*x"); printed output always stays
 inside the grammar above and re-parses to the identical canonical form.
+A minus glued to a literal binds like that sign, looser than '^': "-3^2"
+and "2*-3^2" read as -(3^2), as "-x^2" reads as -(x^2).
 
 One regex pass reads the text into tokens; a recursive descent reads those.
 A term folds its cheap factors as it goes: rational literals into one
@@ -215,10 +217,10 @@ class _Descent:
             if q.denominator == 1:
                 return base, q.numerator
             base = Expr.coordinate(base)
-        elif type(base) is not Expr:
-            base = Expr.constant(base)
+        elif type(base) is not Expr:  # a glued '-' is a sign: -3^2 is -(3^2)
+            base = Expr.constant(-base if t == "-" else base)
         try:
-            return base ** q, None
+            return (-base ** q if t == "-" else base ** q), None
         except ExprError as exc:
             raise ParseError(f"non-rational literal power ({shortened(str(base))})^"
                              f"({shortened(str(q))})" if isinstance(exc, NonRationalPowerError)

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from bisect import bisect_left
 from fractions import Fraction
 from typing import NamedTuple
@@ -62,8 +61,9 @@ from typing import NamedTuple
 from .charts import J20
 from .expr import (UNIT_MONOS, Expr, PowerAtom, ExpAtom, Term, _canonical_term,
                    bare_coords, mono_mul, product_is_canonical)
-from .fields import (Distribution2, MongeEquation, VectorField, distribution_from_monge,
-                     is_symmetry, membership_residuals, symmetry_residuals)
+from .fields import (Distribution2, MongeEquation, StageTimer, VectorField,
+                     distribution_from_monge, is_symmetry, membership_residuals,
+                     symmetry_residuals)
 from .liealg import analyze
 from .linalg import canonical_basis, sparse_nullspace
 from .rationals import exact_pow
@@ -490,24 +490,6 @@ class SolveReport(NamedTuple):
             lines.append(f"not stabilized within the degree bound; last dimension {self.dimension}")
         lines.append(f"basis fields verified symbolically: {self.verified}")
         return "\n".join(lines)
-
-
-class StageTimer:
-    """Seconds per named stage: lap(stage) adds the time since the previous
-    lap, or since the timer was made, to that stage."""
-
-    def __init__(self):
-        self.stages = {}
-        self._clock = time.perf_counter()
-
-    def lap(self, stage: str):
-        now = time.perf_counter()
-        self.stages[stage] = self.stages.get(stage, 0) + now - self._clock
-        self._clock = now
-
-    def rounded(self) -> dict:
-        """The stage seconds, rounded to the millisecond."""
-        return {k: round(v, 3) for k, v in self.stages.items()}
 
 
 def symmetry_dimension(m: MongeEquation, max_degree: int,

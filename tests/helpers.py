@@ -490,12 +490,14 @@ class _Parser:
         return e
 
     def factor(self) -> Expr:
+        glued = self.s.peek() == "-"  # a literal's sign: -3^2 is -(3^2)
         base = self.base()
         if self.s.peek() == "^":
             self.s.pos += 1
             q = self.exponent()
+            base = -base if glued else base
             try:
-                return base ** q
+                return -base ** q if glued else base ** q
             except NonRationalPowerError:
                 raise ParseError(
                     f"non-rational literal power ({shortened(str(base))})^({shortened(str(q))})",

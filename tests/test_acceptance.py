@@ -307,7 +307,7 @@ def test_reproduce_cli_schema_and_exit(monkeypatch):
     solves come from the memo the fixtures filled."""
     import jsonschema
     import mongesym.cli
-    monkeypatch.setattr(mongesym.cli, "symmetry_dimension",
+    monkeypatch.setattr(mongesym.solver, "symmetry_dimension",
                         shared_symmetry_dimension)
     timer = mongesym.cli.StageTimer()
     items, notes = mongesym.cli.run_reproduction(timer)
@@ -327,7 +327,7 @@ def test_reproduce_out_writes_the_checklist(monkeypatch, capsys, tmp_path):
     """reproduce --out writes exactly what plain reproduce prints, and
     prints nothing itself."""
     import mongesym.cli
-    monkeypatch.setattr(mongesym.cli, "symmetry_dimension",
+    monkeypatch.setattr(mongesym.solver, "symmetry_dimension",
                         shared_symmetry_dimension)
     assert mongesym.cli.main(["reproduce"]) == 0
     printed = capsys.readouterr().out
@@ -343,7 +343,7 @@ def test_reproduce_fails_on_a_tampered_field(monkeypatch, capsys):
     fails its six-field verification item and reproduce exits 1."""
     import mongesym.catalog
     import mongesym.cli
-    monkeypatch.setattr(mongesym.cli, "symmetry_dimension",
+    monkeypatch.setattr(mongesym.solver, "symmetry_dimension",
                         shared_symmetry_dimension)
     tampered = dict(S, S3=S["S3"] + VectorField.from_strings(J20, {"y1": "y1"}))
     monkeypatch.setattr(mongesym.catalog, "symmetry_fields", lambda: tampered)

@@ -364,7 +364,8 @@ HAND_MADE = {
     "heisenberg": (3, HEIS, "heisenberg"),
     "abelian": (3, {}, "unrecognized"),
     "paper": (6, PAPER, "sl2_semidirect_heisenberg"),
-    "sl2+heisenberg": (6, {**SL2, **shifted(HEIS, 3)}, "sl2_semidirect_heisenberg"),
+    # not perfect: its derived algebra is sl2 + z, of dimension 4
+    "sl2+heisenberg": (6, {**SL2, **shifted(HEIS, 3)}, "unrecognized"),
     "sl2+adjoint": (6, SL2_ADJOINT, "unrecognized"),
     "so3+heisenberg": (6, {**SO3, **shifted(HEIS, 3)}, "unrecognized"),
 }

@@ -4,6 +4,8 @@ helpers.reference_parse reads a text one character at a time and makes an
 Expr of every literal, coordinate and term.  parse must return an equal Expr
 or raise the same exception class with the same message and position, on
 the benchmark's texts, on printed random expressions and on fuzz strings.
+The reference reads a minus glued to a powered literal as the parser does,
+as a sign outside the power.
 """
 
 import json
@@ -131,3 +133,10 @@ def test_grammar_strings_parse_or_fail_alike(seed):
 ])
 def test_edge_cases_parse_or_fail_alike(text):
     assert differences([text]) == []
+
+
+@pytest.mark.parametrize("text,value", [("-3^2", -9), ("- 3^2", -9), ("2*-3^2", -18),
+                                        ("-3", -3), ("-1/3^2", "-1/9")])
+def test_a_glued_minus_binds_looser_than_a_power(text, value):
+    # as -x^2 is -(x^2), whether or not a space follows the sign
+    assert parse(text, J20) == reference_parse(text, J20) == Expr.constant(value)

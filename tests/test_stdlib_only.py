@@ -1,5 +1,5 @@
 """The package imports nothing outside the standard library at runtime, and
-no `dataclasses`."""
+no `dataclasses`; a command loads only the layers it runs."""
 
 import ast
 import os
@@ -41,10 +41,54 @@ def test_no_dataclasses(path):
     assert "dataclasses" not in set(absolute_imports(path))
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def probe(code):
+    """What `code` prints in a fresh interpreter without site packages."""
     src = str(pathlib.Path(mongesym.__file__).parent.parent)
-    probe = ("import mongesym.cli, sys; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = ("import mongesym.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert probe(code) == "[]\n"
+
+
+# the layers a command-line call never runs when it only verifies
+HEAVY = ("mongesym.liealg", "mongesym.linalg", "mongesym.solver")
+
+
+def loaded_after(*argv):
+    """The HEAVY modules loaded once `import mongesym.cli` and, when argv is
+    given, one main(argv) call have run."""
+    code = "import contextlib, io, sys, mongesym.cli\n"
+    if argv:
+        code += ("with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    assert mongesym.cli.main({list(argv)!r}) == 0\n")
+    return probe(code + f"print(sorted(set({HEAVY!r}) & set(sys.modules)))")
+
+
+@pytest.mark.parametrize("argv", [(), ("verify", "eq2", "S1", "--json")],
+                         ids=["import", "verify"])
+def test_verifying_loads_no_algebra_or_solver_layer(argv):
+    assert loaded_after(*argv) == "[]\n"
+
+
+def test_structure_loads_the_algebra_layers_but_not_the_solver():
+    assert loaded_after("structure", "eq2") == "['mongesym.liealg', 'mongesym.linalg']\n"
+
+
+def test_every_exported_name_is_its_home_module_object():
+    code = ("import importlib, mongesym\n"
+            "for name, module in mongesym._HOME.items():\n"
+            "    home = importlib.import_module('mongesym.' + module)\n"
+            "    assert getattr(mongesym, name) is getattr(home, name), name\n"
+            "print(sorted(mongesym.__all__) == sorted(mongesym._HOME))")
+    assert probe(code) == "True\n"
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mongesym.no_such_name

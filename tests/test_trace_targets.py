@@ -11,6 +11,9 @@ import importlib
 
 import pytest
 
+import mongesym.liealg
+import mongesym.linalg
+import mongesym.solver
 from mongesym import cli
 
 from helpers import perfbench_module
