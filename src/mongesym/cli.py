@@ -239,13 +239,15 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def bracket_table(p) -> dict:
-    """The nonzero brackets "[i,j]", i < j, as coordinates in the closed basis."""
-    table, constants = {}, p.constants
-    for i in range(p.dimension):
-        for j in range(i + 1, p.dimension):
-            coords = constants[i][j]
-            if any(coords):
-                table[f"[{i},{j}]"] = [number_text(c) for c in coords]
+    """The nonzero brackets "[i,j]", i < j, as coordinates in the closed
+    basis, read off the presentation's integer tensor over its denominator."""
+    n, table = p.dimension, {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = dict(p.tensor[i][j])
+            if row:
+                table[f"[{i},{j}]"] = [number_text(Fraction(row[k], p.den))
+                                       if k in row else "0" for k in range(n)]
     return table
 
 

@@ -554,10 +554,11 @@ def _term_key(t: Term):
 
 
 def _normalize(raw, ready=(), den: int = 1) -> "Expr":
-    """The sum of (numerator, monomial, atoms) triples over the common
-    denominator den, as an Expr: the ready ones are canonical already and
-    are only collected, the raw ones go through _canonical_terms, and the
-    denominator those take out joins den."""
+    """The canonical sum of (numerator, monomial, atoms) triples over the
+    common denominator den, as an Expr; Expr.from_raw is this function.
+    The raw triples have their monomials in Mono form and go through
+    _canonical_terms, and the denominator those take out joins den; the
+    ready ones must be canonical terms already and are only collected."""
     if raw:
         canonical = _canonical_terms(raw)
         scale = math.lcm(*[d for _, d, _, _ in canonical])
@@ -632,12 +633,7 @@ class Expr(NamedTuple):
 
     # -- constructors ------------------------------------------------------
 
-    @staticmethod
-    def from_raw(raw, ready=(), den: int = 1) -> "Expr":
-        """The canonical sum of raw (numerator, monomial, atoms) triples,
-        whose monomials are in Mono form, and of ready ones, which must be
-        canonical terms already, all over the denominator den."""
-        return _normalize(raw, ready, den)
+    from_raw = staticmethod(_normalize)
 
     @staticmethod
     def zero() -> "Expr":

@@ -45,10 +45,12 @@ radical's and the quotient's constants blocks of one rebased integer
 tensor; the same path recognizes both blocks, and the Levi complement of
 sl(2) ⋉ heisenberg is corrected in those coordinates.  Every equation of
 that correction carries one common scale, so the solve returns the true
-correction times that scale.  linalg takes and gives integers: Fractions
-are made only for express_in_basis, the constants view and the
-StructureReport, which scales the center to 1 at each vector's free (last
-nonzero) column and the radical to 1 at each row's pivot.
+correction times that scale.  The Jacobi check runs on the tensor too.
+linalg takes and gives integers: Fractions are made only for
+express_in_basis, the Levi complement, the constants view (which no code
+of the package reads) and the StructureReport, which scales the center to
+1 at each vector's free (last nonzero) column and the radical to 1 at each
+row's pivot.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
 from .charts import require_same_chart
@@ -297,26 +300,23 @@ def radical_rows(t, killing, derived):
     return kernel(rows, n)
 
 
-def jacobi_holds(constants) -> bool:
-    n = len(constants)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(n):
-                    s = Fraction(0)
-                    for m in range(n):
-                        s += (constants[j][k][m] * constants[i][m][l]
-                              + constants[k][i][m] * constants[j][m][l]
-                              + constants[i][j][m] * constants[k][m][l])
-                    if s:
-                        return False
+def jacobi_holds(t) -> bool:
+    """Whether the integer tensor t satisfies the Jacobi identity: for each
+    i < j < k, [e_i, [e_j, e_k]] and its two cyclic shifts sum to zero.
+    Each term is d^2 times the true one, which does not change whether the
+    sum vanishes."""
+    n = len(t)
+    units = unit_rows(n)
+    for i, j, k in combinations(range(n), 3):
+        total = [0] * n
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            inner = [0] * n
+            for q, x in t[b][c]:
+                inner[q] = x
+            total = [s + y for s, y in zip(total, bracket_vec(t, units[a], inner))]
+        if any(total):
+            return False
     return True
-
-
-def antisymmetry_holds(constants) -> bool:
-    n = len(constants)
-    return all(constants[i][j][k] == -constants[j][i][k]
-               for i in range(n) for j in range(n) for k in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -462,17 +462,12 @@ class LieAlgebraPresentation(NamedTuple):
 
     @property
     def constants(self) -> tuple:
-        """The Fraction view, built on each read: constants[i][j] is the
-        coordinate tuple of [b_i, b_j]."""
+        """The public Fraction view, built on each read: constants[i][j] is
+        the coordinate tuple of [b_i, b_j].  No code of the package reads
+        it; every computation reads the tensor."""
         ks = range(len(self.tensor))
         return tuple(tuple(tuple(Fraction(row.get(k, 0), self.den) for k in ks)
                            for row in map(dict, plane)) for plane in self.tensor)
-
-    def antisymmetry_ok(self) -> bool:
-        return antisymmetry_holds(self.constants)
-
-    def jacobi_ok(self) -> bool:
-        return jacobi_holds(self.constants)
 
 
 def _aligned_indices(rows):

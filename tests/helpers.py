@@ -881,6 +881,14 @@ def presentation(constants, basis=None) -> liealg.LieAlgebraPresentation:
                                          tuple(map(tuple, t)), d)
 
 
+def is_antisymmetric(t) -> bool:
+    """Whether the sparse integer tensor t has t[j][i] = -t[i][j] and every
+    t[i][i] empty."""
+    n = len(t)
+    return all(not t[i][i] for i in range(n)) and all(
+        dict(t[j][i]) == {k: -c for k, c in t[i][j]} for i in range(n) for j in range(n))
+
+
 def dense_tensor(t) -> tuple:
     """A sparse integer tensor, t[i][j] the pairs (k, c), as a dense tuple
     of Fractions."""

@@ -27,7 +27,8 @@ from mongesym.solver import (AnsatzSpec, build_ansatz, compile_operator,
                              nullspace, symmetry_dimension)
 
 from helpers import (brute_force_symmetry_space, equiaffine_generators,
-                     flow_commutator, same_span, zero_field)
+                     flow_commutator, is_antisymmetric, presentation, same_span,
+                     zero_field)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 CATALOG_INSTANCES = ("eq2", "flat", "eq1(0)", "eq1(1)", "dz13(1,1)",
@@ -240,7 +241,8 @@ def test_criterion_7_property_suites(p6, solve_flat, solve_eq2, solve_seven):
     presentations = [p6,
                      close_under_bracket(solve_eq2.basis, cap=8),
                      close_under_bracket(solve_seven.basis, cap=10)]
-    jacobi_ok = all(p.antisymmetry_ok() and p.jacobi_ok() for p in presentations)
+    jacobi_ok = all(is_antisymmetric(p.tensor) and jacobi_holds(p.tensor)
+                    for p in presentations)
     report("criterion 7a: antisymmetry and Jacobi hold on computed presentations",
            jacobi_ok)
 
@@ -273,7 +275,7 @@ def test_criterion_7_property_suites(p6, solve_flat, solve_eq2, solve_seven):
     c[1][0] = [-v for v in c[0][1]]
     tampered_constants = tuple(tuple(tuple(c[i][j]) for j in range(6))
                                for i in range(6))
-    control_2 = not jacobi_holds(tampered_constants)
+    control_2 = not jacobi_holds(presentation(tampered_constants).tensor)
     report("criterion 7d: negative controls (perturbed field fails verification, "
            "perturbed constants fail Jacobi)", control_1 and control_2)
 

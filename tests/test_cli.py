@@ -13,6 +13,7 @@ import pytest
 from mongesym.cli import main
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "mongesym", "schemas")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 # S1 + S3, S1 - S3 + S6 and S5 + S6 as JSON fields: dense recombinations of
@@ -377,6 +378,10 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_structure_past_the_cap_is_one(self, capsys):
+        code, out, err = run(capsys, "structure", "eq2", "--cap", "3")
+        assert (code, out, err) == (1, "", "dimension exceeded cap 3\n")
+
 
 class TestSchemas:
     def test_genericity_json(self, capsys):
@@ -528,6 +533,8 @@ class TestOutput:
         ("y2^2*(y1+y)^(1/3)", "generic away from y + y1 = 0"),
         ("y2^2*ln(y)", "generic off the zero locus of the printed expression"),
         ("y2^2*exp(y)", "generic everywhere"),
+        ("y1*y2^3", "generic off y1 = 0, y2 = 0"),
+        ("y^(-1)*y2^3", "generic away from y = 0 and off y2 = 0"),
     ])
     def test_genericity_locus(self, capsys, equation, locus):
         # a multi-term power base is named whole, and an ln atom vanishes
@@ -603,6 +610,12 @@ class TestOutput:
         assert code == 0
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
+
+    def test_structure_text_golden(self, capsys):
+        # the text report, bracket table included, byte for byte
+        code, out, err = run(capsys, "structure", "eq2")
+        with open(os.path.join(GOLDEN, "structure_eq2.txt"), encoding="utf-8") as fh:
+            assert (code, out, err) == (0, fh.read(), "")
 
     def test_structure_subset(self, capsys):
         code, out, _ = run(capsys, "structure", "eq2", "S1", "S2", "S3", "--json")
