@@ -254,16 +254,17 @@ def bracket_table(p) -> dict:
 def projection_analysis(p):
     """Kernel of the pushforward to J2 and the match against the prolonged
     plane generators, for presentations whose fields project."""
-    from .liealg import express_in_basis
+    from .liealg import express_in_basis, placed_basis
     try:
         images = [project_to_j2(b) for b in p.basis]
     except ProjectionError as exc:
         return {"projectable": False, "reason": str(exc)}
     prolonged = [catalog.get_field(key) for key in catalog.EQUIAFFINE]
+    placed = placed_basis(prolonged)
     kernel = [i for i, img in enumerate(images) if img.is_zero()]
     matches = []
-    for i, img in enumerate(images):
-        coords = express_in_basis(img, prolonged)
+    for img in images:
+        coords = express_in_basis(img, prolonged, placed)
         matches.append(None if coords is None else [number_text(c) for c in coords])
     return {
         "projectable": True,

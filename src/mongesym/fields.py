@@ -34,11 +34,15 @@ class ProjectionError(ExprError):
     """Pushforward undefined: horizontal coefficients depend on the fiber."""
 
 
+_ZERO = Expr.zero()
+
+
 class VectorField:
     def __init__(self, chart: Chart, coefficients: tuple):
         if len(coefficients) != len(chart):
             raise ValueError("one coefficient per chart coordinate is required")
         self.chart, self.coefficients = chart, coefficients
+        self._partials, self._used = {}, {}
 
     def __eq__(self, other) -> bool:
         return (type(other) is VectorField and self.chart == other.chart
@@ -83,12 +87,19 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coefficients)
 
-    @cached_property
-    def jacobian(self) -> tuple:
-        """First partials: jacobian[i][j] = d(coefficient i)/d(coordinate j)."""
-        return tuple(
-            tuple(c.diff(u) if c.terms else c for u in self.chart.coords)
-            for c in self.coefficients)
+    def partial(self, i: int, j: int) -> Expr:
+        """d(coefficient i)/d(coordinate j), taken the first time it is read
+        and kept on the field.  The coordinates a coefficient uses are read
+        once (Expr.coordinates_used); along any other the partial is the
+        shared zero, and nothing is differentiated."""
+        p = self._partials.get((i, j))
+        if p is None:
+            c = self.coefficients[i]
+            used = self._used.get(i)
+            if used is None:
+                used = self._used[i] = c.coordinates_used()
+            p = self._partials[i, j] = c.diff(self.chart.coords[j]) if j in used else _ZERO
+        return p
 
     @cached_property
     def integer_form(self) -> tuple:
@@ -134,9 +145,10 @@ def _gather(products) -> Expr:
 
 def _bracket_component(v: VectorField, w: VectorField, i: int) -> Expr:
     """[V, W]_i = sum_j (V_j dW_i/du_j - W_j dV_i/du_j), one gathered sum
-    (_gather) of the products of both sums."""
-    return _gather([*((1, a, p) for a, p in zip(v.coefficients, w.jacobian[i])),
-                    *((-1, a, p) for a, p in zip(w.coefficients, v.jacobian[i]))])
+    (_gather) of the products of both sums; a partial is read only where the
+    coefficient it multiplies is nonzero."""
+    return _gather([*((1, a, w.partial(i, j)) for j, a in enumerate(v.coefficients) if a.terms),
+                    *((-1, a, v.partial(i, j)) for j, a in enumerate(w.coefficients) if a.terms)])
 
 
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
@@ -220,8 +232,9 @@ class StageTimer:
         self._clock = now
 
     def rounded(self) -> dict:
-        """The stage seconds, rounded to the millisecond."""
-        return {k: round(v, 3) for k, v in self.stages.items()}
+        """The stage seconds, rounded to the microsecond: a verify or
+        genericity stage takes a fraction of a millisecond."""
+        return {k: round(v, 6) for k, v in self.stages.items()}
 
 
 def frame_determinant(d: Distribution2, timer=None) -> Expr:
@@ -282,16 +295,22 @@ def symmetry_residuals(s: VectorField, d: Distribution2):
         r2 = F*xi_y2 - zeta_y2         r5 = S(F) - D(zeta) + F*D(xi)
 
     where S(F) = sum_j S_j F_{u_j}.  D(xi) is normalized once; every residual
-    is one gathered sum (_gather) of products of S's cached partials, the
-    coefficients of X2 and F's partials.
+    is one gathered sum (_gather) of products of S's partials, the
+    coefficients of X2 and X2's partials (F's).  A partial of S is read only
+    where a formula uses it, so eta2's never, and only along y2 or where
+    X2's coefficient is nonzero; a partial of X2 only where S's coefficient
+    is nonzero.
     """
     require_same_chart(s, d.X2)
-    x2, jac, y2 = d.X2.coefficients, s.jacobian, J20.index("y2")
+    x2, y2 = d.X2.coefficients, J20.index("y2")
+    live = [j for j, a in enumerate(x2) if a.terms]  # the nonzero coefficients of X2
+    d_xi = _gather([(1, x2[j], s.partial(0, j)) for j in live])
     # i = 1, 2, 4 are the components y, y1, z, and x2[i] is y1, y2, F
-    d_xi = _gather([(1, a, p) for a, p in zip(x2, jac[0])])
-    return (*(_gather([(1, x2[i], jac[0][y2]), (-1, x2[0], jac[i][y2])]) for i in (1, 2, 4)),
-            *(_gather([*((1, a, p) for a, p in zip(s.coefficients, d.X2.jacobian[i])),
-                       *((-1, a, p) for a, p in zip(x2, jac[i])), (1, x2[i], d_xi)])
+    return (*(_gather([(1, x2[i], s.partial(0, y2)), (-1, x2[0], s.partial(i, y2))])
+              for i in (1, 2, 4)),
+            *(_gather([*((1, a, d.X2.partial(i, j)) for j, a in enumerate(s.coefficients)
+                         if a.terms),
+                       *((-1, x2[j], s.partial(i, j)) for j in live), (1, x2[i], d_xi)])
               for i in (1, 2, 4)))
 
 

@@ -7,7 +7,8 @@ bilinearity over E.  Every field is read through one integer form
 monomial, atoms) keys and one denominator, the lcm of its coefficients'
 denominators, built once per field.  Coordinates come from a
 linalg.KeyedSpan of those forms: the closure keeps one over E, and
-express_in_basis builds one from the basis.  An integer zero-test on the
+express_in_basis reads the basis placed in one (placed_basis), which a
+caller that expresses many fields places once.  An integer zero-test on the
 same forms confirms every coordinate vector over E and every answer,
 numerators c_k over one e: e * v - sum c_k b_k vanishes when, over the lcm
 of d_v and of each d_k, every key's integer sum is zero.
@@ -58,14 +59,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
 from .charts import require_same_chart
 from .expr import Expr, number_text
 from .fields import VectorField, lie_bracket
-from .linalg import (KeyedSpan, SparseEchelon, coordinates, kernel, reduced_rows,
-                     solve_exact, symmetric_signature)
+from .linalg import (Basis, KeyedSpan, SparseEchelon, coordinates, kernel,
+                     reduced_rows, solve_exact, symmetric_signature)
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -76,19 +77,26 @@ class ClosureCapExceeded(RuntimeError):
 # expressing fields in a basis
 # ---------------------------------------------------------------------------
 
-def express_in_basis(v: VectorField, basis):
+def express_in_basis(v: VectorField, basis, placed=None):
     """Exact rational coordinates of v in the basis, or None when not in the span.
 
     A basis field that lies in the span of the fields before it gets
-    coordinate 0, so the answer is unique even for a dependent basis.
+    coordinate 0, so the answer is unique even for a dependent basis.  A
+    caller that expresses many fields in one basis places it once and gives
+    it as placed, placed_basis(basis).
     """
     for f in (*basis, v):
         require_same_chart(f, basis[0] if basis else v)
-    coords = coordinates([b.integer_form for b in basis], v.integer_form)
+    coords = coordinates(placed_basis(basis) if placed is None else placed, v.integer_form)
     if coords is not None:
         _verify_combination(v, basis, coords)
         return [Fraction(x, coords[1]) for x in coords[0]]
     return None
+
+
+def placed_basis(basis) -> Basis:
+    """The fields' integer forms placed once, for express_in_basis."""
+    return Basis(b.integer_form for b in basis)
 
 
 def _verify_combination(v: VectorField, basis, coords) -> None:
@@ -233,14 +241,13 @@ def unit_rows(n):
 
 
 def subspace_bracket(t, rows_a, rows_b):
-    """[span(rows_a), span(rows_b)] as reduced primitive integer rows."""
-    prods = []
-    for a in rows_a:
-        for b in rows_b:
-            w = bracket_vec(t, a, b)
-            if any(w):
-                prods.append(w)
-    return reduced_rows(prods)[0]
+    """[span(rows_a), span(rows_b)] as reduced primitive integer rows.  The
+    products are formed as the elimination asks for them, and it stops
+    asking at full rank; when both sides are the same rows only the pairs
+    a < b are formed, antisymmetry giving the rest."""
+    pairs = combinations(rows_a, 2) if rows_a == rows_b else product(rows_a, rows_b)
+    products = (bracket_vec(t, a, b) for a, b in pairs)
+    return reduced_rows(w for w in products if any(w))[0]
 
 
 def series_dims(t, rows, derived, lower_central=False):

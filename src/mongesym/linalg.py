@@ -24,10 +24,11 @@ integer back-substitution (_back_substitute) computes only the free
 columns' vectors, each from just the pivot rows it reaches.
 
 KeyedSpan keeps the span of sparse integer vectors over arbitrary keys and
-reads their coordinates off tag columns; it, coordinates and solve_exact
-answer (integer numerators, den > 0) in lowest terms.  symmetric_signature
-reads the signature of a symmetric integer matrix off its characteristic
-polynomial, by Descartes' rule of signs.
+reads their coordinates off tag columns; a Basis is vectors placed in one
+once, over which coordinates reads any number of targets.  KeyedSpan,
+coordinates and solve_exact answer (integer numerators, den > 0) in lowest
+terms.  symmetric_signature reads the signature of a symmetric integer
+matrix off its characteristic polynomial, by Descartes' rule of signs.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import heapq
 import math
 import operator
 from collections import defaultdict
-from itertools import compress
+from itertools import chain, compress
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +343,27 @@ class KeyedSpan:
         return coords
 
 
-def coordinates(vectors, target):
-    """Exact coordinates of target over vectors as (numerators, den), or
-    None when it is not in their span; each is a pair (sparse integer dict,
-    den) standing for dict / den.  A vector in the span of the vectors
-    before it gets coordinate 0, so the answer is unique."""
-    span = KeyedSpan()
-    joined = [k for k, v in enumerate(vectors) if span.place(*v) is None]
-    coords = span.coordinates(*target)
+class Basis:
+    """Vectors, pairs (sparse integer dict, den) standing for dict / den,
+    placed once in one KeyedSpan; joined lists those outside the span of
+    the vectors before them."""
+
+    def __init__(self, vectors):
+        vectors = list(vectors)
+        self.size, self.span = len(vectors), KeyedSpan()
+        self.joined = [k for k, v in enumerate(vectors) if self.span.place(*v) is None]
+
+
+def coordinates(basis: Basis, target):
+    """Exact coordinates of target, a pair (sparse integer dict, den), over
+    the basis vectors as (numerators, den), or None when it is not in their
+    span.  A vector in the span of the vectors before it gets coordinate 0,
+    so the answer is unique."""
+    coords = basis.span.coordinates(*target)
     if coords is None:
         return None
-    out = dict(zip(joined, coords[0]))
-    return [out.get(k, 0) for k in range(len(vectors))], coords[1]
+    out = dict(zip(basis.joined, coords[0]))
+    return [out.get(k, 0) for k in range(basis.size)], coords[1]
 
 
 def solve_exact(matrix, rhs):
@@ -364,7 +374,19 @@ def solve_exact(matrix, rhs):
     solution with every free variable of the reduced echelon form at zero.
     """
     columns = [dict(enumerate(col)) for col in zip(*matrix)]
-    return coordinates([(c, 1) for c in columns], (dict(enumerate(rhs)), 1))
+    return coordinates(Basis((c, 1) for c in columns), (dict(enumerate(rhs)), 1))
+
+
+def _echelon(vectors, ncols: int) -> SparseEchelon:
+    """The echelon form of dense integer vectors of length ncols.  It stops
+    reading them at full rank, where every later vector lies in the span, so
+    vectors may be a lazy iterable."""
+    ech = SparseEchelon()
+    for v in vectors:
+        ech.insert({c: v[c] for c in compress(range(ncols), v)})
+        if ech.rank == ncols:
+            break
+    return ech
 
 
 def kernel(matrix, ncols: int):
@@ -372,7 +394,7 @@ def kernel(matrix, ncols: int):
     free column f of its echelon form, positive at f (its largest nonzero
     column) and zero at every other free column: sparse_nullspace's
     back-substitution (_back_substitute), without the presolve."""
-    pivots = SparseEchelon(dict(enumerate(v)) for v in matrix).pivots
+    pivots = _echelon(matrix, ncols).pivots
     return _dense(_back_substitute(pivots, [c for c in range(ncols) if c not in pivots]),
                   ncols)
 
@@ -380,11 +402,12 @@ def kernel(matrix, ncols: int):
 def reduced_rows(vectors):
     """Reduced row echelon form of integer vectors of one length, as
     (primitive integer tuples with a positive pivot, pivot columns):
-    SparseEchelon.reduced() in pivot order."""
-    vectors = list(vectors)
-    n = len(vectors[0]) if vectors else 0
-    reduced = SparseEchelon({c: v[c] for c in compress(range(n), v)}
-                            for v in vectors).reduced()
+    SparseEchelon.reduced() in pivot order.  vectors may be a lazy iterable,
+    read only up to full rank."""
+    vectors = iter(vectors)
+    first = next(vectors, ())
+    n = len(first)
+    reduced = _echelon(chain((first,), vectors), n).reduced()
     pivots = sorted(reduced)
     return _dense([reduced[p] for p in pivots], n), pivots
 

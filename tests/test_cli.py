@@ -451,6 +451,11 @@ class TestSchemas:
         del payload["stage_timings"]
         assert json.loads(plain) == payload
 
+    def test_timings_resolve_a_stage_shorter_than_a_millisecond(self, capsys):
+        code, out, _ = run(capsys, "verify", "eq2", "--json", "--timings")
+        assert code == 0
+        assert json.loads(out)["stage_timings"]["residuals_s"] > 0
+
     @pytest.mark.parametrize("field, dimension", [
         ('{"chart":"J20","coefficients":{}}', 0), ("S6", 1)])
     def test_structure_of_the_smallest_algebras(self, capsys, field, dimension):

@@ -8,10 +8,11 @@ import pytest
 
 import mongesym.catalog
 import mongesym.fields
-from mongesym.catalog import (SYMMETRY_FIELDS, CatalogKeyError, dz13, eq1, eq2,
-                              field_keys, flat, get_equation, get_field,
+from mongesym.catalog import (EQUIAFFINE, SYMMETRY_FIELDS, CatalogKeyError, dz13, eq1,
+                              eq2, field_keys, flat, get_equation, get_field,
                               strazzullo, symmetry_fields)
 from mongesym.charts import J2, J20, PLANE, Chart, ChartMismatchError
+from mongesym.cli import main
 from mongesym.expr import Expr, ExprError
 from mongesym.fields import (MongeEquation, ProjectionError, VectorField,
                              distribution_from_monge, frame_determinant,
@@ -41,7 +42,8 @@ class TestRecords:
         assert v is not w and v == w and hash(v) == hash(w) and {v: 1}[w] == 1
         assert v != w.scale(2) and v != VectorField.coordinate(J20, "x")
         assert v != (v.chart, v.coefficients)
-        assert v.jacobian == w.jacobian and v.integer_form == w.integer_form
+        assert v.integer_form == w.integer_form
+        assert all(v.partial(i, j) == w.partial(i, j) for i in range(5) for j in range(5))
 
     def test_monge_equations_compare_by_value(self):
         assert MongeEquation(P("y + y2^(1/3)")) == eq2()
@@ -57,6 +59,74 @@ class TestRecords:
         with pytest.raises(error) as info:
             build()
         assert str(info.value) == message
+
+
+class TestPartials:
+    """VectorField.partial is the coefficient's partial, taken on demand."""
+
+    @staticmethod
+    def assert_partials(v):
+        for i, c in enumerate(v.coefficients):
+            for j, u in enumerate(v.chart.coords):
+                assert v.partial(i, j) == c.diff(u), (i, u)
+                assert v.partial(i, j) is v.partial(i, j)  # kept on the field
+
+    @pytest.mark.parametrize("key", [*SYMMETRY_FIELDS, *EQUIAFFINE])
+    def test_catalog_fields(self, key):
+        v = get_field(key)
+        assert v.chart == (J20 if key in SYMMETRY_FIELDS else J2)
+        self.assert_partials(v)
+
+    def test_dz13_generators(self):
+        workloads = perfbench_module("workloads")
+        for a, b in workloads.DZ13_PAIRS[:3]:
+            for g in workloads.dz13_generators(a, b):
+                self.assert_partials(VectorField.from_strings(J20, g))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_fields_with_zero_coefficients(self, seed):
+        rng = random.Random(seed)
+        unused = 0
+        for chart in (J20, J2) * 3:
+            coefficients = [Expr.zero() if rng.random() < 0.3 else random_expr(rng, chart)
+                            for _ in chart.coords]
+            coefficients[rng.randrange(len(chart))] = Expr.zero()
+            v = VectorField(chart, tuple(coefficients))
+            self.assert_partials(v)
+            for i, c in enumerate(coefficients):
+                used = c.coordinates_used()
+                for j in range(len(chart)):
+                    if j not in used:
+                        assert v.partial(i, j) == Expr.zero()
+                        unused += bool(c.terms)
+        assert unused  # a nonzero coefficient without some coordinate was met
+
+
+class TestDifferentiatedOnDemand:
+    """Which partials the commands take, read off a spy on Expr.diff."""
+
+    @pytest.fixture
+    def diffs(self, monkeypatch):
+        seen, diff = [], Expr.diff
+
+        def spy(e, coord):
+            seen.append((e, coord))
+            return diff(e, coord)
+
+        monkeypatch.setattr(Expr, "diff", spy)
+        return seen
+
+    def test_genericity_differentiates_only_along_y1_and_y2(self, diffs, capsys):
+        assert main(["genericity", "eq2"]) == 0
+        assert {coord for _, coord in diffs} == {"y1", "y2"}
+
+    def test_verify_never_differentiates_eta2(self, diffs, capsys):
+        assert main(["verify", "eq2"]) == 0
+        differentiated = {e for e, _ in diffs}
+        eta1, eta2 = ({S[k].coefficients[i] for k in SYMMETRY_FIELDS} - {Expr.zero()}
+                      for i in (2, 3))
+        assert eta2 and not eta2 & differentiated  # S2's -3*y2 and S3's -3*y1*y2
+        assert eta1 & differentiated
 
 
 class TestDistribution:

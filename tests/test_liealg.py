@@ -237,6 +237,25 @@ class TestSeries:
         assert rep.nilpotent
         assert rep.solvable
 
+    def test_a_span_bracketed_with_itself_forms_each_pair_once(self, p6, monkeypatch):
+        heisenberg = close_under_bracket([S["S4"], S["S5"], S["S6"]], cap=4)
+        for t in (p6.tensor, heisenberg.tensor):
+            full = unit_rows(len(t))
+            products = [bracket_vec(t, a, b) for a in full for b in full]
+            expected = linalg.reduced_rows([w for w in products if any(w)])[0]
+            formed = []
+
+            def spy(t, a, b):
+                formed.append((full.index(a), full.index(b)))
+                return bracket_vec(t, a, b)
+
+            monkeypatch.setattr(liealg, "bracket_vec", spy)
+            assert liealg.subspace_bracket(t, full, full) == expected
+            monkeypatch.undo()
+            assert formed and all(a < b for a, b in formed)
+            if len(expected) < len(t):  # short of full rank, every pair is formed
+                assert len(formed) == len(t) * (len(t) - 1) // 2
+
     def test_an_unaligned_center_is_scaled_to_one_at_its_free_column(
             self, eq2_recombinations):
         # on a recombined S1..S6 basis the center is S6's coordinates, as

@@ -128,6 +128,18 @@ def test_canonical_basis_is_the_sympy_rref_over_reversed_columns():
     assert checked > 200
 
 
+def test_echelons_stop_reading_rows_at_full_rank():
+    # every row after full rank lies in the span, so a lazy input is read
+    # no further
+    def rows():
+        yield from ((2, 1), (0, 0), (1, 1))
+        raise AssertionError("read past full rank")
+
+    assert reduced_rows(rows()) == ([(1, 0), (0, 1)], [0, 1])
+    assert kernel(rows(), 2) == []
+    assert reduced_rows(iter(())) == ([], [])
+
+
 def test_kernel_is_the_sympy_nullspace_basis():
     # one primitive integer vector per free column f, positive at f, its
     # largest nonzero column; sympy's vector is the same one scaled to x_f = 1
