@@ -20,9 +20,8 @@ _HOMES = {
     "parser": ("ParseError", "parse"),
     "fields": ("Distribution2", "MongeEquation", "ProjectionError", "SymmetryReport",
                "VectorField", "distribution_from_monge", "frame_determinant",
-               "frame_fields", "genericity_hessian", "in_distribution", "is_symmetry",
-               "lie_bracket", "membership_residuals", "project_to_j2",
-               "prolong_plane_field"),
+               "genericity_hessian", "in_distribution", "is_symmetry", "lie_bracket",
+               "membership_residuals", "project_to_j2", "prolong_plane_field"),
     "catalog": ("CatalogKeyError", "dz13", "eq1", "eq2", "flat", "get_equation",
                 "get_field", "strazzullo", "symmetry_fields"),
     "liealg": ("ClosureCapExceeded", "LieAlgebraPresentation", "StructureReport",

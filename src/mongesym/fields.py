@@ -190,13 +190,6 @@ def genericity_hessian(m: MongeEquation) -> Expr:
     return m.F.diff("y2").diff("y2")
 
 
-def frame_fields(d: Distribution2):
-    x3 = lie_bracket(d.X1, d.X2)
-    x4 = lie_bracket(d.X1, x3)
-    x5 = lie_bracket(d.X2, x3)
-    return (d.X1, d.X2, x3, x4, x5)
-
-
 def _det(matrix):
     """Exact determinant by expansion along the sparsest row."""
     n = len(matrix)

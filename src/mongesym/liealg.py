@@ -26,32 +26,37 @@ derived algebra; both kernels are primitive integer rows from linalg.kernel.
 The Killing signature comes from the integer Killing matrix's
 characteristic polynomial by Descartes' rule of signs, and the rank is
 n_plus + n_minus, by Sylvester's law of inertia.  Recognition reads those
-invariants:
-sl(2, R) is dimension 3 with an indefinite nondegenerate Killing form, the
-Heisenberg algebra is dimension 3 with lower central series 3, 1, 0 and
-center [g, g].  A six-dimensional algebra is sl(2) ⋉ heisenberg when it is
-perfect ([g, g] = g), its radical R is Heisenberg and its Levi quotient is
+invariants in one pass over the tensor.  sl(2, R) is dimension 3 with
+Killing signature (2, 1); no real three-dimensional Lie algebra has
+signature (1, 2), since a nondegenerate Killing form makes it sl(2, R) or
+so(3), whose is (0, 3).  The Heisenberg algebra is dimension 3 with lower
+central series 3, 1, 0, the only non-abelian nilpotent form of dimension 3.
+A six-dimensional algebra is sl(2) ⋉ heisenberg when it is perfect
+([g, g] = g), its radical R is Heisenberg and its Levi quotient s = g/R is
 sl(2).  Perfectness is what excludes the direct sum sl(2) ⊕ heisenberg,
-which meets the other two conditions.  Over R, sl(2) acts on the plane
-R/z either trivially or by its standard representation.  A trivial action
-on R/z is trivial on R: the derivations of heisenberg that vanish modulo z
-form an abelian ideal, and sl(2), being perfect, has only the zero image in
-it.  That is the direct sum, whose derived algebra sl(2) ⊕ z has dimension
-4.  The standard action makes the algebra perfect, so a perfect algebra
-with a Heisenberg radical and a quotient of Killing signature (2, 1) is
-sl(2, R) ⋉ heisenberg up to isomorphism over R.
-For a six-dimensional algebra one adapted basis (a
-complement of the radical R, then R modulo z = [R, R], then z) makes the
-radical's and the quotient's constants blocks of one rebased integer
-tensor; the same path recognizes both blocks, and the Levi complement of
-sl(2) ⋉ heisenberg is corrected in those coordinates.  Every equation of
-that correction carries one common scale, so the solve returns the true
-correction times that scale.  The Jacobi check runs on the tensor too.
-linalg takes and gives integers: Fractions are made only for
-express_in_basis, the Levi complement, the constants view (which no code
-of the package reads) and the StructureReport, which scales the center to
-1 at each vector's free (last nonzero) column and the radical to 1 at each
-row's pivot.
+which meets the other two conditions.  Over R, sl(2) acts on the plane R/z,
+z = [R, R], either trivially or by its standard representation.  A trivial
+action on R/z is trivial on R: the derivations of heisenberg that vanish
+modulo z form an abelian ideal, and sl(2), being perfect, has only the zero
+image in it.  That is the direct sum, whose derived algebra sl(2) ⊕ z has
+dimension 4.  The standard action makes the algebra perfect, so a perfect
+algebra with a Heisenberg radical and a quotient of Killing signature
+(2, 1) is sl(2, R) ⋉ heisenberg up to isomorphism over R.  That signature
+is g's own: g is perfect, so R is g's Killing-orthogonal complement and the
+Killing form K vanishes on it; on a Levi subalgebra L ≅ s, K is K_s plus
+the trace form of L on R, an invariant form on a simple algebra, so a
+multiple of K_s, and a nonnegative one (h has real eigenvalues on every
+representation of sl(2, R); so(3) acts by skew matrices).  So K has K_s's
+signature: (2, 1) exactly when s is sl(2, R), (0, 3) when it is so(3).  The
+Levi complement of sl(2) ⋉ heisenberg is corrected in one adapted basis (a
+complement of R, then R modulo z, then z), on the tensor rebased onto it.
+Every equation of that correction carries one common scale, so the solve
+returns the true correction times that scale.  The Jacobi check runs on
+the tensor too.  linalg takes and gives integers: Fractions are made only
+for express_in_basis, the Levi complement, the constants view (which no
+code of the package reads) and the StructureReport, which scales the center
+to 1 at each vector's free (last nonzero) column and the radical to 1 at
+each row's pivot.
 """
 
 from __future__ import annotations
@@ -299,8 +304,6 @@ def radical_rows(t, killing, derived):
     """The radical as the Killing-orthogonal complement of the derived
     algebra, from the Killing matrix and the rows of [g, g]."""
     n = len(t)
-    if not derived:
-        return unit_rows(n)  # abelian: everything is radical
     rows = []
     for d in derived:
         rows.append([sum(d[k] * killing[k][i] for k in range(n)) for i in range(n)])
@@ -343,29 +346,6 @@ def rebase(t, d, rows):
     adapted, scale = _tensor({(a, b): span.coordinates(dict(enumerate(
         bracket_vec(t, rows[a], rows[b])))) for b in range(n) for a in range(b)}, n)
     return adapted, d * scale
-
-
-def block(t, lo, hi):
-    """The tensor of the basis vectors lo..hi-1 on their own coordinates."""
-    return tuple(tuple(tuple((k - lo, c) for k, c in t[i][j] if lo <= k < hi)
-                       for j in range(lo, hi))
-                 for i in range(lo, hi))
-
-
-def adapted_rows(t, rad, pivots):
-    """The unit vectors off the reduced radical's pivot columns, then the
-    radical rows independent modulo z = [R, R], then z; returns (rows, m, r)
-    with m units and r rows before z.  The rows are a basis exactly when z
-    lies in R, that is when the radical is closed, and then the radical's
-    and the quotient's constants are blocks of the rebased tensor."""
-    n = len(t)
-    comp = [row for i, row in enumerate(unit_rows(n)) if i not in pivots]
-    z = subspace_bracket(t, rad, rad)
-    span = KeyedSpan()
-    for row in z:
-        span.place(dict(enumerate(row)))
-    rad_comp = [row for row in rad if span.place(dict(enumerate(row))) is None]
-    return comp + rad_comp + z, len(comp), len(rad_comp)
 
 
 def _correct(adapted, ws, e, m, lo, hi):
@@ -418,20 +398,33 @@ def _correct(adapted, ws, e, m, lo, hi):
     return out, e * scale
 
 
-def levi_complement(t, d, rows, adapted, s, m, r):
+def levi_complement(t, d, rad, pivots, z):
     """A subalgebra complementary to the Heisenberg radical, as Fraction
-    coordinate vectors, or None when no correction is found.
+    coordinate vectors, or None when z does not lie in R or no correction
+    is found.
 
-    (t, d) is the tensor, (rows, m, r) adapted_rows, and (adapted, s) the
-    tensor rebased on rows.  The first m unit vectors span an arbitrary
-    complement; two linear stages correct it, first along the r radical rows
-    modulo z, then inside z, where the quadratic terms vanish because
-    [R, [R, R]] = 0.  The result goes back to the original coordinates and
-    is checked there exactly: for complement vectors c / e, with c integer,
-    [c_a, c_b] on t is d * e^2 times the true bracket and the quotient
-    combination of the c_t on adapted is s * e times its own.
+    (t, d) is the tensor, (rad, pivots) the reduced radical R and z = [R, R]
+    its reduced rows.  The adapted basis is the unit vectors off R's pivot
+    columns, m of them, then the r radical rows independent modulo z, then
+    z; it is a basis exactly when z lies in R, and (adapted, s) is the
+    tensor rebased on it.  Its first m vectors span an arbitrary complement;
+    two linear stages correct it, first along the r radical rows modulo z,
+    then inside z, where the quadratic terms vanish because [R, [R, R]] = 0.
+    The result goes back to the original coordinates and is checked there
+    exactly: for complement vectors c / e, with c integer, [c_a, c_b] on t
+    is d * e^2 times the true bracket and the quotient combination of the
+    c_t on adapted is s * e times its own.
     """
     n = len(t)
+    span = KeyedSpan()
+    for row in z:
+        span.place(dict(enumerate(row)))
+    comp = [row for i, row in enumerate(unit_rows(n)) if i not in pivots]
+    rad_comp = [row for row in rad if span.place(dict(enumerate(row))) is None]
+    rows, m, r = comp + rad_comp + z, len(comp), len(rad_comp)
+    if len(rows) != n:
+        return None
+    adapted, s = rebase(t, d, rows)
     ws, e = unit_rows(n)[:m], 1
     for lo, hi in ((m, m + r), (m + r, n)):
         corrected = _correct(adapted, ws, e, m, lo, hi)
@@ -526,48 +519,39 @@ class StructureReport(NamedTuple):
         }
 
 
-def analyze(p: LieAlgebraPresentation) -> StructureReport:
-    """Every structure invariant of the presentation, and its recognition."""
-    return _analyze_tensor(p.tensor, p.den)
-
-
 def _scaled(rows, columns) -> tuple:
     """Each integer row over its entry at the matching column, as Fractions."""
     return tuple(tuple(Fraction(a, row[c]) for a in row)
                  for row, c in zip(rows, columns))
 
 
-def _analyze_tensor(t, d) -> StructureReport:
-    """analyze on the integer tensor t, d times the constants; a
-    six-dimensional tensor's radical and quotient blocks are recognized by
-    the same path.  Spans are primitive integer rows, and the Killing matrix
-    of t is d^2 times the true one; the report holds Fractions."""
+def analyze(p: LieAlgebraPresentation) -> StructureReport:
+    """Every structure invariant of the presentation, and its recognition,
+    read off its integer tensor in one pass.  Spans are primitive integer
+    rows, and the Killing matrix of the tensor is den^2 times the true one;
+    the report holds Fractions."""
+    t, d = p.tensor, p.den
     n = len(t)
     full = unit_rows(n)
     zc = center_rows(t)
     derived = subspace_bracket(t, full, full)
     dseries = series_dims(t, full, derived)
     lseries = series_dims(t, full, derived, lower_central=True)
-    solvable = dseries[-1] == 0
-    nilpotent = lseries[-1] == 0
     km = killing_matrix(t)
     plus, minus, _ = symmetric_signature(km)
     rad, pivots = reduced_rows(radical_rows(t, km, derived))
     verdict = "unrecognized"
     complement = None
-    if n == 3 and (plus, minus) in ((2, 1), (1, 2)):
+    if n == 3 and (plus, minus) == (2, 1):
         verdict = "sl2"
-    elif n == 3 and lseries == [3, 1, 0] and reduced_rows(zc)[0] == derived:
+    elif n == 3 and lseries == [3, 1, 0]:
         verdict = "heisenberg"
-    elif n == 6 and len(rad) == 3 and dseries == [6, 6]:
-        rows, m, r = adapted_rows(t, rad, pivots)
-        if len(rows) == n:  # z lies in R: the radical is closed
-            adapted, s = rebase(t, d, rows)
-            if (_analyze_tensor(block(adapted, m, n), s).verdict == "heisenberg"
-                    and _analyze_tensor(block(adapted, 0, m), s).verdict == "sl2"):
-                complement = levi_complement(t, d, rows, adapted, s, m, r)
-                if complement is not None:
-                    verdict = "sl2_semidirect_heisenberg"
+    elif n == 6 and dseries == [6, 6] and len(rad) == 3 and (plus, minus) == (2, 1):
+        z = subspace_bracket(t, rad, rad)
+        if series_dims(t, rad, z, lower_central=True) == [3, 1, 0]:
+            complement = levi_complement(t, d, rad, pivots, z)
+            if complement is not None:
+                verdict = "sl2_semidirect_heisenberg"
     free = [max(c for c, a in enumerate(row) if a) for row in zc]
     return StructureReport(
         dimension=n,
@@ -575,8 +559,8 @@ def _analyze_tensor(t, d) -> StructureReport:
         center_indices=_aligned_indices(zc),
         derived_dims=tuple(dseries),
         lcs_dims=tuple(lseries),
-        solvable=solvable,
-        nilpotent=nilpotent,
+        solvable=dseries[-1] == 0,
+        nilpotent=lseries[-1] == 0,
         killing=tuple(tuple(Fraction(v, d * d) for v in row) for row in km),
         killing_rank=plus + minus,  # Sylvester's law of inertia
         killing_signature=(plus, minus),

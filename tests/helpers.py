@@ -625,6 +625,16 @@ def reference_bracket(v: VectorField, w: VectorField) -> VectorField:
         for vc, wc in zip(v.coefficients, w.coefficients)))
 
 
+def frame_fields(d):
+    """The frame X1, X2, X3 = [X1, X2], X4 = [X1, X3], X5 = [X2, X3] of the
+    distribution, every entry computed: the reference for frame_determinant,
+    which leaves X5's y2 and z entries zero."""
+    x3 = lie_bracket(d.X1, d.X2)
+    x4 = lie_bracket(d.X1, x3)
+    x5 = lie_bracket(d.X2, x3)
+    return (d.X1, d.X2, x3, x4, x5)
+
+
 def reference_membership_residuals(v: VectorField, distribution) -> tuple:
     """vy - y1*vx, vy1 - y2*vx and vz - F*vx, by Expr arithmetic."""
     vx, vy, vy1, _, vz = v.coefficients

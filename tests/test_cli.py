@@ -466,6 +466,21 @@ class TestSchemas:
         assert payload["structure"]["dimension"] == dimension
         assert payload["structure"]["killing"]["matrix"] == [["0"] * dimension] * dimension
 
+    def test_structure_whose_projection_is_undefined(self, capsys):
+        # a symmetry of flat from the basis of solve flat --degree 3 whose
+        # y-coefficient depends on z, so its pushforward to J2 is undefined
+        field = json.dumps({"chart": "J20", "coefficients": {
+            "x": "6*y2", "y": "6*y1*y2 - 3*z", "y1": "3*y2^2", "z": "2*y2^3"}})
+        reason = "coefficient 6*y1*y2 - 3*z depends on z; pushforward undefined"
+        code, out, err = run(capsys, "structure", "flat", field)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == f"projection: undefined ({reason})"
+        code, out, _ = run(capsys, "structure", "flat", field, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema("structure"))
+        assert payload["projection"] == {"projectable": False, "reason": reason}
+
     def test_solve_json(self, capsys):
         code, out, _ = run(capsys, "solve", "eq2", "--degree", "2", "--json")
         assert code == 0

@@ -16,13 +16,13 @@ from mongesym.cli import main
 from mongesym.expr import Expr, ExprError
 from mongesym.fields import (MongeEquation, ProjectionError, VectorField,
                              distribution_from_monge, frame_determinant,
-                             frame_fields, genericity_hessian, in_distribution,
+                             genericity_hessian, in_distribution,
                              is_symmetry, lie_bracket, membership_residuals,
                              project_to_j2, prolong_plane_field, symmetry_residuals)
 from mongesym.parser import parse
 from mongesym.solver import symmetry_dimension
 
-from helpers import (equiaffine_generators, flow_commutator, mul_expr,
+from helpers import (equiaffine_generators, flow_commutator, frame_fields, mul_expr,
                      perfbench_module, random_expr, reference_bracket,
                      reference_membership_residuals, reference_symmetry_residuals)
 

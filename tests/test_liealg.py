@@ -337,6 +337,19 @@ class TestRecognition:
             assert rep.verdict == "sl2_semidirect_heisenberg"
             assert rep.complement is not None
 
+    def test_one_analysis_per_algebra(self, p6, monkeypatch):
+        # the verdict reads the report's own invariants and the radical's
+        # lower central series: no block of the algebra is analyzed again
+        names = ("center_rows", "killing_matrix", "symmetric_signature", "radical_rows")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def spy(*args, _name=name, _f=getattr(liealg, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(liealg, name, spy)
+        assert analyze(p6).verdict == "sl2_semidirect_heisenberg"
+        assert calls == dict.fromkeys(names, 1)
+
     def test_perturbed_constants_fail_jacobi(self, p6):
         c = [list(list(row) for row in plane) for plane in p6.constants]
         c[0][1] = tuple(Fraction(v) for v in (0, 0, 1, 0, 0, 0))
@@ -377,6 +390,13 @@ PAPER = {**SL2, **shifted(HEIS, 3), (0, 4): {3: 1}, (1, 3): {3: 1},
 # sl2 acting on an abelian copy of itself by the adjoint representation
 SL2_ADJOINT = {**SL2, (0, 4): {3: -2}, (0, 5): {4: 1}, (1, 3): {3: 2},
                (1, 5): {5: -2}, (2, 3): {4: -1}, (2, 4): {5: 2}}
+# so3 acting on an abelian copy of itself by the adjoint representation
+SO3_ADJOINT = {**SO3, (0, 4): {5: 1}, (0, 5): {4: -1}, (1, 3): {5: -1},
+               (1, 5): {3: 1}, (2, 3): {4: 1}, (2, 4): {3: -1}}
+# Bianchi types III, IV and V on a basis x, y, z
+BIANCHI = {"III": {(0, 1): {1: 1}},
+           "IV": {(0, 1): {2: 1}, (0, 2): {1: -1, 2: 2}},
+           "V": {(0, 1): {1: 1}, (0, 2): {2: 1}}}
 
 HAND_MADE = {
     "sl2": (3, SL2, "sl2"),
@@ -388,6 +408,19 @@ HAND_MADE = {
     "sl2+heisenberg": (6, {**SL2, **shifted(HEIS, 3)}, "unrecognized"),
     "sl2+adjoint": (6, SL2_ADJOINT, "unrecognized"),
     "so3+heisenberg": (6, {**SO3, **shifted(HEIS, 3)}, "unrecognized"),
+    **{f"bianchi{k}": (3, b, "unrecognized") for k, b in BIANCHI.items()},
+    "sl2+abelian": (6, SL2, "unrecognized"),
+    **{f"sl2+bianchi{k}": (6, {**SL2, **shifted(b, 3)}, "unrecognized")
+       for k, b in BIANCHI.items()},
+    # PAPER without [p, q] = c: sl2 acting on std + R, derived dimension 5
+    "sl2+std+trivial": (6, {k: v for k, v in PAPER.items() if k != (3, 4)},
+                        "unrecognized"),
+    # perfect, with no radical
+    "sl2+sl2": (6, {**SL2, **shifted(SL2, 3)}, "unrecognized"),
+    "sl2+so3": (6, {**SL2, **shifted(SO3, 3)}, "unrecognized"),
+    "so3+so3": (6, {**SO3, **shifted(SO3, 3)}, "unrecognized"),
+    # perfect, with an abelian radical and a quotient of signature (0, 3)
+    "so3+adjoint": (6, SO3_ADJOINT, "unrecognized"),
 }
 
 
