@@ -254,17 +254,16 @@ def bracket_table(p) -> dict:
 def projection_analysis(p):
     """Kernel of the pushforward to J2 and the match against the prolonged
     plane generators, for presentations whose fields project."""
-    from .liealg import express_in_basis, placed_basis
+    from .liealg import express_in_basis
     try:
         images = [project_to_j2(b) for b in p.basis]
     except ProjectionError as exc:
         return {"projectable": False, "reason": str(exc)}
     prolonged = [catalog.get_field(key) for key in catalog.EQUIAFFINE]
-    placed = placed_basis(prolonged)
     kernel = [i for i, img in enumerate(images) if img.is_zero()]
     matches = []
     for img in images:
-        coords = express_in_basis(img, prolonged, placed)
+        coords = express_in_basis(img, prolonged)
         matches.append(None if coords is None else [number_text(c) for c in coords])
     return {
         "projectable": True,
@@ -385,6 +384,15 @@ GOLDEN_BRACKET_TABLE = {
     "[3,4]": ["0", "0", "0", "0", "0", "1"],
 }
 
+# The frozen projection_analysis of the six symmetry generators: S1..S5 go
+# onto the five prolonged equiaffine generators and the center S6 onto zero.
+GOLDEN_PROJECTION = {
+    "projectable": True,
+    "kernel_indices": [5],
+    "images_in_equiaffine_prolongations": [
+        ["1" if t == i else "0" for t in range(5)] for i in range(5)] + [["0"] * 5],
+}
+
 
 def run_reproduction(timer: StageTimer):
     """Execute the whole verification checklist; returns (items, notes).
@@ -421,18 +429,8 @@ def run_reproduction(timer: StageTimer):
               and rep6.radical_indices == [3, 4, 5]
               and rep6.center_indices == [5],
               f"verdict={rep6.verdict}")
-        pr = projection_analysis(p6)
-        proj_ok = (pr.get("projectable")
-                   and pr.get("kernel_indices") == [5])
-        if proj_ok:
-            for i in range(5):
-                expected = ["1" if t == i else "0" for t in range(5)]
-                if pr["images_in_equiaffine_prolongations"][i] != expected:
-                    proj_ok = False
-            if pr["images_in_equiaffine_prolongations"][5] != ["0"] * 5:
-                proj_ok = False
         check("projection kernel is the center; images are the five prolongations",
-              proj_ok)
+              projection_analysis(p6) == GOLDEN_PROJECTION)
     timer.lap("structure_s")
 
     hess = genericity_hessian(m2)

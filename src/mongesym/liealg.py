@@ -7,11 +7,11 @@ bilinearity over E.  Every field is read through one integer form
 monomial, atoms) keys and one denominator, the lcm of its coefficients'
 denominators, built once per field.  Coordinates come from a
 linalg.KeyedSpan of those forms: the closure keeps one over E, and
-express_in_basis reads the basis placed in one (placed_basis), which a
-caller that expresses many fields places once.  An integer zero-test on the
-same forms confirms every coordinate vector over E and every answer,
-numerators c_k over one e: e * v - sum c_k b_k vanishes when, over the lcm
-of d_v and of each d_k, every key's integer sum is zero.
+express_in_basis places the basis in a fresh one (linalg.coordinates) for
+each field it expresses.  An integer zero-test on the same forms confirms
+every coordinate vector over E and every answer, numerators c_k over one
+e: e * v - sum c_k b_k vanishes when, over the lcm of d_v and of each d_k,
+every key's integer sum is zero.
 
 The presentation carries the closure's integer tensor, which analyze reads
 as it is: the constants over their common denominator D, stored sparse per
@@ -70,8 +70,8 @@ from typing import NamedTuple
 from .charts import require_same_chart
 from .expr import Expr, number_text
 from .fields import VectorField, lie_bracket
-from .linalg import (Basis, KeyedSpan, SparseEchelon, coordinates, kernel,
-                     reduced_rows, solve_exact, symmetric_signature)
+from .linalg import (KeyedSpan, SparseEchelon, coordinates, kernel, reduced_rows,
+                     solve_exact, symmetric_signature)
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -82,26 +82,19 @@ class ClosureCapExceeded(RuntimeError):
 # expressing fields in a basis
 # ---------------------------------------------------------------------------
 
-def express_in_basis(v: VectorField, basis, placed=None):
+def express_in_basis(v: VectorField, basis):
     """Exact rational coordinates of v in the basis, or None when not in the span.
 
     A basis field that lies in the span of the fields before it gets
-    coordinate 0, so the answer is unique even for a dependent basis.  A
-    caller that expresses many fields in one basis places it once and gives
-    it as placed, placed_basis(basis).
+    coordinate 0, so the answer is unique even for a dependent basis.
     """
     for f in (*basis, v):
         require_same_chart(f, basis[0] if basis else v)
-    coords = coordinates(placed_basis(basis) if placed is None else placed, v.integer_form)
+    coords = coordinates([b.integer_form for b in basis], v.integer_form)
     if coords is not None:
         _verify_combination(v, basis, coords)
         return [Fraction(x, coords[1]) for x in coords[0]]
     return None
-
-
-def placed_basis(basis) -> Basis:
-    """The fields' integer forms placed once, for express_in_basis."""
-    return Basis(b.integer_form for b in basis)
 
 
 def _verify_combination(v: VectorField, basis, coords) -> None:
@@ -143,7 +136,7 @@ def close_under_bracket(fields, cap: int = 32, counts: dict | None = None
                              for k, x in f.integer_form[0].items()} for f in fields).reduced()
     keys, pivots = list(columns), sorted(reduced)
     given = {(frozenset(f.integer_form[0].items()), f.integer_form[1]): f for f in fields}
-    span, sparse = KeyedSpan(keys[p] for p in pivots), []
+    span, sparse = KeyedSpan(), []
 
     def place(f):
         coords = span.place(*f.integer_form)

@@ -24,11 +24,11 @@ integer back-substitution (_back_substitute) computes only the free
 columns' vectors, each from just the pivot rows it reaches.
 
 KeyedSpan keeps the span of sparse integer vectors over arbitrary keys and
-reads their coordinates off tag columns; a Basis is vectors placed in one
-once, over which coordinates reads any number of targets.  KeyedSpan,
-coordinates and solve_exact answer (integer numerators, den > 0) in lowest
-terms.  symmetric_signature reads the signature of a symmetric integer
-matrix off its characteristic polynomial, by Descartes' rule of signs.
+reads their coordinates off tag columns; coordinates places its vectors in
+a fresh one per call.  KeyedSpan, coordinates and solve_exact answer
+(integer numerators, den > 0) in lowest terms.  symmetric_signature reads
+the signature of a symmetric integer matrix off its characteristic
+polynomial, by Descartes' rule of signs.
 """
 
 from __future__ import annotations
@@ -300,20 +300,20 @@ def rows_to_integer(rows):
 
 class KeyedSpan:
     """The span of sparse integer vectors over hashable keys, as one
-    SparseEchelon.  Keys become columns (0, i) in order of first sight, the
-    keys given at construction first, and the k-th vector placed carries a
-    tag column (1, -k) of its own, after every key column.  A vector whose
-    key part reduces to zero keeps only tags: a > 0 at its own, which
-    leads, and a_k at the k-th joined vector's; its coordinates are -a_k
-    over a, in lowest terms since the row is primitive.  Any other vector
-    can join the span as its reduced row.  A rational vector comes as
-    integer numerators over a denominator den: its tag is then den, which
-    places den times the vector, so nothing else changes.
+    SparseEchelon.  Keys become columns (0, i) in order of first sight, and
+    the k-th vector placed carries a tag column (1, -k) of its own, after
+    every key column.  A vector whose key part reduces to zero keeps only
+    tags: a > 0 at its own, which leads, and a_k at the k-th joined
+    vector's; its coordinates are -a_k over a, in lowest terms since the
+    row is primitive.  Any other vector can join the span as its reduced
+    row.  A rational vector comes as integer numerators over a denominator
+    den: its tag is then den, which places den times the vector, so
+    nothing else changes.
     """
 
-    def __init__(self, keys=()):
+    def __init__(self):
         self.size = 0  # vectors joined so far
-        self._columns = {key: (0, i) for i, key in enumerate(keys)}
+        self._columns = {}
         self._echelon = SparseEchelon()
 
     def _reduce(self, vector: dict, den: int) -> dict:
@@ -343,27 +343,18 @@ class KeyedSpan:
         return coords
 
 
-class Basis:
-    """Vectors, pairs (sparse integer dict, den) standing for dict / den,
-    placed once in one KeyedSpan; joined lists those outside the span of
-    the vectors before them."""
-
-    def __init__(self, vectors):
-        vectors = list(vectors)
-        self.size, self.span = len(vectors), KeyedSpan()
-        self.joined = [k for k, v in enumerate(vectors) if self.span.place(*v) is None]
-
-
-def coordinates(basis: Basis, target):
-    """Exact coordinates of target, a pair (sparse integer dict, den), over
-    the basis vectors as (numerators, den), or None when it is not in their
-    span.  A vector in the span of the vectors before it gets coordinate 0,
-    so the answer is unique."""
-    coords = basis.span.coordinates(*target)
+def coordinates(vectors, target):
+    """Exact coordinates of target over vectors as (numerators, den), or
+    None when it is not in their span; each is a pair (sparse integer dict,
+    den) standing for dict / den.  A vector in the span of the vectors
+    before it gets coordinate 0, so the answer is unique."""
+    span = KeyedSpan()
+    joined = [k for k, v in enumerate(vectors) if span.place(*v) is None]
+    coords = span.coordinates(*target)
     if coords is None:
         return None
-    out = dict(zip(basis.joined, coords[0]))
-    return [out.get(k, 0) for k in range(basis.size)], coords[1]
+    out = dict(zip(joined, coords[0]))
+    return [out.get(k, 0) for k in range(len(vectors))], coords[1]
 
 
 def solve_exact(matrix, rhs):
@@ -374,7 +365,7 @@ def solve_exact(matrix, rhs):
     solution with every free variable of the reduced echelon form at zero.
     """
     columns = [dict(enumerate(col)) for col in zip(*matrix)]
-    return coordinates(Basis((c, 1) for c in columns), (dict(enumerate(rhs)), 1))
+    return coordinates([(c, 1) for c in columns], (dict(enumerate(rhs)), 1))
 
 
 def _echelon(vectors, ncols: int) -> SparseEchelon:

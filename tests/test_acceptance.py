@@ -355,3 +355,22 @@ def test_reproduce_fails_on_a_tampered_field(monkeypatch, capsys):
     assert item["item"] == "six-field symmetry verification (36 residuals)"
     assert not item["pass"] and item["detail"] == "5/6 fields pass"
     assert not payload["all_pass"]
+
+
+def test_reproduce_fails_on_a_moved_projection_kernel(monkeypatch, capsys):
+    """Negative control: a projection whose kernel is S5 instead of the
+    center S6 fails exactly the projection item, and reproduce exits 1."""
+    import mongesym.cli
+    monkeypatch.setattr(mongesym.solver, "symmetry_dimension",
+                        shared_symmetry_dimension)
+    projection = mongesym.cli.projection_analysis
+
+    def moved(p):
+        return dict(projection(p), kernel_indices=[4])
+
+    monkeypatch.setattr(mongesym.cli, "projection_analysis", moved)
+    assert mongesym.cli.main(["reproduce", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [i["item"] for i in payload["items"] if not i["pass"]] == [
+        "projection kernel is the center; images are the five prolongations"]
+    assert not payload["all_pass"]

@@ -266,6 +266,8 @@ class TestExitCodes:
         (("genericity", "(-1/8)^(1/2)"), "error: cannot interpret equation "
          "'(-1/8)^(1/2)': non-rational literal power (-1/8)^(1/2) (at position 12)\n"),
         (("solve", "eq2", "--rates", "1/0"), "error: bad rational list '1/0': zero denominator\n"),
+        (("verify", "eq2", "S7"),
+         "error: cannot interpret field 'S7' (not a catalog key and not JSON)\n"),
     ])
     def test_a_short_argument_is_quoted_whole(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
@@ -574,6 +576,11 @@ class TestOutput:
         assert err == ("degree 0: dimension 3 (5 unknowns, 3 rows)\n"
                        "degree 1: dimension 6 (30 unknowns, 36 rows)\n")
         assert "basis fields verified symbolically: True" in out
+
+    def test_solve_text_names_the_degree_it_stabilized_at(self, capsys):
+        code, out, _ = run(capsys, "solve", "eq2", "--degree", "3")
+        assert code == 0
+        assert "stabilized (heuristic) at degree 3: dimension 6" in out.splitlines()
 
     def test_solve_verify_flag_is_always_on(self, capsys):
         plain = run(capsys, "solve", "eq2", "--degree", "2")

@@ -365,6 +365,30 @@ class TestEvaluation:
             e.substitute({"y": 3})
         assert e.substitute({"y": 0}) == 1
 
+    @pytest.mark.parametrize("method", ["approx", "substitute"])
+    def test_a_positive_power_of_zero_is_zero(self, method):
+        assert getattr(P("y2^(1/3)"), method)({"y2": 0}) == 0
+
+    def test_an_even_root_of_a_negative_value(self):
+        with pytest.raises(EvaluationError):
+            P("y2^(1/2)").approx({"y2": -4})
+        with pytest.raises(NonRationalPowerError):
+            P("y2^(1/2)").substitute({"y2": -4})
+
+    def test_ln_values(self):
+        assert P("ln(y2)").substitute({"y2": 1}) == 0
+        assert P("ln(y2)").approx({"y2": 2}) == math.log(2)
+
+    @pytest.mark.parametrize("method", ["approx", "substitute"])
+    def test_ln_of_zero_is_rejected(self, method):
+        with pytest.raises(EvaluationError):
+            getattr(P("ln(y2)"), method)({"y2": 0})
+
+    @pytest.mark.parametrize("method", ["approx", "substitute"])
+    def test_a_negative_power_of_zero_is_rejected(self, method):
+        with pytest.raises(ZeroDivisionError):
+            getattr(P("y2^(-1)"), method)({"y2": 0})
+
     def test_numeric_consistency_power_fragment(self):
         rng = random.Random(31)
         checked = 0

@@ -647,6 +647,8 @@ class TestRates:
             ["-4", "-3", "-2", "-1", "0", "1", "2", "3", "4"]
         assert [str(r) for r in exp_rates_for(dz13(5, 4))] == \
             ["-3", "-2", "-1", "0", "1", "2", "3"]
+        # t^4 - 2 t^2 + 1 has the one positive root 1, which adds its double
+        assert exp_rates_for(dz13(2, 1)) == tuple(map(Fraction, (-2, -1, 0, 1, 2)))
         assert exp_rates_for(dz13(1, 1)) == (Fraction(0),)
         assert exp_rates_for(flat()) == (Fraction(0),)
         assert exp_rates_for(eq2()) == (Fraction(0),)
