@@ -8,7 +8,7 @@ reduced row is divided by its content once, at the end, so no rounding and
 no rational blow-up occurs.  The forward elimination applies the step at
 each row's leading column, and the back-reduction reduced() from the
 highest pivot down; reduced_rows reads the reduced form, and
-canonical_basis is reduced_rows over reversed columns.  Every kernel is
+canonical_basis reads it over negated sparse columns.  Every kernel is
 read off the pivot rows by one integer back-substitution
 (_back_substitute): kernel's on a small dense matrix, sparse_nullspace's
 after a presolve.
@@ -275,17 +275,19 @@ def _dense(rows, ncols: int) -> list:
 
 
 def canonical_basis(vectors):
-    """The basis sparse_nullspace gives for the span of `vectors`.
+    """The basis sparse_nullspace gives for the span of `vectors`, sparse.
 
-    `vectors` are linearly independent integer tuples of one length.  Their
-    span has one basis in reduced echelon form with each pivot at a
-    vector's largest column: for each such column f, x_f = 1 and every
+    `vectors` are linearly independent sparse integer vectors, {column:
+    int}.  Their span has one basis in reduced echelon form with each pivot
+    at a vector's largest column: for each such column f, x_f = 1 and every
     other pivot column is zero.  Those pivots are the free columns of any
     system whose nullspace is the span, so this is the basis
-    sparse_nullspace returns for it, in primitive integers, ordered by f:
-    reduced_rows over reversed columns, read backwards."""
-    rows, _ = reduced_rows(v[::-1] for v in vectors)
-    return [row[::-1] for row in reversed(rows)]
+    sparse_nullspace returns for it, as primitive integer {column: int}
+    dicts ordered by f: SparseEchelon.reduced() over negated columns, read
+    in descending pivot order.  The basis is unique, so it does not depend
+    on the order of `vectors` or of their entries."""
+    reduced = SparseEchelon({-c: v for c, v in vec.items()} for vec in vectors).reduced()
+    return [{-c: v for c, v in reduced[p].items()} for p in sorted(reduced, reverse=True)]
 
 
 def rows_to_integer(rows):

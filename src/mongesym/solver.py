@@ -31,7 +31,8 @@ degree's prefix end in closed form; the builder numbers the columns by
 those positions as it makes the rows, and nullspace hands those very rows
 to the elimination, so every degree's columns are a prefix and every
 degree's rank and dimension are read off the one echelon; only the basis
-vectors go back to ansatz order.  The singleton
+vectors go back to ansatz order, as sparse {column: int} dicts read off
+sparse_nullspace's vectors at their nonzero entries.  The singleton
 presolve of linalg.sparse_nullspace strikes only unknowns that vanish in
 every top-degree solution, hence in every lower degree's, so every
 degree's dimension and the basis stay exact.
@@ -74,9 +75,9 @@ class AnsatzError(ValueError):
 
 
 # Largest admitted ansatz, in unknowns.  The largest shipped solve,
-# dz13(10,9) at degree 5 in `reproduce`, has 11340 and takes 0.33-0.53 s,
-# 0.09-0.17 s of it for the rows; flat at degree 13, 42840 unknowns, takes
-# 1.1-1.5 s (2 shared cores, Python 3.11).
+# dz13(10,9) at degree 5 in `reproduce`, has 11340 and takes 0.32-0.51 s,
+# 0.11-0.18 s of it for the rows; flat at degree 13, 42840 unknowns, takes
+# 0.94-1.42 s (five solves each, 2 shared cores, Python 3.11).
 MAX_UNKNOWNS = 50_000
 
 
@@ -196,12 +197,12 @@ class Ansatz(NamedTuple):
     def size(self) -> int:
         return len(self.graded)
 
-    def assemble(self, vector) -> VectorField:
-        """The field of an integer coefficient vector."""
+    def assemble(self, vector: dict) -> VectorField:
+        """The field of a sparse integer vector, {ansatz column: int}."""
         raw = [[] for _ in range(5)]
-        for c, u in zip(vector, self.unknowns):
-            if c:
-                raw[u.direction].append((c, *u.term()))
+        for c, x in vector.items():
+            u = self.unknowns[c]
+            raw[u.direction].append((x, *u.term()))
         return VectorField(J20, tuple(Expr.from_raw(r) for r in raw))
 
     def coefficient_functions(self):
@@ -371,23 +372,26 @@ def nullspace(system: DeterminingSystem, counts: dict | None = None):
     and every lower degree's kernel lies inside that kernel.  Returns
     (table, basis): table holds one {degree, unknowns, rows, dimension}
     entry per degree, where a row counts from the lowest degree of its
-    unknowns on, in the rows as built; basis holds the integer vectors of
-    the top degree mapped back to ansatz column order, in the form an
-    elimination in that order gives (linalg.canonical_basis).  A dict given
-    as counts receives the elimination's sizes (sparse_nullspace).
+    unknowns on, in the rows as built; basis holds the top degree's integer
+    vectors as sparse {ansatz column: int} dicts, in the form an elimination
+    in that order gives (linalg.canonical_basis).  Each vector of
+    sparse_nullspace is read once, at its nonzero entries, through one
+    inverse of Ansatz.graded.  A dict given as counts receives the
+    elimination's sizes (sparse_nullspace).
     """
     ansatz = system.ansatz
-    ncols = ansatz.size
-    _, vectors = sparse_nullspace(system.rows, ncols, counts)
+    _, vectors = sparse_nullspace(system.rows, ansatz.size, counts)
     lows = sorted(map(min, system.rows))
-    # a vector's free column is its last nonzero entry, read from the end
-    frees = [next(itertools.compress(range(ncols - 1, -1, -1), reversed(v)))
-             for v in vectors]  # ascending
+    graded = ansatz.graded
+    inverse = sorted(range(ansatz.size), key=graded.__getitem__)  # graded -> ansatz column
+    # each vector's nonzero entries by ansatz column, read once in graded
+    # order, so the last is at its free column
+    vectors = [{c: v[graded[c]] for c in itertools.compress(inverse, v)} for v in vectors]
+    frees = [graded[next(reversed(v))] for v in vectors]  # ascending
     table = [{"degree": degree, "unknowns": end, "rows": bisect_left(lows, end),
               "dimension": bisect_left(frees, end)}
              for degree, end in enumerate(ansatz.ends)]  # the prefix is [0, end)
-    basis = canonical_basis([tuple([v[g] for g in ansatz.graded]) for v in vectors])
-    return table, basis
+    return table, canonical_basis(vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,13 @@ def perfbench_module(name: str):
     return module
 
 
+def sparse(vector) -> dict:
+    """A dense vector's nonzero entries as {column: entry}: the form of the
+    vectors solver.nullspace gives and linalg.canonical_basis and
+    Ansatz.assemble take."""
+    return {c: x for c, x in enumerate(vector) if x}
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra on sympy
 # ---------------------------------------------------------------------------
@@ -1052,6 +1059,13 @@ def reference_close_under_bracket(fields, cap: int = 32):
 
 
 def same_span(vectors_a, vectors_b) -> bool:
+    """Whether two lists of vectors span one space; each vector is dense or
+    sparse ({column: entry}), and both are compared in sparse form."""
+    a, b = ([v if isinstance(v, dict) else sparse(v) for v in vectors]
+            for vectors in (vectors_a, vectors_b))
+    n = 1 + max((c for v in a + b for c in v), default=0)
+
     def reduced(vectors):
-        return reference_rref(vectors, len(vectors[0]))[0] if vectors else []
-    return reduced(vectors_a) == reduced(vectors_b)
+        rows = [[v.get(c, 0) for c in range(n)] for v in vectors]
+        return reference_rref(rows, n)[0] if rows else []
+    return reduced(a) == reduced(b)

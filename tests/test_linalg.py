@@ -23,7 +23,7 @@ from helpers import (over_common_denominator, primitive_row,
                      reference_canonical_basis, reference_nullspace,
                      reference_root_signature, reference_rref, reference_solve,
                      reference_sparse_nullspace, reference_symmetric_signature,
-                     same_span)
+                     same_span, sparse)
 
 
 def random_matrix(rng: random.Random):
@@ -118,14 +118,25 @@ def wide_vectors(rng: random.Random):
 
 
 def test_canonical_basis_is_the_sympy_rref_over_reversed_columns():
+    # sparse vectors in and out, ordered by free column, compared densified;
+    # neither the order of the vectors nor that of their entries matters
     checked = 0
     for seed in SEEDS:
-        vectors = wide_vectors(random.Random(seed))
-        if len(reference_rref(vectors, len(vectors[0]))[1]) < len(vectors):
+        rng = random.Random(seed)
+        vectors = wide_vectors(rng)
+        n = len(vectors[0])
+        if len(reference_rref(vectors, n)[1]) < len(vectors):
             continue
         checked += 1
-        assert canonical_basis(vectors) == reference_canonical_basis(vectors), seed
+        basis = canonical_basis([sparse(v) for v in vectors])
+        assert all(type(x) is int and x for b in basis for x in b.values())
+        assert [tuple(v) for v in dense(basis, n)] == reference_canonical_basis(vectors), seed
+        rng.shuffle(vectors)
+        shuffled = [dict(rng.sample(sorted(sparse(v).items()), len(sparse(v))))
+                    for v in vectors]
+        assert canonical_basis(shuffled) == basis, seed
     assert checked > 200
+    assert canonical_basis([]) == []
 
 
 def test_echelons_stop_reading_rows_at_full_rank():

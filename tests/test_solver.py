@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from mongesym import solver
+from mongesym import linalg, solver
 from mongesym.catalog import CatalogKeyError, dz13, eq1, eq2, flat, get_equation
 from mongesym.charts import J20
 from mongesym.expr import ExpAtom, Expr, PowerAtom, Term
@@ -27,7 +27,7 @@ from helpers import (brute_force_symmetry_space, coefficient_expr, field_rank,
                      keyed_rows, numeric_symmetry_dimension, perfbench_module,
                      primitive_row, random_expr, reference_assemble,
                      reference_compile_operator, reference_determining_rows,
-                     reference_graded_solve, reference_rows, same_span)
+                     reference_graded_solve, reference_rows, same_span, sparse)
 
 
 class TestAnsatz:
@@ -78,7 +78,7 @@ class TestAnsatz:
 
     def test_zero_vector_assembles_to_zero_field(self):
         a = build_ansatz(AnsatzSpec(1))
-        assert a.assemble([0] * a.size).is_zero()
+        assert a.assemble(sparse([0] * a.size)).is_zero()
 
     def test_assemble_matches_a_running_sum(self):
         rng = random.Random(5)
@@ -88,7 +88,11 @@ class TestAnsatz:
             v = [0] * a.size
             for c in rng.sample(range(a.size), 40):
                 v[c] = rng.choice((1, -1, 2, -3))
-            assert a.assemble(v) == reference_assemble(a, v)
+            assert a.assemble(sparse(v)) == reference_assemble(a, v)
+            # a sparse vector's entries may come in any order
+            items = sorted(sparse(v).items())
+            random.Random(len(items)).shuffle(items)
+            assert a.assemble(dict(items)) == reference_assemble(a, v)
 
 
 class TestDeterminingSystem:
@@ -109,7 +113,7 @@ class TestDeterminingSystem:
         # every entry indexes an unknown column: the zero vector always solves
         for row in system.rows:
             assert all(0 <= col < system.ansatz.size for col in row)
-        zero_field = system.ansatz.assemble([0] * system.ansatz.size)
+        zero_field = system.ansatz.assemble(sparse([0] * system.ansatz.size))
         assert is_symmetry(zero_field, d).ok
 
 
@@ -366,7 +370,8 @@ class TestGradedElimination:
         d = distribution_from_monge(m)
         spec = AnsatzSpec(degree, offsets=offsets, rates=exp_rates_for(m))
         system = determining_equations(compile_operator(d), build_ansatz(spec))
-        assert nullspace(system) == reference_graded_solve(d, spec)
+        table, basis = reference_graded_solve(d, spec)
+        assert nullspace(system) == (table, [sparse(v) for v in basis])
 
     def test_the_builder_rows_go_to_the_elimination_as_they_are(self, monkeypatch):
         handed = []
@@ -388,13 +393,37 @@ class TestGradedElimination:
         assert all(a is b for a, b in zip(rows, system.rows))
         assert system.rows == built  # and the elimination leaves them as they were
 
+    @pytest.mark.parametrize("key,degree", [("eq2", 3), ("flat", 2), ("dz13(5,4)", 1)])
+    def test_only_the_elimination_densifies(self, monkeypatch, key, degree):
+        # a solve densifies once, inside sparse_nullspace: from its result
+        # on, the basis stays sparse up to the assembled fields
+        calls, inside = [], []
+        dense, elimination = linalg._dense, solver.sparse_nullspace
+
+        def dense_spy(rows, ncols):
+            calls.append(bool(inside))
+            return dense(rows, ncols)
+
+        def elimination_spy(*args):
+            inside.append(True)
+            try:
+                return elimination(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(linalg, "_dense", dense_spy)
+        monkeypatch.setattr(solver, "sparse_nullspace", elimination_spy)
+        report = symmetry_dimension(get_equation(key), degree)
+        assert report.verified and report.basis
+        assert calls == [True]
+
     def test_report_matches_a_solve_per_degree(self):
         r = symmetry_dimension(eq2(), 3, offsets=(0, Fraction(1, 3)))
         table, basis = reference_graded_solve(
             distribution_from_monge(eq2()), AnsatzSpec(3, (0, Fraction(1, 3))))
         assert r.table == table
         ansatz = build_ansatz(AnsatzSpec(3, (0, Fraction(1, 3))))
-        assert r.basis == [ansatz.assemble(v) for v in basis]
+        assert r.basis == [ansatz.assemble(sparse(v)) for v in basis]
 
     def test_table_reads_each_prefix(self):
         # the first degree-1 unknown is free and borders the degree-0 prefix
@@ -408,7 +437,7 @@ class TestGradedElimination:
             {"degree": 0, "unknowns": 5, "rows": 1, "dimension": 4},
             {"degree": 1, "unknowns": 30, "rows": 2, "dimension": 28}]
         int_rows = [{low[0]: 1}, {high[1]: 6, high[2]: -1}]
-        assert basis == sparse_nullspace(int_rows, 30)[1]
+        assert basis == [sparse(v) for v in sparse_nullspace(int_rows, 30)[1]]
 
     def test_the_layout_not_the_unknowns(self):
         # nullspace reads the graded positions and prefix ends build_ansatz
@@ -451,7 +480,7 @@ class TestGradedElimination:
         for v in mixed:
             denom = math.lcm(*(x.denominator for x in v))
             ints.append(tuple(int(x * denom) for x in v))
-        assert canonical_basis(ints) == basis
+        assert canonical_basis([sparse(v) for v in ints]) == [sparse(v) for v in basis]
 
 
 class TestEliminationCounts:

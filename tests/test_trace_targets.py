@@ -48,3 +48,29 @@ def test_trace_measures_read_every_result(capsys):
     for counter in ("solver.unknowns", "solver.rows", "linalg.sparse_nullspace.rank",
                     "liealg.close_under_bracket.pairs"):
         assert counter in recorder.counters, counter
+
+
+def test_basis_max_bits_reads_the_entries_of_the_basis(monkeypatch, capsys):
+    # linalg.basis_max_bits is the largest bit length among the entries of
+    # sparse_nullspace's basis: a sparse result keyed by column must not make
+    # it the bits of column indices instead
+    calls = []
+
+    def spy(rows, ncols, counts=None):  # reaches the recorder's wrapper
+        result = mongesym.linalg.sparse_nullspace(rows, ncols, counts)
+        calls.append((ncols, result[1]))
+        return result
+
+    monkeypatch.setattr(mongesym.solver, "sparse_nullspace", spy)
+    recorder = layertrace().Recorder()
+    recorder.install()
+    try:
+        assert cli.main(["solve", "eq2", "--degree", "3", "--json"]) == 0
+    finally:
+        recorder.uninstall()
+    capsys.readouterr()
+    [(ncols, basis)] = calls
+    bits = max(abs(x).bit_length() for vector in basis
+               for x in (vector.values() if isinstance(vector, dict) else vector))
+    assert recorder.maxima["linalg.basis_max_bits"] == bits
+    assert bits < (ncols - 1).bit_length()  # 280 columns
