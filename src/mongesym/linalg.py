@@ -136,7 +136,7 @@ class SparseEchelon:
         return out
 
 
-def _forced_zeros(rows) -> tuple:
+def _forced_zeros(rows, ncols: int) -> tuple:
     """The singleton presolve: (forced columns, live entries per row).
 
     A row with one live entry, nonzero and in a column not yet forced,
@@ -144,11 +144,12 @@ def _forced_zeros(rows) -> tuple:
     the live count of every row through the column -> rows index, and a row
     left with one live entry forces its column in turn.  The worklist holds
     each row at most once, so the propagation reads each entry a bounded
-    number of times and needs no recursion.
+    number of times and needs no recursion.  Every column lies in
+    range(ncols).
     """
     rows = [row if all(row.values()) else {c: v for c, v in row.items() if v}
             for row in rows]
-    where = defaultdict(list)  # column -> rows with a nonzero entry there
+    where = [[] for _ in range(ncols)]  # column -> rows with a nonzero entry there
     for i, row in enumerate(rows):
         for c in row:
             where[c].append(i)
@@ -247,7 +248,7 @@ def sparse_nullspace(rows, ncols: int, counts: dict | None = None):
     pivot_nonzeros and max_pivot_bits (the largest pivot-row entry).
     """
     rows = [r for r in rows if r]
-    forced, live = _forced_zeros(rows)
+    forced, live = _forced_zeros(rows, ncols)
     survivors = rows_to_integer(
         row if n == len(row) else {c: v for c, v in row.items() if v and c not in forced}
         for row, n in zip(rows, live) if n)

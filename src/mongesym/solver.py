@@ -15,9 +15,10 @@ L0*a + sum_j Lj*da/du_j with coefficients independent of a.  By the
 Leibniz rule one probe of fields.symmetry_residuals per direction gives L0,
 and the membership residuals of d/du_i give the Lj: five probes per equation.
 determining_equations then reads every unknown's rows off the operator
-terms in one pass: shift the monomial, multiply in the exponent (and rho for
-d/dx of exp(rho*x)), and canonicalize each distinct product term once with
-the expression engine, checking that it carries coefficient 1.  The rows
+terms in one walk by degree, from the ansatz layout alone: shift the
+monomial, multiply in the exponent (and rho for d/dx of exp(rho*x)), and
+canonicalize each distinct product term once with the expression engine,
+checking that it carries coefficient 1.  The rows
 are integer at birth: the operator's numerators are brought to D, the lcm
 of its expressions' denominators, and the partials' scalars (exponents,
 offsets q and rates rho) come as ints scaled by E, the lcm of the offsets'
@@ -28,9 +29,11 @@ An unknown's entries do not depend on the other unknowns, so a lower
 degree's system is the top system on that degree's columns.  build_ansatz
 fixes every column's graded position (degree, then ansatz index) and every
 degree's prefix end in closed form; the builder numbers the columns by
-those positions as it makes the rows, and nullspace hands those very rows
-to the elimination, so every degree's columns are a prefix and every
-degree's rank and dimension are read off the one echelon; only the basis
+those positions as it makes the rows, counting each row at its lowest
+degree, and nullspace hands those very rows to the elimination, so every
+degree's columns are a prefix, every degree's rows a prefix sum of the
+counts, and every degree's rank and dimension are read off the one
+echelon; only the basis
 vectors go back to ansatz order, as sparse {column: int} dicts read off
 sparse_nullspace's vectors at their nonzero entries.  The singleton
 presolve of linalg.sparse_nullspace strikes only unknowns that vanish in
@@ -61,7 +64,7 @@ from typing import NamedTuple
 
 from .charts import J20
 from .expr import (UNIT_MONOS, Expr, PowerAtom, ExpAtom, Term, _canonical_term,
-                   bare_coords, mono_mul, product_is_canonical)
+                   bare_coords, product_is_canonical)
 from .fields import (Distribution2, MongeEquation, StageTimer, VectorField,
                      distribution_from_monge, is_symmetry, membership_residuals,
                      symmetry_residuals)
@@ -75,9 +78,9 @@ class AnsatzError(ValueError):
 
 
 # Largest admitted ansatz, in unknowns.  The largest shipped solve,
-# dz13(10,9) at degree 5 in `reproduce`, has 11340 and takes 0.32-0.51 s,
-# 0.11-0.18 s of it for the rows; flat at degree 13, 42840 unknowns, takes
-# 0.94-1.42 s (five solves each, 2 shared cores, Python 3.11).
+# dz13(10,9) at degree 5 in `reproduce`, has 11340 and takes 0.31-0.54 s,
+# 0.08-0.16 s of it for the rows; flat at degree 13, 42840 unknowns, takes
+# 0.83-1.48 s (five solves each in four runs, 2 shared cores, Python 3.11).
 MAX_UNKNOWNS = 50_000
 
 
@@ -140,6 +143,33 @@ def _exact_integer(n: int, d: int) -> int:
     return q
 
 
+def _atoms(offset: Fraction, rate: Fraction) -> tuple:
+    """The atoms of a (rate, offset) block: y2^q for a fractional offset q,
+    exp(rho x) for a nonzero rate rho."""
+    atoms = ()
+    if offset.denominator != 1:
+        atoms += (PowerAtom(Expr((Term(1, UNIT_MONOS[3], ()),)), offset),)
+    if rate:
+        atoms += (ExpAtom(Expr((Term(rate.numerator, UNIT_MONOS[0], ()),), rate.denominator)),)
+    return atoms
+
+
+def partials(mono: tuple, q: int, rho: int, E: int) -> list:
+    """The factors of x^mono * y2^(q/E) * exp(rho/E x) and its five first
+    partials, times E, for ints q and rho: factors[order + 1] lists (scalar,
+    monomial) pairs such that sum scalar*monomial*atoms is E times the
+    d/du_order partial (order -1: the coefficient itself), with the block's
+    atoms (_atoms)."""
+    factors = [[(E, mono)]]
+    for j in range(5):
+        power = E * mono[j] + (q if j == 3 else 0)
+        parts = [(power, mono[:j] + (mono[j] - 1,) + mono[j + 1:])] if power else []
+        if j == 0 and rho:
+            parts.append((rho, mono))
+        factors.append(parts)
+    return factors
+
+
 class UnknownBasis(NamedTuple):
     """One ansatz coefficient: x^alpha * y2^q * exp(rho x) on direction d/du_i."""
     direction: int
@@ -151,45 +181,17 @@ class UnknownBasis(NamedTuple):
         """The coefficient as a (monomial, atoms) pair: an integer q joins
         the monomial, a fractional one is the atom y2^q."""
         exps = list(self.exponents)
-        atoms = ()
         if self.offset.denominator == 1:
             exps[3] += self.offset.numerator
-        else:
-            atoms += (PowerAtom(Expr((Term(1, UNIT_MONOS[3], ()),)), self.offset),)
-        if self.rate:
-            atoms += (ExpAtom(Expr((Term(self.rate.numerator, UNIT_MONOS[0], ()),),
-                                   self.rate.denominator)),)
-        return tuple(exps), atoms
-
-    def partials(self, E: int):
-        """The coefficient and its five first partials, times E.
-
-        Returns (atoms, factors): factors[order + 1] lists (scalar, monomial)
-        pairs such that sum scalar*monomial*atoms is E times the d/du_order
-        partial (order -1: the coefficient itself).  Each scalar is the int
-        E times an exponent, the offset q or the rate rho; E must be a
-        multiple of the offset's and the rate's denominators.
-        """
-        mono, atoms = self.term()
-        q = (0 if self.offset.denominator == 1 else
-             _exact_integer(self.offset.numerator * E, self.offset.denominator))
-        factors = [[(E, mono)]]
-        for j in range(5):
-            power = E * mono[j] + (q if j == 3 else 0)
-            parts = [(power, mono[:j] + (mono[j] - 1,) + mono[j + 1:])] if power else []
-            if j == 0 and self.rate:
-                parts.append((_exact_integer(self.rate.numerator * E,
-                                             self.rate.denominator), mono))
-            factors.append(parts)
-        return atoms, factors
+        return tuple(exps), _atoms(self.offset, self.rate)
 
 
 class Ansatz(NamedTuple):
-    """The unknowns in column order with build_ansatz's layout: graded[c]
-    is column c's graded position and ends[k] the end of the graded prefix
-    of the unknowns of degree <= k."""
+    """The ansatz as build_ansatz lays it out: the n monomials, graded[c]
+    column c's graded position and ends[k] the end of the graded prefix of
+    the unknowns of degree <= k.  Column c is the unknown unknown(c)."""
     spec: AnsatzSpec
-    unknowns: tuple
+    monomials: tuple
     graded: tuple
     ends: tuple
 
@@ -197,23 +199,24 @@ class Ansatz(NamedTuple):
     def size(self) -> int:
         return len(self.graded)
 
+    def unknown(self, c: int) -> UnknownBasis:
+        """Column c's unknown: a block of 5*n columns per (rate, offset), in
+        `for rate ... for offset ...` order, holds the n monomials of each
+        direction in turn."""
+        n = len(self.monomials)
+        block, c = divmod(c, 5 * n)
+        rate, offset = divmod(block, len(self.spec.offsets))
+        direction, i = divmod(c, n)
+        return UnknownBasis(direction, self.monomials[i], self.spec.offsets[offset],
+                            self.spec.rates[rate])
+
     def assemble(self, vector: dict) -> VectorField:
         """The field of a sparse integer vector, {ansatz column: int}."""
         raw = [[] for _ in range(5)]
         for c, x in vector.items():
-            u = self.unknowns[c]
+            u = self.unknown(c)
             raw[u.direction].append((x, *u.term()))
         return VectorField(J20, tuple(Expr.from_raw(r) for r in raw))
-
-    def coefficient_functions(self):
-        """Each coefficient function x^alpha * y2^q * exp(rho x) as its
-        unknown on d/dx and its five graded columns, one per direction in
-        direction order: a block of 5*n columns per (rate, offset) holds the
-        n monomials of each direction in turn."""
-        n = math.comb(self.spec.degree + 5, 5)
-        for block in range(0, self.size, 5 * n):
-            for c in range(block, block + n):
-                yield self.unknowns[c], self.graded[c:c + 5 * n:n]
 
 
 def build_ansatz(spec: AnsatzSpec) -> Ansatz:
@@ -223,11 +226,8 @@ def build_ansatz(spec: AnsatzSpec) -> Ansatz:
     after the s_k = C(k+4, 5) of lower degree, so the prefix of degree <= k
     ends at m*C(k+5, 5), and the i-th monomial of degree k in block g sits
     at graded position m*s_k + g*n_k + i."""
-    monos = monomials_up_to(spec.degree)
-    unknowns = tuple(UnknownBasis(direction, exps, offset, rate)
-                     for rate in spec.rates for offset in spec.offsets
-                     for direction in range(5) for exps in monos)
-    m = len(unknowns) // len(monos)
+    monos = tuple(monomials_up_to(spec.degree))
+    m = 5 * len(spec.offsets) * len(spec.rates)
     base, stride = [], []  # per monomial: its graded position in block 0, its n_k
     for k in range(spec.degree + 1):
         s, n_k = math.comb(k + 4, 5), math.comb(k + 4, 4)
@@ -235,7 +235,7 @@ def build_ansatz(spec: AnsatzSpec) -> Ansatz:
         stride.extend([n_k] * n_k)
     graded = tuple(b + g * w for g in range(m) for b, w in zip(base, stride))
     ends = tuple(m * math.comb(k + 5, 5) for k in range(spec.degree + 1))
-    return Ansatz(spec, unknowns, graded, ends)
+    return Ansatz(spec, monos, graded, ends)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +244,9 @@ def build_ansatz(spec: AnsatzSpec) -> Ansatz:
 
 class DeterminingSystem(NamedTuple):
     ansatz: Ansatz
-    rows: list   # the nonempty rows, {graded column: int}
-    slots: dict  # (monomial, atoms) -> its six rows, one per residual id
+    rows: list     # the nonempty rows, {graded column: int}
+    slots: dict    # (monomial, atoms) -> its six rows, one per residual id
+    born: tuple    # per degree k, the rows whose lowest unknown has degree k
 
     @property
     def n_rows(self) -> int:
@@ -285,34 +286,39 @@ def compile_operator(distribution: Distribution2) -> tuple:
 
 def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
     """Collect the exact linear rows of the ansatz from the compiled operator,
-    as integer rows in graded columns.
+    as integer rows in graded columns, off the ansatz layout alone.
 
     Every entry is an operator coefficient times a partial's scalar (an
     exponent, a y2^q offset or an exp(rho*x) rate).  The operator's
     coefficients are brought to D, the lcm of the operator expressions'
-    denominators, and UnknownBasis.partials(E) gives the partials' scalars
-    as ints scaled by E, the lcm of the offsets' and rates' denominators, so
-    every entry is an int and every row is D*E times the rational row, with
-    the same primitive form.  Each scaled scalar is checked to be an
-    integer, never truncated.
+    denominators, and the partials' scalars come as ints scaled by E, the
+    lcm of the offsets' and rates' denominators, so every entry is an int
+    and every row is D*E times the rational row, with the same primitive
+    form.  Each scaled scalar is checked to be an integer, never truncated.
 
-    The columns come one coefficient function at a time, each with its
-    five graded columns (Ansatz.coefficient_functions), so its partials are
-    built once for its five directions, and each column is numbered at once
-    by its graded position, the order nullspace eliminates in.  Each
-    distinct (monomial, atoms) product of an operator term and a partial is
-    canonicalized once, so the row keys are those of the expanded
-    residuals; a product that
-    expr.product_is_canonical calls canonical is taken as it stands.  The
+    The walk goes by degree k, then (rate, offset) block, then monomial of
+    degree k.  Each block's atoms, their bare_coords, its scaled q and rho
+    and its product cache are made once, each coefficient function's
+    factors (partials) once for its five directions, whose columns are
+    numbered by their graded positions, the order nullspace eliminates in.
+    Each distinct (monomial, atoms) product of an operator term and a
+    partial is canonicalized once, so the row keys are those of the
+    expanded residuals; one expr.product_is_canonical calls canonical is
+    taken as it stands.  The
     operator's terms are canonical (checked once per distinct term) and an
     unknown adds only y2^q and exp(rho*x), so a product with a coefficient
-    other than 1 or a polynomial factor raises ArithmeticError.  Cancelled
-    entries go at once, and rows they empty at the end.  The system holds
-    the nonempty rows as a list, residual by residual within each key in
-    the order the keys arose, and, as slots, each (monomial, atoms) key's
-    six rows, one per residual id (None or empty where there is none).
+    other than 1 or a polynomial factor raises ArithmeticError.
+
+    Cancelled entries go at once.  Entries already made are final, so a
+    row that becomes nonempty during degree k has k as its lowest degree,
+    and born[k] counts those rows; a row a cancellation empties leaves its
+    slot and is uncounted, to count again at its next entry.  The system
+    holds the nonempty rows as a list, residual by residual within each key
+    in the order the keys arose, and, as slots, each (monomial, atoms)
+    key's six rows, one per residual id (None where there is none).
     """
-    spec = ansatz.spec
+    spec, graded, monos = ansatz.spec, ansatz.graded, ansatz.monomials
+    n = len(monos)
     D = math.lcm(*(e.den for terms in operator for _, _, e in terms))
     E = math.lcm(*(v.denominator for v in spec.offsets + spec.rates))
     for m, a in {t[1:] for terms in operator for _, _, e in terms for t in e.terms}:
@@ -323,38 +329,52 @@ def determining_equations(operator: tuple, ansatz: Ansatz) -> DeterminingSystem:
                   ids.setdefault(a, len(ids)), bare_coords(a))
                  for rid, order, e in terms for c, m, a in e.terms]
                 for terms in operator]
+    blocks = []  # first column, atoms, bare_coords, E*q, E*rho, product cache per ids
+    for g, (rate, offset) in enumerate(itertools.product(spec.rates, spec.offsets)):
+        atoms = _atoms(offset, rate)
+        blocks.append((5 * n * g, atoms, bare_coords(atoms),
+                       _exact_integer(offset.numerator * E, offset.denominator),
+                       _exact_integer(rate.numerator * E, rate.denominator),
+                       [{} for _ in ids]))
     keys: dict = {}  # a row's (monomial, atoms) -> its six rows, one per residual
-    # unknown atoms -> per operator atoms id, {product monomial: the same}
-    canonical: dict = {}
-    for u, cols in ansatz.coefficient_functions():
-        atoms, factors = u.partials(E)
-        known = canonical.setdefault(atoms, [{} for _ in ids])
-        bare = bare_coords(atoms)
-        for col, terms in zip(cols, operator):  # one per direction
-            for rid, order, c, m, a, aid, b in terms:
-                for k, s in factors[order + 1]:
-                    mono = mono_mul(m, s)
-                    slots = known[aid].get(mono)
-                    if slots is None:
-                        out = (mono, a + atoms)
-                        if not product_is_canonical(mono, b, bare):
-                            factor, out_mono, out_atoms, polys = _canonical_term(*out)
-                            if factor != (1, 1) or polys:
-                                raise ArithmeticError(f"non-canonical product {out}")
-                            out = (out_mono, out_atoms)
-                        slots = known[aid][mono] = keys.setdefault(out, [None] * 6)
-                    row = slots[rid]
-                    if row is None:
-                        row = slots[rid] = {}
-                    v = c * k
-                    if col in row:
-                        v += row[col]
-                    if v:
-                        row[col] = v
-                    else:
-                        del row[col]
+    born = []
+    for k in range(spec.degree + 1):
+        count = 0
+        for first, atoms, bare, q, rho, known in blocks:
+            for i in range(math.comb(k + 4, 5), math.comb(k + 5, 5)):
+                factors = partials(monos[i], q, rho, E)
+                c0 = first + i
+                for col, terms in zip(graded[c0:c0 + 5 * n:n], operator):  # one per direction
+                    for rid, order, c, m, a, aid, b in terms:
+                        for f, s in factors[order + 1]:
+                            mono = (m[0] + s[0], m[1] + s[1], m[2] + s[2], m[3] + s[3],
+                                    m[4] + s[4])
+                            slots = known[aid].get(mono)
+                            if slots is None:
+                                out = (mono, a + atoms)
+                                if not product_is_canonical(mono, b, bare):
+                                    factor, out_mono, out_atoms, polys = _canonical_term(*out)
+                                    if factor != (1, 1) or polys:
+                                        raise ArithmeticError(f"non-canonical product {out}")
+                                    out = (out_mono, out_atoms)
+                                slots = known[aid][mono] = keys.setdefault(out, [None] * 6)
+                            row = slots[rid]
+                            if row is None:
+                                row = slots[rid] = {}
+                                count += 1
+                            v = c * f
+                            if col in row:
+                                v += row[col]
+                                if not v:
+                                    del row[col]
+                                    if not row:  # only this column's entries were in it
+                                        slots[rid] = None
+                                        count -= 1
+                                    continue
+                            row[col] = v
+        born.append(count)
     rows = [row for slots in keys.values() for row in slots if row]
-    return DeterminingSystem(ansatz, rows, keys)
+    return DeterminingSystem(ansatz, rows, keys, tuple(born))
 
 
 def nullspace(system: DeterminingSystem, counts: dict | None = None):
@@ -372,7 +392,8 @@ def nullspace(system: DeterminingSystem, counts: dict | None = None):
     and every lower degree's kernel lies inside that kernel.  Returns
     (table, basis): table holds one {degree, unknowns, rows, dimension}
     entry per degree, where a row counts from the lowest degree of its
-    unknowns on, in the rows as built; basis holds the top degree's integer
+    unknowns on, a prefix sum of the builder's DeterminingSystem.born, so
+    no row's entries are read for it; basis holds the top degree's integer
     vectors as sparse {ansatz column: int} dicts, in the form an elimination
     in that order gives (linalg.canonical_basis).  Each vector of
     sparse_nullspace is read once, at its nonzero entries, through one
@@ -381,16 +402,14 @@ def nullspace(system: DeterminingSystem, counts: dict | None = None):
     """
     ansatz = system.ansatz
     _, vectors = sparse_nullspace(system.rows, ansatz.size, counts)
-    lows = sorted(map(min, system.rows))
     graded = ansatz.graded
     inverse = sorted(range(ansatz.size), key=graded.__getitem__)  # graded -> ansatz column
     # each vector's nonzero entries by ansatz column, read once in graded
     # order, so the last is at its free column
     vectors = [{c: v[graded[c]] for c in itertools.compress(inverse, v)} for v in vectors]
     frees = [graded[next(reversed(v))] for v in vectors]  # ascending
-    table = [{"degree": degree, "unknowns": end, "rows": bisect_left(lows, end),
-              "dimension": bisect_left(frees, end)}
-             for degree, end in enumerate(ansatz.ends)]  # the prefix is [0, end)
+    table = [{"degree": k, "unknowns": end, "rows": rows, "dimension": bisect_left(frees, end)}
+             for k, (end, rows) in enumerate(zip(ansatz.ends, itertools.accumulate(system.born)))]
     return table, canonical_basis(vectors)
 
 
@@ -484,10 +503,12 @@ class SolveReport(NamedTuple):
     def to_text(self) -> str:
         lines = [f"equation: {self.equation}",
                  f"offsets: {', '.join(str(q) for q in self.offsets)}",
-                 f"rates: {', '.join(str(r) for r in self.rates)}",
-                 "degree  unknowns  rows  dimension"]
-        for row in self.table:
-            lines.append(f"{row['degree']:>6}  {row['unknowns']:>8}  {row['rows']:>4}  {row['dimension']:>9}")
+                 f"rates: {', '.join(str(r) for r in self.rates)}"]
+        # each column right-aligned to its widest cell, header included
+        names = ("degree", "unknowns", "rows", "dimension")
+        cells = [names] + [tuple(str(row[name]) for name in names) for row in self.table]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        lines.extend("  ".join(map(str.rjust, row, widths)) for row in cells)
         if self.stabilized:
             lines.append(f"stabilized (heuristic) at degree {self.stabilized_at}: dimension {self.dimension}")
         else:

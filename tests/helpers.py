@@ -11,6 +11,7 @@ import math
 import os
 import random
 import sys
+from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 
@@ -27,8 +28,9 @@ from mongesym.fields import (VectorField, distribution_from_monge,
                              lie_bracket, symmetry_residuals)
 from mongesym.linalg import KeyedSpan, SparseEchelon, sparse_nullspace
 from mongesym.parser import MAX_NESTING, ParseError, parse, quoted
-from mongesym.solver import (AnsatzSpec, build_ansatz, compile_operator,
-                             determining_equations)
+from mongesym.solver import (AnsatzSpec, UnknownBasis, build_ansatz,
+                             compile_operator, determining_equations,
+                             monomials_up_to)
 
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
@@ -733,6 +735,23 @@ def mul_expr(field: VectorField, f: Expr) -> VectorField:
     return VectorField(field.chart, tuple(f * a for a in field.coefficients))
 
 
+def ansatz_unknowns(ansatz) -> tuple:
+    """Every column's unknown in ansatz order, enumerated in full: for each
+    rate, each offset, each direction, each monomial ascending by degree.
+    The package reads one column at a time off the layout (Ansatz.unknown)."""
+    spec = ansatz.spec
+    return tuple(UnknownBasis(direction, exps, offset, rate)
+                 for rate in spec.rates for offset in spec.offsets
+                 for direction in range(5) for exps in monomials_up_to(spec.degree))
+
+
+def reference_row_counts(system) -> list:
+    """Per degree, the rows whose lowest graded column lies inside that
+    degree's prefix, read off every entry of every row."""
+    lows = sorted(map(min, system.rows))
+    return [bisect_left(lows, end) for end in system.ansatz.ends]
+
+
 def keyed_rows(system) -> dict:
     """A determining system's rows keyed by (residual, monomial, atoms), in
     ansatz columns, read off the builder's slots: the view the rows had
@@ -747,7 +766,7 @@ def reference_rows(distribution, ansatz) -> dict:
     """Determining rows by expanding fields.symmetry_residuals of every
     unknown's field: (residual, monomial, atoms) -> {column: coefficient}."""
     rows: dict = {}
-    for col, u in enumerate(ansatz.unknowns):
+    for col, u in enumerate(ansatz_unknowns(ansatz)):
         for rid, e in enumerate(symmetry_residuals(unknown_field(u), distribution)):
             for k, t in enumerate(e.terms):
                 rows.setdefault((rid, t.monomial, t.atoms), {})[col] = e.coefficient(k)
@@ -783,7 +802,7 @@ def reference_determining_rows(operator, ansatz) -> dict:
     operator-term x partial-term product sent through _canonical_term:
     (residual, monomial, atoms) -> {column: Fraction}."""
     rows: dict = {}
-    for col, u in enumerate(ansatz.unknowns):
+    for col, u in enumerate(ansatz_unknowns(ansatz)):
         coefficient = coefficient_expr(u)
         partials = [coefficient] + [coefficient.diff(c) for c in J20.coords]
         for rid, order, e in operator[u.direction]:
@@ -826,7 +845,7 @@ def numeric_symmetry_dimension(equation, spec) -> int:
     distribution = distribution_from_monge(equation)
     ansatz = build_ansatz(spec)
     columns = []
-    for u in ansatz.unknowns:
+    for u in ansatz_unknowns(ansatz):
         residuals = symmetry_residuals(unknown_field(u), distribution)
         columns.append([r.approx(p) if r.terms else 0.0 for p in at for r in residuals])
     matrix = np.array(columns, dtype=float).T
@@ -844,7 +863,7 @@ def reference_assemble(ansatz, vector) -> VectorField:
     """The field of an ansatz vector as a running sum, one normalization per
     nonzero entry."""
     coeffs = [Expr.zero() for _ in range(5)]
-    for c, u in zip(vector, ansatz.unknowns):
+    for c, u in zip(vector, ansatz_unknowns(ansatz)):
         if c:
             coeffs[u.direction] = coeffs[u.direction] + coefficient_expr(u).scale(c)
     return VectorField(J20, tuple(coeffs))

@@ -85,6 +85,14 @@ def solve_eq2():
 
 
 @pytest.fixture(scope="module")
+def solve_eq2_offsets():
+    # offset blocks share rows: 504 of its 1,543 rows take entries from two
+    # or more of the three blocks
+    return symmetry_dimension(eq2(), 3, offsets=(0, Fraction(1, 3), Fraction(2, 3)),
+                              equation_label="eq2")
+
+
+@pytest.fixture(scope="module")
 def solve_seven():
     return solve_once(dz13(5, 4), 3, "dz13(5,4)")
 
@@ -181,7 +189,8 @@ def test_criterion_4_genericity():
            f"hessian={hess}, {elapsed:.2f}s")
 
 
-def test_criterion_5_dimension_landscape(solve_flat, solve_ap, solve_eq2, solve_seven):
+def test_criterion_5_dimension_landscape(solve_flat, solve_ap, solve_eq2, solve_seven,
+                                         solve_eq2_offsets):
     t0 = time.perf_counter()
     flat_ok = (solve_flat.stabilized and solve_flat.dimension == 14
                and solve_flat.verified)
@@ -193,7 +202,8 @@ def test_criterion_5_dimension_landscape(solve_flat, solve_ap, solve_eq2, solve_
                 and solve_seven.verified)
     golden_ok = True
     for label, rep in (("flat", solve_flat), ("dz13_10_9", solve_ap),
-                       ("eq2", solve_eq2), ("dz13_5_4", solve_seven)):
+                       ("eq2", solve_eq2), ("dz13_5_4", solve_seven),
+                       ("eq2_offsets", solve_eq2_offsets)):
         with open(os.path.join(GOLDEN, f"solve_{label}.json")) as fh:
             golden = json.load(fh)
         if rep.to_json() != golden:

@@ -399,7 +399,7 @@ def check_against_oracles(rows, ncols):
 @pytest.mark.parametrize("case", sorted(PLANTED))
 def test_presolve_on_planted_systems(case):
     rows, ncols, forced = PLANTED[case]
-    assert _forced_zeros(rows)[0] == forced
+    assert _forced_zeros(rows, ncols)[0] == forced
     check_against_oracles(rows, ncols)
 
 
@@ -407,7 +407,7 @@ def test_presolve_on_seeded_systems():
     forced = 0
     for seed in range(300):
         rows, ncols = random_sparse_system(random.Random(seed))
-        forced += len(_forced_zeros([r for r in rows if r])[0])
+        forced += len(_forced_zeros([r for r in rows if r], ncols)[0])
         check_against_oracles(rows, ncols)
     assert forced > 300
 

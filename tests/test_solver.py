@@ -23,11 +23,12 @@ from mongesym.solver import (MAX_UNKNOWNS, AnsatzError, AnsatzSpec,
                              exp_rates_for, maximality_argument, nullspace,
                              symmetry_dimension)
 
-from helpers import (brute_force_symmetry_space, coefficient_expr, field_rank,
-                     keyed_rows, numeric_symmetry_dimension, perfbench_module,
-                     primitive_row, random_expr, reference_assemble,
-                     reference_compile_operator, reference_determining_rows,
-                     reference_graded_solve, reference_rows, same_span, sparse)
+from helpers import (ansatz_unknowns, brute_force_symmetry_space, coefficient_expr,
+                     field_rank, keyed_rows, numeric_symmetry_dimension,
+                     perfbench_module, primitive_row, random_expr,
+                     reference_assemble, reference_compile_operator,
+                     reference_determining_rows, reference_graded_solve,
+                     reference_row_counts, reference_rows, same_span, sparse)
 
 
 class TestAnsatz:
@@ -74,7 +75,37 @@ class TestAnsatz:
     def test_deterministic_enumeration(self):
         a1 = build_ansatz(AnsatzSpec(2))
         a2 = build_ansatz(AnsatzSpec(2))
-        assert a1.unknowns == a2.unknowns
+        assert a1 == a2
+        assert [a1.unknown(c) for c in range(a1.size)] == [a2.unknown(c) for c in range(a2.size)]
+
+    def test_unknown_reads_the_layout(self):
+        # every column's unknown, off the layout, in the order of a full
+        # enumeration: rate, offset, direction, monomial
+        ansatz = build_ansatz(AnsatzSpec(2, (0, Fraction(1, 3)), (0, 2, Fraction(-1, 2))))
+        reference = ansatz_unknowns(ansatz)
+        assert len(reference) == ansatz.size == 630
+        assert [ansatz.unknown(c) for c in range(ansatz.size)] == list(reference)
+
+    def test_no_unknown_outside_assemble(self, monkeypatch):
+        made = []
+        new = UnknownBasis.__new__
+
+        def counted(cls, *args):
+            made.append(args)
+            return new(cls, *args)
+
+        monkeypatch.setattr(UnknownBasis, "__new__", staticmethod(counted))
+        m = dz13(5, 4)
+        spec = AnsatzSpec(2, offsets=(0, Fraction(1, 3)), rates=exp_rates_for(m))
+        operator = compile_operator(distribution_from_monge(m))
+        ansatz = build_ansatz(spec)
+        system = determining_equations(operator, ansatz)
+        assert made == [] and system.n_rows > 0
+        _, basis = nullspace(system)
+        assert made == []
+        for vector in basis:
+            ansatz.assemble(vector)
+        assert 0 < len(made) <= sum(map(len, basis))
 
     def test_zero_vector_assembles_to_zero_field(self):
         a = build_ansatz(AnsatzSpec(1))
@@ -135,6 +166,22 @@ class TestRowBuilder:
         rows = keyed_rows(determining_equations(self.operator(*cancel, survive), ansatz))
         assert rows == {(1, x, ()): {c: Fraction(2) for c in range(5)}}
 
+    def test_a_refilled_row_counts_at_its_lowest_degree(self):
+        # row (0, x) takes +1 and -1 from each constant column, so degree 0
+        # empties it, and then d/dx of each x column refills it: its lowest
+        # degree is 1.  Every other row cancels at once.
+        ansatz = build_ansatz(AnsatzSpec(1))
+        x = (1, 0, 0, 0, 0)
+        terms = ((0, -1, parse("x", J20)), (0, -1, parse("-x", J20)),
+                 (0, 0, parse("x", J20)))
+        system = determining_equations(self.operator(*terms), ansatz)
+        columns = [c for c, u in enumerate(ansatz_unknowns(ansatz)) if u.exponents == x]
+        assert keyed_rows(system) == {(0, x, ()): {c: Fraction(1) for c in columns}}
+        assert system.born == (0, 1)
+        assert reference_row_counts(system) == [0, 1]
+        table, _ = nullspace(system)
+        assert [row["rows"] for row in table] == [0, 1]
+
     @pytest.mark.parametrize("base,exponent", [
         # (4*y2)^(1/2) canonicalizes to 2*y2^(1/2): coefficient 2
         (Expr((Term(4, (0, 0, 0, 1, 0), ()),)), Fraction(1, 2)),
@@ -150,49 +197,79 @@ class TestRowBuilder:
 
     @pytest.mark.parametrize("spec", [
         AnsatzSpec(2), AnsatzSpec(1, offsets=(0, Fraction(1, 3)), rates=(0, 2, Fraction(-1, 2)))])
-    def test_coefficient_functions_read_the_layout(self, spec, monkeypatch):
+    def test_the_walk_sets_every_column_once_by_degree(self, spec):
+        # with the operator 1 on every direction, each coefficient function
+        # makes one row of its five columns, keyed by the function itself,
+        # so the rows show the walk: by degree, then block, then monomial
         ansatz = build_ansatz(spec)
-        grouped: dict = {}
-        for col, u in enumerate(ansatz.unknowns):
-            grouped.setdefault((u.exponents, u.offset, u.rate), []).append(col)
-        hashed = []
-        fraction_hash = Fraction.__hash__
+        system = determining_equations(self.operator((0, -1, parse("1", J20))), ansatz)
+        unknowns = ansatz_unknowns(ansatz)
+        n = ansatz.size // (5 * len(spec.offsets) * len(spec.rates))
+        order = sorted(range(ansatz.size), key=lambda c: (
+            sum(unknowns[c].exponents), c // (5 * n), c % n, c))
+        functions: dict = {}
+        for c in order:
+            t = coefficient_expr(unknowns[c]).terms[0]
+            functions.setdefault((t.monomial, t.atoms), []).append(ansatz.graded[c])
+        assert list(system.slots) == list(functions)
+        assert [sorted(row) for row in system.rows] == [sorted(cols) for cols in functions.values()]
+        assert sorted(c for row in system.rows for c in row) == list(range(ansatz.size))
+
+    def test_no_fraction_hash_per_column(self, monkeypatch):
+        # outside the canonicalization of a new product key, the walk hashes
+        # a Fraction only to make each block's atoms: none per column
+        operator = compile_operator(distribution_from_monge(eq2()))
+        hashed, inside = [], []
+        fraction_hash, canonical_term = Fraction.__hash__, solver._canonical_term
 
         def counted(self):
-            hashed.append(self)
+            if not inside:
+                hashed.append(self)
             return fraction_hash(self)
 
-        monkeypatch.setattr(Fraction, "__hash__", counted)
-        functions = list(ansatz.coefficient_functions())
-        monkeypatch.undo()
-        assert hashed == []
-        assert functions == [(ansatz.unknowns[cols[0]], tuple(ansatz.graded[c] for c in cols))
-                             for cols in grouped.values()]
+        def canonical(*args):
+            inside.append(args)
+            try:
+                return canonical_term(*args)
+            finally:
+                inside.pop()
+
+        counts = []
+        for degree in (1, 3):
+            ansatz = build_ansatz(AnsatzSpec(degree, (0, Fraction(1, 3)), (0, 2, Fraction(-1, 2))))
+            hashed.clear()
+            monkeypatch.setattr(solver, "_canonical_term", canonical)
+            monkeypatch.setattr(Fraction, "__hash__", counted)
+            determining_equations(operator, ansatz)
+            monkeypatch.undo()
+            counts.append(len(hashed))
+        assert counts[0] == counts[1] <= 6
 
     @pytest.mark.parametrize("spec", [
         AnsatzSpec(0), AnsatzSpec(3),
         AnsatzSpec(2, offsets=(0, Fraction(1, 3)), rates=(0, 2, Fraction(-1, 2)))])
     def test_graded_columns_order_by_degree_then_index(self, spec):
         ansatz = build_ansatz(spec)
-        order = sorted(range(ansatz.size),
-                       key=lambda c: (sum(ansatz.unknowns[c].exponents), c))
+        unknowns = ansatz_unknowns(ansatz)
+        order = sorted(range(ansatz.size), key=lambda c: (sum(unknowns[c].exponents), c))
         assert [ansatz.graded[c] for c in order] == list(range(ansatz.size))
-        degrees = sorted(sum(u.exponents) for u in ansatz.unknowns)
+        degrees = sorted(sum(u.exponents) for u in unknowns)
         assert ansatz.ends == tuple(bisect_right(degrees, k)
                                     for k in range(spec.degree + 1))
 
     def test_partials_once_per_coefficient_function(self, monkeypatch):
+        # one factor call per (block, monomial), for its five directions
         calls = []
-        partials = UnknownBasis.partials
+        partials = solver.partials
 
-        def counted(u, E):
-            calls.append(u)
-            return partials(u, E)
+        def counted(*args):
+            calls.append(args)
+            return partials(*args)
 
-        monkeypatch.setattr(UnknownBasis, "partials", counted)
+        monkeypatch.setattr(solver, "partials", counted)
         ansatz = build_ansatz(AnsatzSpec(1, offsets=(0, Fraction(1, 3)), rates=(0, 2)))
         determining_equations(compile_operator(distribution_from_monge(eq2())), ansatz)
-        assert len(calls) == ansatz.size // 5
+        assert len(calls) == len(set(calls)) == ansatz.size // 5
 
 
 # (equation, offsets, rates); rates None takes exp_rates_for's
@@ -238,20 +315,32 @@ class TestIntegerRows:
         with pytest.raises(ArithmeticError):
             solver._exact_integer(2, 3)
         assert solver._exact_integer(3, 3) == 1
-        # E must be a multiple of the offset's and the rate's denominators
-        for offset, rate in ((Fraction(1, 3), 0), (0, Fraction(2, 3))):
-            u = UnknownBasis(0, (1, 0, 0, 1, 0), Fraction(offset), Fraction(rate))
-            with pytest.raises(ArithmeticError):
-                u.partials(2)
-            assert u.partials(6)[0] == u.partials(3)[0]
+    def test_the_partials_take_the_scaled_offset_and_rate(self, monkeypatch):
+        # E = 3, the lcm of the denominators, so each block hands partials
+        # q = 3*offset and rho = 3*rate, and the block's atoms need no E
+        scalars = set()
+        partials = solver.partials
+
+        def spy(mono, q, rho, E):
+            scalars.add((q, rho, E))
+            return partials(mono, q, rho, E)
+
+        monkeypatch.setattr(solver, "partials", spy)
+        ansatz = build_ansatz(AnsatzSpec(1, (0, Fraction(1, 3)), (0, Fraction(2, 3))))
+        determining_equations(compile_operator(distribution_from_monge(eq2())), ansatz)
+        assert scalars == {(0, 0, 3), (1, 0, 3), (0, 2, 3), (1, 2, 3)}
+        for offset, rate in ((Fraction(1, 3), Fraction(0)), (Fraction(0), Fraction(2, 3))):
+            u = UnknownBasis(0, (1, 0, 0, 1, 0), offset, rate)
+            assert u.term() == ((1, 0, 0, 1, 0), solver._atoms(offset, rate))
 
     @pytest.mark.parametrize("key,offsets,rates", INTEGER_ROW_CASES)
     def test_partials_are_the_scaled_derivatives(self, key, offsets, rates):
         # factors[order + 1] read as an expression is E times the partial
         _, ansatz = integer_row_case(key, offsets, rates)
         E = math.lcm(*(v.denominator for v in ansatz.spec.offsets + ansatz.spec.rates))
-        for u in ansatz.unknowns[::7]:
-            atoms, factors = u.partials(E)
+        for u in ansatz_unknowns(ansatz)[::7]:
+            mono, atoms = u.term()
+            factors = solver.partials(mono, int(u.offset * E), int(u.rate * E), E)
             assert all(type(k) is int for f in factors for k, _ in f)
             coefficient = coefficient_expr(u)
             expected = [coefficient] + [coefficient.diff(c) for c in J20.coords]
@@ -373,6 +462,21 @@ class TestGradedElimination:
         table, basis = reference_graded_solve(d, spec)
         assert nullspace(system) == (table, [sparse(v) for v in basis])
 
+    @pytest.mark.parametrize("key,degree,offsets", [
+        ("flat", 4, (0,)),                                    # one block
+        ("dz13(5,4)", 3, (0,)),                               # seven rates
+        ("eq2", 3, (0, Fraction(1, 3), Fraction(2, 3))),      # three offsets
+        ("dz13(5,4)", 2, (0, Fraction(1, 3))),                # both
+    ])
+    def test_table_rows_are_the_rows_by_lowest_column(self, key, degree, offsets):
+        m = get_equation(key)
+        spec = AnsatzSpec(degree, offsets=offsets, rates=exp_rates_for(m))
+        system = determining_equations(compile_operator(distribution_from_monge(m)),
+                                       build_ansatz(spec))
+        table, _ = nullspace(system)
+        assert [row["rows"] for row in table] == reference_row_counts(system)
+        assert sum(system.born) == system.n_rows
+
     def test_the_builder_rows_go_to_the_elimination_as_they_are(self, monkeypatch):
         handed = []
         elimination = solver.sparse_nullspace
@@ -428,11 +532,15 @@ class TestGradedElimination:
     def test_table_reads_each_prefix(self):
         # the first degree-1 unknown is free and borders the degree-0 prefix
         ansatz = build_ansatz(AnsatzSpec(1))
-        low = [c for c, u in enumerate(ansatz.unknowns) if not sum(u.exponents)]
-        high = [c for c, u in enumerate(ansatz.unknowns) if sum(u.exponents)]
+        unknowns = ansatz_unknowns(ansatz)
+        low = [c for c, u in enumerate(unknowns) if not sum(u.exponents)]
+        high = [c for c, u in enumerate(unknowns) if sum(u.exponents)]
         graded = ansatz.graded
         rows = [{graded[low[0]]: 1}, {graded[high[1]]: 6, graded[high[2]]: -1}]
-        table, basis = nullspace(DeterminingSystem(ansatz, rows, {}))
+        system = DeterminingSystem(ansatz, rows, {}, ())
+        prefix = reference_row_counts(system)
+        born = tuple(b - a for a, b in zip([0] + prefix, prefix))
+        table, basis = nullspace(system._replace(born=born))
         assert table == [
             {"degree": 0, "unknowns": 5, "rows": 1, "dimension": 4},
             {"degree": 1, "unknowns": 30, "rows": 2, "dimension": 28}]
@@ -441,17 +549,23 @@ class TestGradedElimination:
 
     def test_the_layout_not_the_unknowns(self):
         # nullspace reads the graded positions and prefix ends build_ansatz
-        # laid out, never the unknowns themselves
+        # laid out, never the unknowns or the monomials
         class Opaque:  # no iteration, indexing or length
             pass
+
+        class Blind(solver.Ansatz):
+            def unknown(self, c):
+                raise AssertionError(f"unknown {c} was read")
 
         m = dz13(5, 4)
         spec = AnsatzSpec(2, offsets=(0, Fraction(1, 3)), rates=exp_rates_for(m))
         system = determining_equations(compile_operator(distribution_from_monge(m)),
                                        build_ansatz(spec))
         table, basis = nullspace(system)
-        blind = system.ansatz._replace(unknowns=Opaque())
-        assert nullspace(DeterminingSystem(blind, system.rows, system.slots)) == (table, basis)
+        blind = Blind(*system.ansatz)._replace(monomials=Opaque())
+        with pytest.raises(AssertionError, match="unknown 0 was read"):
+            blind.unknown(0)
+        assert nullspace(system._replace(ansatz=blind)) == (table, basis)
         assert [row["dimension"] for row in table] == [2, 7, 7]
 
     @pytest.mark.parametrize("seed", range(6))
@@ -512,6 +626,31 @@ class TestEliminationCounts:
         assert report.elimination["rows"] > 0
         assert "elimination" not in report.to_json()
         assert report.to_json(include_timings=True)["elimination"] == report.elimination
+
+
+class TestReportText:
+    @staticmethod
+    def table_lines(report):
+        return report.to_text().splitlines()[3:3 + len(report.table) + 1]
+
+    def test_tables_under_10000_rows_keep_their_layout(self):
+        report = symmetry_dimension(eq2(), 3, offsets=(0, Fraction(1, 3), Fraction(2, 3)))
+        assert max(row["rows"] for row in report.table) == 1543
+        assert self.table_lines(report) == ["degree  unknowns  rows  dimension"] + [
+            f"{r['degree']:>6}  {r['unknowns']:>8}  {r['rows']:>4}  {r['dimension']:>9}"
+            for r in report.table]
+
+    def test_columns_widen_to_their_widest_cell(self):
+        # the rows of dz13(10,9) at degrees 3 to 5: four digits, then five
+        report = symmetry_dimension(flat(), 1)._replace(table=[
+            {"degree": 3, "unknowns": 2520, "rows": 6684, "dimension": 13},
+            {"degree": 4, "unknowns": 5670, "rows": 14314, "dimension": 14},
+            {"degree": 5, "unknowns": 11340, "rows": 27101, "dimension": 14}])
+        assert self.table_lines(report) == [
+            "degree  unknowns   rows  dimension",
+            "     3      2520   6684         13",
+            "     4      5670  14314         14",
+            "     5     11340  27101         14"]
 
 
 class TestOracleEquivalence:
